@@ -127,19 +127,12 @@ def _bench_texts(scenario: LatencyScenario, seed: int):
     return queries, keyword_sets
 
 
-def bench(
-    scenario: LatencyScenario,
-    model: TwinModel,
-    warmup: int = 2,
-    seed: int = 0,
-    dtype=np.float32,
-    texts: tuple[list[str], list[list[str]]] | None = None,
-) -> TimingReport:
-    """Run one latency scenario and return per-query timing plus counters.
+def _prepare(scenario: LatencyScenario, model: TwinModel, warmup: int, seed: int, dtype,
+             texts: tuple[list[str], list[list[str]]] | None):
+    """Tokenize, pack, (when cached) pre-encode and warm up one scenario.
 
-    ``texts`` optionally fixes the (queries, keyword_sets) workload, which
-    keeps the query-encoding intercept identical across grid points when
-    fitting the per-keyword slope.
+    Returns ``(run_query, n_queries, tokenize_ms, counters)``; ``run_query(qi)``
+    serves query ``qi`` and is the only work inside the timed region.
     """
     if texts is None:
         queries, keyword_sets = _bench_texts(scenario, seed)
@@ -150,7 +143,7 @@ def bench(
             len(kws) < scenario.n_keywords_per_query for kws in keyword_sets
         ):
             raise ValueError("provided texts are smaller than the scenario demands")
-    run_model = model.cast(dtype) if dtype is not None else model
+    run_model = model.cast(dtype)  # its own counters count only this scenario
     counters = run_model.counters
 
     cross_config = cross_params = None
@@ -185,7 +178,7 @@ def bench(
             run_model.encode_keyword_batch(kb, count=False)[0] for kb in kw_batches
         ]
 
-    def _run_query(qi: int) -> None:
+    def run_query(qi: int) -> None:
         if scenario.model_mode == "cross_encoder":
             emb, _ = encoder_forward(cross_params, "encoder", cross_batches[qi], cross_config)
             counters.cross_encoder_passes += cross_batches[qi].n_examples
@@ -201,36 +194,59 @@ def bench(
         run_model.score_embeddings(q_rows, k_embs, head=head)
 
     for qi in range(min(warmup, len(queries))):
-        _run_query(qi)
+        run_query(qi)
     counters.reset()
+    return run_query, len(queries), tokenize_ms, counters
 
-    times_ms: list[float] = []
+
+def _run_round_robin(scenarios: list[LatencyScenario], repetitions: int, model: TwinModel,
+                     warmup: int, seed: int, dtype, texts=None) -> list[TimingReport]:
+    """Time every scenario, one pass over each per repetition, in turn.
+
+    Interleaving the passes makes a change in host speed during the run
+    shift every scenario alike instead of favouring the ones timed first.
+    """
+    points = [_prepare(sc, model, warmup, seed, dtype, texts) for sc in scenarios]
+    times_ms: list[list[float]] = [[] for _ in points]
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        total_t0 = time.perf_counter()
-        for _ in range(scenario.repetitions):
-            for qi in range(len(queries)):
-                t = time.perf_counter()
-                _run_query(qi)
-                times_ms.append((time.perf_counter() - t) * 1e3)
-        total_s = time.perf_counter() - total_t0
+        for _ in range(repetitions):
+            for (run_query, n_queries, _, _), times in zip(points, times_ms):
+                for qi in range(n_queries):
+                    t = time.perf_counter()
+                    run_query(qi)
+                    times.append((time.perf_counter() - t) * 1e3)
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    arr = np.asarray(times_ms)
-    return TimingReport(
-        scenario=scenario,
-        mean_ms=float(arr.mean()),
-        median_ms=float(np.median(arr)),
-        p95_ms=float(np.percentile(arr, 95)),
-        total_s=total_s,
-        tokenize_ms=tokenize_ms,
-        counters=counters.as_dict(),
-        n_samples=len(times_ms),
-    )
+    reports = []
+    for sc, (_, _, tokenize_ms, counters), times in zip(scenarios, points, times_ms):
+        arr = np.asarray(times)
+        reports.append(TimingReport(
+            scenario=sc,
+            mean_ms=float(arr.mean()),
+            median_ms=float(np.median(arr)),
+            p95_ms=float(np.percentile(arr, 95)),
+            total_s=float(arr.sum()) / 1e3,
+            tokenize_ms=tokenize_ms,
+            counters=counters.as_dict(),
+            n_samples=len(times),
+        ))
+    return reports
+
+
+def bench(
+    scenario: LatencyScenario,
+    model: TwinModel,
+    warmup: int = 2,
+    seed: int = 0,
+    dtype=np.float32,
+) -> TimingReport:
+    """Run one latency scenario and return per-query timing plus counters."""
+    return _run_round_robin([scenario], scenario.repetitions, model, warmup, seed, dtype)[0]
 
 
 def complexity_fit(grid: list[tuple[int, float]]) -> ComplexityFit:
@@ -270,19 +286,21 @@ def bench_grid(
 
     The same query and keyword texts serve every grid point (sliced to the
     point's keyword count), and the fit runs over per-point medians, so the
-    slope reflects per-keyword cost rather than workload differences.
+    slope reflects per-keyword cost rather than workload differences. The
+    points are timed round-robin, so host speed drift cannot tilt the slope.
     """
     widest = LatencyScenario(
         model_mode=mode, qel=qel, keyword_cache=keyword_cache,
         n_queries=n_queries, n_keywords_per_query=max(nk_grid), repetitions=repetitions,
     )
     texts = _bench_texts(widest, seed)
-    reports = []
-    for nk in nk_grid:
-        scenario = LatencyScenario(
+    scenarios = [
+        LatencyScenario(
             model_mode=mode, qel=qel, keyword_cache=keyword_cache,
             n_queries=n_queries, n_keywords_per_query=nk, repetitions=repetitions,
         )
-        reports.append(bench(scenario, model, warmup=warmup, seed=seed, dtype=dtype, texts=texts))
+        for nk in nk_grid
+    ]
+    reports = _run_round_robin(scenarios, repetitions, model, warmup, seed, dtype, texts)
     fit = complexity_fit([(r.scenario.n_keywords_per_query, r.median_ms) for r in reports])
     return reports, fit

@@ -130,8 +130,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 def _resolve(args, file_cfg: dict) -> dict:
     """Merge defaults <- flags <- config file into one resolved dict."""
     model_kwargs = {}
-    if getattr(args, "preset", None) == "large" or file_cfg.get("preset") == "large":
-        model_kwargs = dict(n_layers=6, hidden_size=512, n_heads=8, vocab_buckets=50_000)
     for flag, field_name in _MODEL_FLAG_FIELDS:
         v = getattr(args, flag, None)
         if v is not None:
@@ -159,8 +157,9 @@ def _resolve(args, file_cfg: dict) -> dict:
     if "vocab_hash_seed" in file_cfg:
         vocab_hash_seed = file_cfg["vocab_hash_seed"]
 
+    large = getattr(args, "preset", None) == "large" or file_cfg.get("preset") == "large"
     try:
-        model = ModelConfig(**model_kwargs)
+        model = (ModelConfig.large if large else ModelConfig)(**model_kwargs)
         distill = DistillationConfig(**distill_kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc

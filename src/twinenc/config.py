@@ -56,11 +56,6 @@ class ModelConfig:
         return self.hidden_size // self.n_heads
 
     @classmethod
-    def desk(cls, **overrides) -> ModelConfig:
-        """Small preset for local experiments and tests."""
-        return cls(**overrides)
-
-    @classmethod
     def large(cls, **overrides) -> ModelConfig:
         """Production-scale preset: L=6, H=512, A=8, 50K trigram buckets."""
         base = dict(n_layers=6, hidden_size=512, n_heads=8, vocab_buckets=50_000)

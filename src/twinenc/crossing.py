@@ -18,8 +18,6 @@ import numpy as np
 
 from .encoder import accumulate, gelu, gelu_grad, sigmoid, truncated_normal
 
-_NORM_EPS = 0.0  # zero-norm inputs are rejected, not smoothed
-
 
 def init_head_params(hidden_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Parameters for both heads; one model checkpoint carries both.
@@ -50,24 +48,23 @@ def head_param_names() -> list[str]:
     ]
 
 
-def cosine(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Cosine similarity over the last axis; rejects zero-norm vectors."""
-    q = np.asarray(q)
-    k = np.asarray(k)
+def _cosine_parts(q: np.ndarray, k: np.ndarray):
+    """(cos, |q|, |k|) over the last axis; rejects zero-norm vectors."""
     nq = np.linalg.norm(q, axis=-1)
     nk = np.linalg.norm(k, axis=-1)
     if np.any(nq == 0) or np.any(nk == 0):
         raise ValueError("cosine similarity is undefined for zero-norm vectors")
-    return (q * k).sum(axis=-1) / (nq * nk)
+    return (q * k).sum(axis=-1) / (nq * nk), nq, nk
+
+
+def cosine(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Cosine similarity over the last axis; rejects zero-norm vectors."""
+    return _cosine_parts(np.asarray(q), np.asarray(k))[0]
 
 
 def cosine_head_forward(q: np.ndarray, k: np.ndarray, params: dict):
     """Calibrated cosine logit a*cos(q,k) + b. Returns (logits, cache)."""
-    nq = np.linalg.norm(q, axis=-1)
-    nk = np.linalg.norm(k, axis=-1)
-    if np.any(nq == 0) or np.any(nk == 0):
-        raise ValueError("cosine similarity is undefined for zero-norm vectors")
-    c = (q * k).sum(axis=-1) / (nq * nk)
+    c, nq, nk = _cosine_parts(q, k)
     logits = params["cosine_head.scale"] * c + params["cosine_head.bias"]
     return logits, {"q": q, "k": k, "nq": nq, "nk": nk, "c": c}
 

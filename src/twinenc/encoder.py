@@ -14,7 +14,9 @@ contributions of both sides.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.special import erf
@@ -135,7 +137,7 @@ def accumulate(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
 
 @dataclass
 class PackedBatch:
-    """Flattened trigram indices for a batch of equal-length sequences.
+    """Flattened trigram indices for a batch padded to its longest sequence.
 
     ``bucket_ids[i]`` is a trigram bucket belonging to flat slot
     ``slot_ids[i]`` (= example * seq_len + position). Slot order is
@@ -150,29 +152,27 @@ class PackedBatch:
 
 
 def pack_sequences(seqs: list[TokenSequence]) -> PackedBatch:
+    """Pack ragged sequences, padding only to the longest one in the batch."""
     if not seqs:
         raise ValueError("cannot pack an empty batch")
-    seq_len = seqs[0].length
-    buckets: list[int] = []
-    slots: list[int] = []
-    mask = np.zeros((len(seqs), seq_len), dtype=bool)
-    for b, seq in enumerate(seqs):
-        if seq.length != seq_len:
-            raise ValueError("all sequences in a batch must have equal length")
-        mask[b] = seq.mask
-        base = b * seq_len
-        for t, token in enumerate(seq.tokens):
-            for bucket in token:
-                buckets.append(bucket)
-                slots.append(base + t)
-    if not mask.any(axis=1).all():
+    lengths = [s.length for s in seqs]
+    if min(lengths) < 1:
         raise ValueError("every sequence must contain at least one unmasked token")
+    mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    bucket_ids = np.fromiter(chain.from_iterable(s.bucket_ids for s in seqs), dtype=np.int64)
+    # bucket count of every word, in batch order
+    starts = chain.from_iterable(s.word_offsets for s in seqs)
+    ends = chain.from_iterable(s.word_offsets[1:] + (len(s.bucket_ids),) for s in seqs)
+    word_sizes = np.fromiter(map(operator.sub, ends, starts), dtype=np.int64)
+    # real slots come first in each row, so the mask's flat nonzeros are the
+    # slots of the words in order
+    slot_ids = np.repeat(np.flatnonzero(mask), word_sizes)
     return PackedBatch(
-        bucket_ids=np.asarray(buckets, dtype=np.int64),
-        slot_ids=np.asarray(slots, dtype=np.int64),
+        bucket_ids=bucket_ids,
+        slot_ids=slot_ids,
         mask=mask,
         n_examples=len(seqs),
-        seq_len=seq_len,
+        seq_len=mask.shape[1],
     )
 
 
@@ -191,12 +191,9 @@ def embed_forward(params: dict, prefix: str, batch: PackedBatch):
             f"sequence length {t} exceeds position table size {pos_emb.shape[0]}"
         )
     flat = np.zeros((b * t, h), dtype=tok_emb.dtype)
-    if batch.bucket_ids.size:
-        gathered = tok_emb[batch.bucket_ids]
-        # slot_ids are sorted, so segment sums cover the occupied slots
-        starts = np.flatnonzero(np.r_[True, np.diff(batch.slot_ids) != 0])
-        sums = np.add.reduceat(gathered, starts, axis=0)
-        flat[batch.slot_ids[starts]] = sums
+    # slot_ids are sorted, so segment sums cover the occupied slots
+    starts = np.flatnonzero(np.r_[True, np.diff(batch.slot_ids) != 0])
+    flat[batch.slot_ids[starts]] = np.add.reduceat(tok_emb[batch.bucket_ids], starts, axis=0)
     x = flat.reshape(b, t, h) + pos_emb[None, :t, :]
     return x
 
@@ -204,11 +201,11 @@ def embed_forward(params: dict, prefix: str, batch: PackedBatch):
 def embed_backward(params: dict, prefix: str, batch: PackedBatch, dx: np.ndarray, grads: dict) -> None:
     tok_emb = params[f"{prefix}.tok_emb"]
     b, t = batch.n_examples, batch.seq_len
-    accumulate(grads, f"{prefix}.pos_emb", dx.sum(axis=0))
+    d_pos = np.zeros_like(params[f"{prefix}.pos_emb"])
+    d_pos[:t] = dx.sum(axis=0)
+    accumulate(grads, f"{prefix}.pos_emb", d_pos)
     d_tok = np.zeros_like(tok_emb)
-    if batch.bucket_ids.size:
-        flat = dx.reshape(b * t, -1)
-        np.add.at(d_tok, batch.bucket_ids, flat[batch.slot_ids])
+    np.add.at(d_tok, batch.bucket_ids, dx.reshape(b * t, -1)[batch.slot_ids])
     accumulate(grads, f"{prefix}.tok_emb", d_tok)
 
 

@@ -98,9 +98,6 @@ class EmbeddingIndex:
     def dim(self) -> int:
         return int(self.vectors.shape[1])
 
-    def vector_for(self, keyword_id: str) -> np.ndarray:
-        return self.vectors[self.ids.index(keyword_id)]
-
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:

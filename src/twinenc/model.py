@@ -193,9 +193,8 @@ class TwinModel:
         return cls(config=config, vocab=vocab, params=params)
 
     def cast(self, dtype) -> TwinModel:
-        """Copy of this model with parameters cast to ``dtype`` (inference only)."""
-        clone = TwinModel(
-            config=self.config, vocab=self.vocab,
-            params=cast_params(self.params, dtype), counters=self.counters,
-        )
-        return clone
+        """Copy of this model with parameters cast to ``dtype`` (inference only).
+
+        The copy counts its own operations; ``dtype=None`` keeps the arrays.
+        """
+        return TwinModel(config=self.config, vocab=self.vocab, params=cast_params(self.params, dtype))

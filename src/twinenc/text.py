@@ -114,30 +114,27 @@ class TrigramVocab:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """One encoded sentence: per-word trigram bucket multisets, padded.
+    """One encoded sentence, ragged: only real words, never padding.
 
-    ``tokens[i]`` is the bucket multiset of word i (empty tuple for padding
-    slots), ``mask[i]`` is True exactly for non-padding slots, and
-    ``original_length`` records the pre-truncation word count.
+    ``bucket_ids`` concatenates the trigram bucket multisets of the words
+    (a prepended cls bucket counts as a one-bucket word), and
+    ``word_offsets[i]`` is where word i starts in it. ``original_length``
+    records the pre-truncation word count.
     """
 
-    tokens: tuple[tuple[int, ...], ...]
-    positions: tuple[int, ...]
-    mask: tuple[bool, ...]
+    bucket_ids: tuple[int, ...]
+    word_offsets: tuple[int, ...]
     original_length: int
 
     def __post_init__(self) -> None:
-        n = len(self.tokens)
-        if len(self.positions) != n or len(self.mask) != n:
-            raise ValueError("tokens, positions and mask must have equal length")
+        bounds = self.word_offsets + (len(self.bucket_ids),)
+        if bounds[0] != 0 or any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError("word_offsets must start at 0 and split bucket_ids into non-empty words")
 
     @property
     def length(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def real_length(self) -> int:
-        return sum(self.mask)
+        """Number of words, the cls bucket included."""
+        return len(self.word_offsets)
 
 
 def encode_text(
@@ -146,11 +143,11 @@ def encode_text(
     max_len: int,
     prepend_bucket: int | None = None,
 ) -> TokenSequence:
-    """Encode text into a fixed-length :class:`TokenSequence`.
+    """Encode text into a ragged :class:`TokenSequence` of at most ``max_len`` words.
 
-    Words beyond ``max_len`` are truncated; shorter inputs are padded with
-    masked slots. When ``prepend_bucket`` is given (cls-token pooling), that
-    reserved bucket occupies slot 0 and text capacity shrinks by one.
+    Words beyond ``max_len`` are truncated; shorter inputs are not padded.
+    When ``prepend_bucket`` is given (cls-token pooling), that reserved
+    bucket is word 0 and text capacity shrinks by one.
 
     Raises ``ValueError`` if the text normalizes to empty; the caller decides
     the fallback.
@@ -166,18 +163,14 @@ def encode_text(
     capacity = max_len - (1 if prepend_bucket is not None else 0)
     if capacity < 1:
         raise ValueError("max_len too small to hold any text after the reserved slot")
-    words = words[:capacity]
 
-    token_lists: list[tuple[int, ...]] = []
-    if prepend_bucket is not None:
-        token_lists.append((prepend_bucket,))
-    for word in words:
-        token_lists.append(vocab.word_buckets(word))
-
-    n_real = len(token_lists)
-    tokens = tuple(token_lists) + ((),) * (max_len - n_real)
-    mask = (True,) * n_real + (False,) * (max_len - n_real)
-    positions = tuple(range(max_len))
+    bucket_ids: list[int] = [] if prepend_bucket is None else [prepend_bucket]
+    word_offsets: list[int] = [] if prepend_bucket is None else [0]
+    for word in words[:capacity]:
+        word_offsets.append(len(bucket_ids))
+        bucket_ids.extend(vocab.word_buckets(word))
     return TokenSequence(
-        tokens=tokens, positions=positions, mask=mask, original_length=original_length
+        bucket_ids=tuple(bucket_ids),
+        word_offsets=tuple(word_offsets),
+        original_length=original_length,
     )

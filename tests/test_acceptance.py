@@ -8,6 +8,7 @@ and takes a few minutes; everything else is fast.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from twinenc.gradcheck import finite_difference_check
 from twinenc.index import EmbeddingIndex, build_graph, encode_corpus, knn_approx, knn_exact
 from twinenc.metrics import dcg_at, ndcg_at
 from twinenc.synthetic import generate_pairs, split_pairs
-from twinenc.text import TokenSequence
 
 
 def _report(criterion: str, passed: bool = True) -> None:
@@ -264,23 +264,28 @@ class TestCriterion7LatencyTrend:
                                 warmup=3, seed=0)
             fits[mode] = fit
 
-        cached = bench(
-            LatencyScenario(model_mode="twin_cosine", n_queries=30,
-                            n_keywords_per_query=100, repetitions=3),
-            model, warmup=3, seed=1,
-        )
-        cross = bench(
-            LatencyScenario(model_mode="cross_encoder", n_queries=10,
-                            n_keywords_per_query=100, repetitions=1),
-            model, warmup=2, seed=1,
-        )
-        ratio = cross.median_ms / cached.median_ms
+        # alternate cached and cross rounds so host speed drift hits both alike
+        ratios = []
+        counters_ok = True
+        for _ in range(5):
+            cached = bench(
+                LatencyScenario(model_mode="twin_cosine", n_queries=30,
+                                n_keywords_per_query=100, repetitions=3),
+                model, warmup=3, seed=1,
+            )
+            cross = bench(
+                LatencyScenario(model_mode="cross_encoder", n_queries=10,
+                                n_keywords_per_query=100, repetitions=1),
+                model, warmup=2, seed=1,
+            )
+            ratios.append(cross.median_ms / cached.median_ms)
+            counters_ok = counters_ok and (
+                cached.counters["keyword_encoder_passes"] == 0
+                and cross.counters["cross_encoder_passes"] == 10 * 100 * 1
+            )
+        ratio = float(np.median(ratios))
 
         beta_ok = fits["twin_cosine"].beta_ms < fits["twin_residual"].beta_ms < fits["cross_encoder"].beta_ms
-        counters_ok = (
-            cached.counters["keyword_encoder_passes"] == 0
-            and cross.counters["cross_encoder_passes"] == 10 * 100 * 1
-        )
         ok = beta_ok and counters_ok and ratio >= 10
         _report("7 latency-trend", ok)
         print(
@@ -326,14 +331,20 @@ class TestCriterion8MetricOracles:
 class TestCriterion9InvariantSuite:
     def test_padding_invariance(self):
         model = TwinModel.initialize(ModelConfig(dropout=0.0), seed=21)
-        seq = model.tokenize("red shoes")
-        tampered = TokenSequence(
-            tokens=tuple(tok if m else (7, 8, 9) for tok, m in zip(seq.tokens, seq.mask)),
-            positions=seq.positions, mask=seq.mask, original_length=seq.original_length,
-        )
-        clean, _ = model.encode_query_batch(pack_sequences([seq]), count=False)
-        dirty, _ = model.encode_query_batch(pack_sequences([tampered]), count=False)
+        texts = ["red shoes", "cheap flights to paris"]
+        batch = pack_sequences(model.tokenize_many(texts))
+        # garbage buckets on the padded slots, slot order kept sorted
+        pad_slots = np.flatnonzero(~batch.mask)
+        slots = np.concatenate([batch.slot_ids, np.repeat(pad_slots, 3)])
+        buckets = np.concatenate([batch.bucket_ids, np.tile([7, 8, 9], pad_slots.size)])
+        order = np.argsort(slots, kind="stable")
+        tampered = replace(batch, bucket_ids=buckets[order], slot_ids=slots[order])
+        clean, _ = model.encode_query_batch(batch, count=False)
+        dirty, _ = model.encode_query_batch(tampered, count=False)
         np.testing.assert_array_equal(clean, dirty)
+        # a text padded next to a longer one encodes as it does alone
+        alone = model.encode_queries(texts[:1])
+        np.testing.assert_allclose(clean[0], alone[0], rtol=0, atol=1e-12)
         _report("9a padding-invariance")
 
     def test_pooling_weight_normalization(self, rng):

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from twinenc.cli import main
+from twinenc.cli import _resolve, build_parser, main
+from twinenc.config import ModelConfig
 from twinenc.encoder import sigmoid
 from twinenc.model import TwinModel
 
@@ -162,6 +163,15 @@ class TestEvalNdcg:
         rows = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == "position\tndcg"
         assert len(rows) == 4
+
+
+class TestPresets:
+    def test_large_preset_resolves_to_model_config_large(self):
+        distill = ["distill", "--data", "d.tsv", "--out", "m.ckpt"]
+        by_flag = build_parser().parse_args([*distill, "--preset", "large"])
+        assert _resolve(by_flag, {})["model"] == ModelConfig.large().to_dict()
+        by_file = build_parser().parse_args(distill)
+        assert _resolve(by_file, {"preset": "large"})["model"] == ModelConfig.large().to_dict()
 
 
 class TestBench:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from twinenc.encoder import (
     pack_sequences,
     pool_forward,
 )
-from twinenc.text import TokenSequence, TrigramVocab, encode_text
+from twinenc.text import TrigramVocab, encode_text
 
 
 def _batch(model, texts):
@@ -28,12 +30,12 @@ class TestEmbedInput:
         params = dict(tiny_model.params)
         prefix = tiny_model.query_prefix
         params[f"{prefix}.pos_emb"] = np.zeros_like(params[f"{prefix}.pos_emb"])
-        batch = _batch(tiny_model, ["cat"])
+        batch = _batch(tiny_model, ["cat", "red shoes"])
         x = embed_forward(params, prefix, batch)
         tok_emb = params[f"{prefix}.tok_emb"]
-        expected = sum(tok_emb[b] for b in tiny_model.tokenize("cat").tokens[0])
+        expected = sum(tok_emb[b] for b in tiny_model.tokenize("cat").bucket_ids)
         np.testing.assert_allclose(x[0, 0], expected)
-        # padding slots carry only (zeroed) position embeddings here
+        # the padding slot carries only its (zeroed) position embedding here
         np.testing.assert_allclose(x[0, 1:], 0.0)
 
     def test_word_order_changes_embedding(self, tiny_model):
@@ -67,8 +69,8 @@ class TestMaskedSoftmax:
 class TestTransformerLayer:
     def test_single_token_self_attention(self, tiny_model, rng):
         cfg = tiny_model.config
-        batch = _batch(tiny_model, ["cat"])
-        x = rng.standard_normal((1, cfg.max_len, cfg.hidden_size))
+        batch = _batch(tiny_model, ["cat", "red shoes"])
+        x = rng.standard_normal((batch.n_examples, batch.seq_len, cfg.hidden_size))
         _, cache = layer_forward(
             x, batch.mask, tiny_model.params, f"{tiny_model.query_prefix}.layers.0", cfg
         )
@@ -78,14 +80,14 @@ class TestTransformerLayer:
     def test_nan_input_rejected(self, tiny_model):
         cfg = tiny_model.config
         batch = _batch(tiny_model, ["cat"])
-        x = np.full((1, cfg.max_len, cfg.hidden_size), np.nan)
+        x = np.full((batch.n_examples, batch.seq_len, cfg.hidden_size), np.nan)
         with pytest.raises(ValueError, match="non-finite"):
             layer_forward(x, batch.mask, tiny_model.params, f"{tiny_model.query_prefix}.layers.0", cfg)
 
     def test_masked_slot_perturbation_leaves_unmasked_outputs(self, tiny_model, rng):
         cfg = tiny_model.config
-        batch = _batch(tiny_model, ["red shoes"])
-        x = rng.standard_normal((1, cfg.max_len, cfg.hidden_size))
+        batch = _batch(tiny_model, ["red shoes", "cheap flights to paris"])
+        x = rng.standard_normal((batch.n_examples, batch.seq_len, cfg.hidden_size))
         y1, _ = layer_forward(x, batch.mask, tiny_model.params, f"{tiny_model.query_prefix}.layers.0", cfg)
         x2 = x.copy()
         x2[0, ~batch.mask[0]] += rng.standard_normal((int((~batch.mask[0]).sum()), cfg.hidden_size))
@@ -158,16 +160,15 @@ class TestEncode:
         assert np.isfinite(emb).all()
 
     def test_padding_invariance_exact(self, tiny_model):
-        # same real tokens, garbage trigram content in masked slots
-        seq = tiny_model.tokenize("red shoes")
-        garbage = tuple(
-            tok if m else (1, 2, 3)
-            for tok, m in zip(seq.tokens, seq.mask)
-        )
-        tampered = TokenSequence(tokens=garbage, positions=seq.positions,
-                                 mask=seq.mask, original_length=seq.original_length)
-        clean, _ = tiny_model.encode_query_batch(pack_sequences([seq]), count=False)
-        dirty, _ = tiny_model.encode_query_batch(pack_sequences([tampered]), count=False)
+        # same real tokens, garbage trigram content in the padded slots
+        batch = _batch(tiny_model, ["red shoes", "cheap flights to paris"])
+        pad_slots = np.flatnonzero(~batch.mask)
+        slots = np.concatenate([batch.slot_ids, np.repeat(pad_slots, 3)])
+        buckets = np.concatenate([batch.bucket_ids, np.tile([1, 2, 3], pad_slots.size)])
+        order = np.argsort(slots, kind="stable")
+        tampered = replace(batch, bucket_ids=buckets[order], slot_ids=slots[order])
+        clean, _ = tiny_model.encode_query_batch(batch, count=False)
+        dirty, _ = tiny_model.encode_query_batch(tampered, count=False)
         np.testing.assert_array_equal(clean, dirty)
 
     def test_cls_model_roundtrip(self):

@@ -5,7 +5,7 @@ import pytest
 
 from twinenc import ModelConfig, TwinModel
 from twinenc.encoder import layer_forward, layer_backward, pack_sequences
-from twinenc.gradcheck import finite_difference_check
+from twinenc.gradcheck import finite_difference_check, pipeline_loss, pipeline_loss_and_grads
 
 QUERIES = ["red shoes", "cheap flights to paris", "coffee maker"]
 KEYWORDS = ["buy red shoes online", "paris flight tickets", "espresso machine"]
@@ -21,8 +21,9 @@ class TestLayerGradients:
         cfg = tiny_model.config
         lp = f"{tiny_model.query_prefix}.layers.0"
         batch = pack_sequences(tiny_model.tokenize_many(["red shoes online sale"]))
-        x = rng.standard_normal((1, cfg.max_len, cfg.hidden_size))
-        probe = rng.standard_normal((1, cfg.max_len, cfg.hidden_size))
+        shape = (batch.n_examples, batch.seq_len, cfg.hidden_size)
+        x = rng.standard_normal(shape)
+        probe = rng.standard_normal(shape)
 
         def scalar_out():
             y, _ = layer_forward(x, batch.mask, tiny_model.params, lp, cfg)
@@ -76,6 +77,30 @@ class TestPipelineGradients:
             model, QUERIES, KEYWORDS, TARGETS, "residual", n_params=12, step=STEP, seed=2
         )
         assert max(r.rel_error for r in results) < TOL
+
+    def test_position_table_on_batch_shorter_than_max_len(self, tiny_model):
+        """Rows of pos_emb past the batch's longest sequence get exactly zero."""
+        name = f"{tiny_model.query_prefix}.pos_emb"
+        table = tiny_model.params[name]
+        longest = max(len(t.split()) for t in QUERIES + KEYWORDS)
+        assert longest < tiny_model.config.max_len
+        _, grads = pipeline_loss_and_grads(tiny_model, QUERIES, KEYWORDS, TARGETS, "residual")
+        assert grads[name].shape == table.shape
+        for row in range(tiny_model.config.max_len):
+            flat = row * table.shape[1] + row % table.shape[1]
+            orig = float(table.flat[flat])
+            table.flat[flat] = orig + STEP
+            up = pipeline_loss(tiny_model, QUERIES, KEYWORDS, TARGETS, "residual")
+            table.flat[flat] = orig - STEP
+            down = pipeline_loss(tiny_model, QUERIES, KEYWORDS, TARGETS, "residual")
+            table.flat[flat] = orig
+            numeric = (up - down) / (2 * STEP)
+            analytic = float(grads[name].flat[flat])
+            if row >= longest:
+                assert analytic == 0.0 and numeric == 0.0
+            else:
+                rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-6)
+                assert rel < TOL, f"row {row}: analytic {analytic} vs numeric {numeric}"
 
     def test_query_only_loss_leaves_keyword_encoder(self):
         """With unshared encoders, a loss that ignores k gives it zero grads."""

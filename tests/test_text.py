@@ -102,22 +102,22 @@ class TestEncodeText:
     def setup_method(self):
         self.vocab = TrigramVocab(bucket_count=512, hash_seed=0)
 
-    def test_single_word_padding(self):
+    def test_single_word_not_padded(self):
         seq = encode_text("cat", self.vocab, max_len=8)
-        assert seq.length == 8
-        assert seq.mask == (True,) + (False,) * 7
-        assert seq.positions == tuple(range(8))
-        assert len(seq.tokens[0]) == 3
-        assert seq.tokens[1] == ()
+        assert seq.length == 1
+        assert seq.word_offsets == (0,)
+        assert seq.bucket_ids == self.vocab.word_buckets("cat")
+        assert len(seq.bucket_ids) == 3
 
     def test_truncation_records_original_length(self):
         seq = encode_text("a b c d", self.vocab, max_len=2)
-        assert seq.real_length == 2
+        assert seq.length == 2
         assert seq.original_length == 4
 
     def test_identical_words_identical_multisets(self):
         seq = encode_text("cat cat", self.vocab, max_len=4)
-        assert seq.tokens[0] == seq.tokens[1]
+        assert seq.word_offsets == (0, 3)
+        assert seq.bucket_ids[:3] == seq.bucket_ids[3:]
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -125,8 +125,9 @@ class TestEncodeText:
 
     def test_cls_prefix_shrinks_capacity(self):
         seq = encode_text("a b c d", self.vocab, max_len=4, prepend_bucket=self.vocab.cls_bucket)
-        assert seq.tokens[0] == (self.vocab.cls_bucket,)
-        assert seq.real_length == 4  # cls + 3 words
+        assert seq.bucket_ids[0] == self.vocab.cls_bucket
+        assert seq.word_offsets[:2] == (0, 1)
+        assert seq.length == 4  # cls + 3 words
         assert seq.original_length == 4
 
     @given(st.lists(words, min_size=1, max_size=6))
@@ -136,13 +137,20 @@ class TestEncodeText:
         b = encode_text(text, self.vocab, max_len=8)
         assert a == b
 
-    def test_mask_matches_tokens(self):
+    def test_offsets_split_word_buckets(self):
         seq = encode_text("red shoes", self.vocab, max_len=5)
-        for tok, m in zip(seq.tokens, seq.mask):
-            assert (len(tok) > 0) == m
+        red = self.vocab.word_buckets("red")
+        assert seq.word_offsets == (0, len(red))
+        assert seq.bucket_ids == red + self.vocab.word_buckets("shoes")
 
 
 class TestTokenSequence:
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TokenSequence(tokens=((1,),), positions=(0, 1), mask=(True,), original_length=1)
+        for bucket_ids, word_offsets in (
+            ((1,), (0, 1)),  # last word empty
+            ((1, 2), (1,)),  # first word does not start at 0
+            ((1, 2), (0, 0)),  # offsets not increasing
+            ((1,), ()),  # buckets outside any word
+        ):
+            with pytest.raises(ValueError):
+                TokenSequence(bucket_ids=bucket_ids, word_offsets=word_offsets, original_length=1)
