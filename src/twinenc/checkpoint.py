@@ -1,16 +1,19 @@
-"""Binary model checkpoints.
+"""Binary model checkpoints, and the framing shared with the index store.
 
-Layout: magic ``TWCK``, format version, a length-prefixed JSON header echoing
-the model config and vocab settings, then named tensors. Each tensor record
-is name (length-prefixed UTF-8), dims (u8 ndim + u64 dims), and a u64
-byte-length prefix followed by raw float64 little-endian data. Round-trips
-are bit-exact; writes go through a temp file and an atomic rename.
+Both binary formats start with one preamble (magic, u32 format version,
+length-prefixed JSON header) and read their little-endian payload through
+the bounds-checked ``Reader``, so a malformed file fails with a
+``ValueError`` that names it. A checkpoint's header echoes the model and
+vocab settings; then come tensor records: name (length-prefixed UTF-8), dims
+(u8 ndim + u64 dims), a u64 byte length and raw float64 little-endian data.
+Round-trips are bit-exact; writes go through a temp file and atomic rename.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -22,34 +25,70 @@ MAGIC = b"TWCK"
 FORMAT_VERSION = 1
 
 
-def _pack_str(s: str) -> bytes:
+def pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
     return struct.pack("<I", len(raw)) + raw
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+class Reader:
+    """Bounds-checked reader of the bytes of ``path``; each failure is a ValueError naming it."""
+
+    def __init__(self, data: bytes, path: str | Path):
+        self.data = memoryview(data)
+        self.path = path
         self.off = 0
 
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise ValueError("truncated checkpoint file")
-        out = self.data[self.off : self.off + n]
+    def error(self, message: str) -> ValueError:
+        return ValueError(f"{self.path}: {message}")
+
+    def take(self, n: int) -> memoryview:
+        if not 0 <= n <= len(self.data) - self.off:
+            raise self.error(f"truncated file or bad count: {n} bytes wanted at offset {self.off}")
         self.off += n
-        return out
+        return self.data[self.off - n : self.off]
 
     def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
+        return int.from_bytes(self.take(1), "little")
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return int.from_bytes(self.take(4), "little")
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+        return int.from_bytes(self.take(8), "little")
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return str(self.take(self.u32()), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"invalid UTF-8 string at offset {self.off}: {exc}") from None
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype=dtype).copy()
+
+    def finish(self) -> None:
+        if self.off != len(self.data):
+            raise self.error(f"{len(self.data) - self.off} trailing bytes after offset {self.off}")
+
+
+def write_preamble(magic: bytes, version: int, header: dict) -> list[bytes]:
+    """Magic, u32 version and length-prefixed JSON header, as byte chunks."""
+    return [magic, struct.pack("<I", version), pack_str(json.dumps(header, sort_keys=True))]
+
+
+def read_preamble(path: str | Path, magic: bytes, version: int, kind: str) -> tuple[Reader, dict]:
+    """Read the file at ``path``; check its magic and version; return (reader, header)."""
+    r = Reader(Path(path).read_bytes(), path)
+    if r.take(len(magic)) != magic:
+        raise r.error(f"not a {kind} file (no {magic!r} magic)")
+    if (found := r.u32()) != version:
+        raise r.error(f"unsupported {kind} format version {found}")
+    try:
+        header = json.loads(r.string())
+    except json.JSONDecodeError as exc:
+        raise r.error(f"{kind} header is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise r.error(f"{kind} header is not a JSON object")
+    return r, header
 
 
 def atomic_write(path: str | Path, data: bytes) -> None:
@@ -69,45 +108,34 @@ def atomic_write(path: str | Path, data: bytes) -> None:
 
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], header: dict) -> None:
     """Serialize named float64 tensors plus a JSON header, atomically."""
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    header = dict(header)
-    header["format_version"] = FORMAT_VERSION
-    chunks.append(_pack_str(json.dumps(header, sort_keys=True)))
+    chunks = write_preamble(MAGIC, FORMAT_VERSION, {**header, "format_version": FORMAT_VERSION})
     names = sorted(params)
     chunks.append(struct.pack("<I", len(names)))
     for name in names:
         # tobytes() emits C order regardless of layout; ascontiguousarray is
         # avoided because it silently promotes 0-d scalars to 1-d
         arr = np.asarray(params[name], dtype="<f8")
-        chunks.append(_pack_str(name))
-        chunks.append(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            chunks.append(struct.pack("<Q", dim))
         raw = arr.tobytes(order="C")
-        chunks.append(struct.pack("<Q", len(raw)))
-        chunks.append(raw)
+        chunks += [pack_str(name), struct.pack(f"<B{arr.ndim}QQ", arr.ndim, *arr.shape, len(raw)), raw]
     atomic_write(path, b"".join(chunks))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Load (params, header) from a checkpoint file."""
-    data = Path(path).read_bytes()
-    r = _Reader(data)
-    if r.take(4) != MAGIC:
-        raise ValueError(f"not a checkpoint file: {path}")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version {version}")
-    header = json.loads(r.string())
-    n_tensors = r.u32()
+    r, header = read_preamble(path, MAGIC, FORMAT_VERSION, "checkpoint")
     params: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
+    for _ in range(r.u32()):
         name = r.string()
-        ndim = r.u8()
-        shape = tuple(r.u64() for _ in range(ndim))
+        shape = tuple(r.u64() for _ in range(r.u8()))
         nbytes = r.u64()
-        arr = np.frombuffer(r.take(nbytes), dtype="<f8").reshape(shape).copy()
-        params[name] = arr
+        if nbytes != 8 * math.prod(shape):
+            raise r.error(f"tensor {name!r}: {nbytes} bytes do not hold float64 shape {shape}")
+        flat = r.array("<f8", math.prod(shape))
+        try:
+            params[name] = flat.reshape(shape)
+        except ValueError:  # numpy rejects dims whose product overflows, even for empty arrays
+            raise r.error(f"tensor {name!r}: shape {shape} is too large") from None
+    r.finish()
     return params, header
 
 

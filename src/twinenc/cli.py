@@ -32,11 +32,11 @@ from .model import TwinModel
 from .synthetic import generate_pairs, split_pairs
 from .text import TrigramVocab, normalize
 from .training import (
-    LABEL_TO_BINARY,
     PairRecord,
     distill_train,
     finetune,
     load_pair_tsv,
+    parse_label,
     save_pair_tsv,
 )
 
@@ -457,12 +457,10 @@ def cmd_score(args) -> int:
 def _binary_labels(raw: list[str], path) -> list[int]:
     out = []
     for v in raw:
-        if v in LABEL_TO_BINARY:
-            out.append(LABEL_TO_BINARY[v])
-        elif v in ("0", "1"):
-            out.append(int(v))
-        else:
-            raise CliError(f"{path}: label {v!r} is not bad/fair/good/excellent or 0/1")
+        try:
+            out.append(parse_label(v))
+        except ValueError:
+            raise CliError(f"{path}: label {v!r} is not bad/fair/good/excellent or 0/1") from None
     return out
 
 

@@ -19,15 +19,13 @@ head, which needs raw embeddings; it carries no graph.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write
+from .checkpoint import atomic_write, pack_str, read_preamble, write_preamble
 from .model import TwinModel
 
 logger = logging.getLogger(__name__)
@@ -39,6 +37,8 @@ METRIC_UNIT = "l2_unit"
 METRIC_RAW = "raw_f64"
 
 _NORM_TOL = 1e-6
+_HEADER_TYPES = {"n": int, "dim": int, "metric": str, "degree_bound": (int, type(None)),
+                 "build_beam": (int, type(None)), "entry_point": int, "has_graph": bool}
 
 
 @dataclass
@@ -76,20 +76,28 @@ class EmbeddingIndex:
     counters: SearchCounters = field(default_factory=SearchCounters)
 
     def __post_init__(self) -> None:
-        if len(self.ids) != len(self.vectors):
+        n = len(self.ids)
+        if np.ndim(self.vectors) != 2 or len(self.vectors) != n:
             raise ValueError("ids and vectors must align")
-        if len(set(self.ids)) != len(self.ids):
+        if len(set(self.ids)) != n:
             raise ValueError("keyword ids must be unique")
+        if not np.isfinite(self.vectors).all():
+            raise ValueError("vectors must be finite")
         if self.metric == METRIC_UNIT:
             norms = np.linalg.norm(np.asarray(self.vectors, dtype=np.float64), axis=1)
-            off = np.abs(norms - 1.0)
-            if off.size and off.max() > _NORM_TOL:
-                bad = int(np.argmax(off))
-                raise ValueError(
-                    f"vector for id {self.ids[bad]!r} is not unit-norm (|v| = {norms[bad]!r})"
-                )
+            bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL)
+            if bad.size:
+                raise ValueError(f"vector for id {self.ids[bad[0]]!r} is not unit-norm (|v| = {norms[bad[0]]!r})")
         elif self.metric != METRIC_RAW:
             raise ValueError(f"unknown metric tag: {self.metric!r}")
+        if self.graph is not None:
+            if len(self.graph) != n:
+                raise ValueError(f"graph has {len(self.graph)} neighbour lists for {n} ids")
+            nbrs = np.concatenate([np.zeros(0, np.int64), *self.graph])
+            if nbrs.size and not 0 <= nbrs.min() <= nbrs.max() < n:
+                raise ValueError(f"neighbour ids must lie in [0, {n})")
+        if n and not 0 <= self.entry_point < n:
+            raise ValueError(f"entry point {self.entry_point} is not in [0, {n})")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -101,72 +109,39 @@ class EmbeddingIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        header = {
-            "n": len(self.ids),
-            "dim": self.dim,
-            "metric": self.metric,
-            "degree_bound": self.degree_bound,
-            "build_beam": self.build_beam,
-            "entry_point": self.entry_point,
-            "has_graph": self.graph is not None,
-        }
-        header_json = json.dumps(header, sort_keys=True).encode("utf-8")
-        chunks = [INDEX_MAGIC, struct.pack("<I", INDEX_FORMAT_VERSION)]
-        chunks.append(struct.pack("<I", len(header_json)))
-        chunks.append(header_json)
+        header = {"n": len(self.ids), "dim": self.dim, "metric": self.metric,
+                  "degree_bound": self.degree_bound, "build_beam": self.build_beam,
+                  "entry_point": self.entry_point, "has_graph": self.graph is not None}
+        chunks = write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header)
         dtype = "<f8" if self.metric == METRIC_RAW else "<f4"
         chunks.append(np.ascontiguousarray(self.vectors, dtype=dtype).tobytes())
-        for kid in self.ids:
-            raw = kid.encode("utf-8")
-            chunks.append(struct.pack("<I", len(raw)))
-            chunks.append(raw)
-        if self.graph is not None:
-            for nbrs in self.graph:
-                chunks.append(struct.pack("<I", len(nbrs)))
-                chunks.append(np.ascontiguousarray(nbrs, dtype="<u4").tobytes())
+        chunks += [pack_str(kid) for kid in self.ids]
+        for nbrs in self.graph or []:
+            chunks += [len(nbrs).to_bytes(4, "little"), np.asarray(nbrs, dtype="<u4").tobytes()]
         atomic_write(path, b"".join(chunks))
 
     @classmethod
     def load(cls, path: str | Path) -> EmbeddingIndex:
-        data = Path(path).read_bytes()
-        off = 0
-        if data[:4] != INDEX_MAGIC:
-            raise ValueError(f"not an index file: {path}")
-        off = 4
-        version = struct.unpack_from("<I", data, off)[0]
-        off += 4
-        if version != INDEX_FORMAT_VERSION:
-            raise ValueError(f"unsupported index format version {version}")
-        hlen = struct.unpack_from("<I", data, off)[0]
-        off += 4
-        header = json.loads(data[off : off + hlen].decode("utf-8"))
-        off += hlen
+        r, header = read_preamble(path, INDEX_MAGIC, INDEX_FORMAT_VERSION, "keyword index")
+        for key, types in _HEADER_TYPES.items():
+            if key not in header or not isinstance(header[key], types):
+                raise r.error(f"keyword index header key {key!r} is missing or mistyped")
         n, dim = header["n"], header["dim"]
+        if n < 0 or dim < 0:
+            raise r.error(f"keyword index header has negative shape n={n}, dim={dim}")
         dtype = "<f8" if header["metric"] == METRIC_RAW else "<f4"
-        itemsize = 8 if header["metric"] == METRIC_RAW else 4
-        nbytes = n * dim * itemsize
-        vectors = np.frombuffer(data[off : off + nbytes], dtype=dtype).reshape(n, dim).copy()
-        off += nbytes
-        ids = []
-        for _ in range(n):
-            slen = struct.unpack_from("<I", data, off)[0]
-            off += 4
-            ids.append(data[off : off + slen].decode("utf-8"))
-            off += slen
+        vectors = r.array(dtype, n * dim).reshape(n, dim)
+        ids = [r.string() for _ in range(n)]
         graph = None
         if header["has_graph"]:
-            graph = []
-            for _ in range(n):
-                cnt = struct.unpack_from("<I", data, off)[0]
-                off += 4
-                nbrs = np.frombuffer(data[off : off + 4 * cnt], dtype="<u4").astype(np.int64)
-                off += 4 * cnt
-                graph.append(nbrs)
-        return cls(
-            ids=ids, vectors=vectors, metric=header["metric"], graph=graph,
-            degree_bound=header["degree_bound"], build_beam=header["build_beam"],
-            entry_point=header["entry_point"],
-        )
+            graph = [r.array("<u4", r.u32()).astype(np.int64) for _ in range(n)]
+        r.finish()
+        try:
+            return cls(ids=ids, vectors=vectors, metric=header["metric"], graph=graph,
+                       degree_bound=header["degree_bound"], build_beam=header["build_beam"],
+                       entry_point=header["entry_point"])
+        except ValueError as exc:
+            raise r.error(str(exc)) from None
 
 
 def normalize_rows(vectors: np.ndarray) -> np.ndarray:
@@ -208,17 +183,11 @@ def encode_corpus(
         kept_texts.append(text)
     if not kept_texts:
         raise ValueError("corpus is empty after filtering unencodable keywords")
-    blocks = []
-    for lo in range(0, len(kept_texts), batch_size):
-        blocks.append(model.encode_keywords(kept_texts[lo : lo + batch_size]))
-    vectors = np.vstack(blocks)
+    vectors = np.vstack([model.encode_keywords(kept_texts[lo : lo + batch_size])
+                         for lo in range(0, len(kept_texts), batch_size)])
     if normalize:
-        vectors = normalize_rows(vectors).astype(np.float32)
-        metric = METRIC_UNIT
-    else:
-        vectors = vectors.astype(np.float64)
-        metric = METRIC_RAW
-    return EmbeddingIndex(ids=kept_ids, vectors=vectors, metric=metric)
+        return EmbeddingIndex(ids=kept_ids, vectors=normalize_rows(vectors).astype(np.float32))
+    return EmbeddingIndex(ids=kept_ids, vectors=vectors.astype(np.float64), metric=METRIC_RAW)
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +199,23 @@ def _check_query(q: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
     if q.shape[0] != index.dim:
         raise ValueError(f"query dim {q.shape[0]} != index dim {index.dim}")
     norm = np.linalg.norm(q)
-    if abs(norm - 1.0) > _NORM_TOL:
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise ValueError(f"query vector must be unit-norm (|q| = {norm!r})")
     return q
 
 
 def _ranked_results(index: EmbeddingIndex, node_ids, scores, top_n: int) -> list[SearchResult]:
-    order = sorted(range(len(node_ids)), key=lambda i: (-scores[i], index.ids[node_ids[i]]))
-    results = []
-    for rank, i in enumerate(order[:top_n], start=1):
-        results.append(
-            SearchResult(keyword_id=index.ids[node_ids[i]], cosine_score=float(scores[i]), rank=rank)
-        )
-    return results
+    # sort only the candidates scoring at least the top_n-th best, ties included
+    scores = np.asarray(scores, dtype=np.float64)
+    keep = range(len(scores))
+    if top_n < len(scores):
+        kth = np.partition(scores, len(scores) - top_n)[len(scores) - top_n]
+        keep = np.flatnonzero(scores >= kth)
+    order = sorted(keep, key=lambda i: (-scores[i], index.ids[node_ids[i]]))
+    return [
+        SearchResult(keyword_id=index.ids[node_ids[i]], cosine_score=float(scores[i]), rank=rank)
+        for rank, i in enumerate(order[:top_n], start=1)
+    ]
 
 
 def knn_exact(q: np.ndarray, index: EmbeddingIndex, top_n: int) -> list[SearchResult]:
@@ -258,7 +231,7 @@ def knn_exact(q: np.ndarray, index: EmbeddingIndex, top_n: int) -> list[SearchRe
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     q = _check_query(q, index)
-    scores = index.vectors.astype(np.float64) @ q
+    scores = index.vectors @ q  # the float32 store is promoted to float64
     index.counters.distance_computations += len(index)
     return _ranked_results(index, np.arange(len(index)), scores, top_n)
 
@@ -369,8 +342,7 @@ def knn_approx(q: np.ndarray, index: EmbeddingIndex, top_n: int, search_beam: in
     if search_beam < top_n:
         raise ValueError(f"search_beam ({search_beam}) must be >= top_n ({top_n})")
     q = _check_query(q, index)
-    vectors = index.vectors.astype(np.float64)
-    cands = _beam_search(vectors, index.graph, index.entry_point, q, search_beam, index.counters)
+    cands = _beam_search(index.vectors, index.graph, index.entry_point, q, search_beam, index.counters)
     nodes = [n for _, n in cands]
     scores = [s for s, _ in cands]
     return _ranked_results(index, nodes, scores, top_n)

@@ -185,11 +185,24 @@ class TwinModel:
 
     @classmethod
     def load(cls, path: str | Path) -> TwinModel:
+        """Load a checkpoint whose finite tensors match the model its own header describes."""
         params, header = load_checkpoint(path)
         if header.get("kind") != "twinenc-model":
             raise ValueError(f"not a model checkpoint: {path}")
-        config = ModelConfig.from_dict(header["model"])
-        vocab = TrigramVocab(**header["vocab"])
+        try:
+            config = ModelConfig.from_dict(header["model"])
+            vocab = TrigramVocab(**header["vocab"])
+            expected = cls.initialize(config, vocab).params
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed model header: {exc!r}") from None
+        for name in sorted(expected.keys() | params.keys()):
+            want, got = (f"shape {np.shape(d[name])}" if name in d else "no tensor"
+                         for d in (expected, params))
+            if want != got:
+                raise ValueError(f"{path}: tensor {name!r}: the file has {got}, "
+                                 f"the header's model needs {want}")
+            if not np.isfinite(params[name]).all():
+                raise ValueError(f"{path}: tensor {name!r} has non-finite values")
         return cls(config=config, vocab=vocab, params=params)
 
     def cast(self, dtype) -> TwinModel:

@@ -68,7 +68,10 @@ class TrigramVocab:
             raise ValueError(f"bucket_count must be >= 1, got {self.bucket_count}")
         if self.normalization != NORMALIZATION_VERSION:
             raise ValueError(f"unsupported normalization tag: {self.normalization!r}")
-        self._key = struct.pack("<q", self.hash_seed)
+        try:
+            self._key = struct.pack("<q", self.hash_seed)
+        except struct.error as exc:
+            raise ValueError(f"hash_seed must be a signed 64-bit integer: {exc}") from None
 
     @property
     def cls_bucket(self) -> int:

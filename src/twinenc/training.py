@@ -24,6 +24,15 @@ LABEL_TO_BINARY = {"bad": 0, "fair": 1, "good": 1, "excellent": 1}
 _CE_EPS = 1e-12
 
 
+def parse_label(label: str) -> int:
+    """Binary label of an editorial grade (bad/fair/good/excellent) or of 0/1."""
+    if label in LABEL_TO_BINARY:
+        return LABEL_TO_BINARY[label]
+    if label in ("0", "1"):
+        return int(label)
+    raise ValueError(f"bad label {label!r}")
+
+
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss goes non-finite; carries epoch/step context."""
 
@@ -405,15 +414,8 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
             label = parts[4].strip() if len(parts) > 4 else ""
             try:
                 logits = (float(z_bad), float(z_nonbad)) if z_bad and z_nonbad else None
-                editorial = None
-                binary = None
-                if label:
-                    if label in LABEL_TO_BINARY:
-                        editorial = label
-                    elif label in ("0", "1"):
-                        binary = int(label)
-                    else:
-                        raise ValueError(f"bad label {label!r}")
+                binary = parse_label(label) if label else None
+                editorial = label if label in LABEL_TO_BINARY else None
                 records.append(
                     PairRecord(query=query, keyword=keyword, teacher_logits=logits,
                                editorial_label=editorial, binary_label=binary)

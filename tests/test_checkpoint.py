@@ -41,6 +41,24 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_tensor_byte_length_must_match_shape(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.zeros((2, 3))}, {})
+        data = path.read_bytes()
+        # last record: u64 byte length (48) then 48 data bytes; claim 40 and drop 8 bytes
+        head, tail = data[: -48 - 8], data[-48:]
+        path.write_bytes(head + (40).to_bytes(8, "little") + tail[:40])
+        with pytest.raises(ValueError, match="do not hold float64 shape") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": rng.standard_normal(3)}, {})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "x.bin"
         atomic_write(path, b"hello")
@@ -83,6 +101,56 @@ class TestModelCheckpoint:
         assert header["model"]["hidden_size"] == 16
         assert header["vocab"]["bucket_count"] == 32
         assert header["format_version"] == 1
+
+    def test_tensor_shape_must_match_header_model(self, tmp_path, tiny_model):
+        path = tmp_path / "model.ckpt"
+        params = dict(tiny_model.params)
+        params["encoder.pos_emb"] = params["encoder.pos_emb"][:-1]
+        save_checkpoint(path, params, tiny_model.checkpoint_header())
+        with pytest.raises(ValueError, match="'encoder.pos_emb'") as err:
+            TwinModel.load(path)
+        assert str(path) in str(err.value)
+
+    def test_non_finite_tensor_rejected(self, tmp_path, tiny_model):
+        path = tmp_path / "model.ckpt"
+        params = dict(tiny_model.params)
+        params["encoder.layers.0.ln1.g"] = np.full_like(params["encoder.layers.0.ln1.g"], np.inf)
+        save_checkpoint(path, params, tiny_model.checkpoint_header())
+        with pytest.raises(ValueError, match="'encoder.layers.0.ln1.g' has non-finite values") as err:
+            TwinModel.load(path)
+        assert str(path) in str(err.value)
+
+    def test_tensor_names_must_match_header_model(self, tmp_path, tiny_model):
+        path = tmp_path / "model.ckpt"
+        missing = {k: v for k, v in tiny_model.params.items() if k != "residual_head.w2"}
+        save_checkpoint(path, missing, tiny_model.checkpoint_header())
+        with pytest.raises(ValueError, match="'residual_head.w2': the file has no tensor"):
+            TwinModel.load(path)
+        save_checkpoint(path, {**tiny_model.params, "extra.w": np.zeros(2)}, tiny_model.checkpoint_header())
+        with pytest.raises(ValueError, match="'extra.w': the file has shape"):
+            TwinModel.load(path)
+        header = tiny_model.checkpoint_header()
+        header["model"]["hidden_size"] = 32
+        save_checkpoint(path, tiny_model.params, header)
+        with pytest.raises(ValueError, match="the header's model needs"):
+            TwinModel.load(path)
+
+    @pytest.mark.parametrize("drop", ["model", "vocab"])
+    def test_missing_or_malformed_header_section(self, tmp_path, tiny_model, drop):
+        path = tmp_path / "model.ckpt"
+        header = {k: v for k, v in tiny_model.checkpoint_header().items() if k != drop}
+        save_checkpoint(path, tiny_model.params, header)
+        with pytest.raises(ValueError, match="malformed model header") as err:
+            TwinModel.load(path)
+        assert str(path) in str(err.value)
+        header[drop] = {"no_such_setting": 1}
+        save_checkpoint(path, tiny_model.params, header)
+        with pytest.raises(ValueError, match="malformed model header"):
+            TwinModel.load(path)
+        header[drop] = [1, 2]
+        save_checkpoint(path, tiny_model.params, header)
+        with pytest.raises(ValueError, match="malformed model header"):
+            TwinModel.load(path)
 
     def test_wrong_kind_rejected(self, tmp_path, rng):
         path = tmp_path / "other.ckpt"

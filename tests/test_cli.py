@@ -1,10 +1,15 @@
 """End-to-end command-line tests over a small synthetic workspace."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twinenc
 from twinenc.cli import _resolve, build_parser, main
 from twinenc.config import ModelConfig
 from twinenc.encoder import sigmoid
@@ -116,6 +121,25 @@ class TestSearch:
         out = capsys.readouterr().out
         assert "cosine_score" in out
 
+    @pytest.mark.parametrize("command", ["build-index", "search"])
+    def test_truncated_index_exits_1_naming_the_file(self, workspace, tmp_path, command):
+        # cut inside the id table, where the old reader raised struct.error
+        data = (workspace / "index.bin").read_bytes()
+        hlen = int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12 : 12 + hlen])
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(data[: 12 + hlen + 4 * header["n"] * header["dim"] + 6])
+        args = {"build-index": ["--embeddings", str(cut), "--out", str(tmp_path / "idx.bin")],
+                "search": ["--checkpoint", str(workspace / "model.ckpt"), "--index", str(cut),
+                           "--queries", str(workspace / "data" / "queries.txt")]}[command]
+        src = Path(twinenc.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "twinenc.cli", command, *args, "--quiet"],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert str(cut) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "idx.bin").exists()
+
     def test_missing_index(self, workspace, tmp_path, capsys):
         rc = main(["search", "--checkpoint", str(workspace / "model.ckpt"),
                    "--index", str(tmp_path / "missing.bin"),
@@ -147,6 +171,15 @@ class TestScore:
         assert out.startswith("roc_auc\t")
         auc = float(out.split("\t")[1])
         assert 0.0 <= auc <= 1.0
+
+
+class TestEvalAuc:
+    def test_bad_label_names_file_and_label(self, tmp_path, capsys):
+        scored = tmp_path / "scored.tsv"
+        scored.write_text("query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tmeh\t0.1\n")
+        assert main(["eval-auc", "--scored", str(scored), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"{scored}: label 'meh' is not bad/fair/good/excellent or 0/1" in err
 
 
 class TestEvalNdcg:

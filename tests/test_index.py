@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from twinenc import ModelConfig, TwinModel
+from twinenc.checkpoint import write_preamble
 from twinenc.index import (
+    INDEX_FORMAT_VERSION,
+    INDEX_MAGIC,
     METRIC_RAW,
     METRIC_UNIT,
     EmbeddingIndex,
@@ -50,6 +55,24 @@ class TestEmbeddingIndex:
         v = rng.standard_normal((4, 8)) * 5
         idx = EmbeddingIndex(ids=list("abcd"), vectors=v, metric=METRIC_RAW)
         assert idx.metric == METRIC_RAW
+
+    def test_nan_row_rejected(self, rng):
+        v = _unit_vectors(rng, 4, 8)
+        v[2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            EmbeddingIndex(ids=list("abcd"), vectors=v)
+
+    def test_graph_invariants(self, rng):
+        v = _unit_vectors(rng, 3, 8)
+        ok = [np.array([1]), np.array([0, 2]), np.array([], dtype=np.int64)]
+        EmbeddingIndex(ids=list("abc"), vectors=v, graph=ok, entry_point=2)
+        with pytest.raises(ValueError, match="neighbour lists"):
+            EmbeddingIndex(ids=list("abc"), vectors=v, graph=ok[:2])
+        for bad in (3, -1, 10**6):
+            with pytest.raises(ValueError, match="neighbour ids"):
+                EmbeddingIndex(ids=list("abc"), vectors=v, graph=[np.array([1]), np.array([bad]), ok[2]])
+        with pytest.raises(ValueError, match="entry point"):
+            EmbeddingIndex(ids=list("abc"), vectors=v, graph=ok, entry_point=3)
 
     def test_raw_store_not_searchable(self, rng):
         v = rng.standard_normal((4, 8)) * 5
@@ -144,6 +167,24 @@ class TestKnnExact:
         idx = _index(rng, 5)
         with pytest.raises(ValueError, match="unit-norm"):
             knn_exact(np.ones(16), idx, 1)
+        q = np.full(16, np.nan)
+        with pytest.raises(ValueError, match="unit-norm"):
+            knn_exact(q, idx, 1)
+
+    def test_ties_straddling_top_n_break_by_ascending_id(self, rng):
+        # five rows tie for ranks 2..6; top 4 must take the three smallest of their ids
+        best, tied, low = _unit_vectors(rng, 3, 8)
+        q = best.astype(np.float64)
+        ids = ["t9", "low", "t3", "best", "t7", "t1", "t5"]
+        vectors = np.stack([tied, low, tied, best, tied, tied, tied])
+        idx = build_graph(EmbeddingIndex(ids=ids, vectors=vectors), 4, 8)
+        full_sort = sorted(range(7), key=lambda i: (-float(vectors[i].astype(np.float64) @ q), ids[i]))
+        for top_n in (1, 3, 4, 6, 7):
+            want = [ids[i] for i in full_sort[:top_n]]
+            assert [r.keyword_id for r in knn_exact(q, idx, top_n)] == want
+            assert [r.keyword_id for r in knn_approx(q, idx, top_n, search_beam=7)] == want
+        assert [r.keyword_id for r in knn_exact(q, idx, 4)] == ["best", "t1", "t3", "t5"]
+        assert [r.rank for r in knn_exact(q, idx, 4)] == [1, 2, 3, 4]
 
 
 class TestBuildGraph:
@@ -257,6 +298,62 @@ class TestPersistence:
         assert loaded.metric == METRIC_RAW
         assert loaded.vectors.dtype == np.float64
         np.testing.assert_array_equal(raw.vectors, loaded.vectors)
+
+
+def _payload(data: bytes) -> tuple[int, bytes]:
+    """(offset of the payload, raw header JSON) of an index file's bytes."""
+    hlen = int.from_bytes(data[8:12], "little")
+    return 12 + hlen, data[12 : 12 + hlen]
+
+
+class TestMalformedIndexFiles:
+    def _saved(self, tmp_path, rng, n=20):
+        path = tmp_path / "index.bin"
+        build_graph(_index(rng, n, dim=8), 4, 8).save(path)
+        return path, path.read_bytes()
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path, data = self._saved(tmp_path, rng)
+        path.write_bytes(data + b"\x00\x00")
+        with pytest.raises(ValueError, match="trailing bytes") as err:
+            EmbeddingIndex.load(path)
+        assert str(path) in str(err.value)
+
+    def test_nan_row_rejected(self, tmp_path, rng):
+        path, data = self._saved(tmp_path, rng)
+        start, _ = _payload(data)
+        nan = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(data[:start + 32] + nan + data[start + 36:])
+        with pytest.raises(ValueError, match="finite") as err:
+            EmbeddingIndex.load(path)
+        assert str(path) in str(err.value)
+
+    def test_neighbour_id_out_of_range_rejected(self, tmp_path, rng):
+        path, data = self._saved(tmp_path, rng)
+        path.write_bytes(data[:-4] + (10**6).to_bytes(4, "little"))
+        with pytest.raises(ValueError, match="neighbour ids") as err:
+            EmbeddingIndex.load(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("change", [{"n": -1}, {"n": -2, "dim": -8}, {"n": "20"},
+                                        {"entry_point": 20}, {"has_graph": None}])
+    def test_bad_header_rejected(self, tmp_path, rng, change):
+        path, data = self._saved(tmp_path, rng)
+        start, header = _payload(data)
+        bad = {**json.loads(header), **change}
+        path.write_bytes(b"".join(write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, bad)) + data[start:])
+        with pytest.raises(ValueError) as err:
+            EmbeddingIndex.load(path)
+        assert str(path) in str(err.value)
+
+    def test_missing_header_key_rejected(self, tmp_path, rng):
+        path, data = self._saved(tmp_path, rng)
+        start, header = _payload(data)
+        bad = {k: v for k, v in json.loads(header).items() if k != "metric"}
+        path.write_bytes(b"".join(write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, bad)) + data[start:])
+        with pytest.raises(ValueError, match="'metric' is missing") as err:
+            EmbeddingIndex.load(path)
+        assert str(path) in str(err.value)
 
 
 class TestNormalizeRows:

@@ -19,7 +19,13 @@ from twinenc import (
 )
 from twinenc.encoder import sigmoid
 from twinenc.synthetic import token_jaccard
-from twinenc.training import fit_logit_calibration, refit_calibration
+from twinenc.training import (
+    fit_logit_calibration,
+    load_pair_tsv,
+    parse_label,
+    refit_calibration,
+    save_pair_tsv,
+)
 
 finite_logits = st.floats(-30, 30, allow_nan=False, allow_infinity=False)
 
@@ -138,6 +144,30 @@ class TestSyntheticTeacher:
         a = synthetic_teacher("red shoes", "cheap red shoes", seed=5)
         b = synthetic_teacher("red shoes", "cheap red shoes", seed=6)
         assert a != b
+
+
+class TestLabels:
+    def test_parse_label(self):
+        assert [parse_label(v) for v in ("bad", "fair", "good", "excellent", "0", "1")] == [0, 1, 1, 1, 0, 1]
+        for bad in ("meh", "2", "", "Good"):
+            with pytest.raises(ValueError, match="bad label"):
+                parse_label(bad)
+
+    def test_pair_tsv_labels_round_trip(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("query\tkeyword\tz_bad\tz_nonbad\tlabel\n"
+                        "a\tb\t\t\tgood\na\tc\t\t\t0\na\td\t-1.0\t1.0\t\n")
+        records = load_pair_tsv(path)
+        assert [r.binary() for r in records[:2]] == [1, 0]
+        assert records[2].editorial_label is None and records[2].binary_label is None
+        save_pair_tsv(tmp_path / "again.tsv", records)
+        assert (tmp_path / "again.tsv").read_text() == path.read_text()
+
+    def test_pair_tsv_bad_label_names_line(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("query\tkeyword\tz_bad\tz_nonbad\tlabel\na\tb\t\t\tmeh\n")
+        with pytest.raises(ValueError, match=f"{path}:2: malformed row: bad label 'meh'"):
+            load_pair_tsv(path)
 
 
 class TestPairRecord:
