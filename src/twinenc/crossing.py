@@ -19,33 +19,30 @@ import numpy as np
 from .encoder import accumulate, gelu, gelu_grad, sigmoid, truncated_normal
 
 
-def init_head_params(hidden_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Parameters for both heads; one model checkpoint carries both.
-
-    The cosine calibration scale starts at 4 so the logit a*cos + b spans
-    roughly the same range as softened teacher targets from the outset;
-    it stays learnable.
-    """
+def head_param_shapes(hidden_size: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of both heads' parameters, in initialization order."""
     h = hidden_size
     return {
-        "cosine_head.scale": np.asarray(4.0),
-        "cosine_head.bias": np.asarray(0.0),
-        "residual_head.w1": truncated_normal(rng, (h, h)),
-        "residual_head.b1": np.zeros(h),
-        "residual_head.w2": truncated_normal(rng, (h, h)),
-        "residual_head.b2": np.zeros(h),
-        "residual_head.w_out": truncated_normal(rng, (h,)),
-        "residual_head.b_out": np.asarray(0.0),
+        "cosine_head.scale": (), "cosine_head.bias": (),
+        "residual_head.w1": (h, h), "residual_head.b1": (h,),
+        "residual_head.w2": (h, h), "residual_head.b2": (h,),
+        "residual_head.w_out": (h,), "residual_head.b_out": (),
     }
 
 
-def head_param_names() -> list[str]:
-    return [
-        "cosine_head.scale", "cosine_head.bias",
-        "residual_head.w1", "residual_head.b1",
-        "residual_head.w2", "residual_head.b2",
-        "residual_head.w_out", "residual_head.b_out",
-    ]
+def init_head_params(hidden_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Parameters for both heads; one model checkpoint carries both.
+
+    The residual head's weights are truncated-normal, drawn in table order,
+    and its biases zero. The cosine calibration scale starts at 4 so the
+    logit a*cos + b spans roughly the same range as softened teacher targets
+    from the outset; it stays learnable.
+    """
+    p = {name: np.zeros(shape) for name, shape in head_param_shapes(hidden_size).items()}
+    for name in ("residual_head.w1", "residual_head.w2", "residual_head.w_out"):
+        p[name] = truncated_normal(rng, p[name].shape)
+    p["cosine_head.scale"] = np.asarray(4.0)
+    return p
 
 
 def _cosine_parts(q: np.ndarray, k: np.ndarray):

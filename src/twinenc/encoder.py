@@ -86,37 +86,44 @@ def encoder_prefixes(config: ModelConfig) -> tuple[str, str]:
     return "query_encoder", "keyword_encoder"
 
 
+def encoder_param_shapes(config: ModelConfig, prefix: str) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of one encoder's parameters, in initialization order.
+
+    The token table has one extra row beyond the trigram buckets, reserved
+    for the classification token.
+    """
+    h, f = config.hidden_size, config.ffn_size
+    shapes = {f"{prefix}.tok_emb": (config.vocab_buckets + 1, h), f"{prefix}.pos_emb": (config.max_len, h)}
+    for layer in range(config.n_layers):
+        lp = f"{prefix}.layers.{layer}"
+        shapes.update({f"{lp}.attn.{n}": (h, h) for n in ("wq", "wk", "wv", "wo")})
+        shapes.update({f"{lp}.attn.{n}": (h,) for n in ("bq", "bk", "bv", "bo")})
+        shapes.update({f"{lp}.ln1.g": (h,), f"{lp}.ln1.b": (h,),
+                       f"{lp}.ffn.w1": (h, f), f"{lp}.ffn.b1": (f,),
+                       f"{lp}.ffn.w2": (f, h), f"{lp}.ffn.b2": (h,),
+                       f"{lp}.ln2.g": (h,), f"{lp}.ln2.b": (h,)})
+    shapes.update({f"{prefix}.pool.w": (h,), f"{prefix}.pool.b": ()})
+    return shapes
+
+
 def init_encoder_params(
     config: ModelConfig, rng: np.random.Generator, prefix: str
 ) -> dict[str, np.ndarray]:
     """Fresh encoder parameters under ``prefix``.
 
-    Truncated-normal (std 0.02) for embeddings and projections, zeros for
-    biases, ones for layer-norm gains. The pooling scorer starts at zero so
-    weighted-average pooling begins as exact mean pooling. The token table
-    has one extra row beyond the trigram buckets, reserved for the
-    classification token.
+    Truncated-normal (std 0.02) for the matrices (embeddings and
+    projections), drawn in table order; ones for layer-norm gains and zeros
+    for the rest. The pooling scorer starts at zero so weighted-average
+    pooling begins as exact mean pooling.
     """
-    h, f = config.hidden_size, config.ffn_size
     p: dict[str, np.ndarray] = {}
-    p[f"{prefix}.tok_emb"] = truncated_normal(rng, (config.vocab_buckets + 1, h))
-    p[f"{prefix}.pos_emb"] = truncated_normal(rng, (config.max_len, h))
-    for layer in range(config.n_layers):
-        lp = f"{prefix}.layers.{layer}"
-        for name in ("wq", "wk", "wv", "wo"):
-            p[f"{lp}.attn.{name}"] = truncated_normal(rng, (h, h))
-        for name in ("bq", "bk", "bv", "bo"):
-            p[f"{lp}.attn.{name}"] = np.zeros(h)
-        p[f"{lp}.ln1.g"] = np.ones(h)
-        p[f"{lp}.ln1.b"] = np.zeros(h)
-        p[f"{lp}.ffn.w1"] = truncated_normal(rng, (h, f))
-        p[f"{lp}.ffn.b1"] = np.zeros(f)
-        p[f"{lp}.ffn.w2"] = truncated_normal(rng, (f, h))
-        p[f"{lp}.ffn.b2"] = np.zeros(h)
-        p[f"{lp}.ln2.g"] = np.ones(h)
-        p[f"{lp}.ln2.b"] = np.zeros(h)
-    p[f"{prefix}.pool.w"] = np.zeros(h)
-    p[f"{prefix}.pool.b"] = np.zeros(())
+    for name, shape in encoder_param_shapes(config, prefix).items():
+        if len(shape) == 2:
+            p[name] = truncated_normal(rng, shape)
+        elif name.endswith((".ln1.g", ".ln2.g")):
+            p[name] = np.ones(shape)
+        else:
+            p[name] = np.zeros(shape)
     return p
 
 
@@ -445,16 +452,3 @@ def encoder_backward(
     for layer in reversed(range(config.n_layers)):
         dx = layer_backward(dx, cache["layers"][layer], params, f"{prefix}.layers.{layer}", config, grads)
     embed_backward(params, prefix, batch, dx, grads)
-
-
-def encoder_param_names(config: ModelConfig, prefix: str) -> list[str]:
-    """Deterministic name list for one encoder's parameters."""
-    names = [f"{prefix}.tok_emb", f"{prefix}.pos_emb"]
-    for layer in range(config.n_layers):
-        lp = f"{prefix}.layers.{layer}"
-        names += [f"{lp}.attn.{n}" for n in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")]
-        names += [f"{lp}.ln1.g", f"{lp}.ln1.b"]
-        names += [f"{lp}.ffn.w1", f"{lp}.ffn.b1", f"{lp}.ffn.w2", f"{lp}.ffn.b2"]
-        names += [f"{lp}.ln2.g", f"{lp}.ln2.b"]
-    names += [f"{prefix}.pool.w", f"{prefix}.pool.b"]
-    return names

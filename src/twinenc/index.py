@@ -25,8 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import encoder
 from .checkpoint import atomic_write, pack_str, read_preamble, write_preamble
 from .model import TwinModel
+from .text import TokenSequence
 
 logger = logging.getLogger(__name__)
 
@@ -172,19 +174,19 @@ def encode_corpus(
     if len(ids) != len(keywords):
         raise ValueError("ids and keywords must align")
     kept_ids: list[str] = []
-    kept_texts: list[str] = []
+    kept_seqs: list[TokenSequence] = []
     for kid, text in zip(ids, keywords):
         try:
-            model.tokenize(text)
+            kept_seqs.append(model.tokenize(text))
         except ValueError:
             logger.warning("skipping unencodable keyword %r (id %s)", text, kid)
             continue
         kept_ids.append(kid)
-        kept_texts.append(text)
-    if not kept_texts:
+    if not kept_seqs:
         raise ValueError("corpus is empty after filtering unencodable keywords")
-    vectors = np.vstack([model.encode_keywords(kept_texts[lo : lo + batch_size])
-                         for lo in range(0, len(kept_texts), batch_size)])
+    batches = (encoder.pack_sequences(kept_seqs[lo : lo + batch_size])
+               for lo in range(0, len(kept_seqs), batch_size))
+    vectors = np.vstack([model.encode_keyword_batch(batch)[0] for batch in batches])
     if normalize:
         return EmbeddingIndex(ids=kept_ids, vectors=normalize_rows(vectors).astype(np.float32))
     return EmbeddingIndex(ids=kept_ids, vectors=vectors.astype(np.float64), metric=METRIC_RAW)

@@ -1,10 +1,12 @@
 """Ranking metrics: exact ROC-AUC and graded nDCG.
 
 ROC-AUC is computed from rank statistics (ties count half), which matches
-the pairwise-enumeration definition exactly. nDCG uses a log2(rank + 1)
-discount and a configurable gain on the four-level label scale; rankings
-whose ideal DCG is zero carry no signal and are reported as NaN so that
-averages can exclude them.
+the pairwise-enumeration definition exactly. Its tie-averaged ranks come
+from ``np.unique`` rather than ``scipy.stats.rankdata``, whose import adds
+about 45 MB to every process that imports the package. nDCG uses a
+log2(rank + 1) discount and a configurable gain on the four-level label
+scale; rankings whose ideal DCG is zero carry no signal and are reported
+as NaN so that averages can exclude them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import rankdata
 
 GAIN_SCHEMES = ("linear", "exponential")
 
@@ -23,7 +24,8 @@ def roc_auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative.
 
     Exact rank-statistic computation; tied scores contribute 0.5 per pair.
-    Requires both classes to be present.
+    Requires both classes to be present and no NaN score; +/-inf rank as
+    ordinary values.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -31,11 +33,16 @@ def roc_auc(scores, labels) -> float:
         raise ValueError("scores and labels must be equal-length 1-d sequences")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
+    if np.isnan(scores).any():
+        raise ValueError("scores contain NaN")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC-AUC needs at least one positive and one negative")
-    ranks = rankdata(scores)  # average ranks on ties
+    # a tie group ending at rank c takes the mean rank c - (count - 1) / 2;
+    # ranks are integers or halves, so the sum below is exact
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -21,7 +21,7 @@ from .encoder import (
     cast_params,
     encoder_backward,
     encoder_forward,
-    encoder_param_names,
+    encoder_param_shapes,
     encoder_prefixes,
     init_encoder_params,
     pack_sequences,
@@ -53,6 +53,13 @@ class OpCounters:
         }
 
 
+def _check_vocab(config: ModelConfig, vocab: TrigramVocab) -> None:
+    if vocab.bucket_count != config.vocab_buckets:
+        raise ValueError(
+            f"vocab bucket_count {vocab.bucket_count} != config.vocab_buckets {config.vocab_buckets}"
+        )
+
+
 @dataclass
 class TwinModel:
     config: ModelConfig
@@ -65,10 +72,7 @@ class TwinModel:
         """Randomly initialized model; deterministic for a given seed."""
         if vocab is None:
             vocab = TrigramVocab(bucket_count=config.vocab_buckets)
-        if vocab.bucket_count != config.vocab_buckets:
-            raise ValueError(
-                f"vocab bucket_count {vocab.bucket_count} != config.vocab_buckets {config.vocab_buckets}"
-            )
+        _check_vocab(config, vocab)
         rng = np.random.default_rng(seed)
         qp, kp = encoder_prefixes(config)
         params = init_encoder_params(config, rng, qp)
@@ -87,12 +91,18 @@ class TwinModel:
     def keyword_prefix(self) -> str:
         return encoder_prefixes(self.config)[1]
 
+    @staticmethod
+    def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every parameter ``initialize`` gives ``config``."""
+        qp, kp = encoder_prefixes(config)
+        shapes = encoder_param_shapes(config, qp)
+        if kp != qp:
+            shapes.update(encoder_param_shapes(config, kp))
+        shapes.update(crossing.head_param_shapes(config.hidden_size))
+        return shapes
+
     def param_names(self) -> list[str]:
-        names = encoder_param_names(self.config, self.query_prefix)
-        if self.keyword_prefix != self.query_prefix:
-            names += encoder_param_names(self.config, self.keyword_prefix)
-        names += crossing.head_param_names()
-        return names
+        return list(self.param_shapes(self.config))
 
     def param_count(self) -> int:
         return sum(self.params[n].size for n in self.param_names())
@@ -192,12 +202,13 @@ class TwinModel:
         try:
             config = ModelConfig.from_dict(header["model"])
             vocab = TrigramVocab(**header["vocab"])
-            expected = cls.initialize(config, vocab).params
+            _check_vocab(config, vocab)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed model header: {exc!r}") from None
+        expected = cls.param_shapes(config)
         for name in sorted(expected.keys() | params.keys()):
-            want, got = (f"shape {np.shape(d[name])}" if name in d else "no tensor"
-                         for d in (expected, params))
+            want = f"shape {expected[name]}" if name in expected else "no tensor"
+            got = f"shape {params[name].shape}" if name in params else "no tensor"
             if want != got:
                 raise ValueError(f"{path}: tensor {name!r}: the file has {got}, "
                                  f"the header's model needs {want}")

@@ -152,6 +152,27 @@ class TestModelCheckpoint:
         with pytest.raises(ValueError, match="malformed model header"):
             TwinModel.load(path)
 
+    def test_vocab_must_match_header_model(self, tmp_path, tiny_model):
+        path = tmp_path / "model.ckpt"
+        header = tiny_model.checkpoint_header()
+        header["vocab"]["bucket_count"] += 1
+        save_checkpoint(path, tiny_model.params, header)
+        with pytest.raises(ValueError, match="malformed model header.*bucket_count") as err:
+            TwinModel.load(path)
+        assert str(path) in str(err.value)
+
+    def test_load_draws_no_weights(self, tmp_path, tiny_model, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("loading a checkpoint must not initialize a model")
+
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(path)
+        monkeypatch.setattr(TwinModel, "initialize", classmethod(no_draw))
+        monkeypatch.setattr("twinenc.model.init_encoder_params", no_draw)
+        monkeypatch.setattr("twinenc.crossing.init_head_params", no_draw)
+        loaded = TwinModel.load(path)
+        assert loaded.params.keys() == tiny_model.params.keys()
+
     def test_wrong_kind_rejected(self, tmp_path, rng):
         path = tmp_path / "other.ckpt"
         save_checkpoint(path, {"w": rng.standard_normal(3)}, {"kind": "something-else"})

@@ -181,6 +181,17 @@ class TestEvalAuc:
         err = capsys.readouterr().err
         assert f"{scored}: label 'meh' is not bad/fair/good/excellent or 0/1" in err
 
+    def test_nan_score_exits_1_without_traceback(self, tmp_path):
+        scored = tmp_path / "scored.tsv"
+        scored.write_text("query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tbad\tnan\n")
+        src = Path(twinenc.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "twinenc.cli", "eval-auc", "--scored", str(scored)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert "scores contain NaN" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestEvalNdcg:
     def test_positions_output(self, workspace, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -199,3 +200,36 @@ class TestParameterSharing:
 
     def test_encoder_forward_uses_same_arrays_when_shared(self, tiny_model):
         assert tiny_model.query_prefix == tiny_model.keyword_prefix
+
+
+def _params_digest(params):
+    h = hashlib.sha256()
+    for name, value in params.items():
+        h.update(f"{name}:{value.dtype.str}:{value.shape};".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()
+
+
+class TestParameterTable:
+    # sha256 over (name, dtype, shape, bytes) of every tensor in insertion
+    # order: initialize walks the shape tables, and a change in their order
+    # would change the RNG draws and so every seeded model
+    @pytest.mark.parametrize("config, seed, digest", [
+        (ModelConfig(), 0, "8ecd8639026246fb76cdbf8a8c3c6447b507598ff080c2cbfa3b78aa220bba9b"),
+        (ModelConfig(), 7, "a4e1c8bb561b4adf288a160da0be19e37b68284a69db96a12945c524b22db8eb"),
+        (ModelConfig(shared_encoders=False), 0,
+         "0f45f65be4344b8431f5ecec7fd1f284d8411c93739b8634df8e72d04c23fd92"),
+        (ModelConfig.large(), 0, "5b912d078b04a07ef5e3efc868624df1d54fe7ac15516dc3ec4be7de691803fc"),
+    ], ids=["desk", "desk-seed7", "unshared", "large"])
+    def test_initialize_is_bit_identical_to_recorded_draws(self, config, seed, digest):
+        assert _params_digest(TwinModel.initialize(config, seed=seed).params) == digest
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"shared_encoders": False}, {"pooling": "cls_token", "ffn_size": 24, "n_layers": 3},
+    ])
+    def test_shape_table_matches_initialized_params(self, overrides):
+        config = ModelConfig(hidden_size=16, n_heads=2, vocab_buckets=64, max_len=5, **overrides)
+        params = TwinModel.initialize(config, seed=0).params
+        shapes = TwinModel.param_shapes(config)
+        assert list(shapes) == list(params)
+        assert shapes == {name: value.shape for name, value in params.items()}

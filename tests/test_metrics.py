@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twinenc
 from twinenc.metrics import dcg_at, label_gain, mean_ndcg, ndcg_at, roc_auc
 
 
@@ -75,6 +80,36 @@ class TestRocAuc:
             labels[0] = 1 - labels[0]
         scores = [s / 5 for s in score_grid]
         assert roc_auc(scores, labels) == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
+
+    @given(st.lists(st.tuples(st.floats(-2.0, 2.0) | st.sampled_from([math.inf, -math.inf]),
+                              st.integers(0, 1)),
+                    min_size=2, max_size=2000))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_rankdata_oracle(self, rows):
+        # +/-inf rank as ordinary values, as they do for rankdata
+        from scipy.stats import rankdata  # the ranks roc_auc replaced; a test oracle only
+
+        scores = np.round(np.array([s for s, _ in rows]), 1)  # one decimal: many ties
+        labels = np.array([l for _, l in rows])
+        labels[0], labels[-1] = 0, 1
+        n_pos = int(labels.sum())
+        n_neg = len(labels) - n_pos
+        oracle = (float(rankdata(scores)[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert roc_auc(scores, labels) == oracle
+
+    @pytest.mark.parametrize("scores", [[0.2, math.nan, 0.1], [math.nan] * 3])
+    def test_nan_scores_rejected(self, scores):
+        with pytest.raises(ValueError, match="scores contain NaN"):
+            roc_auc(scores, [1, 0, 0])
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter: other tests may have imported scipy.stats here
+    code = "import sys, twinenc, twinenc.cli; print('scipy.stats' in sys.modules)"
+    src = Path(twinenc.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.strip() == "False"
 
 
 class TestLabelGain:
