@@ -1,12 +1,13 @@
 """Binary model checkpoints, and the framing shared with the index store.
 
 Both binary formats start with one preamble (magic, u32 format version,
-length-prefixed JSON header) and read their little-endian payload through
-the bounds-checked ``Reader``, so a malformed file fails with a
-``ValueError`` that names it. A checkpoint's header echoes the model and
-vocab settings; then come tensor records: name (length-prefixed UTF-8), dims
-(u8 ndim + u64 dims), a u64 byte length and raw float64 little-endian data.
-Round-trips are bit-exact; writes go through a temp file and atomic rename.
+length-prefixed JSON header) and read their little-endian payload from the
+open file through the bounds-checked ``Reader``, so a malformed file fails
+with a ``ValueError`` that names it. A checkpoint's header echoes the model
+and vocab settings; then come tensor records: name (length-prefixed UTF-8),
+dims (u8 ndim + u64 dims), a u64 byte length and raw float64 little-endian
+data. Round-trips are bit-exact; writes go through a temp file and atomic
+rename.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -31,21 +33,35 @@ def pack_str(s: str) -> bytes:
 
 
 class Reader:
-    """Bounds-checked reader of the bytes of ``path``; each failure is a ValueError naming it."""
+    """Bounds-checked reader of the open file ``f`` at ``path``; each failure is a ValueError naming it.
 
-    def __init__(self, data: bytes, path: str | Path):
-        self.data = memoryview(data)
+    Each array is read from the file straight into an array of its own, so a
+    load holds every tensor once, aligned and writable, and never a second
+    copy of the file. (Views of one buffer holding the whole file would sit
+    at the unaligned offsets the format gives them, and numpy copies an
+    unaligned operand on every matmul.)
+    """
+
+    def __init__(self, f: BinaryIO, path: str | Path):
+        self.f = f
         self.path = path
+        self.size = os.fstat(f.fileno()).st_size
         self.off = 0
 
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self.path}: {message}")
 
-    def take(self, n: int) -> memoryview:
-        if not 0 <= n <= len(self.data) - self.off:
+    def _advance(self, n: int) -> None:
+        if not 0 <= n <= self.size - self.off:
             raise self.error(f"truncated file or bad count: {n} bytes wanted at offset {self.off}")
         self.off += n
-        return self.data[self.off - n : self.off]
+
+    def take(self, n: int) -> bytes:
+        self._advance(n)
+        data = self.f.read(n)
+        if len(data) != n:
+            raise self.error(f"file shrank while reading at offset {self.off - n}")
+        return data
 
     def u8(self) -> int:
         return int.from_bytes(self.take(1), "little")
@@ -63,11 +79,16 @@ class Reader:
             raise self.error(f"invalid UTF-8 string at offset {self.off}: {exc}") from None
 
     def array(self, dtype, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype=dtype).copy()
+        dtype = np.dtype(dtype)
+        self._advance(count * dtype.itemsize)  # before allocating: the count may be garbage
+        out = np.empty(count, dtype=dtype)
+        if self.f.readinto(out) != out.nbytes:
+            raise self.error(f"file shrank while reading at offset {self.off - out.nbytes}")
+        return out
 
     def finish(self) -> None:
-        if self.off != len(self.data):
-            raise self.error(f"{len(self.data) - self.off} trailing bytes after offset {self.off}")
+        if self.off != self.size:
+            raise self.error(f"{self.size - self.off} trailing bytes after offset {self.off}")
 
 
 def write_preamble(magic: bytes, version: int, header: dict) -> list[bytes]:
@@ -75,9 +96,10 @@ def write_preamble(magic: bytes, version: int, header: dict) -> list[bytes]:
     return [magic, struct.pack("<I", version), pack_str(json.dumps(header, sort_keys=True))]
 
 
-def read_preamble(path: str | Path, magic: bytes, version: int, kind: str) -> tuple[Reader, dict]:
-    """Read the file at ``path``; check its magic and version; return (reader, header)."""
-    r = Reader(Path(path).read_bytes(), path)
+def read_preamble(f: BinaryIO, path: str | Path, magic: bytes, version: int,
+                  kind: str) -> tuple[Reader, dict]:
+    """Read the open file ``f`` at ``path``; check its magic and version; return (reader, header)."""
+    r = Reader(f, path)
     if r.take(len(magic)) != magic:
         raise r.error(f"not a {kind} file (no {magic!r} magic)")
     if (found := r.u32()) != version:
@@ -122,20 +144,21 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], header: dic
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Load (params, header) from a checkpoint file."""
-    r, header = read_preamble(path, MAGIC, FORMAT_VERSION, "checkpoint")
-    params: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
-        name = r.string()
-        shape = tuple(r.u64() for _ in range(r.u8()))
-        nbytes = r.u64()
-        if nbytes != 8 * math.prod(shape):
-            raise r.error(f"tensor {name!r}: {nbytes} bytes do not hold float64 shape {shape}")
-        flat = r.array("<f8", math.prod(shape))
-        try:
-            params[name] = flat.reshape(shape)
-        except ValueError:  # numpy rejects dims whose product overflows, even for empty arrays
-            raise r.error(f"tensor {name!r}: shape {shape} is too large") from None
-    r.finish()
+    with open(path, "rb") as f:
+        r, header = read_preamble(f, path, MAGIC, FORMAT_VERSION, "checkpoint")
+        params: dict[str, np.ndarray] = {}
+        for _ in range(r.u32()):
+            name = r.string()
+            shape = tuple(r.u64() for _ in range(r.u8()))
+            nbytes = r.u64()
+            if nbytes != 8 * math.prod(shape):
+                raise r.error(f"tensor {name!r}: {nbytes} bytes do not hold float64 shape {shape}")
+            flat = r.array("<f8", math.prod(shape))
+            try:
+                params[name] = flat.reshape(shape)
+            except ValueError:  # numpy rejects dims whose product overflows, even for empty arrays
+                raise r.error(f"tensor {name!r}: shape {shape} is too large") from None
+        r.finish()
     return params, header
 
 

@@ -8,7 +8,9 @@ Parameters live in a flat ``dict[str, np.ndarray]`` keyed by dotted names
 under an encoder prefix (``encoder`` when the two encoders share weights,
 ``query_encoder`` / ``keyword_encoder`` otherwise). Gradients accumulate
 into a dict with the same keys, so a shared encoder automatically sums the
-contributions of both sides.
+contributions of both sides. A token table's gradient is row-sparse, a
+:class:`RowGrad` holding only the rows the batch touched; every other
+gradient is a dense array.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -131,11 +134,43 @@ def cast_params(params: dict[str, np.ndarray], dtype) -> dict[str, np.ndarray]:
     return {k: np.asarray(v, dtype=dtype) for k, v in params.items()}
 
 
-def accumulate(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
-    if name in grads:
-        grads[name] = grads[name] + g
-    else:
+class RowGrad(NamedTuple):
+    """Gradient of a table that is zero outside ``rows`` (sorted, unique)."""
+
+    rows: np.ndarray
+    values: np.ndarray  # (len(rows), row width)
+
+
+def sum_rows(rows: np.ndarray, values: np.ndarray) -> RowGrad:
+    """Add up the ``values`` rows that share a row index.
+
+    The sort is stable, so each row's sum runs in input order, as
+    ``np.add.at`` into a zero table would.
+    """
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    return RowGrad(rows[starts], np.add.reduceat(values[order], starts, axis=0))
+
+
+def densify(g, shape) -> np.ndarray:
+    """A gradient as a dense array of ``shape``."""
+    if not isinstance(g, RowGrad):
+        return np.asarray(g)
+    out = np.zeros(shape, dtype=g.values.dtype)
+    out[g.rows] = g.values
+    return out
+
+
+def accumulate(grads: dict, name: str, g) -> None:
+    if name not in grads:
         grads[name] = g
+    elif isinstance(g, RowGrad):  # rows are unique per side, so each merged row is old + new
+        old = grads[name]
+        grads[name] = sum_rows(np.concatenate([old.rows, g.rows]),
+                               np.concatenate([old.values, g.values]))
+    else:
+        grads[name] = grads[name] + g
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +241,13 @@ def embed_forward(params: dict, prefix: str, batch: PackedBatch):
 
 
 def embed_backward(params: dict, prefix: str, batch: PackedBatch, dx: np.ndarray, grads: dict) -> None:
-    tok_emb = params[f"{prefix}.tok_emb"]
+    """Position-table gradient, dense; token-table gradient, a :class:`RowGrad` of the batch's buckets."""
     b, t = batch.n_examples, batch.seq_len
     d_pos = np.zeros_like(params[f"{prefix}.pos_emb"])
     d_pos[:t] = dx.sum(axis=0)
     accumulate(grads, f"{prefix}.pos_emb", d_pos)
-    d_tok = np.zeros_like(tok_emb)
-    np.add.at(d_tok, batch.bucket_ids, dx.reshape(b * t, -1)[batch.slot_ids])
-    accumulate(grads, f"{prefix}.tok_emb", d_tok)
+    accumulate(grads, f"{prefix}.tok_emb",
+               sum_rows(batch.bucket_ids, dx.reshape(b * t, -1)[batch.slot_ids]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crossing
-from .encoder import pack_sequences, sigmoid
+from .encoder import densify, pack_sequences, sigmoid
 from .model import TwinModel
 from .training import ce_loss
 
@@ -96,7 +96,7 @@ def finite_difference_check(
                 arr.flat[flat] = orig
 
         numeric = (_loss_with(orig + step) - _loss_with(orig - step)) / (2.0 * step)
-        analytic = float(np.asarray(grads[name]).flat[flat])
+        analytic = float(densify(grads[name], arr.shape).flat[flat])
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), _REL_FLOOR)
         results.append(GradCheckResult(name, flat, analytic, numeric, rel))
     return results

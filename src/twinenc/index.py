@@ -124,20 +124,21 @@ class EmbeddingIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> EmbeddingIndex:
-        r, header = read_preamble(path, INDEX_MAGIC, INDEX_FORMAT_VERSION, "keyword index")
-        for key, types in _HEADER_TYPES.items():
-            if key not in header or not isinstance(header[key], types):
-                raise r.error(f"keyword index header key {key!r} is missing or mistyped")
-        n, dim = header["n"], header["dim"]
-        if n < 0 or dim < 0:
-            raise r.error(f"keyword index header has negative shape n={n}, dim={dim}")
-        dtype = "<f8" if header["metric"] == METRIC_RAW else "<f4"
-        vectors = r.array(dtype, n * dim).reshape(n, dim)
-        ids = [r.string() for _ in range(n)]
-        graph = None
-        if header["has_graph"]:
-            graph = [r.array("<u4", r.u32()).astype(np.int64) for _ in range(n)]
-        r.finish()
+        with open(path, "rb") as f:
+            r, header = read_preamble(f, path, INDEX_MAGIC, INDEX_FORMAT_VERSION, "keyword index")
+            for key, types in _HEADER_TYPES.items():
+                if key not in header or not isinstance(header[key], types):
+                    raise r.error(f"keyword index header key {key!r} is missing or mistyped")
+            n, dim = header["n"], header["dim"]
+            if n < 0 or dim < 0:
+                raise r.error(f"keyword index header has negative shape n={n}, dim={dim}")
+            dtype = "<f8" if header["metric"] == METRIC_RAW else "<f4"
+            vectors = r.array(dtype, n * dim).reshape(n, dim)
+            ids = [r.string() for _ in range(n)]
+            graph = None
+            if header["has_graph"]:
+                graph = [r.array("<u4", r.u32()).astype(np.int64) for _ in range(n)]
+            r.finish()
         try:
             return cls(ids=ids, vectors=vectors, metric=header["metric"], graph=graph,
                        degree_bound=header["degree_bound"], build_beam=header["build_beam"],

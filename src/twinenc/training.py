@@ -17,7 +17,7 @@ import numpy as np
 
 from . import crossing
 from .config import DistillationConfig
-from .encoder import pack_sequences, sigmoid
+from .encoder import RowGrad, pack_sequences, sigmoid
 from .model import TwinModel
 
 LABEL_TO_BINARY = {"bad": 0, "fair": 1, "good": 1, "excellent": 1}
@@ -92,12 +92,21 @@ def ce_loss(targets, predictions) -> float:
 
 
 class AdamW:
-    """Adam with decoupled L2 weight decay.
+    """Adam with decoupled L2 weight decay, lazy over the rows of a table.
 
     State is created lazily per parameter, and a step touches only the
     parameters that received a gradient: parameters with no gradient this
-    step stay bit-identical (weight decay included). Decay applies to
-    matrices only, not to bias/gain vectors or scalars.
+    step stay bit-identical (weight decay included). A row-sparse gradient
+    (:class:`RowGrad`) extends that to rows, as in lazy Adam: a table row
+    with no gradient this step keeps its value and both moments, so it gets
+    neither moment decay nor weight decay. Bias correction counts the steps
+    of each parameter. Decay applies to matrices only, not to bias/gain
+    vectors or scalars.
+
+    Parameters are updated in place, on a copy that the optimizer makes when
+    it creates the parameter's state, so an array shared with another model
+    (``cast_params`` keeps arrays whose dtype already matches) is never
+    written through.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -111,27 +120,36 @@ class AdamW:
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, np.ndarray], grads: dict) -> None:
         for name, g in grads.items():
-            p = params[name]
             if name not in self._m:
-                self._m[name] = np.zeros_like(p)
-                self._v[name] = np.zeros_like(p)
+                params[name] = np.array(params[name])  # owned: updated in place below
+                self._m[name] = np.zeros_like(params[name])
+                self._v[name] = np.zeros_like(params[name])
                 self._t[name] = 0
             self._t[name] += 1
-            t = self._t[name]
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay > 0.0 and p.ndim >= 2:
-                update = update + self.weight_decay * p
-            params[name] = p - self.lr * update
+            p, m, v, t = params[name], self._m[name], self._v[name], self._t[name]
+            if isinstance(g, RowGrad):
+                rows = g.rows
+                m_rows, v_rows = m[rows], v[rows]
+                p[rows] = self._updated(p[rows], m_rows, v_rows, g.values, t)
+                m[rows], v[rows] = m_rows, v_rows
+            else:
+                p[...] = self._updated(p, m, v, g, t)
+
+    def _updated(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
+                 t: int) -> np.ndarray:
+        """New value of ``p`` after step ``t``; advances the moments ``m`` and ``v`` in place."""
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        m_hat = m / (1.0 - self.beta1**t)
+        v_hat = v / (1.0 - self.beta2**t)
+        update = m_hat / (np.sqrt(v_hat) + self.eps)
+        if self.weight_decay > 0.0 and p.ndim >= 2:
+            update = update + self.weight_decay * p
+        return p - self.lr * update
 
 
 @dataclass

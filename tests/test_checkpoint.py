@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twinenc import ModelConfig, TwinModel
+from twinenc import DistillationConfig, ModelConfig, PairRecord, TwinModel, distill_train
 from twinenc.checkpoint import atomic_write, load_checkpoint, save_checkpoint
 
 
@@ -89,6 +89,20 @@ class TestModelCheckpoint:
             tiny_model.score_pairs(texts, texts[::-1]),
             loaded.score_pairs(texts, texts[::-1]),
         )
+
+    def test_loaded_model_trains(self, tmp_path, tiny_model):
+        """Loaded tensors are aligned, writable arrays that training may update."""
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(path)
+        loaded = TwinModel.load(path)
+        for name, arr in loaded.params.items():
+            assert arr.flags.aligned and arr.flags.writeable, name
+        records = [PairRecord(query="red shoes", keyword="buy red shoes", teacher_logits=(0.0, 3.0)),
+                   PairRecord(query="paris", keyword="espresso", teacher_logits=(3.0, 0.0))]
+        distill_train(records, DistillationConfig(epochs=2, batch_size=2), loaded, seed=0)
+        table = loaded.params["encoder.tok_emb"]
+        assert np.isfinite(table).all()
+        assert not np.array_equal(table, tiny_model.params["encoder.tok_emb"])
 
     def test_config_echo_in_header(self, tmp_path):
         cfg = ModelConfig(n_layers=1, hidden_size=16, n_heads=2, vocab_buckets=32,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from twinenc import ModelConfig, TwinModel
-from twinenc.encoder import layer_forward, layer_backward, pack_sequences
+from twinenc.encoder import (RowGrad, densify, embed_backward, layer_backward, layer_forward,
+                             pack_sequences)
 from twinenc.gradcheck import finite_difference_check, pipeline_loss, pipeline_loss_and_grads
 
 QUERIES = ["red shoes", "cheap flights to paris", "coffee maker"]
@@ -112,3 +113,28 @@ class TestPipelineGradients:
         grads = {}
         model.backward_query(np.ones_like(emb), cache, batch, grads)
         assert not any(name.startswith("keyword_encoder.") for name in grads)
+
+
+class TestTokenTableGradient:
+    def test_row_sparse_matches_dense_scatter_add(self, tiny_model, rng):
+        """Both sides' RowGrads merge into the dense np.add.at sum, within 1e-14.
+
+        The query and keyword batches share words, so some rows get a
+        contribution from each side and from repeated trigrams within a side.
+        """
+        prefix = tiny_model.query_prefix
+        table = tiny_model.params[f"{prefix}.tok_emb"]
+        qb = pack_sequences(tiny_model.tokenize_many(["red shoes", "red red shoes sale", "paris"]))
+        kb = pack_sequences(tiny_model.tokenize_many(["shoes red", "paris shoes"]))
+        assert np.intersect1d(qb.bucket_ids, kb.bucket_ids).size > 0
+        grads = {}
+        reference = np.zeros_like(table)
+        for batch in (qb, kb):
+            dx = rng.standard_normal((batch.n_examples, batch.seq_len, table.shape[1]))
+            embed_backward(tiny_model.params, prefix, batch, dx, grads)
+            flat = dx.reshape(-1, table.shape[1])
+            np.add.at(reference, batch.bucket_ids, flat[batch.slot_ids])
+        g = grads[f"{prefix}.tok_emb"]
+        assert isinstance(g, RowGrad)
+        np.testing.assert_array_equal(g.rows, np.unique(np.r_[qb.bucket_ids, kb.bucket_ids]))
+        np.testing.assert_allclose(densify(g, table.shape), reference, rtol=0, atol=1e-14)

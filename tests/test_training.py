@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from twinenc import (
     soft_label,
     synthetic_teacher,
 )
-from twinenc.encoder import sigmoid
+from twinenc.encoder import RowGrad, sigmoid
 from twinenc.synthetic import token_jaccard
 from twinenc.training import (
+    AdamW,
     fit_logit_calibration,
     load_pair_tsv,
     parse_label,
@@ -183,6 +185,103 @@ class TestPairRecord:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             PairRecord(query="a", keyword="b", editorial_label="meh")
+
+
+def _dense_adamw_reference(opt, params, grads, state):
+    """The dense AdamW step every non-table parameter must keep, bit for bit."""
+    for name, g in grads.items():
+        p = params[name]
+        if name not in state:
+            state[name] = [np.zeros_like(p), np.zeros_like(p), 0]
+        m, v, t = state[name]
+        t += 1
+        state[name][2] = t
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        update = (m / (1.0 - opt.beta1**t)) / (np.sqrt(v / (1.0 - opt.beta2**t)) + opt.eps)
+        if opt.weight_decay > 0.0 and p.ndim >= 2:
+            update = update + opt.weight_decay * p
+        params[name] = p - opt.lr * update
+
+
+class TestAdamW:
+    def _opt(self):
+        return AdamW(lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+
+    def test_dense_parameters_match_reference_bit_for_bit(self, rng):
+        params = {"w": rng.standard_normal((5, 3)), "b": rng.standard_normal(3),
+                  "s": np.asarray(0.5)}
+        expected = {k: v.copy() for k, v in params.items()}
+        opt, state = self._opt(), {}
+        for step in range(4):
+            grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+            if step == 2:
+                del grads["b"]  # a parameter may miss a step
+            opt.step(params, grads)
+            _dense_adamw_reference(opt, expected, grads, state)
+            for name in params:
+                np.testing.assert_array_equal(params[name], expected[name], err_msg=name)
+
+    def test_rows_without_gradient_stay_bit_identical(self, rng):
+        table = rng.standard_normal((10, 4))
+        params = {"tok": table.copy()}
+        opt = self._opt()
+        opt.step(params, {"tok": RowGrad(np.array([1, 3]), rng.standard_normal((2, 4)))})
+        p1 = params["tok"].copy()
+        m1, v1 = opt._m["tok"].copy(), opt._v["tok"].copy()
+        opt.step(params, {"tok": RowGrad(np.array([3, 5]), rng.standard_normal((2, 4)))})
+        for untouched in (0, 1, 2, 4, 6, 7, 8, 9):
+            np.testing.assert_array_equal(params["tok"][untouched], p1[untouched])
+            np.testing.assert_array_equal(opt._m["tok"][untouched], m1[untouched])
+            np.testing.assert_array_equal(opt._v["tok"][untouched], v1[untouched])
+        for moved in (3, 5):
+            assert not np.array_equal(params["tok"][moved], p1[moved])
+        np.testing.assert_array_equal(params["tok"][[0, 2, 4]], table[[0, 2, 4]])
+
+    def test_touched_rows_follow_the_dense_formula(self, rng):
+        """On a table's first step, its gradient's rows get exactly the dense update."""
+        table = rng.standard_normal((6, 4))
+        rows, values = np.array([0, 2, 5]), rng.standard_normal((3, 4))
+        dense_g = np.zeros_like(table)
+        dense_g[rows] = values
+        params, expected = {"tok": table.copy()}, {"tok": table.copy()}
+        opt = self._opt()
+        opt.step(params, {"tok": RowGrad(rows, values)})
+        _dense_adamw_reference(opt, expected, {"tok": dense_g}, {})
+        np.testing.assert_array_equal(params["tok"][rows], expected["tok"][rows])
+
+    def test_wide_table_step_writes_only_the_gradient_rows(self, rng):
+        table = rng.standard_normal((50_001, 8))
+        params = {"tok": table.copy()}
+        opt = self._opt()
+        rows = np.array([0, 17, 4_096, 50_000])
+        opt.step(params, {"tok": RowGrad(rows, rng.standard_normal((4, 8)))})
+        before = params["tok"].copy()
+        m_before, v_before = opt._m["tok"].copy(), opt._v["tok"].copy()
+        tracemalloc.start()
+        try:
+            opt.step(params, {"tok": RowGrad(rows[1:3], rng.standard_normal((2, 8)))})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes // 100  # no table-sized temporary
+        other = np.setdiff1d(np.arange(table.shape[0]), rows[1:3])
+        for now, then in ((params["tok"], before), (opt._m["tok"], m_before),
+                          (opt._v["tok"], v_before)):
+            np.testing.assert_array_equal(now[other], then[other])
+            assert not np.array_equal(now[rows[1:3]], then[rows[1:3]])
+
+    def test_training_a_cast_copy_leaves_the_source_unchanged(self):
+        model = TwinModel.initialize(ModelConfig(n_layers=1, hidden_size=16, n_heads=2,
+                                                 vocab_buckets=64, max_len=6, dropout=0.0), seed=0)
+        twin = model.cast(np.float64)
+        assert twin.params["encoder.tok_emb"] is model.params["encoder.tok_emb"]
+        before = model.params["encoder.tok_emb"].copy()
+        distill_train(_overfit_records(16), DistillationConfig(epochs=1, batch_size=8), twin, seed=0)
+        np.testing.assert_array_equal(model.params["encoder.tok_emb"], before)
+        assert not np.array_equal(twin.params["encoder.tok_emb"], before)
 
 
 class TestDistillTrain:
