@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Recall@10 and search work of the search workload's graph at several beams.
+
+Builds the index of ``benchmark/run.py --workload search`` for one seed (same
+corpus, degree bound and build beam), then answers its queries with
+``knn_approx`` at each beam and scores them against an exact scan. Run from
+the repository root:
+
+    python3 scripts/beam_sweep.py --seed 12 --beams 32 64 --out benchmark/results
+
+The record goes to ``<out>/search_beam_sweep-seed<N>-trace0.json`` in the
+shape of the benchmark's own results, so ``scripts/bench_summary.py``
+aggregates it with them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--beams", type=int, nargs="+", default=[16, 32, 48, 64])
+    ap.add_argument("--out", type=Path, default=ROOT / "benchmark" / "results")
+    args = ap.parse_args(argv)
+
+    blas_fixed = "OPENBLAS_NUM_THREADS" not in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmark/run.py does
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
+    import numpy as np
+
+    import checks
+    import env
+    import workloads
+    from twinenc.index import build_graph, encode_corpus, knn_approx
+
+    sizes = workloads.FULL
+    model, corpus, queries = workloads.search_inputs(args.seed, sizes)
+    store = encode_corpus(corpus, model, batch_size=256)
+    scan = checks.Scan(list(store.ids), store.vectors)
+    start = time.perf_counter()
+    build_graph(store, degree_bound=sizes.search_degree, build_beam=sizes.search_build_beam)
+    reported = {"build_graph_s": (time.perf_counter() - start, "s")}
+
+    qs = []
+    for text in queries:  # one at a time, as the workload encodes them
+        q = model.encode_queries([text])[0]
+        qs.append(q / np.linalg.norm(q))
+    for beam in args.beams:
+        store.counters.reset()
+        found = [[r.keyword_id for r in knn_approx(q, store, sizes.top_n, search_beam=beam)]
+                 for q in qs]
+        reported[f"beam{beam}.recall_at_10"] = (checks.recall_at(found, qs, scan, sizes.top_n), "ratio")
+        reported[f"beam{beam}.distance_computations_per_query"] = (
+            store.counters.distance_computations / len(qs), "count")
+        reported[f"beam{beam}.hops_per_query"] = (store.counters.hops / len(qs), "count")
+
+    record = {
+        "workload": "search_beam_sweep",
+        "seed": args.seed,
+        "trace": 0,
+        "environment": env.describe(blas_fixed),
+        "params": {"corpus_keywords": len(store), "queries": len(qs),
+                   "degree_bound": sizes.search_degree, "build_beam": sizes.search_build_beam,
+                   "top_n": sizes.top_n, "beams": args.beams},
+        "reported": {k: {"value": v, "unit": u} for k, (v, u) in reported.items()},
+    }
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / f"search_beam_sweep-seed{args.seed}-trace0.json").write_text(
+        json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    for name, (value, unit) in reported.items():
+        print(f"{name:44s} {value:12.6g} {unit}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

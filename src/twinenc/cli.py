@@ -618,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--degree", type=int, default=16)
-    p.add_argument("--build-beam", type=int, default=64)
+    p.add_argument("--build-beam", type=int, default=64, help="exact candidates per node")
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("search", help="retrieve nearest keywords for queries")

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import crossing
-from .encoder import densify, pack_sequences, sigmoid
+from .encoder import densify
 from .model import TwinModel
-from .training import ce_loss
+from .training import pair_loss_and_grads
 
 _REL_FLOOR = 1e-6
 
@@ -32,29 +31,8 @@ class GradCheckResult:
 def pipeline_loss_and_grads(model: TwinModel, queries: list[str], keywords: list[str],
                             targets: np.ndarray, head: str):
     """Mean binary CE through encoders and the chosen head, plus gradients."""
-    qb = pack_sequences(model.tokenize_many(queries))
-    kb = pack_sequences(model.tokenize_many(keywords))
-    q_emb, q_cache = model.encode_query_batch(qb, count=False)
-    k_emb, k_cache = model.encode_keyword_batch(kb, count=False)
-    if head == "cosine":
-        logits, hcache = crossing.cosine_head_forward(q_emb, k_emb, model.params)
-    elif head == "residual":
-        logits, hcache = crossing.residual_head_forward(q_emb, k_emb, model.params)
-    else:
-        raise ValueError(f"unknown head: {head!r}")
-    probs = sigmoid(logits)
-    n = len(targets)
-    loss = ce_loss(targets, probs) / n
-
-    grads: dict[str, np.ndarray] = {}
-    d_logits = (probs - targets) / n
-    if head == "cosine":
-        dq, dk = crossing.cosine_head_backward(d_logits, hcache, model.params, grads)
-    else:
-        dq, dk = crossing.residual_head_backward(d_logits, hcache, model.params, grads)
-    model.backward_query(dq, q_cache, qb, grads)
-    model.backward_keyword(dk, k_cache, kb, grads)
-    return loss, grads
+    return pair_loss_and_grads(model, model.tokenize_many(queries), model.tokenize_many(keywords),
+                               targets, head)
 
 
 def pipeline_loss(model: TwinModel, queries, keywords, targets, head: str) -> float:

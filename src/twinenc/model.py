@@ -120,31 +120,23 @@ class TwinModel:
 
     # -- encoding ----------------------------------------------------------
 
-    def _encode(self, batch: PackedBatch, prefix: str, params: dict | None,
-                train: bool, rng) -> tuple[np.ndarray, dict]:
-        return encoder_forward(params or self.params, prefix, batch, self.config, train, rng)
-
-    def encode_query_batch(self, batch: PackedBatch, params: dict | None = None,
-                           train: bool = False, rng=None, count: bool = True):
-        emb, cache = self._encode(batch, self.query_prefix, params, train, rng)
+    def encode_query_batch(self, batch: PackedBatch, train: bool = False, rng=None, count: bool = True):
+        emb, cache = encoder_forward(self.params, self.query_prefix, batch, self.config, train, rng)
         if count:
             self.counters.query_encoder_passes += batch.n_examples
         return emb, cache
 
-    def encode_keyword_batch(self, batch: PackedBatch, params: dict | None = None,
-                             train: bool = False, rng=None, count: bool = True):
-        emb, cache = self._encode(batch, self.keyword_prefix, params, train, rng)
+    def encode_keyword_batch(self, batch: PackedBatch, train: bool = False, rng=None, count: bool = True):
+        emb, cache = encoder_forward(self.params, self.keyword_prefix, batch, self.config, train, rng)
         if count:
             self.counters.keyword_encoder_passes += batch.n_examples
         return emb, cache
 
-    def encode_queries(self, texts: list[str], params: dict | None = None) -> np.ndarray:
-        emb, _ = self.encode_query_batch(pack_sequences(self.tokenize_many(texts)), params)
-        return emb
+    def encode_queries(self, texts: list[str]) -> np.ndarray:
+        return self.encode_query_batch(pack_sequences(self.tokenize_many(texts)))[0]
 
-    def encode_keywords(self, texts: list[str], params: dict | None = None) -> np.ndarray:
-        emb, _ = self.encode_keyword_batch(pack_sequences(self.tokenize_many(texts)), params)
-        return emb
+    def encode_keywords(self, texts: list[str]) -> np.ndarray:
+        return self.encode_keyword_batch(pack_sequences(self.tokenize_many(texts)))[0]
 
     def backward_query(self, d_emb, cache, batch: PackedBatch, grads: dict) -> None:
         encoder_backward(d_emb, cache, self.params, self.query_prefix, batch, self.config, grads)
@@ -155,15 +147,13 @@ class TwinModel:
     # -- scoring -----------------------------------------------------------
 
     def score_embeddings(self, q_emb: np.ndarray, k_emb: np.ndarray,
-                         head: str | None = None, params: dict | None = None,
-                         count: bool = True) -> np.ndarray:
+                         head: str | None = None, count: bool = True) -> np.ndarray:
         """Calibrated relevance probability for paired embedding rows."""
         head = head or self.config.crossing
-        params = params or self.params
         if head == "cosine":
-            probs = crossing.cosine_head_prob(q_emb, k_emb, params)
+            probs = crossing.cosine_head_prob(q_emb, k_emb, self.params)
         elif head == "residual":
-            probs = crossing.residual_head_prob(q_emb, k_emb, params)
+            probs = crossing.residual_head_prob(q_emb, k_emb, self.params)
         else:
             raise ValueError(f"unknown crossing head: {head!r}")
         if count:

@@ -169,35 +169,41 @@ class TrainingHistory:
         }
 
 
-def _head_forward(model: TwinModel, q_emb: np.ndarray, k_emb: np.ndarray):
-    """Logits and cache of the model's active crossing head."""
-    if model.config.crossing == "cosine":
-        return crossing.cosine_head_forward(q_emb, k_emb, model.params)
-    return crossing.residual_head_forward(q_emb, k_emb, model.params)
+def _head_forward(head: str, q_emb: np.ndarray, k_emb: np.ndarray, params: dict):
+    """Logits and cache of the crossing head named ``head``."""
+    if head == "cosine":
+        return crossing.cosine_head_forward(q_emb, k_emb, params)
+    if head == "residual":
+        return crossing.residual_head_forward(q_emb, k_emb, params)
+    raise ValueError(f"unknown head: {head!r}")
 
 
-def _pair_batch_step(model: TwinModel, q_seqs, k_seqs, targets, optimizer, train_rng):
-    """One forward/backward/update over a batch of pairs. Returns mean loss."""
+def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str,
+                        train: bool = False, rng=None):
+    """Mean binary CE of a batch of pairs through both encoders and ``head``,
+    and its gradients. ``train`` switches dropout on, drawn from ``rng``."""
     qb = pack_sequences(q_seqs)
     kb = pack_sequences(k_seqs)
-    train = model.config.dropout > 0.0
-    q_emb, q_cache = model.encode_query_batch(qb, train=train, rng=train_rng, count=False)
-    k_emb, k_cache = model.encode_keyword_batch(kb, train=train, rng=train_rng, count=False)
-
-    head = model.config.crossing
-    logits, hcache = _head_forward(model, q_emb, k_emb)
+    q_emb, q_cache = model.encode_query_batch(qb, train=train, rng=rng, count=False)
+    k_emb, k_cache = model.encode_keyword_batch(kb, train=train, rng=rng, count=False)
+    logits, hcache = _head_forward(head, q_emb, k_emb, model.params)
     probs = sigmoid(logits)
     n = len(targets)
     loss = ce_loss(targets, probs) / n
 
     grads: dict[str, np.ndarray] = {}
     d_logits = (probs - targets) / n  # fused sigmoid + mean binary CE
-    if head == "cosine":
-        dq, dk = crossing.cosine_head_backward(d_logits, hcache, model.params, grads)
-    else:
-        dq, dk = crossing.residual_head_backward(d_logits, hcache, model.params, grads)
+    backward = crossing.cosine_head_backward if head == "cosine" else crossing.residual_head_backward
+    dq, dk = backward(d_logits, hcache, model.params, grads)
     model.backward_query(dq, q_cache, qb, grads)
     model.backward_keyword(dk, k_cache, kb, grads)
+    return loss, grads
+
+
+def _pair_batch_step(model: TwinModel, q_seqs, k_seqs, targets, optimizer, train_rng):
+    """One forward/backward/update over a batch of pairs. Returns mean loss."""
+    loss, grads = pair_loss_and_grads(model, q_seqs, k_seqs, targets, model.config.crossing,
+                                      train=model.config.dropout > 0.0, rng=train_rng)
     optimizer.step(model.params, grads)
     return loss
 
@@ -344,7 +350,7 @@ def refit_calibration(records: list[PairRecord], model: TwinModel,
         kb = pack_sequences([model.tokenize(r.keyword) for r in chunk])
         q_emb, _ = model.encode_query_batch(qb, count=False)
         k_emb, _ = model.encode_keyword_batch(kb, count=False)
-        logits.append(_head_forward(model, q_emb, k_emb)[0])
+        logits.append(_head_forward(model.config.crossing, q_emb, k_emb, model.params)[0])
     fit = fit_logit_calibration(np.concatenate(logits), labels)
     if fit is None:
         return None

@@ -222,6 +222,28 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(idx, degree_bound=0)
 
+    def test_recall_when_every_vector_is_stored_three_times(self, rng):
+        vectors = np.repeat(_unit_vectors(rng, 200), 3, axis=0)
+        idx = build_graph(EmbeddingIndex(ids=[f"k{i:04d}" for i in range(600)], vectors=vectors), 8, 32)
+        recalls = []
+        for q in _unit_vectors(rng, 50).astype(np.float64):
+            exact = {r.keyword_id for r in knn_exact(q, idx, 10)}
+            approx = {r.keyword_id for r in knn_approx(q, idx, 10, search_beam=32)}
+            recalls.append(len(exact & approx) / 10)
+        assert np.mean(recalls) >= 0.75
+
+    def test_reachable_at_degree_two_on_a_store_of_duplicates(self, rng):
+        # the pruned neighbour lists alone leave almost every node unreached
+        vectors = np.concatenate([np.repeat(_unit_vectors(rng, 10), 20, axis=0), _unit_vectors(rng, 20)])
+        idx = build_graph(EmbeddingIndex(ids=[f"k{i:04d}" for i in range(220)], vectors=vectors), 2, 8)
+        assert len(_reachable(idx)) == 220
+        assert max(len(g) for g in idx.graph) <= 2
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_stores_of_zero_and_one_vectors(self, rng, n):
+        idx = build_graph(_index(rng, n), 4, 8)
+        assert [list(g) for g in idx.graph] == [[]] * n
+
 
 class TestKnnApprox:
     def test_requires_graph(self, rng):
