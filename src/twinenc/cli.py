@@ -7,15 +7,17 @@ defaults, then command-line flags, then the JSON config file (the file has
 the last word); the resolved configuration is echoed to stderr and recorded
 in each output's manifest.
 
-Pair data is TSV everywhere; checkpoints and indices are binary. File
-outputs get a ``<path>.manifest.json`` sidecar, and TSV streams carry a
-leading ``# manifest: ...`` comment with the config hash, checkpoint hash,
-and format version.
+Pair data is TSV everywhere; checkpoints and indices are binary. Text is
+read and written through ``textio``, so malformed text fails naming its
+``path:line``. File outputs get a ``<path>.manifest.json`` sidecar, and TSV
+outputs carry a leading ``# manifest: ...`` comment with the config hash,
+checkpoint hash, and format version.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -25,9 +27,10 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import index as index_mod
+from . import textio
 from .checkpoint import FORMAT_VERSION, config_hash, file_sha256
 from .config import CROSSING_MODES, DistillationConfig, ModelConfig, POOLING_MODES
-from .metrics import mean_ndcg, roc_auc
+from .metrics import label_gain, mean_ndcg, roc_auc
 from .model import TwinModel
 from .synthetic import generate_pairs, split_pairs
 from .text import TrigramVocab, normalize
@@ -39,6 +42,8 @@ from .training import (
     parse_label,
     save_pair_tsv,
 )
+
+PRESETS = ("desk", "large")
 
 
 class CliError(Exception):
@@ -55,49 +60,30 @@ def _require_file(path: str) -> Path:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    p = _require_file(path)
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = json.loads(textio.read_text(_require_file(path)))
     except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise CliError(f"{path}:{exc.lineno}: config file is not valid JSON: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise CliError(f"config file {path} must hold a JSON object")
+    for key in ("model", "distill"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise CliError(f"config file {path}: {key!r} must be a JSON object")
+    for key in ("seed", "vocab_hash_seed"):
+        if type(raw.get(key, 0)) is not int:
+            raise CliError(f"config file {path}: {key!r} must be an integer")
+    if raw.get("preset", PRESETS[0]) not in PRESETS:
+        raise CliError(f"config file {path}: 'preset' must be one of {PRESETS}")
     return raw
-
-
-_MODEL_FLAG_FIELDS = (
-    ("layers", "n_layers"),
-    ("hidden_size", "hidden_size"),
-    ("heads", "n_heads"),
-    ("ffn_size", "ffn_size"),
-    ("vocab_buckets", "vocab_buckets"),
-    ("max_len", "max_len"),
-    ("pooling", "pooling"),
-    ("crossing", "crossing"),
-    ("shared_encoders", "shared_encoders"),
-    ("dropout", "dropout"),
-)
-
-_DISTILL_FLAG_FIELDS = (
-    ("temperature", "temperature"),
-    ("lr", "learning_rate"),
-    ("beta1", "beta1"),
-    ("beta2", "beta2"),
-    ("weight_decay", "weight_decay"),
-    ("epochs", "epochs"),
-    ("batch_size", "batch_size"),
-    ("finetune_lr", "finetune_learning_rate"),
-    ("finetune_epochs", "finetune_epochs"),
-)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("model")
-    g.add_argument("--preset", choices=("desk", "large"), default=None,
+    g.add_argument("--preset", choices=PRESETS, default=None,
                    help="architecture preset (default desk: L=2 H=64 A=2)")
-    g.add_argument("--layers", type=int, default=None)
+    g.add_argument("--layers", dest="n_layers", type=int, default=None)
     g.add_argument("--hidden-size", type=int, default=None)
-    g.add_argument("--heads", type=int, default=None)
+    g.add_argument("--heads", dest="n_heads", type=int, default=None)
     g.add_argument("--ffn-size", type=int, default=None)
     g.add_argument("--vocab-buckets", type=int, default=None)
     g.add_argument("--max-len", type=int, default=None)
@@ -111,13 +97,13 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _add_distill_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("training")
     g.add_argument("--temperature", type=float, default=None)
-    g.add_argument("--lr", type=float, default=None)
+    g.add_argument("--lr", dest="learning_rate", type=float, default=None)
     g.add_argument("--beta1", type=float, default=None)
     g.add_argument("--beta2", type=float, default=None)
     g.add_argument("--weight-decay", type=float, default=None)
     g.add_argument("--epochs", type=int, default=None)
     g.add_argument("--batch-size", type=int, default=None)
-    g.add_argument("--finetune-lr", type=float, default=None)
+    g.add_argument("--finetune-lr", dest="finetune_learning_rate", type=float, default=None)
     g.add_argument("--finetune-epochs", type=int, default=None)
 
 
@@ -127,47 +113,28 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress the config echo")
 
 
+def _config_kwargs(cls, args, file_section: dict) -> dict:
+    """Fields of config class ``cls``: the flags given in ``args``, then the file's section."""
+    kwargs = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+              if getattr(args, f.name, None) is not None}
+    return {**kwargs, **file_section}
+
+
 def _resolve(args, file_cfg: dict) -> dict:
     """Merge defaults <- flags <- config file into one resolved dict."""
-    model_kwargs = {}
-    for flag, field_name in _MODEL_FLAG_FIELDS:
-        v = getattr(args, flag, None)
-        if v is not None:
-            model_kwargs[field_name] = v
-    for field_name, v in file_cfg.get("model", {}).items():
-        model_kwargs[field_name] = v
-
-    distill_kwargs = {}
-    for flag, field_name in _DISTILL_FLAG_FIELDS:
-        v = getattr(args, flag, None)
-        if v is not None:
-            distill_kwargs[field_name] = v
-    for field_name, v in file_cfg.get("distill", {}).items():
-        distill_kwargs[field_name] = v
-
-    seed = 0
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    if "seed" in file_cfg:
-        seed = file_cfg["seed"]
-
-    vocab_hash_seed = 0
-    if getattr(args, "vocab_hash_seed", None) is not None:
-        vocab_hash_seed = args.vocab_hash_seed
-    if "vocab_hash_seed" in file_cfg:
-        vocab_hash_seed = file_cfg["vocab_hash_seed"]
-
     large = getattr(args, "preset", None) == "large" or file_cfg.get("preset") == "large"
     try:
-        model = (ModelConfig.large if large else ModelConfig)(**model_kwargs)
-        distill = DistillationConfig(**distill_kwargs)
+        model = (ModelConfig.large if large else ModelConfig)(
+            **_config_kwargs(ModelConfig, args, file_cfg.get("model", {})))
+        distill = DistillationConfig(
+            **_config_kwargs(DistillationConfig, args, file_cfg.get("distill", {})))
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
     return {
         "model": model.to_dict(),
         "distill": distill.to_dict(),
-        "seed": seed,
-        "vocab_hash_seed": vocab_hash_seed,
+        **{name: file_cfg.get(name, getattr(args, name, None) or 0)
+           for name in ("seed", "vocab_hash_seed")},
     }
 
 
@@ -194,22 +161,11 @@ def _manifest(command: str, resolved: dict, **extra) -> dict:
     return payload
 
 
-def _write_manifest(out_path: str | Path, payload: dict) -> None:
-    Path(str(out_path) + ".manifest.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def _manifest_comment(payload: dict) -> str:
-    slim = {k: v for k, v in payload.items() if k != "config"}
-    return "# manifest: " + json.dumps(slim, sort_keys=True)
-
-
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", encoding="utf-8"), True
+def _emit(path: str | Path | None, rows, manifest: dict) -> None:
+    """Write a TSV output led by its manifest minus the config; a file output
+    also gets the whole manifest as its sidecar."""
+    slim = {k: v for k, v in manifest.items() if k != "config"}
+    textio.write_tsv(path, rows, manifest=slim, sidecar=manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +176,6 @@ def cmd_gen_synthetic(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     pairs = generate_pairs(
         n_pairs=args.pairs, seed=seed, n_queries=args.queries, n_topics=args.topics
@@ -239,14 +194,12 @@ def cmd_gen_synthetic(args) -> int:
 
     keywords = list(dict.fromkeys(p.keyword for p in pairs))
     width = max(6, len(str(len(keywords))))
-    corpus_lines = [_manifest_comment(manifest), "id\tkeyword"]
-    corpus_lines += [f"k{i:0{width}d}\t{kw}" for i, kw in enumerate(keywords)]
-    (out_dir / "corpus.tsv").write_text("\n".join(corpus_lines) + "\n", encoding="utf-8")
+    _emit(out_dir / "corpus.tsv",
+          [("id", "keyword"), *((f"k{i:0{width}d}", kw) for i, kw in enumerate(keywords))],
+          manifest)
 
     queries = list(dict.fromkeys(p.query for p in test))
-    (out_dir / "queries.txt").write_text("\n".join(queries) + "\n", encoding="utf-8")
-
-    _write_manifest(out_dir / "corpus.tsv", manifest)
+    textio.write_tsv(out_dir / "queries.txt", ([q] for q in queries))
     print(
         f"wrote {len(train)} train / {len(test)} test pairs, "
         f"{len(keywords)} corpus keywords, {len(queries)} queries to {out_dir}",
@@ -266,7 +219,7 @@ def cmd_distill(args) -> int:
     history = distill_train(records, dconfig, model, seed=resolved["seed"],
                             log=None if args.quiet else lambda m: print(m, file=sys.stderr))
     model.save(args.out)
-    _write_manifest(args.out, _manifest(
+    textio.write_manifest(args.out, _manifest(
         "distill", resolved,
         checkpoint_sha256=file_sha256(args.out),
         data=str(args.data), records=len(records),
@@ -289,7 +242,7 @@ def cmd_finetune(args) -> int:
     history = finetune(records, dconfig, model, seed=resolved["seed"],
                        log=None if args.quiet else lambda m: print(m, file=sys.stderr))
     model.save(args.out)
-    _write_manifest(args.out, _manifest(
+    textio.write_manifest(args.out, _manifest(
         "finetune", resolved,
         checkpoint_sha256=file_sha256(args.out),
         source_checkpoint=str(args.checkpoint),
@@ -304,39 +257,14 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def _read_corpus(path: Path) -> tuple[list[str], list[str]]:
-    """Corpus TSV: ``id<TAB>keyword`` rows (header optional) or bare lines."""
-    ids: list[str] = []
-    texts: list[str] = []
-    auto = 0
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if "\t" in line:
-                kid, text = line.split("\t", 1)
-                if kid == "id" and text == "keyword":
-                    continue
-                ids.append(kid)
-                texts.append(text)
-            else:
-                ids.append(f"k{auto:06d}")
-                texts.append(line)
-                auto += 1
-    if not texts:
-        raise CliError(f"corpus file {path} contains no keywords")
-    return ids, texts
-
-
 def cmd_encode_corpus(args) -> int:
     model = TwinModel.load(_require_file(args.checkpoint))
-    ids, texts = _read_corpus(_require_file(args.corpus))
+    ids, texts = textio.read_corpus(_require_file(args.corpus))
     store = index_mod.encode_corpus(texts, model, ids=ids,
                                     batch_size=args.batch_size, normalize=not args.raw)
     store.save(args.out)
     resolved = {"model": model.config.to_dict(), "raw": bool(args.raw)}
-    _write_manifest(args.out, _manifest(
+    textio.write_manifest(args.out, _manifest(
         "encode-corpus", resolved,
         checkpoint_sha256=file_sha256(args.checkpoint),
         index_sha256=file_sha256(args.out),
@@ -353,7 +281,7 @@ def cmd_build_index(args) -> int:
     index_mod.build_graph(store, degree_bound=args.degree, build_beam=args.build_beam)
     store.save(args.out)
     resolved = {"degree_bound": args.degree, "build_beam": args.build_beam}
-    _write_manifest(args.out, _manifest(
+    textio.write_manifest(args.out, _manifest(
         "build-index", resolved,
         index_sha256=file_sha256(args.out),
         embeddings=str(args.embeddings), keywords=len(store),
@@ -367,19 +295,14 @@ def cmd_search(args) -> int:
     index = index_mod.EmbeddingIndex.load(_require_file(args.index))
     if args.mode == "approx" and index.graph is None:
         raise CliError(f"index {args.index} has no graph; use --mode exact or build-index")
-    if args.queries == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        lines = _require_file(args.queries).read_text(encoding="utf-8").splitlines()
-    queries = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
-
-    out, closable = _open_out(args.out)
+    source = args.queries if args.queries == "-" else _require_file(args.queries)
+    queries = [q for _, line in textio.lines(source) if (q := line.strip())]
     manifest = _manifest("search", {"top_n": args.top_n, "mode": args.mode, "beam": args.beam},
                          checkpoint_sha256=file_sha256(args.checkpoint),
                          index_sha256=file_sha256(args.index))
-    try:
-        print(_manifest_comment(manifest), file=out)
-        print("query\trank\tkeyword_id\tcosine_score", file=out)
+
+    def rows():
+        yield "query", "rank", "keyword_id", "cosine_score"
         for query in queries:
             if not normalize(query):
                 print(f"skipping unencodable query: {query!r}", file=sys.stderr)
@@ -391,86 +314,36 @@ def cmd_search(args) -> int:
             else:
                 results = index_mod.knn_approx(q_unit, index, args.top_n, search_beam=args.beam)
             for r in results:
-                print(f"{query}\t{r.rank}\t{r.keyword_id}\t{r.cosine_score:.6f}", file=out)
-    finally:
-        if closable:
-            out.close()
-    if closable:
-        _write_manifest(args.out, manifest)
+                yield query, str(r.rank), r.keyword_id, f"{r.cosine_score:.6f}"
+
+    _emit(args.out, rows(), manifest)
     return 0
-
-
-def _read_tsv_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if header is None:
-                header = parts
-                continue
-            if len(parts) != len(header):
-                raise CliError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
-            rows.append(parts)
-    if header is None:
-        raise CliError(f"{path}: empty file (header row required)")
-    return header, rows
-
-
-def _col(header: list[str], name: str, path) -> int:
-    if name not in header:
-        raise CliError(f"{path}: no column named {name!r} (header: {header})")
-    return header.index(name)
 
 
 def cmd_score(args) -> int:
     model = TwinModel.load(_require_file(args.checkpoint))
-    path = _require_file(args.pairs)
-    header, rows = _read_tsv_table(path)
-    qi = _col(header, "query", path)
-    ki = _col(header, "keyword", path)
+    table = textio.read_table(_require_file(args.pairs))
+    queries, keywords = table.column("query"), table.column("keyword")
     head = args.head or model.config.crossing
-
-    out, closable = _open_out(args.out)
     manifest = _manifest("score", {"head": head},
                          checkpoint_sha256=file_sha256(args.checkpoint))
-    try:
-        print(_manifest_comment(manifest), file=out)
-        print("\t".join(header + ["prob"]), file=out)
+
+    def rows():
+        yield table.header + ["prob"]
         batch = 256
-        for lo in range(0, len(rows), batch):
-            chunk = rows[lo : lo + batch]
-            probs = model.score_pairs([r[qi] for r in chunk], [r[ki] for r in chunk], head=head)
-            for row, p in zip(chunk, probs):
-                print("\t".join(row + [f"{float(p):.10f}"]), file=out)
-    finally:
-        if closable:
-            out.close()
-    if closable:
-        _write_manifest(args.out, manifest)
+        for lo in range(0, len(table.rows), batch):
+            probs = model.score_pairs(queries[lo : lo + batch], keywords[lo : lo + batch], head=head)
+            for (_, cells), p in zip(table.rows[lo : lo + batch], probs):
+                yield cells + [f"{float(p):.10f}"]
+
+    _emit(args.out, rows(), manifest)
     return 0
 
 
-def _binary_labels(raw: list[str], path) -> list[int]:
-    out = []
-    for v in raw:
-        try:
-            out.append(parse_label(v))
-        except ValueError:
-            raise CliError(f"{path}: label {v!r} is not bad/fair/good/excellent or 0/1") from None
-    return out
-
-
 def cmd_eval_auc(args) -> int:
-    path = _require_file(args.scored)
-    header, rows = _read_tsv_table(path)
-    si = _col(header, args.score_col, path)
-    li = _col(header, args.label_col, path)
-    scores = [float(r[si]) for r in rows]
-    labels = _binary_labels([r[li] for r in rows], path)
+    table = textio.read_table(_require_file(args.scored))
+    scores = table.column(args.score_col, float, "a number")
+    labels = table.column(args.label_col, parse_label, "bad/fair/good/excellent or 0/1")
     try:
         auc = roc_auc(scores, labels)
     except ValueError as exc:
@@ -478,42 +351,32 @@ def cmd_eval_auc(args) -> int:
     print(f"roc_auc\t{auc:.6f}")
     if args.out:
         manifest = _manifest("eval-auc", {"score_col": args.score_col, "label_col": args.label_col})
-        Path(args.out).write_text(
-            _manifest_comment(manifest) + f"\nmetric\tvalue\nroc_auc\t{auc:.10f}\n",
-            encoding="utf-8",
-        )
-        _write_manifest(args.out, manifest)
+        _emit(args.out, [("metric", "value"), ("roc_auc", f"{auc:.10f}")], manifest)
     return 0
 
 
 def cmd_eval_ndcg(args) -> int:
-    path = _require_file(args.scored)
-    header, rows = _read_tsv_table(path)
-    qi = _col(header, args.query_col, path)
-    li = _col(header, args.label_col, path)
-    si = _col(header, args.score_col, path)
-    by_query: dict[str, list[tuple[float, str]]] = {}
-    for r in rows:
-        by_query.setdefault(r[qi], []).append((float(r[si]), r[li]))
+    table = textio.read_table(_require_file(args.scored))
+    scores = table.column(args.score_col, float, "a number")
+    grades = table.column(args.label_col, label_gain, "bad/fair/good/excellent")
+    by_query: dict[str, list[tuple[float, float]]] = {}
+    for query, score, grade in zip(table.column(args.query_col), scores, grades):
+        by_query.setdefault(query, []).append((score, grade))
     rankings = []
     for items in by_query.values():
         items.sort(key=lambda t: -t[0])
         rankings.append([lab for _, lab in items])
     positions = [int(p) for p in args.positions.split(",")]
-    lines = ["position\tndcg"]
+    lines = [("position", "ndcg")]
     for p in positions:
         try:
             value = mean_ndcg(rankings, p, gain=args.gain)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        lines.append(f"{p}\t{value:.6f}")
+        lines.append((str(p), f"{value:.6f}"))
         print(f"ndcg@{p}\t{value:.6f}")
     if args.out:
-        manifest = _manifest("eval-ndcg", {"gain": args.gain, "positions": positions})
-        Path(args.out).write_text(
-            _manifest_comment(manifest) + "\n" + "\n".join(lines) + "\n", encoding="utf-8"
-        )
-        _write_manifest(args.out, manifest)
+        _emit(args.out, lines, _manifest("eval-ndcg", {"gain": args.gain, "positions": positions}))
     return 0
 
 
@@ -555,15 +418,13 @@ def cmd_bench(args) -> int:
             f"{fit.beta_ms:.6f}ms * n_keywords  (rms residual {fit.rms_residual_ms:.4f}ms)"
         )
     if args.out:
-        manifest = _manifest("bench", resolved, dtype=args.dtype)
         keys = sorted({k for row in rows for k in row})
-        lines = [_manifest_comment(manifest), "\t".join(keys)]
-        for row in rows:
-            lines.append("\t".join(str(row.get(k, "")) for k in keys))
-        for mode, fit in fits.items():
-            lines.append(f"# fit\t{mode}\talpha_ms={fit.alpha_ms!r}\tbeta_ms={fit.beta_ms!r}")
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _write_manifest(args.out, manifest)
+        _emit(args.out, [
+            keys,
+            *([str(row.get(k, "")) for k in keys] for row in rows),
+            *(("# fit", mode, f"alpha_ms={fit.alpha_ms!r}", f"beta_ms={fit.beta_ms!r}")
+              for mode, fit in fits.items()),
+        ], _manifest("bench", resolved, dtype=args.dtype))
     return 0
 
 

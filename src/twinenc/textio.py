@@ -1,0 +1,139 @@
+"""One reader and one writer for every text file: TSV tables, corpus, queries, config.
+
+The text counterpart of ``checkpoint.Reader``: a file is read once and
+decoded as UTF-8, lines split as universal newlines, and empty lines and
+``#`` comments are skipped. Invalid UTF-8, a row of the wrong width or a
+cell that does not convert is a ``ValueError`` of the form ``path:line: ...``.
+The path ``-`` (or ``None`` for outputs) is the standard stream.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Iterable
+
+
+def _is_stream(path) -> bool:
+    return path is None or str(path) == "-"
+
+
+def read_text(path: str | Path) -> str:
+    """The whole file at ``path`` (``-``: standard input) decoded as UTF-8."""
+    if _is_stream(path):
+        path, data = "<stdin>", sys.stdin.buffer.read()
+    else:
+        data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+
+
+def lines(path: str | Path) -> list[tuple[int, str]]:
+    """(line number, text) of each line that is neither empty nor a ``#`` comment."""
+    text = read_text(path).replace("\r\n", "\n").replace("\r", "\n")
+    return [(n, line) for n, line in enumerate(text.split("\n"), start=1)
+            if line and not line.startswith("#")]
+
+
+@dataclass
+class Table:
+    """A tab-separated table: the header row's names, then ``(line, cells)`` rows."""
+
+    path: str
+    header: list[str]
+    rows: list[tuple[int, list[str]]]
+
+    def error(self, lineno: int, message: str) -> ValueError:
+        return ValueError(f"{self.path}:{lineno}: {message}")
+
+    def index(self, name: str) -> int:
+        if name not in self.header:
+            raise ValueError(f"{self.path}: no column named {name!r} (header: {self.header})")
+        return self.header.index(name)
+
+    def column(self, name: str, convert: Callable = str, kind: str = "") -> list:
+        """Each row's cell under ``name`` through ``convert``; a failure names the
+        line, the column and the value, which "is not ``kind``"."""
+        i = self.index(name)
+        values = []
+        for lineno, cells in self.rows:
+            try:
+                values.append(convert(cells[i]))
+            except ValueError:
+                raise self.error(lineno, f"{name} {cells[i]!r} is not {kind}") from None
+        return values
+
+
+def read_table(path: str | Path, last_optional: bool = False) -> Table:
+    """The table at ``path``: its first line is the header, and every row has as
+    many cells. With ``last_optional`` a row may leave out its last cell, which
+    reads as empty."""
+    numbered = lines(path)
+    if not numbered:
+        raise ValueError(f"{path}: empty file (header row required)")
+    header = numbered[0][1].split("\t")
+    table = Table(str(path), header, [])
+    for lineno, line in numbered[1:]:
+        cells = line.split("\t")
+        if last_optional and len(cells) == len(header) - 1:
+            cells.append("")
+        if len(cells) != len(header):
+            raise table.error(lineno, f"expected {len(header)} fields, got {len(cells)}")
+        table.rows.append((lineno, cells))
+    return table
+
+
+def read_corpus(path: str | Path) -> tuple[list[str], list[str]]:
+    """Keyword ids and texts: ``id<TAB>keyword`` rows (header optional) or bare
+    lines, which get ids ``k000000``, ``k000001``, ... in order."""
+    ids: list[str] = []
+    texts: list[str] = []
+    auto = 0
+    for _, line in lines(path):
+        if "\t" in line:
+            kid, text = line.split("\t", 1)
+            if (kid, text) == ("id", "keyword"):
+                continue
+        else:
+            kid, text = f"k{auto:06d}", line
+            auto += 1
+        ids.append(kid)
+        texts.append(text)
+    if not texts:
+        raise ValueError(f"{path}: corpus contains no keywords")
+    return ids, texts
+
+
+def write_manifest(path: str | Path, manifest: dict) -> None:
+    """The ``<path>.manifest.json`` sidecar of the output at ``path``."""
+    Path(str(path) + ".manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def write_tsv(path: str | Path | None, rows: Iterable[Iterable[str]],
+              manifest: dict | None = None, sidecar: dict | None = None) -> None:
+    """Write ``# manifest: {manifest}``, then each row's cells joined by tabs
+    (rows may be a generator), to stdout or to ``path``, which also gets
+    ``sidecar`` as its ``.manifest.json``."""
+    if _is_stream(path):
+        _write_rows(sys.stdout, rows, manifest)
+        return
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as out:
+        _write_rows(out, rows, manifest)
+    if sidecar is not None:
+        write_manifest(path, sidecar)
+
+
+def _write_rows(out, rows: Iterable[Iterable[str]], manifest: dict | None) -> None:
+    if manifest is not None:
+        out.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+    for row in rows:
+        out.write("\t".join(row) + "\n")

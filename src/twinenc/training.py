@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import crossing
+from . import crossing, textio
 from .config import DistillationConfig
 from .encoder import RowGrad, pack_sequences, sigmoid
 from .model import TwinModel
@@ -409,60 +409,40 @@ PAIR_TSV_COLUMNS = ("query", "keyword", "z_bad", "z_nonbad", "label")
 def load_pair_tsv(path: str | Path) -> list[PairRecord]:
     """Read pair records from a headered TSV file.
 
-    Columns: query, keyword, z_bad, z_nonbad, label. The logit columns may
-    be empty when only labels are available, and vice versa; the label
-    column holds one of bad/fair/good/excellent or 0/1. Lines starting with
-    ``#`` are ignored. Malformed rows abort with their line number.
+    Columns, found by name: query, keyword, z_bad, z_nonbad and an optional
+    label. The logit columns may be empty when only labels are available,
+    and vice versa; the label column holds one of bad/fair/good/excellent or
+    0/1, and a row may leave it out. Lines starting with ``#`` are ignored.
+    Malformed rows abort with their line number.
     """
+    table = textio.read_table(path, last_optional=True)
+    columns = [table.index(name) for name in PAIR_TSV_COLUMNS[:4]]
+    li = table.index("label") if "label" in table.header else None
     records: list[PairRecord] = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = None
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = tuple(line.split("\t"))
-                if tuple(header[:2]) != ("query", "keyword"):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header starting with "
-                        f"'query\\tkeyword', got {line!r}"
-                    )
-                continue
-            parts = line.split("\t")
-            if len(parts) < 4 or len(parts) > len(PAIR_TSV_COLUMNS):
-                raise ValueError(
-                    f"{path}:{lineno}: expected 4 or 5 tab-separated fields, got {len(parts)}"
-                )
-            query, keyword, z_bad, z_nonbad = parts[:4]
-            label = parts[4].strip() if len(parts) > 4 else ""
-            try:
-                logits = (float(z_bad), float(z_nonbad)) if z_bad and z_nonbad else None
-                binary = parse_label(label) if label else None
-                editorial = label if label in LABEL_TO_BINARY else None
-                records.append(
-                    PairRecord(query=query, keyword=keyword, teacher_logits=logits,
-                               editorial_label=editorial, binary_label=binary)
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
-    if header is None:
-        raise ValueError(f"{path}: empty file (header row required)")
+    for lineno, cells in table.rows:
+        query, keyword, z_bad, z_nonbad = (cells[i] for i in columns)
+        label = "" if li is None else cells[li].strip()
+        try:
+            logits = (float(z_bad), float(z_nonbad)) if z_bad and z_nonbad else None
+            binary = parse_label(label) if label else None
+            editorial = label if label in LABEL_TO_BINARY else None
+            records.append(
+                PairRecord(query=query, keyword=keyword, teacher_logits=logits,
+                           editorial_label=editorial, binary_label=binary)
+            )
+        except ValueError as exc:
+            raise table.error(lineno, f"malformed row: {exc}") from None
     return records
 
 
 def save_pair_tsv(path: str | Path, records: list[PairRecord],
                   manifest: dict | None = None) -> None:
-    lines = []
-    if manifest:
-        import json
+    def rows():
+        yield PAIR_TSV_COLUMNS
+        for r in records:
+            z_bad = repr(r.teacher_logits[0]) if r.teacher_logits else ""
+            z_nonbad = repr(r.teacher_logits[1]) if r.teacher_logits else ""
+            label = r.editorial_label or ("" if r.binary_label is None else str(r.binary_label))
+            yield r.query, r.keyword, z_bad, z_nonbad, label
 
-        lines.append("# manifest: " + json.dumps(manifest, sort_keys=True))
-    lines.append("\t".join(PAIR_TSV_COLUMNS))
-    for r in records:
-        z_bad = repr(r.teacher_logits[0]) if r.teacher_logits else ""
-        z_nonbad = repr(r.teacher_logits[1]) if r.teacher_logits else ""
-        label = r.editorial_label or ("" if r.binary_label is None else str(r.binary_label))
-        lines.append("\t".join((r.query, r.keyword, z_bad, z_nonbad, label)))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    textio.write_tsv(path, rows(), manifest=manifest or None)

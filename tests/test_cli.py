@@ -179,7 +179,7 @@ class TestEvalAuc:
         scored.write_text("query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tmeh\t0.1\n")
         assert main(["eval-auc", "--scored", str(scored), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert f"{scored}: label 'meh' is not bad/fair/good/excellent or 0/1" in err
+        assert f"{scored}:3: label 'meh' is not bad/fair/good/excellent or 0/1" in err
 
     def test_nan_score_exits_1_without_traceback(self, tmp_path):
         scored = tmp_path / "scored.tsv"

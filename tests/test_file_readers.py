@@ -1,18 +1,31 @@
-"""Malformed binary files: every reader fails with a ValueError naming the file.
+"""Malformed files: every reader fails with a ValueError naming the file.
 
 A small checkpoint, a small graph index and a small raw store are cut at
 every prefix length and flipped at random single bytes. Each damaged file
 must either load or raise a ``ValueError`` whose message contains its path;
 ``struct.error``, ``KeyError``, ``IndexError`` or ``TypeError`` fail the test
 by propagating.
+
+Text files (pair TSV, scored table, corpus, queries, JSON config) must name
+the path and the line of an invalid UTF-8 byte, and each CLI command that
+reads one exits 1 with the file named on stderr and no traceback.
 """
+
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twinenc import ModelConfig, TwinModel
+import twinenc
+from twinenc import ModelConfig, TwinModel, encode_corpus, load_pair_tsv
 from twinenc.index import METRIC_RAW, EmbeddingIndex, build_graph
 
 
@@ -88,3 +101,105 @@ def test_byte_flip_loads_or_fails_naming_the_file(fmt, originals, scratch, where
     data = bytearray(originals[fmt])
     data[int(where * len(data))] ^= xor
     _loads_or_names_path(FORMATS[fmt][1], scratch / f"flip.{fmt}", bytes(data))
+
+
+PAIRS = (b"query\tkeyword\tz_bad\tz_nonbad\tlabel\n"
+         b"red shoes\tbuy red shoes\t-1.0\t1.0\tgood\n"
+         b"# a comment\n"
+         b"blue hat\tcheap blue hat\t0.5\t-0.5\n")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.integers(0, len(PAIRS)), newline=st.sampled_from([b"\n", b"\r\n", b"\r"]))
+def test_invalid_utf8_in_pair_tsv_names_the_line(scratch, where, newline):
+    data = PAIRS.replace(b"\n", newline)
+    where = min(where, len(data))
+    path = scratch / "bad-utf8.tsv"
+    path.write_bytes(data[:where] + b"\xff" + data[where:])
+    # universal newlines, as the stdlib reads them: a "\r" just before the bad byte ends a line
+    line = 1 + sum(ln.endswith("\n") for ln in io.StringIO(data[:where].decode(), newline=None))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: invalid UTF-8")):
+        load_pair_tsv(path)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.floats(0.0, 1.0, exclude_max=True), xor=st.integers(1, 255))
+def test_pair_tsv_byte_flip_loads_or_fails_naming_the_file(scratch, where, xor):
+    data = bytearray(PAIRS)
+    data[int(where * len(data))] ^= xor
+    _loads_or_names_path(load_pair_tsv, scratch / "flip.tsv", bytes(data))
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory, tiny_model):
+    """A checkpoint and an exact-search store for the CLI cases."""
+    tmp = tmp_path_factory.mktemp("served")
+    tiny_model.save(tmp / "model.ckpt")
+    encode_corpus(["red shoes", "blue hat", "green socks"], tiny_model).save(tmp / "store.twix")
+    (tmp / "pairs.tsv").write_bytes(PAIRS)
+    return tmp
+
+
+SCORED = b"query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tbad\t0.1\n"
+
+# case -> (file contents, command-line arguments with BAD for the file, text stderr must hold)
+CLI_CASES = {
+    "pair_tsv": (PAIRS.replace(b"cheap", b"ch\xffeap"),
+                 ["distill", "--data", "BAD", "--out", "OUT"], "BAD:4: invalid UTF-8"),
+    "scored": (SCORED.replace(b"good", b"go\xffod"),
+               ["eval-auc", "--scored", "BAD"], "BAD:2: invalid UTF-8"),
+    "scored_prob": (SCORED.replace(b"0.1", b"abc"),
+                    ["eval-auc", "--scored", "BAD"], "BAD:3: prob 'abc' is not a number"),
+    "scored_ndcg_label": (SCORED.replace(b"bad", b"meh"),
+                          ["eval-ndcg", "--scored", "BAD"], "BAD:3: label 'meh' is not bad/fair/good/excellent"),
+    "corpus": (b"id\tkeyword\nk0\tred shoes\nk1\t\xff hat\n",
+               ["encode-corpus", "--checkpoint", "SERVED/model.ckpt", "--corpus", "BAD", "--out", "OUT"],
+               "BAD:3: invalid UTF-8"),
+    "queries": (b"red shoes\r\nblue \xffhat\r\n",
+                ["search", "--checkpoint", "SERVED/model.ckpt", "--index", "SERVED/store.twix",
+                 "--mode", "exact", "--queries", "BAD"], "BAD:2: invalid UTF-8"),
+    "config": (b'{"seed": 1,\n "distill": {"epochs": 1},\n "x": "\xff"}\n',
+               ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+               "BAD:3: invalid UTF-8"),
+    "config_model_list": (json.dumps({"model": [1, 2]}).encode(),
+                          ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+                          "BAD: 'model' must be a JSON object"),
+    "config_seed_str": (json.dumps({"seed": "abc"}).encode(),
+                        ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+                        "BAD: 'seed' must be an integer"),
+    "config_seed_bool": (json.dumps({"seed": True}).encode(),
+                         ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+                         "BAD: 'seed' must be an integer"),
+    "config_preset": (json.dumps({"preset": "huge"}).encode(),
+                      ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+                      "BAD: 'preset' must be one of"),
+}
+
+
+def _run_cli(args, stdin=b""):
+    src = Path(twinenc.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "twinenc.cli", *args, "--quiet"], input=stdin,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_malformed_text_exits_1_naming_the_file(case, served, tmp_path):
+    data, args, expected = CLI_CASES[case]
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_bytes(data)
+    subs = {"BAD": str(bad), "OUT": str(out), "SERVED": str(served)}
+    proc = _run_cli([re.sub("BAD|OUT|SERVED", lambda m: subs[m[0]], a) for a in args])
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 1, stderr
+    assert expected.replace("BAD", str(bad)) in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_invalid_utf8_on_stdin_names_stdin(served):
+    proc = _run_cli(["search", "--checkpoint", str(served / "model.ckpt"),
+                     "--index", str(served / "store.twix"), "--mode", "exact", "--queries", "-"],
+                    stdin=b"red shoes\n\xff\n")
+    assert proc.returncode == 1
+    assert "<stdin>:2: invalid UTF-8" in proc.stderr.decode()
+    assert "Traceback" not in proc.stderr.decode()
