@@ -175,7 +175,7 @@ def _prepare(scenario: LatencyScenario, model: TwinModel, warmup: int, seed: int
     if scenario.model_mode != "cross_encoder" and scenario.keyword_cache:
         # offline phase: precompute keyword embeddings outside the timed region
         cached_kw_embs = [
-            run_model.encode_keyword_batch(kb, count=False)[0] for kb in kw_batches
+            run_model.encode_keyword_batch(kb, count=False, cache=False)[0] for kb in kw_batches
         ]
 
     def run_query(qi: int) -> None:
@@ -185,11 +185,11 @@ def _prepare(scenario: LatencyScenario, model: TwinModel, warmup: int, seed: int
             sigmoid(emb @ cross_params["out.w"] + cross_params["out.b"])
             return
         for _ in range(scenario.qel):
-            q_emb, _ = run_model.encode_query_batch(q_batches[qi])
+            q_emb, _ = run_model.encode_query_batch(q_batches[qi], cache=False)
         if cached_kw_embs is not None:
             k_embs = cached_kw_embs[qi]
         else:
-            k_embs, _ = run_model.encode_keyword_batch(kw_batches[qi])
+            k_embs, _ = run_model.encode_keyword_batch(kw_batches[qi], cache=False)
         q_rows = np.broadcast_to(q_emb[0], k_embs.shape)
         run_model.score_embeddings(q_rows, k_embs, head=head)
 

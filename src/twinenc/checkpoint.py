@@ -19,7 +19,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -113,14 +113,16 @@ def read_preamble(f: BinaryIO, path: str | Path, magic: bytes, version: int,
     return r, header
 
 
-def atomic_write(path: str | Path, data: bytes) -> None:
-    """Write bytes to ``path`` via temp-file-then-rename."""
+def atomic_write(path: str | Path, chunks: Iterable) -> None:
+    """Write ``chunks``, bytes-like buffers such as C-contiguous arrays, one by
+    one to ``path`` via temp-file-then-rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -129,17 +131,22 @@ def atomic_write(path: str | Path, data: bytes) -> None:
 
 
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], header: dict) -> None:
-    """Serialize named float64 tensors plus a JSON header, atomically."""
-    chunks = write_preamble(MAGIC, FORMAT_VERSION, {**header, "format_version": FORMAT_VERSION})
-    names = sorted(params)
-    chunks.append(struct.pack("<I", len(names)))
-    for name in names:
-        # tobytes() emits C order regardless of layout; ascontiguousarray is
-        # avoided because it silently promotes 0-d scalars to 1-d
-        arr = np.asarray(params[name], dtype="<f8")
-        raw = arr.tobytes(order="C")
-        chunks += [pack_str(name), struct.pack(f"<B{arr.ndim}QQ", arr.ndim, *arr.shape, len(raw)), raw]
-    atomic_write(path, b"".join(chunks))
+    """Serialize named float64 tensors plus a JSON header, atomically,
+    writing each tensor from its own buffer."""
+
+    def chunks():
+        yield from write_preamble(MAGIC, FORMAT_VERSION, {**header, "format_version": FORMAT_VERSION})
+        names = sorted(params)
+        yield struct.pack("<I", len(names))
+        for name in names:
+            # order="C" copies only a non-contiguous tensor; ascontiguousarray is
+            # avoided because it silently promotes 0-d scalars to 1-d
+            arr = np.asarray(params[name], dtype="<f8", order="C")
+            yield pack_str(name)
+            yield struct.pack(f"<B{arr.ndim}QQ", arr.ndim, *arr.shape, arr.nbytes)
+            yield arr
+
+    atomic_write(path, chunks())
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

@@ -174,7 +174,7 @@ def _emit(path: str | Path | None, rows, manifest: dict) -> None:
 
 def cmd_gen_synthetic(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
+    seed = file_cfg.get("seed", args.seed or 0)  # defaults < flags < file, as in _resolve
     out_dir = Path(args.out_dir)
 
     pairs = generate_pairs(
@@ -322,7 +322,8 @@ def cmd_search(args) -> int:
 
 def cmd_score(args) -> int:
     model = TwinModel.load(_require_file(args.checkpoint))
-    table = textio.read_table(_require_file(args.pairs))
+    # a pair TSV may leave out its trailing label, as distill and finetune allow
+    table = textio.read_table(_require_file(args.pairs), last_optional="label")
     queries, keywords = table.column("query"), table.column("keyword")
     head = args.head or model.config.crossing
     manifest = _manifest("score", {"head": head},

@@ -300,6 +300,12 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.nda
     return keep / (1.0 - rate)
 
 
+def _keep(cache: dict | None, **arrays) -> None:
+    """Stash ``arrays`` in the backward cache, if one is being built."""
+    if cache is not None:
+        cache.update(arrays)
+
+
 def layer_forward(
     x: np.ndarray,
     mask: np.ndarray,
@@ -308,11 +314,14 @@ def layer_forward(
     config: ModelConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    cache: bool = True,
 ):
     """One post-norm transformer block: self-attention then feed-forward.
 
     ``mask`` (B, T) excludes padding slots from attention as keys, so masked
     content can never reach unmasked outputs. Raises on non-finite input.
+    Returns (output, backward cache); with ``cache=False`` the cache is None
+    and each intermediate is dropped as soon as the next op has used it.
     """
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in transformer layer input")
@@ -321,50 +330,40 @@ def layer_forward(
         raise ValueError("dropout requires an rng in training mode")
     a = config.n_heads
     scale = 1.0 / math.sqrt(config.head_dim)
+    saved = {"x": x, "scale": scale} if cache else None
 
-    q = _linear_forward(x, params[f"{lp}.attn.wq"], params[f"{lp}.attn.bq"])
-    k = _linear_forward(x, params[f"{lp}.attn.wk"], params[f"{lp}.attn.bk"])
-    v = _linear_forward(x, params[f"{lp}.attn.wv"], params[f"{lp}.attn.bv"])
-    qh, kh, vh = _split_heads(q, a), _split_heads(k, a), _split_heads(v, a)
-
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-    probs = masked_softmax(scores, mask[:, None, None, :])
-    if rate > 0.0:
-        attn_keep = _dropout_mask(rng, probs.shape, rate, x.dtype)
-        probs_d = probs * attn_keep
-    else:
-        attn_keep = None
-        probs_d = probs
-
+    qh = _split_heads(_linear_forward(x, params[f"{lp}.attn.wq"], params[f"{lp}.attn.bq"]), a)
+    kh = _split_heads(_linear_forward(x, params[f"{lp}.attn.wk"], params[f"{lp}.attn.bk"]), a)
+    probs = masked_softmax((qh @ kh.transpose(0, 1, 3, 2)) * scale, mask[:, None, None, :])
+    _keep(saved, qh=qh, kh=kh)
+    del qh, kh
+    vh = _split_heads(_linear_forward(x, params[f"{lp}.attn.wv"], params[f"{lp}.attn.bv"]), a)
+    attn_keep = _dropout_mask(rng, probs.shape, rate, x.dtype) if rate > 0.0 else None
+    probs_d = probs if attn_keep is None else probs * attn_keep
     ctx = _merge_heads(probs_d @ vh)
+    _keep(saved, vh=vh, probs=probs, probs_d=probs_d, attn_keep=attn_keep, ctx=ctx)
+    del vh, probs, probs_d, attn_keep
     attn_out = _linear_forward(ctx, params[f"{lp}.attn.wo"], params[f"{lp}.attn.bo"])
-    if rate > 0.0:
-        out_keep = _dropout_mask(rng, attn_out.shape, rate, x.dtype)
-        attn_out = attn_out * out_keep
-    else:
-        out_keep = None
+    del ctx
+    out_keep = _dropout_mask(rng, attn_out.shape, rate, x.dtype) if rate > 0.0 else None
+    if out_keep is not None:
+        attn_out *= out_keep
 
-    x1, ln1_cache = _layernorm_forward(x + attn_out, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
-
+    x1, ln1 = _layernorm_forward(x + attn_out, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
+    del attn_out
     f1 = _linear_forward(x1, params[f"{lp}.ffn.w1"], params[f"{lp}.ffn.b1"])
     g = gelu(f1)
+    _keep(saved, out_keep=out_keep, x1=x1, ln1=ln1, f1=f1, g=g)
+    del out_keep, ln1, f1
     f2 = _linear_forward(g, params[f"{lp}.ffn.w2"], params[f"{lp}.ffn.b2"])
-    if rate > 0.0:
-        ffn_keep = _dropout_mask(rng, f2.shape, rate, x.dtype)
-        f2 = f2 * ffn_keep
-    else:
-        ffn_keep = None
+    del g
+    ffn_keep = _dropout_mask(rng, f2.shape, rate, x.dtype) if rate > 0.0 else None
+    if ffn_keep is not None:
+        f2 *= ffn_keep
 
-    x2, ln2_cache = _layernorm_forward(x1 + f2, params[f"{lp}.ln2.g"], params[f"{lp}.ln2.b"])
-
-    cache = {
-        "x": x, "qh": qh, "kh": kh, "vh": vh,
-        "probs": probs, "probs_d": probs_d, "attn_keep": attn_keep,
-        "ctx": ctx, "out_keep": out_keep,
-        "x1": x1, "ln1": ln1_cache, "f1": f1, "g": g, "ffn_keep": ffn_keep,
-        "ln2": ln2_cache, "scale": scale,
-    }
-    return x2, cache
+    x2, ln2 = _layernorm_forward(x1 + f2, params[f"{lp}.ln2.g"], params[f"{lp}.ln2.b"])
+    _keep(saved, ffn_keep=ffn_keep, ln2=ln2)
+    return x2, saved
 
 
 def layer_backward(dx2: np.ndarray, cache: dict, params: dict, lp: str, config: ModelConfig, grads: dict) -> np.ndarray:
@@ -462,14 +461,19 @@ def encoder_forward(
     config: ModelConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    cache: bool = True,
 ):
-    """Embed, run the transformer stack, pool. Returns (embeddings, cache)."""
+    """Embed, run the transformer stack, pool. Returns (embeddings, cache);
+    with ``cache=False`` the cache is None and no layer keeps its activations."""
     x = embed_forward(params, prefix, batch)
     layer_caches = []
     for layer in range(config.n_layers):
-        x, cache = layer_forward(x, batch.mask, params, f"{prefix}.layers.{layer}", config, train, rng)
-        layer_caches.append(cache)
+        x, saved = layer_forward(x, batch.mask, params, f"{prefix}.layers.{layer}", config, train, rng,
+                                 cache=cache)
+        layer_caches.append(saved)
     emb, pool_cache = pool_forward(x, batch.mask, params, prefix, config.pooling)
+    if not cache:
+        return emb, None
     return emb, {"layers": layer_caches, "pool": pool_cache, "final_shape": x.shape}
 
 

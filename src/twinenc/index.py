@@ -87,7 +87,8 @@ class EmbeddingIndex:
         if not np.isfinite(self.vectors).all():
             raise ValueError("vectors must be finite")
         if self.metric == METRIC_UNIT:
-            norms = np.linalg.norm(np.asarray(self.vectors, dtype=np.float64), axis=1)
+            # float64 sums of squares, without a float64 copy of the store
+            norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64))
             bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL)
             if bad.size:
                 raise ValueError(f"vector for id {self.ids[bad[0]]!r} is not unit-norm (|v| = {norms[bad[0]]!r})")
@@ -115,13 +116,17 @@ class EmbeddingIndex:
         header = {"n": len(self.ids), "dim": self.dim, "metric": self.metric,
                   "degree_bound": self.degree_bound, "build_beam": self.build_beam,
                   "entry_point": self.entry_point, "has_graph": self.graph is not None}
-        chunks = write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header)
         dtype = "<f8" if self.metric == METRIC_RAW else "<f4"
-        chunks.append(np.ascontiguousarray(self.vectors, dtype=dtype).tobytes())
-        chunks += [pack_str(kid) for kid in self.ids]
-        for nbrs in self.graph or []:
-            chunks += [len(nbrs).to_bytes(4, "little"), np.asarray(nbrs, dtype="<u4").tobytes()]
-        atomic_write(path, b"".join(chunks))
+
+        def chunks():
+            yield from write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header)
+            yield np.ascontiguousarray(self.vectors, dtype=dtype)  # the store's own buffer
+            yield from (pack_str(kid) for kid in self.ids)
+            for nbrs in self.graph or []:
+                yield len(nbrs).to_bytes(4, "little")
+                yield np.asarray(nbrs, dtype="<u4")
+
+        atomic_write(path, chunks())
 
     @classmethod
     def load(cls, path: str | Path) -> EmbeddingIndex:
@@ -148,11 +153,15 @@ class EmbeddingIndex:
             raise r.error(str(exc)) from None
 
 
-def normalize_rows(vectors: np.ndarray) -> np.ndarray:
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     if np.any(norms == 0):
         raise ValueError("cannot normalize a zero vector")
-    return vectors / norms
+    return norms
+
+
+def normalize_rows(vectors: np.ndarray) -> np.ndarray:
+    return vectors / _row_norms(vectors)
 
 
 def encode_corpus(
@@ -186,12 +195,16 @@ def encode_corpus(
         kept_ids.append(kid)
     if not kept_seqs:
         raise ValueError("corpus is empty after filtering unencodable keywords")
-    batches = (encoder.pack_sequences(kept_seqs[lo : lo + batch_size])
-               for lo in range(0, len(kept_seqs), batch_size))
-    vectors = np.vstack([model.encode_keyword_batch(batch)[0] for batch in batches])
-    if normalize:
-        return EmbeddingIndex(ids=kept_ids, vectors=normalize_rows(vectors).astype(np.float32))
-    return EmbeddingIndex(ids=kept_ids, vectors=vectors.astype(np.float64), metric=METRIC_RAW)
+    # each batch goes straight into the store, normalized in place
+    vectors = np.empty((len(kept_seqs), model.config.hidden_size),
+                       dtype=np.float32 if normalize else np.float64)
+    for lo in range(0, len(kept_seqs), batch_size):
+        batch = encoder.pack_sequences(kept_seqs[lo : lo + batch_size])
+        emb = model.encode_keyword_batch(batch, cache=False)[0]
+        if normalize:
+            emb /= _row_norms(emb)
+        vectors[lo : lo + len(emb)] = emb
+    return EmbeddingIndex(ids=kept_ids, vectors=vectors, metric=METRIC_UNIT if normalize else METRIC_RAW)
 
 
 # ---------------------------------------------------------------------------

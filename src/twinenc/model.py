@@ -120,23 +120,29 @@ class TwinModel:
 
     # -- encoding ----------------------------------------------------------
 
-    def encode_query_batch(self, batch: PackedBatch, train: bool = False, rng=None, count: bool = True):
-        emb, cache = encoder_forward(self.params, self.query_prefix, batch, self.config, train, rng)
+    def encode_query_batch(self, batch: PackedBatch, train: bool = False, rng=None, count: bool = True,
+                           cache: bool = True):
+        """(embeddings, backward cache); ``cache=False`` keeps no activations."""
+        emb, saved = encoder_forward(self.params, self.query_prefix, batch, self.config, train, rng,
+                                     cache=cache)
         if count:
             self.counters.query_encoder_passes += batch.n_examples
-        return emb, cache
+        return emb, saved
 
-    def encode_keyword_batch(self, batch: PackedBatch, train: bool = False, rng=None, count: bool = True):
-        emb, cache = encoder_forward(self.params, self.keyword_prefix, batch, self.config, train, rng)
+    def encode_keyword_batch(self, batch: PackedBatch, train: bool = False, rng=None, count: bool = True,
+                             cache: bool = True):
+        """(embeddings, backward cache); ``cache=False`` keeps no activations."""
+        emb, saved = encoder_forward(self.params, self.keyword_prefix, batch, self.config, train, rng,
+                                     cache=cache)
         if count:
             self.counters.keyword_encoder_passes += batch.n_examples
-        return emb, cache
+        return emb, saved
 
     def encode_queries(self, texts: list[str]) -> np.ndarray:
-        return self.encode_query_batch(pack_sequences(self.tokenize_many(texts)))[0]
+        return self.encode_query_batch(pack_sequences(self.tokenize_many(texts)), cache=False)[0]
 
     def encode_keywords(self, texts: list[str]) -> np.ndarray:
-        return self.encode_keyword_batch(pack_sequences(self.tokenize_many(texts)))[0]
+        return self.encode_keyword_batch(pack_sequences(self.tokenize_many(texts)), cache=False)[0]
 
     def backward_query(self, d_emb, cache, batch: PackedBatch, grads: dict) -> None:
         encoder_backward(d_emb, cache, self.params, self.query_prefix, batch, self.config, grads)

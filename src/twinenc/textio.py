@@ -70,18 +70,19 @@ class Table:
         return values
 
 
-def read_table(path: str | Path, last_optional: bool = False) -> Table:
+def read_table(path: str | Path, last_optional: bool | str = False) -> Table:
     """The table at ``path``: its first line is the header, and every row has as
-    many cells. With ``last_optional`` a row may leave out its last cell, which
-    reads as empty."""
+    many cells. With ``last_optional`` (True, or the name the header's last
+    column must have) a row may leave out its last cell, which reads as empty."""
     numbered = lines(path)
     if not numbered:
         raise ValueError(f"{path}: empty file (header row required)")
     header = numbered[0][1].split("\t")
     table = Table(str(path), header, [])
+    optional = last_optional is True or last_optional == header[-1]
     for lineno, line in numbered[1:]:
         cells = line.split("\t")
-        if last_optional and len(cells) == len(header) - 1:
+        if optional and len(cells) == len(header) - 1:
             cells.append("")
         if len(cells) != len(header):
             raise table.error(lineno, f"expected {len(header)} fields, got {len(cells)}")

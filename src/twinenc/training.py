@@ -348,8 +348,8 @@ def refit_calibration(records: list[PairRecord], model: TwinModel,
         chunk = records[lo : lo + batch_size]
         qb = pack_sequences([model.tokenize(r.query) for r in chunk])
         kb = pack_sequences([model.tokenize(r.keyword) for r in chunk])
-        q_emb, _ = model.encode_query_batch(qb, count=False)
-        k_emb, _ = model.encode_keyword_batch(kb, count=False)
+        q_emb, _ = model.encode_query_batch(qb, count=False, cache=False)
+        k_emb, _ = model.encode_keyword_batch(kb, count=False, cache=False)
         logits.append(_head_forward(model.config.crossing, q_emb, k_emb, model.params)[0])
     fit = fit_logit_calibration(np.concatenate(logits), labels)
     if fit is None:

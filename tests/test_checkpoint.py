@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from twinenc import DistillationConfig, ModelConfig, PairRecord, TwinModel, distill_train
-from twinenc.checkpoint import atomic_write, load_checkpoint, save_checkpoint
+from twinenc.checkpoint import (FORMAT_VERSION, MAGIC, atomic_write, load_checkpoint, pack_str,
+                                save_checkpoint, write_preamble)
 
 
 class TestCheckpointFormat:
@@ -61,9 +64,57 @@ class TestCheckpointFormat:
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "x.bin"
-        atomic_write(path, b"hello")
+        atomic_write(path, [b"hello"])
         assert path.read_bytes() == b"hello"
         assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+
+def _joined_checkpoint_bytes(params: dict, header: dict) -> bytes:
+    """The checkpoint format serialized as one joined byte string (the reference layout)."""
+    chunks = write_preamble(MAGIC, FORMAT_VERSION, {**header, "format_version": FORMAT_VERSION})
+    chunks.append(struct.pack("<I", len(params)))
+    for name in sorted(params):
+        raw = np.asarray(params[name], dtype="<f8").tobytes(order="C")
+        shape = np.shape(params[name])
+        chunks += [pack_str(name), struct.pack(f"<B{len(shape)}QQ", len(shape), *shape, len(raw)), raw]
+    return b"".join(chunks)
+
+
+class TestStreamedWrite:
+    def test_bytes_equal_joined_reference(self, tmp_path, rng):
+        params = {
+            "b.transposed": rng.standard_normal((4, 6)).T,
+            "a.strided": rng.standard_normal(10)[::3],
+            "c.scalar": np.asarray(2.5),
+            "d.float32": rng.standard_normal((2, 3)).astype(np.float32),
+            "e.empty": np.zeros((0, 4)),
+        }
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, {"kind": "test"})
+        assert path.read_bytes() == _joined_checkpoint_bytes(params, {"kind": "test"})
+
+    def test_model_checkpoint_equals_joined_reference(self, tmp_path, tiny_model):
+        tiny_model.save(tmp_path / "model.ckpt")
+        expected = _joined_checkpoint_bytes(tiny_model.params, tiny_model.checkpoint_header())
+        assert (tmp_path / "model.ckpt").read_bytes() == expected
+
+    def test_failing_chunk_stream_leaves_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"old")
+
+        def chunks():
+            yield b"new"
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            atomic_write(path, chunks())
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+    def test_writes_array_buffers(self, tmp_path):
+        path = tmp_path / "x.bin"
+        atomic_write(path, (b"ab", np.arange(3, dtype="<u2"), memoryview(b"cd")))
+        assert path.read_bytes() == b"ab\x00\x00\x01\x00\x02\x00cd"
 
 
 class TestModelCheckpoint:

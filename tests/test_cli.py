@@ -49,6 +49,14 @@ class TestGenSynthetic:
         assert lines[0].startswith("# manifest:")
         assert lines[1] == "query\tkeyword\tz_bad\tz_nonbad\tlabel"
 
+    def test_config_file_seed_beats_the_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 2}))
+        assert main(["gen-synthetic", "--out-dir", str(tmp_path / "data"), "--pairs", "40",
+                     "--queries", "10", "--seed", "1", "--config", str(cfg), "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "data" / "corpus.tsv.manifest.json").read_text())
+        assert manifest["config"]["seed"] == 2
+
 
 class TestDistill:
     def test_missing_data_file_fails_with_path(self, tmp_path, capsys):
@@ -160,6 +168,25 @@ class TestScore:
         a = float(model.params["cosine_head.scale"])
         b = float(model.params["cosine_head.bias"])
         assert prob == pytest.approx(float(sigmoid(np.asarray(a + b))), abs=1e-6)
+
+    def test_pair_tsv_without_trailing_label(self, workspace, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("query\tkeyword\tz_bad\tz_nonbad\tlabel\nred\tred shoes\t-1.0\t1.0\n")
+        assert main(["score", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--pairs", str(pairs), "--quiet"]) == 0
+        out_lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert out_lines[0] == "query\tkeyword\tz_bad\tz_nonbad\tlabel\tprob"
+        cells = out_lines[1].split("\t")
+        assert cells[:5] == ["red", "red shoes", "-1.0", "1.0", ""]
+        model = TwinModel.load(workspace / "model.ckpt")
+        assert float(cells[5]) == pytest.approx(float(model.score_pairs(["red"], ["red shoes"])[0]), abs=1e-9)
+
+    def test_short_row_still_fails_when_the_last_column_is_not_label(self, workspace, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("query\tkeyword\tnote\nred\tred shoes\n")
+        assert main(["score", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--pairs", str(pairs), "--quiet"]) == 1
+        assert f"{pairs}:2: expected 3 fields, got 2" in capsys.readouterr().err
 
     def test_scored_file_roundtrip_to_eval(self, workspace, tmp_path, capsys):
         scored = tmp_path / "scored.tsv"

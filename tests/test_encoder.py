@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -233,3 +234,59 @@ class TestParameterTable:
         shapes = TwinModel.param_shapes(config)
         assert list(shapes) == list(params)
         assert shapes == {name: value.shape for name, value in params.items()}
+
+
+class TestCacheFreeForward:
+    """``cache=False`` runs the same layer code and keeps no activations."""
+
+    TEXTS = ["red shoes", "cheap flights to paris", "cat", "a b c d e", "running shoes for men"]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("pooling", ["weighted_average", "cls_token"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_embeddings_bit_equal_to_cached_forward(self, shared, pooling, dtype):
+        config = ModelConfig(n_layers=2, hidden_size=16, n_heads=2, vocab_buckets=256, max_len=8,
+                             shared_encoders=shared, pooling=pooling)
+        model = TwinModel.initialize(config, seed=3).cast(dtype)
+        batch = _batch(model, self.TEXTS)
+        for encode in (model.encode_query_batch, model.encode_keyword_batch):
+            cached, cache = encode(batch, count=False)
+            free, none = encode(batch, count=False, cache=False)
+            assert cache is not None and none is None
+            assert free.dtype == cached.dtype == dtype
+            assert free.tobytes() == cached.tobytes()
+        assert model.encode_queries(self.TEXTS).tobytes() == \
+            model.encode_query_batch(batch, count=False)[0].tobytes()
+        assert model.encode_keywords(self.TEXTS).tobytes() == \
+            model.encode_keyword_batch(batch, count=False)[0].tobytes()
+
+    def test_dropout_draws_are_the_same_without_a_cache(self, tiny_model):
+        cfg = replace(tiny_model.config, dropout=0.3)
+        batch = _batch(tiny_model, self.TEXTS)
+        x = embed_forward(tiny_model.params, tiny_model.query_prefix, batch)
+        lp = f"{tiny_model.query_prefix}.layers.0"
+        y, cache = layer_forward(x, batch.mask, tiny_model.params, lp, cfg, True, np.random.default_rng(9))
+        y_free, none = layer_forward(x, batch.mask, tiny_model.params, lp, cfg, True,
+                                     np.random.default_rng(9), cache=False)
+        assert none is None and cache["attn_keep"] is not None
+        assert y_free.tobytes() == y.tobytes()
+
+    def test_forward_peak_memory_at_most_half_of_cached(self, desk_model):
+        from twinenc.synthetic import generate_pairs
+
+        pairs = generate_pairs(3000, seed=1, n_queries=300)
+        keywords = list(dict.fromkeys(p.keyword for p in pairs))[:256]
+        assert len(keywords) == 256
+        batch = _batch(desk_model, keywords)
+
+        def peak(cache: bool) -> int:
+            tracemalloc.start()
+            try:
+                emb, saved = desk_model.encode_keyword_batch(batch, count=False, cache=cache)
+                del saved
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cached, free = peak(True), peak(False)
+        assert free <= cached / 2, (free, cached)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from twinenc import ModelConfig, TwinModel
-from twinenc.checkpoint import write_preamble
+from twinenc.checkpoint import pack_str, write_preamble
+from twinenc.encoder import pack_sequences
 from twinenc.index import (
     INDEX_FORMAT_VERSION,
     INDEX_MAGIC,
@@ -113,6 +114,31 @@ class TestEncodeCorpus:
         direct = tiny_model.encode_keywords(["red shoes"])
         assert raw.metric == METRIC_RAW
         np.testing.assert_array_equal(raw.vectors, direct)
+
+
+class TestEncodeCorpusStore:
+    """The store is written batch by batch into one array, bit-equal to
+    normalizing and casting the stacked batch embeddings."""
+
+    KEYWORDS = ["red shoes", "blue hat", "cheap flights to paris", "cat", "running shoes",
+                "a b c d e f", "red shoes", "green tea", "hat", "paris hotels", "x y"]
+
+    def _stacked(self, model, batch_size):
+        seqs = model.tokenize_many(self.KEYWORDS)
+        return np.vstack([model.encode_keyword_batch(pack_sequences(seqs[lo : lo + batch_size]))[0]
+                          for lo in range(0, len(seqs), batch_size)])
+
+    @pytest.mark.parametrize("batch_size", [256, 4, 1])
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_bit_equal_to_stacked_reference(self, tiny_model, batch_size, dtype):
+        model = tiny_model if dtype is None else tiny_model.cast(dtype)
+        stacked = self._stacked(model, batch_size)
+        store = encode_corpus(self.KEYWORDS, model, batch_size=batch_size)
+        assert store.vectors.dtype == np.float32
+        assert store.vectors.tobytes() == normalize_rows(stacked).astype(np.float32).tobytes()
+        raw = encode_corpus(self.KEYWORDS, model, batch_size=batch_size, normalize=False)
+        assert raw.metric == METRIC_RAW and raw.vectors.dtype == np.float64
+        assert raw.vectors.tobytes() == stacked.astype(np.float64).tobytes()
 
 
 class TestKnnExact:
@@ -320,6 +346,38 @@ class TestPersistence:
         assert loaded.metric == METRIC_RAW
         assert loaded.vectors.dtype == np.float64
         np.testing.assert_array_equal(raw.vectors, loaded.vectors)
+
+
+def _joined_index_bytes(index: EmbeddingIndex) -> bytes:
+    """TWIX v1 serialized as one joined byte string (the reference layout)."""
+    header = {"n": len(index.ids), "dim": index.dim, "metric": index.metric,
+              "degree_bound": index.degree_bound, "build_beam": index.build_beam,
+              "entry_point": index.entry_point, "has_graph": index.graph is not None}
+    chunks = write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header)
+    dtype = "<f8" if index.metric == METRIC_RAW else "<f4"
+    chunks.append(np.ascontiguousarray(index.vectors, dtype=dtype).tobytes())
+    chunks += [pack_str(kid) for kid in index.ids]
+    for nbrs in index.graph or []:
+        chunks += [len(nbrs).to_bytes(4, "little"), np.asarray(nbrs, dtype="<u4").tobytes()]
+    return b"".join(chunks)
+
+
+class TestStreamedSave:
+    def test_graph_index_bytes_equal_joined_reference(self, tmp_path, rng):
+        idx = build_graph(_index(rng, 60), 8, 16)
+        idx.save(tmp_path / "index.bin")
+        assert (tmp_path / "index.bin").read_bytes() == _joined_index_bytes(idx)
+
+    def test_store_without_graph_equals_joined_reference(self, tmp_path, rng):
+        idx = _index(rng, 5)
+        idx.save(tmp_path / "store.bin")
+        assert (tmp_path / "store.bin").read_bytes() == _joined_index_bytes(idx)
+
+    def test_raw_store_from_a_strided_view_equals_joined_reference(self, tmp_path, rng):
+        raw = EmbeddingIndex(ids=list("abcd"), vectors=rng.standard_normal((8, 4)).T[:, ::2],
+                             metric=METRIC_RAW)
+        raw.save(tmp_path / "raw.bin")
+        assert (tmp_path / "raw.bin").read_bytes() == _joined_index_bytes(raw)
 
 
 def _payload(data: bytes) -> tuple[int, bytes]:
