@@ -6,7 +6,8 @@ head turns the two embeddings into a relevance score. Keyword embeddings
 can therefore be precomputed, stored, and searched with an approximate
 nearest-neighbor graph, leaving only query encoding and crossing for
 request time. Training distills a teacher's soft labels, optionally
-followed by fine-tuning on hard editorial labels.
+followed by fine-tuning on hard labels. Training data of either kind is a
+list of ``PairRecord``; ``metrics`` defines the label scale.
 """
 
 from .config import DistillationConfig, ModelConfig

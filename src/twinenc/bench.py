@@ -175,7 +175,7 @@ def _prepare(scenario: LatencyScenario, model: TwinModel, warmup: int, seed: int
     if scenario.model_mode != "cross_encoder" and scenario.keyword_cache:
         # offline phase: precompute keyword embeddings outside the timed region
         cached_kw_embs = [
-            run_model.encode_keyword_batch(kb, count=False, cache=False)[0] for kb in kw_batches
+            run_model.encode_keyword_batch(kb, cache=False)[0] for kb in kw_batches
         ]
 
     def run_query(qi: int) -> None:

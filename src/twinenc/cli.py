@@ -30,18 +30,11 @@ from . import index as index_mod
 from . import textio
 from .checkpoint import FORMAT_VERSION, config_hash, file_sha256
 from .config import CROSSING_MODES, DistillationConfig, ModelConfig, POOLING_MODES
-from .metrics import label_gain, mean_ndcg, roc_auc
+from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
 from .model import TwinModel
 from .synthetic import generate_pairs, split_pairs
 from .text import TrigramVocab, normalize
-from .training import (
-    PairRecord,
-    distill_train,
-    finetune,
-    load_pair_tsv,
-    parse_label,
-    save_pair_tsv,
-)
+from .training import distill_train, finetune, load_pair_tsv, save_pair_tsv
 
 PRESETS = ("desk", "large")
 
@@ -182,15 +175,11 @@ def cmd_gen_synthetic(args) -> int:
     )
     train, test = split_pairs(pairs, n_queries=args.queries, holdout_fraction=args.holdout)
 
-    def to_record(p) -> PairRecord:
-        return PairRecord(query=p.query, keyword=p.keyword,
-                          teacher_logits=p.teacher_logits, editorial_label=p.label)
-
     resolved = {"pairs": args.pairs, "queries": args.queries, "topics": args.topics,
                 "holdout": args.holdout, "seed": seed}
     manifest = _manifest("gen-synthetic", resolved)
-    save_pair_tsv(out_dir / "train.tsv", [to_record(p) for p in train], manifest=manifest)
-    save_pair_tsv(out_dir / "test.tsv", [to_record(p) for p in test], manifest=manifest)
+    save_pair_tsv(out_dir / "train.tsv", train, manifest=manifest)
+    save_pair_tsv(out_dir / "test.tsv", test, manifest=manifest)
 
     keywords = list(dict.fromkeys(p.keyword for p in pairs))
     width = max(6, len(str(len(keywords))))
@@ -344,7 +333,7 @@ def cmd_score(args) -> int:
 def cmd_eval_auc(args) -> int:
     table = textio.read_table(_require_file(args.scored))
     scores = table.column(args.score_col, float, "a number")
-    labels = table.column(args.label_col, parse_label, "bad/fair/good/excellent or 0/1")
+    labels = table.column(args.label_col, binary_label, "bad/fair/good/excellent or 0/1")
     try:
         auc = roc_auc(scores, labels)
     except ValueError as exc:

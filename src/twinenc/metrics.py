@@ -7,6 +7,10 @@ about 45 MB to every process that imports the package. nDCG uses a
 log2(rank + 1) discount and a configurable gain on the four-level label
 scale; rankings whose ideal DCG is zero carry no signal and are reported
 as NaN so that averages can exclude them.
+
+The label scale is defined here and nowhere else: ``LABEL_GAINS`` gives
+each editorial grade its gain, and ``binary_label`` maps a label cell
+(a grade, or 0/1) to its hard 0/1 target.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 GAIN_SCHEMES = ("linear", "exponential")
 
-_LABEL_GAINS = {"bad": 0.0, "fair": 1.0, "good": 2.0, "excellent": 3.0}
+LABEL_GAINS = {"bad": 0.0, "fair": 1.0, "good": 2.0, "excellent": 3.0}
 
 
 def roc_auc(scores, labels) -> float:
@@ -52,9 +56,9 @@ def label_gain(label, scheme: str = "linear") -> float:
     if scheme not in GAIN_SCHEMES:
         raise ValueError(f"gain scheme must be one of {GAIN_SCHEMES}")
     if isinstance(label, str):
-        if label not in _LABEL_GAINS:
+        if label not in LABEL_GAINS:
             raise ValueError(f"unknown relevance label: {label!r}")
-        g = _LABEL_GAINS[label]
+        g = LABEL_GAINS[label]
     else:
         g = float(label)
         if g < 0:
@@ -62,6 +66,15 @@ def label_gain(label, scheme: str = "linear") -> float:
     if scheme == "exponential":
         return 2.0**g - 1.0
     return g
+
+
+def binary_label(label) -> int:
+    """Hard target of a label cell: ``bad`` and ``0`` are 0, every other grade and ``1`` are 1."""
+    if label in LABEL_GAINS:
+        return int(LABEL_GAINS[label] > 0.0)
+    if label in ("0", "1"):
+        return int(label)
+    raise ValueError(f"bad label {label!r}")
 
 
 def dcg_at(gains, position: int) -> float:

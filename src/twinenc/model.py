@@ -120,22 +120,18 @@ class TwinModel:
 
     # -- encoding ----------------------------------------------------------
 
-    def encode_query_batch(self, batch: PackedBatch, train: bool = False, rng=None, count: bool = True,
-                           cache: bool = True):
+    def encode_query_batch(self, batch: PackedBatch, train: bool = False, rng=None, cache: bool = True):
         """(embeddings, backward cache); ``cache=False`` keeps no activations."""
         emb, saved = encoder_forward(self.params, self.query_prefix, batch, self.config, train, rng,
                                      cache=cache)
-        if count:
-            self.counters.query_encoder_passes += batch.n_examples
+        self.counters.query_encoder_passes += batch.n_examples
         return emb, saved
 
-    def encode_keyword_batch(self, batch: PackedBatch, train: bool = False, rng=None, count: bool = True,
-                             cache: bool = True):
+    def encode_keyword_batch(self, batch: PackedBatch, train: bool = False, rng=None, cache: bool = True):
         """(embeddings, backward cache); ``cache=False`` keeps no activations."""
         emb, saved = encoder_forward(self.params, self.keyword_prefix, batch, self.config, train, rng,
                                      cache=cache)
-        if count:
-            self.counters.keyword_encoder_passes += batch.n_examples
+        self.counters.keyword_encoder_passes += batch.n_examples
         return emb, saved
 
     def encode_queries(self, texts: list[str]) -> np.ndarray:
@@ -153,7 +149,7 @@ class TwinModel:
     # -- scoring -----------------------------------------------------------
 
     def score_embeddings(self, q_emb: np.ndarray, k_emb: np.ndarray,
-                         head: str | None = None, count: bool = True) -> np.ndarray:
+                         head: str | None = None) -> np.ndarray:
         """Calibrated relevance probability for paired embedding rows."""
         head = head or self.config.crossing
         if head == "cosine":
@@ -162,8 +158,7 @@ class TwinModel:
             probs = crossing.residual_head_prob(q_emb, k_emb, self.params)
         else:
             raise ValueError(f"unknown crossing head: {head!r}")
-        if count:
-            self.counters.crossing_evals += int(np.asarray(probs).size)
+        self.counters.crossing_evals += int(np.asarray(probs).size)
         return probs
 
     def score_pairs(self, queries: list[str], keywords: list[str], head: str | None = None) -> np.ndarray:

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .text import normalize
-
-LABELS = ("bad", "fair", "good", "excellent")
+from .training import PairRecord
 
 # Generic commercial modifiers shared across all topics. They create small
 # lexical overlaps between unrelated pairs, so an overlap-only teacher
@@ -93,18 +91,6 @@ def synthetic_teacher(
 # Corpus generation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SyntheticPair:
-    query: str
-    keyword: str
-    teacher_logits: tuple[float, float]
-    label: str  # one of LABELS
-
-    @property
-    def binary_label(self) -> int:
-        return 0 if self.label == "bad" else 1
-
-
 def _random_word(rng: np.random.Generator) -> str:
     length = int(rng.integers(3, 9))
     letters = rng.integers(0, 26, size=length)
@@ -134,8 +120,8 @@ def generate_pairs(
     teacher_seed: int | None = None,
     margin_scale: float = DEFAULT_MARGIN_SCALE,
     noise_std: float = DEFAULT_NOISE_STD,
-) -> list[SyntheticPair]:
-    """Generate labeled query/keyword pairs with teacher logits attached.
+) -> list[PairRecord]:
+    """Generate labelled query/keyword pairs with teacher logits attached.
 
     Each query holds 2-3 words from one topic (sometimes plus a generic
     modifier). Keywords are built per grade: ``excellent`` keywords contain
@@ -147,10 +133,15 @@ def generate_pairs(
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if n_queries is None:
+        n_queries = max(1, n_pairs // 10)
+    if n_queries < 1:
+        raise ValueError(f"n_queries must be >= 1, got {n_queries}")
+    if n_topics < 2:
+        raise ValueError(f"n_topics must be >= 2, got {n_topics}")
     rng = np.random.default_rng(seed)
     teacher_seed = seed if teacher_seed is None else teacher_seed
     topics = _topic_vocabulary(rng, n_topics, words_per_topic)
-    n_queries = n_queries or max(1, n_pairs // 10)
 
     queries: list[tuple[str, int, list[str]]] = []
     for _ in range(n_queries):
@@ -160,7 +151,7 @@ def generate_pairs(
             words.append(str(rng.choice(MODIFIERS)))
         queries.append((" ".join(words), t, words))
 
-    pairs: list[SyntheticPair] = []
+    pairs: list[PairRecord] = []
     grades = np.asarray(["excellent", "good", "fair", "bad"])
     grade_probs = np.asarray([0.2, 0.2, 0.2, 0.4])
     for i in range(n_pairs):
@@ -199,18 +190,20 @@ def generate_pairs(
             query, keyword, seed=teacher_seed,
             margin_scale=margin_scale, noise_std=noise_std,
         )
-        pairs.append(SyntheticPair(query=query, keyword=keyword, teacher_logits=logits, label=grade))
+        pairs.append(PairRecord(query=query, keyword=keyword, teacher_logits=logits, label=grade))
     return pairs
 
 
 def split_pairs(
-    pairs: list[SyntheticPair], n_queries: int, holdout_fraction: float = 0.2
-) -> tuple[list[SyntheticPair], list[SyntheticPair]]:
+    pairs: list[PairRecord], n_queries: int, holdout_fraction: float = 0.2
+) -> tuple[list[PairRecord], list[PairRecord]]:
     """Split by query slot so held-out queries never appear in training.
 
     ``generate_pairs`` assigns pair j to query slot j % n_queries; the last
     ``holdout_fraction`` of slots become the held-out set.
     """
+    if n_queries < 1:
+        raise ValueError(f"n_queries must be >= 1, got {n_queries}")
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in (0, 1)")
     n_test_queries = max(1, int(round(n_queries * holdout_fraction)))

@@ -9,7 +9,6 @@ accepted and absorbed by the encoder.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass, field
 
@@ -78,11 +77,6 @@ class TrigramVocab:
         """Reserved embedding-row index for the classification token."""
         return self.bucket_count
 
-    @property
-    def embedding_rows(self) -> int:
-        """Rows the token embedding table must have (buckets + reserved cls)."""
-        return self.bucket_count + 1
-
     def bucket(self, trigram: str) -> int:
         digest = hashlib.blake2b(trigram.encode("utf-8"), key=self._key, digest_size=8)
         return int.from_bytes(digest.digest(), "little") % self.bucket_count
@@ -94,25 +88,6 @@ class TrigramVocab:
             cached = tuple(self.bucket(t) for t in word_trigrams(word))
             self._word_cache[word] = cached
         return cached
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bucket_count": self.bucket_count,
-                "hash_seed": self.hash_seed,
-                "normalization": self.normalization,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> TrigramVocab:
-        raw = json.loads(text)
-        return cls(
-            bucket_count=int(raw["bucket_count"]),
-            hash_seed=int(raw["hash_seed"]),
-            normalization=str(raw["normalization"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Distillation training, actual-label fine-tuning, and the optimizer loop.
 
 The student never sees the teacher's weights: training data is a stream of
-(query, keyword, teacher logits, optional editorial label) records. Soft
+(query, keyword, teacher logits, optional label) records. Soft
 targets are the temperature-softened teacher probabilities; fine-tuning
 first refits the logit calibration to the hard binary targets, then reuses
 the same cross-entropy loss with those targets.
@@ -9,7 +9,6 @@ the same cross-entropy loss with those targets.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,19 +17,10 @@ import numpy as np
 from . import crossing, textio
 from .config import DistillationConfig
 from .encoder import RowGrad, pack_sequences, sigmoid
+from .metrics import binary_label
 from .model import TwinModel
 
-LABEL_TO_BINARY = {"bad": 0, "fair": 1, "good": 1, "excellent": 1}
 _CE_EPS = 1e-12
-
-
-def parse_label(label: str) -> int:
-    """Binary label of an editorial grade (bad/fair/good/excellent) or of 0/1."""
-    if label in LABEL_TO_BINARY:
-        return LABEL_TO_BINARY[label]
-    if label in ("0", "1"):
-        return int(label)
-    raise ValueError(f"bad label {label!r}")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -39,27 +29,28 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class PairRecord:
-    """One training example: a query/keyword pair with teacher and/or label."""
+    """One labelled pair: a query/keyword pair with teacher logits and/or a label.
+
+    ``label`` is the label cell as a pair TSV holds it: a grade
+    (bad/fair/good/excellent) or 0/1, checked against ``metrics.binary_label``.
+    """
 
     query: str
     keyword: str
     teacher_logits: tuple[float, float] | None = None
-    editorial_label: str | None = None
-    binary_label: int | None = None
+    label: str | None = None
 
     def __post_init__(self) -> None:
-        if self.teacher_logits is None and self.editorial_label is None and self.binary_label is None:
+        if self.label is not None:
+            binary_label(self.label)
+        elif self.teacher_logits is None:
             raise ValueError("a pair record needs teacher logits or a label")
-        if self.editorial_label is not None and self.editorial_label not in LABEL_TO_BINARY:
-            raise ValueError(f"unknown editorial label: {self.editorial_label!r}")
 
     def binary(self) -> int:
-        """Hard label: bad maps to 0, every other grade to 1."""
-        if self.binary_label is not None:
-            return int(self.binary_label)
-        if self.editorial_label is not None:
-            return LABEL_TO_BINARY[self.editorial_label]
-        raise ValueError("record has no editorial or binary label")
+        """Hard label: bad and 0 map to 0, every other grade and 1 to 1."""
+        if self.label is None:
+            raise ValueError("record has no label")
+        return binary_label(self.label)
 
 
 def soft_label(z: tuple[float, float], temperature: float) -> tuple[float, float]:
@@ -156,17 +147,8 @@ class AdamW:
 class TrainingHistory:
     epoch_losses: list[float] = field(default_factory=list)
     steps: int = 0
-    wall_seconds: float = 0.0
     # (a, b) folded into the head before fine-tuning; None when not refitted
     calibration: tuple[float, float] | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "epoch_losses": self.epoch_losses,
-            "steps": self.steps,
-            "wall_seconds": self.wall_seconds,
-            "calibration": self.calibration,
-        }
 
 
 def _head_forward(head: str, q_emb: np.ndarray, k_emb: np.ndarray, params: dict):
@@ -184,8 +166,8 @@ def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str,
     and its gradients. ``train`` switches dropout on, drawn from ``rng``."""
     qb = pack_sequences(q_seqs)
     kb = pack_sequences(k_seqs)
-    q_emb, q_cache = model.encode_query_batch(qb, train=train, rng=rng, count=False)
-    k_emb, k_cache = model.encode_keyword_batch(kb, train=train, rng=rng, count=False)
+    q_emb, q_cache = model.encode_query_batch(qb, train=train, rng=rng)
+    k_emb, k_cache = model.encode_keyword_batch(kb, train=train, rng=rng)
     logits, hcache = _head_forward(head, q_emb, k_emb, model.params)
     probs = sigmoid(logits)
     n = len(targets)
@@ -211,7 +193,6 @@ def _pair_batch_step(model: TwinModel, q_seqs, k_seqs, targets, optimizer, train
 def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray,
                 lr: float, epochs: int, config: DistillationConfig, seed: int,
                 log=None) -> TrainingHistory:
-    start = time.perf_counter()
     history = TrainingHistory()
     if epochs == 0:
         return history
@@ -248,7 +229,6 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
         history.epoch_losses.append(epoch_loss)
         if log is not None:
             log(f"epoch {epoch + 1}/{epochs}  mean loss {epoch_loss:.6f}")
-    history.wall_seconds = time.perf_counter() - start
     return history
 
 
@@ -348,8 +328,8 @@ def refit_calibration(records: list[PairRecord], model: TwinModel,
         chunk = records[lo : lo + batch_size]
         qb = pack_sequences([model.tokenize(r.query) for r in chunk])
         kb = pack_sequences([model.tokenize(r.keyword) for r in chunk])
-        q_emb, _ = model.encode_query_batch(qb, count=False, cache=False)
-        k_emb, _ = model.encode_keyword_batch(kb, count=False, cache=False)
+        q_emb, _ = model.encode_query_batch(qb, cache=False)
+        k_emb, _ = model.encode_keyword_batch(kb, cache=False)
         logits.append(_head_forward(model.config.crossing, q_emb, k_emb, model.params)[0])
     fit = fit_logit_calibration(np.concatenate(logits), labels)
     if fit is None:
@@ -412,8 +392,9 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
     Columns, found by name: query, keyword, z_bad, z_nonbad and an optional
     label. The logit columns may be empty when only labels are available,
     and vice versa; the label column holds one of bad/fair/good/excellent or
-    0/1, and a row may leave it out. Lines starting with ``#`` are ignored.
-    Malformed rows abort with their line number.
+    0/1, kept as written in ``PairRecord.label``, and a row may leave it
+    out. Lines starting with ``#`` are ignored. Malformed rows abort with
+    their line number.
     """
     table = textio.read_table(path, last_optional=True)
     columns = [table.index(name) for name in PAIR_TSV_COLUMNS[:4]]
@@ -424,12 +405,8 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
         label = "" if li is None else cells[li].strip()
         try:
             logits = (float(z_bad), float(z_nonbad)) if z_bad and z_nonbad else None
-            binary = parse_label(label) if label else None
-            editorial = label if label in LABEL_TO_BINARY else None
-            records.append(
-                PairRecord(query=query, keyword=keyword, teacher_logits=logits,
-                           editorial_label=editorial, binary_label=binary)
-            )
+            records.append(PairRecord(query=query, keyword=keyword, teacher_logits=logits,
+                                      label=label or None))
         except ValueError as exc:
             raise table.error(lineno, f"malformed row: {exc}") from None
     return records
@@ -442,7 +419,6 @@ def save_pair_tsv(path: str | Path, records: list[PairRecord],
         for r in records:
             z_bad = repr(r.teacher_logits[0]) if r.teacher_logits else ""
             z_nonbad = repr(r.teacher_logits[1]) if r.teacher_logits else ""
-            label = r.editorial_label or ("" if r.binary_label is None else str(r.binary_label))
-            yield r.query, r.keyword, z_bad, z_nonbad, label
+            yield r.query, r.keyword, z_bad, z_nonbad, r.label or ""
 
     textio.write_tsv(path, rows(), manifest=manifest or None)

@@ -16,7 +16,6 @@ import pytest
 from twinenc import (
     DistillationConfig,
     ModelConfig,
-    PairRecord,
     TwinModel,
     distill_train,
     finetune,
@@ -41,14 +40,6 @@ def _report(criterion: str, passed: bool = True) -> None:
     print(f"\nACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'}")
 
 
-def _records(pairs):
-    return [
-        PairRecord(query=p.query, keyword=p.keyword,
-                   teacher_logits=p.teacher_logits, editorial_label=p.label)
-        for p in pairs
-    ]
-
-
 def _auc_of(model, records, labels):
     scores = []
     for lo in range(0, len(records), 512):
@@ -68,8 +59,7 @@ TRAIN_CONFIG = DistillationConfig(learning_rate=3e-4, epochs=20)
 @pytest.fixture(scope="session")
 def distillation_bundle():
     pairs = generate_pairs(5000, seed=42, n_queries=N_QUERIES)
-    train, test = split_pairs(pairs, n_queries=N_QUERIES, holdout_fraction=0.2)
-    train_r, test_r = _records(train), _records(test)
+    train_r, test_r = split_pairs(pairs, n_queries=N_QUERIES, holdout_fraction=0.2)
     y_test = [r.binary() for r in test_r]
     teacher_scores = [soft_label(r.teacher_logits, TRAIN_CONFIG.temperature)[1] for r in test_r]
     teacher_auc = roc_auc(teacher_scores, y_test)
@@ -339,8 +329,8 @@ class TestCriterion9InvariantSuite:
         buckets = np.concatenate([batch.bucket_ids, np.tile([7, 8, 9], pad_slots.size)])
         order = np.argsort(slots, kind="stable")
         tampered = replace(batch, bucket_ids=buckets[order], slot_ids=slots[order])
-        clean, _ = model.encode_query_batch(batch, count=False)
-        dirty, _ = model.encode_query_batch(tampered, count=False)
+        clean, _ = model.encode_query_batch(batch)
+        dirty, _ = model.encode_query_batch(tampered)
         np.testing.assert_array_equal(clean, dirty)
         # a text padded next to a longer one encodes as it does alone
         alone = model.encode_queries(texts[:1])

@@ -169,8 +169,8 @@ class TestEncode:
         buckets = np.concatenate([batch.bucket_ids, np.tile([1, 2, 3], pad_slots.size)])
         order = np.argsort(slots, kind="stable")
         tampered = replace(batch, bucket_ids=buckets[order], slot_ids=slots[order])
-        clean, _ = tiny_model.encode_query_batch(batch, count=False)
-        dirty, _ = tiny_model.encode_query_batch(tampered, count=False)
+        clean, _ = tiny_model.encode_query_batch(batch)
+        dirty, _ = tiny_model.encode_query_batch(tampered)
         np.testing.assert_array_equal(clean, dirty)
 
     def test_cls_model_roundtrip(self):
@@ -250,15 +250,15 @@ class TestCacheFreeForward:
         model = TwinModel.initialize(config, seed=3).cast(dtype)
         batch = _batch(model, self.TEXTS)
         for encode in (model.encode_query_batch, model.encode_keyword_batch):
-            cached, cache = encode(batch, count=False)
-            free, none = encode(batch, count=False, cache=False)
+            cached, cache = encode(batch)
+            free, none = encode(batch, cache=False)
             assert cache is not None and none is None
             assert free.dtype == cached.dtype == dtype
             assert free.tobytes() == cached.tobytes()
         assert model.encode_queries(self.TEXTS).tobytes() == \
-            model.encode_query_batch(batch, count=False)[0].tobytes()
+            model.encode_query_batch(batch)[0].tobytes()
         assert model.encode_keywords(self.TEXTS).tobytes() == \
-            model.encode_keyword_batch(batch, count=False)[0].tobytes()
+            model.encode_keyword_batch(batch)[0].tobytes()
 
     def test_dropout_draws_are_the_same_without_a_cache(self, tiny_model):
         cfg = replace(tiny_model.config, dropout=0.3)
@@ -282,7 +282,7 @@ class TestCacheFreeForward:
         def peak(cache: bool) -> int:
             tracemalloc.start()
             try:
-                emb, saved = desk_model.encode_keyword_batch(batch, count=False, cache=cache)
+                emb, saved = desk_model.encode_keyword_batch(batch, cache=cache)
                 del saved
                 return tracemalloc.get_traced_memory()[1]
             finally:

@@ -8,7 +8,8 @@ by propagating.
 
 Text files (pair TSV, scored table, corpus, queries, JSON config) must name
 the path and the line of an invalid UTF-8 byte, and each CLI command that
-reads one exits 1 with the file named on stderr and no traceback.
+reads one exits 1 with the file named on stderr and no traceback. A bad
+``gen-synthetic`` argument exits the same way, naming the argument.
 """
 
 import io
@@ -173,6 +174,13 @@ CLI_CASES = {
     "config_preset": (json.dumps({"preset": "huge"}).encode(),
                       ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
                       "BAD: 'preset' must be one of"),
+    # bad arguments read no file and must name the argument instead
+    "gen_queries_zero": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pairs", "20", "--queries", "0"],
+                         "n_queries must be >= 1, got 0"),
+    "gen_queries_negative": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pairs", "20", "--queries", "-5"],
+                             "n_queries must be >= 1, got -5"),
+    "gen_one_topic": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pairs", "20", "--queries", "2",
+                            "--topics", "1"], "n_topics must be >= 2, got 1"),
 }
 
 

@@ -109,7 +109,7 @@ class TestPipelineGradients:
                           max_len=6, shared_encoders=False, dropout=0.0)
         model = TwinModel.initialize(cfg, seed=7)
         batch = pack_sequences(model.tokenize_many(["red shoes"]))
-        emb, cache = model.encode_query_batch(batch, count=False)
+        emb, cache = model.encode_query_batch(batch)
         grads = {}
         model.backward_query(np.ones_like(emb), cache, batch, grads)
         assert not any(name.startswith("keyword_encoder.") for name in grads)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from twinenc.synthetic import LABELS, MODIFIERS, generate_pairs, split_pairs, token_jaccard
+from twinenc.metrics import LABEL_GAINS
+from twinenc.synthetic import MODIFIERS, generate_pairs, split_pairs, token_jaccard
 from twinenc.text import normalize
 from twinenc.training import soft_label
 
@@ -17,12 +18,12 @@ class TestGeneratePairs:
     def test_all_grades_present(self):
         pairs = generate_pairs(1000, seed=0, n_queries=100)
         seen = {p.label for p in pairs}
-        assert seen == set(LABELS)
+        assert seen == set(LABEL_GAINS)
 
     def test_grade_overlap_ordering(self):
         pairs = generate_pairs(3000, seed=1, n_queries=300)
         mean_j = {}
-        for grade in LABELS:
+        for grade in LABEL_GAINS:
             js = [token_jaccard(p.query, p.keyword) for p in pairs if p.label == grade]
             mean_j[grade] = float(np.mean(js))
         assert mean_j["bad"] < mean_j["fair"] < mean_j["good"] < mean_j["excellent"]
@@ -30,7 +31,7 @@ class TestGeneratePairs:
     def test_binary_label_mapping(self):
         pairs = generate_pairs(200, seed=2, n_queries=20)
         for p in pairs:
-            assert p.binary_label == (0 if p.label == "bad" else 1)
+            assert (p.binary() == 0) == (p.label == "bad")
 
     def test_teacher_logits_consistent_with_oracle(self):
         from twinenc.synthetic import synthetic_teacher
@@ -70,6 +71,8 @@ class TestSplitPairs:
         pairs = generate_pairs(50, seed=6, n_queries=10)
         with pytest.raises(ValueError):
             split_pairs(pairs, n_queries=10, holdout_fraction=0.0)
+        with pytest.raises(ValueError, match="n_queries must be >= 1, got 0"):
+            split_pairs(pairs, n_queries=0)
 
 
 class TestTokenJaccard:

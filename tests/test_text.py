@@ -82,16 +82,9 @@ class TestTrigramVocab:
         trigrams = [t for w in ("red", "shoes", "online") for t in word_trigrams(w)]
         assert any(a.bucket(t) != b.bucket(t) for t in trigrams)
 
-    def test_json_round_trip_bit_identical_buckets(self):
-        vocab = TrigramVocab(bucket_count=50_000, hash_seed=99)
-        reloaded = TrigramVocab.from_json(vocab.to_json())
-        trigrams = [t for w in ("cheap", "flights", "to", "paris") for t in word_trigrams(w)]
-        assert [vocab.bucket(t) for t in trigrams] == [reloaded.bucket(t) for t in trigrams]
-
     def test_cls_bucket_reserved(self):
         vocab = TrigramVocab(bucket_count=100)
         assert vocab.cls_bucket == 100
-        assert vocab.embedding_rows == 101
 
     def test_invalid_bucket_count(self):
         with pytest.raises(ValueError):

@@ -19,12 +19,12 @@ from twinenc import (
     synthetic_teacher,
 )
 from twinenc.encoder import RowGrad, sigmoid
-from twinenc.synthetic import token_jaccard
+from twinenc.metrics import binary_label
+from twinenc.synthetic import generate_pairs, token_jaccard
 from twinenc.training import (
     AdamW,
     fit_logit_calibration,
     load_pair_tsv,
-    parse_label,
     refit_calibration,
     save_pair_tsv,
 )
@@ -149,21 +149,24 @@ class TestSyntheticTeacher:
 
 
 class TestLabels:
-    def test_parse_label(self):
-        assert [parse_label(v) for v in ("bad", "fair", "good", "excellent", "0", "1")] == [0, 1, 1, 1, 0, 1]
-        for bad in ("meh", "2", "", "Good"):
+    def test_binary_label(self):
+        assert [binary_label(v) for v in ("bad", "fair", "good", "excellent", "0", "1")] == [0, 1, 1, 1, 0, 1]
+        for bad in ("meh", "2", "", "Good", 5, 1):
             with pytest.raises(ValueError, match="bad label"):
-                parse_label(bad)
+                binary_label(bad)
 
     def test_pair_tsv_labels_round_trip(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("query\tkeyword\tz_bad\tz_nonbad\tlabel\n"
                         "a\tb\t\t\tgood\na\tc\t\t\t0\na\td\t-1.0\t1.0\t\n")
         records = load_pair_tsv(path)
+        assert [r.label for r in records] == ["good", "0", None]
         assert [r.binary() for r in records[:2]] == [1, 0]
-        assert records[2].editorial_label is None and records[2].binary_label is None
         save_pair_tsv(tmp_path / "again.tsv", records)
         assert (tmp_path / "again.tsv").read_text() == path.read_text()
+        generated = generate_pairs(40, seed=1, n_queries=4)
+        save_pair_tsv(tmp_path / "generated.tsv", generated)
+        assert load_pair_tsv(tmp_path / "generated.tsv") == generated
 
     def test_pair_tsv_bad_label_names_line(self, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -174,17 +177,19 @@ class TestLabels:
 
 class TestPairRecord:
     def test_requires_some_supervision(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="teacher logits or a label"):
             PairRecord(query="a", keyword="b")
 
     def test_binary_mapping(self):
-        assert PairRecord(query="a", keyword="b", editorial_label="bad").binary() == 0
-        for label in ("fair", "good", "excellent"):
-            assert PairRecord(query="a", keyword="b", editorial_label=label).binary() == 1
+        for label, binary in (("bad", 0), ("0", 0), ("fair", 1), ("good", 1), ("excellent", 1), ("1", 1)):
+            assert PairRecord(query="a", keyword="b", label=label).binary() == binary
+        with pytest.raises(ValueError, match="no label"):
+            PairRecord(query="a", keyword="b", teacher_logits=(0.0, 1.0)).binary()
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            PairRecord(query="a", keyword="b", editorial_label="meh")
+        for label in ("meh", "2", "Good", "", 5):
+            with pytest.raises(ValueError, match="bad label"):
+                PairRecord(query="a", keyword="b", teacher_logits=(0.0, 1.0), label=label)
 
 
 def _dense_adamw_reference(opt, params, grads, state):
@@ -290,7 +295,7 @@ class TestDistillTrain:
             distill_train([], DistillationConfig(), tiny_model)
 
     def test_records_without_logits_rejected(self, tiny_model):
-        recs = [PairRecord(query="a", keyword="b", editorial_label="good")]
+        recs = [PairRecord(query="a", keyword="b", label="good")]
         with pytest.raises(ValueError, match="teacher logits"):
             distill_train(recs, DistillationConfig(), tiny_model)
 
@@ -347,7 +352,7 @@ class TestFinetune:
         recs = _overfit_records(16)
         return [
             PairRecord(query=r.query, keyword=r.keyword, teacher_logits=r.teacher_logits,
-                       binary_label=1 if r.teacher_logits[1] > 0 else 0)
+                       label="1" if r.teacher_logits[1] > 0 else "0")
             for r in recs
         ]
 
@@ -426,7 +431,7 @@ class TestRefitCalibration:
         # labels follow the teacher except every eighth, so the classes overlap
         return [
             PairRecord(query=r.query, keyword=r.keyword,
-                       binary_label=int((r.teacher_logits[1] > 0) != (i % 8 == 0)))
+                       label=str(int((r.teacher_logits[1] > 0) != (i % 8 == 0))))
             for i, r in enumerate(_overfit_records(32))
         ]
 
@@ -460,7 +465,7 @@ class TestRefitCalibration:
     @pytest.mark.parametrize("head", ["residual", "cosine"])
     def test_one_class_labels_keep_params_finite(self, head):
         model = self._model(head)
-        records = [PairRecord(query=r.query, keyword=r.keyword, binary_label=1)
+        records = [PairRecord(query=r.query, keyword=r.keyword, label="1")
                    for r in _overfit_records(16)]
         before = {k: v.copy() for k, v in model.params.items()}
         assert refit_calibration(records, model) is None
