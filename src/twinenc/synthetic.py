@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import bisect_right
+from typing import Sequence
 
 import numpy as np
 
@@ -74,7 +76,15 @@ def synthetic_teacher(
     """
     if not 0.0 < midpoint < 1.0:
         raise ValueError("midpoint must be in (0, 1)")
-    j = token_jaccard(query, keyword)
+    return _teacher_logits(token_jaccard(query, keyword), query, keyword,
+                           seed, margin_scale, noise_std, midpoint)
+
+
+def _teacher_logits(
+    j: float, query: str, keyword: str, seed: int,
+    margin_scale: float, noise_std: float, midpoint: float,
+) -> tuple[float, float]:
+    """``synthetic_teacher`` given the pair's token Jaccard overlap ``j``."""
     if j >= midpoint:
         base = margin_scale * (j - midpoint) / (1.0 - midpoint)
     else:
@@ -111,6 +121,25 @@ def _topic_vocabulary(rng: np.random.Generator, n_topics: int, words_per_topic: 
     return topics
 
 
+# The draws below are the ones Generator.choice makes, without its per-call
+# conversion of the population to an array and revalidation of p. A grade
+# is the bisection of one rng.random() over the cdf that choice(p=...)
+# computes: p.cumsum() divided by its last entry.
+_GRADES = ("excellent", "good", "fair", "bad")
+_GRADE_CDF = np.cumsum([0.2, 0.2, 0.2, 0.4])
+_GRADE_CDF = (_GRADE_CDF / _GRADE_CDF[-1]).tolist()
+
+
+def _pick(rng: np.random.Generator, seq: Sequence[str]) -> str:
+    """One item of ``seq``, as ``rng.choice(seq)`` draws it."""
+    return seq[int(rng.integers(len(seq)))]
+
+
+def _sample(rng: np.random.Generator, seq: Sequence[str], k: int) -> list[str]:
+    """``k`` distinct items of ``seq``, as ``rng.choice(seq, size=k, replace=False)`` draws them."""
+    return [seq[i] for i in rng.choice(len(seq), size=k, replace=False).tolist()]
+
+
 def generate_pairs(
     n_pairs: int,
     seed: int = 0,
@@ -143,53 +172,53 @@ def generate_pairs(
     teacher_seed = seed if teacher_seed is None else teacher_seed
     topics = _topic_vocabulary(rng, n_topics, words_per_topic)
 
-    queries: list[tuple[str, int, list[str]]] = []
+    # Per query slot: text, topic words, the topic's other words, word set.
+    slots: list[tuple[str, int, list[str], list[str], frozenset[str]]] = []
     for _ in range(n_queries):
         t = int(rng.integers(n_topics))
-        words = list(rng.choice(topics[t], size=int(rng.integers(2, 4)), replace=False))
+        topic_words = _sample(rng, topics[t], int(rng.integers(2, 4)))
+        words = list(topic_words)
         if rng.random() < 0.6:
-            words.append(str(rng.choice(MODIFIERS)))
-        queries.append((" ".join(words), t, words))
+            words.append(_pick(rng, MODIFIERS))
+        others = [w for w in topics[t] if w not in topic_words]
+        slots.append((" ".join(words), t, topic_words, others, frozenset(words)))
 
     pairs: list[PairRecord] = []
-    grades = np.asarray(["excellent", "good", "fair", "bad"])
-    grade_probs = np.asarray([0.2, 0.2, 0.2, 0.4])
     for i in range(n_pairs):
-        query, topic, qwords = queries[i % n_queries]
-        topic_words = [w for w in qwords if w not in MODIFIERS]
-        others = [w for w in topics[topic] if w not in topic_words]
-        grade = str(rng.choice(grades, p=grade_probs))
+        query, topic, topic_words, others, query_words = slots[i % n_queries]
+        grade = _GRADES[bisect_right(_GRADE_CDF, rng.random())]
         if grade == "excellent":
-            kw = list(topic_words)
-            kw += list(rng.choice(others, size=int(rng.integers(0, 2)), replace=False))
+            kw = topic_words + _sample(rng, others, int(rng.integers(0, 2)))
             if rng.random() < 0.5:
-                kw.append(str(rng.choice(MODIFIERS)))
+                kw.append(_pick(rng, MODIFIERS))
         elif grade == "good":
             n_shared = max(1, len(topic_words) - 1)
-            kw = list(rng.choice(topic_words, size=n_shared, replace=False))
-            kw += list(rng.choice(others, size=int(rng.integers(1, 3)), replace=False))
+            kw = _sample(rng, topic_words, n_shared)
+            kw += _sample(rng, others, int(rng.integers(1, 3)))
             if rng.random() < 0.5:
-                kw.append(str(rng.choice(MODIFIERS)))
+                kw.append(_pick(rng, MODIFIERS))
         elif grade == "fair":
             # exactly one shared topic word, padded with other same-topic
             # words and often a generic modifier
-            kw = [str(rng.choice(topic_words))]
-            kw += list(rng.choice(others, size=int(rng.integers(1, 3)), replace=False))
+            kw = [_pick(rng, topic_words)]
+            kw += _sample(rng, others, int(rng.integers(1, 3)))
             if rng.random() < 0.6:
-                kw.append(str(rng.choice(MODIFIERS)))
+                kw.append(_pick(rng, MODIFIERS))
         else:
             other_topic = int(rng.integers(n_topics - 1))
             if other_topic >= topic:
                 other_topic += 1
-            kw = list(rng.choice(topics[other_topic], size=int(rng.integers(1, 3)), replace=False))
+            kw = _sample(rng, topics[other_topic], int(rng.integers(1, 3)))
             if rng.random() < 0.8:
-                kw.append(str(rng.choice(MODIFIERS)))
+                kw.append(_pick(rng, MODIFIERS))
         rng.shuffle(kw)
         keyword = " ".join(dict.fromkeys(kw))  # drop accidental duplicates, keep order
-        logits = synthetic_teacher(
-            query, keyword, seed=teacher_seed,
-            margin_scale=margin_scale, noise_std=noise_std,
-        )
+        # the words are lowercase a-z, which normalize() leaves as they are,
+        # so this is token_jaccard(query, keyword)
+        keyword_words = set(kw)
+        j = len(query_words & keyword_words) / len(query_words | keyword_words)
+        logits = _teacher_logits(j, query, keyword, teacher_seed,
+                                 margin_scale, noise_std, DEFAULT_MIDPOINT)
         pairs.append(PairRecord(query=query, keyword=keyword, teacher_logits=logits, label=grade))
     return pairs
 

@@ -9,7 +9,9 @@ the same cross-entropy loss with those targets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ class PairRecord:
 
     ``label`` is the label cell as a pair TSV holds it: a grade
     (bad/fair/good/excellent) or 0/1, checked against ``metrics.binary_label``.
+    ``teacher_logits`` must be two finite numbers, kept as Python floats.
     """
 
     query: str
@@ -41,6 +44,8 @@ class PairRecord:
     label: str | None = None
 
     def __post_init__(self) -> None:
+        if self.teacher_logits is not None:
+            self.teacher_logits = _logit_pair(self.teacher_logits)
         if self.label is not None:
             binary_label(self.label)
         elif self.teacher_logits is None:
@@ -51,6 +56,19 @@ class PairRecord:
         if self.label is None:
             raise ValueError("record has no label")
         return binary_label(self.label)
+
+
+def _logit_pair(z) -> tuple[float, float]:
+    """``z`` as two Python floats; anything but two finite numbers is an error."""
+    try:
+        z_bad, z_nonbad = z
+        ok = (isinstance(z_bad, Real) and isinstance(z_nonbad, Real)
+              and math.isfinite(z_bad) and math.isfinite(z_nonbad))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"teacher_logits must be two finite numbers, got {z!r}")
+    return (float(z_bad), float(z_nonbad))
 
 
 def soft_label(z: tuple[float, float], temperature: float) -> tuple[float, float]:
@@ -390,11 +408,12 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
     """Read pair records from a headered TSV file.
 
     Columns, found by name: query, keyword, z_bad, z_nonbad and an optional
-    label. The logit columns may be empty when only labels are available,
-    and vice versa; the label column holds one of bad/fair/good/excellent or
-    0/1, kept as written in ``PairRecord.label``, and a row may leave it
-    out. Lines starting with ``#`` are ignored. Malformed rows abort with
-    their line number.
+    label. Both logit cells may be empty when only a label is available, and
+    the label may be empty when logits are; one logit without the other is
+    an error. The label column holds one of bad/fair/good/excellent or 0/1,
+    kept as written in ``PairRecord.label``, and a row may leave it out.
+    Lines starting with ``#`` are ignored. Malformed rows abort with their
+    line number.
     """
     table = textio.read_table(path, last_optional=True)
     columns = [table.index(name) for name in PAIR_TSV_COLUMNS[:4]]
@@ -404,7 +423,10 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
         query, keyword, z_bad, z_nonbad = (cells[i] for i in columns)
         label = "" if li is None else cells[li].strip()
         try:
-            logits = (float(z_bad), float(z_nonbad)) if z_bad and z_nonbad else None
+            if bool(z_bad) != bool(z_nonbad):
+                empty, filled = ("z_bad", "z_nonbad") if z_nonbad else ("z_nonbad", "z_bad")
+                raise ValueError(f"{empty} is empty but {filled} is not")
+            logits = (float(z_bad), float(z_nonbad)) if z_bad else None
             records.append(PairRecord(query=query, keyword=keyword, teacher_logits=logits,
                                       label=label or None))
         except ValueError as exc:

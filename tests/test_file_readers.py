@@ -131,6 +131,14 @@ def test_pair_tsv_byte_flip_loads_or_fails_naming_the_file(scratch, where, xor):
     _loads_or_names_path(load_pair_tsv, scratch / "flip.tsv", bytes(data))
 
 
+@pytest.mark.parametrize("row, empty", [("a\tb\t1.5\t\tgood", "z_nonbad"), ("a\tb\t\t1.5\t", "z_bad")])
+def test_half_filled_logit_pair_names_the_empty_column(tmp_path, row, empty):
+    path = tmp_path / "half.tsv"
+    path.write_text("query\tkeyword\tz_bad\tz_nonbad\tlabel\n" + row + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed row: {empty} is empty")):
+        load_pair_tsv(path)
+
+
 @pytest.fixture(scope="module")
 def served(tmp_path_factory, tiny_model):
     """A checkpoint and an exact-search store for the CLI cases."""
@@ -147,6 +155,8 @@ SCORED = b"query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tbad\t0.1\n"
 CLI_CASES = {
     "pair_tsv": (PAIRS.replace(b"cheap", b"ch\xffeap"),
                  ["distill", "--data", "BAD", "--out", "OUT"], "BAD:4: invalid UTF-8"),
+    "pair_tsv_half_logits": (PAIRS.replace(b"\t1.0\tgood", b"\t\tgood"),
+                             ["distill", "--data", "BAD", "--out", "OUT"], "BAD:2: malformed row: z_nonbad is empty"),
     "scored": (SCORED.replace(b"good", b"go\xffod"),
                ["eval-auc", "--scored", "BAD"], "BAD:2: invalid UTF-8"),
     "scored_prob": (SCORED.replace(b"0.1", b"abc"),

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from twinenc.metrics import LABEL_GAINS
-from twinenc.synthetic import MODIFIERS, generate_pairs, split_pairs, token_jaccard
+from twinenc.synthetic import MODIFIERS, generate_pairs, split_pairs, synthetic_teacher, token_jaccard
 from twinenc.text import normalize
 from twinenc.training import soft_label
 
@@ -34,11 +36,28 @@ class TestGeneratePairs:
             assert (p.binary() == 0) == (p.label == "bad")
 
     def test_teacher_logits_consistent_with_oracle(self):
-        from twinenc.synthetic import synthetic_teacher
+        # the generator computes J from its own word sets; it must equal
+        # token_jaccard, so every logit pair equals the public oracle's
+        for teacher_seed, margin_scale, noise_std in ((5, 8.0, 0.5), (9, 3.0, 0.0)):
+            teacher = dict(margin_scale=margin_scale, noise_std=noise_std)
+            pairs = generate_pairs(2000, seed=3, n_queries=200, n_topics=40,
+                                   teacher_seed=teacher_seed, **teacher)
+            for p in pairs:
+                assert p.teacher_logits == synthetic_teacher(p.query, p.keyword, seed=teacher_seed, **teacher)
 
-        pairs = generate_pairs(50, seed=3, n_queries=10)
-        for p in pairs:
-            assert p.teacher_logits == synthetic_teacher(p.query, p.keyword, seed=3)
+    @pytest.mark.parametrize("args, kwargs, expected", [
+        ((12500,), dict(seed=1, n_queries=1000), "e17b7f2374a14e47"),
+        ((4000,), dict(seed=1), "d9a68dd482b995f1"),
+        ((2048,), dict(seed=1, n_queries=1200), "4d02fe2a6276d06e"),
+        ((200,), dict(seed=5, n_queries=20), "f419b1145e8e8c05"),
+    ])
+    def test_golden_digest(self, args, kwargs, expected):
+        # pins every query, keyword, logit and label the generator draws
+        digest = hashlib.sha256()
+        for p in generate_pairs(*args, **kwargs):
+            z_bad, z_nonbad = p.teacher_logits
+            digest.update(f"{p.query}\t{p.keyword}\t{z_bad!r}\t{z_nonbad!r}\t{p.label}\n".encode("utf-8"))
+        assert digest.hexdigest()[:16] == expected
 
     def test_labels_discount_modifier_overlap(self):
         # the editorial contract: a keyword is bad exactly when it shares no

@@ -191,6 +191,19 @@ class TestPairRecord:
             with pytest.raises(ValueError, match="bad label"):
                 PairRecord(query="a", keyword="b", teacher_logits=(0.0, 1.0), label=label)
 
+    def test_numpy_logits_stored_as_floats_and_round_trip(self, tmp_path):
+        record = PairRecord(query="a", keyword="b", teacher_logits=(np.float64(-1.0), np.float64(1.0)))
+        assert record.teacher_logits == (-1.0, 1.0)
+        assert all(type(z) is float for z in record.teacher_logits)
+        save_pair_tsv(tmp_path / "pairs.tsv", [record])
+        assert load_pair_tsv(tmp_path / "pairs.tsv") == [record]
+
+    @pytest.mark.parametrize("logits", [(float("nan"), 1.0), (1.0, float("inf")), (1.0,),
+                                        (0.0, 1.0, 2.0), ("0.0", "1.0"), 1.0])
+    def test_malformed_logits_rejected(self, logits):
+        with pytest.raises(ValueError, match="teacher_logits"):
+            PairRecord(query="a", keyword="b", teacher_logits=logits, label="good")
+
 
 def _dense_adamw_reference(opt, params, grads, state):
     """The dense AdamW step every non-table parameter must keep, bit for bit."""
