@@ -14,7 +14,6 @@ from .config import DistillationConfig, ModelConfig
 from .crossing import (
     cosine,
     cosine_head_prob,
-    cosine_to_euclidean_check,
     max_combine,
     residual_head_prob,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ce_loss",
     "cosine",
     "cosine_head_prob",
-    "cosine_to_euclidean_check",
     "distill_train",
     "encode_corpus",
     "encode_text",

@@ -137,19 +137,3 @@ def residual_head_prob(q: np.ndarray, k: np.ndarray, params: dict) -> np.ndarray
     logits, _ = residual_head_forward(q, k, params)
     return sigmoid(logits)
 
-
-def cosine_to_euclidean_check(q: np.ndarray, k: np.ndarray) -> float:
-    """Squared Euclidean distance between two unit vectors.
-
-    For unit-norm inputs this equals 2 - 2*cos(q, k); callers use that
-    identity to swap cosine ranking for distance ranking in the index.
-    Rejects inputs whose norm deviates from 1 by more than 1e-6.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    for name, v in (("q", q), ("k", k)):
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"{name} is not unit-norm (|{name}| = {norm!r})")
-    d = q - k
-    return float(d @ d)

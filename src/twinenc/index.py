@@ -9,7 +9,11 @@ unit-norm, descending cosine equals ascending Euclidean distance exactly.
 The graph is built in the manner of NSG and Vamana: each node's exact
 nearest neighbours (blocked ``V @ V.T`` products) are pruned to the degree
 bound by one α rule, the entry point is the node nearest the mean
-direction, and a final walk from it links any node it cannot reach.
+direction, and a final walk from it links any node it cannot reach. It is
+held as one ``(n, degree_bound)`` int32 adjacency array: row i lists node
+i's neighbours in ascending order, padded with -1 at the end. Search is
+Vamana's greedy search over that array, expanding the ``_WIDTH`` best
+unexpanded candidates per iteration, as DiskANN's beam width does.
 
 A raw (unnormalized, float64) store variant exists for serving the residual
 head, which needs raw embeddings; it carries no graph.
@@ -17,7 +21,6 @@ head, which needs raw embeddings; it carries no graph.
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder
-from .checkpoint import atomic_write, pack_str, read_preamble, write_preamble
+from .checkpoint import Reader, atomic_write, pack_str, read_preamble, write_preamble
 from .model import TwinModel
 from .text import TokenSequence
 
@@ -40,6 +43,7 @@ METRIC_RAW = "raw_f64"
 _NORM_TOL = 1e-6
 _BLOCK = 16  # rows per V @ V.T product in build_graph; 256 rows cost 11 MB more peak RSS at 10k
 _ALPHA = 1.2  # build_graph's pruning factor; 1.0 cuts recall on stores of duplicates to 0.1-0.3
+_WIDTH = 8  # nodes knn_approx expands per iteration (scripts/beam_sweep.py)
 _HEADER_TYPES = {"n": int, "dim": int, "metric": str, "degree_bound": (int, type(None)),
                  "build_beam": (int, type(None)), "entry_point": int, "has_graph": bool}
 
@@ -66,13 +70,15 @@ class EmbeddingIndex:
     """ids + vectors (+ optional proximity graph) over one keyword corpus.
 
     ``metric`` is ``l2_unit`` for the searchable unit-normalized store and
-    ``raw_f64`` for the raw-embedding cache (no search, no graph).
+    ``raw_f64`` for the raw-embedding cache (no search, no graph). ``graph``
+    is the ``(n, degree_bound)`` int32 adjacency (rows ascending, padded
+    with -1); ``degree_bound`` defaults to its width.
     """
 
     ids: list[str]
     vectors: np.ndarray
     metric: str = METRIC_UNIT
-    graph: list[np.ndarray] | None = None
+    graph: np.ndarray | None = None
     degree_bound: int | None = None
     build_beam: int | None = None
     entry_point: int = 0
@@ -95,16 +101,30 @@ class EmbeddingIndex:
         elif self.metric != METRIC_RAW:
             raise ValueError(f"unknown metric tag: {self.metric!r}")
         if self.graph is not None:
-            if len(self.graph) != n:
-                raise ValueError(f"graph has {len(self.graph)} neighbour lists for {n} ids")
-            nbrs = np.concatenate([np.zeros(0, np.int64), *self.graph])
-            if nbrs.size and not 0 <= nbrs.min() <= nbrs.max() < n:
-                raise ValueError(f"neighbour ids must lie in [0, {n})")
+            self._check_graph(n)
         if n and not 0 <= self.entry_point < n:
             raise ValueError(f"entry point {self.entry_point} is not in [0, {n})")
 
+    def _check_graph(self, n: int) -> None:
+        g = self.graph
+        if not isinstance(g, np.ndarray):
+            raise ValueError(f"graph must be an array of {n} neighbour lists, got {type(g).__name__}")
+        if self.degree_bound is None and g.ndim == 2:
+            self.degree_bound = g.shape[1]
+        if g.dtype != np.int32 or g.shape != (n, self.degree_bound):
+            raise ValueError(f"graph must be an int32 array of {n} neighbour lists of width "
+                             f"{self.degree_bound}, got {g.dtype} {g.shape}")
+        real = g >= 0
+        if (g >= n).any() or (g < -1).any() or (real[:, 1:] & ~real[:, :-1]).any():
+            raise ValueError(f"neighbour ids must lie in [0, {n}), and -1 may only pad a row's end")
+
     def __len__(self) -> int:
         return len(self.ids)
+
+    def neighbours(self, node: int) -> np.ndarray:
+        """Node's neighbour ids, ascending: its graph row without the padding."""
+        row = self.graph[node]
+        return row[: np.count_nonzero(row >= 0)]
 
     @property
     def dim(self) -> int:
@@ -122,9 +142,11 @@ class EmbeddingIndex:
             yield from write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header)
             yield np.ascontiguousarray(self.vectors, dtype=dtype)  # the store's own buffer
             yield from (pack_str(kid) for kid in self.ids)
-            for nbrs in self.graph or []:
-                yield len(nbrs).to_bytes(4, "little")
-                yield np.asarray(nbrs, dtype="<u4")
+            if self.graph is not None:
+                for node in range(len(self)):
+                    nbrs = self.neighbours(node)
+                    yield len(nbrs).to_bytes(4, "little")
+                    yield nbrs.astype("<u4")
 
         atomic_write(path, chunks())
 
@@ -143,7 +165,7 @@ class EmbeddingIndex:
             ids = [r.string() for _ in range(n)]
             graph = None
             if header["has_graph"]:
-                graph = [r.array("<u4", r.u32()).astype(np.int64) for _ in range(n)]
+                graph = _read_graph(r, n, header["degree_bound"])
             r.finish()
         try:
             return cls(ids=ids, vectors=vectors, metric=header["metric"], graph=graph,
@@ -153,15 +175,31 @@ class EmbeddingIndex:
             raise r.error(str(exc)) from None
 
 
+def _read_graph(r: Reader, n: int, width: int | None) -> np.ndarray:
+    """The n length-prefixed u32 rows of a TWIX graph, read into one padded array."""
+    if width is None or width < 0:
+        raise r.error(f"keyword index has a graph but degree_bound is {width}")
+    try:
+        graph = np.full((n, width), -1, dtype="<i4")
+    except (MemoryError, ValueError):
+        raise r.error(f"graph of {n} rows of degree_bound {width} does not fit in memory") from None
+    written = 0
+    for node, row in enumerate(graph):
+        count = r.u32()
+        if count > width:
+            raise r.error(f"graph row {node} holds {count} neighbours, more than degree_bound {width}")
+        r.read_into(row[:count])
+        written += count
+    if np.count_nonzero(graph >= 0) != written:  # a u32 id of 2**31 or more reads as negative
+        raise r.error(f"neighbour ids must lie in [0, {n})")
+    return graph
+
+
 def _row_norms(vectors: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     if np.any(norms == 0):
         raise ValueError("cannot normalize a zero vector")
     return norms
-
-
-def normalize_rows(vectors: np.ndarray) -> np.ndarray:
-    return vectors / _row_norms(vectors)
 
 
 def encode_corpus(
@@ -235,22 +273,37 @@ def _ranked_results(index: EmbeddingIndex, node_ids, scores, top_n: int) -> list
     ]
 
 
-def knn_exact(q: np.ndarray, index: EmbeddingIndex, top_n: int) -> list[SearchResult]:
-    """True top-n by cosine over every stored vector (the recall oracle).
-
-    Ties break by ascending keyword id; results are independent of corpus
-    storage order.
-    """
+def _check_search(index: EmbeddingIndex, top_n: int) -> None:
     if index.metric != METRIC_UNIT:
         raise ValueError("search requires a unit-normalized index")
     if len(index) == 0:
         raise ValueError("cannot search an empty index")
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
+
+
+def _scan_margin(dim: int) -> float:
+    """Twice the bound (d + 1)·2⁻²⁴ on the error of a float32 dot product of
+    two unit vectors, one of them rounded from float64 first."""
+    return 2.0 * (dim + 1) * 2.0**-24
+
+
+def knn_exact(q: np.ndarray, index: EmbeddingIndex, top_n: int) -> list[SearchResult]:
+    """True top-n by cosine over every stored vector (the recall oracle).
+
+    The store is scanned in float32; every row within ``_scan_margin`` of the
+    n-th best float32 score, a superset of the true top n, is rescored in
+    float64. Ties break by ascending keyword id; results are independent of
+    corpus storage order.
+    """
+    _check_search(index, top_n)
     q = _check_query(q, index)
-    scores = index.vectors @ q  # the float32 store is promoted to float64
-    index.counters.distance_computations += len(index)
-    return _ranked_results(index, np.arange(len(index)), scores, top_n)
+    n = len(index)
+    scan = index.vectors @ q.astype(np.float32)
+    index.counters.distance_computations += n
+    kth = np.partition(scan, n - top_n)[n - top_n] if top_n < n else -np.inf
+    rows = np.flatnonzero(scan >= kth - _scan_margin(index.dim))
+    return _ranked_results(index, rows, index.vectors[rows] @ q, top_n)
 
 
 def build_graph(index: EmbeddingIndex, degree_bound: int = 16, build_beam: int = 64) -> EmbeddingIndex:
@@ -267,7 +320,7 @@ def build_graph(index: EmbeddingIndex, degree_bound: int = 16, build_beam: int =
     if build_beam < 1:
         raise ValueError("build_beam must be >= 1")
     vectors, n = index.vectors, len(index)
-    graph: list[list[int]] = [[] for _ in range(n)]
+    graph = np.full((n, degree_bound), -1, dtype=np.int32)
     k = min(build_beam, n - 1)
     for lo in range(0, n if k > 0 else 0, _BLOCK):
         for i, row in enumerate(vectors[lo : lo + _BLOCK] @ vectors.T, start=lo):
@@ -275,11 +328,13 @@ def build_graph(index: EmbeddingIndex, degree_bound: int = 16, build_beam: int =
             kth = np.partition(row, n - k)[n - k]  # the k-th largest similarity
             top = np.flatnonzero(row >= kth)
             cands = top[np.lexsort((top, -row[top]))][:k]
-            graph[i] = _prune(vectors, cands, row[cands], degree_bound)
+            kept = _prune(vectors, cands, row[cands], degree_bound)
+            graph[i, : len(kept)] = kept
     if n:
         index.entry_point = int(np.argmax(vectors @ vectors.mean(axis=0)))
-        _connect(vectors, graph, index.entry_point, degree_bound)
-    index.graph = [np.asarray(sorted(nbrs), dtype=np.int64) for nbrs in graph]
+        _connect(vectors, graph, index.entry_point)
+    graph.view(np.uint32).sort(axis=1)  # ascending ids; the -1 padding, as uint32, sorts last
+    index.graph = graph
     index.degree_bound = degree_bound
     index.build_beam = build_beam
     return index
@@ -302,78 +357,85 @@ def _prune(vectors, cands: np.ndarray, sims: np.ndarray, degree_bound: int) -> l
     return kept
 
 
-def _connect(vectors, graph: list[list[int]], entry: int, degree_bound: int) -> None:
+def _connect(vectors, graph: np.ndarray, entry: int) -> None:
     """Link each node a walk from ``entry`` misses from its nearest reached
     node u; a full u hands its farthest edge u -> w over: u -> v -> w. No
-    reached node becomes unreached, so every repair grows the reached set."""
-    seen = np.zeros(len(graph), dtype=bool)
+    reached node becomes unreached, so every repair grows the reached set.
+    Rows are repaired in place and keep their order (the first of equally
+    far neighbours goes), with the padding at the end."""
+    seen = np.zeros(len(graph) + 1, dtype=bool)
+    seen[-1] = True  # the slot the -1 padding indexes
 
     def walk(node: int) -> None:
+        frontier = np.array([node])
         seen[node] = True
-        stack = [node]
-        while stack:
-            nbrs = [v for v in graph[stack.pop()] if not seen[v]]
-            seen[nbrs] = True
-            stack += nbrs
+        while frontier.size:
+            nbrs = graph[frontier].ravel()
+            frontier = nbrs[~seen[nbrs]]
+            seen[frontier] = True
 
-    def farthest(node: int) -> int:
-        return int(np.argmin(vectors[graph[node]] @ vectors[node]))
+    def drop_farthest(node: int) -> int:
+        row = graph[node]
+        j = int(np.argmin(vectors[row] @ vectors[node]))
+        w = int(row[j])
+        row[j:-1] = row[j + 1 :].copy()
+        row[-1] = -1
+        return w
+
+    def append(node: int, v: int) -> None:
+        row = graph[node]
+        row[np.count_nonzero(row >= 0)] = v
 
     walk(entry)
     for v in range(len(graph)):
         if seen[v]:
             continue
-        reached = np.flatnonzero(seen)
+        reached = np.flatnonzero(seen[:-1])
         u = int(reached[np.argmax(vectors[reached] @ vectors[v])])
-        if len(graph[u]) == degree_bound:
-            w = graph[u].pop(farthest(u))
+        if graph[u, -1] >= 0:  # u is full
+            w = drop_farthest(u)
             if w not in graph[v]:
-                if len(graph[v]) == degree_bound:
-                    graph[v].pop(farthest(v))
-                graph[v].append(w)
-        graph[u].append(v)
+                if graph[v, -1] >= 0:
+                    drop_farthest(v)
+                append(v, w)
+        append(u, v)
         walk(v)
 
 
-def _beam_search(vectors, graph, entry: int, qv: np.ndarray, beam: int,
-                 counters: SearchCounters) -> list[tuple[float, int]]:
-    """Greedy best-first beam traversal; returns candidates sorted by score desc."""
-    entry_score = float(vectors[entry] @ qv)
-    counters.distance_computations += 1
-    visited = {entry}
-    frontier = [(-entry_score, entry)]
-    beam_heap: list[tuple[float, int]] = [(entry_score, entry)]
-    while frontier:
-        neg_score, node = heapq.heappop(frontier)
-        if len(beam_heap) >= beam and -neg_score < beam_heap[0][0]:
-            break
-        counters.hops += 1
-        nbrs = [v for v in graph[node] if v not in visited]
-        if not nbrs:
-            continue
-        visited.update(nbrs)
-        scores = vectors[nbrs] @ qv
-        counters.distance_computations += len(nbrs)
-        for score, nbr in zip(scores, nbrs):
-            score = float(score)
-            if len(beam_heap) < beam or score > beam_heap[0][0]:
-                heapq.heappush(frontier, (-score, nbr))
-                heapq.heappush(beam_heap, (score, nbr))
-                if len(beam_heap) > beam:
-                    heapq.heappop(beam_heap)
-    return sorted(((s, n) for s, n in beam_heap), key=lambda t: -t[0])
-
-
 def knn_approx(q: np.ndarray, index: EmbeddingIndex, top_n: int, search_beam: int = 64) -> list[SearchResult]:
-    """Approximate top-n via greedy beam traversal of the proximity graph."""
+    """Approximate top-n by greedy search of the proximity graph.
+
+    A candidate list of the ``search_beam`` best nodes seen so far starts at
+    the entry point; each iteration expands the ``_WIDTH`` best unexpanded
+    candidates, gathering their neighbour rows with one fancy index, and the
+    search ends when every candidate is expanded. ``counters.hops`` counts
+    expanded nodes.
+    """
     if index.graph is None:
         raise ValueError("index has no graph; call build_graph first")
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
+    _check_search(index, top_n)
     if search_beam < top_n:
         raise ValueError(f"search_beam ({search_beam}) must be >= top_n ({top_n})")
     q = _check_query(q, index)
-    cands = _beam_search(index.vectors, index.graph, index.entry_point, q, search_beam, index.counters)
-    nodes = [n for _, n in cands]
-    scores = [s for s, _ in cands]
+    vectors, graph, counters = index.vectors, index.graph, index.counters
+    visited = np.zeros(len(index) + 1, dtype=bool)
+    visited[[index.entry_point, -1]] = True  # the last slot is the one the -1 padding indexes
+    nodes = np.array([index.entry_point])
+    scores = vectors[nodes] @ q
+    expanded = np.zeros(1, dtype=bool)
+    counters.distance_computations += 1
+    while (todo := np.flatnonzero(~expanded)[:_WIDTH]).size:
+        expanded[todo] = True
+        counters.hops += todo.size
+        nbrs = graph[nodes[todo]].ravel()
+        nbrs = np.unique(nbrs[~visited[nbrs]])
+        if not nbrs.size:
+            continue
+        visited[nbrs] = True
+        counters.distance_computations += nbrs.size
+        nodes = np.concatenate((nodes, nbrs))
+        scores = np.concatenate((scores, vectors[nbrs] @ q))
+        expanded = np.concatenate((expanded, np.zeros(nbrs.size, dtype=bool)))
+        best = np.lexsort((nodes, -scores))[:search_beam]
+        nodes, scores, expanded = nodes[best], scores[best], expanded[best]
     return _ranked_results(index, nodes, scores, top_n)

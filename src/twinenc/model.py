@@ -101,12 +101,6 @@ class TwinModel:
         shapes.update(crossing.head_param_shapes(config.hidden_size))
         return shapes
 
-    def param_names(self) -> list[str]:
-        return list(self.param_shapes(self.config))
-
-    def param_count(self) -> int:
-        return sum(self.params[n].size for n in self.param_names())
-
     # -- tokenization ------------------------------------------------------
 
     def tokenize(self, text: str, max_len: int | None = None) -> TokenSequence:

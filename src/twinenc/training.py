@@ -36,6 +36,8 @@ class PairRecord:
     ``label`` is the label cell as a pair TSV holds it: a grade
     (bad/fair/good/excellent) or 0/1, checked against ``metrics.binary_label``.
     ``teacher_logits`` must be two finite numbers, kept as Python floats.
+    ``query`` and ``keyword`` hold no tab, CR or LF, so each record is one
+    pair-TSV row.
     """
 
     query: str
@@ -44,6 +46,10 @@ class PairRecord:
     label: str | None = None
 
     def __post_init__(self) -> None:
+        both = self.query + self.keyword  # one scan of both texts; generate_pairs builds many records
+        if "\t" in both or "\n" in both or "\r" in both:
+            name = "query" if any(c in self.query for c in "\t\n\r") else "keyword"
+            raise ValueError(f"{name} {getattr(self, name)!r} holds a tab or a line break")
         if self.teacher_logits is not None:
             self.teacher_logits = _logit_pair(self.teacher_logits)
         if self.label is not None:
@@ -436,6 +442,14 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
 
 def save_pair_tsv(path: str | Path, records: list[PairRecord],
                   manifest: dict | None = None) -> None:
+    """Write ``records`` as a pair TSV that ``load_pair_tsv`` reads back equal.
+    A query starting with ``#`` is refused before anything is written: its
+    row would read back as a comment."""
+    for i, r in enumerate(records):
+        if r.query.startswith("#"):
+            raise ValueError(f"record {i} ({r.query!r}, {r.keyword!r}): a query starting "
+                             "with '#' would read back as a comment")
+
     def rows():
         yield PAIR_TSV_COLUMNS
         for r in records:

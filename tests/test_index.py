@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -16,7 +17,6 @@ from twinenc.index import (
     encode_corpus,
     knn_approx,
     knn_exact,
-    normalize_rows,
 )
 
 
@@ -29,12 +29,27 @@ def _index(rng, n, dim=16):
     return EmbeddingIndex(ids=[f"k{i:04d}" for i in range(n)], vectors=_unit_vectors(rng, n, dim))
 
 
+def _normalize_rows(vectors):
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise ValueError("cannot normalize a zero vector")
+    return vectors / norms
+
+
+def _adjacency(rows, width):
+    """Neighbour lists as an index graph: one int32 row each, padded with -1."""
+    graph = np.full((len(rows), width), -1, dtype=np.int32)
+    for row, nbrs in zip(graph, rows):
+        row[: len(nbrs)] = nbrs
+    return graph
+
+
 def _reachable(index):
     seen = {index.entry_point}
     stack = [index.entry_point]
     while stack:
         node = stack.pop()
-        for v in index.graph[node]:
+        for v in index.neighbours(node):
             if int(v) not in seen:
                 seen.add(int(v))
                 stack.append(int(v))
@@ -65,15 +80,15 @@ class TestEmbeddingIndex:
 
     def test_graph_invariants(self, rng):
         v = _unit_vectors(rng, 3, 8)
-        ok = [np.array([1]), np.array([0, 2]), np.array([], dtype=np.int64)]
-        EmbeddingIndex(ids=list("abc"), vectors=v, graph=ok, entry_point=2)
+        ok = [[1], [0, 2], []]
+        EmbeddingIndex(ids=list("abc"), vectors=v, graph=_adjacency(ok, 2), entry_point=2)
         with pytest.raises(ValueError, match="neighbour lists"):
-            EmbeddingIndex(ids=list("abc"), vectors=v, graph=ok[:2])
-        for bad in (3, -1, 10**6):
+            EmbeddingIndex(ids=list("abc"), vectors=v, graph=_adjacency(ok[:2], 2))
+        for bad in (3, -1, 10**6):  # -1 before a real id is padding out of place
             with pytest.raises(ValueError, match="neighbour ids"):
-                EmbeddingIndex(ids=list("abc"), vectors=v, graph=[np.array([1]), np.array([bad]), ok[2]])
+                EmbeddingIndex(ids=list("abc"), vectors=v, graph=_adjacency([[1], [bad, 0], []], 2))
         with pytest.raises(ValueError, match="entry point"):
-            EmbeddingIndex(ids=list("abc"), vectors=v, graph=ok, entry_point=3)
+            EmbeddingIndex(ids=list("abc"), vectors=v, graph=_adjacency(ok, 2), entry_point=3)
 
     def test_raw_store_not_searchable(self, rng):
         v = rng.standard_normal((4, 8)) * 5
@@ -135,7 +150,7 @@ class TestEncodeCorpusStore:
         stacked = self._stacked(model, batch_size)
         store = encode_corpus(self.KEYWORDS, model, batch_size=batch_size)
         assert store.vectors.dtype == np.float32
-        assert store.vectors.tobytes() == normalize_rows(stacked).astype(np.float32).tobytes()
+        assert store.vectors.tobytes() == _normalize_rows(stacked).astype(np.float32).tobytes()
         raw = encode_corpus(self.KEYWORDS, model, batch_size=batch_size, normalize=False)
         assert raw.metric == METRIC_RAW and raw.vectors.dtype == np.float64
         assert raw.vectors.tobytes() == stacked.astype(np.float64).tobytes()
@@ -212,18 +227,37 @@ class TestKnnExact:
         assert [r.keyword_id for r in knn_exact(q, idx, 4)] == ["best", "t1", "t3", "t5"]
         assert [r.rank for r in knn_exact(q, idx, 4)] == [1, 2, 3, 4]
 
+    def test_near_ties_are_rescored_in_float64(self):
+        # rows nearly orthogonal to q: their scores lie within 1e-7 of 0.0, where the
+        # float32 scan's rounding (about 3e-8) reorders them
+        rng = np.random.default_rng(0)
+        q = rng.standard_normal(64)
+        q /= np.linalg.norm(q)
+        p = rng.standard_normal((200, 64))
+        p -= np.outer(p @ q, q)
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        vectors = (p + rng.uniform(0, 1e-7, (200, 1)) * q).astype(np.float32)
+        ids = [f"k{i:03d}" for i in range(200)]
+        scores = vectors.astype(np.float64) @ q
+        want = sorted(range(200), key=lambda i: (-scores[i], ids[i]))[:5]
+        scan = vectors @ q.astype(np.float32)
+        assert scan[want].min() < np.sort(scan)[-5]  # the float32 top 5 alone would miss one
+        results = knn_exact(q, EmbeddingIndex(ids=ids, vectors=vectors), 5)
+        assert [r.keyword_id for r in results] == [ids[i] for i in want]
+        assert [r.cosine_score for r in results] == pytest.approx(scores[want], abs=1e-15)
+
 
 class TestBuildGraph:
     def test_two_nodes_link_both_ways(self, rng):
         idx = _index(rng, 2)
         build_graph(idx, degree_bound=4, build_beam=8)
-        assert list(idx.graph[0]) == [1]
-        assert list(idx.graph[1]) == [0]
+        assert list(idx.neighbours(0)) == [1]
+        assert list(idx.neighbours(1)) == [0]
 
     def test_degree_bound_respected(self, rng):
         idx = _index(rng, 200)
         build_graph(idx, degree_bound=6, build_beam=24)
-        assert max(len(g) for g in idx.graph) <= 6
+        assert max(len(idx.neighbours(i)) for i in range(len(idx))) <= 6
 
     def test_every_node_reachable(self, rng):
         idx = _index(rng, 300)
@@ -263,12 +297,12 @@ class TestBuildGraph:
         vectors = np.concatenate([np.repeat(_unit_vectors(rng, 10), 20, axis=0), _unit_vectors(rng, 20)])
         idx = build_graph(EmbeddingIndex(ids=[f"k{i:04d}" for i in range(220)], vectors=vectors), 2, 8)
         assert len(_reachable(idx)) == 220
-        assert max(len(g) for g in idx.graph) <= 2
+        assert max(len(idx.neighbours(i)) for i in range(len(idx))) <= 2
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_stores_of_zero_and_one_vectors(self, rng, n):
         idx = build_graph(_index(rng, n), 4, 8)
-        assert [list(g) for g in idx.graph] == [[]] * n
+        assert [list(idx.neighbours(i)) for i in range(n)] == [[]] * n
 
 
 class TestKnnApprox:
@@ -357,7 +391,7 @@ def _joined_index_bytes(index: EmbeddingIndex) -> bytes:
     dtype = "<f8" if index.metric == METRIC_RAW else "<f4"
     chunks.append(np.ascontiguousarray(index.vectors, dtype=dtype).tobytes())
     chunks += [pack_str(kid) for kid in index.ids]
-    for nbrs in index.graph or []:
+    for nbrs in map(index.neighbours, range(len(index)) if index.graph is not None else []):
         chunks += [len(nbrs).to_bytes(4, "little"), np.asarray(nbrs, dtype="<u4").tobytes()]
     return b"".join(chunks)
 
@@ -378,6 +412,20 @@ class TestStreamedSave:
                              metric=METRIC_RAW)
         raw.save(tmp_path / "raw.bin")
         assert (tmp_path / "raw.bin").read_bytes() == _joined_index_bytes(raw)
+
+
+class TestPinnedBytes:
+    def test_graph_index_file_digest(self, tmp_path):
+        # the TWIX v1 bytes of a fixed seeded store: builder and writer changes must keep them
+        rng = np.random.default_rng(20191208)
+        v = rng.standard_normal((2000, 64))
+        v = (v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32)
+        assert hashlib.sha256(v.tobytes()).hexdigest() == (
+            "3348a4c561c52109ea0ada27b66493381ed01d4f47d843e34097b1c90734fc78")
+        idx = build_graph(EmbeddingIndex(ids=[f"k{i:04d}" for i in range(2000)], vectors=v), 16, 64)
+        idx.save(tmp_path / "index.twix")
+        assert hashlib.sha256((tmp_path / "index.twix").read_bytes()).hexdigest() == (
+            "69b8b51730dbfc3ca712893eeadb89c137d2018215e91ab0dfef20f47e2c0a5d")
 
 
 def _payload(data: bytes) -> tuple[int, bytes]:
@@ -415,6 +463,14 @@ class TestMalformedIndexFiles:
             EmbeddingIndex.load(path)
         assert str(path) in str(err.value)
 
+    def test_neighbour_id_reading_as_padding_rejected(self, tmp_path, rng):
+        # 2**32 - 1 is -1 as an int32, the padding value: the row must not just look shorter
+        path, data = self._saved(tmp_path, rng)
+        path.write_bytes(data[:-4] + (2**32 - 1).to_bytes(4, "little"))
+        with pytest.raises(ValueError, match="neighbour ids") as err:
+            EmbeddingIndex.load(path)
+        assert str(path) in str(err.value)
+
     @pytest.mark.parametrize("change", [{"n": -1}, {"n": -2, "dim": -8}, {"n": "20"},
                                         {"entry_point": 20}, {"has_graph": None}])
     def test_bad_header_rejected(self, tmp_path, rng, change):
@@ -439,8 +495,8 @@ class TestMalformedIndexFiles:
 class TestNormalizeRows:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            normalize_rows(np.zeros((2, 4)))
+            _normalize_rows(np.zeros((2, 4)))
 
     def test_unit_output(self, rng):
-        out = normalize_rows(rng.standard_normal((10, 8)))
+        out = _normalize_rows(rng.standard_normal((10, 8)))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)

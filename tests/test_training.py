@@ -204,6 +204,50 @@ class TestPairRecord:
         with pytest.raises(ValueError, match="teacher_logits"):
             PairRecord(query="a", keyword="b", teacher_logits=logits, label="good")
 
+    @pytest.mark.parametrize("field", ["query", "keyword"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_tab_or_line_break_in_text_rejected(self, field, char):
+        texts = {"query": "a", "keyword": "b", field: f"red{char}shoes"}
+        with pytest.raises(ValueError, match=f"^{field} .* holds a tab or a line break"):
+            PairRecord(**texts, label="good")
+
+    def test_writer_refuses_a_query_read_back_as_a_comment(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        records = [PairRecord("a", "#b", label="good"), PairRecord("# c", "d", label="bad")]
+        with pytest.raises(ValueError, match=r"record 1 \('# c', 'd'\): a query starting with '#'"):
+            save_pair_tsv(path, records)
+        assert not path.exists()
+        save_pair_tsv(path, records[:1])  # a leading '#' in the keyword is not at the start of a line
+        assert load_pair_tsv(path) == records[:1]
+
+
+any_text = st.text(st.characters(codec="utf-8"), max_size=12)
+pair_text = any_text | any_text.map("#".__add__) | st.sampled_from(["a\tb", "a\rb", "a\r\nb", "a\u2028b\x85"])
+pair_logits = st.none() | st.tuples(finite_logits, finite_logits) | st.tuples(
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64), finite_logits.map(np.float32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(pair_text, pair_text, pair_logits,
+                          st.none() | st.sampled_from(["bad", "fair", "good", "excellent", "0", "1"])),
+                max_size=4))
+def test_pair_tsv_rejects_or_round_trips(tmp_path_factory, fields):
+    """Arbitrary text and logits are refused when the record is built, naming
+    the field, or by the writer, naming the record; else they load back equal."""
+    records = []
+    for query, keyword, logits, label in fields:
+        try:
+            records.append(PairRecord(query, keyword, teacher_logits=logits, label=label))
+        except ValueError as exc:
+            assert str(exc).startswith(("query ", "keyword ", "teacher_logits ", "a pair record"))
+    path = tmp_path_factory.mktemp("pairs") / "pairs.tsv"
+    try:
+        save_pair_tsv(path, records)
+    except ValueError as exc:
+        assert str(exc).startswith("record ") and any(r.query.startswith("#") for r in records)
+        return
+    assert load_pair_tsv(path) == records
+
 
 def _dense_adamw_reference(opt, params, grads, state):
     """The dense AdamW step every non-table parameter must keep, bit for bit."""
