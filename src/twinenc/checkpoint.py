@@ -51,12 +51,9 @@ class Reader:
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self.path}: {message}")
 
-    def _check_room(self, n: int) -> None:
+    def _advance(self, n: int) -> None:
         if not 0 <= n <= self.size - self.off:
             raise self.error(f"truncated file or bad count: {n} bytes wanted at offset {self.off}")
-
-    def _advance(self, n: int) -> None:
-        self._check_room(n)
         self.off += n
 
     def take(self, n: int) -> bytes:
@@ -82,13 +79,10 @@ class Reader:
             raise self.error(f"invalid UTF-8 string at offset {self.off}: {exc}") from None
 
     def array(self, dtype, count: int) -> np.ndarray:
+        """The next ``count`` items of ``dtype``, read into a new array."""
         dtype = np.dtype(dtype)
-        self._check_room(count * dtype.itemsize)  # before allocating: the count may be garbage
-        return self.read_into(np.empty(count, dtype=dtype))
-
-    def read_into(self, out: np.ndarray) -> np.ndarray:
-        """Fill the C-contiguous array ``out`` from the next ``out.nbytes`` bytes."""
-        self._advance(out.nbytes)
+        self._advance(count * dtype.itemsize)  # before allocating: the count may be garbage
+        out = np.empty(count, dtype=dtype)
         if self.f.readinto(out) != out.nbytes:
             raise self.error(f"file shrank while reading at offset {self.off - out.nbytes}")
         return out

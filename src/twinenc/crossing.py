@@ -9,7 +9,8 @@ layer; it is more expressive but must see both raw embeddings at score time.
 
 Forward functions return logits; backward functions take d(loss)/d(logit)
 and hand back gradients for both embeddings while accumulating head
-parameter gradients.
+parameter gradients. ``head_forward``, ``head_backward`` and ``head_prob``
+dispatch on the head's name.
 """
 
 from __future__ import annotations
@@ -17,6 +18,36 @@ from __future__ import annotations
 import numpy as np
 
 from .encoder import accumulate, gelu, gelu_grad, sigmoid, truncated_normal
+
+
+# head -> the (weight, bias) of its final affine layer, which calibration rescales
+CALIBRATION = {
+    "cosine": ("cosine_head.scale", "cosine_head.bias"),
+    "residual": ("residual_head.w_out", "residual_head.b_out"),
+}
+
+
+def _head_part(head: str, part: str):
+    """``<head>_head_<part>``, looked up as a module global at each call so that
+    a wrapper set on this module's attribute is the one called."""
+    if head not in CALIBRATION:
+        raise ValueError(f"unknown crossing head: {head!r}")
+    return globals()[f"{head}_head_{part}"]
+
+
+def head_forward(head: str, q: np.ndarray, k: np.ndarray, params: dict):
+    """(logits, cache) of the head named ``head``."""
+    return _head_part(head, "forward")(q, k, params)
+
+
+def head_backward(head: str, d_logits: np.ndarray, cache: dict, params: dict, grads: dict):
+    """(dq, dk) of the head named ``head``; accumulates its parameter gradients."""
+    return _head_part(head, "backward")(d_logits, cache, params, grads)
+
+
+def head_prob(head: str, q: np.ndarray, k: np.ndarray, params: dict) -> np.ndarray:
+    """Calibrated relevance probability of the head named ``head``."""
+    return _head_part(head, "prob")(q, k, params)
 
 
 def head_param_shapes(hidden_size: int) -> dict[str, tuple[int, ...]]:

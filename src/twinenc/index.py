@@ -15,6 +15,11 @@ i's neighbours in ascending order, padded with -1 at the end. Search is
 Vamana's greedy search over that array, expanding the ``_WIDTH`` best
 unexpanded candidates per iteration, as DiskANN's beam width does.
 
+A TWIX file holds the store as memory does: after the preamble come the
+vectors, the ids and, when the header's ``degree_bound`` is not null, that
+same int32 array, each row a fixed-width record as in DiskANN. Each array is
+written from its own buffer and read back in one bounds-checked read.
+
 A raw (unnormalized, float64) store variant exists for serving the residual
 head, which needs raw embeddings; it carries no graph.
 """
@@ -28,14 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder
-from .checkpoint import Reader, atomic_write, pack_str, read_preamble, write_preamble
+from .checkpoint import atomic_write, pack_str, read_preamble, write_preamble
 from .model import TwinModel
 from .text import TokenSequence
 
 logger = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"TWIX"
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 METRIC_UNIT = "l2_unit"
 METRIC_RAW = "raw_f64"
@@ -45,7 +50,7 @@ _BLOCK = 16  # rows per V @ V.T product in build_graph; 256 rows cost 11 MB more
 _ALPHA = 1.2  # build_graph's pruning factor; 1.0 cuts recall on stores of duplicates to 0.1-0.3
 _WIDTH = 8  # nodes knn_approx expands per iteration (scripts/beam_sweep.py)
 _HEADER_TYPES = {"n": int, "dim": int, "metric": str, "degree_bound": (int, type(None)),
-                 "build_beam": (int, type(None)), "entry_point": int, "has_graph": bool}
+                 "build_beam": (int, type(None)), "entry_point": int}
 
 
 @dataclass
@@ -72,14 +77,13 @@ class EmbeddingIndex:
     ``metric`` is ``l2_unit`` for the searchable unit-normalized store and
     ``raw_f64`` for the raw-embedding cache (no search, no graph). ``graph``
     is the ``(n, degree_bound)`` int32 adjacency (rows ascending, padded
-    with -1); ``degree_bound`` defaults to its width.
+    with -1).
     """
 
     ids: list[str]
     vectors: np.ndarray
     metric: str = METRIC_UNIT
     graph: np.ndarray | None = None
-    degree_bound: int | None = None
     build_beam: int | None = None
     entry_point: int = 0
     counters: SearchCounters = field(default_factory=SearchCounters)
@@ -107,13 +111,9 @@ class EmbeddingIndex:
 
     def _check_graph(self, n: int) -> None:
         g = self.graph
-        if not isinstance(g, np.ndarray):
-            raise ValueError(f"graph must be an array of {n} neighbour lists, got {type(g).__name__}")
-        if self.degree_bound is None and g.ndim == 2:
-            self.degree_bound = g.shape[1]
-        if g.dtype != np.int32 or g.shape != (n, self.degree_bound):
-            raise ValueError(f"graph must be an int32 array of {n} neighbour lists of width "
-                             f"{self.degree_bound}, got {g.dtype} {g.shape}")
+        if not isinstance(g, np.ndarray) or g.dtype != np.int32 or g.ndim != 2 or len(g) != n:
+            got = f"{g.dtype} {g.shape}" if isinstance(g, np.ndarray) else type(g).__name__
+            raise ValueError(f"graph must be an int32 array of {n} neighbour lists, got {got}")
         real = g >= 0
         if (g >= n).any() or (g < -1).any() or (real[:, 1:] & ~real[:, :-1]).any():
             raise ValueError(f"neighbour ids must lie in [0, {n}), and -1 may only pad a row's end")
@@ -130,12 +130,17 @@ class EmbeddingIndex:
     def dim(self) -> int:
         return int(self.vectors.shape[1])
 
+    @property
+    def degree_bound(self) -> int | None:
+        """The graph's width, or None without a graph."""
+        return None if self.graph is None else self.graph.shape[1]
+
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
         header = {"n": len(self.ids), "dim": self.dim, "metric": self.metric,
                   "degree_bound": self.degree_bound, "build_beam": self.build_beam,
-                  "entry_point": self.entry_point, "has_graph": self.graph is not None}
+                  "entry_point": self.entry_point}
         dtype = "<f8" if self.metric == METRIC_RAW else "<f4"
 
         def chunks():
@@ -143,10 +148,7 @@ class EmbeddingIndex:
             yield np.ascontiguousarray(self.vectors, dtype=dtype)  # the store's own buffer
             yield from (pack_str(kid) for kid in self.ids)
             if self.graph is not None:
-                for node in range(len(self)):
-                    nbrs = self.neighbours(node)
-                    yield len(nbrs).to_bytes(4, "little")
-                    yield nbrs.astype("<u4")
+                yield np.ascontiguousarray(self.graph, dtype="<i4")  # the graph's own buffer
 
         atomic_write(path, chunks())
 
@@ -155,44 +157,24 @@ class EmbeddingIndex:
         with open(path, "rb") as f:
             r, header = read_preamble(f, path, INDEX_MAGIC, INDEX_FORMAT_VERSION, "keyword index")
             for key, types in _HEADER_TYPES.items():
-                if key not in header or not isinstance(header[key], types):
+                # no key is boolean, and a JSON true must not pass as the int 1
+                if key not in header or not isinstance(header[key], types) or isinstance(header[key], bool):
                     raise r.error(f"keyword index header key {key!r} is missing or mistyped")
-            n, dim = header["n"], header["dim"]
-            if n < 0 or dim < 0:
-                raise r.error(f"keyword index header has negative shape n={n}, dim={dim}")
+            n, dim, width = header["n"], header["dim"], header["degree_bound"]
+            if min(n, dim, width or 0) < 0:
+                raise r.error(f"keyword index header has negative shape n={n}, dim={dim}, "
+                              f"degree_bound={width}")
             dtype = "<f8" if header["metric"] == METRIC_RAW else "<f4"
-            vectors = r.array(dtype, n * dim).reshape(n, dim)
+            vectors = r.array(dtype, n * dim)
             ids = [r.string() for _ in range(n)]
-            graph = None
-            if header["has_graph"]:
-                graph = _read_graph(r, n, header["degree_bound"])
+            graph = None if width is None else r.array("<i4", n * width)
             r.finish()
-        try:
-            return cls(ids=ids, vectors=vectors, metric=header["metric"], graph=graph,
-                       degree_bound=header["degree_bound"], build_beam=header["build_beam"],
-                       entry_point=header["entry_point"])
+        try:  # numpy rejects a dim past its maximum even when n is 0
+            return cls(ids=ids, vectors=vectors.reshape(n, dim), metric=header["metric"],
+                       graph=None if graph is None else graph.reshape(n, width),
+                       build_beam=header["build_beam"], entry_point=header["entry_point"])
         except ValueError as exc:
             raise r.error(str(exc)) from None
-
-
-def _read_graph(r: Reader, n: int, width: int | None) -> np.ndarray:
-    """The n length-prefixed u32 rows of a TWIX graph, read into one padded array."""
-    if width is None or width < 0:
-        raise r.error(f"keyword index has a graph but degree_bound is {width}")
-    try:
-        graph = np.full((n, width), -1, dtype="<i4")
-    except (MemoryError, ValueError):
-        raise r.error(f"graph of {n} rows of degree_bound {width} does not fit in memory") from None
-    written = 0
-    for node, row in enumerate(graph):
-        count = r.u32()
-        if count > width:
-            raise r.error(f"graph row {node} holds {count} neighbours, more than degree_bound {width}")
-        r.read_into(row[:count])
-        written += count
-    if np.count_nonzero(graph >= 0) != written:  # a u32 id of 2**31 or more reads as negative
-        raise r.error(f"neighbour ids must lie in [0, {n})")
-    return graph
 
 
 def _row_norms(vectors: np.ndarray) -> np.ndarray:
@@ -335,7 +317,6 @@ def build_graph(index: EmbeddingIndex, degree_bound: int = 16, build_beam: int =
         _connect(vectors, graph, index.entry_point)
     graph.view(np.uint32).sort(axis=1)  # ascending ids; the -1 padding, as uint32, sorts last
     index.graph = graph
-    index.degree_bound = degree_bound
     index.build_beam = build_beam
     return index
 

@@ -145,13 +145,7 @@ class TwinModel:
     def score_embeddings(self, q_emb: np.ndarray, k_emb: np.ndarray,
                          head: str | None = None) -> np.ndarray:
         """Calibrated relevance probability for paired embedding rows."""
-        head = head or self.config.crossing
-        if head == "cosine":
-            probs = crossing.cosine_head_prob(q_emb, k_emb, self.params)
-        elif head == "residual":
-            probs = crossing.residual_head_prob(q_emb, k_emb, self.params)
-        else:
-            raise ValueError(f"unknown crossing head: {head!r}")
+        probs = crossing.head_prob(head or self.config.crossing, q_emb, k_emb, self.params)
         self.counters.crossing_evals += int(np.asarray(probs).size)
         return probs
 

@@ -175,15 +175,6 @@ class TrainingHistory:
     calibration: tuple[float, float] | None = None
 
 
-def _head_forward(head: str, q_emb: np.ndarray, k_emb: np.ndarray, params: dict):
-    """Logits and cache of the crossing head named ``head``."""
-    if head == "cosine":
-        return crossing.cosine_head_forward(q_emb, k_emb, params)
-    if head == "residual":
-        return crossing.residual_head_forward(q_emb, k_emb, params)
-    raise ValueError(f"unknown head: {head!r}")
-
-
 def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str,
                         train: bool = False, rng=None):
     """Mean binary CE of a batch of pairs through both encoders and ``head``,
@@ -192,15 +183,14 @@ def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str,
     kb = pack_sequences(k_seqs)
     q_emb, q_cache = model.encode_query_batch(qb, train=train, rng=rng)
     k_emb, k_cache = model.encode_keyword_batch(kb, train=train, rng=rng)
-    logits, hcache = _head_forward(head, q_emb, k_emb, model.params)
+    logits, hcache = crossing.head_forward(head, q_emb, k_emb, model.params)
     probs = sigmoid(logits)
     n = len(targets)
     loss = ce_loss(targets, probs) / n
 
     grads: dict[str, np.ndarray] = {}
     d_logits = (probs - targets) / n  # fused sigmoid + mean binary CE
-    backward = crossing.cosine_head_backward if head == "cosine" else crossing.residual_head_backward
-    dq, dk = backward(d_logits, hcache, model.params, grads)
+    dq, dk = crossing.head_backward(head, d_logits, hcache, model.params, grads)
     model.backward_query(dq, q_cache, qb, grads)
     model.backward_keyword(dk, k_cache, kb, grads)
     return loss, grads
@@ -354,15 +344,12 @@ def refit_calibration(records: list[PairRecord], model: TwinModel,
         kb = pack_sequences([model.tokenize(r.keyword) for r in chunk])
         q_emb, _ = model.encode_query_batch(qb, cache=False)
         k_emb, _ = model.encode_keyword_batch(kb, cache=False)
-        logits.append(_head_forward(model.config.crossing, q_emb, k_emb, model.params)[0])
+        logits.append(crossing.head_forward(model.config.crossing, q_emb, k_emb, model.params)[0])
     fit = fit_logit_calibration(np.concatenate(logits), labels)
     if fit is None:
         return None
     a, b = fit
-    if model.config.crossing == "cosine":
-        weight, bias = "cosine_head.scale", "cosine_head.bias"
-    else:
-        weight, bias = "residual_head.w_out", "residual_head.b_out"
+    weight, bias = crossing.CALIBRATION[model.config.crossing]
     model.params[weight] = np.asarray(a * model.params[weight])
     model.params[bias] = np.asarray(a * model.params[bias] + b)
     return fit

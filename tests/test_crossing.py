@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from twinenc import crossing
 from twinenc.crossing import (
     cosine,
     cosine_head_prob,
@@ -139,6 +140,32 @@ def cosine_to_euclidean_check(q: np.ndarray, k: np.ndarray) -> float:
             raise ValueError(f"{name} is not unit-norm (|{name}| = {norm!r})")
     d = q - k
     return float(d @ d)
+
+
+class TestHeadDispatch:
+    @pytest.mark.parametrize("head", ["cosine", "residual"])
+    def test_dispatch_matches_the_named_head(self, head, head_params, rng):
+        q, k = rng.standard_normal((2, 5, 8))
+        logits, cache = crossing.head_forward(head, q, k, head_params)
+        want, _ = getattr(crossing, f"{head}_head_forward")(q, k, head_params)
+        np.testing.assert_array_equal(logits, want)
+        np.testing.assert_array_equal(crossing.head_prob(head, q, k, head_params), sigmoid(want))
+        grads, want_grads = {}, {}
+        dq, dk = crossing.head_backward(head, np.ones(5), cache, head_params, grads)
+        want_dq, want_dk = getattr(crossing, f"{head}_head_backward")(np.ones(5), cache, head_params, want_grads)
+        np.testing.assert_array_equal(dq, want_dq)
+        np.testing.assert_array_equal(dk, want_dk)
+        assert set(grads) == set(want_grads) >= set(crossing.CALIBRATION[head])
+
+    def test_unknown_head_rejected(self, head_params):
+        for call in (crossing.head_forward, crossing.head_prob):
+            with pytest.raises(ValueError, match="unknown crossing head: 'cross'"):
+                call("cross", np.ones(8), np.ones(8), head_params)
+
+    def test_head_resolved_at_call_time(self, head_params, monkeypatch):
+        # a wrapper set on the module attribute, as a tracer does, is the one called
+        monkeypatch.setattr(crossing, "cosine_head_prob", lambda q, k, params: "wrapped")
+        assert crossing.head_prob("cosine", np.ones(8), np.ones(8), head_params) == "wrapped"
 
 
 class TestCosineEuclideanDuality:

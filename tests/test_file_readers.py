@@ -9,8 +9,8 @@ by propagating.
 Text files (pair TSV, scored table, corpus, queries, JSON config) must name
 the path and the line of an invalid UTF-8 byte, and each CLI command that
 reads one exits 1 with the file named on stderr and no traceback. So does
-``search`` on a graph index with a row longer than its degree bound, a
-graph but no degree bound, or a neighbour id past the last keyword. A bad
+``search`` on a graph index with a truncated graph block, a negative degree
+bound, or a neighbour id past the last keyword. A bad
 ``gen-synthetic`` argument exits the same way, naming the argument.
 """
 
@@ -153,14 +153,15 @@ def served(tmp_path_factory, tiny_model):
 
 
 def _graph_index(rows, **header_changes) -> bytes:
-    """A three-keyword graph index file (degree bound 2) holding ``rows``."""
+    """A three-keyword graph index file (degree bound 2) holding ``rows``, padded with -1."""
     header = {"n": 3, "dim": 4, "metric": "l2_unit", "degree_bound": 2, "build_beam": 8,
-              "entry_point": 0, "has_graph": True, **header_changes}
+              "entry_point": 0, **header_changes}
+    graph = np.full((3, 2), -1, dtype="<i4")
+    for row, nbrs in zip(graph, rows):
+        row[: len(nbrs)] = nbrs
     chunks = [*write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header), np.eye(3, 4, dtype="<f4").tobytes()]
     chunks += [pack_str(f"k{i}") for i in range(3)]
-    for row in rows:
-        chunks += [len(row).to_bytes(4, "little"), np.asarray(row, dtype="<u4").tobytes()]
-    return b"".join(chunks)
+    return b"".join(chunks) + graph.tobytes()
 
 
 SEARCH_BAD_INDEX = ["search", "--checkpoint", "SERVED/model.ckpt", "--index", "BAD", "--mode", "approx",
@@ -200,10 +201,10 @@ CLI_CASES = {
     "config_preset": (json.dumps({"preset": "huge"}).encode(),
                       ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
                       "BAD: 'preset' must be one of"),
-    "index_graph_row_too_long": (_graph_index([[1], [0, 1, 2], [1]]), SEARCH_BAD_INDEX,
-                                 "BAD: graph row 1 holds 3 neighbours, more than degree_bound 2"),
-    "index_graph_without_degree_bound": (_graph_index([[1], [0, 2], [1]], degree_bound=None), SEARCH_BAD_INDEX,
-                                         "BAD: keyword index has a graph but degree_bound is None"),
+    "index_truncated_graph_block": (_graph_index([[1], [0, 2], [1]])[:-4], SEARCH_BAD_INDEX,
+                                    "BAD: truncated file or bad count: 24 bytes wanted"),
+    "index_negative_degree_bound": (_graph_index([[1], [0, 2], [1]], degree_bound=-1), SEARCH_BAD_INDEX,
+                                    "BAD: keyword index header has negative shape n=3, dim=4, degree_bound=-1"),
     "index_neighbour_id_past_n": (_graph_index([[1], [0, 3], [1]]), SEARCH_BAD_INDEX,
                                   "BAD: neighbour ids must lie in [0, 3)"),
     # bad arguments read no file and must name the argument instead

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,15 @@ class TestPersistence:
         after = [(r.keyword_id, r.cosine_score) for r in knn_exact(q, loaded, 10)]
         assert before == after
 
+    @pytest.mark.parametrize("rows", [[[1], [0, 2], []], None], ids=["short_rows", "no_graph"])
+    def test_graph_round_trip(self, tmp_path, rng, rows):
+        graph = None if rows is None else _adjacency(rows, 3)
+        idx = EmbeddingIndex(ids=list("abc"), vectors=_unit_vectors(rng, 3, 8), graph=graph)
+        idx.save(tmp_path / "index.bin")
+        loaded = EmbeddingIndex.load(tmp_path / "index.bin")
+        assert loaded.degree_bound == idx.degree_bound
+        assert (loaded.graph is None) if rows is None else np.array_equal(loaded.graph, graph)
+
     def test_raw_store_round_trip(self, tmp_path, rng):
         raw = EmbeddingIndex(ids=list("abc"), vectors=rng.standard_normal((3, 8)), metric=METRIC_RAW)
         path = tmp_path / "raw.bin"
@@ -383,16 +393,16 @@ class TestPersistence:
 
 
 def _joined_index_bytes(index: EmbeddingIndex) -> bytes:
-    """TWIX v1 serialized as one joined byte string (the reference layout)."""
+    """TWIX v2 serialized as one joined byte string (the reference layout)."""
     header = {"n": len(index.ids), "dim": index.dim, "metric": index.metric,
               "degree_bound": index.degree_bound, "build_beam": index.build_beam,
-              "entry_point": index.entry_point, "has_graph": index.graph is not None}
+              "entry_point": index.entry_point}
     chunks = write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header)
     dtype = "<f8" if index.metric == METRIC_RAW else "<f4"
     chunks.append(np.ascontiguousarray(index.vectors, dtype=dtype).tobytes())
     chunks += [pack_str(kid) for kid in index.ids]
-    for nbrs in map(index.neighbours, range(len(index)) if index.graph is not None else []):
-        chunks += [len(nbrs).to_bytes(4, "little"), np.asarray(nbrs, dtype="<u4").tobytes()]
+    if index.graph is not None:
+        chunks.append(np.asarray(index.graph, dtype="<i4").tobytes())
     return b"".join(chunks)
 
 
@@ -416,16 +426,18 @@ class TestStreamedSave:
 
 class TestPinnedBytes:
     def test_graph_index_file_digest(self, tmp_path):
-        # the TWIX v1 bytes of a fixed seeded store: builder and writer changes must keep them
+        # the TWIX v2 bytes of a fixed seeded store: builder and writer changes must keep them
         rng = np.random.default_rng(20191208)
         v = rng.standard_normal((2000, 64))
         v = (v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32)
         assert hashlib.sha256(v.tobytes()).hexdigest() == (
             "3348a4c561c52109ea0ada27b66493381ed01d4f47d843e34097b1c90734fc78")
         idx = build_graph(EmbeddingIndex(ids=[f"k{i:04d}" for i in range(2000)], vectors=v), 16, 64)
+        assert hashlib.sha256(idx.graph.astype("<i4").tobytes()).hexdigest() == (
+            "419cfe7d6c3083ff9f151f4c6da88569e5cfc4b7308d4542211a773055c9b2a7")
         idx.save(tmp_path / "index.twix")
         assert hashlib.sha256((tmp_path / "index.twix").read_bytes()).hexdigest() == (
-            "69b8b51730dbfc3ca712893eeadb89c137d2018215e91ab0dfef20f47e2c0a5d")
+            "fac3f9b35ca8745d346e54338fea938156553df055058ec84c25d9da0af01c54")
 
 
 def _payload(data: bytes) -> tuple[int, bytes]:
@@ -464,21 +476,51 @@ class TestMalformedIndexFiles:
         assert str(path) in str(err.value)
 
     def test_neighbour_id_reading_as_padding_rejected(self, tmp_path, rng):
-        # 2**32 - 1 is -1 as an int32, the padding value: the row must not just look shorter
+        # -1 before a real id: padding out of place must not just make the row look shorter
         path, data = self._saved(tmp_path, rng)
-        path.write_bytes(data[:-4] + (2**32 - 1).to_bytes(4, "little"))
+        graph = np.frombuffer(data[-20 * 4 * 4 :], dtype="<i4").reshape(20, 4).copy()
+        graph[np.flatnonzero(graph[:, 1] >= 0)[0], 0] = -1
+        path.write_bytes(data[: -graph.nbytes] + graph.tobytes())
         with pytest.raises(ValueError, match="neighbour ids") as err:
             EmbeddingIndex.load(path)
         assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("change", [{"n": -1}, {"n": -2, "dim": -8}, {"n": "20"},
-                                        {"entry_point": 20}, {"has_graph": None}])
+                                        {"entry_point": 20}, {"degree_bound": "16"},
+                                        {"degree_bound": True}, {"n": True}])
     def test_bad_header_rejected(self, tmp_path, rng, change):
         path, data = self._saved(tmp_path, rng)
         start, header = _payload(data)
         bad = {**json.loads(header), **change}
         path.write_bytes(b"".join(write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, bad)) + data[start:])
         with pytest.raises(ValueError) as err:
+            EmbeddingIndex.load(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("n, width, message", [(3, 10**6, "truncated file"),
+                                                   (0, 2**63, "dimension")])
+    def test_huge_degree_bound_fails_before_allocating(self, tmp_path, n, width, message):
+        # the graph block is read in one bounds-checked read, so the file size bounds the allocation
+        header = {"n": n, "dim": 4, "metric": METRIC_UNIT, "degree_bound": width, "build_beam": 8,
+                  "entry_point": 0}
+        path = tmp_path / "huge.twix"
+        path.write_bytes(b"".join([*write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header),
+                                   np.eye(n, 4, dtype="<f4").tobytes(), *(pack_str(f"k{i}") for i in range(n)),
+                                   np.full((n, 2), -1, dtype="<i4").tobytes()]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message) as err:
+                EmbeddingIndex.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(err.value)
+        assert peak < 1 << 20
+
+    def test_version_1_file_rejected(self, tmp_path, rng):
+        path, data = self._saved(tmp_path, rng)
+        path.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])
+        with pytest.raises(ValueError, match="unsupported keyword index format version 1") as err:
             EmbeddingIndex.load(path)
         assert str(path) in str(err.value)
 
