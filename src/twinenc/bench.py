@@ -25,6 +25,7 @@ import numpy as np
 from . import crossing
 from .config import ModelConfig
 from .encoder import (
+    cast_params,
     encoder_forward,
     init_encoder_params,
     pack_sequences,
@@ -128,29 +129,23 @@ def _bench_texts(scenario: LatencyScenario, seed: int):
 
 
 def _prepare(scenario: LatencyScenario, model: TwinModel, warmup: int, seed: int, dtype,
-             texts: tuple[list[str], list[list[str]]] | None):
+             texts: tuple[list[str], list[list[str]]]):
     """Tokenize, pack, (when cached) pre-encode and warm up one scenario.
 
-    Returns ``(run_query, n_queries, tokenize_ms, counters)``; ``run_query(qi)``
-    serves query ``qi`` and is the only work inside the timed region.
+    ``texts`` are ``_bench_texts`` of a scenario with the same queries and at
+    least as many keywords per query. Returns ``(run_query, tokenize_ms,
+    counters)``; ``run_query(qi)`` serves query ``qi`` and is the only work
+    inside the timed region.
     """
-    if texts is None:
-        queries, keyword_sets = _bench_texts(scenario, seed)
-    else:
-        queries = texts[0][: scenario.n_queries]
-        keyword_sets = [kws[: scenario.n_keywords_per_query] for kws in texts[1][: scenario.n_queries]]
-        if len(queries) < scenario.n_queries or any(
-            len(kws) < scenario.n_keywords_per_query for kws in keyword_sets
-        ):
-            raise ValueError("provided texts are smaller than the scenario demands")
+    queries = texts[0]
+    keyword_sets = [kws[: scenario.n_keywords_per_query] for kws in texts[1]]
     run_model = model.cast(dtype)  # its own counters count only this scenario
     counters = run_model.counters
 
     cross_config = cross_params = None
     if scenario.model_mode == "cross_encoder":
         cross_config, cross_params = make_cross_encoder(model.config, seed)
-        if dtype is not None:
-            cross_params = {k: np.asarray(v, dtype=dtype) for k, v in cross_params.items()}
+        cross_params = cast_params(cross_params, dtype)
 
     t0 = time.perf_counter()
     if scenario.model_mode == "cross_encoder":
@@ -196,11 +191,11 @@ def _prepare(scenario: LatencyScenario, model: TwinModel, warmup: int, seed: int
     for qi in range(min(warmup, len(queries))):
         run_query(qi)
     counters.reset()
-    return run_query, len(queries), tokenize_ms, counters
+    return run_query, tokenize_ms, counters
 
 
 def _run_round_robin(scenarios: list[LatencyScenario], repetitions: int, model: TwinModel,
-                     warmup: int, seed: int, dtype, texts=None) -> list[TimingReport]:
+                     warmup: int, seed: int, dtype, texts) -> list[TimingReport]:
     """Time every scenario, one pass over each per repetition, in turn.
 
     Interleaving the passes makes a change in host speed during the run
@@ -213,8 +208,8 @@ def _run_round_robin(scenarios: list[LatencyScenario], repetitions: int, model: 
     gc.disable()
     try:
         for _ in range(repetitions):
-            for (run_query, n_queries, _, _), times in zip(points, times_ms):
-                for qi in range(n_queries):
+            for sc, (run_query, _, _), times in zip(scenarios, points, times_ms):
+                for qi in range(sc.n_queries):
                     t = time.perf_counter()
                     run_query(qi)
                     times.append((time.perf_counter() - t) * 1e3)
@@ -223,7 +218,7 @@ def _run_round_robin(scenarios: list[LatencyScenario], repetitions: int, model: 
             gc.enable()
 
     reports = []
-    for sc, (_, _, tokenize_ms, counters), times in zip(scenarios, points, times_ms):
+    for sc, (_, tokenize_ms, counters), times in zip(scenarios, points, times_ms):
         arr = np.asarray(times)
         reports.append(TimingReport(
             scenario=sc,
@@ -246,7 +241,8 @@ def bench(
     dtype=np.float32,
 ) -> TimingReport:
     """Run one latency scenario and return per-query timing plus counters."""
-    return _run_round_robin([scenario], scenario.repetitions, model, warmup, seed, dtype)[0]
+    return _run_round_robin([scenario], scenario.repetitions, model, warmup, seed, dtype,
+                            _bench_texts(scenario, seed))[0]
 
 
 def complexity_fit(grid: list[tuple[int, float]]) -> ComplexityFit:

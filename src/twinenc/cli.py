@@ -4,14 +4,19 @@ Subcommands: distill, finetune, encode-corpus, build-index, search, score,
 eval-auc, eval-ndcg, bench, gen-synthetic. Every command is deterministic
 given its seed and inputs. Settings resolve in three layers: built-in
 defaults, then command-line flags, then the JSON config file (the file has
-the last word); the resolved configuration is echoed to stderr and recorded
-in each output's manifest.
+the last word). Only gen-synthetic, distill, finetune and bench read
+settings, so only they take ``--config`` and ``--seed``.
+
+Data goes to stdout or to files; diagnostics (the resolved configuration,
+status lines, warnings and errors) go through ``logging`` to stderr.
+``--quiet``, on every command, shows warnings and errors only.
 
 Pair data is TSV everywhere; checkpoints and indices are binary. Text is
 read and written through ``textio``, so malformed text fails naming its
 ``path:line``. File outputs get a ``<path>.manifest.json`` sidecar, and TSV
-outputs carry a leading ``# manifest: ...`` comment with the config hash,
-checkpoint hash, and format version.
+outputs carry a leading ``# manifest: ...`` comment with the config hash and
+checkpoint hash. The manifest of a binary output also carries the format
+version of the file it describes.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -38,9 +44,12 @@ from .training import distill_train, finetune, load_pair_tsv, save_pair_tsv
 
 PRESETS = ("desk", "large")
 
+# not __name__: under ``python -m twinenc.cli`` that is ``__main__``, outside the package logger
+logger = logging.getLogger("twinenc.cli")
+
 
 class CliError(Exception):
-    """User-facing command failure; message printed to stderr, exit 1."""
+    """User-facing command failure; message logged as an error, exit 1."""
 
 
 def _require_file(path: str) -> Path:
@@ -100,12 +109,6 @@ def _add_distill_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--finetune-epochs", type=int, default=None)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="JSON config file; overrides flags")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--quiet", action="store_true", help="suppress the config echo")
-
-
 def _config_kwargs(cls, args, file_section: dict) -> dict:
     """Fields of config class ``cls``: the flags given in ``args``, then the file's section."""
     kwargs = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
@@ -131,9 +134,8 @@ def _resolve(args, file_cfg: dict) -> dict:
     }
 
 
-def _echo(args, resolved: dict) -> None:
-    if not getattr(args, "quiet", False):
-        print(f"resolved config: {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
+def _echo(resolved: dict) -> None:
+    logger.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
 
 
 def _build_model(resolved: dict) -> TwinModel:
@@ -146,7 +148,6 @@ def _build_model(resolved: dict) -> TwinModel:
 def _manifest(command: str, resolved: dict, **extra) -> dict:
     payload = {
         "command": command,
-        "format_version": FORMAT_VERSION,
         "config": resolved,
         "config_sha256": config_hash(resolved),
     }
@@ -182,40 +183,34 @@ def cmd_gen_synthetic(args) -> int:
     save_pair_tsv(out_dir / "test.tsv", test, manifest=manifest)
 
     keywords = list(dict.fromkeys(p.keyword for p in pairs))
-    width = max(6, len(str(len(keywords))))
     _emit(out_dir / "corpus.tsv",
-          [("id", "keyword"), *((f"k{i:0{width}d}", kw) for i, kw in enumerate(keywords))],
-          manifest)
+          [("id", "keyword"), *zip(textio.keyword_ids(len(keywords)), keywords)], manifest)
 
     queries = list(dict.fromkeys(p.query for p in test))
     textio.write_tsv(out_dir / "queries.txt", ([q] for q in queries))
-    print(
-        f"wrote {len(train)} train / {len(test)} test pairs, "
-        f"{len(keywords)} corpus keywords, {len(queries)} queries to {out_dir}",
-        file=sys.stderr,
-    )
+    logger.info("wrote %d train / %d test pairs, %d corpus keywords, %d queries to %s",
+                len(train), len(test), len(keywords), len(queries), out_dir)
     return 0
 
 
 def cmd_distill(args) -> int:
     file_cfg = _load_config_file(args.config)
     resolved = _resolve(args, file_cfg)
-    _echo(args, resolved)
+    _echo(resolved)
     records = load_pair_tsv(_require_file(args.data))
     model = _build_model(resolved)
     dconfig = DistillationConfig.from_dict(resolved["distill"])
     t0 = time.perf_counter()
-    history = distill_train(records, dconfig, model, seed=resolved["seed"],
-                            log=None if args.quiet else lambda m: print(m, file=sys.stderr))
+    history = distill_train(records, dconfig, model, seed=resolved["seed"])
     model.save(args.out)
     textio.write_manifest(args.out, _manifest(
-        "distill", resolved,
+        "distill", resolved, format_version=FORMAT_VERSION,
         checkpoint_sha256=file_sha256(args.out),
         data=str(args.data), records=len(records),
         seed=resolved["seed"], epoch_losses=history.epoch_losses,
         steps=history.steps, wall_seconds=time.perf_counter() - t0,
     ))
-    print(f"wrote checkpoint {args.out}", file=sys.stderr)
+    logger.info("wrote checkpoint %s", args.out)
     return 0
 
 
@@ -225,14 +220,13 @@ def cmd_finetune(args) -> int:
     model = TwinModel.load(_require_file(args.checkpoint))
     resolved = _resolve(args, file_cfg)
     resolved["model"] = model.config.to_dict()  # architecture comes from the checkpoint
-    _echo(args, resolved)
+    _echo(resolved)
     dconfig = DistillationConfig.from_dict(resolved["distill"])
     t0 = time.perf_counter()
-    history = finetune(records, dconfig, model, seed=resolved["seed"],
-                       log=None if args.quiet else lambda m: print(m, file=sys.stderr))
+    history = finetune(records, dconfig, model, seed=resolved["seed"])
     model.save(args.out)
     textio.write_manifest(args.out, _manifest(
-        "finetune", resolved,
+        "finetune", resolved, format_version=FORMAT_VERSION,
         checkpoint_sha256=file_sha256(args.out),
         source_checkpoint=str(args.checkpoint),
         finetune_learning_rate=dconfig.finetune_learning_rate,
@@ -242,7 +236,7 @@ def cmd_finetune(args) -> int:
         seed=resolved["seed"], epoch_losses=history.epoch_losses,
         steps=history.steps, wall_seconds=time.perf_counter() - t0,
     ))
-    print(f"wrote checkpoint {args.out}", file=sys.stderr)
+    logger.info("wrote checkpoint %s", args.out)
     return 0
 
 
@@ -254,12 +248,12 @@ def cmd_encode_corpus(args) -> int:
     store.save(args.out)
     resolved = {"model": model.config.to_dict(), "raw": bool(args.raw)}
     textio.write_manifest(args.out, _manifest(
-        "encode-corpus", resolved,
+        "encode-corpus", resolved, format_version=index_mod.INDEX_FORMAT_VERSION,
         checkpoint_sha256=file_sha256(args.checkpoint),
         index_sha256=file_sha256(args.out),
         corpus=str(args.corpus), keywords=len(store),
     ))
-    print(f"encoded {len(store)} keywords into {args.out}", file=sys.stderr)
+    logger.info("encoded %d keywords into %s", len(store), args.out)
     return 0
 
 
@@ -271,11 +265,11 @@ def cmd_build_index(args) -> int:
     store.save(args.out)
     resolved = {"degree_bound": args.degree, "build_beam": args.build_beam}
     textio.write_manifest(args.out, _manifest(
-        "build-index", resolved,
+        "build-index", resolved, format_version=index_mod.INDEX_FORMAT_VERSION,
         index_sha256=file_sha256(args.out),
         embeddings=str(args.embeddings), keywords=len(store),
     ))
-    print(f"built graph index over {len(store)} keywords into {args.out}", file=sys.stderr)
+    logger.info("built graph index over %d keywords into %s", len(store), args.out)
     return 0
 
 
@@ -294,7 +288,7 @@ def cmd_search(args) -> int:
         yield "query", "rank", "keyword_id", "cosine_score"
         for query in queries:
             if not normalize(query):
-                print(f"skipping unencodable query: {query!r}", file=sys.stderr)
+                logger.warning("skipping unencodable query: %r", query)
                 continue
             q_emb = model.encode_queries([query])[0]
             q_unit = q_emb / np.linalg.norm(q_emb)
@@ -373,7 +367,7 @@ def cmd_eval_ndcg(args) -> int:
 def cmd_bench(args) -> int:
     file_cfg = _load_config_file(args.config)
     resolved = _resolve(args, file_cfg)
-    _echo(args, resolved)
+    _echo(resolved)
     if args.checkpoint:
         model = TwinModel.load(_require_file(args.checkpoint))
     else:
@@ -428,9 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Twin-encoder retrieval: distillation training, indexing, search, benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--quiet", action="store_true", help="show warnings and errors only")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--config", default=None, help="JSON config file; overrides flags")
+    seeded.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("gen-synthetic", help="generate a synthetic labeled corpus")
-    _add_common_flags(p)
+    p = sub.add_parser("gen-synthetic", parents=[seeded], help="generate a synthetic labeled corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pairs", type=int, default=5000)
     p.add_argument("--queries", type=int, default=500)
@@ -438,24 +436,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", type=float, default=0.2)
     p.set_defaults(func=cmd_gen_synthetic)
 
-    p = sub.add_parser("distill", help="train a student model from teacher logits")
-    _add_common_flags(p)
+    p = sub.add_parser("distill", parents=[seeded], help="train a student model from teacher logits")
     _add_model_flags(p)
     _add_distill_flags(p)
     p.add_argument("--data", required=True, help="pair TSV with teacher logits")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("finetune", help="fine-tune a distilled model on hard labels")
-    _add_common_flags(p)
+    p = sub.add_parser("finetune", parents=[seeded], help="fine-tune a distilled model on hard labels")
     _add_distill_flags(p)
     p.add_argument("--data", required=True, help="pair TSV with labels")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("encode-corpus", help="encode keywords into an embedding store")
-    _add_common_flags(p)
+    p = sub.add_parser("encode-corpus", parents=[common],
+                       help="encode keywords into an embedding store")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True, help="TSV id<TAB>keyword, or one keyword per line")
     p.add_argument("--out", required=True)
@@ -464,16 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="store raw float64 embeddings (residual-head serving cache)")
     p.set_defaults(func=cmd_encode_corpus)
 
-    p = sub.add_parser("build-index", help="attach a proximity graph to an embedding store")
-    _add_common_flags(p)
+    p = sub.add_parser("build-index", parents=[common],
+                       help="attach a proximity graph to an embedding store")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--degree", type=int, default=16)
     p.add_argument("--build-beam", type=int, default=64, help="exact candidates per node")
     p.set_defaults(func=cmd_build_index)
 
-    p = sub.add_parser("search", help="retrieve nearest keywords for queries")
-    _add_common_flags(p)
+    p = sub.add_parser("search", parents=[common], help="retrieve nearest keywords for queries")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True, help="query file, or - for stdin")
@@ -483,8 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("score", help="score explicit (query, keyword) pairs")
-    _add_common_flags(p)
+    p = sub.add_parser("score", parents=[common], help="score explicit (query, keyword) pairs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pairs", required=True, help="TSV with query and keyword columns")
     p.add_argument("--head", choices=CROSSING_MODES, default=None,
@@ -492,16 +486,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("eval-auc", help="ROC-AUC of a scored TSV")
-    _add_common_flags(p)
+    p = sub.add_parser("eval-auc", parents=[common], help="ROC-AUC of a scored TSV")
     p.add_argument("--scored", required=True)
     p.add_argument("--score-col", default="prob")
     p.add_argument("--label-col", default="label")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval_auc)
 
-    p = sub.add_parser("eval-ndcg", help="graded nDCG of a scored TSV, per position")
-    _add_common_flags(p)
+    p = sub.add_parser("eval-ndcg", parents=[common],
+                       help="graded nDCG of a scored TSV, per position")
     p.add_argument("--scored", required=True)
     p.add_argument("--query-col", default="query")
     p.add_argument("--label-col", default="label")
@@ -511,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval_ndcg)
 
-    p = sub.add_parser("bench", help="latency scenarios and complexity fits")
-    _add_common_flags(p)
+    p = sub.add_parser("bench", parents=[seeded], help="latency scenarios and complexity fits")
     _add_model_flags(p)
     p.add_argument("--checkpoint", default=None,
                    help="model to time (default: randomly initialized from flags)")
@@ -531,16 +523,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # one handler per call, on the stream of this call: repeated in-process
+    # calls neither repeat lines nor write to a stream that has been replaced
+    package = logging.getLogger("twinenc")
+    handler, level = logging.StreamHandler(sys.stderr), package.level
+    package.addHandler(handler)
+    package.setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, OSError) as exc:
+        logger.error("error: %s", exc)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -153,15 +153,6 @@ def sum_rows(rows: np.ndarray, values: np.ndarray) -> RowGrad:
     return RowGrad(rows[starts], np.add.reduceat(values[order], starts, axis=0))
 
 
-def densify(g, shape) -> np.ndarray:
-    """A gradient as a dense array of ``shape``."""
-    if not isinstance(g, RowGrad):
-        return np.asarray(g)
-    out = np.zeros(shape, dtype=g.values.dtype)
-    out[g.rows] = g.values
-    return out
-
-
 def accumulate(grads: dict, name: str, g) -> None:
     if name not in grads:
         grads[name] = g

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import encoder
+from . import encoder, textio
 from .checkpoint import atomic_write, pack_str, read_preamble, write_preamble
 from .model import TwinModel
 from .text import TokenSequence
@@ -200,8 +200,7 @@ def encode_corpus(
     """
     keywords = list(keywords)
     if ids is None:
-        width = max(6, len(str(max(len(keywords) - 1, 0))))
-        ids = [f"k{i:0{width}d}" for i in range(len(keywords))]
+        ids = textio.keyword_ids(len(keywords))
     if len(ids) != len(keywords):
         raise ValueError("ids and keywords must align")
     kept_ids: list[str] = []

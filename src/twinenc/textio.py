@@ -90,25 +90,31 @@ def read_table(path: str | Path, last_optional: bool | str = False) -> Table:
     return table
 
 
+def keyword_ids(n: int) -> list[str]:
+    """Ids ``k000000``, ``k000001``, ... of ``n`` keywords in order: at least six
+    digits, and as many as the last id needs, so all ``n`` have one width."""
+    width = max(6, len(str(n - 1)))
+    return [f"k{i:0{width}d}" for i in range(n)]
+
+
 def read_corpus(path: str | Path) -> tuple[list[str], list[str]]:
     """Keyword ids and texts: ``id<TAB>keyword`` rows (header optional) or bare
-    lines, which get ids ``k000000``, ``k000001``, ... in order."""
-    ids: list[str] = []
+    lines, which get the ids of ``keyword_ids`` in order."""
+    ids: list[str | None] = []
     texts: list[str] = []
-    auto = 0
     for _, line in lines(path):
         if "\t" in line:
             kid, text = line.split("\t", 1)
             if (kid, text) == ("id", "keyword"):
                 continue
         else:
-            kid, text = f"k{auto:06d}", line
-            auto += 1
+            kid, text = None, line
         ids.append(kid)
         texts.append(text)
     if not texts:
         raise ValueError(f"{path}: corpus contains no keywords")
-    return ids, texts
+    auto = iter(keyword_ids(ids.count(None)))
+    return [next(auto) if kid is None else kid for kid in ids], texts
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:

@@ -9,6 +9,7 @@ the same cross-entropy loss with those targets.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from numbers import Real
@@ -21,6 +22,8 @@ from .config import DistillationConfig
 from .encoder import RowGrad, pack_sequences, sigmoid
 from .metrics import binary_label
 from .model import TwinModel
+
+logger = logging.getLogger(__name__)
 
 _CE_EPS = 1e-12
 
@@ -205,8 +208,7 @@ def _pair_batch_step(model: TwinModel, q_seqs, k_seqs, targets, optimizer, train
 
 
 def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray,
-                lr: float, epochs: int, config: DistillationConfig, seed: int,
-                log=None) -> TrainingHistory:
+                lr: float, epochs: int, config: DistillationConfig, seed: int) -> TrainingHistory:
     history = TrainingHistory()
     if epochs == 0:
         return history
@@ -241,13 +243,12 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
             history.steps += 1
         epoch_loss = float(np.sum(losses) / n)
         history.epoch_losses.append(epoch_loss)
-        if log is not None:
-            log(f"epoch {epoch + 1}/{epochs}  mean loss {epoch_loss:.6f}")
+        logger.info("epoch %d/%d  mean loss %.6f", epoch + 1, epochs, epoch_loss)
     return history
 
 
 def distill_train(records: list[PairRecord], config: DistillationConfig,
-                  model: TwinModel, seed: int = 0, log=None) -> TrainingHistory:
+                  model: TwinModel, seed: int = 0) -> TrainingHistory:
     """Train the student against temperature-softened teacher targets.
 
     Every record must carry teacher logits. The per-epoch loss recorded in
@@ -263,7 +264,7 @@ def distill_train(records: list[PairRecord], config: DistillationConfig,
         [soft_label(r.teacher_logits, config.temperature)[1] for r in records]
     )
     return _run_epochs(model, records, targets, config.learning_rate,
-                       config.epochs, config, seed, log)
+                       config.epochs, config, seed)
 
 
 def fit_logit_calibration(logits, labels) -> tuple[float, float] | None:
@@ -356,7 +357,7 @@ def refit_calibration(records: list[PairRecord], model: TwinModel,
 
 
 def finetune(records: list[PairRecord], config: DistillationConfig,
-             model: TwinModel, seed: int = 0, log=None) -> TrainingHistory:
+             model: TwinModel, seed: int = 0) -> TrainingHistory:
     """Post-distillation round on hard binary labels at a reduced rate.
 
     A student distilled on targets softened at temperature T emits logits
@@ -368,7 +369,7 @@ def finetune(records: list[PairRecord], config: DistillationConfig,
     unevenly per query, and held-out AUC fell (0.9745 -> 0.9707). So when
     ``finetune_epochs > 0`` the calibration is first refitted and folded
     into the head (``refit_calibration``, which changes no ranking), and
-    then the epochs run. The fitted (a, b) go to ``log`` and to
+    then the epochs run. The fitted (a, b) are logged and go to
     ``history.calibration``, which is None when the refit is skipped for
     want of a finite optimum with a > 0. With zero epochs the model is left
     bit-identical.
@@ -379,13 +380,12 @@ def finetune(records: list[PairRecord], config: DistillationConfig,
     calibration = None
     if config.finetune_epochs > 0:
         calibration = refit_calibration(records, model, config.batch_size)
-        if log is not None:
-            if calibration is None:
-                log("calibration refit skipped: no finite optimum with a > 0")
-            else:
-                log(f"calibration refit  a {calibration[0]:.6f}  b {calibration[1]:+.6f}")
+        if calibration is None:
+            logger.info("calibration refit skipped: no finite optimum with a > 0")
+        else:
+            logger.info("calibration refit  a %.6f  b %+.6f", *calibration)
     history = _run_epochs(model, records, targets, config.finetune_learning_rate,
-                          config.finetune_epochs, config, seed + 1, log)
+                          config.finetune_epochs, config, seed + 1)
     history.calibration = calibration
     return history
 

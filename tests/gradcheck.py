@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from twinenc.encoder import densify
+from twinenc.encoder import RowGrad
 from twinenc.model import TwinModel
 from twinenc.training import pair_loss_and_grads
 
@@ -26,6 +26,15 @@ class GradCheckResult:
     analytic: float
     numeric: float
     rel_error: float
+
+
+def densify(g, shape) -> np.ndarray:
+    """A gradient as a dense array of ``shape``."""
+    if not isinstance(g, RowGrad):
+        return np.asarray(g)
+    out = np.zeros(shape, dtype=g.values.dtype)
+    out[g.rows] = g.values
+    return out
 
 
 def pipeline_loss_and_grads(model: TwinModel, queries: list[str], keywords: list[str],

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import twinenc
+from twinenc.checkpoint import FORMAT_VERSION
 from twinenc.cli import _resolve, build_parser, main
 from twinenc.config import ModelConfig
 from twinenc.encoder import sigmoid
@@ -275,3 +276,69 @@ class TestRawStore:
                    "--out", str(tmp_path / "idx.bin"), "--quiet"])
         assert rc != 0
         assert "unit-normalized" in capsys.readouterr().err
+
+
+class TestManifests:
+    def test_format_version_is_that_of_the_described_file(self, workspace):
+        def manifest(name):
+            return json.loads((workspace / f"{name}.manifest.json").read_text())
+
+        assert manifest("model.ckpt")["format_version"] == FORMAT_VERSION
+        assert manifest("embeddings.bin")["format_version"] == 2
+        assert manifest("index.bin")["format_version"] == 2
+        assert "format_version" not in manifest("data/corpus.tsv")
+
+
+# arguments of a successful run of each command; WS/ is the workspace, TMP/ the test's directory
+QUIET_RUNS = {
+    "gen-synthetic": ["--out-dir", "TMP/data", "--pairs", "40", "--queries", "10"],
+    "distill": ["--data", "WS/data/train.tsv", "--out", "TMP/m.ckpt", *FAST_MODEL, "--epochs", "1"],
+    "finetune": ["--data", "WS/data/train.tsv", "--checkpoint", "WS/model.ckpt",
+                 "--out", "TMP/ft.ckpt", "--finetune-epochs", "1"],
+    "encode-corpus": ["--checkpoint", "WS/model.ckpt", "--corpus", "WS/data/corpus.tsv",
+                      "--out", "TMP/embeddings.bin"],
+    "build-index": ["--embeddings", "WS/embeddings.bin", "--out", "TMP/index.bin",
+                    "--degree", "8", "--build-beam", "16"],
+    "search": ["--checkpoint", "WS/model.ckpt", "--index", "WS/index.bin",
+               "--queries", "WS/data/queries.txt"],
+    "score": ["--checkpoint", "WS/model.ckpt", "--pairs", "WS/data/test.tsv"],
+    "eval-auc": ["--scored", "TMP/scored.tsv"],
+    "eval-ndcg": ["--scored", "TMP/scored.tsv"],
+    "bench": ["--modes", "twin_cosine", "--nk-grid", "5,10,20", "--n-queries", "4", "--reps", "1",
+              "--warmup", "1", *FAST_MODEL],
+}
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("command", sorted(QUIET_RUNS))
+    def test_quiet_success_leaves_stderr_empty(self, command, workspace, tmp_path, capsys):
+        (tmp_path / "scored.tsv").write_text("query\tkeyword\tlabel\tprob\n"
+                                             "a\tb\tgood\t0.9\na\tc\tbad\t0.1\n")
+        args = [a.replace("WS/", f"{workspace}/").replace("TMP/", f"{tmp_path}/")
+                for a in QUIET_RUNS[command]]
+        assert main([command, *args, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_status_lines_reach_stderr_under_python_m(self, workspace, tmp_path):
+        # the module runs as __main__ there, so its logger must be named for the package
+        out = tmp_path / "m.ckpt"
+        src = Path(twinenc.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "twinenc.cli", "distill",
+                               "--data", str(workspace / "data" / "train.tsv"), "--out", str(out),
+                               *FAST_MODEL, "--epochs", "1"],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("resolved config: {")
+        assert "epoch 1/1  mean loss " in proc.stderr
+        assert proc.stderr.endswith(f"wrote checkpoint {out}\n")
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "cfg.json"]])
+    @pytest.mark.parametrize("command", ["encode-corpus", "build-index", "search", "score",
+                                         "eval-auc", "eval-ndcg"])
+    def test_commands_that_read_no_settings_reject_config_and_seed(self, command, flag, capsys):
+        args = [command, *QUIET_RUNS[command]]
+        assert build_parser().parse_args([*args, "--quiet"]).quiet
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*args, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

@@ -31,6 +31,7 @@ import twinenc
 from twinenc import ModelConfig, TwinModel, encode_corpus, load_pair_tsv
 from twinenc.checkpoint import pack_str, write_preamble
 from twinenc.index import INDEX_FORMAT_VERSION, INDEX_MAGIC, METRIC_RAW, EmbeddingIndex, build_graph
+from twinenc.textio import read_corpus
 
 
 def _checkpoint_bytes(tmp_path):
@@ -140,6 +141,15 @@ def test_half_filled_logit_pair_names_the_empty_column(tmp_path, row, empty):
     path.write_text("query\tkeyword\tz_bad\tz_nonbad\tlabel\n" + row + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed row: {empty} is empty")):
         load_pair_tsv(path)
+
+
+def test_bare_corpus_lines_get_ids_of_one_width_in_line_order(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("a\n" * 1_000_001)
+    ids, texts = read_corpus(path)
+    assert len(ids) == len(texts) == 1_000_001
+    assert {len(kid) for kid in ids} == {len("k1000000")}
+    assert ids == sorted(set(ids))
 
 
 @pytest.fixture(scope="module")

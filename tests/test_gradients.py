@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from twinenc import ModelConfig, TwinModel
-from twinenc.encoder import (RowGrad, densify, embed_backward, layer_backward, layer_forward,
-                             pack_sequences)
+from twinenc.encoder import RowGrad, embed_backward, layer_backward, layer_forward, pack_sequences
 
-from gradcheck import finite_difference_check, pipeline_loss, pipeline_loss_and_grads
+from gradcheck import densify, finite_difference_check, pipeline_loss, pipeline_loss_and_grads
 
 QUERIES = ["red shoes", "cheap flights to paris", "coffee maker"]
 KEYWORDS = ["buy red shoes online", "paris flight tickets", "espresso machine"]

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -534,11 +535,11 @@ class TestRefitCalibration:
         for name, arr in model.params.items():
             assert np.all(np.isfinite(arr)), name
 
-    def test_finetune_records_calibration_and_logs_it(self):
+    def test_finetune_records_calibration_and_logs_it(self, caplog):
         model = self._model("residual")
-        lines = []
-        history = finetune(self._noisy_records(), DistillationConfig(finetune_epochs=1, batch_size=8),
-                           model, seed=0, log=lines.append)
+        with caplog.at_level(logging.INFO, logger="twinenc.training"):
+            history = finetune(self._noisy_records(),
+                               DistillationConfig(finetune_epochs=1, batch_size=8), model, seed=0)
         a, b = history.calibration
         assert a > 0 and np.isfinite(b)
-        assert any("calibration" in line and f"{a:.6f}" in line for line in lines)
+        assert any("calibration" in line and f"{a:.6f}" in line for line in caplog.messages)
