@@ -4,7 +4,8 @@
 Loads the ``twinenc`` package of each tree under its own name into one
 process, checks that both generate the same records, then times each call
 shape in alternating pairs (before/after, then after/before, ...) so a
-drift in host speed lands on both sides. Prints one JSON object:
+drift in host speed lands on both sides. Prints one JSON object, which
+names the host's Python and numpy versions and ``nproc``:
 
     python3 scripts/time_generate_pairs.py before=../parent/src after=src --pairs 10
 """
@@ -15,6 +16,8 @@ import argparse
 import importlib
 import importlib.util
 import json
+import os
+import platform
 import sys
 import time
 
@@ -48,7 +51,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     (a, a_src), (b, b_src) = (t.split("=", 1) for t in args.trees)
     gen = {a: load_generator(a, a_src), b: load_generator(b, b_src)}
-    out: dict = {"labels": [a, b], "pairs": args.pairs, "shapes": []}
+    out: dict = {
+        "labels": [a, b], "pairs": args.pairs,
+        "host": {"python": platform.python_version(), "numpy": np.__version__,
+                 "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()},
+        "shapes": [],
+    }
     for shape_args, kwargs in SHAPES:
         if records(gen[a](*shape_args, **kwargs)) != records(gen[b](*shape_args, **kwargs)):
             raise SystemExit(f"{a} and {b} differ on generate_pairs{shape_args} {kwargs}")

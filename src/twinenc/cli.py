@@ -525,11 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # one handler per call, on the stream of this call: repeated in-process
-    # calls neither repeat lines nor write to a stream that has been replaced
+    # calls neither repeat lines nor write to a stream that has been replaced,
+    # and no line also reaches a handler the caller put on the root logger
     package = logging.getLogger("twinenc")
-    handler, level = logging.StreamHandler(sys.stderr), package.level
+    handler, level, propagate = logging.StreamHandler(sys.stderr), package.level, package.propagate
     package.addHandler(handler)
     package.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    package.propagate = False
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
@@ -538,6 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         package.removeHandler(handler)
         package.setLevel(level)
+        package.propagate = propagate
 
 
 if __name__ == "__main__":

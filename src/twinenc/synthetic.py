@@ -102,7 +102,7 @@ def _teacher_logits(
 # ---------------------------------------------------------------------------
 
 def _random_word(rng: np.random.Generator) -> str:
-    length = int(rng.integers(3, 9))
+    length = 3 + int(rng.integers(6))
     letters = rng.integers(0, 26, size=length)
     return "".join(chr(ord("a") + int(c)) for c in letters)
 
@@ -124,7 +124,8 @@ def _topic_vocabulary(rng: np.random.Generator, n_topics: int, words_per_topic: 
 # The draws below are the ones Generator.choice makes, without its per-call
 # conversion of the population to an array and revalidation of p. A grade
 # is the bisection of one rng.random() over the cdf that choice(p=...)
-# computes: p.cumsum() divided by its last entry.
+# computes: p.cumsum() divided by its last entry. rng.integers(low, high)
+# is written low + rng.integers(high - low): the same bounded draw.
 _GRADES = ("excellent", "good", "fair", "bad")
 _GRADE_CDF = np.cumsum([0.2, 0.2, 0.2, 0.4])
 _GRADE_CDF = (_GRADE_CDF / _GRADE_CDF[-1]).tolist()
@@ -136,8 +137,22 @@ def _pick(rng: np.random.Generator, seq: Sequence[str]) -> str:
 
 
 def _sample(rng: np.random.Generator, seq: Sequence[str], k: int) -> list[str]:
-    """``k`` distinct items of ``seq``, as ``rng.choice(seq, size=k, replace=False)`` draws them."""
-    return [seq[i] for i in rng.choice(len(seq), size=k, replace=False).tolist()]
+    """``k`` distinct items of ``seq``, as ``rng.choice(seq, size=k, replace=False)`` draws them.
+
+    Choice draws a small sample (``k <= len(seq)``, and ``len(seq) <= 10000``
+    or ``k <= len(seq) // 50``) by Floyd's algorithm, then shuffles it by
+    Fisher-Yates; each of its draws is the bounded draw of a scalar
+    ``rng.integers(j + 1)``, so this makes the same draws one by one.
+    """
+    n = len(seq)
+    picked: list[int] = []
+    for j in range(n - k, n):
+        v = int(rng.integers(j + 1))
+        picked.append(j if v in picked else v)
+    for i in range(k - 1, 0, -1):
+        m = int(rng.integers(i + 1))
+        picked[i], picked[m] = picked[m], picked[i]
+    return [seq[i] for i in picked]
 
 
 def generate_pairs(
@@ -168,6 +183,10 @@ def generate_pairs(
         raise ValueError(f"n_queries must be >= 1, got {n_queries}")
     if n_topics < 2:
         raise ValueError(f"n_topics must be >= 2, got {n_topics}")
+    if words_per_topic < 5:
+        # below 5, a query's three topic words can leave fewer "others" than
+        # a keyword draws from them
+        raise ValueError(f"words_per_topic must be >= 5, got {words_per_topic}")
     rng = np.random.default_rng(seed)
     teacher_seed = seed if teacher_seed is None else teacher_seed
     topics = _topic_vocabulary(rng, n_topics, words_per_topic)
@@ -176,7 +195,7 @@ def generate_pairs(
     slots: list[tuple[str, int, list[str], list[str], frozenset[str]]] = []
     for _ in range(n_queries):
         t = int(rng.integers(n_topics))
-        topic_words = _sample(rng, topics[t], int(rng.integers(2, 4)))
+        topic_words = _sample(rng, topics[t], 2 + int(rng.integers(2)))
         words = list(topic_words)
         if rng.random() < 0.6:
             words.append(_pick(rng, MODIFIERS))
@@ -188,27 +207,27 @@ def generate_pairs(
         query, topic, topic_words, others, query_words = slots[i % n_queries]
         grade = _GRADES[bisect_right(_GRADE_CDF, rng.random())]
         if grade == "excellent":
-            kw = topic_words + _sample(rng, others, int(rng.integers(0, 2)))
+            kw = topic_words + _sample(rng, others, int(rng.integers(2)))
             if rng.random() < 0.5:
                 kw.append(_pick(rng, MODIFIERS))
         elif grade == "good":
             n_shared = max(1, len(topic_words) - 1)
             kw = _sample(rng, topic_words, n_shared)
-            kw += _sample(rng, others, int(rng.integers(1, 3)))
+            kw += _sample(rng, others, 1 + int(rng.integers(2)))
             if rng.random() < 0.5:
                 kw.append(_pick(rng, MODIFIERS))
         elif grade == "fair":
             # exactly one shared topic word, padded with other same-topic
             # words and often a generic modifier
             kw = [_pick(rng, topic_words)]
-            kw += _sample(rng, others, int(rng.integers(1, 3)))
+            kw += _sample(rng, others, 1 + int(rng.integers(2)))
             if rng.random() < 0.6:
                 kw.append(_pick(rng, MODIFIERS))
         else:
             other_topic = int(rng.integers(n_topics - 1))
             if other_topic >= topic:
                 other_topic += 1
-            kw = _sample(rng, topics[other_topic], int(rng.integers(1, 3)))
+            kw = _sample(rng, topics[other_topic], 1 + int(rng.integers(2)))
             if rng.random() < 0.8:
                 kw.append(_pick(rng, MODIFIERS))
         rng.shuffle(kw)

@@ -9,11 +9,12 @@ The path ``-`` (or ``None`` for outputs) is the standard stream.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 
 def _is_stream(path) -> bool:
@@ -34,11 +35,20 @@ def read_text(path: str | Path) -> str:
         raise ValueError(f"{path}:{lineno}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
 
 
-def lines(path: str | Path) -> list[tuple[int, str]]:
-    """(line number, text) of each line that is neither empty nor a ``#`` comment."""
-    text = read_text(path).replace("\r\n", "\n").replace("\r", "\n")
-    return [(n, line) for n, line in enumerate(text.split("\n"), start=1)
-            if line and not line.startswith("#")]
+def lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line that is neither empty nor a ``#`` comment.
+
+    The file is read and decoded by the call, so a missing file or invalid
+    UTF-8 fails there; its lines are then split off one at a time, so a
+    reader holds no more of them than it keeps."""
+    return _numbered(io.StringIO(read_text(path), newline=None))
+
+
+def _numbered(stream: io.StringIO) -> Iterator[tuple[int, str]]:
+    for n, line in enumerate(stream, start=1):
+        line = line.rstrip("\n")
+        if line and not line.startswith("#"):
+            yield n, line
 
 
 @dataclass
@@ -75,12 +85,13 @@ def read_table(path: str | Path, last_optional: bool | str = False) -> Table:
     many cells. With ``last_optional`` (True, or the name the header's last
     column must have) a row may leave out its last cell, which reads as empty."""
     numbered = lines(path)
-    if not numbered:
+    first = next(numbered, None)
+    if first is None:
         raise ValueError(f"{path}: empty file (header row required)")
-    header = numbered[0][1].split("\t")
+    header = first[1].split("\t")
     table = Table(str(path), header, [])
     optional = last_optional is True or last_optional == header[-1]
-    for lineno, line in numbered[1:]:
+    for lineno, line in numbered:
         cells = line.split("\t")
         if optional and len(cells) == len(header) - 1:
             cells.append("")
@@ -114,7 +125,10 @@ def read_corpus(path: str | Path) -> tuple[list[str], list[str]]:
     if not texts:
         raise ValueError(f"{path}: corpus contains no keywords")
     auto = iter(keyword_ids(ids.count(None)))
-    return [next(auto) if kid is None else kid for kid in ids], texts
+    for i, kid in enumerate(ids):  # in place: a second list would cost 8 bytes a keyword
+        if kid is None:
+            ids[i] = next(auto)
+    return ids, texts
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:

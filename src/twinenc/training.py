@@ -32,7 +32,7 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the loss goes non-finite; carries epoch/step context."""
 
 
-@dataclass
+@dataclass(slots=True)
 class PairRecord:
     """One labelled pair: a query/keyword pair with teacher logits and/or a label.
 
@@ -71,7 +71,10 @@ def _logit_pair(z) -> tuple[float, float]:
     """``z`` as two Python floats; anything but two finite numbers is an error."""
     try:
         z_bad, z_nonbad = z
-        ok = (isinstance(z_bad, Real) and isinstance(z_nonbad, Real)
+        # a float is a Real; testing it first skips the ABC check for the
+        # floats nearly every caller passes
+        ok = ((isinstance(z_bad, float) or isinstance(z_bad, Real))
+              and (isinstance(z_nonbad, float) or isinstance(z_nonbad, Real))
               and math.isfinite(z_bad) and math.isfinite(z_nonbad))
     except (TypeError, ValueError):
         ok = False

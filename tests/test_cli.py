@@ -1,6 +1,7 @@
 """End-to-end command-line tests over a small synthetic workspace."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -331,6 +332,25 @@ class TestDiagnostics:
         assert proc.stderr.startswith("resolved config: {")
         assert "epoch 1/1  mean loss " in proc.stderr
         assert proc.stderr.endswith(f"wrote checkpoint {out}\n")
+
+    def test_status_line_skips_a_root_handler(self, tmp_path, capsys):
+        # an in-process caller that logs through the root logger still sees
+        # each CLI line once, on the stream main() writes to
+        class Collect(logging.Handler):
+            def emit(self, record):
+                seen.append(record.getMessage())
+
+        seen, root_handler = [], Collect()
+        logging.getLogger().addHandler(root_handler)
+        try:
+            assert main(["gen-synthetic", "--out-dir", str(tmp_path / "data"), "--pairs", "40",
+                         "--queries", "10"]) == 0
+        finally:
+            logging.getLogger().removeHandler(root_handler)
+        err = capsys.readouterr().err
+        assert err.count("wrote 32 train / 8 test pairs") == 1
+        assert seen == []
+        assert logging.getLogger("twinenc").propagate
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "cfg.json"]])
     @pytest.mark.parametrize("command", ["encode-corpus", "build-index", "search", "score",

@@ -31,7 +31,7 @@ import twinenc
 from twinenc import ModelConfig, TwinModel, encode_corpus, load_pair_tsv
 from twinenc.checkpoint import pack_str, write_preamble
 from twinenc.index import INDEX_FORMAT_VERSION, INDEX_MAGIC, METRIC_RAW, EmbeddingIndex, build_graph
-from twinenc.textio import read_corpus
+from twinenc.textio import lines, read_corpus
 
 
 def _checkpoint_bytes(tmp_path):
@@ -150,6 +150,25 @@ def test_bare_corpus_lines_get_ids_of_one_width_in_line_order(tmp_path):
     assert len(ids) == len(texts) == 1_000_001
     assert {len(kid) for kid in ids} == {len("k1000000")}
     assert ids == sorted(set(ids))
+
+
+def test_lines_are_split_lazily_after_an_eager_decode(tmp_path):
+    path = tmp_path / "text.txt"
+    path.write_bytes(b"a\r\n# note\rb\n\nc")
+    numbered = lines(path)
+    assert not isinstance(numbered, list)
+    assert next(numbered) == (1, "a")
+    assert list(numbered) == [(3, "b"), (5, "c")]
+    path.write_bytes(b"a\nb\n\xff\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: invalid UTF-8 at byte 4")):
+        lines(path)  # before a single line is taken
+
+
+def test_corpus_numbers_only_its_bare_lines(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("id\tkeyword\nx1\tred shoes\nblue hat\nx2\tgreen socks\nwarm gloves\n")
+    assert read_corpus(path) == (["x1", "k000000", "x2", "k000001"],
+                                 ["red shoes", "blue hat", "green socks", "warm gloves"])
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinenc.metrics import LABEL_GAINS
-from twinenc.synthetic import MODIFIERS, generate_pairs, split_pairs, synthetic_teacher, token_jaccard
+from twinenc.synthetic import MODIFIERS, _sample, generate_pairs, split_pairs, synthetic_teacher, token_jaccard
 from twinenc.text import normalize
 from twinenc.training import soft_label
 
@@ -73,10 +75,39 @@ class TestGeneratePairs:
                 credited_bad += 1
         assert credited_bad > 0
 
+    @pytest.mark.parametrize("words_per_topic", [-1, 0, 2, 4])
+    def test_too_few_words_per_topic_rejected(self, words_per_topic):
+        with pytest.raises(ValueError, match=f"words_per_topic must be >= 5, got {words_per_topic}"):
+            generate_pairs(200, seed=0, n_queries=20, words_per_topic=words_per_topic)
+
+    def test_fewest_words_per_topic(self):
+        for seed in range(5):
+            pairs = generate_pairs(400, seed=seed, n_queries=40, n_topics=2, words_per_topic=5)
+            assert {p.label for p in pairs} == set(LABEL_GAINS)
+
     def test_query_slot_assignment(self):
         pairs = generate_pairs(100, seed=4, n_queries=10)
         for j, p in enumerate(pairs):
             assert p.query == pairs[j % 10].query
+
+
+@st.composite
+def _population_and_size(draw):
+    n = draw(st.integers(1, 40))
+    return n, draw(st.integers(0, min(n, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_population_and_size(), st.integers(0, 2**32 - 1))
+def test_sample_draws_what_choice_draws(n_k, seed):
+    # the same items in the same order, and the generators end in the same
+    # state: the next draw of each agrees
+    n, k = n_k
+    population = [f"w{i}" for i in range(n)]
+    ours, numpy_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = [population[i] for i in numpy_choice.choice(n, size=k, replace=False)]
+    assert _sample(ours, population, k) == expected
+    assert ours.random() == numpy_choice.random()
 
 
 class TestSplitPairs:
