@@ -16,6 +16,7 @@ cross encoder the slope is the full per-pair encoder cost.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import time
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ class LatencyScenario:
 
     def __post_init__(self) -> None:
         if self.model_mode not in MODEL_MODES:
-            raise ValueError(f"model_mode must be one of {MODEL_MODES}")
+            raise ValueError(f"model_mode must be one of {MODEL_MODES}, got {self.model_mode!r}")
         if self.qel < 1:
             raise ValueError("qel must be >= 1")
         if self.n_queries < 1 or self.n_keywords_per_query < 1:
@@ -70,22 +71,9 @@ class TimingReport:
     n_samples: int
 
     def as_dict(self) -> dict:
-        d = {
-            "model_mode": self.scenario.model_mode,
-            "qel": self.scenario.qel,
-            "keyword_cache": self.scenario.keyword_cache,
-            "n_queries": self.scenario.n_queries,
-            "n_keywords_per_query": self.scenario.n_keywords_per_query,
-            "repetitions": self.scenario.repetitions,
-            "mean_ms": self.mean_ms,
-            "median_ms": self.median_ms,
-            "p95_ms": self.p95_ms,
-            "total_s": self.total_s,
-            "tokenize_ms": self.tokenize_ms,
-            "n_samples": self.n_samples,
-        }
-        d.update(self.counters)
-        return d
+        row = dataclasses.asdict(self)
+        scenario, counters = row.pop("scenario"), row.pop("counters")
+        return {**scenario, **row, **counters}
 
 
 @dataclass
@@ -104,13 +92,8 @@ def make_cross_encoder(config: ModelConfig, seed: int = 0):
     covers twice the twin max_len; a logistic layer on the pooled vector
     stands in for the classification output.
     """
-    cross_config = ModelConfig(
-        n_layers=config.n_layers, hidden_size=config.hidden_size,
-        n_heads=config.n_heads, ffn_size=config.ffn_size,
-        vocab_buckets=config.vocab_buckets, max_len=2 * config.max_len,
-        pooling=config.pooling, crossing=config.crossing,
-        shared_encoders=True, dropout=0.0,
-    )
+    cross_config = dataclasses.replace(config, max_len=2 * config.max_len,
+                                       shared_encoders=True, dropout=0.0)
     rng = np.random.default_rng(seed)
     params = init_encoder_params(cross_config, rng, "encoder")
     params["out.w"] = truncated_normal(rng, (config.hidden_size,))
@@ -118,9 +101,8 @@ def make_cross_encoder(config: ModelConfig, seed: int = 0):
     return cross_config, params
 
 
-def _bench_texts(scenario: LatencyScenario, seed: int):
-    """Deterministic synthetic query/keyword texts for the benchmark."""
-    n_q, n_k = scenario.n_queries, scenario.n_keywords_per_query
+def _bench_texts(n_q: int, n_k: int, seed: int):
+    """Deterministic synthetic texts: ``n_q`` queries and ``n_k`` keywords for each."""
     pairs = generate_pairs(n_pairs=n_q * n_k, seed=seed, n_queries=n_q)
     # generate_pairs assigns pair j to query slot j % n_q
     queries = [pairs[qi].query for qi in range(n_q)]
@@ -128,24 +110,21 @@ def _bench_texts(scenario: LatencyScenario, seed: int):
     return queries, keyword_sets
 
 
-def _prepare(scenario: LatencyScenario, model: TwinModel, warmup: int, seed: int, dtype,
+def _prepare(scenario: LatencyScenario, model: TwinModel, cross, warmup: int,
              texts: tuple[list[str], list[list[str]]]):
     """Tokenize, pack, (when cached) pre-encode and warm up one scenario.
 
-    ``texts`` are ``_bench_texts`` of a scenario with the same queries and at
-    least as many keywords per query. Returns ``(run_query, tokenize_ms,
-    counters)``; ``run_query(qi)`` serves query ``qi`` and is the only work
-    inside the timed region.
+    ``model`` and ``cross`` (the cross-encoder's ``(config, params)`` or
+    None) are the serving copies of ``_run_round_robin``. ``texts`` are
+    ``_bench_texts`` of the same queries and at least as many keywords per
+    query. Returns ``(run_query, tokenize_ms, counters)``; ``run_query(qi)``
+    serves query ``qi`` and is the only work inside the timed region.
     """
     queries = texts[0]
     keyword_sets = [kws[: scenario.n_keywords_per_query] for kws in texts[1]]
-    run_model = model.cast(dtype)  # its own counters count only this scenario
+    run_model = model.cast(None)  # the same arrays; its own counters count only this scenario
     counters = run_model.counters
-
-    cross_config = cross_params = None
-    if scenario.model_mode == "cross_encoder":
-        cross_config, cross_params = make_cross_encoder(model.config, seed)
-        cross_params = cast_params(cross_params, dtype)
+    cross_config, cross_params = cross or (None, None)
 
     t0 = time.perf_counter()
     if scenario.model_mode == "cross_encoder":
@@ -200,8 +179,15 @@ def _run_round_robin(scenarios: list[LatencyScenario], repetitions: int, model: 
 
     Interleaving the passes makes a change in host speed during the run
     shift every scenario alike instead of favouring the ones timed first.
+    One model cast to ``dtype`` and one cross-encoder serve every scenario.
     """
-    points = [_prepare(sc, model, warmup, seed, dtype, texts) for sc in scenarios]
+    served = model.cast(dtype)
+    cross = None
+    if any(sc.model_mode == "cross_encoder" for sc in scenarios):
+        cross_config, cross_params = make_cross_encoder(model.config, seed)
+        cross = cross_config, cast_params(cross_params, dtype)
+        del cross_params  # the float64 draw; only its cast copy serves
+    points = [_prepare(sc, served, cross, warmup, texts) for sc in scenarios]
     times_ms: list[list[float]] = [[] for _ in points]
     gc_was_enabled = gc.isenabled()
     gc.collect()
@@ -242,7 +228,7 @@ def bench(
 ) -> TimingReport:
     """Run one latency scenario and return per-query timing plus counters."""
     return _run_round_robin([scenario], scenario.repetitions, model, warmup, seed, dtype,
-                            _bench_texts(scenario, seed))[0]
+                            _bench_texts(scenario.n_queries, scenario.n_keywords_per_query, seed))[0]
 
 
 def complexity_fit(grid: list[tuple[int, float]]) -> ComplexityFit:
@@ -285,11 +271,7 @@ def bench_grid(
     slope reflects per-keyword cost rather than workload differences. The
     points are timed round-robin, so host speed drift cannot tilt the slope.
     """
-    widest = LatencyScenario(
-        model_mode=mode, qel=qel, keyword_cache=keyword_cache,
-        n_queries=n_queries, n_keywords_per_query=max(nk_grid), repetitions=repetitions,
-    )
-    texts = _bench_texts(widest, seed)
+    texts = _bench_texts(n_queries, max(nk_grid), seed)
     scenarios = [
         LatencyScenario(
             model_mode=mode, qel=qel, keyword_cache=keyword_cache,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import accumulate, gelu, gelu_grad, sigmoid, truncated_normal
+from .encoder import _linear_backward, accumulate, gelu, gelu_grad, sigmoid, truncated_normal
 
 
 # head -> the (weight, bias) of its final affine layer, which calibration rescales
@@ -144,19 +144,11 @@ def residual_head_backward(d_logits: np.ndarray, cache: dict, params: dict, grad
     dy = d_logits[..., None] * params["residual_head.w_out"]
     accumulate(grads, "residual_head.w_out", d_logits @ y if y.ndim > 1 else d_logits * y)
     accumulate(grads, "residual_head.b_out", np.asarray(d_logits.sum()))
-    dr = dy
-    dx = dy.copy()
-    g2 = g.reshape(-1, g.shape[-1])
-    dr2 = dr.reshape(-1, dr.shape[-1])
-    accumulate(grads, "residual_head.w2", g2.T @ dr2)
-    accumulate(grads, "residual_head.b2", dr2.sum(axis=0))
-    dg = dr @ params["residual_head.w2"].T
-    df1 = dg * gelu_grad(f1)
-    x2 = x.reshape(-1, x.shape[-1])
-    df1_2 = df1.reshape(-1, df1.shape[-1])
-    accumulate(grads, "residual_head.w1", x2.T @ df1_2)
-    accumulate(grads, "residual_head.b1", df1_2.sum(axis=0))
-    dx += df1 @ params["residual_head.w1"].T
+    # y = r + x: dy flows into the second dense layer and straight on to x
+    dg = _linear_backward(g, params["residual_head.w2"], dy, grads,
+                          "residual_head.w2", "residual_head.b2")
+    dx = dy + _linear_backward(x, params["residual_head.w1"], dg * gelu_grad(f1), grads,
+                               "residual_head.w1", "residual_head.b1")
     # max gradient routes to the larger input; exact ties go to the query side
     q_wins = q >= k
     dq = np.where(q_wins, dx, 0.0)

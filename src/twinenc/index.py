@@ -198,6 +198,8 @@ def encode_corpus(
     residual-head serving cache). Keywords that cannot be encoded (text that
     normalizes to empty) are skipped with a warning and their ids excluded.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     keywords = list(keywords)
     if ids is None:
         ids = textio.keyword_ids(len(keywords))

@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def _is_stream(path) -> bool:
@@ -138,23 +138,28 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
     )
 
 
-def write_tsv(path: str | Path | None, rows: Iterable[Iterable[str]],
+def write_tsv(path: str | Path | None, rows: Iterable[Sequence[str]],
               manifest: dict | None = None, sidecar: dict | None = None) -> None:
     """Write ``# manifest: {manifest}``, then each row's cells joined by tabs
     (rows may be a generator), to stdout or to ``path``, which also gets
-    ``sidecar`` as its ``.manifest.json``."""
+    ``sidecar`` as its ``.manifest.json``. A cell holding a tab, CR or LF
+    would split its row on reading, so it is a ``ValueError`` ``path:line:
+    ...`` raised before that line is written."""
     if _is_stream(path):
-        _write_rows(sys.stdout, rows, manifest)
+        _write_rows(sys.stdout, "<stdout>", rows, manifest)
         return
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as out:
-        _write_rows(out, rows, manifest)
+        _write_rows(out, path, rows, manifest)
     if sidecar is not None:
         write_manifest(path, sidecar)
 
 
-def _write_rows(out, rows: Iterable[Iterable[str]], manifest: dict | None) -> None:
+def _write_rows(out, name: str | Path, rows: Iterable[Sequence[str]], manifest: dict | None) -> None:
     if manifest is not None:
         out.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-    for row in rows:
-        out.write("\t".join(row) + "\n")
+    for lineno, row in enumerate(rows, start=1 if manifest is None else 2):
+        line = "\t".join(row)
+        if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
+            raise ValueError(f"{name}:{lineno}: a cell of row {row!r} holds a tab, CR or LF")
+        out.write(line + "\n")

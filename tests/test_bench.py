@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from twinenc import ModelConfig, TwinModel
-from twinenc.bench import ComplexityFit, LatencyScenario, bench, complexity_fit, make_cross_encoder
+from twinenc import bench as bench_mod
+from twinenc.bench import LatencyScenario, bench, bench_grid, complexity_fit, make_cross_encoder
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,48 @@ class TestCrossEncoder:
         assert cross_config.max_len == 2 * bench_model.config.max_len
         assert cross_params["encoder.pos_emb"].shape[0] == cross_config.max_len
 
+    def test_config_is_the_twin_config_with_three_fields_changed(self):
+        config = ModelConfig(n_layers=1, hidden_size=32, n_heads=4, ffn_size=48, vocab_buckets=300,
+                             max_len=6, pooling="cls_token", crossing="cosine",
+                             shared_encoders=False, dropout=0.3)
+        cross_config, _ = make_cross_encoder(config, seed=0)
+        assert cross_config == ModelConfig(n_layers=1, hidden_size=32, n_heads=4, ffn_size=48,
+                                           vocab_buckets=300, max_len=12, pooling="cls_token",
+                                           crossing="cosine", shared_encoders=True, dropout=0.0)
+
+
+class TestOneServingCopyPerGrid:
+    """A grid casts the model once and draws the cross-encoder at most once,
+    while each point's counters still count only that point."""
+
+    @pytest.mark.parametrize("mode", ["cross_encoder", "twin_cosine"])
+    def test_one_cast_and_at_most_one_cross_encoder(self, bench_model, monkeypatch, mode):
+        calls = {"make_cross_encoder": 0, "cast": 0}
+        real_cross, real_cast = bench_mod.make_cross_encoder, TwinModel.cast
+
+        def counting_cross(*args, **kwargs):
+            calls["make_cross_encoder"] += 1
+            return real_cross(*args, **kwargs)
+
+        def counting_cast(model, dtype):
+            calls["cast"] += dtype is not None
+            return real_cast(model, dtype)
+
+        monkeypatch.setattr(bench_mod, "make_cross_encoder", counting_cross)
+        monkeypatch.setattr(TwinModel, "cast", counting_cast)
+        nq, grid = 2, [2, 3, 4]
+        reports, _ = bench_grid(bench_model, mode, grid, n_queries=nq, repetitions=2, warmup=1)
+
+        assert calls == {"make_cross_encoder": int(mode == "cross_encoder"), "cast": 1}
+        for nk, r in zip(grid, reports):
+            if mode == "cross_encoder":
+                want = dict(query_encoder_passes=0, keyword_encoder_passes=0,
+                            cross_encoder_passes=nq * nk * 2, crossing_evals=0)
+            else:
+                want = dict(query_encoder_passes=nq * 2, keyword_encoder_passes=0,
+                            cross_encoder_passes=0, crossing_evals=nq * nk * 2)
+            assert r.counters == want, nk
+
 
 class TestComplexityFit:
     def test_exact_linear_recovery(self):
@@ -92,4 +135,8 @@ class TestReportShape:
         assert report.p95_ms >= report.median_ms > 0
         d = report.as_dict()
         assert d["model_mode"] == "twin_cosine"
-        assert "query_encoder_passes" in d
+        assert sorted(d) == sorted([
+            "model_mode", "qel", "keyword_cache", "n_queries", "n_keywords_per_query", "repetitions",
+            "mean_ms", "median_ms", "p95_ms", "total_s", "tokenize_ms", "n_samples",
+            "query_encoder_passes", "keyword_encoder_passes", "cross_encoder_passes", "crossing_evals",
+        ])

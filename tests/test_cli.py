@@ -150,6 +150,20 @@ class TestSearch:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "idx.bin").exists()
 
+    def test_query_with_a_tab_exits_1_without_a_traceback(self, workspace, tmp_path):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("red\tshoes\n")
+        out = tmp_path / "hits.tsv"
+        src = Path(twinenc.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "twinenc.cli", "search",
+                               "--checkpoint", str(workspace / "model.ckpt"),
+                               "--index", str(workspace / "index.bin"), "--queries", str(queries),
+                               "--out", str(out), "--quiet"],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert f"{out}:3: " in proc.stderr and "holds a tab, CR or LF" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_index(self, workspace, tmp_path, capsys):
         rc = main(["search", "--checkpoint", str(workspace / "model.ckpt"),
                    "--index", str(tmp_path / "missing.bin"),
@@ -257,6 +271,12 @@ class TestBench:
         assert "per-query time" in printed
         assert out.is_file()
 
+    def test_unknown_mode_exits_1_naming_it(self, capsys):
+        assert main(["bench", "--modes", "bert", "--nk-grid", "5,10,20", "--n-queries", "2",
+                     "--quiet", *FAST_MODEL]) == 1
+        err = capsys.readouterr().err
+        assert "model_mode must be one of" in err and "'bert'" in err
+
 
 class TestRawStore:
     def test_raw_encode(self, workspace, tmp_path):
@@ -267,6 +287,15 @@ class TestRawStore:
         from twinenc.index import METRIC_RAW, EmbeddingIndex
         store = EmbeddingIndex.load(out)
         assert store.metric == METRIC_RAW
+
+    @pytest.mark.parametrize("raw", [["--raw"], []])
+    def test_batch_size_below_one_exits_1_and_writes_nothing(self, workspace, tmp_path, capsys, raw):
+        out = tmp_path / "store.bin"
+        assert main(["encode-corpus", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--corpus", str(workspace / "data" / "corpus.tsv"),
+                     "--out", str(out), "--batch-size", "-1", *raw, "--quiet"]) == 1
+        assert "batch_size must be >= 1, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_build_index_rejects_raw(self, workspace, tmp_path, capsys):
         raw = tmp_path / "raw.bin"

@@ -12,6 +12,8 @@ reads one exits 1 with the file named on stderr and no traceback. So does
 ``search`` on a graph index with a truncated graph block, a negative degree
 bound, or a neighbour id past the last keyword. A bad
 ``gen-synthetic`` argument exits the same way, naming the argument.
+
+The TSV writer refuses a cell that would split its row on reading.
 """
 
 import io
@@ -31,7 +33,7 @@ import twinenc
 from twinenc import ModelConfig, TwinModel, encode_corpus, load_pair_tsv
 from twinenc.checkpoint import pack_str, write_preamble
 from twinenc.index import INDEX_FORMAT_VERSION, INDEX_MAGIC, METRIC_RAW, EmbeddingIndex, build_graph
-from twinenc.textio import lines, read_corpus
+from twinenc.textio import lines, read_corpus, read_table, write_tsv
 
 
 def _checkpoint_bytes(tmp_path):
@@ -162,6 +164,15 @@ def test_lines_are_split_lazily_after_an_eager_decode(tmp_path):
     path.write_bytes(b"a\nb\n\xff\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: invalid UTF-8 at byte 4")):
         lines(path)  # before a single line is taken
+
+
+@pytest.mark.parametrize("cell", ["red\tshoes", "red\nshoes", "red\rshoes", "red shoes\r\n"])
+def test_writer_refuses_a_cell_that_would_split_its_row(tmp_path, cell):
+    out = tmp_path / "out.tsv"
+    with pytest.raises(ValueError, match=re.escape(f"{out}:3: a cell of row ('a', {cell!r}) holds a tab, CR or LF")):
+        write_tsv(out, [("query", "keyword"), ("a", cell), ("b", "ok")], manifest={"command": "test"})
+    table = read_table(out)  # the lines before the refused row read back
+    assert table.header == ["query", "keyword"] and table.rows == []
 
 
 def test_corpus_numbers_only_its_bare_lines(tmp_path):

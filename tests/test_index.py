@@ -125,6 +125,15 @@ class TestEncodeCorpus:
         with pytest.raises(ValueError):
             encode_corpus(["???"], tiny_model)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected_before_tokenizing(self, tiny_model, monkeypatch, batch_size):
+        def no_tokenize(*args, **kwargs):
+            raise AssertionError("tokenized before batch_size was checked")
+
+        monkeypatch.setattr(tiny_model, "tokenize", no_tokenize)
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            encode_corpus(["red shoes"], tiny_model, batch_size=batch_size)
+
     def test_raw_store_keeps_raw_float64(self, tiny_model):
         raw = encode_corpus(["red shoes"], tiny_model, normalize=False)
         direct = tiny_model.encode_keywords(["red shoes"])
