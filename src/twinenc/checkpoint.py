@@ -17,7 +17,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from pathlib import Path
 from typing import BinaryIO, Iterable
 
@@ -116,10 +115,11 @@ def read_preamble(f: BinaryIO, path: str | Path, magic: bytes, version: int,
 
 def atomic_write(path: str | Path, chunks: Iterable) -> None:
     """Write ``chunks``, bytes-like buffers such as C-contiguous arrays, one by
-    one to ``path`` via temp-file-then-rename."""
+    one to ``path`` via temp-file-then-rename, with ``open``'s mode: 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.tmp{os.urandom(4).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:

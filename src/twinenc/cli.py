@@ -401,12 +401,9 @@ def cmd_bench(args) -> int:
         )
     if args.out:
         keys = sorted({k for row in rows for k in row})
-        _emit(args.out, [
-            keys,
-            *([str(row.get(k, "")) for k in keys] for row in rows),
-            *(("# fit", mode, f"alpha_ms={fit.alpha_ms!r}", f"beta_ms={fit.beta_ms!r}")
-              for mode, fit in fits.items()),
-        ], _manifest("bench", resolved, dtype=args.dtype))
+        _emit(args.out, [keys, *([str(row.get(k, "")) for k in keys] for row in rows)],
+              _manifest("bench", resolved, dtype=args.dtype,
+                        fits={mode: dataclasses.asdict(fit) for mode, fit in fits.items()}))
     return 0
 
 

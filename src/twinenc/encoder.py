@@ -59,10 +59,11 @@ def sigmoid(x) -> np.ndarray:
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Normal(0, std) samples rejected outside +/- 2 std."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
+    lim = 2.0 * std
+    bad = (out > lim) | (out < -lim)  # np.abs(out) would be a float64 copy of out
     while np.any(bad):
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+        bad = (out > lim) | (out < -lim)
     return out
 
 

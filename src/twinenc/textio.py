@@ -4,6 +4,7 @@ The text counterpart of ``checkpoint.Reader``: a file is read once and
 decoded as UTF-8, lines split as universal newlines, and empty lines and
 ``#`` comments are skipped. Invalid UTF-8, a row of the wrong width or a
 cell that does not convert is a ``ValueError`` of the form ``path:line: ...``.
+A file output is written whole or not at all (``checkpoint.atomic_write``).
 The path ``-`` (or ``None`` for outputs) is the standard stream.
 """
 
@@ -15,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
+
+from .checkpoint import atomic_write
 
 
 def _is_stream(path) -> bool:
@@ -132,34 +135,35 @@ def read_corpus(path: str | Path) -> tuple[list[str], list[str]]:
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
-    """The ``<path>.manifest.json`` sidecar of the output at ``path``."""
-    Path(str(path) + ".manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    """The ``<path>.manifest.json`` sidecar of the output at ``path``, written atomically."""
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    atomic_write(str(path) + ".manifest.json", [text.encode("utf-8")])
 
 
 def write_tsv(path: str | Path | None, rows: Iterable[Sequence[str]],
               manifest: dict | None = None, sidecar: dict | None = None) -> None:
     """Write ``# manifest: {manifest}``, then each row's cells joined by tabs
-    (rows may be a generator), to stdout or to ``path``, which also gets
-    ``sidecar`` as its ``.manifest.json``. A cell holding a tab, CR or LF
-    would split its row on reading, so it is a ``ValueError`` ``path:line:
-    ...`` raised before that line is written."""
+    (rows may be a generator), streamed to stdout or whole to ``path``, which
+    then gets ``sidecar`` as its ``.manifest.json``. A row that is an empty
+    line, starts with ``#`` or has a cell holding a tab, CR or LF would not
+    read back as itself: a ``ValueError`` ``path:line: row (...) ...``."""
     if _is_stream(path):
-        _write_rows(sys.stdout, "<stdout>", rows, manifest)
+        sys.stdout.writelines(_row_lines("<stdout>", rows, manifest))
         return
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as out:
-        _write_rows(out, path, rows, manifest)
+    atomic_write(path, (line.encode("utf-8") for line in _row_lines(path, rows, manifest)))
     if sidecar is not None:
         write_manifest(path, sidecar)
 
 
-def _write_rows(out, name: str | Path, rows: Iterable[Sequence[str]], manifest: dict | None) -> None:
+def _row_lines(name: str | Path, rows: Iterable[Sequence[str]], manifest: dict | None) -> Iterator[str]:
     if manifest is not None:
-        out.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+        yield "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
     for lineno, row in enumerate(rows, start=1 if manifest is None else 2):
         line = "\t".join(row)
-        if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
-            raise ValueError(f"{name}:{lineno}: a cell of row {row!r} holds a tab, CR or LF")
-        out.write(line + "\n")
+        problem = ("is an empty line" if not line
+                   else "has a cell holding a tab, CR or LF"
+                   if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line
+                   else "would read back as a comment" if line[0] == "#" else None)
+        if problem:
+            raise ValueError(f"{name}:{lineno}: row {tuple(row)!r} {problem}")
+        yield line + "\n"

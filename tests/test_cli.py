@@ -1,8 +1,10 @@
 """End-to-end command-line tests over a small synthetic workspace."""
 
+import hashlib
 import json
 import logging
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +42,20 @@ def workspace(tmp_path_factory):
     return ws
 
 
+OUTPUTS = ["data/train.tsv", "data/test.tsv", "data/corpus.tsv", "data/corpus.tsv.manifest.json",
+           "data/queries.txt", "model.ckpt", "model.ckpt.manifest.json", "embeddings.bin",
+           "embeddings.bin.manifest.json", "index.bin", "index.bin.manifest.json"]
+
+
+def test_every_output_has_the_mode_open_gives(workspace):
+    probe = workspace / "probe"
+    probe.open("w").close()
+    mode = stat.S_IMODE(probe.stat().st_mode)  # 0o666 less the umask
+    probe.unlink()
+    assert {name: oct(stat.S_IMODE((workspace / name).stat().st_mode)) for name in OUTPUTS} == \
+        {name: oct(mode) for name in OUTPUTS}
+
+
 class TestGenSynthetic:
     def test_outputs_exist(self, workspace):
         data = workspace / "data"
@@ -50,6 +66,18 @@ class TestGenSynthetic:
         lines = (workspace / "data" / "train.tsv").read_text().splitlines()
         assert lines[0].startswith("# manifest:")
         assert lines[1] == "query\tkeyword\tz_bad\tz_nonbad\tlabel"
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        assert main(["gen-synthetic", "--out-dir", str(tmp_path), "--pairs", "2000",
+                     "--queries", "200", "--seed", "7", "--quiet"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == {
+            "train.tsv": "47c3b3fcd6e206a3919a9e4049926e9650b35f6069bb452db572dbe49b2e9c59",
+            "test.tsv": "bcee88da143321eaf53c91400635beeae6e02c2301d6cffeaa756af8c2d1de01",
+            "corpus.tsv": "3467613bfd99bb438cfa476235638c1334757eb688e8cd0b7297471357901d67",
+            "corpus.tsv.manifest.json": "7c6a50900d53a872ae1eedb089139ea0981e8beb64eaefbbf8201f02cfbb4f14",
+            "queries.txt": "d8095034d1d26ed669389629877c0f15eaf6db506714f92cb827e37836b06ae2",
+        }
 
     def test_config_file_seed_beats_the_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -150,9 +178,11 @@ class TestSearch:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "idx.bin").exists()
 
-    def test_query_with_a_tab_exits_1_without_a_traceback(self, workspace, tmp_path):
+    @pytest.mark.parametrize("line, problem", [("red\tshoes", "has a cell holding a tab, CR or LF"),
+                                               ("  #blue shoes", "would read back as a comment")])
+    def test_query_with_a_tab_exits_1_without_a_traceback(self, workspace, tmp_path, line, problem):
         queries = tmp_path / "queries.txt"
-        queries.write_text("red\tshoes\n")
+        queries.write_text(line + "\n")
         out = tmp_path / "hits.tsv"
         src = Path(twinenc.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-m", "twinenc.cli", "search",
@@ -161,8 +191,9 @@ class TestSearch:
                                "--out", str(out), "--quiet"],
                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 1
-        assert f"{out}:3: " in proc.stderr and "holds a tab, CR or LF" in proc.stderr
+        assert f"{out}:3: row ({line.strip()!r}, '1', " in proc.stderr and problem in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["queries.txt"]  # no output, sidecar or temp file
 
     def test_missing_index(self, workspace, tmp_path, capsys):
         rc = main(["search", "--checkpoint", str(workspace / "model.ckpt"),

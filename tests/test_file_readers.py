@@ -13,7 +13,8 @@ reads one exits 1 with the file named on stderr and no traceback. So does
 bound, or a neighbour id past the last keyword. A bad
 ``gen-synthetic`` argument exits the same way, naming the argument.
 
-The TSV writer refuses a cell that would split its row on reading.
+The TSV writer refuses a row that would not read back as itself and
+leaves nothing at the path; every text output otherwise reads back equal.
 """
 
 import io
@@ -33,7 +34,7 @@ import twinenc
 from twinenc import ModelConfig, TwinModel, encode_corpus, load_pair_tsv
 from twinenc.checkpoint import pack_str, write_preamble
 from twinenc.index import INDEX_FORMAT_VERSION, INDEX_MAGIC, METRIC_RAW, EmbeddingIndex, build_graph
-from twinenc.textio import lines, read_corpus, read_table, write_tsv
+from twinenc.textio import keyword_ids, lines, read_corpus, read_table, write_tsv
 
 
 def _checkpoint_bytes(tmp_path):
@@ -169,10 +170,69 @@ def test_lines_are_split_lazily_after_an_eager_decode(tmp_path):
 @pytest.mark.parametrize("cell", ["red\tshoes", "red\nshoes", "red\rshoes", "red shoes\r\n"])
 def test_writer_refuses_a_cell_that_would_split_its_row(tmp_path, cell):
     out = tmp_path / "out.tsv"
-    with pytest.raises(ValueError, match=re.escape(f"{out}:3: a cell of row ('a', {cell!r}) holds a tab, CR or LF")):
-        write_tsv(out, [("query", "keyword"), ("a", cell), ("b", "ok")], manifest={"command": "test"})
-    table = read_table(out)  # the lines before the refused row read back
-    assert table.header == ["query", "keyword"] and table.rows == []
+    message = f"{out}:3: row ('a', {cell!r}) has a cell holding a tab, CR or LF"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_tsv(out, [("query", "keyword"), ("a", cell), ("b", "ok")], manifest={"command": "test"},
+                  sidecar={"command": "test"})
+    assert list(tmp_path.iterdir()) == []  # no output, no sidecar, no temp file
+
+
+@pytest.mark.parametrize("row, problem", [((), "is an empty line"), (("",), "is an empty line"),
+                                          (("#a", "b"), "would read back as a comment")])
+def test_writer_refuses_a_row_that_would_not_read_back_and_keeps_the_old_file(tmp_path, row, problem):
+    out = tmp_path / "out.tsv"
+    out.write_bytes(b"old\n")
+    with pytest.raises(ValueError, match=re.escape(f"{out}:2: row {row!r} {problem}")):
+        write_tsv(out, [("a", "b"), row], sidecar={"command": "test"})
+    assert out.read_bytes() == b"old\n" and [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+
+def test_writer_interrupted_mid_rows_leaves_nothing(tmp_path):
+    def rows():
+        yield "a", "b"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_tsv(tmp_path / "out.tsv", rows(), manifest={"command": "test"}, sidecar={"command": "test"})
+    assert list(tmp_path.iterdir()) == []
+
+
+def _table_rows(path):
+    table = read_table(path)
+    return [tuple(table.header), *(tuple(cells) for _, cells in table.rows)]
+
+
+# each text output as rows built from arbitrary texts, and its reader giving the rows back
+ROUND_TRIPS = {
+    "scored table": (lambda texts: [("query", "prob"), *((t, t) for t in texts)], _table_rows),
+    "corpus": (lambda texts: [("id", "keyword"), *zip(keyword_ids(len(texts)), texts)],
+               lambda path: [("id", "keyword"), *zip(*read_corpus(path))]),
+    "queries": (lambda texts: [(t,) for t in texts], lambda path: [(line,) for _, line in lines(path)]),
+}
+any_text = st.text(st.characters(codec="utf-8"), max_size=8)
+
+
+@pytest.mark.parametrize("kind", ROUND_TRIPS)
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(any_text | any_text.map("#".__add__) | st.sampled_from(["", "a\tb", "a\rb", "a\r\nb",
+                                                                             "a\u2028b\x85"]),
+                      min_size=1, max_size=4))
+def test_text_output_refuses_or_reads_back_equal(tmp_path_factory, kind, texts):
+    """A writer refusal names the row, leaves nothing at the path, and is
+    right: written by hand, that row's line would not read back as the row."""
+    to_rows, read = ROUND_TRIPS[kind]
+    rows = to_rows(texts)
+    path = tmp_path_factory.mktemp("out") / "out.tsv"
+    try:
+        write_tsv(path, rows)
+    except ValueError as exc:
+        m = re.match(rf"{re.escape(str(path))}:(\d+): row ", str(exc))
+        assert m and list(path.parent.iterdir()) == []
+        row = rows[int(m.group(1)) - 1]
+        path.write_bytes(("\t".join(row) + "\n").encode("utf-8"))
+        assert [tuple(line.split("\t")) for _, line in lines(path)] != [row]
+        return
+    assert read(path) == rows
 
 
 def test_corpus_numbers_only_its_bare_lines(tmp_path):

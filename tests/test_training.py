@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -215,7 +216,8 @@ class TestPairRecord:
     def test_writer_refuses_a_query_read_back_as_a_comment(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         records = [PairRecord("a", "#b", label="good"), PairRecord("# c", "d", label="bad")]
-        with pytest.raises(ValueError, match=r"record 1 \('# c', 'd'\): a query starting with '#'"):
+        message = f"{path}:3: row ('# c', 'd', '', '', 'bad') would read back as a comment"
+        with pytest.raises(ValueError, match=re.escape(message)):
             save_pair_tsv(path, records)
         assert not path.exists()
         save_pair_tsv(path, records[:1])  # a leading '#' in the keyword is not at the start of a line
@@ -234,7 +236,8 @@ pair_logits = st.none() | st.tuples(finite_logits, finite_logits) | st.tuples(
                 max_size=4))
 def test_pair_tsv_rejects_or_round_trips(tmp_path_factory, fields):
     """Arbitrary text and logits are refused when the record is built, naming
-    the field, or by the writer, naming the record; else they load back equal."""
+    the field, or by the writer, naming the row and writing nothing; else
+    they load back equal."""
     records = []
     for query, keyword, logits, label in fields:
         try:
@@ -245,7 +248,8 @@ def test_pair_tsv_rejects_or_round_trips(tmp_path_factory, fields):
     try:
         save_pair_tsv(path, records)
     except ValueError as exc:
-        assert str(exc).startswith("record ") and any(r.query.startswith("#") for r in records)
+        assert re.match(rf"{re.escape(str(path))}:\d+: row \(['\"]#", str(exc))
+        assert any(r.query.startswith("#") for r in records) and not path.exists()
         return
     assert load_pair_tsv(path) == records
 
