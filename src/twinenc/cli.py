@@ -193,6 +193,21 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
+def _save_trained(command: str, args, resolved: dict, model: TwinModel, records: int,
+                  history, t0: float, **extra) -> None:
+    """Save a trained ``model`` to ``args.out`` with its run manifest; ``t0``
+    is when training started."""
+    model.save(args.out)
+    textio.write_manifest(args.out, _manifest(
+        command, resolved, format_version=FORMAT_VERSION,
+        checkpoint_sha256=file_sha256(args.out), **extra,
+        data=str(args.data), records=records,
+        seed=resolved["seed"], epoch_losses=history.epoch_losses,
+        steps=history.steps, wall_seconds=time.perf_counter() - t0,
+    ))
+    logger.info("wrote checkpoint %s", args.out)
+
+
 def cmd_distill(args) -> int:
     file_cfg = _load_config_file(args.config)
     resolved = _resolve(args, file_cfg)
@@ -202,15 +217,7 @@ def cmd_distill(args) -> int:
     dconfig = DistillationConfig.from_dict(resolved["distill"])
     t0 = time.perf_counter()
     history = distill_train(records, dconfig, model, seed=resolved["seed"])
-    model.save(args.out)
-    textio.write_manifest(args.out, _manifest(
-        "distill", resolved, format_version=FORMAT_VERSION,
-        checkpoint_sha256=file_sha256(args.out),
-        data=str(args.data), records=len(records),
-        seed=resolved["seed"], epoch_losses=history.epoch_losses,
-        steps=history.steps, wall_seconds=time.perf_counter() - t0,
-    ))
-    logger.info("wrote checkpoint %s", args.out)
+    _save_trained("distill", args, resolved, model, len(records), history, t0)
     return 0
 
 
@@ -224,19 +231,11 @@ def cmd_finetune(args) -> int:
     dconfig = DistillationConfig.from_dict(resolved["distill"])
     t0 = time.perf_counter()
     history = finetune(records, dconfig, model, seed=resolved["seed"])
-    model.save(args.out)
-    textio.write_manifest(args.out, _manifest(
-        "finetune", resolved, format_version=FORMAT_VERSION,
-        checkpoint_sha256=file_sha256(args.out),
-        source_checkpoint=str(args.checkpoint),
-        finetune_learning_rate=dconfig.finetune_learning_rate,
-        calibration=None if history.calibration is None
-        else dict(zip(("a", "b"), history.calibration)),
-        data=str(args.data), records=len(records),
-        seed=resolved["seed"], epoch_losses=history.epoch_losses,
-        steps=history.steps, wall_seconds=time.perf_counter() - t0,
-    ))
-    logger.info("wrote checkpoint %s", args.out)
+    _save_trained("finetune", args, resolved, model, len(records), history, t0,
+                  source_checkpoint=str(args.checkpoint),
+                  finetune_learning_rate=dconfig.finetune_learning_rate,
+                  calibration=None if history.calibration is None
+                  else dict(zip(("a", "b"), history.calibration)))
     return 0
 
 
@@ -365,6 +364,14 @@ def cmd_eval_ndcg(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    modes = [m.strip() for m in args.modes.split(",")]
+    for mode in modes:
+        if mode not in bench_mod.MODEL_MODES:
+            raise CliError(f"--modes: model_mode must be one of {bench_mod.MODEL_MODES}, got {mode!r}")
+    nk_grid = [int(v) for v in args.nk_grid.split(",")]
+    if min(nk_grid) < 1 or len(set(nk_grid)) < 3:
+        raise CliError(f"--nk-grid {args.nk_grid!r}: the fit needs at least 3 distinct "
+                       "positive keyword counts")
     file_cfg = _load_config_file(args.config)
     resolved = _resolve(args, file_cfg)
     _echo(resolved)
@@ -373,8 +380,6 @@ def cmd_bench(args) -> int:
     else:
         model = _build_model(resolved)
     dtype = np.float32 if args.dtype == "f32" else np.float64
-    nk_grid = [int(v) for v in args.nk_grid.split(",")]
-    modes = [m.strip() for m in args.modes.split(",")]
 
     rows = []
     fits = {}

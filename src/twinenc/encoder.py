@@ -11,14 +11,15 @@ into a dict with the same keys, so a shared encoder automatically sums the
 contributions of both sides. A token table's gradient is row-sparse, a
 :class:`RowGrad` holding only the rows the batch touched; every other
 gradient is a dense array.
+
+A batch is a :class:`PackedBatch`: flat trigram buckets, word starts and
+the (B, T) mask; the embedding sums each word's buckets into its real slot.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -171,18 +172,27 @@ def accumulate(grads: dict, name: str, g) -> None:
 
 @dataclass
 class PackedBatch:
-    """Flattened trigram indices for a batch padded to its longest sequence.
+    """A batch of ragged sequences: flat trigram buckets, word starts and a mask.
 
-    ``bucket_ids[i]`` is a trigram bucket belonging to flat slot
-    ``slot_ids[i]`` (= example * seq_len + position). Slot order is
-    non-decreasing, which lets the embedding sum use segment reduction.
+    ``bucket_ids`` concatenates the trigram buckets of the batch's words in
+    order, and ``word_starts[j]`` is where word j starts in it. ``mask``
+    (B, T) marks each example's real slots, padded to the longest sequence.
+    Real slots come first in each row, so the mask's true entries in
+    row-major order are the batch's words in order. Padded slots own no
+    buckets, so they hold no content.
     """
 
     bucket_ids: np.ndarray
-    slot_ids: np.ndarray
+    word_starts: np.ndarray
     mask: np.ndarray  # (B, T) bool
-    n_examples: int
-    seq_len: int
+
+    @property
+    def n_examples(self) -> int:
+        return self.mask.shape[0]
+
+    @property
+    def seq_len(self) -> int:
+        return self.mask.shape[1]
 
 
 def pack_sequences(seqs: list[TokenSequence]) -> PackedBatch:
@@ -192,21 +202,15 @@ def pack_sequences(seqs: list[TokenSequence]) -> PackedBatch:
     lengths = [s.length for s in seqs]
     if min(lengths) < 1:
         raise ValueError("every sequence must contain at least one unmasked token")
-    mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
-    bucket_ids = np.fromiter(chain.from_iterable(s.bucket_ids for s in seqs), dtype=np.int64)
-    # bucket count of every word, in batch order
-    starts = chain.from_iterable(s.word_offsets for s in seqs)
-    ends = chain.from_iterable(s.word_offsets[1:] + (len(s.bucket_ids),) for s in seqs)
-    word_sizes = np.fromiter(map(operator.sub, ends, starts), dtype=np.int64)
-    # real slots come first in each row, so the mask's flat nonzeros are the
-    # slots of the words in order
-    slot_ids = np.repeat(np.flatnonzero(mask), word_sizes)
+    buckets: list[int] = []
+    word_starts: list[int] = []
+    for s in seqs:
+        word_starts.extend([len(buckets) + o for o in s.word_offsets])
+        buckets.extend(s.bucket_ids)
     return PackedBatch(
-        bucket_ids=bucket_ids,
-        slot_ids=slot_ids,
-        mask=mask,
-        n_examples=len(seqs),
-        seq_len=mask.shape[1],
+        bucket_ids=np.array(buckets, dtype=np.int64),
+        word_starts=np.array(word_starts, dtype=np.int64),
+        mask=np.arange(max(lengths)) < np.array(lengths)[:, None],
     )
 
 
@@ -215,31 +219,28 @@ def pack_sequences(seqs: list[TokenSequence]) -> PackedBatch:
 # ---------------------------------------------------------------------------
 
 def embed_forward(params: dict, prefix: str, batch: PackedBatch):
-    """Input embeddings: per-token trigram-bucket sum plus position embedding."""
+    """Input embeddings: per-word trigram-bucket sum plus position embedding."""
     tok_emb = params[f"{prefix}.tok_emb"]
     pos_emb = params[f"{prefix}.pos_emb"]
-    b, t = batch.n_examples, batch.seq_len
-    h = tok_emb.shape[1]
+    b, t = batch.mask.shape
     if t > pos_emb.shape[0]:
         raise ValueError(
             f"sequence length {t} exceeds position table size {pos_emb.shape[0]}"
         )
-    flat = np.zeros((b * t, h), dtype=tok_emb.dtype)
-    # slot_ids are sorted, so segment sums cover the occupied slots
-    starts = np.flatnonzero(np.r_[True, np.diff(batch.slot_ids) != 0])
-    flat[batch.slot_ids[starts]] = np.add.reduceat(tok_emb[batch.bucket_ids], starts, axis=0)
-    x = flat.reshape(b, t, h) + pos_emb[None, :t, :]
+    x = np.zeros((b, t, tok_emb.shape[1]), dtype=tok_emb.dtype)
+    x[batch.mask] = np.add.reduceat(tok_emb[batch.bucket_ids], batch.word_starts, axis=0)
+    x += pos_emb[:t]
     return x
 
 
 def embed_backward(params: dict, prefix: str, batch: PackedBatch, dx: np.ndarray, grads: dict) -> None:
     """Position-table gradient, dense; token-table gradient, a :class:`RowGrad` of the batch's buckets."""
-    b, t = batch.n_examples, batch.seq_len
     d_pos = np.zeros_like(params[f"{prefix}.pos_emb"])
-    d_pos[:t] = dx.sum(axis=0)
+    d_pos[:batch.seq_len] = dx.sum(axis=0)
     accumulate(grads, f"{prefix}.pos_emb", d_pos)
+    word_sizes = np.diff(batch.word_starts, append=batch.bucket_ids.size)
     accumulate(grads, f"{prefix}.tok_emb",
-               sum_rows(batch.bucket_ids, dx.reshape(b * t, -1)[batch.slot_ids]))
+               sum_rows(batch.bucket_ids, np.repeat(dx[batch.mask], word_sizes, axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ head, which needs raw embeddings; it carries no graph.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,8 @@ class SearchCounters:
     hops: int = 0
 
     def reset(self) -> None:
-        self.distance_computations = 0
-        self.hops = 0
+        for f in fields(self):
+            setattr(self, f.name, f.default)
 
 
 @dataclass

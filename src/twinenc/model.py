@@ -8,7 +8,7 @@ benchmark can verify its caching contracts exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,18 +39,11 @@ class OpCounters:
     crossing_evals: int = 0
 
     def reset(self) -> None:
-        self.query_encoder_passes = 0
-        self.keyword_encoder_passes = 0
-        self.cross_encoder_passes = 0
-        self.crossing_evals = 0
+        for f in fields(self):
+            setattr(self, f.name, f.default)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "query_encoder_passes": self.query_encoder_passes,
-            "keyword_encoder_passes": self.keyword_encoder_passes,
-            "cross_encoder_passes": self.cross_encoder_passes,
-            "crossing_evals": self.crossing_evals,
-        }
+        return asdict(self)
 
 
 def _check_vocab(config: ModelConfig, vocab: TrigramVocab) -> None:

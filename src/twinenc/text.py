@@ -96,13 +96,11 @@ class TokenSequence:
 
     ``bucket_ids`` concatenates the trigram bucket multisets of the words
     (a prepended cls bucket counts as a one-bucket word), and
-    ``word_offsets[i]`` is where word i starts in it. ``original_length``
-    records the pre-truncation word count.
+    ``word_offsets[i]`` is where word i starts in it.
     """
 
     bucket_ids: tuple[int, ...]
     word_offsets: tuple[int, ...]
-    original_length: int
 
     def __post_init__(self) -> None:
         bounds = self.word_offsets + (len(self.bucket_ids),)
@@ -135,8 +133,6 @@ def encode_text(
     norm = normalize(text)
     if not norm:
         raise ValueError(f"text normalizes to empty: {text!r}")
-    words = norm.split()
-    original_length = len(words)
 
     capacity = max_len - (1 if prepend_bucket is not None else 0)
     if capacity < 1:
@@ -144,11 +140,7 @@ def encode_text(
 
     bucket_ids: list[int] = [] if prepend_bucket is None else [prepend_bucket]
     word_offsets: list[int] = [] if prepend_bucket is None else [0]
-    for word in words[:capacity]:
+    for word in norm.split()[:capacity]:
         word_offsets.append(len(bucket_ids))
         bucket_ids.extend(vocab.word_buckets(word))
-    return TokenSequence(
-        bucket_ids=tuple(bucket_ids),
-        word_offsets=tuple(word_offsets),
-        original_length=original_length,
-    )
+    return TokenSequence(bucket_ids=tuple(bucket_ids), word_offsets=tuple(word_offsets))

@@ -25,6 +25,20 @@ class TestScenarioValidation:
 
 
 class TestCounters:
+    def test_reset_and_as_dict_cover_every_field_in_order(self):
+        from twinenc.index import SearchCounters
+        from twinenc.model import OpCounters
+
+        ops = OpCounters(1, 2, 3, 4)
+        assert list(ops.as_dict().items()) == [
+            ("query_encoder_passes", 1), ("keyword_encoder_passes", 2),
+            ("cross_encoder_passes", 3), ("crossing_evals", 4)]
+        ops.reset()
+        assert ops == OpCounters()
+        search = SearchCounters(5, 6)
+        search.reset()
+        assert search == SearchCounters()
+
     def test_cached_twin_runs_no_keyword_encodes(self, bench_model):
         scenario = LatencyScenario(model_mode="twin_cosine", n_queries=4,
                                    n_keywords_per_query=6, repetitions=2)

@@ -309,6 +309,19 @@ class TestBench:
         assert "model_mode must be one of" in err and "'bert'" in err
 
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--modes", "twin_cosine,bert", "--nk-grid", "5,10,20"], "'bert'"),
+        (["--modes", "twin_cosine", "--nk-grid", "5,10"], "'5,10'"),
+        (["--modes", "twin_cosine", "--nk-grid", "5,5,10"], "'5,5,10'"),
+        (["--modes", "twin_cosine", "--nk-grid", "0,5,10"], "'0,5,10'"),
+    ], ids=["unknown-mode-after-a-good-one", "two-counts", "two-distinct-counts", "zero-count"])
+    def test_bad_mode_or_grid_exits_1_before_timing(self, capsys, flags, named):
+        assert main(["bench", *flags, "--n-queries", "2", "--reps", "1", *FAST_MODEL]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert named in err and "Traceback" not in err
+
+
 class TestRawStore:
     def test_raw_encode(self, workspace, tmp_path):
         out = tmp_path / "raw.bin"

@@ -40,6 +40,31 @@ class TestEmbedInput:
         # the padding slot carries only its (zeroed) position embedding here
         np.testing.assert_allclose(x[0, 1:], 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_a_per_word_loop(self, tiny_model, dtype):
+        model = tiny_model.cast(dtype)
+        prefix = model.query_prefix
+        tok_emb, pos_emb = model.params[f"{prefix}.tok_emb"], model.params[f"{prefix}.pos_emb"]
+        seqs = model.tokenize_many(["cat", "red red shoes sale", "cheap flights to paris", "a"])
+        longest = max(s.length for s in seqs)
+        # padded slots hold only their position embedding
+        expected = np.array([pos_emb[:longest]] * len(seqs))
+        for b, seq in enumerate(seqs):
+            bounds = seq.word_offsets + (len(seq.bucket_ids),)
+            for t in range(seq.length):
+                word = seq.bucket_ids[bounds[t]:bounds[t + 1]]
+                total = tok_emb[word[0]]
+                for bucket in word[1:]:
+                    total = total + tok_emb[bucket]
+                expected[b, t] = total + pos_emb[t]
+        batch = pack_sequences(seqs)
+        x = embed_forward(model.params, prefix, batch)
+        assert x.dtype == dtype
+        np.testing.assert_array_equal(x[~batch.mask], expected[~batch.mask])
+        # np.add.reduceat need not add a word's rows left to right (numpy 2.4 adds
+        # the first row to the sum of the rest), so real slots match to a few ulps
+        np.testing.assert_allclose(x, expected, rtol=0, atol=4 * np.finfo(dtype).eps)
+
     def test_word_order_changes_embedding(self, tiny_model):
         a = tiny_model.encode_queries(["red shoes"])
         b = tiny_model.encode_queries(["shoes red"])
@@ -161,16 +186,13 @@ class TestEncode:
         assert emb.shape == (1, 64)
         assert np.isfinite(emb).all()
 
-    def test_padding_invariance_exact(self, tiny_model):
-        # same real tokens, garbage trigram content in the padded slots
+    def test_padding_invariance_exact(self, tiny_model, garbage_in_padding):
+        # same real tokens, finite garbage in the padded slots of the embedding
         batch = _batch(tiny_model, ["red shoes", "cheap flights to paris"])
-        pad_slots = np.flatnonzero(~batch.mask)
-        slots = np.concatenate([batch.slot_ids, np.repeat(pad_slots, 3)])
-        buckets = np.concatenate([batch.bucket_ids, np.tile([1, 2, 3], pad_slots.size)])
-        order = np.argsort(slots, kind="stable")
-        tampered = replace(batch, bucket_ids=buckets[order], slot_ids=slots[order])
         clean, _ = tiny_model.encode_query_batch(batch)
-        dirty, _ = tiny_model.encode_query_batch(tampered)
+        filled = garbage_in_padding()
+        dirty, _ = tiny_model.encode_query_batch(batch)
+        assert filled == [int((~batch.mask).sum())] and filled[0] > 0
         np.testing.assert_array_equal(clean, dirty)
 
     def test_cls_model_roundtrip(self):
@@ -293,3 +315,59 @@ class TestCacheFreeForward:
 
         cached, free = peak(True), peak(False)
         assert free <= cached / 2, (free, cached)
+
+
+class TestPinnedEncodings:
+    """Digests of seeded encodings and of a seeded training run, recorded
+    before batches held word starts instead of slot ids: changes to packing
+    and embedding must keep every output bit."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        from twinenc.synthetic import generate_pairs
+
+        return generate_pairs(300, seed=18, n_queries=40)
+
+    @pytest.mark.parametrize("pooling, shared, dtype, digest", [
+        ("weighted_average", True, np.float64,
+         "0d5166984fd308a6ee9248b755b21edc90fc8579bf2f5e3a223986d07a623a92"),
+        ("weighted_average", True, np.float32,
+         "89fb5af24a14cea2c5f420334e0cfd6dcd58dd5a867283c74ca898720a9527a0"),
+        ("weighted_average", False, np.float64,
+         "79df115c74acef1e49e202621c1b5781b9add2a4d97a4992b20e4f746ea78842"),
+        ("weighted_average", False, np.float32,
+         "6743acc42618a3c822c6e70ee904c1db2e241f26d6eac6b85fbda9ad082ab1b4"),
+        ("cls_token", True, np.float64,
+         "66079628406e6c0a4a48979f5f56d20311ad348151185a8ae3ab3c139e460060"),
+        ("cls_token", True, np.float32,
+         "921293ea0a99cfa5480e6935c6abdf04c77d37a23ac86875035dea960d184cb5"),
+        ("cls_token", False, np.float64,
+         "9c52382448e0e434c17e67799e0941c9c80fc464f0cd2af60c27f22e32ff652d"),
+        ("cls_token", False, np.float32,
+         "2a373abada86083f6b38fed301519963e96aeec2ad89d39de13048005da5a190"),
+    ], ids=["weighted-shared-f64", "weighted-shared-f32", "weighted-unshared-f64",
+            "weighted-unshared-f32", "cls-shared-f64", "cls-shared-f32", "cls-unshared-f64",
+            "cls-unshared-f32"])
+    def test_query_and_keyword_encodings(self, pairs, pooling, shared, dtype, digest):
+        config = ModelConfig(pooling=pooling, shared_encoders=shared)
+        model = TwinModel.initialize(config, seed=5).cast(dtype)
+        q = model.encode_queries([p.query for p in pairs])
+        k = model.encode_keywords([p.keyword for p in pairs])
+        assert q.dtype == k.dtype == dtype
+        assert _params_digest({"queries": q, "keywords": k}) == digest
+
+    @pytest.mark.parametrize("pooling, shared, digest", [
+        ("weighted_average", True,
+         "25c55d54aebc32236faaaee61cce276750c10d680b8d62a4603e483c0f31bebc"),
+        ("cls_token", False,
+         "c1b16d6840965be9a781d891a1a8e43bb3aca791112ef653f784b5b731675214"),
+    ], ids=["weighted-shared", "cls-unshared"])
+    def test_parameters_after_distillation_with_dropout(self, pairs, pooling, shared, digest):
+        from twinenc import DistillationConfig, distill_train
+
+        config = ModelConfig(pooling=pooling, shared_encoders=shared, dropout=0.1)
+        model = TwinModel.initialize(config, seed=6)
+        history = distill_train(pairs[:128], DistillationConfig(epochs=2, batch_size=32,
+                                                                learning_rate=1e-3), model, seed=3)
+        assert history.steps == 8
+        assert _params_digest({"losses": np.array(history.epoch_losses), **model.params}) == digest

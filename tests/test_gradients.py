@@ -117,23 +117,29 @@ class TestPipelineGradients:
 
 class TestTokenTableGradient:
     def test_row_sparse_matches_dense_scatter_add(self, tiny_model, rng):
-        """Both sides' RowGrads merge into the dense np.add.at sum, within 1e-14.
+        """Both sides' RowGrads merge into a per-word loop's dense sum, within 1e-14.
 
         The query and keyword batches share words, so some rows get a
         contribution from each side and from repeated trigrams within a side.
         """
         prefix = tiny_model.query_prefix
         table = tiny_model.params[f"{prefix}.tok_emb"]
-        qb = pack_sequences(tiny_model.tokenize_many(["red shoes", "red red shoes sale", "paris"]))
-        kb = pack_sequences(tiny_model.tokenize_many(["shoes red", "paris shoes"]))
+        q_seqs = tiny_model.tokenize_many(["red shoes", "red red shoes sale", "paris"])
+        k_seqs = tiny_model.tokenize_many(["shoes red", "paris shoes"])
+        qb, kb = pack_sequences(q_seqs), pack_sequences(k_seqs)
         assert np.intersect1d(qb.bucket_ids, kb.bucket_ids).size > 0
         grads = {}
         reference = np.zeros_like(table)
-        for batch in (qb, kb):
+        for seqs, batch in ((q_seqs, qb), (k_seqs, kb)):
             dx = rng.standard_normal((batch.n_examples, batch.seq_len, table.shape[1]))
             embed_backward(tiny_model.params, prefix, batch, dx, grads)
-            flat = dx.reshape(-1, table.shape[1])
-            np.add.at(reference, batch.bucket_ids, flat[batch.slot_ids])
+            # every trigram of the word in real slot (b, t) gets that slot's gradient
+            for b, seq in enumerate(seqs):
+                bounds = seq.word_offsets + (len(seq.bucket_ids),)
+                for t in range(seq.length):
+                    assert batch.mask[b, t]
+                    for bucket in seq.bucket_ids[bounds[t]:bounds[t + 1]]:
+                        reference[bucket] += dx[b, t]
         g = grads[f"{prefix}.tok_emb"]
         assert isinstance(g, RowGrad)
         np.testing.assert_array_equal(g.rows, np.unique(np.r_[qb.bucket_ids, kb.bucket_ids]))

@@ -102,10 +102,10 @@ class TestEncodeText:
         assert seq.bucket_ids == self.vocab.word_buckets("cat")
         assert len(seq.bucket_ids) == 3
 
-    def test_truncation_records_original_length(self):
+    def test_truncation_keeps_the_first_words(self):
         seq = encode_text("a b c d", self.vocab, max_len=2)
         assert seq.length == 2
-        assert seq.original_length == 4
+        assert seq.bucket_ids == self.vocab.word_buckets("a") + self.vocab.word_buckets("b")
 
     def test_identical_words_identical_multisets(self):
         seq = encode_text("cat cat", self.vocab, max_len=4)
@@ -121,7 +121,7 @@ class TestEncodeText:
         assert seq.bucket_ids[0] == self.vocab.cls_bucket
         assert seq.word_offsets[:2] == (0, 1)
         assert seq.length == 4  # cls + 3 words
-        assert seq.original_length == 4
+        assert seq.bucket_ids[1:] == sum(map(self.vocab.word_buckets, "abc"), ())
 
     @given(st.lists(words, min_size=1, max_size=6))
     def test_deterministic(self, word_list):
@@ -146,4 +146,4 @@ class TestTokenSequence:
             ((1,), ()),  # buckets outside any word
         ):
             with pytest.raises(ValueError):
-                TokenSequence(bucket_ids=bucket_ids, word_offsets=word_offsets, original_length=1)
+                TokenSequence(bucket_ids=bucket_ids, word_offsets=word_offsets)
