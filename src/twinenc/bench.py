@@ -231,18 +231,21 @@ def bench(
                             _bench_texts(scenario.n_queries, scenario.n_keywords_per_query, seed))[0]
 
 
+def check_nk_grid(nk_grid: list[int]) -> None:
+    """Refuse a keyword-count grid whose line fit leaves no residual to judge it by."""
+    if min(nk_grid, default=0) < 1 or len(set(nk_grid)) < 3:
+        raise ValueError("degenerate grid: the fit needs at least 3 distinct positive keyword counts")
+
+
 def complexity_fit(grid: list[tuple[int, float]]) -> ComplexityFit:
     """Least-squares fit of per-query time vs keyword count.
 
-    ``grid`` holds (n_keywords, mean_time_ms) points; at least three
-    distinct keyword counts are required.
+    ``grid`` holds (n_keywords, mean_time_ms) points; its keyword counts
+    must pass :func:`check_nk_grid`.
     """
-    if len(grid) < 3:
-        raise ValueError("complexity fit needs at least 3 grid points")
+    check_nk_grid([g[0] for g in grid])
     nk = np.asarray([g[0] for g in grid], dtype=np.float64)
     t = np.asarray([g[1] for g in grid], dtype=np.float64)
-    if np.unique(nk).size < 2:
-        raise ValueError("grid is degenerate: all keyword counts identical")
     beta, alpha = np.polyfit(nk, t, 1)
     resid = t - (alpha + beta * nk)
     return ComplexityFit(
@@ -271,6 +274,7 @@ def bench_grid(
     slope reflects per-keyword cost rather than workload differences. The
     points are timed round-robin, so host speed drift cannot tilt the slope.
     """
+    check_nk_grid(nk_grid)
     texts = _bench_texts(n_queries, max(nk_grid), seed)
     scenarios = [
         LatencyScenario(

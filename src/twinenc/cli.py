@@ -35,14 +35,12 @@ from . import bench as bench_mod
 from . import index as index_mod
 from . import textio
 from .checkpoint import FORMAT_VERSION, config_hash, file_sha256
-from .config import CROSSING_MODES, DistillationConfig, ModelConfig, POOLING_MODES
+from .config import CROSSING_MODES, PRESETS, DistillationConfig, ModelConfig, POOLING_MODES
 from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
 from .model import TwinModel
 from .synthetic import generate_pairs, split_pairs
 from .text import TrigramVocab, normalize
 from .training import distill_train, finetune, load_pair_tsv, save_pair_tsv
-
-PRESETS = ("desk", "large")
 
 # not __name__: under ``python -m twinenc.cli`` that is ``__main__``, outside the package logger
 logger = logging.getLogger("twinenc.cli")
@@ -74,8 +72,8 @@ def _load_config_file(path: str | None) -> dict:
     for key in ("seed", "vocab_hash_seed"):
         if type(raw.get(key, 0)) is not int:
             raise CliError(f"config file {path}: {key!r} must be an integer")
-    if raw.get("preset", PRESETS[0]) not in PRESETS:
-        raise CliError(f"config file {path}: 'preset' must be one of {PRESETS}")
+    if raw.get("preset", "desk") not in tuple(PRESETS):  # a tuple: a JSON list is unhashable
+        raise CliError(f"config file {path}: 'preset' must be one of {tuple(PRESETS)}")
     return raw
 
 
@@ -116,26 +114,31 @@ def _config_kwargs(cls, args, file_section: dict) -> dict:
     return {**kwargs, **file_section}
 
 
-def _resolve(args, file_cfg: dict) -> dict:
-    """Merge defaults <- flags <- config file into one resolved dict."""
-    large = getattr(args, "preset", None) == "large" or file_cfg.get("preset") == "large"
+def _setting(name: str, args, file_cfg: dict, default):
+    """One setting: the config file's value, else the flag's, else ``default``."""
+    value = file_cfg.get(name, getattr(args, name, None))
+    return default if value is None else value
+
+
+def _resolve(args, file_cfg: dict, model: TwinModel | None = None) -> dict:
+    """Merge defaults <- flags <- config file into one resolved dict, and log it.
+    A loaded ``model``'s architecture and vocabulary hash seed replace the resolved ones."""
     try:
-        model = (ModelConfig.large if large else ModelConfig)(
+        config = PRESETS[_setting("preset", args, file_cfg, "desk")](
             **_config_kwargs(ModelConfig, args, file_cfg.get("model", {})))
         distill = DistillationConfig(
             **_config_kwargs(DistillationConfig, args, file_cfg.get("distill", {})))
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
-    return {
-        "model": model.to_dict(),
+    resolved = {
+        "model": config.to_dict(),
         "distill": distill.to_dict(),
-        **{name: file_cfg.get(name, getattr(args, name, None) or 0)
-           for name in ("seed", "vocab_hash_seed")},
+        **{name: _setting(name, args, file_cfg, 0) for name in ("seed", "vocab_hash_seed")},
     }
-
-
-def _echo(resolved: dict) -> None:
+    if model is not None:
+        resolved.update(model=model.config.to_dict(), vocab_hash_seed=model.vocab.hash_seed)
     logger.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
+    return resolved
 
 
 def _build_model(resolved: dict) -> TwinModel:
@@ -168,7 +171,7 @@ def _emit(path: str | Path | None, rows, manifest: dict) -> None:
 
 def cmd_gen_synthetic(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = file_cfg.get("seed", args.seed or 0)  # defaults < flags < file, as in _resolve
+    seed = _setting("seed", args, file_cfg, 0)
     out_dir = Path(args.out_dir)
 
     pairs = generate_pairs(
@@ -211,7 +214,6 @@ def _save_trained(command: str, args, resolved: dict, model: TwinModel, records:
 def cmd_distill(args) -> int:
     file_cfg = _load_config_file(args.config)
     resolved = _resolve(args, file_cfg)
-    _echo(resolved)
     records = load_pair_tsv(_require_file(args.data))
     model = _build_model(resolved)
     dconfig = DistillationConfig.from_dict(resolved["distill"])
@@ -225,9 +227,7 @@ def cmd_finetune(args) -> int:
     file_cfg = _load_config_file(args.config)
     records = load_pair_tsv(_require_file(args.data))
     model = TwinModel.load(_require_file(args.checkpoint))
-    resolved = _resolve(args, file_cfg)
-    resolved["model"] = model.config.to_dict()  # architecture comes from the checkpoint
-    _echo(resolved)
+    resolved = _resolve(args, file_cfg, model)
     dconfig = DistillationConfig.from_dict(resolved["distill"])
     t0 = time.perf_counter()
     history = finetune(records, dconfig, model, seed=resolved["seed"])
@@ -369,16 +369,14 @@ def cmd_bench(args) -> int:
         if mode not in bench_mod.MODEL_MODES:
             raise CliError(f"--modes: model_mode must be one of {bench_mod.MODEL_MODES}, got {mode!r}")
     nk_grid = [int(v) for v in args.nk_grid.split(",")]
-    if min(nk_grid) < 1 or len(set(nk_grid)) < 3:
-        raise CliError(f"--nk-grid {args.nk_grid!r}: the fit needs at least 3 distinct "
-                       "positive keyword counts")
+    try:
+        bench_mod.check_nk_grid(nk_grid)
+    except ValueError as exc:
+        raise CliError(f"--nk-grid {args.nk_grid!r}: {exc}") from None
     file_cfg = _load_config_file(args.config)
-    resolved = _resolve(args, file_cfg)
-    _echo(resolved)
-    if args.checkpoint:
-        model = TwinModel.load(_require_file(args.checkpoint))
-    else:
-        model = _build_model(resolved)
+    loaded = TwinModel.load(_require_file(args.checkpoint)) if args.checkpoint else None
+    resolved = _resolve(args, file_cfg, loaded)
+    model = loaded or _build_model(resolved)
     dtype = np.float32 if args.dtype == "f32" else np.float64
 
     rows = []

@@ -70,6 +70,10 @@ class ModelConfig:
         return cls(**raw)
 
 
+# preset name -> constructor of its ModelConfig
+PRESETS = {"desk": ModelConfig, "large": ModelConfig.large}
+
+
 @dataclass
 class DistillationConfig:
     """Student-training hyperparameters.

@@ -305,22 +305,22 @@ def layer_forward(
     params: dict,
     lp: str,
     config: ModelConfig,
-    train: bool = False,
+    *,
     rng: np.random.Generator | None = None,
     cache: bool = True,
 ):
     """One post-norm transformer block: self-attention then feed-forward.
 
     ``mask`` (B, T) excludes padding slots from attention as keys, so masked
-    content can never reach unmasked outputs. Raises on non-finite input.
-    Returns (output, backward cache); with ``cache=False`` the cache is None
-    and each intermediate is dropped as soon as the next op has used it.
+    content can never reach unmasked outputs. Dropout at ``config.dropout``
+    is drawn from ``rng`` if and only if one is given; with no rng, or a
+    rate of 0, nothing is drawn. Raises on non-finite input. Returns
+    (output, backward cache); with ``cache=False`` the cache is None and
+    each intermediate is dropped as soon as the next op has used it.
     """
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in transformer layer input")
-    rate = config.dropout if train else 0.0
-    if rate > 0.0 and rng is None:
-        raise ValueError("dropout requires an rng in training mode")
+    rate = 0.0 if rng is None else config.dropout
     a = config.n_heads
     scale = 1.0 / math.sqrt(config.head_dim)
     saved = {"x": x, "scale": scale} if cache else None
@@ -452,17 +452,18 @@ def encoder_forward(
     prefix: str,
     batch: PackedBatch,
     config: ModelConfig,
-    train: bool = False,
+    *,
     rng: np.random.Generator | None = None,
     cache: bool = True,
 ):
     """Embed, run the transformer stack, pool. Returns (embeddings, cache);
-    with ``cache=False`` the cache is None and no layer keeps its activations."""
+    with ``cache=False`` the cache is None and no layer keeps its activations.
+    Dropout is drawn from ``rng`` if and only if one is given."""
     x = embed_forward(params, prefix, batch)
     layer_caches = []
     for layer in range(config.n_layers):
-        x, saved = layer_forward(x, batch.mask, params, f"{prefix}.layers.{layer}", config, train, rng,
-                                 cache=cache)
+        x, saved = layer_forward(x, batch.mask, params, f"{prefix}.layers.{layer}", config,
+                                 rng=rng, cache=cache)
         layer_caches.append(saved)
     emb, pool_cache = pool_forward(x, batch.mask, params, prefix, config.pooling)
     if not cache:

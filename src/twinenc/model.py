@@ -107,17 +107,17 @@ class TwinModel:
 
     # -- encoding ----------------------------------------------------------
 
-    def encode_query_batch(self, batch: PackedBatch, train: bool = False, rng=None, cache: bool = True):
-        """(embeddings, backward cache); ``cache=False`` keeps no activations."""
-        emb, saved = encoder_forward(self.params, self.query_prefix, batch, self.config, train, rng,
-                                     cache=cache)
+    def encode_query_batch(self, batch: PackedBatch, *, rng=None, cache: bool = True):
+        """(embeddings, backward cache); ``cache=False`` keeps no activations.
+        Dropout is drawn from ``rng`` if and only if one is given."""
+        emb, saved = encoder_forward(self.params, self.query_prefix, batch, self.config, rng=rng, cache=cache)
         self.counters.query_encoder_passes += batch.n_examples
         return emb, saved
 
-    def encode_keyword_batch(self, batch: PackedBatch, train: bool = False, rng=None, cache: bool = True):
-        """(embeddings, backward cache); ``cache=False`` keeps no activations."""
-        emb, saved = encoder_forward(self.params, self.keyword_prefix, batch, self.config, train, rng,
-                                     cache=cache)
+    def encode_keyword_batch(self, batch: PackedBatch, *, rng=None, cache: bool = True):
+        """(embeddings, backward cache); ``cache=False`` keeps no activations.
+        Dropout is drawn from ``rng`` if and only if one is given."""
+        emb, saved = encoder_forward(self.params, self.keyword_prefix, batch, self.config, rng=rng, cache=cache)
         self.counters.keyword_encoder_passes += batch.n_examples
         return emb, saved
 

@@ -181,14 +181,13 @@ class TrainingHistory:
     calibration: tuple[float, float] | None = None
 
 
-def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str,
-                        train: bool = False, rng=None):
+def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str, *, rng=None):
     """Mean binary CE of a batch of pairs through both encoders and ``head``,
-    and its gradients. ``train`` switches dropout on, drawn from ``rng``."""
+    and its gradients. Dropout is drawn from ``rng`` if and only if one is given."""
     qb = pack_sequences(q_seqs)
     kb = pack_sequences(k_seqs)
-    q_emb, q_cache = model.encode_query_batch(qb, train=train, rng=rng)
-    k_emb, k_cache = model.encode_keyword_batch(kb, train=train, rng=rng)
+    q_emb, q_cache = model.encode_query_batch(qb, rng=rng)
+    k_emb, k_cache = model.encode_keyword_batch(kb, rng=rng)
     logits, hcache = crossing.head_forward(head, q_emb, k_emb, model.params)
     probs = sigmoid(logits)
     n = len(targets)
@@ -200,14 +199,6 @@ def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str,
     model.backward_query(dq, q_cache, qb, grads)
     model.backward_keyword(dk, k_cache, kb, grads)
     return loss, grads
-
-
-def _pair_batch_step(model: TwinModel, q_seqs, k_seqs, targets, optimizer, train_rng):
-    """One forward/backward/update over a batch of pairs. Returns mean loss."""
-    loss, grads = pair_loss_and_grads(model, q_seqs, k_seqs, targets, model.config.crossing,
-                                      train=model.config.dropout > 0.0, rng=train_rng)
-    optimizer.step(model.params, grads)
-    return loss
 
 
 def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray,
@@ -230,14 +221,12 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
         losses = []
         for lo in range(0, n, bs):
             idx = order[lo : lo + bs]
-            loss = _pair_batch_step(
-                model,
-                [q_seqs[i] for i in idx],
-                [k_seqs[i] for i in idx],
-                targets[idx],
-                optimizer,
-                dropout_rng,
-            )
+            # with dropout 0 the rng draws nothing, so it is always passed
+            loss, grads = pair_loss_and_grads(model, [q_seqs[i] for i in idx],
+                                              [k_seqs[i] for i in idx], targets[idx],
+                                              model.config.crossing, rng=dropout_rng)
+            optimizer.step(model.params, grads)
+            del grads  # else the next step's forward and backward run with it still held
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {history.steps}: {loss}"
@@ -344,10 +333,8 @@ def refit_calibration(records: list[PairRecord], model: TwinModel,
     logits = []
     for lo in range(0, len(records), batch_size):
         chunk = records[lo : lo + batch_size]
-        qb = pack_sequences([model.tokenize(r.query) for r in chunk])
-        kb = pack_sequences([model.tokenize(r.keyword) for r in chunk])
-        q_emb, _ = model.encode_query_batch(qb, cache=False)
-        k_emb, _ = model.encode_keyword_batch(kb, cache=False)
+        q_emb = model.encode_queries([r.query for r in chunk])
+        k_emb = model.encode_keywords([r.keyword for r in chunk])
         logits.append(crossing.head_forward(model.config.crossing, q_emb, k_emb, model.params)[0])
     fit = fit_logit_calibration(np.concatenate(logits), labels)
     if fit is None:

@@ -138,6 +138,19 @@ class TestComplexityFit:
         with pytest.raises(ValueError, match="degenerate"):
             complexity_fit([(10, 1.0), (10, 2.0), (10, 3.0)])
 
+    def test_two_distinct_counts_refused(self):
+        with pytest.raises(ValueError, match="3 distinct positive keyword counts"):
+            complexity_fit([(5, 1.0), (5, 2.0), (10, 3.0)])
+
+    @pytest.mark.parametrize("nk_grid", [[5, 5, 10], [0, 5, 10]])
+    def test_bench_grid_refuses_before_timing(self, bench_model, monkeypatch, nk_grid):
+        def timed(*args):
+            raise AssertionError("a refused grid was timed")
+
+        monkeypatch.setattr(bench_mod, "_run_round_robin", timed)
+        with pytest.raises(ValueError, match="3 distinct positive keyword counts"):
+            bench_grid(bench_model, "twin_cosine", nk_grid)
+
 
 class TestReportShape:
     def test_report_fields(self, bench_model):

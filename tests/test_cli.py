@@ -18,6 +18,7 @@ from twinenc.cli import _resolve, build_parser, main
 from twinenc.config import ModelConfig
 from twinenc.encoder import sigmoid
 from twinenc.model import TwinModel
+from twinenc.text import TrigramVocab
 
 FAST_MODEL = ["--layers", "1", "--hidden-size", "16", "--heads", "2",
               "--vocab-buckets", "256", "--max-len", "8", "--dropout", "0.0"]
@@ -290,6 +291,33 @@ class TestPresets:
         assert _resolve(by_flag, {})["model"] == ModelConfig.large().to_dict()
         by_file = build_parser().parse_args(distill)
         assert _resolve(by_file, {"preset": "large"})["model"] == ModelConfig.large().to_dict()
+
+    def test_config_file_preset_beats_the_flag(self):
+        args = build_parser().parse_args(["distill", "--data", "d.tsv", "--out", "m.ckpt",
+                                          "--preset", "large"])
+        assert _resolve(args, {"preset": "desk"})["model"] == ModelConfig().to_dict()
+
+
+class TestLoadedModelSettings:
+    """A command that loads a checkpoint records the checkpoint's model."""
+
+    def test_bench_manifest_records_the_timed_checkpoint(self, workspace, tmp_path):
+        out = tmp_path / "bench.tsv"
+        assert main(["bench", "--checkpoint", str(workspace / "model.ckpt"), "--modes", "twin_cosine",
+                     "--nk-grid", "5,10,20", "--n-queries", "2", "--reps", "1", "--warmup", "0",
+                     "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["model"] == TwinModel.load(workspace / "model.ckpt").config.to_dict()
+
+    def test_finetune_manifest_records_the_checkpoint_vocab_hash_seed(self, workspace, tmp_path):
+        config = ModelConfig(n_layers=1, hidden_size=16, n_heads=2, vocab_buckets=256, max_len=8)
+        TwinModel.initialize(config, TrigramVocab(bucket_count=256, hash_seed=5)).save(tmp_path / "v5.ckpt")
+        assert main(["finetune", "--data", str(workspace / "data" / "train.tsv"),
+                     "--checkpoint", str(tmp_path / "v5.ckpt"), "--out", str(tmp_path / "ft.ckpt"),
+                     "--finetune-epochs", "0", "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "ft.ckpt.manifest.json").read_text())
+        assert manifest["config"]["vocab_hash_seed"] == 5
+        assert manifest["config"]["model"] == config.to_dict()
 
 
 class TestBench:

@@ -290,9 +290,9 @@ class TestCacheFreeForward:
         batch = _batch(tiny_model, self.TEXTS)
         x = embed_forward(tiny_model.params, tiny_model.query_prefix, batch)
         lp = f"{tiny_model.query_prefix}.layers.0"
-        y, cache = layer_forward(x, batch.mask, tiny_model.params, lp, cfg, True, np.random.default_rng(9))
-        y_free, none = layer_forward(x, batch.mask, tiny_model.params, lp, cfg, True,
-                                     np.random.default_rng(9), cache=False)
+        y, cache = layer_forward(x, batch.mask, tiny_model.params, lp, cfg, rng=np.random.default_rng(9))
+        y_free, none = layer_forward(x, batch.mask, tiny_model.params, lp, cfg,
+                                     rng=np.random.default_rng(9), cache=False)
         assert none is None and cache["attn_keep"] is not None
         assert y_free.tobytes() == y.tobytes()
 
@@ -315,6 +315,35 @@ class TestCacheFreeForward:
 
         cached, free = peak(True), peak(False)
         assert free <= cached / 2, (free, cached)
+
+
+class TestDropoutFromRng:
+    """Dropout is drawn if and only if a forward is given an rng."""
+
+    TEXTS = ["red shoes", "cheap flights to paris", "cat"]
+
+    def test_no_rng_ignores_the_dropout_rate(self, tiny_model):
+        noisy = TwinModel(config=replace(tiny_model.config, dropout=0.3), vocab=tiny_model.vocab,
+                          params=tiny_model.params)
+        batch = _batch(tiny_model, self.TEXTS)
+        assert noisy.encode_query_batch(batch)[0].tobytes() == \
+            tiny_model.encode_query_batch(batch)[0].tobytes()
+        assert noisy.encode_keywords(self.TEXTS).tobytes() == \
+            tiny_model.encode_keywords(self.TEXTS).tobytes()
+
+    def test_rng_at_dropout_zero_draws_nothing(self, tiny_model):
+        assert tiny_model.config.dropout == 0.0
+        batch = _batch(tiny_model, self.TEXTS)
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        with_rng, _ = tiny_model.encode_query_batch(batch, rng=rng)
+        assert rng.bit_generator.state == state
+        assert with_rng.tobytes() == tiny_model.encode_query_batch(batch)[0].tobytes()
+
+    def test_rng_and_cache_are_keyword_only(self, tiny_model):
+        batch = _batch(tiny_model, self.TEXTS)
+        with pytest.raises(TypeError):
+            tiny_model.encode_query_batch(batch, True, np.random.default_rng(9))
 
 
 class TestPinnedEncodings:

@@ -301,6 +301,9 @@ CLI_CASES = {
     "config_preset": (json.dumps({"preset": "huge"}).encode(),
                       ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
                       "BAD: 'preset' must be one of"),
+    "config_preset_list": (json.dumps({"preset": ["large"]}).encode(),
+                           ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+                           "BAD: 'preset' must be one of"),
     "index_truncated_graph_block": (_graph_index([[1], [0, 2], [1]])[:-4], SEARCH_BAD_INDEX,
                                     "BAD: truncated file or bad count: 24 bytes wanted"),
     "index_negative_degree_bound": (_graph_index([[1], [0, 2], [1]], degree_bound=-1), SEARCH_BAD_INDEX,
