@@ -288,9 +288,10 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, a * d)
 
 
-def _dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
-    keep = (rng.random(shape) >= rate).astype(dtype)
-    return keep / (1.0 - rate)
+def _dropout_scale(keep: np.ndarray, rate: float, dtype) -> np.ndarray:
+    """The float dropout mask, 0 or 1/(1-rate), that forward and backward
+    both rebuild from the boolean ``keep`` mask the cache holds."""
+    return keep.astype(dtype) / (1.0 - rate)
 
 
 def _keep(cache: dict | None, **arrays) -> None:
@@ -315,8 +316,9 @@ def layer_forward(
     content can never reach unmasked outputs. Dropout at ``config.dropout``
     is drawn from ``rng`` if and only if one is given; with no rng, or a
     rate of 0, nothing is drawn. Raises on non-finite input. Returns
-    (output, backward cache); with ``cache=False`` the cache is None and
-    each intermediate is dropped as soon as the next op has used it.
+    (output, backward cache), which holds each dropout mask as a boolean
+    array; with ``cache=False`` the cache is None and each intermediate is
+    dropped as soon as the next op has used it.
     """
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in transformer layer input")
@@ -331,16 +333,16 @@ def layer_forward(
     _keep(saved, qh=qh, kh=kh)
     del qh, kh
     vh = _split_heads(_linear_forward(x, params[f"{lp}.attn.wv"], params[f"{lp}.attn.bv"]), a)
-    attn_keep = _dropout_mask(rng, probs.shape, rate, x.dtype) if rate > 0.0 else None
-    probs_d = probs if attn_keep is None else probs * attn_keep
+    attn_keep = rng.random(probs.shape) >= rate if rate > 0.0 else None
+    probs_d = probs if attn_keep is None else probs * _dropout_scale(attn_keep, rate, x.dtype)
     ctx = _merge_heads(probs_d @ vh)
     _keep(saved, vh=vh, probs=probs, probs_d=probs_d, attn_keep=attn_keep, ctx=ctx)
     del vh, probs, probs_d, attn_keep
     attn_out = _linear_forward(ctx, params[f"{lp}.attn.wo"], params[f"{lp}.attn.bo"])
     del ctx
-    out_keep = _dropout_mask(rng, attn_out.shape, rate, x.dtype) if rate > 0.0 else None
+    out_keep = rng.random(attn_out.shape) >= rate if rate > 0.0 else None
     if out_keep is not None:
-        attn_out *= out_keep
+        attn_out *= _dropout_scale(out_keep, rate, x.dtype)
 
     x1, ln1 = _layernorm_forward(x + attn_out, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
     del attn_out
@@ -350,9 +352,9 @@ def layer_forward(
     del out_keep, ln1, f1
     f2 = _linear_forward(g, params[f"{lp}.ffn.w2"], params[f"{lp}.ffn.b2"])
     del g
-    ffn_keep = _dropout_mask(rng, f2.shape, rate, x.dtype) if rate > 0.0 else None
+    ffn_keep = rng.random(f2.shape) >= rate if rate > 0.0 else None
     if ffn_keep is not None:
-        f2 *= ffn_keep
+        f2 *= _dropout_scale(ffn_keep, rate, x.dtype)
 
     x2, ln2 = _layernorm_forward(x1 + f2, params[f"{lp}.ln2.g"], params[f"{lp}.ln2.b"])
     _keep(saved, ffn_keep=ffn_keep, ln2=ln2)
@@ -360,44 +362,41 @@ def layer_forward(
 
 
 def layer_backward(dx2: np.ndarray, cache: dict, params: dict, lp: str, config: ModelConfig, grads: dict) -> np.ndarray:
+    """Backward of :func:`layer_forward`; pops each cached array at its last read."""
     a = config.n_heads
-    x, x1 = cache["x"], cache["x1"]
 
-    d_sum2 = _layernorm_backward(dx2, cache["ln2"], params[f"{lp}.ln2.g"], grads, f"{lp}.ln2.g", f"{lp}.ln2.b")
+    def dropped(d: np.ndarray, name: str) -> np.ndarray:
+        """``d`` times the dropout mask the forward drew for ``name``, if it drew one."""
+        keep = cache.pop(name)
+        return d if keep is None else d * _dropout_scale(keep, config.dropout, d.dtype)
+
+    d_sum2 = _layernorm_backward(dx2, cache.pop("ln2"), params[f"{lp}.ln2.g"], grads, f"{lp}.ln2.g", f"{lp}.ln2.b")
     dx1 = d_sum2.copy()
-    df2 = d_sum2
-    if cache["ffn_keep"] is not None:
-        df2 = df2 * cache["ffn_keep"]
-    dg = _linear_backward(cache["g"], params[f"{lp}.ffn.w2"], df2, grads, f"{lp}.ffn.w2", f"{lp}.ffn.b2")
-    df1 = dg * gelu_grad(cache["f1"])
-    dx1 += _linear_backward(x1, params[f"{lp}.ffn.w1"], df1, grads, f"{lp}.ffn.w1", f"{lp}.ffn.b1")
+    df2 = dropped(d_sum2, "ffn_keep")
+    dg = _linear_backward(cache.pop("g"), params[f"{lp}.ffn.w2"], df2, grads, f"{lp}.ffn.w2", f"{lp}.ffn.b2")
+    df1 = dg * gelu_grad(cache.pop("f1"))
+    dx1 += _linear_backward(cache.pop("x1"), params[f"{lp}.ffn.w1"], df1, grads, f"{lp}.ffn.w1", f"{lp}.ffn.b1")
 
-    d_sum1 = _layernorm_backward(dx1, cache["ln1"], params[f"{lp}.ln1.g"], grads, f"{lp}.ln1.g", f"{lp}.ln1.b")
+    d_sum1 = _layernorm_backward(dx1, cache.pop("ln1"), params[f"{lp}.ln1.g"], grads, f"{lp}.ln1.g", f"{lp}.ln1.b")
     dx = d_sum1.copy()
-    d_attn_out = d_sum1
-    if cache["out_keep"] is not None:
-        d_attn_out = d_attn_out * cache["out_keep"]
-    d_ctx = _linear_backward(cache["ctx"], params[f"{lp}.attn.wo"], d_attn_out, grads, f"{lp}.attn.wo", f"{lp}.attn.bo")
+    d_attn_out = dropped(d_sum1, "out_keep")
+    d_ctx = _linear_backward(cache.pop("ctx"), params[f"{lp}.attn.wo"], d_attn_out, grads, f"{lp}.attn.wo", f"{lp}.attn.bo")
 
     d_ctx_h = _split_heads(d_ctx, a)
-    probs_d, probs = cache["probs_d"], cache["probs"]
-    d_vh = probs_d.transpose(0, 1, 3, 2) @ d_ctx_h
-    d_probs_d = d_ctx_h @ cache["vh"].transpose(0, 1, 3, 2)
-    if cache["attn_keep"] is not None:
-        d_probs = d_probs_d * cache["attn_keep"]
-    else:
-        d_probs = d_probs_d
+    d_vh = cache.pop("probs_d").transpose(0, 1, 3, 2) @ d_ctx_h
+    d_probs = dropped(d_ctx_h @ cache.pop("vh").transpose(0, 1, 3, 2), "attn_keep")
     # softmax backward; masked entries have probs == 0 so receive no gradient
+    probs = cache.pop("probs")
     d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-    d_scores *= cache["scale"]
+    d_scores *= cache.pop("scale")
 
-    d_qh = d_scores @ cache["kh"]
-    d_kh = d_scores.transpose(0, 1, 3, 2) @ cache["qh"]
+    d_qh = d_scores @ cache.pop("kh")
+    d_kh = d_scores.transpose(0, 1, 3, 2) @ cache.pop("qh")
 
-    dq, dk, dv = _merge_heads(d_qh), _merge_heads(d_kh), _merge_heads(d_vh)
-    dx += _linear_backward(x, params[f"{lp}.attn.wq"], dq, grads, f"{lp}.attn.wq", f"{lp}.attn.bq")
-    dx += _linear_backward(x, params[f"{lp}.attn.wk"], dk, grads, f"{lp}.attn.wk", f"{lp}.attn.bk")
-    dx += _linear_backward(x, params[f"{lp}.attn.wv"], dv, grads, f"{lp}.attn.wv", f"{lp}.attn.bv")
+    x = cache.pop("x")
+    dx += _linear_backward(x, params[f"{lp}.attn.wq"], _merge_heads(d_qh), grads, f"{lp}.attn.wq", f"{lp}.attn.bq")
+    dx += _linear_backward(x, params[f"{lp}.attn.wk"], _merge_heads(d_kh), grads, f"{lp}.attn.wk", f"{lp}.attn.bk")
+    dx += _linear_backward(x, params[f"{lp}.attn.wv"], _merge_heads(d_vh), grads, f"{lp}.attn.wv", f"{lp}.attn.bv")
     return dx
 
 
@@ -458,7 +457,8 @@ def encoder_forward(
 ):
     """Embed, run the transformer stack, pool. Returns (embeddings, cache);
     with ``cache=False`` the cache is None and no layer keeps its activations.
-    Dropout is drawn from ``rng`` if and only if one is given."""
+    Dropout is drawn from ``rng`` if and only if one is given. The cache is
+    for one :func:`encoder_backward`, which empties it."""
     x = embed_forward(params, prefix, batch)
     layer_caches = []
     for layer in range(config.n_layers):
@@ -480,7 +480,16 @@ def encoder_backward(
     config: ModelConfig,
     grads: dict,
 ) -> None:
-    dx = pool_backward(d_emb, cache["pool"], params, prefix, grads, cache["final_shape"])
+    """Accumulate the encoder's gradients into ``grads``, consuming ``cache``.
+
+    The pool cache is popped first, then each layer's cache, top layer
+    first, so each activation is freed once its own backward has read it.
+    A training step runs the query tower's backward first, so its
+    activations are gone before the keyword tower's backward starts. The
+    emptied cache cannot be used again.
+    """
+    dx = pool_backward(d_emb, cache.pop("pool"), params, prefix, grads, cache["final_shape"])
+    layers = cache["layers"]
     for layer in reversed(range(config.n_layers)):
-        dx = layer_backward(dx, cache["layers"][layer], params, f"{prefix}.layers.{layer}", config, grads)
+        dx = layer_backward(dx, layers.pop(), params, f"{prefix}.layers.{layer}", config, grads)
     embed_backward(params, prefix, batch, dx, grads)

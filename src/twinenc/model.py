@@ -103,7 +103,10 @@ class TwinModel:
         return encode_text(text, self.vocab, max_len, prepend_bucket=cls_bucket)
 
     def tokenize_many(self, texts: list[str]) -> list[TokenSequence]:
-        return [self.tokenize(t) for t in texts]
+        """One sequence per text; each distinct text is tokenized once and its
+        repeats share that :class:`TokenSequence`."""
+        seqs = {t: self.tokenize(t) for t in dict.fromkeys(texts)}
+        return [seqs[t] for t in texts]
 
     # -- encoding ----------------------------------------------------------
 

@@ -183,7 +183,8 @@ class TrainingHistory:
 
 def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str, *, rng=None):
     """Mean binary CE of a batch of pairs through both encoders and ``head``,
-    and its gradients. Dropout is drawn from ``rng`` if and only if one is given."""
+    and its gradients. Dropout is drawn from ``rng`` if and only if one is given.
+    Each tower's backward consumes its forward cache, the query tower's first."""
     qb = pack_sequences(q_seqs)
     kb = pack_sequences(k_seqs)
     q_emb, q_cache = model.encode_query_batch(qb, rng=rng)
@@ -211,10 +212,9 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
     shuffle_rng = np.random.default_rng([seed, 0xDA7A])
     dropout_rng = np.random.default_rng([seed, 0xD120])
 
-    q_seqs = [model.tokenize(r.query) for r in records]
-    k_seqs = [model.tokenize(r.keyword) for r in records]
-
     n = len(records)
+    seqs = model.tokenize_many([r.query for r in records] + [r.keyword for r in records])
+    q_seqs, k_seqs = seqs[:n], seqs[n:]
     bs = config.batch_size
     for epoch in range(epochs):
         order = shuffle_rng.permutation(n)

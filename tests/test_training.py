@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,13 +21,15 @@ from twinenc import (
     soft_label,
     synthetic_teacher,
 )
-from twinenc.encoder import RowGrad, sigmoid
+from twinenc import model as model_mod
+from twinenc.encoder import RowGrad, pack_sequences, sigmoid
 from twinenc.metrics import binary_label
 from twinenc.synthetic import generate_pairs, token_jaccard
 from twinenc.training import (
     AdamW,
     fit_logit_calibration,
     load_pair_tsv,
+    pair_loss_and_grads,
     refit_calibration,
     save_pair_tsv,
 )
@@ -349,6 +352,61 @@ class TestAdamW:
         distill_train(_overfit_records(16), DistillationConfig(epochs=1, batch_size=8), twin, seed=0)
         np.testing.assert_array_equal(model.params["encoder.tok_emb"], before)
         assert not np.array_equal(twin.params["encoder.tok_emb"], before)
+
+
+class TestStepMemory:
+    """A training step holds only what its backward still needs."""
+
+    def test_step_peak_at_most_1_3_times_the_forward_caches(self, desk_model):
+        model = TwinModel(config=replace(desk_model.config, dropout=0.1), vocab=desk_model.vocab,
+                          params=desk_model.params)
+        pairs = generate_pairs(640, seed=1)[:64]
+        q_seqs = model.tokenize_many([p.query for p in pairs])
+        k_seqs = model.tokenize_many([p.keyword for p in pairs])
+        targets = np.full(len(pairs), 0.5)
+
+        tracemalloc.start()
+        try:
+            rng = np.random.default_rng(0)
+            q = model.encode_query_batch(pack_sequences(q_seqs), rng=rng)
+            k = model.encode_keyword_batch(pack_sequences(k_seqs), rng=rng)
+            caches = tracemalloc.get_traced_memory()[0]
+            del q, k
+            tracemalloc.reset_peak()
+            pair_loss_and_grads(model, q_seqs, k_seqs, targets, model.config.crossing,
+                                rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * caches, (peak, caches)
+
+
+class TestTokenizeOnce:
+    def test_tokenize_many_shares_one_sequence_per_distinct_text(self, tiny_model):
+        texts = ["red shoes", "cheap flights", "red shoes", "cat", "cheap flights", "red shoes"]
+        seqs = tiny_model.tokenize_many(texts)
+        assert len(seqs) == len(texts)
+        for text, seq in zip(texts, seqs):
+            assert seq is seqs[texts.index(text)]
+            assert seq == tiny_model.tokenize(text)
+        assert len({id(s) for s in seqs}) == 3
+
+    def test_training_tokenizes_each_distinct_text_once(self, tiny_model, monkeypatch):
+        records = _overfit_records(8) * 2
+        # a keyword that is also another pair's query
+        records.append(PairRecord(query="zig zag", keyword=records[0].query, teacher_logits=(1.0, 0.0)))
+        texts = {r.query for r in records} | {r.keyword for r in records}
+        calls = []
+        encode = model_mod.encode_text
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return encode(text, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "encode_text", counting)
+        model = TwinModel.initialize(tiny_model.config, seed=0)
+        distill_train(records, DistillationConfig(epochs=2, batch_size=8), model, seed=0)
+        assert sorted(calls) == sorted(texts)
 
 
 class TestDistillTrain:
