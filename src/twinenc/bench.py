@@ -149,21 +149,26 @@ def _prepare(scenario: LatencyScenario, model: TwinModel, cross, warmup: int,
     if scenario.model_mode != "cross_encoder" and scenario.keyword_cache:
         # offline phase: precompute keyword embeddings outside the timed region
         cached_kw_embs = [
-            run_model.encode_keyword_batch(kb, cache=False)[0] for kb in kw_batches
+            run_model.encode_keyword_batch(kb)[0] for kb in kw_batches
         ]
+
+    # An rng makes the cross forward keep a backward cache it never reads (at
+    # dropout 0 it draws nothing): criterion 7's ratio is calibrated with that
+    # cost in. Drop it once ROADMAP item 6 lands (ROADMAP "Watch").
+    cross_rng = np.random.default_rng(0)
 
     def run_query(qi: int) -> None:
         if scenario.model_mode == "cross_encoder":
-            emb, _ = encoder_forward(cross_params, "encoder", cross_batches[qi], cross_config)
+            emb, _ = encoder_forward(cross_params, "encoder", cross_batches[qi], cross_config, rng=cross_rng)
             counters.cross_encoder_passes += cross_batches[qi].n_examples
             sigmoid(emb @ cross_params["out.w"] + cross_params["out.b"])
             return
         for _ in range(scenario.qel):
-            q_emb, _ = run_model.encode_query_batch(q_batches[qi], cache=False)
+            q_emb, _ = run_model.encode_query_batch(q_batches[qi])
         if cached_kw_embs is not None:
             k_embs = cached_kw_embs[qi]
         else:
-            k_embs, _ = run_model.encode_keyword_batch(kw_batches[qi], cache=False)
+            k_embs, _ = run_model.encode_keyword_batch(kw_batches[qi])
         q_rows = np.broadcast_to(q_emb[0], k_embs.shape)
         run_model.score_embeddings(q_rows, k_embs, head=head)
 

@@ -242,10 +242,9 @@ def cmd_finetune(args) -> int:
 def cmd_encode_corpus(args) -> int:
     model = TwinModel.load(_require_file(args.checkpoint))
     ids, texts = textio.read_corpus(_require_file(args.corpus))
-    store = index_mod.encode_corpus(texts, model, ids=ids,
-                                    batch_size=args.batch_size, normalize=not args.raw)
+    store = index_mod.encode_corpus(texts, model, ids=ids, batch_size=args.batch_size)
     store.save(args.out)
-    resolved = {"model": model.config.to_dict(), "raw": bool(args.raw)}
+    resolved = {"model": model.config.to_dict()}
     textio.write_manifest(args.out, _manifest(
         "encode-corpus", resolved, format_version=index_mod.INDEX_FORMAT_VERSION,
         checkpoint_sha256=file_sha256(args.checkpoint),
@@ -258,8 +257,6 @@ def cmd_encode_corpus(args) -> int:
 
 def cmd_build_index(args) -> int:
     store = index_mod.EmbeddingIndex.load(_require_file(args.embeddings))
-    if store.metric != index_mod.METRIC_UNIT:
-        raise CliError("build-index requires a unit-normalized embedding store (not --raw)")
     index_mod.build_graph(store, degree_bound=args.degree, build_beam=args.build_beam)
     store.save(args.out)
     resolved = {"degree_bound": args.degree, "build_beam": args.build_beam}
@@ -454,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="TSV id<TAB>keyword, or one keyword per line")
     p.add_argument("--out", required=True)
     p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--raw", action="store_true",
-                   help="store raw float64 embeddings (residual-head serving cache)")
     p.set_defaults(func=cmd_encode_corpus)
 
     p = sub.add_parser("build-index", parents=[common],

@@ -308,24 +308,23 @@ def layer_forward(
     config: ModelConfig,
     *,
     rng: np.random.Generator | None = None,
-    cache: bool = True,
 ):
     """One post-norm transformer block: self-attention then feed-forward.
 
     ``mask`` (B, T) excludes padding slots from attention as keys, so masked
-    content can never reach unmasked outputs. Dropout at ``config.dropout``
-    is drawn from ``rng`` if and only if one is given; with no rng, or a
-    rate of 0, nothing is drawn. Raises on non-finite input. Returns
-    (output, backward cache), which holds each dropout mask as a boolean
-    array; with ``cache=False`` the cache is None and each intermediate is
-    dropped as soon as the next op has used it.
+    content can never reach unmasked outputs. A forward given an ``rng`` is
+    a training forward: it draws dropout at ``config.dropout`` (nothing at
+    rate 0) and returns (output, backward cache), the cache holding each
+    dropout mask as a boolean array. Without an rng nothing is drawn, the
+    cache is None and each intermediate is dropped as soon as the next op
+    has used it. Raises on non-finite input.
     """
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in transformer layer input")
     rate = 0.0 if rng is None else config.dropout
     a = config.n_heads
     scale = 1.0 / math.sqrt(config.head_dim)
-    saved = {"x": x, "scale": scale} if cache else None
+    saved = None if rng is None else {"x": x, "scale": scale}
 
     qh = _split_heads(_linear_forward(x, params[f"{lp}.attn.wq"], params[f"{lp}.attn.bq"]), a)
     kh = _split_heads(_linear_forward(x, params[f"{lp}.attn.wk"], params[f"{lp}.attn.bk"]), a)
@@ -453,20 +452,18 @@ def encoder_forward(
     config: ModelConfig,
     *,
     rng: np.random.Generator | None = None,
-    cache: bool = True,
 ):
-    """Embed, run the transformer stack, pool. Returns (embeddings, cache);
-    with ``cache=False`` the cache is None and no layer keeps its activations.
-    Dropout is drawn from ``rng`` if and only if one is given. The cache is
-    for one :func:`encoder_backward`, which empties it."""
+    """Embed, run the transformer stack, pool. Returns (embeddings, cache).
+    Given an ``rng``, the forward draws dropout from it and the cache is for
+    one :func:`encoder_backward`, which empties it; without one, nothing is
+    drawn, no layer keeps its activations and the cache is None."""
     x = embed_forward(params, prefix, batch)
     layer_caches = []
     for layer in range(config.n_layers):
-        x, saved = layer_forward(x, batch.mask, params, f"{prefix}.layers.{layer}", config,
-                                 rng=rng, cache=cache)
+        x, saved = layer_forward(x, batch.mask, params, f"{prefix}.layers.{layer}", config, rng=rng)
         layer_caches.append(saved)
     emb, pool_cache = pool_forward(x, batch.mask, params, prefix, config.pooling)
-    if not cache:
+    if rng is None:
         return emb, None
     return emb, {"layers": layer_caches, "pool": pool_cache, "final_shape": x.shape}
 

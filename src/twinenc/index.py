@@ -20,8 +20,8 @@ vectors, the ids and, when the header's ``degree_bound`` is not null, that
 same int32 array, each row a fixed-width record as in DiskANN. Each array is
 written from its own buffer and read back in one bounds-checked read.
 
-A raw (unnormalized, float64) store variant exists for serving the residual
-head, which needs raw embeddings; it carries no graph.
+A raw (unnormalized, float64) store, which the residual head needs, exists
+in memory only; it carries no graph and is never written to a file.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ class EmbeddingIndex:
     """ids + vectors (+ optional proximity graph) over one keyword corpus.
 
     ``metric`` is ``l2_unit`` for the searchable unit-normalized store and
-    ``raw_f64`` for the raw-embedding cache (no search, no graph). ``graph``
-    is the ``(n, degree_bound)`` int32 adjacency (rows ascending, padded
-    with -1).
+    ``raw_f64`` for the in-memory raw-embedding cache (no search, no graph,
+    no file). ``graph`` is the ``(n, degree_bound)`` int32 adjacency (rows
+    ascending, padded with -1).
     """
 
     ids: list[str]
@@ -138,14 +138,16 @@ class EmbeddingIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write the unit-normalized store; a raw store has no file format."""
+        if self.metric != METRIC_UNIT:
+            raise ValueError(f"{path}: only a unit-normalized store can be saved, not {self.metric!r}")
         header = {"n": len(self.ids), "dim": self.dim, "metric": self.metric,
                   "degree_bound": self.degree_bound, "build_beam": self.build_beam,
                   "entry_point": self.entry_point}
-        dtype = "<f8" if self.metric == METRIC_RAW else "<f4"
 
         def chunks():
             yield from write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header)
-            yield np.ascontiguousarray(self.vectors, dtype=dtype)  # the store's own buffer
+            yield np.ascontiguousarray(self.vectors, dtype="<f4")  # the store's own buffer
             yield from (pack_str(kid) for kid in self.ids)
             if self.graph is not None:
                 yield np.ascontiguousarray(self.graph, dtype="<i4")  # the graph's own buffer
@@ -164,13 +166,14 @@ class EmbeddingIndex:
             if min(n, dim, width or 0) < 0:
                 raise r.error(f"keyword index header has negative shape n={n}, dim={dim}, "
                               f"degree_bound={width}")
-            dtype = "<f8" if header["metric"] == METRIC_RAW else "<f4"
-            vectors = r.array(dtype, n * dim)
+            if header["metric"] != METRIC_UNIT:
+                raise r.error(f"keyword index metric {header['metric']!r} is not {METRIC_UNIT!r}")
+            vectors = r.array("<f4", n * dim)
             ids = [r.string() for _ in range(n)]
             graph = None if width is None else r.array("<i4", n * width)
             r.finish()
         try:  # numpy rejects a dim past its maximum even when n is 0
-            return cls(ids=ids, vectors=vectors.reshape(n, dim), metric=header["metric"],
+            return cls(ids=ids, vectors=vectors.reshape(n, dim),
                        graph=None if graph is None else graph.reshape(n, width),
                        build_beam=header["build_beam"], entry_point=header["entry_point"])
         except ValueError as exc:
@@ -221,7 +224,7 @@ def encode_corpus(
                        dtype=np.float32 if normalize else np.float64)
     for lo in range(0, len(kept_seqs), batch_size):
         batch = encoder.pack_sequences(kept_seqs[lo : lo + batch_size])
-        emb = model.encode_keyword_batch(batch, cache=False)[0]
+        emb = model.encode_keyword_batch(batch)[0]
         if normalize:
             emb /= _row_norms(emb)
         vectors[lo : lo + len(emb)] = emb
@@ -353,7 +356,7 @@ def _connect(vectors, graph: np.ndarray, entry: int) -> None:
         seen[node] = True
         while frontier.size:
             nbrs = graph[frontier].ravel()
-            frontier = nbrs[~seen[nbrs]]
+            frontier = np.unique(nbrs[~seen[nbrs]])  # each node once per wave
             seen[frontier] = True
 
     def drop_farthest(node: int) -> int:

@@ -110,25 +110,25 @@ class TwinModel:
 
     # -- encoding ----------------------------------------------------------
 
-    def encode_query_batch(self, batch: PackedBatch, *, rng=None, cache: bool = True):
-        """(embeddings, backward cache); ``cache=False`` keeps no activations.
-        Dropout is drawn from ``rng`` if and only if one is given."""
-        emb, saved = encoder_forward(self.params, self.query_prefix, batch, self.config, rng=rng, cache=cache)
+    def encode_query_batch(self, batch: PackedBatch, *, rng=None):
+        """(embeddings, backward cache). Given an ``rng``, dropout is drawn from
+        it and the cache is kept for the backward; without one the cache is None."""
+        emb, saved = encoder_forward(self.params, self.query_prefix, batch, self.config, rng=rng)
         self.counters.query_encoder_passes += batch.n_examples
         return emb, saved
 
-    def encode_keyword_batch(self, batch: PackedBatch, *, rng=None, cache: bool = True):
-        """(embeddings, backward cache); ``cache=False`` keeps no activations.
-        Dropout is drawn from ``rng`` if and only if one is given."""
-        emb, saved = encoder_forward(self.params, self.keyword_prefix, batch, self.config, rng=rng, cache=cache)
+    def encode_keyword_batch(self, batch: PackedBatch, *, rng=None):
+        """(embeddings, backward cache). Given an ``rng``, dropout is drawn from
+        it and the cache is kept for the backward; without one the cache is None."""
+        emb, saved = encoder_forward(self.params, self.keyword_prefix, batch, self.config, rng=rng)
         self.counters.keyword_encoder_passes += batch.n_examples
         return emb, saved
 
     def encode_queries(self, texts: list[str]) -> np.ndarray:
-        return self.encode_query_batch(pack_sequences(self.tokenize_many(texts)), cache=False)[0]
+        return self.encode_query_batch(pack_sequences(self.tokenize_many(texts)))[0]
 
     def encode_keywords(self, texts: list[str]) -> np.ndarray:
-        return self.encode_keyword_batch(pack_sequences(self.tokenize_many(texts)), cache=False)[0]
+        return self.encode_keyword_batch(pack_sequences(self.tokenize_many(texts)))[0]
 
     def backward_query(self, d_emb, cache, batch: PackedBatch, grads: dict) -> None:
         encoder_backward(d_emb, cache, self.params, self.query_prefix, batch, self.config, grads)

@@ -181,10 +181,11 @@ class TrainingHistory:
     calibration: tuple[float, float] | None = None
 
 
-def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str, *, rng=None):
+def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str, *, rng):
     """Mean binary CE of a batch of pairs through both encoders and ``head``,
-    and its gradients. Dropout is drawn from ``rng`` if and only if one is given.
-    Each tower's backward consumes its forward cache, the query tower's first."""
+    and its gradients. Both forwards are training forwards: they draw dropout
+    from ``rng`` (nothing at rate 0) and keep their caches. Each tower's
+    backward consumes its forward cache, the query tower's first."""
     qb = pack_sequences(q_seqs)
     kb = pack_sequences(k_seqs)
     q_emb, q_cache = model.encode_query_batch(qb, rng=rng)
@@ -221,7 +222,6 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
         losses = []
         for lo in range(0, n, bs):
             idx = order[lo : lo + bs]
-            # with dropout 0 the rng draws nothing, so it is always passed
             loss, grads = pair_loss_and_grads(model, [q_seqs[i] for i in idx],
                                               [k_seqs[i] for i in idx], targets[idx],
                                               model.config.crossing, rng=dropout_rng)

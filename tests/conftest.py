@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from twinenc import ModelConfig, TwinModel, encoder
+from twinenc.checkpoint import pack_str, write_preamble
+from twinenc.index import INDEX_FORMAT_VERSION, INDEX_MAGIC, METRIC_RAW
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +50,16 @@ def garbage_in_padding(monkeypatch):
         return filled
 
     return switch_on
+
+
+@pytest.fixture
+def raw_f64_store(tmp_path):
+    """Path of a well-formed TWIX file holding a float64 store under the
+    ``raw_f64`` metric, which no reader takes."""
+    header = {"n": 4, "dim": 3, "metric": METRIC_RAW, "degree_bound": None, "build_beam": None,
+              "entry_point": 0}
+    path = tmp_path / "raw.twix"
+    path.write_bytes(b"".join([*write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header),
+                               np.random.default_rng(1).standard_normal((4, 3)).astype("<f8").tobytes(),
+                               *(pack_str(kid) for kid in "abcd")]))
+    return path

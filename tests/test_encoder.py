@@ -99,7 +99,8 @@ class TestTransformerLayer:
         batch = _batch(tiny_model, ["cat", "red shoes"])
         x = rng.standard_normal((batch.n_examples, batch.seq_len, cfg.hidden_size))
         _, cache = layer_forward(
-            x, batch.mask, tiny_model.params, f"{tiny_model.query_prefix}.layers.0", cfg
+            x, batch.mask, tiny_model.params, f"{tiny_model.query_prefix}.layers.0", cfg,
+            rng=np.random.default_rng(0),
         )
         # the only unmasked token attends to itself with weight exactly 1
         np.testing.assert_allclose(cache["probs"][0, :, 0, 0], 1.0, atol=0)
@@ -262,7 +263,8 @@ class TestParameterTable:
 
 
 class TestCacheFreeForward:
-    """``cache=False`` runs the same layer code and keeps no activations."""
+    """A forward without an rng runs the same layer code as a training
+    forward, keeps no activations and returns None as its cache."""
 
     TEXTS = ["red shoes", "cheap flights to paris", "cat", "a b c d e", "running shoes for men"]
 
@@ -271,12 +273,12 @@ class TestCacheFreeForward:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_embeddings_bit_equal_to_cached_forward(self, shared, pooling, dtype):
         config = ModelConfig(n_layers=2, hidden_size=16, n_heads=2, vocab_buckets=256, max_len=8,
-                             shared_encoders=shared, pooling=pooling)
+                             shared_encoders=shared, pooling=pooling, dropout=0.0)
         model = TwinModel.initialize(config, seed=3).cast(dtype)
         batch = _batch(model, self.TEXTS)
         for encode in (model.encode_query_batch, model.encode_keyword_batch):
-            cached, cache = encode(batch)
-            free, none = encode(batch, cache=False)
+            cached, cache = encode(batch, rng=np.random.default_rng(0))
+            free, none = encode(batch)
             assert cache is not None and none is None
             assert free.dtype == cached.dtype == dtype
             assert free.tobytes() == cached.tobytes()
@@ -285,16 +287,14 @@ class TestCacheFreeForward:
         assert model.encode_keywords(self.TEXTS).tobytes() == \
             model.encode_keyword_batch(batch)[0].tobytes()
 
-    def test_dropout_draws_are_the_same_without_a_cache(self, tiny_model):
-        cfg = replace(tiny_model.config, dropout=0.3)
+    def test_every_forward_without_an_rng_returns_no_cache(self, tiny_model):
+        params, config, prefix = tiny_model.params, tiny_model.config, tiny_model.query_prefix
         batch = _batch(tiny_model, self.TEXTS)
-        x = embed_forward(tiny_model.params, tiny_model.query_prefix, batch)
-        lp = f"{tiny_model.query_prefix}.layers.0"
-        y, cache = layer_forward(x, batch.mask, tiny_model.params, lp, cfg, rng=np.random.default_rng(9))
-        y_free, none = layer_forward(x, batch.mask, tiny_model.params, lp, cfg,
-                                     rng=np.random.default_rng(9), cache=False)
-        assert none is None and cache["attn_keep"] is not None
-        assert y_free.tobytes() == y.tobytes()
+        x = embed_forward(params, prefix, batch)
+        assert layer_forward(x, batch.mask, params, f"{prefix}.layers.0", config)[1] is None
+        assert encoder_forward(params, prefix, batch, config)[1] is None
+        assert tiny_model.encode_query_batch(batch)[1] is None
+        assert tiny_model.encode_keyword_batch(batch)[1] is None
 
     def test_forward_peak_memory_at_most_half_of_cached(self, desk_model):
         from twinenc.synthetic import generate_pairs
@@ -304,16 +304,16 @@ class TestCacheFreeForward:
         assert len(keywords) == 256
         batch = _batch(desk_model, keywords)
 
-        def peak(cache: bool) -> int:
+        def peak(rng) -> int:
             tracemalloc.start()
             try:
-                emb, saved = desk_model.encode_keyword_batch(batch, cache=cache)
+                emb, saved = desk_model.encode_keyword_batch(batch, rng=rng)
                 del saved
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        cached, free = peak(True), peak(False)
+        cached, free = peak(np.random.default_rng(0)), peak(None)
         assert free <= cached / 2, (free, cached)
 
 
@@ -340,10 +340,10 @@ class TestDropoutFromRng:
         assert rng.bit_generator.state == state
         assert with_rng.tobytes() == tiny_model.encode_query_batch(batch)[0].tobytes()
 
-    def test_rng_and_cache_are_keyword_only(self, tiny_model):
+    def test_rng_is_keyword_only(self, tiny_model):
         batch = _batch(tiny_model, self.TEXTS)
         with pytest.raises(TypeError):
-            tiny_model.encode_query_batch(batch, True, np.random.default_rng(9))
+            tiny_model.encode_query_batch(batch, np.random.default_rng(9))
 
 
 class TestPinnedEncodings:

@@ -1,8 +1,9 @@
 """Malformed files: every reader fails with a ValueError naming the file.
 
-A small checkpoint, a small graph index and a small raw store are cut at
-every prefix length and flipped at random single bytes. Each damaged file
-must either load or raise a ``ValueError`` whose message contains its path;
+A small checkpoint, a small graph index and a small graph-less store (the
+file ``encode-corpus`` writes) are cut at every prefix length and flipped at
+random single bytes. Each damaged file must either load or raise a
+``ValueError`` whose message contains its path;
 ``struct.error``, ``KeyError``, ``IndexError`` or ``TypeError`` fail the test
 by propagating.
 
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 import twinenc
 from twinenc import ModelConfig, TwinModel, encode_corpus, load_pair_tsv
 from twinenc.checkpoint import pack_str, write_preamble
-from twinenc.index import INDEX_FORMAT_VERSION, INDEX_MAGIC, METRIC_RAW, EmbeddingIndex, build_graph
+from twinenc.index import INDEX_FORMAT_VERSION, INDEX_MAGIC, EmbeddingIndex, build_graph
 from twinenc.textio import keyword_ids, lines, read_corpus, read_table, write_tsv
 
 
@@ -51,17 +52,18 @@ def _graph_index_bytes(tmp_path):
     return (tmp_path / "g.twix").read_bytes()
 
 
-def _raw_store_bytes(tmp_path):
+def _unit_store_bytes(tmp_path):
     rng = np.random.default_rng(1)
-    EmbeddingIndex(ids=list("abcd"), vectors=rng.standard_normal((4, 3)), metric=METRIC_RAW).save(
-        tmp_path / "raw.twix")
-    return (tmp_path / "raw.twix").read_bytes()
+    v = rng.standard_normal((4, 3))
+    v = (v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32)
+    EmbeddingIndex(ids=list("abcd"), vectors=v).save(tmp_path / "unit.twix")
+    return (tmp_path / "unit.twix").read_bytes()
 
 
 FORMATS = {
     "checkpoint": (_checkpoint_bytes, TwinModel.load),
     "graph_index": (_graph_index_bytes, EmbeddingIndex.load),
-    "raw_store": (_raw_store_bytes, EmbeddingIndex.load),
+    "unit_store": (_unit_store_bytes, EmbeddingIndex.load),
 }
 
 
@@ -100,6 +102,11 @@ def test_every_truncation_fails_naming_the_file(fmt, originals, scratch):
 def test_trailing_bytes_rejected(fmt, originals, scratch):
     path = scratch / f"trailing.{fmt}"
     assert not _loads_or_names_path(FORMATS[fmt][1], path, originals[fmt] + b"\x00")
+
+
+def test_raw_f64_store_is_refused_naming_the_file(raw_f64_store):
+    with pytest.raises(ValueError, match=re.escape(f"{raw_f64_store}: keyword index metric 'raw_f64'")):
+        EmbeddingIndex.load(raw_f64_store)
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))

@@ -30,7 +30,7 @@ class TestLayerGradients:
             y, _ = layer_forward(x, batch.mask, tiny_model.params, lp, cfg)
             return float((y * probe).sum())
 
-        y, cache = layer_forward(x, batch.mask, tiny_model.params, lp, cfg)
+        y, cache = layer_forward(x, batch.mask, tiny_model.params, lp, cfg, rng=np.random.default_rng(0))
         grads = {}
         layer_backward(probe.copy(), cache, tiny_model.params, lp, cfg, grads)
 
@@ -109,7 +109,7 @@ class TestPipelineGradients:
                           max_len=6, shared_encoders=False, dropout=0.0)
         model = TwinModel.initialize(cfg, seed=7)
         batch = pack_sequences(model.tokenize_many(["red shoes"]))
-        emb, cache = model.encode_query_batch(batch)
+        emb, cache = model.encode_query_batch(batch, rng=np.random.default_rng(0))
         grads = {}
         model.backward_query(np.ones_like(emb), cache, batch, grads)
         assert not any(name.startswith("keyword_encoder.") for name in grads)

@@ -314,6 +314,18 @@ class TestBuildGraph:
         idx = build_graph(_index(rng, n), 4, 8)
         assert [list(idx.neighbours(i)) for i in range(n)] == [[]] * n
 
+    def test_build_peak_memory_below_one_and_a_half_stores(self, rng):
+        # the reachability walk visits each node once; with repeated ids in a
+        # wave it gathered 2.25 stores' worth at this size
+        idx = _index(rng, 2000, dim=64)
+        tracemalloc.start()
+        try:
+            build_graph(idx, 16, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * idx.vectors.nbytes, (peak, idx.vectors.nbytes)
+
 
 class TestKnnApprox:
     def test_requires_graph(self, rng):
@@ -391,14 +403,13 @@ class TestPersistence:
         assert loaded.degree_bound == idx.degree_bound
         assert (loaded.graph is None) if rows is None else np.array_equal(loaded.graph, graph)
 
-    def test_raw_store_round_trip(self, tmp_path, rng):
+    def test_save_refuses_a_raw_store(self, tmp_path, rng):
         raw = EmbeddingIndex(ids=list("abc"), vectors=rng.standard_normal((3, 8)), metric=METRIC_RAW)
         path = tmp_path / "raw.bin"
-        raw.save(path)
-        loaded = EmbeddingIndex.load(path)
-        assert loaded.metric == METRIC_RAW
-        assert loaded.vectors.dtype == np.float64
-        np.testing.assert_array_equal(raw.vectors, loaded.vectors)
+        with pytest.raises(ValueError, match="only a unit-normalized store can be saved") as err:
+            raw.save(path)
+        assert str(path) in str(err.value)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _joined_index_bytes(index: EmbeddingIndex) -> bytes:
@@ -407,8 +418,7 @@ def _joined_index_bytes(index: EmbeddingIndex) -> bytes:
               "degree_bound": index.degree_bound, "build_beam": index.build_beam,
               "entry_point": index.entry_point}
     chunks = write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header)
-    dtype = "<f8" if index.metric == METRIC_RAW else "<f4"
-    chunks.append(np.ascontiguousarray(index.vectors, dtype=dtype).tobytes())
+    chunks.append(np.ascontiguousarray(index.vectors, dtype="<f4").tobytes())
     chunks += [pack_str(kid) for kid in index.ids]
     if index.graph is not None:
         chunks.append(np.asarray(index.graph, dtype="<i4").tobytes())
@@ -426,11 +436,10 @@ class TestStreamedSave:
         idx.save(tmp_path / "store.bin")
         assert (tmp_path / "store.bin").read_bytes() == _joined_index_bytes(idx)
 
-    def test_raw_store_from_a_strided_view_equals_joined_reference(self, tmp_path, rng):
-        raw = EmbeddingIndex(ids=list("abcd"), vectors=rng.standard_normal((8, 4)).T[:, ::2],
-                             metric=METRIC_RAW)
-        raw.save(tmp_path / "raw.bin")
-        assert (tmp_path / "raw.bin").read_bytes() == _joined_index_bytes(raw)
+    def test_float64_store_from_a_strided_view_equals_joined_reference(self, tmp_path, rng):
+        idx = EmbeddingIndex(ids=list("abcd"), vectors=_normalize_rows(rng.standard_normal((8, 4)))[::2])
+        idx.save(tmp_path / "store.bin")
+        assert (tmp_path / "store.bin").read_bytes() == _joined_index_bytes(idx)
 
 
 class TestPinnedBytes:

@@ -381,6 +381,13 @@ class TestStepMemory:
         assert peak <= 1.3 * caches, (peak, caches)
 
 
+class TestTrainingForward:
+    def test_a_step_requires_an_rng(self, tiny_model):
+        seqs = tiny_model.tokenize_many(["red shoes", "cat"])
+        with pytest.raises(TypeError, match="rng"):
+            pair_loss_and_grads(tiny_model, seqs, seqs, np.full(2, 0.5), "residual")
+
+
 class TestTokenizeOnce:
     def test_tokenize_many_shares_one_sequence_per_distinct_text(self, tiny_model):
         texts = ["red shoes", "cheap flights", "red shoes", "cat", "cheap flights", "red shoes"]
