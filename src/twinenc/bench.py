@@ -33,7 +33,7 @@ from .encoder import (
     sigmoid,
     truncated_normal,
 )
-from .model import TwinModel
+from .model import SERVING_DTYPE, TwinModel
 from .synthetic import generate_pairs
 
 MODEL_MODES = ("twin_cosine", "twin_residual", "cross_encoder")
@@ -179,18 +179,18 @@ def _prepare(scenario: LatencyScenario, model: TwinModel, cross, warmup: int,
 
 
 def _run_round_robin(scenarios: list[LatencyScenario], repetitions: int, model: TwinModel,
-                     warmup: int, seed: int, dtype, texts) -> list[TimingReport]:
+                     warmup: int, seed: int, texts) -> list[TimingReport]:
     """Time every scenario, one pass over each per repetition, in turn.
 
     Interleaving the passes makes a change in host speed during the run
     shift every scenario alike instead of favouring the ones timed first.
-    One model cast to ``dtype`` and one cross-encoder serve every scenario.
+    One model cast to ``SERVING_DTYPE`` and one cross-encoder serve every scenario.
     """
-    served = model.cast(dtype)
+    served = model.cast(SERVING_DTYPE)
     cross = None
     if any(sc.model_mode == "cross_encoder" for sc in scenarios):
         cross_config, cross_params = make_cross_encoder(model.config, seed)
-        cross = cross_config, cast_params(cross_params, dtype)
+        cross = cross_config, cast_params(cross_params, SERVING_DTYPE)
         del cross_params  # the float64 draw; only its cast copy serves
     points = [_prepare(sc, served, cross, warmup, texts) for sc in scenarios]
     times_ms: list[list[float]] = [[] for _ in points]
@@ -229,10 +229,9 @@ def bench(
     model: TwinModel,
     warmup: int = 2,
     seed: int = 0,
-    dtype=np.float32,
 ) -> TimingReport:
     """Run one latency scenario and return per-query timing plus counters."""
-    return _run_round_robin([scenario], scenario.repetitions, model, warmup, seed, dtype,
+    return _run_round_robin([scenario], scenario.repetitions, model, warmup, seed,
                             _bench_texts(scenario.n_queries, scenario.n_keywords_per_query, seed))[0]
 
 
@@ -270,7 +269,6 @@ def bench_grid(
     keyword_cache: bool = True,
     warmup: int = 2,
     seed: int = 0,
-    dtype=np.float32,
 ) -> tuple[list[TimingReport], ComplexityFit]:
     """Benchmark one mode across an n_keywords grid and fit the line.
 
@@ -288,6 +286,6 @@ def bench_grid(
         )
         for nk in nk_grid
     ]
-    reports = _run_round_robin(scenarios, repetitions, model, warmup, seed, dtype, texts)
+    reports = _run_round_robin(scenarios, repetitions, model, warmup, seed, texts)
     fit = complexity_fit([(r.scenario.n_keywords_per_query, r.median_ms) for r in reports])
     return reports, fit

@@ -37,13 +37,14 @@ from . import textio
 from .checkpoint import FORMAT_VERSION, config_hash, file_sha256
 from .config import CROSSING_MODES, PRESETS, DistillationConfig, ModelConfig, POOLING_MODES
 from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
-from .model import TwinModel
+from .model import SERVING_DTYPE, TwinModel
 from .synthetic import generate_pairs, split_pairs
 from .text import TrigramVocab, normalize
 from .training import distill_train, finetune, load_pair_tsv, save_pair_tsv
 
 # not __name__: under ``python -m twinenc.cli`` that is ``__main__``, outside the package logger
 logger = logging.getLogger("twinenc.cli")
+_SERVE_BATCH = 256  # texts per forward in score and search
 
 
 class CliError(Exception):
@@ -240,7 +241,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_encode_corpus(args) -> int:
-    model = TwinModel.load(_require_file(args.checkpoint))
+    model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     ids, texts = textio.read_corpus(_require_file(args.corpus))
     store = index_mod.encode_corpus(texts, model, ids=ids, batch_size=args.batch_size)
     store.save(args.out)
@@ -270,37 +271,38 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_search(args) -> int:
-    model = TwinModel.load(_require_file(args.checkpoint))
+    model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     index = index_mod.EmbeddingIndex.load(_require_file(args.index))
     if args.mode == "approx" and index.graph is None:
         raise CliError(f"index {args.index} has no graph; use --mode exact or build-index")
     source = args.queries if args.queries == "-" else _require_file(args.queries)
     queries = [q for _, line in textio.lines(source) if (q := line.strip())]
+    for query in [q for q in queries if not normalize(q)]:
+        logger.warning("skipping unencodable query: %r", query)
+    queries = [q for q in queries if normalize(q)]
     manifest = _manifest("search", {"top_n": args.top_n, "mode": args.mode, "beam": args.beam},
                          checkpoint_sha256=file_sha256(args.checkpoint),
                          index_sha256=file_sha256(args.index))
 
     def rows():
         yield "query", "rank", "keyword_id", "cosine_score"
-        for query in queries:
-            if not normalize(query):
-                logger.warning("skipping unencodable query: %r", query)
-                continue
-            q_emb = model.encode_queries([query])[0]
-            q_unit = q_emb / np.linalg.norm(q_emb)
-            if args.mode == "exact":
-                results = index_mod.knn_exact(q_unit, index, args.top_n)
-            else:
-                results = index_mod.knn_approx(q_unit, index, args.top_n, search_beam=args.beam)
-            for r in results:
-                yield query, str(r.rank), r.keyword_id, f"{r.cosine_score:.6f}"
+        for lo in range(0, len(queries), _SERVE_BATCH):
+            chunk = queries[lo : lo + _SERVE_BATCH]
+            q_embs = model.encode_queries(chunk)
+            for query, q_unit in zip(chunk, q_embs / np.linalg.norm(q_embs, axis=1, keepdims=True)):
+                if args.mode == "exact":
+                    results = index_mod.knn_exact(q_unit, index, args.top_n)
+                else:
+                    results = index_mod.knn_approx(q_unit, index, args.top_n, search_beam=args.beam)
+                for r in results:
+                    yield query, str(r.rank), r.keyword_id, f"{r.cosine_score:.6f}"
 
     _emit(args.out, rows(), manifest)
     return 0
 
 
 def cmd_score(args) -> int:
-    model = TwinModel.load(_require_file(args.checkpoint))
+    model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     # a pair TSV may leave out its trailing label, as distill and finetune allow
     table = textio.read_table(_require_file(args.pairs), last_optional="label")
     queries, keywords = table.column("query"), table.column("keyword")
@@ -310,10 +312,10 @@ def cmd_score(args) -> int:
 
     def rows():
         yield table.header + ["prob"]
-        batch = 256
-        for lo in range(0, len(table.rows), batch):
-            probs = model.score_pairs(queries[lo : lo + batch], keywords[lo : lo + batch], head=head)
-            for (_, cells), p in zip(table.rows[lo : lo + batch], probs):
+        for lo in range(0, len(table.rows), _SERVE_BATCH):
+            hi = lo + _SERVE_BATCH
+            probs = model.score_pairs(queries[lo:hi], keywords[lo:hi], head=head)
+            for (_, cells), p in zip(table.rows[lo:hi], probs):
                 yield cells + [f"{float(p):.10f}"]
 
     _emit(args.out, rows(), manifest)
@@ -374,16 +376,13 @@ def cmd_bench(args) -> int:
     loaded = TwinModel.load(_require_file(args.checkpoint)) if args.checkpoint else None
     resolved = _resolve(args, file_cfg, loaded)
     model = loaded or _build_model(resolved)
-    dtype = np.float32 if args.dtype == "f32" else np.float64
 
     rows = []
     fits = {}
     for mode in modes:
         reports, fit = bench_mod.bench_grid(
-            model, mode, nk_grid, n_queries=args.n_queries, repetitions=args.reps,
-            qel=args.qel, keyword_cache=not args.no_cache, warmup=args.warmup,
-            seed=resolved["seed"], dtype=dtype,
-        )
+            model, mode, nk_grid, n_queries=args.n_queries, repetitions=args.reps, qel=args.qel,
+            keyword_cache=not args.no_cache, warmup=args.warmup, seed=resolved["seed"])
         fits[mode] = fit
         for r in reports:
             rows.append(r.as_dict())
@@ -402,7 +401,7 @@ def cmd_bench(args) -> int:
     if args.out:
         keys = sorted({k for row in rows for k in row})
         _emit(args.out, [keys, *([str(row.get(k, "")) for k in keys] for row in rows)],
-              _manifest("bench", resolved, dtype=args.dtype,
+              _manifest("bench", resolved,
                         fits={mode: dataclasses.asdict(fit) for mode, fit in fits.items()}))
     return 0
 
@@ -508,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qel", type=int, default=1)
     p.add_argument("--no-cache", action="store_true", help="encode keywords at query time")
     p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -1,8 +1,8 @@
 """Twin encoder internals: embedding layer, transformer stack, pooling.
 
 Everything is plain numpy with explicit backward passes. Training runs in
-float64 (the finite-difference tests depend on it); inference also works in
-float32 by passing a parameter dict cast with :func:`cast_params`.
+float64 (the finite-difference tests depend on it); serving runs in float32
+(``model.SERVING_DTYPE``) on a parameter dict cast with :func:`cast_params`.
 
 Parameters live in a flat ``dict[str, np.ndarray]`` keyed by dotted names
 under an encoder prefix (``encoder`` when the two encoders share weights,

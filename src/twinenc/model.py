@@ -28,6 +28,8 @@ from .encoder import (
 )
 from .text import TokenSequence, TrigramVocab, encode_text
 
+SERVING_DTYPE = np.float32  # the one dtype that score, search, encode-corpus and bench serve in
+
 
 @dataclass
 class OpCounters:

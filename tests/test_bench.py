@@ -90,7 +90,7 @@ class TestOneServingCopyPerGrid:
 
     @pytest.mark.parametrize("mode", ["cross_encoder", "twin_cosine"])
     def test_one_cast_and_at_most_one_cross_encoder(self, bench_model, monkeypatch, mode):
-        calls = {"make_cross_encoder": 0, "cast": 0}
+        calls, casts = {"make_cross_encoder": 0}, []
         real_cross, real_cast = bench_mod.make_cross_encoder, TwinModel.cast
 
         def counting_cross(*args, **kwargs):
@@ -98,7 +98,8 @@ class TestOneServingCopyPerGrid:
             return real_cross(*args, **kwargs)
 
         def counting_cast(model, dtype):
-            calls["cast"] += dtype is not None
+            if dtype is not None:
+                casts.append(dtype)
             return real_cast(model, dtype)
 
         monkeypatch.setattr(bench_mod, "make_cross_encoder", counting_cross)
@@ -106,7 +107,8 @@ class TestOneServingCopyPerGrid:
         nq, grid = 2, [2, 3, 4]
         reports, _ = bench_grid(bench_model, mode, grid, n_queries=nq, repetitions=2, warmup=1)
 
-        assert calls == {"make_cross_encoder": int(mode == "cross_encoder"), "cast": 1}
+        assert calls == {"make_cross_encoder": int(mode == "cross_encoder")}
+        assert casts == [np.float32]  # one cast, to the serving dtype
         for nk, r in zip(grid, reports):
             if mode == "cross_encoder":
                 want = dict(query_encoder_passes=0, keyword_encoder_passes=0,

@@ -17,7 +17,8 @@ from twinenc.checkpoint import FORMAT_VERSION
 from twinenc.cli import _resolve, build_parser, main
 from twinenc.config import ModelConfig
 from twinenc.encoder import sigmoid
-from twinenc.model import TwinModel
+from twinenc.index import EmbeddingIndex, knn_approx, knn_exact
+from twinenc.model import SERVING_DTYPE, TwinModel
 from twinenc.text import TrigramVocab
 
 FAST_MODEL = ["--layers", "1", "--hidden-size", "16", "--heads", "2",
@@ -160,6 +161,46 @@ class TestSearch:
         out = capsys.readouterr().out
         assert "cosine_score" in out
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_batched_queries_match_the_per_query_path(self, workspace, tmp_path, mode):
+        out = tmp_path / "hits.tsv"
+        assert main(["search", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--index", str(workspace / "index.bin"), "--mode", mode,
+                     "--queries", str(workspace / "data" / "queries.txt"),
+                     "--top-n", "5", "--out", str(out), "--quiet"]) == 0
+        got = [l.split("\t") for l in out.read_text().splitlines()[2:]]
+        model = TwinModel.load(workspace / "model.ckpt").cast(SERVING_DTYPE)
+        index = EmbeddingIndex.load(workspace / "index.bin")
+        want = []
+        for query in (workspace / "data" / "queries.txt").read_text().splitlines():
+            q = model.encode_queries([query])[0]
+            q_unit = q / np.linalg.norm(q)
+            results = knn_exact(q_unit, index, 5) if mode == "exact" else knn_approx(q_unit, index, 5)
+            want += [[query, str(r.rank), r.keyword_id, r.cosine_score] for r in results]
+        assert [row[:3] for row in got] == [w[:3] for w in want]
+        np.testing.assert_allclose([float(row[3]) for row in got], [w[3] for w in want], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_queries_are_encoded_256_at_a_time(self, workspace, tmp_path, monkeypatch, capsys, calls):
+        lines = (workspace / "data" / "queries.txt").read_text().splitlines()
+        lines = lines if calls == 1 else lines * (256 // len(lines) + 1)  # just past 256
+        queries = tmp_path / "queries.txt"
+        queries.write_text("???\n" + "\n".join(lines) + "\n")  # the unencodable one is skipped first
+        sizes = []
+        real = TwinModel.encode_query_batch
+
+        def counting(model, batch, **kwargs):
+            sizes.append(batch.n_examples)
+            return real(model, batch, **kwargs)
+
+        monkeypatch.setattr(TwinModel, "encode_query_batch", counting)
+        assert main(["search", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--index", str(workspace / "index.bin"), "--queries", str(queries),
+                     "--mode", "exact", "--out", str(tmp_path / "hits.tsv"), "--quiet"]) == 0
+        assert len(sizes) == calls and sum(sizes) == len(lines)
+        assert "skipping unencodable query: '???'" in capsys.readouterr().err
+        assert "???" not in (tmp_path / "hits.tsv").read_text()
+
     @pytest.mark.parametrize("command", ["build-index", "search"])
     def test_truncated_index_exits_1_naming_the_file(self, workspace, tmp_path, command):
         # cut inside the id table, where the old reader raised struct.error
@@ -226,8 +267,20 @@ class TestScore:
         assert out_lines[0] == "query\tkeyword\tz_bad\tz_nonbad\tlabel\tprob"
         cells = out_lines[1].split("\t")
         assert cells[:5] == ["red", "red shoes", "-1.0", "1.0", ""]
+        served = TwinModel.load(workspace / "model.ckpt").cast(SERVING_DTYPE)
+        assert float(cells[5]) == pytest.approx(float(served.score_pairs(["red"], ["red shoes"])[0]), abs=1e-9)
+
+    @pytest.mark.parametrize("head", ["cosine", "residual"])
+    def test_both_heads_within_1e6_of_float64(self, workspace, tmp_path, head):
+        scored = tmp_path / "scored.tsv"
+        assert main(["score", "--checkpoint", str(workspace / "model.ckpt"), "--head", head,
+                     "--pairs", str(workspace / "data" / "test.tsv"), "--out", str(scored), "--quiet"]) == 0
+        rows = [l.split("\t") for l in scored.read_text().splitlines()[2:]]
+        probs = np.array([float(r[-1]) for r in rows])
         model = TwinModel.load(workspace / "model.ckpt")
-        assert float(cells[5]) == pytest.approx(float(model.score_pairs(["red"], ["red shoes"])[0]), abs=1e-9)
+        want = model.score_pairs([r[0] for r in rows], [r[1] for r in rows], head=head)
+        assert len(rows) > 50
+        np.testing.assert_allclose(probs, want, rtol=0, atol=1e-6)
 
     def test_short_row_still_fails_when_the_last_column_is_not_label(self, workspace, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
@@ -329,6 +382,12 @@ class TestBench:
         printed = capsys.readouterr().out
         assert "per-query time" in printed
         assert out.is_file()
+
+    def test_dtype_is_an_unknown_argument(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", "--dtype", "f64"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dtype f64" in capsys.readouterr().err
 
     def test_unknown_mode_exits_1_naming_it(self, capsys):
         assert main(["bench", "--modes", "bert", "--nk-grid", "5,10,20", "--n-queries", "2",
