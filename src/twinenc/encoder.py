@@ -18,15 +18,46 @@ the (B, T) mask; the embedding sums each word's buckets into its real slot.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
 from .config import ModelConfig
 from .text import TokenSequence
+
+
+def _load_erf():
+    """scipy's ``erf`` ufunc, loaded from its own extension module.
+
+    ``import scipy.special`` runs the package ``__init__``, whose array-API
+    layer pulls in ``numpy.testing``, ``unittest``, ``email`` and ``pydoc``:
+    about 25 MB of RSS that the GELU never uses. The ufunc lives in
+    ``scipy/special/_special_ufuncs``, which needs only numpy. The extension
+    registers itself in ``sys.modules`` under its full name, so the object
+    returned *is* ``scipy.special.erf`` in either import order.
+    """
+    name = "scipy.special._special_ufuncs"
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("twinenc needs scipy, which is not installed")
+    dirs = [os.path.join(d, "special") for d in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is not None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        if hasattr(module, "erf"):
+            return module.erf
+    import scipy
+
+    raise ImportError(f"no erf ufunc in {name} under {dirs} (scipy {scipy.__version__})")
+
+
+erf = _load_erf()
 
 # plain Python floats: they must not promote float32 activations to float64
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

@@ -1,10 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twinenc
 from twinenc import ModelConfig, TwinModel
 from twinenc.encoder import (
     embed_forward,
@@ -344,6 +349,54 @@ class TestDropoutFromRng:
         batch = _batch(tiny_model, self.TEXTS)
         with pytest.raises(TypeError):
             tiny_model.encode_query_batch(batch, np.random.default_rng(9))
+
+
+_ERF_IDENTITY = """
+import math
+import numpy as np
+{first}
+{second}
+import scipy.special, scipy.stats
+erf = twinenc.encoder.erf
+assert erf is scipy.special.erf
+assert scipy.stats.rankdata([3.0, 1.0, 2.0]).tolist() == [3.0, 1.0, 2.0]
+assert math.isclose(scipy.special.gammaln(5.0), math.log(24.0), rel_tol=1e-15)
+x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 6.5, -7.0, 27.0, -1e300, 0.3, -2.2, 1e-20])
+for dtype in (np.float32, np.float64):
+    ours, theirs = erf(x.astype(dtype)), scipy.special.erf(x.astype(dtype))
+    assert ours.dtype == dtype
+    assert np.array_equal(ours, theirs, equal_nan=True)
+    assert np.array_equal(np.signbit(ours), np.signbit(theirs))
+    assert np.array_equal(ours[:8], [0.0, -0.0, 1.0, -1.0, np.nan, 1.0, -1.0, 1.0], equal_nan=True)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first, second", [
+    ("import twinenc.encoder", "import scipy.special"),
+    ("import scipy.special", "import twinenc.encoder"),
+], ids=["twinenc-first", "scipy-special-first"])
+def test_erf_is_scipy_special_erf(first, second):
+    # a fresh interpreter per import order: this one may already hold scipy.special
+    code = _ERF_IDENTITY.format(first=first, second=second)
+    src = Path(twinenc.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_a_scipy_without_the_erf_extension_fails_at_import(tmp_path):
+    fake = tmp_path / "scipy"
+    (fake / "special").mkdir(parents=True)
+    (fake / "__init__.py").write_text("__version__ = '0.0.test'\n")
+    src = Path(twinenc.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", "import twinenc"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{src}"})
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:")
+    assert str(fake / "special") in last and "scipy 0.0.test" in last
 
 
 class TestPinnedEncodings:

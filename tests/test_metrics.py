@@ -103,9 +103,10 @@ class TestRocAuc:
             roc_auc(scores, [1, 0, 0])
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    # a fresh interpreter: other tests may have imported scipy.stats here
-    code = "import sys, twinenc, twinenc.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])
+def test_package_import_leaves_scipy_package_unloaded(module):
+    # a fresh interpreter: other tests may have imported these here
+    code = f"import sys, twinenc, twinenc.cli; print({module!r} in sys.modules)"
     src = Path(twinenc.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
