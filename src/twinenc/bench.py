@@ -122,7 +122,8 @@ def _prepare(scenario: LatencyScenario, model: TwinModel, cross, warmup: int,
     """
     queries = texts[0]
     keyword_sets = [kws[: scenario.n_keywords_per_query] for kws in texts[1]]
-    run_model = model.cast(None)  # the same arrays; its own counters count only this scenario
+    # the same arrays; its own counters count only this scenario
+    run_model = TwinModel(config=model.config, vocab=model.vocab, params=model.params)
     counters = run_model.counters
     cross_config, cross_params = cross or (None, None)
 

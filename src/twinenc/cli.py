@@ -58,6 +58,17 @@ def _require_file(path: str) -> Path:
     return p
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The comma-separated integers of ``flag``'s value ``text``."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise CliError(f"{flag} {text!r}: {entry!r} is not an integer") from None
+    return values
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -338,6 +349,7 @@ def cmd_eval_auc(args) -> int:
 
 
 def cmd_eval_ndcg(args) -> int:
+    positions = _int_list("--positions", args.positions)
     table = textio.read_table(_require_file(args.scored))
     scores = table.column(args.score_col, float, "a number")
     grades = table.column(args.label_col, label_gain, "bad/fair/good/excellent")
@@ -348,7 +360,6 @@ def cmd_eval_ndcg(args) -> int:
     for items in by_query.values():
         items.sort(key=lambda t: -t[0])
         rankings.append([lab for _, lab in items])
-    positions = [int(p) for p in args.positions.split(",")]
     lines = [("position", "ndcg")]
     for p in positions:
         try:
@@ -367,7 +378,7 @@ def cmd_bench(args) -> int:
     for mode in modes:
         if mode not in bench_mod.MODEL_MODES:
             raise CliError(f"--modes: model_mode must be one of {bench_mod.MODEL_MODES}, got {mode!r}")
-    nk_grid = [int(v) for v in args.nk_grid.split(",")]
+    nk_grid = _int_list("--nk-grid", args.nk_grid)
     try:
         bench_mod.check_nk_grid(nk_grid)
     except ValueError as exc:

@@ -88,13 +88,16 @@ def sigmoid(x) -> np.ndarray:
     return out
 
 
-def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) samples rejected outside +/- 2 std."""
-    out = rng.normal(0.0, std, size=shape)
-    lim = 2.0 * std
+INIT_STD = 0.02
+
+
+def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, ``INIT_STD``) samples rejected outside +/- 2 ``INIT_STD``."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    lim = 2.0 * INIT_STD
     bad = (out > lim) | (out < -lim)  # np.abs(out) would be a float64 copy of out
     while np.any(bad):
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
         bad = (out > lim) | (out < -lim)
     return out
 

@@ -196,6 +196,6 @@ class TwinModel:
     def cast(self, dtype) -> TwinModel:
         """Copy of this model with parameters cast to ``dtype`` (inference only).
 
-        The copy counts its own operations; ``dtype=None`` keeps the arrays.
+        The copy counts its own operations.
         """
         return TwinModel(config=self.config, vocab=self.vocab, params=cast_params(self.params, dtype))

@@ -25,9 +25,13 @@ from .training import PairRecord
 # actual-label fine-tuning exists to add.
 MODIFIERS = ("buy", "cheap", "best", "online")
 
-DEFAULT_MARGIN_SCALE = 8.0
-DEFAULT_NOISE_STD = 0.5
-DEFAULT_MIDPOINT = 0.2
+# The teacher's fixed scoring rule (see ``synthetic_teacher``) and the size
+# of each topic's vocabulary. A topic needs at least 5 words: a query's
+# three topic words must leave as many "others" as a keyword draws.
+MARGIN_SCALE = 8.0
+NOISE_STD = 0.5
+MIDPOINT = 0.2
+WORDS_PER_TOPIC = 30
 
 
 def token_jaccard(a: str, b: str) -> float:
@@ -50,49 +54,37 @@ def _pair_rng(seed: int, query: str, keyword: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def synthetic_teacher(
-    query: str,
-    keyword: str,
-    seed: int = 0,
-    margin_scale: float = DEFAULT_MARGIN_SCALE,
-    noise_std: float = DEFAULT_NOISE_STD,
-    midpoint: float = DEFAULT_MIDPOINT,
-) -> tuple[float, float]:
+def synthetic_teacher(query: str, keyword: str, seed: int = 0) -> tuple[float, float]:
     """Deterministic lexical-overlap scoring oracle.
 
     Produces a (z_bad, z_nonbad) logit pair whose margin grows monotonically
     and piecewise-linearly with the token-set Jaccard overlap J, crossing
-    zero at ``midpoint`` (short relevant texts rarely share more than a
+    zero at ``MIDPOINT`` (short relevant texts rarely share more than a
     quarter of their tokens, so a trained relevance model's decision
-    boundary sits well below J = 0.5):
+    boundary sits well below J = 0.5). With scale = ``MARGIN_SCALE`` and
+    mid = ``MIDPOINT``:
 
         margin = scale * (J - mid) / (1 - mid)   for J >= mid
         margin = scale * (J - mid) / mid         for J <  mid
 
     so J = 1 always yields the maximal positive margin (+scale) and J = 0
     the maximal negative one (-scale). A per-pair seeded Gaussian noise term
-    scaled by 4*J*(1-J) is added; it vanishes at both extremes. A pure
-    function of (query, keyword, seed).
+    of std ``NOISE_STD``, scaled by 4*J*(1-J), is added; it vanishes at both
+    extremes. A pure function of (query, keyword, seed).
     """
-    if not 0.0 < midpoint < 1.0:
-        raise ValueError("midpoint must be in (0, 1)")
-    return _teacher_logits(token_jaccard(query, keyword), query, keyword,
-                           seed, margin_scale, noise_std, midpoint)
+    return _teacher_logits(token_jaccard(query, keyword), query, keyword, seed)
 
 
-def _teacher_logits(
-    j: float, query: str, keyword: str, seed: int,
-    margin_scale: float, noise_std: float, midpoint: float,
-) -> tuple[float, float]:
+def _teacher_logits(j: float, query: str, keyword: str, seed: int) -> tuple[float, float]:
     """``synthetic_teacher`` given the pair's token Jaccard overlap ``j``."""
-    if j >= midpoint:
-        base = margin_scale * (j - midpoint) / (1.0 - midpoint)
+    if j >= MIDPOINT:
+        base = MARGIN_SCALE * (j - MIDPOINT) / (1.0 - MIDPOINT)
     else:
-        base = margin_scale * (j - midpoint) / midpoint
+        base = MARGIN_SCALE * (j - MIDPOINT) / MIDPOINT
     noise = 0.0
-    if 0.0 < j < 1.0 and noise_std > 0.0:
+    if 0.0 < j < 1.0:
         rng = _pair_rng(seed, query, keyword)
-        noise = noise_std * 4.0 * j * (1.0 - j) * rng.standard_normal()
+        noise = NOISE_STD * 4.0 * j * (1.0 - j) * rng.standard_normal()
     margin = base + noise
     return (-margin / 2.0, margin / 2.0)
 
@@ -107,12 +99,12 @@ def _random_word(rng: np.random.Generator) -> str:
     return "".join(chr(ord("a") + int(c)) for c in letters)
 
 
-def _topic_vocabulary(rng: np.random.Generator, n_topics: int, words_per_topic: int) -> list[list[str]]:
+def _topic_vocabulary(rng: np.random.Generator, n_topics: int) -> list[list[str]]:
     seen: set[str] = set(MODIFIERS)
     topics = []
     for _ in range(n_topics):
         words = []
-        while len(words) < words_per_topic:
+        while len(words) < WORDS_PER_TOPIC:
             w = _random_word(rng)
             if w not in seen:
                 seen.add(w)
@@ -156,24 +148,18 @@ def _sample(rng: np.random.Generator, seq: Sequence[str], k: int) -> list[str]:
 
 
 def generate_pairs(
-    n_pairs: int,
-    seed: int = 0,
-    n_queries: int | None = None,
-    n_topics: int = 20,
-    words_per_topic: int = 30,
-    teacher_seed: int | None = None,
-    margin_scale: float = DEFAULT_MARGIN_SCALE,
-    noise_std: float = DEFAULT_NOISE_STD,
+    n_pairs: int, seed: int = 0, n_queries: int | None = None, n_topics: int = 20,
 ) -> list[PairRecord]:
     """Generate labelled query/keyword pairs with teacher logits attached.
 
-    Each query holds 2-3 words from one topic (sometimes plus a generic
+    Each of ``n_topics`` topics has ``WORDS_PER_TOPIC`` random words. Each
+    query holds 2-3 words from one topic (sometimes plus a generic
     modifier). Keywords are built per grade: ``excellent`` keywords contain
     every query topic word, ``good`` keywords share several, ``fair``
     keywords share exactly one, and ``bad`` keywords share none and come
     from a different topic. Modifier words are shared across topics, so
     lexical overlap alone cannot fully separate bad from fair; the editorial
-    grade can.
+    grade can. The logits are ``synthetic_teacher(query, keyword, seed)``.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -183,13 +169,8 @@ def generate_pairs(
         raise ValueError(f"n_queries must be >= 1, got {n_queries}")
     if n_topics < 2:
         raise ValueError(f"n_topics must be >= 2, got {n_topics}")
-    if words_per_topic < 5:
-        # below 5, a query's three topic words can leave fewer "others" than
-        # a keyword draws from them
-        raise ValueError(f"words_per_topic must be >= 5, got {words_per_topic}")
     rng = np.random.default_rng(seed)
-    teacher_seed = seed if teacher_seed is None else teacher_seed
-    topics = _topic_vocabulary(rng, n_topics, words_per_topic)
+    topics = _topic_vocabulary(rng, n_topics)
 
     # Per query slot: text, topic words, the topic's other words, word set.
     slots: list[tuple[str, int, list[str], list[str], frozenset[str]]] = []
@@ -236,8 +217,7 @@ def generate_pairs(
         # so this is token_jaccard(query, keyword)
         keyword_words = set(kw)
         j = len(query_words & keyword_words) / len(query_words | keyword_words)
-        logits = _teacher_logits(j, query, keyword, teacher_seed,
-                                 margin_scale, noise_std, DEFAULT_MIDPOINT)
+        logits = _teacher_logits(j, query, keyword, seed)
         pairs.append(PairRecord(query=query, keyword=keyword, teacher_logits=logits, label=grade))
     return pairs
 

@@ -98,8 +98,7 @@ class TestOneServingCopyPerGrid:
             return real_cross(*args, **kwargs)
 
         def counting_cast(model, dtype):
-            if dtype is not None:
-                casts.append(dtype)
+            casts.append(dtype)
             return real_cast(model, dtype)
 
         monkeypatch.setattr(bench_mod, "make_cross_encoder", counting_cross)

@@ -336,6 +336,14 @@ class TestEvalNdcg:
         assert rows[0] == "position\tndcg"
         assert len(rows) == 4
 
+    def test_non_integer_position_exits_1_naming_flag_and_entry(self, tmp_path, capsys):
+        scored = tmp_path / "scored.tsv"
+        scored.write_text("query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\n")
+        assert main(["eval-ndcg", "--scored", str(scored), "--positions", "1,x"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--positions '1,x': 'x' is not an integer" in err and "Traceback" not in err
+
 
 class TestPresets:
     def test_large_preset_resolves_to_model_config_large(self):
@@ -401,7 +409,9 @@ class TestBench:
         (["--modes", "twin_cosine", "--nk-grid", "5,10"], "'5,10'"),
         (["--modes", "twin_cosine", "--nk-grid", "5,5,10"], "'5,5,10'"),
         (["--modes", "twin_cosine", "--nk-grid", "0,5,10"], "'0,5,10'"),
-    ], ids=["unknown-mode-after-a-good-one", "two-counts", "two-distinct-counts", "zero-count"])
+        (["--modes", "twin_cosine", "--nk-grid", "1,x,3"], "--nk-grid '1,x,3': 'x' is not an integer"),
+    ], ids=["unknown-mode-after-a-good-one", "two-counts", "two-distinct-counts", "zero-count",
+            "non-integer-count"])
     def test_bad_mode_or_grid_exits_1_before_timing(self, capsys, flags, named):
         assert main(["bench", *flags, "--n-queries", "2", "--reps", "1", *FAST_MODEL]) == 1
         out, err = capsys.readouterr()

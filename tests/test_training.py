@@ -128,11 +128,11 @@ class TestCeLoss:
 
 class TestSyntheticTeacher:
     def test_identical_strings_maximal_margin(self):
-        z_bad, z_nonbad = synthetic_teacher("red shoes", "red shoes", margin_scale=8.0)
+        z_bad, z_nonbad = synthetic_teacher("red shoes", "red shoes")
         assert z_nonbad - z_bad == pytest.approx(8.0)
 
     def test_disjoint_maximal_negative(self):
-        z_bad, z_nonbad = synthetic_teacher("red shoes", "quantum physics", margin_scale=8.0)
+        z_bad, z_nonbad = synthetic_teacher("red shoes", "quantum physics")
         assert z_nonbad - z_bad == pytest.approx(-8.0)
 
     def test_partial_overlap_between_extremes(self):
