@@ -81,6 +81,22 @@ class TestGeneratePairs:
                 credited_bad += 1
         assert credited_bad > 0
 
+    @pytest.mark.parametrize("n_topics", [-1, 0, 1])
+    def test_too_few_topics_rejected(self, n_topics):
+        # a bad keyword comes from a topic other than its query's
+        with pytest.raises(ValueError, match=f"n_topics must be >= 2, got {n_topics}"):
+            generate_pairs(200, seed=0, n_queries=20, n_topics=n_topics)
+
+    def test_fewest_topics(self):
+        # with two topics every grade still appears, and a bad keyword
+        # shares at most a generic modifier with its query
+        for seed in range(5):
+            pairs = generate_pairs(400, seed=seed, n_queries=40, n_topics=2)
+            assert {p.label for p in pairs} == set(LABEL_GAINS)
+            for p in pairs:
+                if p.label == "bad":
+                    assert set(p.query.split()) & set(p.keyword.split()) <= set(MODIFIERS)
+
     def test_query_slot_assignment(self):
         pairs = generate_pairs(100, seed=4, n_queries=10)
         for j, p in enumerate(pairs):
