@@ -63,7 +63,7 @@ class SearchCounters:
             setattr(self, f.name, f.default)
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchResult:
     keyword_id: str
     cosine_score: float
@@ -208,26 +208,28 @@ def encode_corpus(
         ids = textio.keyword_ids(len(keywords))
     if len(ids) != len(keywords):
         raise ValueError("ids and keywords must align")
+    # each batch of batch_size kept keywords is tokenized, encoded and
+    # written straight into the store, normalized in place
+    vectors = np.empty((len(keywords), model.config.hidden_size),
+                       dtype=np.float32 if normalize else np.float64)
     kept_ids: list[str] = []
-    kept_seqs: list[TokenSequence] = []
-    for kid, text in zip(ids, keywords):
+    batch: list[TokenSequence] = []
+    for i, (kid, text) in enumerate(zip(ids, keywords)):
         try:
-            kept_seqs.append(model.tokenize(text))
+            batch.append(model.tokenize(text))
+            kept_ids.append(kid)
         except ValueError:
             logger.warning("skipping unencodable keyword %r (id %s)", text, kid)
-            continue
-        kept_ids.append(kid)
-    if not kept_seqs:
+        if batch and (len(batch) == batch_size or i == len(keywords) - 1):
+            emb = model.encode_keyword_batch(encoder.pack_sequences(batch))[0]
+            if normalize:
+                emb /= _row_norms(emb)
+            vectors[len(kept_ids) - len(emb) : len(kept_ids)] = emb
+            batch.clear()
+    if not kept_ids:
         raise ValueError("corpus is empty after filtering unencodable keywords")
-    # each batch goes straight into the store, normalized in place
-    vectors = np.empty((len(kept_seqs), model.config.hidden_size),
-                       dtype=np.float32 if normalize else np.float64)
-    for lo in range(0, len(kept_seqs), batch_size):
-        batch = encoder.pack_sequences(kept_seqs[lo : lo + batch_size])
-        emb = model.encode_keyword_batch(batch)[0]
-        if normalize:
-            emb /= _row_norms(emb)
-        vectors[lo : lo + len(emb)] = emb
+    if len(kept_ids) < len(vectors):
+        vectors = vectors[: len(kept_ids)].copy()
     return EmbeddingIndex(ids=kept_ids, vectors=vectors, metric=METRIC_UNIT if normalize else METRIC_RAW)
 
 

@@ -90,7 +90,7 @@ class TrigramVocab:
         return cached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenSequence:
     """One encoded sentence, ragged: only real words, never padding.
 

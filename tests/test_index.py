@@ -119,11 +119,30 @@ class TestEncodeCorpus:
         idx = encode_corpus(["red shoes", "???", "blue hat"], tiny_model, ids=["a", "b", "c"])
         assert idx.ids == ["a", "c"]
 
+    @pytest.mark.parametrize("texts", [
+        ["red shoes", "???", "blue hat", "green tea", "cat"],  # the first batch ends with a skip
+        ["red shoes", "???", "!!", "blue hat", "green tea"],  # skips fill a whole batch
+        ["red shoes", "blue hat", "green tea", "???"],  # the last keyword is skipped
+        ["???", "!!", "red shoes"],
+    ])
+    def test_skips_keep_ids_and_vectors_aligned(self, tiny_model, texts):
+        # batches are of kept keywords, so the store equals the one encoded
+        # from the kept keywords alone
+        ids = [f"k{i}" for i in range(len(texts))]
+        kept = [(kid, t) for kid, t in zip(ids, texts) if t not in ("???", "!!")]
+        for normalize in (True, False):
+            store = encode_corpus(texts, tiny_model, ids=ids, batch_size=2, normalize=normalize)
+            clean = encode_corpus([t for _, t in kept], tiny_model, batch_size=2, normalize=normalize)
+            assert store.ids == [kid for kid, _ in kept]
+            assert store.vectors.tobytes() == clean.vectors.tobytes()
+
     def test_empty_corpus_rejected(self, tiny_model):
         with pytest.raises(ValueError):
             encode_corpus([], tiny_model)
         with pytest.raises(ValueError):
             encode_corpus(["???"], tiny_model)
+        with pytest.raises(ValueError, match="corpus is empty after filtering unencodable keywords"):
+            encode_corpus(["???", "!!", "?"], tiny_model, batch_size=2)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected_before_tokenizing(self, tiny_model, monkeypatch, batch_size):

@@ -2,11 +2,21 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinenc.metrics import LABEL_GAINS
-from twinenc.synthetic import MODIFIERS, _sample, generate_pairs, split_pairs, synthetic_teacher, token_jaccard
+from twinenc.synthetic import (
+    MODIFIERS,
+    TEACHER_BLOCK,
+    _pair_normals,
+    _sample,
+    _standard_normals,
+    generate_pairs,
+    split_pairs,
+    synthetic_teacher,
+    token_jaccard,
+)
 from twinenc.text import normalize
 from twinenc.training import soft_label
 
@@ -44,6 +54,15 @@ class TestGeneratePairs:
         for seed in (3, 9):
             for p in generate_pairs(2000, seed=seed, n_queries=200, n_topics=40):
                 assert p.teacher_logits == synthetic_teacher(p.query, p.keyword, seed=seed)
+
+    @pytest.mark.parametrize("n_pairs", [TEACHER_BLOCK - 1, TEACHER_BLOCK, TEACHER_BLOCK + 1])
+    def test_teacher_blocks_match_oracle(self, n_pairs):
+        # the logits are the teacher's whether a pair ends a block, starts
+        # the next, or the last block is short
+        pairs = generate_pairs(n_pairs, seed=4, n_queries=50)
+        assert len(pairs) == n_pairs
+        for p in pairs:
+            assert p.teacher_logits == synthetic_teacher(p.query, p.keyword, seed=4)
 
     @pytest.mark.parametrize("call", [
         lambda: generate_pairs(200, seed=0, teacher_seed=1),
@@ -120,6 +139,28 @@ def test_sample_draws_what_choice_draws(n_k, seed):
     expected = [population[i] for i in numpy_choice.choice(n, size=k, replace=False)]
     assert _sample(ours, population, k) == expected
     assert ours.random() == numpy_choice.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+@example([0])
+@example([5, 2**32 - 1])  # below 2**32, SeedSequence's entropy is one word
+@example([2**32, 2**40, 2**64 - 1])
+def test_block_noise_is_default_rng_noise(entropies):
+    # a block's normals are the ones a Generator seeded with each entropy
+    # draws first
+    digests = b"".join(e.to_bytes(8, "little") for e in entropies)
+    assert _standard_normals(digests) == [np.random.default_rng(e).standard_normal() for e in entropies]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=8), st.text(max_size=8), st.integers(-(2**63), 2**63 - 1))
+def test_pair_noise_is_seeded_by_keyed_digest(query, keyword, seed):
+    # the pair's entropy is its 8-byte blake2b digest keyed by the seed
+    digest = hashlib.blake2b(f"{query}\x1f{keyword}".encode("utf-8"),
+                             key=seed.to_bytes(8, "little", signed=True), digest_size=8).digest()
+    expected = np.random.default_rng(int.from_bytes(digest, "little")).standard_normal()
+    assert _pair_normals(seed, [(query, keyword)]) == [expected]
 
 
 class TestSplitPairs:
