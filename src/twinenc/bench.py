@@ -82,6 +82,7 @@ class ComplexityFit:
 
     alpha_ms: float
     beta_ms: float
+    beta_se_ms: float  # the slope's ordinary-least-squares standard error
     rms_residual_ms: float
 
 
@@ -253,10 +254,13 @@ def complexity_fit(grid: list[tuple[int, float]]) -> ComplexityFit:
     t = np.asarray([g[1] for g in grid], dtype=np.float64)
     beta, alpha = np.polyfit(nk, t, 1)
     resid = t - (alpha + beta * nk)
+    ssr = float((resid**2).sum())
+    sxx = float(((nk - nk.mean()) ** 2).sum())
     return ComplexityFit(
         alpha_ms=float(alpha),
         beta_ms=float(beta),
-        rms_residual_ms=float(np.sqrt((resid**2).mean())),
+        beta_se_ms=float(np.sqrt(ssr / (len(nk) - 2) / sxx)),
+        rms_residual_ms=float(np.sqrt(ssr / len(nk))),
     )
 
 

@@ -44,7 +44,7 @@ from .training import distill_train, finetune, load_pair_tsv, save_pair_tsv
 
 # not __name__: under ``python -m twinenc.cli`` that is ``__main__``, outside the package logger
 logger = logging.getLogger("twinenc.cli")
-_SERVE_BATCH = 256  # texts per forward in score and search
+_SERVE_BATCH = 256  # texts per forward in encode-corpus, score and search
 
 
 class CliError(Exception):
@@ -110,8 +110,6 @@ def _add_distill_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("training")
     g.add_argument("--temperature", type=float, default=None)
     g.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    g.add_argument("--beta1", type=float, default=None)
-    g.add_argument("--beta2", type=float, default=None)
     g.add_argument("--weight-decay", type=float, default=None)
     g.add_argument("--epochs", type=int, default=None)
     g.add_argument("--batch-size", type=int, default=None)
@@ -254,7 +252,7 @@ def cmd_finetune(args) -> int:
 def cmd_encode_corpus(args) -> int:
     model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     ids, texts = textio.read_corpus(_require_file(args.corpus))
-    store = index_mod.encode_corpus(texts, model, ids=ids, batch_size=args.batch_size)
+    store = index_mod.encode_corpus(texts, model, ids=ids, batch_size=_SERVE_BATCH)
     store.save(args.out)
     resolved = {"model": model.config.to_dict()}
     textio.write_manifest(args.out, _manifest(
@@ -352,7 +350,7 @@ def cmd_eval_ndcg(args) -> int:
     positions = _int_list("--positions", args.positions)
     table = textio.read_table(_require_file(args.scored))
     scores = table.column(args.score_col, float, "a number")
-    grades = table.column(args.label_col, label_gain, "bad/fair/good/excellent")
+    grades = table.column(args.label_col, label_gain, "bad/fair/good/excellent or 0/1")
     by_query: dict[str, list[tuple[float, float]]] = {}
     for query, score, grade in zip(table.column(args.query_col), scores, grades):
         by_query.setdefault(query, []).append((score, grade))
@@ -383,6 +381,10 @@ def cmd_bench(args) -> int:
         bench_mod.check_nk_grid(nk_grid)
     except ValueError as exc:
         raise CliError(f"--nk-grid {args.nk_grid!r}: {exc}") from None
+    for flag, value, least in (("--n-queries", args.n_queries, 1), ("--reps", args.reps, 1),
+                               ("--qel", args.qel, 1), ("--warmup", args.warmup, 0)):
+        if value < least:
+            raise CliError(f"{flag} must be >= {least}, got {value}")
     file_cfg = _load_config_file(args.config)
     loaded = TwinModel.load(_require_file(args.checkpoint)) if args.checkpoint else None
     resolved = _resolve(args, file_cfg, loaded)
@@ -406,8 +408,8 @@ def cmd_bench(args) -> int:
             )
     for mode, fit in fits.items():
         print(
-            f"{mode:>14}  per-query time ~= {fit.alpha_ms:.4f}ms + "
-            f"{fit.beta_ms:.6f}ms * n_keywords  (rms residual {fit.rms_residual_ms:.4f}ms)"
+            f"{mode:>14}  per-query time ~= {fit.alpha_ms:.4f}ms + {fit.beta_ms:.6f}ms "
+            f"(se {fit.beta_se_ms:.6f}ms) * n_keywords  (rms residual {fit.rms_residual_ms:.4f}ms)"
         )
     if args.out:
         keys = sorted({k for row in rows for k in row})
@@ -460,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True, help="TSV id<TAB>keyword, or one keyword per line")
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int, default=256)
     p.set_defaults(func=cmd_encode_corpus)
 
     p = sub.add_parser("build-index", parents=[common],

@@ -78,17 +78,14 @@ PRESETS = {"desk": ModelConfig, "large": ModelConfig.large}
 class DistillationConfig:
     """Student-training hyperparameters.
 
-    ``temperature`` softens the teacher logits; the optimizer is Adam with
-    decoupled L2 weight decay. ``batch_size`` defaults to 64 for desk-scale
-    runs (2048 is the production-scale setting and remains selectable).
+    ``temperature`` softens the teacher logits; the optimizer is AdamW at Adam's
+    own betas and epsilon (``training.BETA1``, ``BETA2``, ``ADAM_EPS``). ``batch_size``
+    defaults to 64 for desk-scale runs (2048 is the production-scale setting).
     """
 
     temperature: float = 2.0
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
     weight_decay: float = 0.01
-    adam_epsilon: float = 1e-8
     epochs: int = 10
     batch_size: int = 64
     finetune_learning_rate: float = 2e-5
@@ -99,8 +96,6 @@ class DistillationConfig:
             raise ValueError("temperature must be > 0")
         if self.learning_rate < 0 or self.finetune_learning_rate < 0:
             raise ValueError("learning rates must be >= 0")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError("beta1/beta2 must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
         if self.epochs < 0 or self.finetune_epochs < 0:

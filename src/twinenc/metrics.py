@@ -52,13 +52,11 @@ def roc_auc(scores, labels) -> float:
 
 
 def label_gain(label, scheme: str = "linear") -> float:
-    """Gain of a relevance label: graded strings, 0/1, or numeric grades."""
+    """Gain of a relevance label: a grade, the label cell "0" or "1", or a numeric grade."""
     if scheme not in GAIN_SCHEMES:
         raise ValueError(f"gain scheme must be one of {GAIN_SCHEMES}")
     if isinstance(label, str):
-        if label not in LABEL_GAINS:
-            raise ValueError(f"unknown relevance label: {label!r}")
-        g = LABEL_GAINS[label]
+        g = LABEL_GAINS[label] if label in LABEL_GAINS else float(binary_label(label))
     else:
         g = float(label)
         if g < 0:

@@ -26,6 +26,10 @@ from .model import TwinModel
 logger = logging.getLogger(__name__)
 
 _CE_EPS = 1e-12
+# Adam's own moment decays and denominator floor (Kingma & Ba, ICLR 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -122,7 +126,8 @@ class AdamW:
     with no gradient this step keeps its value and both moments, so it gets
     neither moment decay nor weight decay. Bias correction counts the steps
     of each parameter. Decay applies to matrices only, not to bias/gain
-    vectors or scalars.
+    vectors or scalars. The moment decays and the denominator floor are
+    the module constants ``BETA1``, ``BETA2`` and ``ADAM_EPS``.
 
     Parameters are updated in place, on a copy that the optimizer makes when
     it creates the parameter's state, so an array shared with another model
@@ -130,12 +135,8 @@ class AdamW:
     written through.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, lr: float, weight_decay: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -161,13 +162,13 @@ class AdamW:
     def _updated(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
                  t: int) -> np.ndarray:
         """New value of ``p`` after step ``t``; advances the moments ``m`` and ``v`` in place."""
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        update = m_hat / (np.sqrt(v_hat) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if self.weight_decay > 0.0 and p.ndim >= 2:
             update = update + self.weight_decay * p
         return p - self.lr * update
@@ -208,8 +209,7 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
     history = TrainingHistory()
     if epochs == 0:
         return history
-    optimizer = AdamW(lr=lr, beta1=config.beta1, beta2=config.beta2,
-                      eps=config.adam_epsilon, weight_decay=config.weight_decay)
+    optimizer = AdamW(lr=lr, weight_decay=config.weight_decay)
     shuffle_rng = np.random.default_rng([seed, 0xDA7A])
     dropout_rng = np.random.default_rng([seed, 0xD120])
 

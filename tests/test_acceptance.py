@@ -273,10 +273,10 @@ class TestCriterion7LatencyTrend:
         beta_ok = fits["twin_cosine"].beta_ms < fits["twin_residual"].beta_ms < fits["cross_encoder"].beta_ms
         ok = beta_ok and counters_ok and ratio >= 10
         _report("7 latency-trend", ok)
+        slopes = {mode: f"{fit.beta_ms:.6f} (se {fit.beta_se_ms:.6f})" for mode, fit in fits.items()}
         print(
-            f"  beta: cosine {fits['twin_cosine'].beta_ms:.6f} < residual "
-            f"{fits['twin_residual'].beta_ms:.6f} < cross {fits['cross_encoder'].beta_ms:.6f}; "
-            f"cross/cached ratio {ratio:.1f}x"
+            f"  beta: cosine {slopes['twin_cosine']} < residual {slopes['twin_residual']} "
+            f"< cross {slopes['cross_encoder']}; cross/cached ratio {ratio:.1f}x"
         )
         assert beta_ok, fits
         assert counters_ok, (cached.counters, cross.counters)

@@ -126,6 +126,17 @@ class TestComplexityFit:
         assert fit.alpha_ms == pytest.approx(alpha, abs=1e-9)
         assert fit.beta_ms == pytest.approx(beta, abs=1e-9)
         assert fit.rms_residual_ms == pytest.approx(0.0, abs=1e-9)
+        assert fit.beta_se_ms == pytest.approx(0.0, abs=1e-12)
+
+    def test_slope_standard_error_matches_the_closed_form(self):
+        nk = np.array([100.0, 200.0, 400.0, 800.0])
+        t = np.array([1.31, 1.52, 2.11, 3.27])
+        fit = complexity_fit(list(zip(nk.astype(int), t)))
+        sxx = ((nk - nk.mean()) ** 2).sum()
+        beta = ((nk - nk.mean()) * (t - t.mean())).sum() / sxx
+        ssr = ((t - t.mean() - beta * (nk - nk.mean())) ** 2).sum()
+        assert fit.beta_se_ms == pytest.approx(np.sqrt(ssr / (len(nk) - 2) / sxx), rel=0, abs=1e-12)
+        assert fit.beta_se_ms > 0.0
 
     def test_constant_series_flat_slope(self):
         fit = complexity_fit([(10, 5.0), (20, 5.0), (40, 5.0)])

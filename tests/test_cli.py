@@ -123,6 +123,30 @@ class TestDistill:
         manifest = json.loads((tmp_path / "cfgrun.ckpt.manifest.json").read_text())
         assert manifest["config"]["distill"]["epochs"] == 1  # file beat the flag
 
+    @pytest.mark.parametrize("argv", [
+        ["distill", "--data", "d.tsv", "--out", "m.ckpt", "--beta1", "0.9"],
+        ["finetune", "--data", "d.tsv", "--checkpoint", "m.ckpt", "--out", "f.ckpt", "--beta2", "0.999"],
+        ["encode-corpus", "--checkpoint", "m.ckpt", "--corpus", "c.tsv", "--out", "s.bin",
+         "--batch-size", "8"],
+    ], ids=["distill-beta1", "finetune-beta2", "encode-corpus-batch-size"])
+    def test_removed_settings_are_unrecognized_arguments(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    def test_config_file_adam_beta_exits_1_naming_it(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"distill": {"beta1": 0.9}}))
+        src = Path(twinenc.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "twinenc.cli", "distill", "--config", str(cfg),
+                               "--data", str(tmp_path / "d.tsv"), "--out", str(tmp_path / "m.ckpt")],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert "invalid configuration" in proc.stderr and "'beta1'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
 
 class TestFinetune:
     def test_runs_and_echoes_lr(self, workspace, tmp_path):
@@ -305,9 +329,10 @@ class TestEvalAuc:
     def test_bad_label_names_file_and_label(self, tmp_path, capsys):
         scored = tmp_path / "scored.tsv"
         scored.write_text("query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tmeh\t0.1\n")
-        assert main(["eval-auc", "--scored", str(scored), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert f"{scored}:3: label 'meh' is not bad/fair/good/excellent or 0/1" in err
+        for command in ("eval-auc", "eval-ndcg"):  # both read the same label scale
+            assert main([command, "--scored", str(scored), "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert f"{scored}:3: label 'meh' is not bad/fair/good/excellent or 0/1" in err, command
 
     def test_nan_score_exits_1_without_traceback(self, tmp_path):
         scored = tmp_path / "scored.tsv"
@@ -335,6 +360,13 @@ class TestEvalNdcg:
         rows = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == "position\tndcg"
         assert len(rows) == 4
+
+    def test_binary_labels_read_as_gains_0_and_1(self, tmp_path, capsys):
+        scored = tmp_path / "scored.tsv"
+        scored.write_text("query\tkeyword\tlabel\tprob\na\tb\t0\t0.9\na\tc\t1\t0.1\n")
+        assert main(["eval-ndcg", "--scored", str(scored), "--positions", "1,2", "--quiet"]) == 0
+        # the relevant keyword ranks second: nDCG@2 = (1 / log2 3) / 1
+        assert capsys.readouterr().out == f"ndcg@1\t0.000000\nndcg@2\t{1 / np.log2(3):.6f}\n"
 
     def test_non_integer_position_exits_1_naming_flag_and_entry(self, tmp_path, capsys):
         scored = tmp_path / "scored.tsv"
@@ -388,8 +420,10 @@ class TestBench:
                      "--n-queries", "4", "--reps", "1", "--warmup", "1",
                      "--out", str(out), "--seed", "0", "--quiet", *FAST_MODEL]) == 0
         printed = capsys.readouterr().out
-        assert "per-query time" in printed
+        assert "per-query time" in printed and "ms (se " in printed
         assert out.is_file()
+        fit = json.loads(Path(f"{out}.manifest.json").read_text())["fits"]["twin_cosine"]
+        assert fit["beta_se_ms"] >= 0.0
 
     def test_dtype_is_an_unknown_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -410,25 +444,22 @@ class TestBench:
         (["--modes", "twin_cosine", "--nk-grid", "5,5,10"], "'5,5,10'"),
         (["--modes", "twin_cosine", "--nk-grid", "0,5,10"], "'0,5,10'"),
         (["--modes", "twin_cosine", "--nk-grid", "1,x,3"], "--nk-grid '1,x,3': 'x' is not an integer"),
+        (["--n-queries", "0"], "--n-queries must be >= 1, got 0"),
+        (["--reps", "0"], "--reps must be >= 1, got 0"),
+        (["--qel", "0"], "--qel must be >= 1, got 0"),
+        (["--warmup", "-3"], "--warmup must be >= 0, got -3"),
     ], ids=["unknown-mode-after-a-good-one", "two-counts", "two-distinct-counts", "zero-count",
-            "non-integer-count"])
+            "non-integer-count", "zero-queries", "zero-reps", "zero-qel", "negative-warmup"])
     def test_bad_mode_or_grid_exits_1_before_timing(self, capsys, flags, named):
-        assert main(["bench", *flags, "--n-queries", "2", "--reps", "1", *FAST_MODEL]) == 1
+        # the bad value comes last, so it wins over the test's own counts
+        assert main(["bench", "--n-queries", "2", "--reps", "1", *flags, *FAST_MODEL]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert named in err and "Traceback" not in err
+        assert "resolved config" not in err  # refused before settings resolve
 
 
 class TestStoreFile:
-    @pytest.mark.parametrize("size", ["0", "-1"])
-    def test_batch_size_below_one_exits_1_and_writes_nothing(self, workspace, tmp_path, capsys, size):
-        out = tmp_path / "store.bin"
-        assert main(["encode-corpus", "--checkpoint", str(workspace / "model.ckpt"),
-                     "--corpus", str(workspace / "data" / "corpus.tsv"),
-                     "--out", str(out), "--batch-size", size, "--quiet"]) == 1
-        assert f"batch_size must be >= 1, got {size}" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_build_index_refuses_a_raw_f64_store(self, raw_f64_store, tmp_path, capsys):
         out = tmp_path / "idx.bin"
         assert main(["build-index", "--embeddings", str(raw_f64_store), "--out", str(out), "--quiet"]) == 1

@@ -26,6 +26,9 @@ from twinenc.encoder import RowGrad, pack_sequences, sigmoid
 from twinenc.metrics import binary_label
 from twinenc.synthetic import generate_pairs, token_jaccard
 from twinenc.training import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     AdamW,
     fit_logit_calibration,
     load_pair_tsv,
@@ -266,11 +269,11 @@ def _dense_adamw_reference(opt, params, grads, state):
         m, v, t = state[name]
         t += 1
         state[name][2] = t
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        update = (m / (1.0 - opt.beta1**t)) / (np.sqrt(v / (1.0 - opt.beta2**t)) + opt.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        update = (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + ADAM_EPS)
         if opt.weight_decay > 0.0 and p.ndim >= 2:
             update = update + opt.weight_decay * p
         params[name] = p - opt.lr * update
@@ -278,7 +281,15 @@ def _dense_adamw_reference(opt, params, grads, state):
 
 class TestAdamW:
     def _opt(self):
-        return AdamW(lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+        return AdamW(lr=1e-2, weight_decay=0.01)
+
+    def test_betas_and_epsilon_are_not_settable(self):
+        """Adam's betas and epsilon are the module constants; weight decay has no default."""
+        for setting in ({"beta1": 0.9}, {"beta2": 0.999}, {"eps": 1e-8}):
+            with pytest.raises(TypeError):
+                AdamW(1e-2, 0.01, **setting)
+        with pytest.raises(TypeError):
+            AdamW(1e-2)
 
     def test_dense_parameters_match_reference_bit_for_bit(self, rng):
         params = {"w": rng.standard_normal((5, 3)), "b": rng.standard_normal(3),
@@ -417,6 +428,11 @@ class TestTokenizeOnce:
 
 
 class TestDistillTrain:
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "adam_epsilon"])
+    def test_config_has_no_adam_betas_or_epsilon(self, name):
+        with pytest.raises(TypeError, match=name):
+            DistillationConfig(**{name: 0.5})
+
     def test_empty_data_rejected(self, tiny_model):
         with pytest.raises(ValueError):
             distill_train([], DistillationConfig(), tiny_model)
