@@ -111,48 +111,41 @@ def _bench_texts(n_q: int, n_k: int, seed: int):
     return queries, keyword_sets
 
 
-def _prepare(scenario: LatencyScenario, model: TwinModel, cross, warmup: int,
-             texts: tuple[list[str], list[list[str]]]):
-    """Tokenize, pack, (when cached) pre-encode and warm up one scenario.
-
-    ``model`` and ``cross`` (the cross-encoder's ``(config, params)`` or
-    None) are the serving copies of ``_run_round_robin``. ``texts`` are
-    ``_bench_texts`` of the same queries and at least as many keywords per
-    query. Returns ``(run_query, tokenize_ms, counters)``; ``run_query(qi)``
-    serves query ``qi`` and is the only work inside the timed region.
-    """
-    queries = texts[0]
-    keyword_sets = [kws[: scenario.n_keywords_per_query] for kws in texts[1]]
-    # the same arrays; its own counters count only this scenario
-    run_model = TwinModel(config=model.config, vocab=model.vocab, params=model.params)
-    counters = run_model.counters
-    cross_config, cross_params = cross or (None, None)
-
+def _twin_request(scenario: LatencyScenario, model: TwinModel, queries: list[str],
+                  keyword_sets: list[list[str]]):
+    """A twin scenario's requests, tokenized and packed: ``(run_query, tokenize_ms)``."""
     t0 = time.perf_counter()
-    if scenario.model_mode == "cross_encoder":
-        cross_batches = []
-        for q, kws in zip(queries, keyword_sets):
-            seqs = [
-                run_model.tokenize(f"{q} {kw}", max_len=cross_config.max_len)
-                for kw in kws
-            ]
-            cross_batches.append(pack_sequences(seqs))
-        q_batches = None
-        kw_batches = None
-    else:
-        q_batches = [pack_sequences([run_model.tokenize(q)]) for q in queries]
-        kw_batches = [pack_sequences(run_model.tokenize_many(kws)) for kws in keyword_sets]
-        cross_batches = None
+    q_batches = [pack_sequences([model.tokenize(q)]) for q in queries]
+    kw_batches = [pack_sequences(model.tokenize_many(kws)) for kws in keyword_sets]
     tokenize_ms = (time.perf_counter() - t0) * 1e3
-
     head = "cosine" if scenario.model_mode == "twin_cosine" else "residual"
+    # offline phase: precompute keyword embeddings outside the timed region
+    cached_kw_embs = ([model.encode_keyword_batch(kb)[0] for kb in kw_batches]
+                      if scenario.keyword_cache else None)
 
-    cached_kw_embs = None
-    if scenario.model_mode != "cross_encoder" and scenario.keyword_cache:
-        # offline phase: precompute keyword embeddings outside the timed region
-        cached_kw_embs = [
-            run_model.encode_keyword_batch(kb)[0] for kb in kw_batches
-        ]
+    def run_query(qi: int) -> None:
+        for _ in range(scenario.qel):
+            q_emb, _ = model.encode_query_batch(q_batches[qi])
+        if cached_kw_embs is not None:
+            k_embs = cached_kw_embs[qi]
+        else:
+            k_embs, _ = model.encode_keyword_batch(kw_batches[qi])
+        q_rows = np.broadcast_to(q_emb[0], k_embs.shape)
+        model.score_embeddings(q_rows, k_embs, head=head)
+
+    return run_query, tokenize_ms
+
+
+def _cross_request(model: TwinModel, cross, queries: list[str], keyword_sets: list[list[str]]):
+    """The requests of the cross-encoder ``cross``, its ``(config, params)``, over
+    concatenated (query, keyword) pairs: ``(run_query, tokenize_ms)``."""
+    cross_config, cross_params = cross
+    t0 = time.perf_counter()
+    cross_batches = [
+        pack_sequences([model.tokenize(f"{q} {kw}", max_len=cross_config.max_len) for kw in kws])
+        for q, kws in zip(queries, keyword_sets)
+    ]
+    tokenize_ms = (time.perf_counter() - t0) * 1e3
 
     # An rng makes the cross forward keep a backward cache it never reads (at
     # dropout 0 it draws nothing): criterion 7's ratio is calibrated with that
@@ -160,34 +153,47 @@ def _prepare(scenario: LatencyScenario, model: TwinModel, cross, warmup: int,
     cross_rng = np.random.default_rng(0)
 
     def run_query(qi: int) -> None:
-        if scenario.model_mode == "cross_encoder":
-            emb, _ = encoder_forward(cross_params, "encoder", cross_batches[qi], cross_config, rng=cross_rng)
-            counters.cross_encoder_passes += cross_batches[qi].n_examples
-            sigmoid(emb @ cross_params["out.w"] + cross_params["out.b"])
-            return
-        for _ in range(scenario.qel):
-            q_emb, _ = run_model.encode_query_batch(q_batches[qi])
-        if cached_kw_embs is not None:
-            k_embs = cached_kw_embs[qi]
-        else:
-            k_embs, _ = run_model.encode_keyword_batch(kw_batches[qi])
-        q_rows = np.broadcast_to(q_emb[0], k_embs.shape)
-        run_model.score_embeddings(q_rows, k_embs, head=head)
+        emb, _ = encoder_forward(cross_params, "encoder", cross_batches[qi], cross_config, rng=cross_rng)
+        model.counters.cross_encoder_passes += cross_batches[qi].n_examples
+        sigmoid(emb @ cross_params["out.w"] + cross_params["out.b"])
 
+    return run_query, tokenize_ms
+
+
+def _prepare(scenario: LatencyScenario, model: TwinModel, cross, warmup: int,
+             texts: tuple[list[str], list[list[str]]]):
+    """Build one scenario's request over its own counters and warm it up.
+
+    ``model`` and ``cross`` (or None) are the serving copies of
+    ``_run_round_robin``. Returns ``(run_query, tokenize_ms, counters)``;
+    ``run_query(qi)`` serves query ``qi`` and is the only work inside the
+    timed region.
+    """
+    queries, keyword_sets = texts[0], [kws[: scenario.n_keywords_per_query] for kws in texts[1]]
+    # the same arrays; its own counters count only this scenario
+    run_model = TwinModel(config=model.config, vocab=model.vocab, params=model.params)
+    if scenario.model_mode == "cross_encoder":
+        run_query, tokenize_ms = _cross_request(run_model, cross, queries, keyword_sets)
+    else:
+        run_query, tokenize_ms = _twin_request(scenario, run_model, queries, keyword_sets)
     for qi in range(min(warmup, len(queries))):
         run_query(qi)
-    counters.reset()
-    return run_query, tokenize_ms, counters
+    run_model.counters.reset()
+    return run_query, tokenize_ms, run_model.counters
 
 
-def _run_round_robin(scenarios: list[LatencyScenario], repetitions: int, model: TwinModel,
-                     warmup: int, seed: int, texts) -> list[TimingReport]:
+def _run_round_robin(scenarios: list[LatencyScenario], model: TwinModel, warmup: int,
+                     seed: int) -> list[TimingReport]:
     """Time every scenario, one pass over each per repetition, in turn.
 
+    The scenarios share their query and repetition counts, and one set of
+    texts, cut to each scenario's keyword count, serves them all.
     Interleaving the passes makes a change in host speed during the run
     shift every scenario alike instead of favouring the ones timed first.
     One model cast to ``SERVING_DTYPE`` and one cross-encoder serve every scenario.
     """
+    n_queries, repetitions = scenarios[0].n_queries, scenarios[0].repetitions
+    texts = _bench_texts(n_queries, max(sc.n_keywords_per_query for sc in scenarios), seed)
     served = model.cast(SERVING_DTYPE)
     cross = None
     if any(sc.model_mode == "cross_encoder" for sc in scenarios):
@@ -201,8 +207,8 @@ def _run_round_robin(scenarios: list[LatencyScenario], repetitions: int, model: 
     gc.disable()
     try:
         for _ in range(repetitions):
-            for sc, (run_query, _, _), times in zip(scenarios, points, times_ms):
-                for qi in range(sc.n_queries):
+            for (run_query, _, _), times in zip(points, times_ms):
+                for qi in range(n_queries):
                     t = time.perf_counter()
                     run_query(qi)
                     times.append((time.perf_counter() - t) * 1e3)
@@ -233,8 +239,7 @@ def bench(
     seed: int = 0,
 ) -> TimingReport:
     """Run one latency scenario and return per-query timing plus counters."""
-    return _run_round_robin([scenario], scenario.repetitions, model, warmup, seed,
-                            _bench_texts(scenario.n_queries, scenario.n_keywords_per_query, seed))[0]
+    return _run_round_robin([scenario], model, warmup, seed)[0]
 
 
 def check_nk_grid(nk_grid: list[int]) -> None:
@@ -265,17 +270,13 @@ def complexity_fit(grid: list[tuple[int, float]]) -> ComplexityFit:
 
 
 def bench_grid(
+    scenario: LatencyScenario,
     model: TwinModel,
-    mode: str,
     nk_grid: list[int],
-    n_queries: int = 50,
-    repetitions: int = 3,
-    qel: int = 1,
-    keyword_cache: bool = True,
     warmup: int = 2,
     seed: int = 0,
 ) -> tuple[list[TimingReport], ComplexityFit]:
-    """Benchmark one mode across an n_keywords grid and fit the line.
+    """Time ``scenario`` at each keyword count of ``nk_grid`` and fit the line.
 
     The same query and keyword texts serve every grid point (sliced to the
     point's keyword count), and the fit runs over per-point medians, so the
@@ -283,14 +284,7 @@ def bench_grid(
     points are timed round-robin, so host speed drift cannot tilt the slope.
     """
     check_nk_grid(nk_grid)
-    texts = _bench_texts(n_queries, max(nk_grid), seed)
-    scenarios = [
-        LatencyScenario(
-            model_mode=mode, qel=qel, keyword_cache=keyword_cache,
-            n_queries=n_queries, n_keywords_per_query=nk, repetitions=repetitions,
-        )
-        for nk in nk_grid
-    ]
-    reports = _run_round_robin(scenarios, repetitions, model, warmup, seed, texts)
+    scenarios = [dataclasses.replace(scenario, n_keywords_per_query=nk) for nk in nk_grid]
+    reports = _run_round_robin(scenarios, model, warmup, seed)
     fit = complexity_fit([(r.scenario.n_keywords_per_query, r.median_ms) for r in reports])
     return reports, fit

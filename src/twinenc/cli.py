@@ -40,7 +40,7 @@ from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
 from .model import SERVING_DTYPE, TwinModel
 from .synthetic import generate_pairs, split_pairs
 from .text import TrigramVocab, normalize
-from .training import distill_train, finetune, load_pair_tsv, save_pair_tsv
+from .training import distill_train, finetune, load_pair_tsv, pair_tsv_rows
 
 # not __name__: under ``python -m twinenc.cli`` that is ``__main__``, outside the package logger
 logger = logging.getLogger("twinenc.cli")
@@ -192,8 +192,8 @@ def cmd_gen_synthetic(args) -> int:
     resolved = {"pairs": args.pairs, "queries": args.queries, "topics": args.topics,
                 "holdout": args.holdout, "seed": seed}
     manifest = _manifest("gen-synthetic", resolved)
-    save_pair_tsv(out_dir / "train.tsv", train, manifest=manifest)
-    save_pair_tsv(out_dir / "test.tsv", test, manifest=manifest)
+    _emit(out_dir / "train.tsv", pair_tsv_rows(train), manifest)
+    _emit(out_dir / "test.tsv", pair_tsv_rows(test), manifest)
 
     keywords = list(dict.fromkeys(p.keyword for p in pairs))
     _emit(out_dir / "corpus.tsv",
@@ -372,10 +372,6 @@ def cmd_eval_ndcg(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    modes = [m.strip() for m in args.modes.split(",")]
-    for mode in modes:
-        if mode not in bench_mod.MODEL_MODES:
-            raise CliError(f"--modes: model_mode must be one of {bench_mod.MODEL_MODES}, got {mode!r}")
     nk_grid = _int_list("--nk-grid", args.nk_grid)
     try:
         bench_mod.check_nk_grid(nk_grid)
@@ -385,6 +381,12 @@ def cmd_bench(args) -> int:
                                ("--qel", args.qel, 1), ("--warmup", args.warmup, 0)):
         if value < least:
             raise CliError(f"{flag} must be >= {least}, got {value}")
+    try:
+        scenarios = [bench_mod.LatencyScenario(mode.strip(), qel=args.qel, keyword_cache=not args.no_cache,
+                                               n_queries=args.n_queries, repetitions=args.reps)
+                     for mode in args.modes.split(",")]
+    except ValueError as exc:
+        raise CliError(f"--modes: {exc}") from None
     file_cfg = _load_config_file(args.config)
     loaded = TwinModel.load(_require_file(args.checkpoint)) if args.checkpoint else None
     resolved = _resolve(args, file_cfg, loaded)
@@ -392,11 +394,10 @@ def cmd_bench(args) -> int:
 
     rows = []
     fits = {}
-    for mode in modes:
-        reports, fit = bench_mod.bench_grid(
-            model, mode, nk_grid, n_queries=args.n_queries, repetitions=args.reps, qel=args.qel,
-            keyword_cache=not args.no_cache, warmup=args.warmup, seed=resolved["seed"])
-        fits[mode] = fit
+    for scenario in scenarios:
+        mode = scenario.model_mode
+        reports, fits[mode] = bench_mod.bench_grid(scenario, model, nk_grid, warmup=args.warmup,
+                                                   seed=resolved["seed"])
         for r in reports:
             rows.append(r.as_dict())
             print(
@@ -412,8 +413,8 @@ def cmd_bench(args) -> int:
             f"(se {fit.beta_se_ms:.6f}ms) * n_keywords  (rms residual {fit.rms_residual_ms:.4f}ms)"
         )
     if args.out:
-        keys = sorted({k for row in rows for k in row})
-        _emit(args.out, [keys, *([str(row.get(k, "")) for k in keys] for row in rows)],
+        keys = sorted(rows[0])  # every row has the same keys
+        _emit(args.out, [keys, *([str(row[k]) for k in keys] for row in rows)],
               _manifest("bench", resolved,
                         fits={mode: dataclasses.asdict(fit) for mode, fit in fits.items()}))
     return 0

@@ -314,7 +314,8 @@ def split_pairs(
     """Split by query slot so held-out queries never appear in training.
 
     ``generate_pairs`` assigns pair j to query slot j % n_queries; the last
-    ``holdout_fraction`` of slots become the held-out set.
+    ``holdout_fraction`` of slots become the held-out set. A split that
+    leaves either side without pairs is a ``ValueError``.
     """
     if n_queries < 1:
         raise ValueError(f"n_queries must be >= 1, got {n_queries}")
@@ -324,4 +325,8 @@ def split_pairs(
     test_slots = set(range(n_queries - n_test_queries, n_queries))
     train = [p for j, p in enumerate(pairs) if j % n_queries not in test_slots]
     test = [p for j, p in enumerate(pairs) if j % n_queries in test_slots]
+    for side, part in (("training", train), ("held-out", test)):
+        if not part:
+            raise ValueError(f"{len(pairs)} pairs over {n_queries} query slots leave no {side} pairs "
+                             f"(the last {n_test_queries} slots are held out)")
     return train, test

@@ -417,16 +417,17 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
     return records
 
 
-def save_pair_tsv(path: str | Path, records: list[PairRecord],
-                  manifest: dict | None = None) -> None:
+def pair_tsv_rows(records: list[PairRecord]):
+    """The header and rows of ``records`` as a pair TSV, for ``textio.write_tsv``."""
+    yield PAIR_TSV_COLUMNS
+    for r in records:
+        z_bad = repr(r.teacher_logits[0]) if r.teacher_logits else ""
+        z_nonbad = repr(r.teacher_logits[1]) if r.teacher_logits else ""
+        yield r.query, r.keyword, z_bad, z_nonbad, r.label or ""
+
+
+def save_pair_tsv(path: str | Path, records: list[PairRecord]) -> None:
     """Write ``records`` as a pair TSV that ``load_pair_tsv`` reads back equal.
     A query starting with ``#`` is refused by ``textio.write_tsv``, which
     writes nothing: its row would read back as a comment."""
-    def rows():
-        yield PAIR_TSV_COLUMNS
-        for r in records:
-            z_bad = repr(r.teacher_logits[0]) if r.teacher_logits else ""
-            z_nonbad = repr(r.teacher_logits[1]) if r.teacher_logits else ""
-            yield r.query, r.keyword, z_bad, z_nonbad, r.label or ""
-
-    textio.write_tsv(path, rows(), manifest=manifest or None)
+    textio.write_tsv(path, pair_tsv_rows(records))

@@ -134,6 +134,7 @@ class TestCriterion2GradientCorrectness:
         assert elapsed < 120, f"gradient check took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 class TestCriterion3DistillationDeskScale:
     def test_student_reaches_teacher_and_finetune_holds(self, distillation_bundle):
         b = distillation_bundle
@@ -156,6 +157,7 @@ class TestCriterion3DistillationDeskScale:
         assert b["elapsed_s"] < 900
 
 
+@pytest.mark.slow
 class TestCriterion4HeadOrdering:
     def test_residual_at_least_cosine(self, distillation_bundle):
         b = distillation_bundle
@@ -245,8 +247,8 @@ class TestCriterion7LatencyTrend:
             ("twin_residual", [100, 300, 600], 40, 4),
             ("cross_encoder", [25, 50, 100], 15, 2),
         ):
-            _, fit = bench_grid(model, mode, grid, n_queries=nq, repetitions=reps,
-                                warmup=3, seed=0)
+            _, fit = bench_grid(LatencyScenario(model_mode=mode, n_queries=nq, repetitions=reps),
+                                model, grid, warmup=3, seed=0)
             fits[mode] = fit
 
         # alternate cached and cross rounds so host speed drift hits both alike

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,8 @@ class TestOneServingCopyPerGrid:
         monkeypatch.setattr(bench_mod, "make_cross_encoder", counting_cross)
         monkeypatch.setattr(TwinModel, "cast", counting_cast)
         nq, grid = 2, [2, 3, 4]
-        reports, _ = bench_grid(bench_model, mode, grid, n_queries=nq, repetitions=2, warmup=1)
+        reports, _ = bench_grid(LatencyScenario(mode, n_queries=nq, repetitions=2), bench_model, grid,
+                                warmup=1)
 
         assert calls == {"make_cross_encoder": int(mode == "cross_encoder")}
         assert casts == [np.float32]  # one cast, to the serving dtype
@@ -116,6 +119,19 @@ class TestOneServingCopyPerGrid:
                 want = dict(query_encoder_passes=nq * 2, keyword_encoder_passes=0,
                             cross_encoder_passes=0, crossing_evals=nq * nk * 2)
             assert r.counters == want, nk
+
+
+class TestGridTemplate:
+    def test_each_point_is_the_template_with_its_keyword_count(self, bench_model):
+        template = LatencyScenario("twin_residual", qel=2, keyword_cache=False, n_queries=2, repetitions=1)
+        grid = [2, 3, 5]
+        reports, _ = bench_grid(template, bench_model, grid, warmup=1)
+        assert [r.scenario for r in reports] == [
+            dataclasses.replace(template, n_keywords_per_query=nk) for nk in grid]
+        for nk, r in zip(grid, reports):
+            assert r.counters["query_encoder_passes"] == 2 * 2 * 1, nk
+            assert r.counters["keyword_encoder_passes"] == 2 * nk * 1, nk
+            assert r.n_samples == 2
 
 
 class TestComplexityFit:
@@ -161,7 +177,7 @@ class TestComplexityFit:
 
         monkeypatch.setattr(bench_mod, "_run_round_robin", timed)
         with pytest.raises(ValueError, match="3 distinct positive keyword counts"):
-            bench_grid(bench_model, "twin_cosine", nk_grid)
+            bench_grid(LatencyScenario("twin_cosine"), bench_model, nk_grid)
 
 
 class TestReportShape:

@@ -44,7 +44,8 @@ def workspace(tmp_path_factory):
     return ws
 
 
-OUTPUTS = ["data/train.tsv", "data/test.tsv", "data/corpus.tsv", "data/corpus.tsv.manifest.json",
+OUTPUTS = ["data/train.tsv", "data/train.tsv.manifest.json", "data/test.tsv",
+           "data/test.tsv.manifest.json", "data/corpus.tsv", "data/corpus.tsv.manifest.json",
            "data/queries.txt", "model.ckpt", "model.ckpt.manifest.json", "embeddings.bin",
            "embeddings.bin.manifest.json", "index.bin", "index.bin.manifest.json"]
 
@@ -69,17 +70,37 @@ class TestGenSynthetic:
         assert lines[0].startswith("# manifest:")
         assert lines[1] == "query\tkeyword\tz_bad\tz_nonbad\tlabel"
 
+    @pytest.mark.parametrize("name", ["train.tsv", "test.tsv"])
+    def test_pair_tsv_manifest_line_is_its_sidecar_without_the_config(self, workspace, name):
+        line = (workspace / "data" / name).read_text().splitlines()[0]
+        sidecar = json.loads((workspace / "data" / f"{name}.manifest.json").read_text())
+        assert sidecar["config"]["seed"] == 7
+        assert json.loads(line.removeprefix("# manifest: ")) == \
+            {k: v for k, v in sidecar.items() if k != "config"}
+
     def test_outputs_match_pinned_digests(self, tmp_path):
         assert main(["gen-synthetic", "--out-dir", str(tmp_path), "--pairs", "2000",
                      "--queries", "200", "--seed", "7", "--quiet"]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == {
-            "train.tsv": "47c3b3fcd6e206a3919a9e4049926e9650b35f6069bb452db572dbe49b2e9c59",
-            "test.tsv": "bcee88da143321eaf53c91400635beeae6e02c2301d6cffeaa756af8c2d1de01",
+            "train.tsv": "0bec4d4e3958c881fe1d51a90678d2b52016302ffb9008cf307710c870fcf285",
+            "train.tsv.manifest.json": "7c6a50900d53a872ae1eedb089139ea0981e8beb64eaefbbf8201f02cfbb4f14",
+            "test.tsv": "520da14d5d67e7b0a95f821740c09b9e9169bf4e8f7dac94586715bf89f5046f",
+            "test.tsv.manifest.json": "7c6a50900d53a872ae1eedb089139ea0981e8beb64eaefbbf8201f02cfbb4f14",
             "corpus.tsv": "3467613bfd99bb438cfa476235638c1334757eb688e8cd0b7297471357901d67",
             "corpus.tsv.manifest.json": "7c6a50900d53a872ae1eedb089139ea0981e8beb64eaefbbf8201f02cfbb4f14",
             "queries.txt": "d8095034d1d26ed669389629877c0f15eaf6db506714f92cb827e37836b06ae2",
         }
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--pairs", "100"], "100 pairs over 500 query slots leave no held-out pairs"),
+        (["--pairs", "40", "--queries", "1"], "40 pairs over 1 query slots leave no training pairs"),
+    ], ids=["no-held-out-pairs", "no-training-pairs"])
+    def test_split_with_an_empty_side_exits_1_and_writes_nothing(self, tmp_path, capsys, flags, named):
+        assert main(["gen-synthetic", "--out-dir", str(tmp_path / "data"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
 
     def test_config_file_seed_beats_the_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -424,6 +445,18 @@ class TestBench:
         assert out.is_file()
         fit = json.loads(Path(f"{out}.manifest.json").read_text())["fits"]["twin_cosine"]
         assert fit["beta_se_ms"] >= 0.0
+
+    def test_uncached_qel_runs_every_encoder_pass(self, tmp_path):
+        out = tmp_path / "bench.tsv"
+        assert main(["bench", "--modes", "twin_residual", "--nk-grid", "2,3,5", "--n-queries", "2",
+                     "--reps", "1", "--qel", "2", "--no-cache", "--warmup", "0",
+                     "--out", str(out), "--quiet", *FAST_MODEL]) == 0
+        lines = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        rows = [dict(zip(lines[0], cells)) for cells in lines[1:]]
+        assert [(r["qel"], r["keyword_cache"], r["n_keywords_per_query"]) for r in rows] == \
+            [("2", "False", nk) for nk in ("2", "3", "5")]
+        assert [(r["query_encoder_passes"], r["keyword_encoder_passes"]) for r in rows] == \
+            [("4", str(2 * nk)) for nk in (2, 3, 5)]
 
     def test_dtype_is_an_unknown_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -177,6 +177,18 @@ class TestSplitPairs:
         with pytest.raises(ValueError, match="n_queries must be >= 1, got 0"):
             split_pairs(pairs, n_queries=0)
 
+    def test_empty_held_out_side_refused(self):
+        # 100 pairs fill slots 0-99 of 500; the held-out slots are 400-499
+        pairs = generate_pairs(100, seed=6, n_queries=500)
+        with pytest.raises(ValueError, match="100 pairs over 500 query slots leave no held-out pairs"):
+            split_pairs(pairs, n_queries=500)
+
+    def test_empty_training_side_refused(self):
+        # one slot, and at least one slot is held out
+        pairs = generate_pairs(20, seed=6, n_queries=1)
+        with pytest.raises(ValueError, match="20 pairs over 1 query slots leave no training pairs"):
+            split_pairs(pairs, n_queries=1)
+
 
 class TestTokenJaccard:
     def test_identical(self):
