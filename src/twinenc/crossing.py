@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import _linear_backward, accumulate, gelu, gelu_grad, sigmoid, truncated_normal
+from .encoder import _linear_backward, _linear_forward, accumulate, gelu, gelu_grad, sigmoid, truncated_normal
 
 
 # head -> the (weight, bias) of its final affine layer, which calibration rescales
@@ -131,10 +131,10 @@ def residual_head_forward(q: np.ndarray, k: np.ndarray, params: dict):
     magnitude information.
     """
     x = max_combine(q, k)
-    f1 = x @ params["residual_head.w1"] + params["residual_head.b1"]
+    f1 = _linear_forward(x, params["residual_head.w1"], params["residual_head.b1"])
     g = gelu(f1)
-    r = g @ params["residual_head.w2"] + params["residual_head.b2"]
-    y = r + x
+    y = _linear_forward(g, params["residual_head.w2"], params["residual_head.b2"])
+    y += x  # y = r + x, in r's own array
     logits = y @ params["residual_head.w_out"] + params["residual_head.b_out"]
     return logits, {"q": q, "k": k, "x": x, "f1": f1, "g": g, "y": y}
 

@@ -66,8 +66,13 @@ _LN_EPS = 1e-12
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-error nonlinearity x * Phi(x)."""
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    """Exact Gaussian-error nonlinearity x * Phi(x), as (0.5 x)(1 + erf(x / sqrt 2))."""
+    t = x * _INV_SQRT2
+    erf(t, out=t)
+    t += 1.0
+    y = 0.5 * x
+    y *= t
+    return y
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -108,10 +113,11 @@ def masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
     ``key_mask`` broadcasts against the last axis; every row must have at
     least one unmasked entry.
     """
-    neg = np.where(key_mask, scores, -np.inf)
-    m = neg.max(axis=-1, keepdims=True)
-    e = np.exp(neg - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.where(key_mask, scores, -np.inf)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +288,9 @@ def embed_backward(params: dict, prefix: str, batch: PackedBatch, dx: np.ndarray
 # ---------------------------------------------------------------------------
 
 def _linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w + b
+    y = x @ w
+    y += b
+    return y
 
 
 def _linear_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, grads: dict, wname: str, bname: str):
@@ -293,13 +301,19 @@ def _linear_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, grads: dict, 
     return dy @ w.T
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``, bit for bit, without ``np.mean``'s
+    Python wrapper, which a batch-1 forward pays for in every layernorm."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layernorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv_std
-    return g * xhat + b, (xhat, inv_std)
+    xhat = x - _mean_last(x)
+    inv_std = 1.0 / np.sqrt(_mean_last(xhat * xhat) + _LN_EPS)
+    xhat *= inv_std
+    out = g * xhat
+    out += b
+    return out, (xhat, inv_std)
 
 
 def _layernorm_backward(dy: np.ndarray, cache, g: np.ndarray, grads: dict, gname: str, bname: str):
@@ -307,8 +321,8 @@ def _layernorm_backward(dy: np.ndarray, cache, g: np.ndarray, grads: dict, gname
     accumulate(grads, gname, (dy * xhat).sum(axis=tuple(range(dy.ndim - 1))))
     accumulate(grads, bname, dy.sum(axis=tuple(range(dy.ndim - 1))))
     dxhat = dy * g
-    mean1 = dxhat.mean(axis=-1, keepdims=True)
-    mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    mean1 = _mean_last(dxhat)
+    mean2 = _mean_last(dxhat * xhat)
     return inv_std * (dxhat - mean1 - xhat * mean2)
 
 
@@ -351,7 +365,10 @@ def layer_forward(
     rate 0) and returns (output, backward cache), the cache holding each
     dropout mask as a boolean array. Without an rng nothing is drawn, the
     cache is None and each intermediate is dropped as soon as the next op
-    has used it. Raises on non-finite input.
+    has used it. Bias adds, softmax, GELU, layernorm and the residual sums
+    run in arrays this forward allocated, never in an argument: a training
+    cache holds ``x``, ``x1``, ``f1``, ``g`` and ``xhat``. Raises on
+    non-finite input.
     """
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in transformer layer input")
@@ -362,9 +379,11 @@ def layer_forward(
 
     qh = _split_heads(_linear_forward(x, params[f"{lp}.attn.wq"], params[f"{lp}.attn.bq"]), a)
     kh = _split_heads(_linear_forward(x, params[f"{lp}.attn.wk"], params[f"{lp}.attn.bk"]), a)
-    probs = masked_softmax((qh @ kh.transpose(0, 1, 3, 2)) * scale, mask[:, None, None, :])
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= scale
+    probs = masked_softmax(scores, mask[:, None, None, :])
     _keep(saved, qh=qh, kh=kh)
-    del qh, kh
+    del qh, kh, scores
     vh = _split_heads(_linear_forward(x, params[f"{lp}.attn.wv"], params[f"{lp}.attn.bv"]), a)
     attn_keep = rng.random(probs.shape) >= rate if rate > 0.0 else None
     probs_d = probs if attn_keep is None else probs * _dropout_scale(attn_keep, rate, x.dtype)
@@ -377,7 +396,8 @@ def layer_forward(
     if out_keep is not None:
         attn_out *= _dropout_scale(out_keep, rate, x.dtype)
 
-    x1, ln1 = _layernorm_forward(x + attn_out, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
+    attn_out += x  # x + attn_out: addition commutes, bit for bit
+    x1, ln1 = _layernorm_forward(attn_out, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
     del attn_out
     f1 = _linear_forward(x1, params[f"{lp}.ffn.w1"], params[f"{lp}.ffn.b1"])
     g = gelu(f1)
@@ -389,7 +409,8 @@ def layer_forward(
     if ffn_keep is not None:
         f2 *= _dropout_scale(ffn_keep, rate, x.dtype)
 
-    x2, ln2 = _layernorm_forward(x1 + f2, params[f"{lp}.ln2.g"], params[f"{lp}.ln2.b"])
+    f2 += x1
+    x2, ln2 = _layernorm_forward(f2, params[f"{lp}.ln2.g"], params[f"{lp}.ln2.b"])
     _keep(saved, ffn_keep=ffn_keep, ln2=ln2)
     return x2, saved
 

@@ -111,18 +111,23 @@ def keyword_ids(n: int) -> list[str]:
     return [f"k{i:0{width}d}" for i in range(n)]
 
 
+def _corpus_rows(path: str | Path) -> Iterator[tuple[int, str | None, str]]:
+    """(line number, id or None for a bare line, text) of each keyword row."""
+    for lineno, line in lines(path):
+        if "\t" not in line:
+            yield lineno, None, line
+        elif (row := line.split("\t", 1)) != ["id", "keyword"]:
+            yield lineno, row[0], row[1]
+
+
 def read_corpus(path: str | Path) -> tuple[list[str], list[str]]:
     """Keyword ids and texts: ``id<TAB>keyword`` rows (header optional) or bare
-    lines, which get the ids of ``keyword_ids`` in order."""
+    lines, which get the ids of ``keyword_ids`` in order. An id that repeats,
+    given or assigned, is a ``ValueError`` ``path:line: keyword id ... repeats
+    line N``."""
     ids: list[str | None] = []
     texts: list[str] = []
-    for _, line in lines(path):
-        if "\t" in line:
-            kid, text = line.split("\t", 1)
-            if (kid, text) == ("id", "keyword"):
-                continue
-        else:
-            kid, text = None, line
+    for _, kid, text in _corpus_rows(path):
         ids.append(kid)
         texts.append(text)
     if not texts:
@@ -131,7 +136,22 @@ def read_corpus(path: str | Path) -> tuple[list[str], list[str]]:
     for i, kid in enumerate(ids):  # in place: a second list would cost 8 bytes a keyword
         if kid is None:
             ids[i] = next(auto)
+    if len(set(ids)) != len(ids):
+        raise _repeated_id(path, ids)
     return ids, texts
+
+
+def _repeated_id(path: str | Path, ids: list[str]) -> ValueError:
+    """The error for the first id in ``ids`` that repeats. Line numbers are not
+    kept per keyword, so both lines are found by reading the file again."""
+    first: dict[str, int] = {}
+    for k, kid in enumerate(ids):
+        if first.setdefault(kid, k) != k:
+            break
+    line_of = {i: lineno for i, (lineno, _, _) in zip(range(k + 1), _corpus_rows(path))}
+    if k not in line_of:  # a stream cannot be read again
+        return ValueError(f"{path}: keyword id {kid!r} repeats")
+    return ValueError(f"{path}:{line_of[k]}: keyword id {kid!r} repeats line {line_of[first[kid]]}")
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:

@@ -501,6 +501,18 @@ class TestStoreFile:
         assert not out.exists()
 
 
+class TestEncodeCorpus:
+    def test_repeated_keyword_id_fails_before_encoding(self, workspace, tmp_path, capsys, monkeypatch):
+        corpus, out = tmp_path / "corpus.tsv", tmp_path / "embeddings.bin"
+        corpus.write_text("id\tkeyword\nk1\tred shoes\nk2\tblue hat\nk1\tgreen socks\n")
+        monkeypatch.setattr(twinenc.index, "encode_corpus", lambda *a, **k: pytest.fail("encoded"))
+        assert main(["encode-corpus", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--corpus", str(corpus), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {corpus}:4: keyword id 'k1' repeats line 2" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestManifests:
     def test_format_version_is_that_of_the_described_file(self, workspace):
         def manifest(name):

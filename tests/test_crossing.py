@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,21 @@ class TestResidualHead:
         k = rng.standard_normal((3, 8))
         _, cache = residual_head_forward(q, k, params)
         np.testing.assert_array_equal(cache["y"], cache["x"])
+
+    def test_prob_over_1000_float32_rows_peaks_near_four_row_arrays(self, rng):
+        # the max, f1 and GELU's two arrays; the bias adds and y = r + x run in
+        # place. Measured: 4.1 arrays of K x 64.
+        params = {k: v.astype(np.float32) for k, v in init_head_params(64, rng).items()}
+        k = rng.standard_normal((1000, 64)).astype(np.float32)
+        q = np.broadcast_to(k[0], k.shape)  # one query against a cached store, as served
+        residual_head_prob(q, k, params)
+        tracemalloc.start()
+        try:
+            residual_head_prob(q, k, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * k.nbytes, peak / k.nbytes
 
     def test_output_in_unit_interval(self, head_params, rng):
         q = rng.standard_normal((20, 8)) * 50

@@ -11,9 +11,13 @@ import pytest
 
 import twinenc
 from twinenc import ModelConfig, TwinModel
+from twinenc.crossing import residual_head_forward
 from twinenc.encoder import (
+    _layernorm_forward,
+    _linear_forward,
     embed_forward,
     encoder_forward,
+    gelu,
     layer_forward,
     masked_softmax,
     pack_sequences,
@@ -24,6 +28,27 @@ from twinenc.text import TrigramVocab, encode_text
 
 def _batch(model, texts):
     return pack_sequences(model.tokenize_many(texts))
+
+
+@pytest.fixture(scope="module")
+def store_batch_keywords():
+    """256 distinct synthetic keywords: one batch of a keyword-store build."""
+    from twinenc.synthetic import generate_pairs
+
+    pairs = generate_pairs(3000, seed=1, n_queries=300)
+    keywords = list(dict.fromkeys(p.keyword for p in pairs))[:256]
+    assert len(keywords) == 256
+    return keywords
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEmbedInput:
@@ -301,25 +326,48 @@ class TestCacheFreeForward:
         assert tiny_model.encode_query_batch(batch)[1] is None
         assert tiny_model.encode_keyword_batch(batch)[1] is None
 
-    def test_forward_peak_memory_at_most_half_of_cached(self, desk_model):
-        from twinenc.synthetic import generate_pairs
-
-        pairs = generate_pairs(3000, seed=1, n_queries=300)
-        keywords = list(dict.fromkeys(p.keyword for p in pairs))[:256]
-        assert len(keywords) == 256
-        batch = _batch(desk_model, keywords)
-
-        def peak(rng) -> int:
-            tracemalloc.start()
-            try:
-                emb, saved = desk_model.encode_keyword_batch(batch, rng=rng)
-                del saved
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        cached, free = peak(np.random.default_rng(0)), peak(None)
+    def test_forward_peak_memory_at_most_half_of_cached(self, desk_model, store_batch_keywords):
+        batch = _batch(desk_model, store_batch_keywords)
+        cached = _traced_peak(lambda: desk_model.encode_keyword_batch(batch, rng=np.random.default_rng(0)))
+        free = _traced_peak(lambda: desk_model.encode_keyword_batch(batch))
         assert free <= cached / 2, (free, cached)
+
+    def test_float32_forward_peaks_near_six_activations(self, desk_model, store_batch_keywords):
+        # Every bias add, GELU, layernorm, softmax and residual sum runs in an
+        # array the forward already owns. Measured: 6.0 activations (1.97 MB).
+        model = desk_model.cast(np.float32)
+        batch = _batch(model, store_batch_keywords)
+        activation = batch.n_examples * batch.seq_len * model.config.hidden_size * 4
+        model.encode_keyword_batch(batch)
+        peak = _traced_peak(lambda: model.encode_keyword_batch(batch))
+        assert peak <= 6.5 * activation, peak / activation
+
+
+class TestForwardLeavesArgumentsAlone:
+    """Each forward step writes only into arrays it allocated: a training
+    cache holds the inputs (``x``, ``x1``, ``f1``, ``g``, ``xhat``) for the
+    backward pass."""
+
+    STEPS = {
+        "gelu": lambda m, x, mask, lp, p: gelu(x),
+        "linear": lambda m, x, mask, lp, p: _linear_forward(x, p[f"{lp}.ffn.w1"], p[f"{lp}.ffn.b1"]),
+        "layernorm": lambda m, x, mask, lp, p: _layernorm_forward(x, p[f"{lp}.ln1.g"], p[f"{lp}.ln1.b"]),
+        "masked_softmax": lambda m, x, mask, lp, p: masked_softmax(x[:, :, :4], mask[:, None, :]),
+        "layer": lambda m, x, mask, lp, p: layer_forward(x, mask, p, lp, m.config),
+        "layer_with_rng": lambda m, x, mask, lp, p: layer_forward(
+            x, mask, p, lp, replace(m.config, dropout=0.3), rng=np.random.default_rng(0)),
+        "residual_head": lambda m, x, mask, lp, p: residual_head_forward(x[0], x[1], p),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("step", sorted(STEPS))
+    def test_every_argument_stays_byte_identical(self, tiny_model, step, dtype):
+        model = tiny_model.cast(dtype)
+        x = np.random.default_rng(4).standard_normal((3, 4, model.config.hidden_size)).astype(dtype)
+        mask = np.array([[True, True, True, True], [True, True, False, False], [True, False, False, False]])
+        before = (x.tobytes(), mask.tobytes(), {k: v.tobytes() for k, v in model.params.items()})
+        self.STEPS[step](model, x, mask, f"{model.query_prefix}.layers.0", model.params)
+        assert (x.tobytes(), mask.tobytes(), {k: v.tobytes() for k, v in model.params.items()}) == before
 
 
 class TestDropoutFromRng:

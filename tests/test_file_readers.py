@@ -249,6 +249,18 @@ def test_corpus_numbers_only_its_bare_lines(tmp_path):
                                  ["red shoes", "blue hat", "green socks", "warm gloves"])
 
 
+@pytest.mark.parametrize("body, expected", [
+    ("id\tkeyword\nk1\tred shoes\nk2\tblue hat\nk1\tgreen socks\n", ":4: keyword id 'k1' repeats line 2"),
+    # a bare line's assigned id counts as given
+    ("# corpus\nk000001\tred shoes\n\nblue hat\ngreen socks\n", ":5: keyword id 'k000001' repeats line 2"),
+], ids=["given", "assigned"])
+def test_a_repeated_corpus_id_names_its_line_and_the_first(tmp_path, body, expected):
+    path = tmp_path / "corpus.tsv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}{expected}")):
+        read_corpus(path)
+
+
 @pytest.fixture(scope="module")
 def served(tmp_path_factory, tiny_model):
     """A checkpoint and an exact-search store for the CLI cases."""
@@ -290,6 +302,9 @@ CLI_CASES = {
     "corpus": (b"id\tkeyword\nk0\tred shoes\nk1\t\xff hat\n",
                ["encode-corpus", "--checkpoint", "SERVED/model.ckpt", "--corpus", "BAD", "--out", "OUT"],
                "BAD:3: invalid UTF-8"),
+    "corpus_repeated_id": (b"id\tkeyword\nk0\tred shoes\nk1\tblue hat\nk0\tgreen socks\n",
+                           ["encode-corpus", "--checkpoint", "SERVED/model.ckpt", "--corpus", "BAD", "--out", "OUT"],
+                           "BAD:4: keyword id 'k0' repeats line 2"),
     "queries": (b"red shoes\r\nblue \xffhat\r\n",
                 ["search", "--checkpoint", "SERVED/model.ckpt", "--index", "SERVED/store.twix",
                  "--mode", "exact", "--queries", "BAD"], "BAD:2: invalid UTF-8"),
