@@ -7,8 +7,10 @@ defaults, then command-line flags, then the JSON config file (the file has
 the last word). Only gen-synthetic, distill, finetune and bench read
 settings, so only they take ``--config`` and ``--seed``.
 
-Data goes to stdout or to files; diagnostics (the resolved configuration,
-status lines, warnings and errors) go through ``logging`` to stderr.
+Data goes to stdout or to files: a command whose result is a table writes it
+once, to stdout or with ``--out`` to that file. Diagnostics (the resolved
+configuration, status lines, warnings and errors) go through ``logging`` to
+stderr.
 ``--quiet``, on every command, shows warnings and errors only.
 
 Pair data is TSV everywhere; checkpoints and indices are binary. Text is
@@ -39,7 +41,7 @@ from .config import CROSSING_MODES, PRESETS, DistillationConfig, ModelConfig, PO
 from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
 from .model import SERVING_DTYPE, TwinModel
 from .synthetic import generate_pairs, split_pairs
-from .text import TrigramVocab, normalize
+from .text import ENCODABLE, TrigramVocab, encodable, normalize
 from .training import distill_train, finetune, load_pair_tsv, pair_tsv_rows
 
 # not __name__: under ``python -m twinenc.cli`` that is ``__main__``, outside the package logger
@@ -314,7 +316,7 @@ def cmd_score(args) -> int:
     model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     # a pair TSV may leave out its trailing label, as distill and finetune allow
     table = textio.read_table(_require_file(args.pairs), last_optional="label")
-    queries, keywords = table.column("query"), table.column("keyword")
+    queries, keywords = (table.column(name, encodable, ENCODABLE) for name in ("query", "keyword"))
     head = args.head or model.config.crossing
     manifest = _manifest("score", {"head": head},
                          checkpoint_sha256=file_sha256(args.checkpoint))
@@ -339,10 +341,8 @@ def cmd_eval_auc(args) -> int:
         auc = roc_auc(scores, labels)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    print(f"roc_auc\t{auc:.6f}")
-    if args.out:
-        manifest = _manifest("eval-auc", {"score_col": args.score_col, "label_col": args.label_col})
-        _emit(args.out, [("metric", "value"), ("roc_auc", f"{auc:.10f}")], manifest)
+    _emit(args.out, [("metric", "value"), ("roc_auc", f"{auc:.10f}")],
+          _manifest("eval-auc", {"score_col": args.score_col, "label_col": args.label_col}))
     return 0
 
 
@@ -358,16 +358,13 @@ def cmd_eval_ndcg(args) -> int:
     for items in by_query.values():
         items.sort(key=lambda t: -t[0])
         rankings.append([lab for _, lab in items])
-    lines = [("position", "ndcg")]
+    rows = [("position", "ndcg")]
     for p in positions:
         try:
-            value = mean_ndcg(rankings, p, gain=args.gain)
+            rows.append((str(p), f"{mean_ndcg(rankings, p, gain=args.gain):.6f}"))
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        lines.append((str(p), f"{value:.6f}"))
-        print(f"ndcg@{p}\t{value:.6f}")
-    if args.out:
-        _emit(args.out, lines, _manifest("eval-ndcg", {"gain": args.gain, "positions": positions}))
+    _emit(args.out, rows, _manifest("eval-ndcg", {"gain": args.gain, "positions": positions}))
     return 0
 
 
@@ -392,31 +389,15 @@ def cmd_bench(args) -> int:
     resolved = _resolve(args, file_cfg, loaded)
     model = loaded or _build_model(resolved)
 
-    rows = []
-    fits = {}
+    rows, fits = [], {}
     for scenario in scenarios:
-        mode = scenario.model_mode
-        reports, fits[mode] = bench_mod.bench_grid(scenario, model, nk_grid, warmup=args.warmup,
-                                                   seed=resolved["seed"])
-        for r in reports:
-            rows.append(r.as_dict())
-            print(
-                f"{mode:>14}  nk={r.scenario.n_keywords_per_query:<5d} "
-                f"mean={r.mean_ms:8.3f}ms  median={r.median_ms:8.3f}ms  "
-                f"p95={r.p95_ms:8.3f}ms  q_enc={r.counters['query_encoder_passes']} "
-                f"k_enc={r.counters['keyword_encoder_passes']} "
-                f"cross={r.counters['cross_encoder_passes']}"
-            )
-    for mode, fit in fits.items():
-        print(
-            f"{mode:>14}  per-query time ~= {fit.alpha_ms:.4f}ms + {fit.beta_ms:.6f}ms "
-            f"(se {fit.beta_se_ms:.6f}ms) * n_keywords  (rms residual {fit.rms_residual_ms:.4f}ms)"
-        )
-    if args.out:
-        keys = sorted(rows[0])  # every row has the same keys
-        _emit(args.out, [keys, *([str(row[k]) for k in keys] for row in rows)],
-              _manifest("bench", resolved,
-                        fits={mode: dataclasses.asdict(fit) for mode, fit in fits.items()}))
+        reports, fits[scenario.model_mode] = bench_mod.bench_grid(
+            scenario, model, nk_grid, warmup=args.warmup, seed=resolved["seed"])
+        rows.extend(r.as_dict() for r in reports)
+    keys = sorted(rows[0])  # every row has the same keys
+    _emit(args.out, [keys, *([str(row[k]) for k in keys] for row in rows)],
+          _manifest("bench", resolved,
+                    fits={mode: dataclasses.asdict(fit) for mode, fit in fits.items()}))
     return 0
 
 

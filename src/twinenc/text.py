@@ -9,6 +9,7 @@ accepted and absorbed by the encoder.
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -29,6 +30,18 @@ def normalize(text: str) -> str:
     lowered = text.lower()
     cleaned = "".join(ch if ch.isalnum() else " " for ch in lowered)
     return " ".join(cleaned.split())
+
+
+ENCODABLE = "text with a letter or digit"  # what ``encodable`` accepts, as its errors name it
+_WORD_CHAR = re.compile(r"[^\W_]")  # \w less "_": a character str.isalnum() accepts, so normalize keeps
+
+
+def encodable(text: str, name: str = "text") -> str:
+    """``text`` itself if it normalizes to at least one word, else a ``ValueError``
+    naming it ``name``; the converter of a text column read through ``textio.Table.column``."""
+    if not _WORD_CHAR.search(text):
+        raise ValueError(f"{name} {text!r} is not {ENCODABLE}")
+    return text
 
 
 def word_trigrams(word: str) -> list[str]:

@@ -10,7 +10,6 @@ The path ``-`` (or ``None`` for outputs) is the standard stream.
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -44,12 +43,21 @@ def lines(path: str | Path) -> Iterator[tuple[int, str]]:
     The file is read and decoded by the call, so a missing file or invalid
     UTF-8 fails there; its lines are then split off one at a time, so a
     reader holds no more of them than it keeps."""
-    return _numbered(io.StringIO(read_text(path), newline=None))
+    text = read_text(path)
+    if "\r" in text:  # universal newlines; one replace at a time keeps two copies at most
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    return _numbered(text)
 
 
-def _numbered(stream: io.StringIO) -> Iterator[tuple[int, str]]:
-    for n, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
+def _numbered(text: str) -> Iterator[tuple[int, str]]:
+    n = start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        n += 1
+        line, start = text[start:end], end + 1
         if line and not line.startswith("#"):
             yield n, line
 

@@ -22,6 +22,7 @@ from .config import DistillationConfig
 from .encoder import RowGrad, pack_sequences, sigmoid
 from .metrics import binary_label
 from .model import TwinModel
+from .text import encodable
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +45,7 @@ class PairRecord:
     (bad/fair/good/excellent) or 0/1, checked against ``metrics.binary_label``.
     ``teacher_logits`` must be two finite numbers, kept as Python floats.
     ``query`` and ``keyword`` hold no tab, CR or LF, so each record is one
-    pair-TSV row.
+    pair-TSV row, and each normalizes to at least one word (``text.encodable``).
     """
 
     query: str
@@ -57,6 +58,8 @@ class PairRecord:
         if "\t" in both or "\n" in both or "\r" in both:
             name = "query" if any(c in self.query for c in "\t\n\r") else "keyword"
             raise ValueError(f"{name} {getattr(self, name)!r} holds a tab or a line break")
+        encodable(self.query, "query")
+        encodable(self.keyword, "keyword")
         if self.teacher_logits is not None:
             self.teacher_logits = _logit_pair(self.teacher_logits)
         if self.label is not None:

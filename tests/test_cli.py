@@ -339,10 +339,15 @@ class TestScore:
         assert main(["score", "--checkpoint", str(workspace / "model.ckpt"),
                      "--pairs", str(workspace / "data" / "test.tsv"),
                      "--out", str(scored), "--quiet"]) == 0
+        capsys.readouterr()
         assert main(["eval-auc", "--scored", str(scored), "--quiet"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("roc_auc\t")
-        auc = float(out.split("\t")[1])
+        assert main(["eval-auc", "--scored", str(scored), "--out", str(tmp_path / "auc.tsv"), "--quiet"]) == 0
+        assert out == (tmp_path / "auc.tsv").read_text()  # one table, to stdout or to --out
+        manifest, header, row = out.splitlines()
+        assert manifest.startswith("# manifest: ") and header == "metric\tvalue"
+        assert row.startswith("roc_auc\t")
+        auc = float(row.split("\t")[1])
         assert 0.0 <= auc <= 1.0
 
 
@@ -374,20 +379,25 @@ class TestEvalNdcg:
                      "--pairs", str(workspace / "data" / "test.tsv"),
                      "--out", str(scored), "--quiet"]) == 0
         out_file = tmp_path / "ndcg.tsv"
+        capsys.readouterr()
+        assert main(["eval-ndcg", "--scored", str(scored), "--positions", "1,3,5", "--quiet"]) == 0
+        printed = capsys.readouterr().out
         assert main(["eval-ndcg", "--scored", str(scored), "--positions", "1,3,5",
                      "--out", str(out_file), "--quiet"]) == 0
-        printed = capsys.readouterr().out
-        assert "ndcg@1" in printed and "ndcg@5" in printed
-        rows = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
+        assert printed == out_file.read_text()  # one table, to stdout or to --out
+        rows = [l for l in printed.splitlines() if not l.startswith("#")]
         assert rows[0] == "position\tndcg"
-        assert len(rows) == 4
+        assert [r.split("\t")[0] for r in rows[1:]] == ["1", "3", "5"]
+        assert all(0.0 <= float(r.split("\t")[1]) <= 1.0 for r in rows[1:])
 
     def test_binary_labels_read_as_gains_0_and_1(self, tmp_path, capsys):
         scored = tmp_path / "scored.tsv"
         scored.write_text("query\tkeyword\tlabel\tprob\na\tb\t0\t0.9\na\tc\t1\t0.1\n")
         assert main(["eval-ndcg", "--scored", str(scored), "--positions", "1,2", "--quiet"]) == 0
         # the relevant keyword ranks second: nDCG@2 = (1 / log2 3) / 1
-        assert capsys.readouterr().out == f"ndcg@1\t0.000000\nndcg@2\t{1 / np.log2(3):.6f}\n"
+        manifest, table = capsys.readouterr().out.split("\n", 1)
+        assert manifest.startswith("# manifest: ")
+        assert table == f"position\tndcg\n1\t0.000000\n2\t{1 / np.log2(3):.6f}\n"
 
     def test_non_integer_position_exits_1_naming_flag_and_entry(self, tmp_path, capsys):
         scored = tmp_path / "scored.tsv"
@@ -437,12 +447,18 @@ class TestLoadedModelSettings:
 class TestBench:
     def test_bench_runs_and_reports(self, tmp_path, capsys):
         out = tmp_path / "bench.tsv"
-        assert main(["bench", "--modes", "twin_cosine", "--nk-grid", "5,10,20",
-                     "--n-queries", "4", "--reps", "1", "--warmup", "1",
-                     "--out", str(out), "--seed", "0", "--quiet", *FAST_MODEL]) == 0
-        printed = capsys.readouterr().out
-        assert "per-query time" in printed and "ms (se " in printed
-        assert out.is_file()
+        run = ["bench", "--modes", "twin_cosine", "--nk-grid", "5,10,20", "--n-queries", "4",
+               "--reps", "1", "--warmup", "1", "--seed", "0", "--quiet", *FAST_MODEL]
+        assert main(run) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert main([*run, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        written = out.read_text().splitlines()
+        # stdout carries the file's table: its header, a row per grid point, the fits in its manifest
+        assert printed[1] == written[1] and len(printed) == len(written) == 5
+        fits = json.loads(printed[0].removeprefix("# manifest: "))["fits"]
+        assert fits.keys() == json.loads(written[0].removeprefix("# manifest: "))["fits"].keys()
+        assert fits["twin_cosine"].keys() == {"alpha_ms", "beta_ms", "beta_se_ms", "rms_residual_ms"}
         fit = json.loads(Path(f"{out}.manifest.json").read_text())["fits"]["twin_cosine"]
         assert fit["beta_se_ms"] >= 0.0
 

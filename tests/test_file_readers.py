@@ -24,6 +24,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,29 @@ def test_lines_are_split_lazily_after_an_eager_decode(tmp_path):
         lines(path)  # before a single line is taken
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text(alphabet="ab#\t \r\n", max_size=40))
+def test_lines_split_as_universal_newlines(scratch, text):
+    path = scratch / "text.txt"
+    path.write_bytes(text.encode())
+    expected = [(n, line.rstrip("\n")) for n, line in enumerate(io.StringIO(text, newline=None), start=1)]
+    assert list(lines(path)) == [(n, line) for n, line in expected if line and line[0] != "#"]
+
+
+def test_lines_hold_about_one_copy_of_the_file(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("".join(f"k{i:06d}\tkeyword number {i}\n" for i in range(40_000)))
+    tracemalloc.start()
+    try:
+        for _ in lines(path):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes and their decoded str live together only while it is decoded
+    assert peak <= 2.5 * path.stat().st_size
+
+
 @pytest.mark.parametrize("cell", ["red\tshoes", "red\nshoes", "red\rshoes", "red shoes\r\n"])
 def test_writer_refuses_a_cell_that_would_split_its_row(tmp_path, cell):
     out = tmp_path / "out.tsv"
@@ -285,6 +309,7 @@ def _graph_index(rows, **header_changes) -> bytes:
 
 SEARCH_BAD_INDEX = ["search", "--checkpoint", "SERVED/model.ckpt", "--index", "BAD", "--mode", "approx",
                     "--queries", "SERVED/pairs.tsv"]
+PAIRS_NO_WORD = PAIRS.replace(b"buy red shoes", b"!!!").replace(b"\t-0.5\n", b"\t-0.5\tbad\n")  # every row labelled
 SCORED = b"query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tbad\t0.1\n"
 
 # case -> (file contents, command-line arguments with BAD for the file, text stderr must hold)
@@ -293,6 +318,14 @@ CLI_CASES = {
                  ["distill", "--data", "BAD", "--out", "OUT"], "BAD:4: invalid UTF-8"),
     "pair_tsv_half_logits": (PAIRS.replace(b"\t1.0\tgood", b"\t\tgood"),
                              ["distill", "--data", "BAD", "--out", "OUT"], "BAD:2: malformed row: z_nonbad is empty"),
+    "pair_text_distill": (PAIRS_NO_WORD, ["distill", "--data", "BAD", "--out", "OUT"],
+                          "BAD:2: malformed row: keyword '!!!' is not text with a letter or digit"),
+    "pair_text_finetune": (PAIRS_NO_WORD,
+                           ["finetune", "--data", "BAD", "--checkpoint", "SERVED/model.ckpt", "--out", "OUT"],
+                           "BAD:2: malformed row: keyword '!!!' is not text with a letter or digit"),
+    "pair_text_score": (PAIRS_NO_WORD,
+                        ["score", "--checkpoint", "SERVED/model.ckpt", "--pairs", "BAD", "--out", "OUT"],
+                        "BAD:2: keyword '!!!' is not text with a letter or digit"),
     "scored": (SCORED.replace(b"good", b"go\xffod"),
                ["eval-auc", "--scored", "BAD"], "BAD:2: invalid UTF-8"),
     "scored_prob": (SCORED.replace(b"0.1", b"abc"),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twinenc.text import TokenSequence, TrigramVocab, encode_text, normalize, word_trigrams
+from twinenc.text import TokenSequence, TrigramVocab, encode_text, encodable, normalize, word_trigrams
 
 words = st.text(alphabet=st.characters(whitelist_categories=("Ll",), max_codepoint=0x2FF), min_size=1, max_size=12)
 
@@ -34,6 +34,14 @@ class TestNormalize:
         assert "  " not in out
         assert out == out.lower()
         assert out == out.strip()
+
+    @given(st.text(max_size=6) | st.sampled_from(["_", "!!!", "\u0301", "\u0130", "\u00df", "\u0663", "\u00b2"]))
+    def test_encodable_is_what_normalizes_to_a_word(self, text):
+        if normalize(text):
+            assert encodable(text) is text
+        else:
+            with pytest.raises(ValueError, match="is not text with a letter or digit"):
+                encodable(text)
 
 
 class TestWordTrigrams:
