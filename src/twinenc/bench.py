@@ -171,7 +171,7 @@ def _prepare(scenario: LatencyScenario, model: TwinModel, cross, warmup: int,
     """
     queries, keyword_sets = texts[0], [kws[: scenario.n_keywords_per_query] for kws in texts[1]]
     # the same arrays; its own counters count only this scenario
-    run_model = TwinModel(config=model.config, vocab=model.vocab, params=model.params)
+    run_model = TwinModel(config=model.config, params=model.params)
     if scenario.model_mode == "cross_encoder":
         run_query, tokenize_ms = _cross_request(run_model, cross, queries, keyword_sets)
     else:

@@ -3,11 +3,11 @@
 Both binary formats start with one preamble (magic, u32 format version,
 length-prefixed JSON header) and read their little-endian payload from the
 open file through the bounds-checked ``Reader``, so a malformed file fails
-with a ``ValueError`` that names it. A checkpoint's header echoes the model
-and vocab settings; then come tensor records: name (length-prefixed UTF-8),
-dims (u8 ndim + u64 dims), a u64 byte length and raw float64 little-endian
-data. Round-trips are bit-exact; writes go through a temp file and atomic
-rename.
+with a ``ValueError`` that names it. A checkpoint's header holds ``kind``,
+the ``model`` config and the ``normalization`` tag; then come tensor
+records: name (length-prefixed UTF-8), dims (u8 ndim + u64 dims), a u64
+byte length and raw float64 little-endian data. Round-trips are bit-exact;
+writes go through a temp file and atomic rename.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import BinaryIO, Iterable
 import numpy as np
 
 MAGIC = b"TWCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def pack_str(s: str) -> bytes:

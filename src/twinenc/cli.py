@@ -41,7 +41,7 @@ from .config import CROSSING_MODES, PRESETS, DistillationConfig, ModelConfig, PO
 from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
 from .model import SERVING_DTYPE, TwinModel
 from .synthetic import generate_pairs, split_pairs
-from .text import ENCODABLE, TrigramVocab, encodable, normalize
+from .text import ENCODABLE, encodable
 from .training import distill_train, finetune, load_pair_tsv, pair_tsv_rows
 
 # not __name__: under ``python -m twinenc.cli`` that is ``__main__``, outside the package logger
@@ -83,9 +83,10 @@ def _load_config_file(path: str | None) -> dict:
     for key in ("model", "distill"):
         if not isinstance(raw.get(key, {}), dict):
             raise CliError(f"config file {path}: {key!r} must be a JSON object")
-    for key in ("seed", "vocab_hash_seed"):
-        if type(raw.get(key, 0)) is not int:
-            raise CliError(f"config file {path}: {key!r} must be an integer")
+    if type(raw.get("seed", 0)) is not int:
+        raise CliError(f"config file {path}: 'seed' must be an integer")
+    if "vocab_hash_seed" in raw:
+        raise CliError(f"config file {path}: 'vocab_hash_seed' belongs inside its \"model\" object")
     if raw.get("preset", "desk") not in tuple(PRESETS):  # a tuple: a JSON list is unhashable
         raise CliError(f"config file {path}: 'preset' must be one of {tuple(PRESETS)}")
     return raw
@@ -134,7 +135,7 @@ def _setting(name: str, args, file_cfg: dict, default):
 
 def _resolve(args, file_cfg: dict, model: TwinModel | None = None) -> dict:
     """Merge defaults <- flags <- config file into one resolved dict, and log it.
-    A loaded ``model``'s architecture and vocabulary hash seed replace the resolved ones."""
+    A loaded ``model``'s config replaces the resolved one."""
     try:
         config = PRESETS[_setting("preset", args, file_cfg, "desk")](
             **_config_kwargs(ModelConfig, args, file_cfg.get("model", {})))
@@ -145,19 +146,16 @@ def _resolve(args, file_cfg: dict, model: TwinModel | None = None) -> dict:
     resolved = {
         "model": config.to_dict(),
         "distill": distill.to_dict(),
-        **{name: _setting(name, args, file_cfg, 0) for name in ("seed", "vocab_hash_seed")},
+        "seed": _setting("seed", args, file_cfg, 0),
     }
     if model is not None:
-        resolved.update(model=model.config.to_dict(), vocab_hash_seed=model.vocab.hash_seed)
+        resolved["model"] = model.config.to_dict()
     logger.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
     return resolved
 
 
 def _build_model(resolved: dict) -> TwinModel:
-    config = ModelConfig.from_dict(resolved["model"])
-    vocab = TrigramVocab(bucket_count=config.vocab_buckets,
-                         hash_seed=resolved["vocab_hash_seed"])
-    return TwinModel.initialize(config, vocab, seed=resolved["seed"])
+    return TwinModel.initialize(ModelConfig.from_dict(resolved["model"]), seed=resolved["seed"])
 
 
 def _manifest(command: str, resolved: dict, **extra) -> dict:
@@ -287,10 +285,13 @@ def cmd_search(args) -> int:
     if args.mode == "approx" and index.graph is None:
         raise CliError(f"index {args.index} has no graph; use --mode exact or build-index")
     source = args.queries if args.queries == "-" else _require_file(args.queries)
-    queries = [q for _, line in textio.lines(source) if (q := line.strip())]
-    for query in [q for q in queries if not normalize(q)]:
-        logger.warning("skipping unencodable query: %r", query)
-    queries = [q for q in queries if normalize(q)]
+    queries = []
+    for _, line in textio.lines(source):
+        if query := line.strip():
+            try:
+                queries.append(encodable(query))
+            except ValueError:
+                logger.warning("skipping unencodable query: %r", query)
     manifest = _manifest("search", {"top_n": args.top_n, "mode": args.mode, "beam": args.beam},
                          checkpoint_sha256=file_sha256(args.checkpoint),
                          index_sha256=file_sha256(args.index))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 POOLING_MODES = ("weighted_average", "cls_token")
 CROSSING_MODES = ("cosine", "residual")
@@ -15,7 +15,8 @@ class ModelConfig:
     Defaults are the small desk-scale preset (2 layers, hidden 64, 2 heads)
     used throughout the tests; :meth:`large` gives the production-scale
     preset (6 layers, hidden 512, 8 heads, 50K trigram buckets). The
-    feed-forward inner size defaults to the hidden size.
+    feed-forward inner size defaults to the hidden size. ``vocab_buckets``
+    and ``vocab_hash_seed`` define the model's hashed trigram vocabulary.
     """
 
     n_layers: int = 2
@@ -28,6 +29,7 @@ class ModelConfig:
     crossing: str = "residual"
     shared_encoders: bool = True
     dropout: float = 0.1
+    vocab_hash_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.ffn_size is None:
@@ -46,10 +48,14 @@ class ModelConfig:
             raise ValueError("max_len must be >= 1")
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
+        if self.pooling == "cls_token" and self.max_len < 2:
+            raise ValueError("cls_token pooling needs max_len >= 2: the cls token takes one word slot")
         if self.crossing not in CROSSING_MODES:
             raise ValueError(f"crossing must be one of {CROSSING_MODES}, got {self.crossing!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if type(self.vocab_hash_seed) is not int or not -(2**63) <= self.vocab_hash_seed < 2**63:
+            raise ValueError(f"vocab_hash_seed must be a signed 64-bit integer, got {self.vocab_hash_seed!r}")
 
     @property
     def head_dim(self) -> int:
@@ -67,6 +73,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> ModelConfig:
+        """The config whose ``to_dict`` is ``raw``, which must name every field."""
+        if missing := [f.name for f in fields(cls) if f.name not in raw]:
+            raise ValueError(f"model settings missing: {missing}")
         return cls(**raw)
 
 

@@ -27,15 +27,15 @@ in memory only; it carries no graph and is never written to a file.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import encoder, textio
 from .checkpoint import atomic_write, pack_str, read_preamble, write_preamble
-from .model import TwinModel
-from .text import TokenSequence
+from .model import OpCounters, TwinModel
+from .text import TokenSequence, encodable
 
 logger = logging.getLogger(__name__)
 
@@ -51,16 +51,6 @@ _ALPHA = 1.2  # build_graph's pruning factor; 1.0 cuts recall on stores of dupli
 _WIDTH = 8  # nodes knn_approx expands per iteration (scripts/beam_sweep.py)
 _HEADER_TYPES = {"n": int, "dim": int, "metric": str, "degree_bound": (int, type(None)),
                  "build_beam": (int, type(None)), "entry_point": int}
-
-
-@dataclass
-class SearchCounters:
-    distance_computations: int = 0
-    hops: int = 0
-
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, f.default)
 
 
 @dataclass(slots=True)
@@ -86,7 +76,7 @@ class EmbeddingIndex:
     graph: np.ndarray | None = None
     build_beam: int | None = None
     entry_point: int = 0
-    counters: SearchCounters = field(default_factory=SearchCounters)
+    counters: OpCounters = field(default_factory=lambda: OpCounters("distance_computations", "hops"))
 
     def __post_init__(self) -> None:
         n = len(self.ids)
@@ -198,8 +188,8 @@ def encode_corpus(
 
     Unit-normalized float32 by default (the searchable store); with
     ``normalize=False`` the raw float64 embeddings are kept instead (the
-    residual-head serving cache). Keywords that cannot be encoded (text that
-    normalizes to empty) are skipped with a warning and their ids excluded.
+    residual-head serving cache). Keywords that ``text.encodable`` refuses
+    are skipped with a warning and their ids excluded.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -216,10 +206,12 @@ def encode_corpus(
     batch: list[TokenSequence] = []
     for i, (kid, text) in enumerate(zip(ids, keywords)):
         try:
-            batch.append(model.tokenize(text))
-            kept_ids.append(kid)
+            encodable(text)
         except ValueError:
             logger.warning("skipping unencodable keyword %r (id %s)", text, kid)
+        else:
+            batch.append(model.tokenize(text))
+            kept_ids.append(kid)
         if batch and (len(batch) == batch_size or i == len(keywords) - 1):
             emb = model.encode_keyword_batch(encoder.pack_sequences(batch))[0]
             if normalize:

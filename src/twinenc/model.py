@@ -8,7 +8,7 @@ benchmark can verify its caching contracts exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,55 +26,52 @@ from .encoder import (
     init_encoder_params,
     pack_sequences,
 )
-from .text import TokenSequence, TrigramVocab, encode_text
+from .text import NORMALIZATION_VERSION, TokenSequence, TrigramVocab, encode_text
 
 SERVING_DTYPE = np.float32  # the one dtype that score, search, encode-corpus and bench serve in
 
 
-@dataclass
 class OpCounters:
-    """Per-sequence / per-pair operation counts, reset between measurements."""
+    """Named operation counts, reset between measurements; ``as_dict`` lists
+    them in the order given. Models and indices each count their own names."""
 
-    query_encoder_passes: int = 0
-    keyword_encoder_passes: int = 0
-    cross_encoder_passes: int = 0
-    crossing_evals: int = 0
+    def __init__(self, *names: str):
+        self._names = names
+        self.reset()
 
     def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, f.default)
+        for name in self._names:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)
-
-
-def _check_vocab(config: ModelConfig, vocab: TrigramVocab) -> None:
-    if vocab.bucket_count != config.vocab_buckets:
-        raise ValueError(
-            f"vocab bucket_count {vocab.bucket_count} != config.vocab_buckets {config.vocab_buckets}"
-        )
+        return {name: getattr(self, name) for name in self._names}
 
 
 @dataclass
 class TwinModel:
+    """``config`` and ``params``; the trigram vocabulary is built from ``config``."""
+
     config: ModelConfig
-    vocab: TrigramVocab
     params: dict[str, np.ndarray]
-    counters: OpCounters = field(default_factory=OpCounters)
+    # per-sequence encoder passes and per-pair crossing evaluations
+    counters: OpCounters = field(default_factory=lambda: OpCounters(
+        "query_encoder_passes", "keyword_encoder_passes", "cross_encoder_passes", "crossing_evals"))
+    vocab: TrigramVocab = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.vocab = TrigramVocab(bucket_count=self.config.vocab_buckets,
+                                  hash_seed=self.config.vocab_hash_seed)
 
     @classmethod
-    def initialize(cls, config: ModelConfig, vocab: TrigramVocab | None = None, seed: int = 0) -> TwinModel:
+    def initialize(cls, config: ModelConfig, seed: int = 0) -> TwinModel:
         """Randomly initialized model; deterministic for a given seed."""
-        if vocab is None:
-            vocab = TrigramVocab(bucket_count=config.vocab_buckets)
-        _check_vocab(config, vocab)
         rng = np.random.default_rng(seed)
         qp, kp = encoder_prefixes(config)
         params = init_encoder_params(config, rng, qp)
         if kp != qp:
             params.update(init_encoder_params(config, rng, kp))
         params.update(crossing.init_head_params(config.hidden_size, rng))
-        return cls(config=config, vocab=vocab, params=params)
+        return cls(config=config, params=params)
 
     # -- prefixes ----------------------------------------------------------
 
@@ -160,11 +157,7 @@ class TwinModel:
         return {
             "kind": "twinenc-model",
             "model": self.config.to_dict(),
-            "vocab": {
-                "bucket_count": self.vocab.bucket_count,
-                "hash_seed": self.vocab.hash_seed,
-                "normalization": self.vocab.normalization,
-            },
+            "normalization": NORMALIZATION_VERSION,
         }
 
     def save(self, path: str | Path) -> None:
@@ -177,9 +170,9 @@ class TwinModel:
         if header.get("kind") != "twinenc-model":
             raise ValueError(f"not a model checkpoint: {path}")
         try:
+            if header["normalization"] != NORMALIZATION_VERSION:
+                raise ValueError(f"unsupported normalization tag: {header['normalization']!r}")
             config = ModelConfig.from_dict(header["model"])
-            vocab = TrigramVocab(**header["vocab"])
-            _check_vocab(config, vocab)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed model header: {exc!r}") from None
         expected = cls.param_shapes(config)
@@ -191,11 +184,11 @@ class TwinModel:
                                  f"the header's model needs {want}")
             if not np.isfinite(params[name]).all():
                 raise ValueError(f"{path}: tensor {name!r} has non-finite values")
-        return cls(config=config, vocab=vocab, params=params)
+        return cls(config=config, params=params)
 
     def cast(self, dtype) -> TwinModel:
         """Copy of this model with parameters cast to ``dtype`` (inference only).
 
         The copy counts its own operations.
         """
-        return TwinModel(config=self.config, vocab=self.vocab, params=cast_params(self.params, dtype))
+        return TwinModel(config=self.config, params=cast_params(self.params, dtype))

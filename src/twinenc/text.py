@@ -69,7 +69,6 @@ class TrigramVocab:
 
     bucket_count: int = 4096
     hash_seed: int = 0
-    normalization: str = NORMALIZATION_VERSION
 
     _word_cache: dict[str, tuple[int, ...]] = field(
         default_factory=dict, repr=False, compare=False
@@ -78,8 +77,6 @@ class TrigramVocab:
     def __post_init__(self) -> None:
         if self.bucket_count < 1:
             raise ValueError(f"bucket_count must be >= 1, got {self.bucket_count}")
-        if self.normalization != NORMALIZATION_VERSION:
-            raise ValueError(f"unsupported normalization tag: {self.normalization!r}")
         try:
             self._key = struct.pack("<q", self.hash_seed)
         except struct.error as exc:

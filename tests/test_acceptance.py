@@ -241,14 +241,15 @@ class TestCriterion7LatencyTrend:
     def test_slopes_counters_and_ratio(self):
         model = TwinModel.initialize(ModelConfig(dropout=0.0), seed=0)
 
-        # 16 repetitions per twin point: the cosine slope is about 0.3 us per
-        # keyword, and one grid point's median disturbed by a busy host can
-        # leave it within 3 standard errors of 0 (2.3 in one of ten runs at 4
-        # repetitions, 3.1 in one of ten at 8)
+        # six twin points at 8 repetitions: the cosine slope is about 0.3 us
+        # per keyword, and over three points the fit keeps one residual, so
+        # one point's median disturbed by a busy host could leave the slope
+        # within 3 standard errors of 0; six points keep four
+        twin_grid = [100, 200, 300, 400, 500, 600]
         fits = {}
         for mode, grid, nq, reps in (
-            ("twin_cosine", [100, 300, 600], 40, 16),
-            ("twin_residual", [100, 300, 600], 40, 16),
+            ("twin_cosine", twin_grid, 40, 8),
+            ("twin_residual", twin_grid, 40, 8),
             ("cross_encoder", [25, 50, 100], 15, 2),
         ):
             _, fit = bench_grid(LatencyScenario(model_mode=mode, n_queries=nq, repetitions=reps),

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twinenc import ModelConfig, TwinModel
+from twinenc import EmbeddingIndex, ModelConfig, OpCounters, TwinModel
 from twinenc import bench as bench_mod
 from twinenc.bench import LatencyScenario, bench, bench_grid, complexity_fit, make_cross_encoder
 
@@ -27,19 +27,20 @@ class TestScenarioValidation:
 
 
 class TestCounters:
-    def test_reset_and_as_dict_cover_every_field_in_order(self):
-        from twinenc.index import SearchCounters
-        from twinenc.model import OpCounters
-
-        ops = OpCounters(1, 2, 3, 4)
-        assert list(ops.as_dict().items()) == [
-            ("query_encoder_passes", 1), ("keyword_encoder_passes", 2),
-            ("cross_encoder_passes", 3), ("crossing_evals", 4)]
-        ops.reset()
-        assert ops == OpCounters()
-        search = SearchCounters(5, 6)
-        search.reset()
-        assert search == SearchCounters()
+    @pytest.mark.parametrize("owner, names", [
+        (lambda: TwinModel.initialize(ModelConfig(n_layers=1, hidden_size=8, n_heads=1, vocab_buckets=8)),
+         ["query_encoder_passes", "keyword_encoder_passes", "cross_encoder_passes", "crossing_evals"]),
+        (lambda: EmbeddingIndex(ids=[], vectors=np.zeros((0, 4))), ["distance_computations", "hops"]),
+    ], ids=["model", "index"])
+    def test_reset_and_as_dict_cover_every_counter_in_order(self, owner, names):
+        counters = owner().counters
+        assert isinstance(counters, OpCounters)
+        assert counters.as_dict() == dict.fromkeys(names, 0)
+        for value, name in enumerate(names, start=1):
+            setattr(counters, name, getattr(counters, name) + value)
+        assert list(counters.as_dict().items()) == list(zip(names, range(1, len(names) + 1)))
+        counters.reset()
+        assert list(counters.as_dict().items()) == [(name, 0) for name in names]
 
     def test_cached_twin_runs_no_keyword_encodes(self, bench_model):
         scenario = LatencyScenario(model_mode="twin_cosine", n_queries=4,

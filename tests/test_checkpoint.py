@@ -1,4 +1,5 @@
 import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -162,10 +163,10 @@ class TestModelCheckpoint:
         path = tmp_path / "m.ckpt"
         model.save(path)
         _, header = load_checkpoint(path)
-        assert header["model"]["crossing"] == "cosine"
-        assert header["model"]["hidden_size"] == 16
-        assert header["vocab"]["bucket_count"] == 32
-        assert header["format_version"] == 1
+        assert header.keys() == {"kind", "model", "normalization", "format_version"}
+        assert header["model"] == cfg.to_dict()
+        assert header["model"]["vocab_buckets"] == 32
+        assert header["format_version"] == 2
 
     def test_tensor_shape_must_match_header_model(self, tmp_path, tiny_model):
         path = tmp_path / "model.ckpt"
@@ -200,7 +201,7 @@ class TestModelCheckpoint:
         with pytest.raises(ValueError, match="the header's model needs"):
             TwinModel.load(path)
 
-    @pytest.mark.parametrize("drop", ["model", "vocab"])
+    @pytest.mark.parametrize("drop", ["model", "normalization"])
     def test_missing_or_malformed_header_section(self, tmp_path, tiny_model, drop):
         path = tmp_path / "model.ckpt"
         header = {k: v for k, v in tiny_model.checkpoint_header().items() if k != drop}
@@ -217,14 +218,35 @@ class TestModelCheckpoint:
         with pytest.raises(ValueError, match="malformed model header"):
             TwinModel.load(path)
 
-    def test_vocab_must_match_header_model(self, tmp_path, tiny_model):
+    @pytest.mark.parametrize("field", [f.name for f in fields(ModelConfig)])
+    def test_header_model_must_name_every_field(self, tmp_path, tiny_model, field):
         path = tmp_path / "model.ckpt"
         header = tiny_model.checkpoint_header()
-        header["vocab"]["bucket_count"] += 1
+        del header["model"][field]
         save_checkpoint(path, tiny_model.params, header)
-        with pytest.raises(ValueError, match="malformed model header.*bucket_count") as err:
+        with pytest.raises(ValueError, match=f"malformed model header.*'{field}'") as err:
             TwinModel.load(path)
         assert str(path) in str(err.value)
+
+    def test_format_1_checkpoint_is_refused_naming_the_file(self, tmp_path, tiny_model):
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(path)
+        raw = bytearray(path.read_bytes())
+        raw[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", 1)
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="unsupported checkpoint format version 1") as err:
+            TwinModel.load(path)
+        assert str(path) in str(err.value)
+
+    def test_vocab_hash_seed_round_trips_and_changes_the_encoding(self, tmp_path, tiny_model):
+        path = tmp_path / "model.ckpt"
+        seeded = TwinModel(config=replace(tiny_model.config, vocab_hash_seed=5), params=tiny_model.params)
+        seeded.save(path)
+        loaded = TwinModel.load(path)
+        assert loaded.vocab.hash_seed == 5
+        texts = ["red shoes", "cheap flights"]
+        np.testing.assert_array_equal(loaded.encode_queries(texts), seeded.encode_queries(texts))
+        assert not np.array_equal(loaded.encode_queries(texts), tiny_model.encode_queries(texts))
 
     def test_load_draws_no_weights(self, tmp_path, tiny_model, monkeypatch):
         def no_draw(*args, **kwargs):

@@ -19,7 +19,6 @@ from twinenc.config import ModelConfig
 from twinenc.encoder import sigmoid
 from twinenc.index import EmbeddingIndex, knn_approx, knn_exact
 from twinenc.model import SERVING_DTYPE, TwinModel
-from twinenc.text import TrigramVocab
 
 FAST_MODEL = ["--layers", "1", "--hidden-size", "16", "--heads", "2",
               "--vocab-buckets", "256", "--max-len", "8", "--dropout", "0.0"]
@@ -434,14 +433,22 @@ class TestLoadedModelSettings:
         assert manifest["config"]["model"] == TwinModel.load(workspace / "model.ckpt").config.to_dict()
 
     def test_finetune_manifest_records_the_checkpoint_vocab_hash_seed(self, workspace, tmp_path):
-        config = ModelConfig(n_layers=1, hidden_size=16, n_heads=2, vocab_buckets=256, max_len=8)
-        TwinModel.initialize(config, TrigramVocab(bucket_count=256, hash_seed=5)).save(tmp_path / "v5.ckpt")
+        config = ModelConfig(n_layers=1, hidden_size=16, n_heads=2, vocab_buckets=256, max_len=8,
+                             vocab_hash_seed=5)
+        TwinModel.initialize(config).save(tmp_path / "v5.ckpt")
         assert main(["finetune", "--data", str(workspace / "data" / "train.tsv"),
                      "--checkpoint", str(tmp_path / "v5.ckpt"), "--out", str(tmp_path / "ft.ckpt"),
                      "--finetune-epochs", "0", "--quiet"]) == 0
         manifest = json.loads((tmp_path / "ft.ckpt.manifest.json").read_text())
-        assert manifest["config"]["vocab_hash_seed"] == 5
+        assert "vocab_hash_seed" not in manifest["config"]
         assert manifest["config"]["model"] == config.to_dict()
+        assert TwinModel.load(tmp_path / "ft.ckpt").vocab.hash_seed == 5
+
+    def test_vocab_hash_seed_is_a_model_setting(self):
+        args = build_parser().parse_args(["distill", "--data", "d.tsv", "--out", "m.ckpt",
+                                          "--vocab-hash-seed", "5"])
+        assert _resolve(args, {})["model"]["vocab_hash_seed"] == 5
+        assert _resolve(args, {"model": {"vocab_hash_seed": -9}})["model"]["vocab_hash_seed"] == -9
 
 
 class TestBench:

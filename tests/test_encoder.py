@@ -193,6 +193,26 @@ class TestPooling:
         np.testing.assert_array_equal(emb, hidden[:, 0, :])
 
 
+class TestModelConfig:
+    def test_cls_token_pooling_needs_a_word_after_the_cls_token(self):
+        with pytest.raises(ValueError, match="cls_token pooling needs max_len >= 2"):
+            ModelConfig(pooling="cls_token", max_len=1)
+        assert ModelConfig(pooling="cls_token", max_len=2).max_len == 2
+        assert ModelConfig(max_len=1).max_len == 1
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1", 2**63, -(2**63) - 1])
+    def test_vocab_hash_seed_must_be_a_signed_64_bit_int(self, seed):
+        with pytest.raises(ValueError, match="vocab_hash_seed must be a signed 64-bit integer"):
+            ModelConfig(vocab_hash_seed=seed)
+
+    @pytest.mark.parametrize("seed", [-(2**63), 0, 2**63 - 1])
+    def test_model_vocab_is_built_from_the_config(self, seed):
+        config = ModelConfig(vocab_buckets=100, vocab_hash_seed=seed)
+        vocab = TwinModel(config=config, params={}).vocab
+        assert (vocab.bucket_count, vocab.hash_seed) == (100, seed)
+        assert vocab.word_buckets("shoes") == TrigramVocab(bucket_count=100, hash_seed=seed).word_buckets("shoes")
+
+
 class TestEncode:
     def test_deterministic(self, tiny_model):
         a = tiny_model.encode_queries(["red shoes online"])
@@ -376,8 +396,7 @@ class TestDropoutFromRng:
     TEXTS = ["red shoes", "cheap flights to paris", "cat"]
 
     def test_no_rng_ignores_the_dropout_rate(self, tiny_model):
-        noisy = TwinModel(config=replace(tiny_model.config, dropout=0.3), vocab=tiny_model.vocab,
-                          params=tiny_model.params)
+        noisy = TwinModel(config=replace(tiny_model.config, dropout=0.3), params=tiny_model.params)
         batch = _batch(tiny_model, self.TEXTS)
         assert noisy.encode_query_batch(batch)[0].tobytes() == \
             tiny_model.encode_query_batch(batch)[0].tobytes()

@@ -353,6 +353,10 @@ CLI_CASES = {
     "config_seed_bool": (json.dumps({"seed": True}).encode(),
                          ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
                          "BAD: 'seed' must be an integer"),
+    "config_top_level_vocab_hash_seed": (json.dumps({"vocab_hash_seed": 5}).encode(),
+                                         ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT",
+                                          "--config", "BAD"],
+                                         "BAD: 'vocab_hash_seed' belongs inside its \"model\" object"),
     "config_preset": (json.dumps({"preset": "huge"}).encode(),
                       ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
                       "BAD: 'preset' must be one of"),

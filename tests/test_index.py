@@ -119,6 +119,15 @@ class TestEncodeCorpus:
         idx = encode_corpus(["red shoes", "???", "blue hat"], tiny_model, ids=["a", "b", "c"])
         assert idx.ids == ["a", "c"]
 
+    def test_only_unencodable_text_is_skipped(self, tiny_model, monkeypatch):
+        # text.encodable alone decides what is skipped; any other tokenizer error propagates
+        def broken(text, max_len=None):
+            raise ValueError("tokenizer broke")
+
+        monkeypatch.setattr(tiny_model, "tokenize", broken)
+        with pytest.raises(ValueError, match="tokenizer broke"):
+            encode_corpus(["red shoes"], tiny_model)
+
     @pytest.mark.parametrize("texts", [
         ["red shoes", "???", "blue hat", "green tea", "cat"],  # the first batch ends with a skip
         ["red shoes", "???", "!!", "blue hat", "green tea"],  # skips fill a whole batch

@@ -369,8 +369,7 @@ class TestStepMemory:
     """A training step holds only what its backward still needs."""
 
     def test_step_peak_at_most_1_3_times_the_forward_caches(self, desk_model):
-        model = TwinModel(config=replace(desk_model.config, dropout=0.1), vocab=desk_model.vocab,
-                          params=desk_model.params)
+        model = TwinModel(config=replace(desk_model.config, dropout=0.1), params=desk_model.params)
         pairs = generate_pairs(640, seed=1)[:64]
         q_seqs = model.tokenize_many([p.query for p in pairs])
         k_seqs = model.tokenize_many([p.keyword for p in pairs])
