@@ -5,8 +5,8 @@ its keyword set through a crossing head (with keyword embeddings either
 cached or encoded at request time), while the cross-encoder mode runs a
 full encoder pass over every concatenated (query, keyword) pair. Timing
 assertions elsewhere are trend/ratio claims only; the hard guarantees here
-are the operation counters, which are exact. Tokenization happens before
-the timed region and is reported separately.
+are the operation counters, which are exact. A grid tokenizes its texts
+once, before the timed region, and reports that time on each of its rows.
 
 With the keyword cache on, per-query cost is one query encoding plus a
 per-keyword crossing term, so a least-squares line over an n_keywords grid
@@ -113,102 +113,96 @@ def _bench_texts(n_q: int, n_k: int, seed: int):
 
 def _twin_request(scenario: LatencyScenario, model: TwinModel, queries: list[str],
                   keyword_sets: list[list[str]]):
-    """A twin scenario's requests, tokenized and packed: ``(run_query, tokenize_ms)``."""
+    """A twin grid's request, its texts tokenized once: ``(request, tokenize_ms)``.
+    ``request(run_model, nk)`` is the ``run_query`` of the point at ``nk`` keywords."""
     t0 = time.perf_counter()
     q_batches = [pack_sequences([model.tokenize(q)]) for q in queries]
-    kw_batches = [pack_sequences(model.tokenize_many(kws)) for kws in keyword_sets]
+    kw_seqs = [model.tokenize_many(kws) for kws in keyword_sets]
     tokenize_ms = (time.perf_counter() - t0) * 1e3
     head = "cosine" if scenario.model_mode == "twin_cosine" else "residual"
-    # offline phase: precompute keyword embeddings outside the timed region
-    cached_kw_embs = ([model.encode_keyword_batch(kb)[0] for kb in kw_batches]
+    # offline phase, outside the timed region: each keyword set is encoded
+    # once, at the largest count, and a point reads its prefix
+    cached_kw_embs = ([model.encode_keyword_batch(pack_sequences(seqs))[0] for seqs in kw_seqs]
                       if scenario.keyword_cache else None)
 
-    def run_query(qi: int) -> None:
-        for _ in range(scenario.qel):
-            q_emb, _ = model.encode_query_batch(q_batches[qi])
-        if cached_kw_embs is not None:
-            k_embs = cached_kw_embs[qi]
-        else:
-            k_embs, _ = model.encode_keyword_batch(kw_batches[qi])
-        q_rows = np.broadcast_to(q_emb[0], k_embs.shape)
-        model.score_embeddings(q_rows, k_embs, head=head)
+    def request(run_model: TwinModel, nk: int):
+        kw_inputs = ([embs[:nk] for embs in cached_kw_embs] if cached_kw_embs is not None
+                     else [pack_sequences(seqs[:nk]) for seqs in kw_seqs])
 
-    return run_query, tokenize_ms
+        def run_query(qi: int) -> None:
+            for _ in range(scenario.qel):
+                q_emb, _ = run_model.encode_query_batch(q_batches[qi])
+            if cached_kw_embs is not None:
+                k_embs = kw_inputs[qi]
+            else:
+                k_embs, _ = run_model.encode_keyword_batch(kw_inputs[qi])
+            q_rows = np.broadcast_to(q_emb[0], k_embs.shape)
+            run_model.score_embeddings(q_rows, k_embs, head=head)
+
+        return run_query
+
+    return request, tokenize_ms
 
 
-def _cross_request(model: TwinModel, cross, queries: list[str], keyword_sets: list[list[str]]):
-    """The requests of the cross-encoder ``cross``, its ``(config, params)``, over
-    concatenated (query, keyword) pairs: ``(run_query, tokenize_ms)``."""
-    cross_config, cross_params = cross
+def _cross_request(model: TwinModel, seed: int, queries: list[str], keyword_sets: list[list[str]]):
+    """A cross-encoder grid's request over concatenated (query, keyword) pairs, its
+    texts tokenized once: ``(request, tokenize_ms)``. ``request(run_model, nk)`` is
+    the ``run_query`` of the point at ``nk`` keywords."""
+    cross_config, cross_params = make_cross_encoder(model.config, seed)
+    cross_params = cast_params(cross_params, SERVING_DTYPE)  # only the cast copy serves
     t0 = time.perf_counter()
-    cross_batches = [
-        pack_sequences([model.tokenize(f"{q} {kw}", max_len=cross_config.max_len) for kw in kws])
-        for q, kws in zip(queries, keyword_sets)
-    ]
+    pair_seqs = [[model.tokenize(f"{q} {kw}", max_len=cross_config.max_len) for kw in kws]
+                 for q, kws in zip(queries, keyword_sets)]
     tokenize_ms = (time.perf_counter() - t0) * 1e3
 
     # An rng makes the cross forward keep a backward cache it never reads (at
     # dropout 0 it draws nothing): criterion 7's ratio is calibrated with that
-    # cost in. Drop it once ROADMAP item 6 lands (ROADMAP "Watch").
+    # cost in. ROADMAP "Watch" says when to drop it.
     cross_rng = np.random.default_rng(0)
 
-    def run_query(qi: int) -> None:
-        emb, _ = encoder_forward(cross_params, "encoder", cross_batches[qi], cross_config, rng=cross_rng)
-        model.counters.cross_encoder_passes += cross_batches[qi].n_examples
-        sigmoid(emb @ cross_params["out.w"] + cross_params["out.b"])
+    def request(run_model: TwinModel, nk: int):
+        cross_batches = [pack_sequences(seqs[:nk]) for seqs in pair_seqs]
 
-    return run_query, tokenize_ms
+        def run_query(qi: int) -> None:
+            emb, _ = encoder_forward(cross_params, "encoder", cross_batches[qi], cross_config, rng=cross_rng)
+            run_model.counters.cross_encoder_passes += cross_batches[qi].n_examples
+            sigmoid(emb @ cross_params["out.w"] + cross_params["out.b"])
 
+        return run_query
 
-def _prepare(scenario: LatencyScenario, model: TwinModel, cross, warmup: int,
-             texts: tuple[list[str], list[list[str]]]):
-    """Build one scenario's request over its own counters and warm it up.
-
-    ``model`` and ``cross`` (or None) are the serving copies of
-    ``_run_round_robin``. Returns ``(run_query, tokenize_ms, counters)``;
-    ``run_query(qi)`` serves query ``qi`` and is the only work inside the
-    timed region.
-    """
-    queries, keyword_sets = texts[0], [kws[: scenario.n_keywords_per_query] for kws in texts[1]]
-    # the same arrays; its own counters count only this scenario
-    run_model = TwinModel(config=model.config, params=model.params)
-    if scenario.model_mode == "cross_encoder":
-        run_query, tokenize_ms = _cross_request(run_model, cross, queries, keyword_sets)
-    else:
-        run_query, tokenize_ms = _twin_request(scenario, run_model, queries, keyword_sets)
-    for qi in range(min(warmup, len(queries))):
-        run_query(qi)
-    run_model.counters.reset()
-    return run_query, tokenize_ms, run_model.counters
+    return request, tokenize_ms
 
 
-def _run_round_robin(scenarios: list[LatencyScenario], model: TwinModel, warmup: int,
+def _run_round_robin(scenario: LatencyScenario, nk_grid: list[int], model: TwinModel, warmup: int,
                      seed: int) -> list[TimingReport]:
-    """Time every scenario, one pass over each per repetition, in turn.
-
-    The scenarios share their query and repetition counts, and one set of
-    texts, cut to each scenario's keyword count, serves them all.
-    Interleaving the passes makes a change in host speed during the run
-    shift every scenario alike instead of favouring the ones timed first.
-    One model cast to ``SERVING_DTYPE`` and one cross-encoder serve every scenario.
+    """Time ``scenario`` at each keyword count of ``nk_grid``, one pass over each
+    point per repetition, in turn, so a change in host speed during the run
+    shifts every point alike. One model cast to ``SERVING_DTYPE``, at most one
+    cross-encoder and one request serve every point; each point has its own counters.
     """
-    n_queries, repetitions = scenarios[0].n_queries, scenarios[0].repetitions
-    texts = _bench_texts(n_queries, max(sc.n_keywords_per_query for sc in scenarios), seed)
+    texts = _bench_texts(scenario.n_queries, max(nk_grid), seed)
     served = model.cast(SERVING_DTYPE)
-    cross = None
-    if any(sc.model_mode == "cross_encoder" for sc in scenarios):
-        cross_config, cross_params = make_cross_encoder(model.config, seed)
-        cross = cross_config, cast_params(cross_params, SERVING_DTYPE)
-        del cross_params  # the float64 draw; only its cast copy serves
-    points = [_prepare(sc, served, cross, warmup, texts) for sc in scenarios]
+    if scenario.model_mode == "cross_encoder":
+        request, tokenize_ms = _cross_request(served, seed, *texts)
+    else:
+        request, tokenize_ms = _twin_request(scenario, served, *texts)
+    points = []
+    for nk in nk_grid:
+        # the same arrays; its own counters count only this point
+        run_model = TwinModel(config=served.config, params=served.params)
+        run_query = request(run_model, nk)
+        for qi in range(min(warmup, scenario.n_queries)):
+            run_query(qi)
+        run_model.counters.reset()
+        points.append((run_query, run_model.counters))
     times_ms: list[list[float]] = [[] for _ in points]
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for _ in range(repetitions):
-            for (run_query, _, _), times in zip(points, times_ms):
-                for qi in range(n_queries):
+        for _ in range(scenario.repetitions):
+            for (run_query, _), times in zip(points, times_ms):
+                for qi in range(scenario.n_queries):
                     t = time.perf_counter()
                     run_query(qi)
                     times.append((time.perf_counter() - t) * 1e3)
@@ -217,10 +211,10 @@ def _run_round_robin(scenarios: list[LatencyScenario], model: TwinModel, warmup:
             gc.enable()
 
     reports = []
-    for sc, (_, tokenize_ms, counters), times in zip(scenarios, points, times_ms):
+    for nk, (_, counters), times in zip(nk_grid, points, times_ms):
         arr = np.asarray(times)
         reports.append(TimingReport(
-            scenario=sc,
+            scenario=dataclasses.replace(scenario, n_keywords_per_query=nk),
             mean_ms=float(arr.mean()),
             median_ms=float(np.median(arr)),
             p95_ms=float(np.percentile(arr, 95)),
@@ -239,7 +233,7 @@ def bench(
     seed: int = 0,
 ) -> TimingReport:
     """Run one latency scenario and return per-query timing plus counters."""
-    return _run_round_robin([scenario], model, warmup, seed)[0]
+    return _run_round_robin(scenario, [scenario.n_keywords_per_query], model, warmup, seed)[0]
 
 
 def check_nk_grid(nk_grid: list[int]) -> None:
@@ -278,13 +272,12 @@ def bench_grid(
 ) -> tuple[list[TimingReport], ComplexityFit]:
     """Time ``scenario`` at each keyword count of ``nk_grid`` and fit the line.
 
-    The same query and keyword texts serve every grid point (sliced to the
-    point's keyword count), and the fit runs over per-point medians, so the
-    slope reflects per-keyword cost rather than workload differences. The
-    points are timed round-robin, so host speed drift cannot tilt the slope.
+    Every grid point reads its prefix of the same texts (and of their one
+    offline encode), and the fit runs over per-point medians, so the slope
+    reflects per-keyword cost rather than workload differences. The points
+    are timed round-robin, so host speed drift cannot tilt the slope.
     """
     check_nk_grid(nk_grid)
-    scenarios = [dataclasses.replace(scenario, n_keywords_per_query=nk) for nk in nk_grid]
-    reports = _run_round_robin(scenarios, model, warmup, seed)
+    reports = _run_round_robin(scenario, nk_grid, model, warmup, seed)
     fit = complexity_fit([(r.scenario.n_keywords_per_query, r.median_ms) for r in reports])
     return reports, fit

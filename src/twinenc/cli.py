@@ -379,10 +379,14 @@ def cmd_bench(args) -> int:
                                ("--qel", args.qel, 1), ("--warmup", args.warmup, 0)):
         if value < least:
             raise CliError(f"{flag} must be >= {least}, got {value}")
+    modes = [mode.strip() for mode in args.modes.split(",")]
+    for i, mode in enumerate(modes):
+        if mode in modes[:i]:  # its rows would share one entry of the manifest's fits
+            raise CliError(f"--modes: {mode!r} repeats")
     try:
-        scenarios = [bench_mod.LatencyScenario(mode.strip(), qel=args.qel, keyword_cache=not args.no_cache,
+        scenarios = [bench_mod.LatencyScenario(mode, qel=args.qel, keyword_cache=not args.no_cache,
                                                n_queries=args.n_queries, repetitions=args.reps)
-                     for mode in args.modes.split(",")]
+                     for mode in modes]
     except ValueError as exc:
         raise CliError(f"--modes: {exc}") from None
     file_cfg = _load_config_file(args.config)

@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 POOLING_MODES = ("weighted_average", "cls_token")
 CROSSING_MODES = ("cosine", "residual")
+# declared field type -> (the Python types it accepts, its name in an error)
+_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a real number"),
+                "bool": ((bool,), "true or false")}
+
+
+def _check_field_types(config) -> None:
+    """Refuse a field of ``config`` whose value is not of its declared type. A JSON
+    config file can hold ``64.0`` or ``true`` where a count belongs; a bool is no number."""
+    for f in fields(config):
+        kind = f.type.removesuffix(" | None")
+        if kind not in _FIELD_TYPES:
+            continue
+        value = getattr(config, f.name)
+        accepted, name = _FIELD_TYPES[kind]
+        if not isinstance(value, accepted) or isinstance(value, bool) != (kind == "bool"):
+            raise ValueError(f"{f.name} must be {name}, got {value!r}")
 
 
 @dataclass
@@ -34,6 +50,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.ffn_size is None:
             self.ffn_size = self.hidden_size
+        _check_field_types(self)
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
         if self.hidden_size < 1 or self.n_heads < 1:
@@ -54,7 +71,7 @@ class ModelConfig:
             raise ValueError(f"crossing must be one of {CROSSING_MODES}, got {self.crossing!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if type(self.vocab_hash_seed) is not int or not -(2**63) <= self.vocab_hash_seed < 2**63:
+        if not -(2**63) <= self.vocab_hash_seed < 2**63:
             raise ValueError(f"vocab_hash_seed must be a signed 64-bit integer, got {self.vocab_hash_seed!r}")
 
     @property
@@ -101,6 +118,7 @@ class DistillationConfig:
     finetune_epochs: int = 2
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.learning_rate < 0 or self.finetune_learning_rate < 0:

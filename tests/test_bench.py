@@ -122,6 +122,22 @@ class TestOneServingCopyPerGrid:
             assert r.counters == want, nk
 
 
+class TestOneOfflineEncodePerGrid:
+    def test_cached_twin_grid_encodes_each_keyword_set_once_at_the_largest_count(self, bench_model,
+                                                                                  monkeypatch):
+        encoded = []
+        real_encode = TwinModel.encode_keyword_batch
+
+        def counting_encode(model, batch, **kwargs):
+            encoded.append(batch.n_examples)
+            return real_encode(model, batch, **kwargs)
+
+        monkeypatch.setattr(TwinModel, "encode_keyword_batch", counting_encode)
+        nq, grid = 3, [2, 3, 5]
+        bench_grid(LatencyScenario("twin_cosine", n_queries=nq, repetitions=2), bench_model, grid, warmup=1)
+        assert encoded == [max(grid)] * nq  # not one encode per point: nq * sum(grid) keywords
+
+
 class TestGridTemplate:
     def test_each_point_is_the_template_with_its_keyword_count(self, bench_model):
         template = LatencyScenario("twin_residual", qel=2, keyword_cache=False, n_queries=2, repetitions=1)

@@ -228,6 +228,19 @@ class TestModelCheckpoint:
             TwinModel.load(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("field, value", [("n_layers", True), ("hidden_size", 16.0),
+                                              ("shared_encoders", 1)])
+    def test_header_model_field_of_the_wrong_type_is_refused(self, tmp_path, tiny_model, field, value):
+        # each value equals the saved one, so only its type is wrong
+        path = tmp_path / "model.ckpt"
+        header = tiny_model.checkpoint_header()
+        assert header["model"][field] == value
+        header["model"][field] = value
+        save_checkpoint(path, tiny_model.params, header)
+        with pytest.raises(ValueError, match=f"malformed model header.*{field} must be") as err:
+            TwinModel.load(path)
+        assert str(path) in str(err.value)
+
     def test_format_1_checkpoint_is_refused_naming_the_file(self, tmp_path, tiny_model):
         path = tmp_path / "model.ckpt"
         tiny_model.save(path)

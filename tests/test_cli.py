@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import twinenc
+from twinenc import bench as bench_mod
 from twinenc.checkpoint import FORMAT_VERSION
 from twinenc.cli import _resolve, build_parser, main
 from twinenc.config import ModelConfig
@@ -512,6 +513,18 @@ class TestBench:
         out, err = capsys.readouterr()
         assert out == ""
         assert named in err and "Traceback" not in err
+        assert "resolved config" not in err  # refused before settings resolve
+
+    def test_repeated_mode_exits_1_before_timing(self, capsys, monkeypatch):
+        def timed(*args, **kwargs):
+            raise AssertionError("a refused mode list was timed")
+
+        monkeypatch.setattr(bench_mod, "bench_grid", timed)
+        assert main(["bench", "--modes", "twin_cosine,twin_residual, twin_cosine", "--nk-grid", "5,10,20",
+                     "--n-queries", "2", "--reps", "1", *FAST_MODEL]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--modes: 'twin_cosine' repeats" in err
         assert "resolved config" not in err  # refused before settings resolve
 
 

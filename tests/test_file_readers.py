@@ -357,6 +357,15 @@ CLI_CASES = {
                                          ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT",
                                           "--config", "BAD"],
                                          "BAD: 'vocab_hash_seed' belongs inside its \"model\" object"),
+    "config_float_hidden_size": (json.dumps({"model": {"hidden_size": 64.0}}).encode(),
+                                 ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+                                 "invalid configuration: hidden_size must be an integer, got 64.0"),
+    "config_float_epochs": (json.dumps({"distill": {"epochs": 1.5}}).encode(),
+                            ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+                            "invalid configuration: epochs must be an integer, got 1.5"),
+    "config_bool_n_layers": (json.dumps({"model": {"n_layers": True}}).encode(),
+                             ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+                             "invalid configuration: n_layers must be an integer, got True"),
     "config_preset": (json.dumps({"preset": "huge"}).encode(),
                       ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
                       "BAD: 'preset' must be one of"),

@@ -432,6 +432,15 @@ class TestDistillTrain:
         with pytest.raises(TypeError, match=name):
             DistillationConfig(**{name: 0.5})
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("epochs", 1.5, "an integer"), ("batch_size", True, "an integer"),
+        ("finetune_epochs", "2", "an integer"), ("temperature", False, "a real number"),
+        ("learning_rate", "1e-3", "a real number"),
+    ])
+    def test_a_field_of_the_wrong_type_is_refused_naming_it(self, name, value, kind):
+        with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {re.escape(repr(value))}$"):
+            DistillationConfig(**{name: value})
+
     def test_empty_data_rejected(self, tiny_model):
         with pytest.raises(ValueError):
             distill_train([], DistillationConfig(), tiny_model)
