@@ -280,6 +280,10 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.top_n < 1:
+        raise CliError(f"--top-n must be >= 1, got {args.top_n}")
+    if args.mode == "approx" and args.beam < args.top_n:
+        raise CliError(f"--beam must be >= --top-n in approx mode, got {args.beam} < {args.top_n}")
     model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     index = index_mod.EmbeddingIndex.load(_require_file(args.index))
     if args.mode == "approx" and index.graph is None:

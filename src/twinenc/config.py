@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, fields
 
 POOLING_MODES = ("weighted_average", "cls_token")
@@ -13,7 +14,9 @@ _FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a real n
 
 def _check_field_types(config) -> None:
     """Refuse a field of ``config`` whose value is not of its declared type. A JSON
-    config file can hold ``64.0`` or ``true`` where a count belongs; a bool is no number."""
+    config file can hold ``64.0`` or ``true`` where a count belongs; a bool is no number.
+    A real number must be a finite float: NaN passes every range check, JSON reads
+    ``NaN``, and an integer past the float range overflows in training."""
     for f in fields(config):
         kind = f.type.removesuffix(" | None")
         if kind not in _FIELD_TYPES:
@@ -22,6 +25,8 @@ def _check_field_types(config) -> None:
         accepted, name = _FIELD_TYPES[kind]
         if not isinstance(value, accepted) or isinstance(value, bool) != (kind == "bool"):
             raise ValueError(f"{f.name} must be {name}, got {value!r}")
+        if kind == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"{f.name} must be a finite float, got {value!r}")
 
 
 @dataclass

@@ -65,9 +65,8 @@ def init_head_params(hidden_size: int, rng: np.random.Generator) -> dict[str, np
     """Parameters for both heads; one model checkpoint carries both.
 
     The residual head's weights are truncated-normal, drawn in table order,
-    and its biases zero. The cosine calibration scale starts at 4 so the
-    logit a*cos + b spans roughly the same range as softened teacher targets
-    from the outset; it stays learnable.
+    and its biases zero. The cosine head's logit is a*cos + b, with the
+    scale a starting at 4 and the bias b at 0; both stay learnable.
     """
     p = {name: np.zeros(shape) for name, shape in head_param_shapes(hidden_size).items()}
     for name in ("residual_head.w1", "residual_head.w2", "residual_head.w_out"):

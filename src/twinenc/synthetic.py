@@ -10,6 +10,7 @@ relevance labels, so the whole pipeline runs with zero external data.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from bisect import bisect_right
 from typing import Sequence
@@ -45,90 +46,18 @@ def token_jaccard(a: str, b: str) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-# The teacher's noise for a pair is np.random.default_rng(e).standard_normal(),
-# where e is the pair's 8-byte blake2b digest keyed by the seed, read as a
-# little-endian integer. A Generator per pair spends nearly all its time in
-# SeedSequence's hashing, so _pair_normals makes that hashing's uint32
-# arithmetic for a block of pairs at once and sets each pair's PCG64 state
-# into one reused Generator: the same state, so the same draw. The constants
-# are those of numpy's bit_generator.pyx (SeedSequence) and pcg64.h; NEP 19
-# keeps both seeding algorithms stable.
-TEACHER_BLOCK = 512  # pairs whose noise is drawn together
+def _pair_normal(key: bytes, query: str, keyword: str) -> float:
+    """The teacher's standard normal draw for a (query, keyword) pair.
 
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_XSHIFT = np.uint32(16)
-_MIX_L = np.uint32(0xCA01F9DD)
-_MIX_R = np.uint32(0x4973F715)
-
-
-def _hash_consts(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
-    """The (xor, multiply) constants of ``n`` successive SeedSequence hashmix calls."""
-    consts = []
-    for _ in range(n):
-        nxt = (init * mult) & _MASK32
-        consts.append((np.uint32(init), np.uint32(nxt)))
-        init = nxt
-    return consts
-
-
-# mix_entropy hashes each entropy word (0 past its end) into the 4-word pool,
-# then mixes each pool word into every other: 16 calls. generate_state(4,
-# uint64) hashes 8 pool words.
-_MIX_CONSTS = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
-_STATE_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
-
-
-def _hashmix(value: np.ndarray, consts: tuple[np.uint32, np.uint32]) -> np.ndarray:
-    value = (value ^ consts[0]) * consts[1]
-    return value ^ (value >> _XSHIFT)
-
-
-def _seed_states(entropy: np.ndarray) -> list[list[int]]:
-    """``SeedSequence(e).generate_state(4, np.uint64)`` for each row of ``entropy``.
-
-    ``entropy`` is ``(n, 2)`` uint32: each 64-bit entropy's low word, then
-    its high word. SeedSequence drops a zero high word, but it hashes a 0
-    into each pool word that its entropy does not fill, so the pool is the
-    same.
+    ``key`` is the data seed as 8 little-endian bytes. The pair's 8-byte
+    blake2b digest under that key splits into little-endian uint32 halves
+    ``lo`` and ``hi``, and Box and Muller's transform (1958) of the uniforms
+    u1 = (lo + 0.5)·2⁻³² and u2 = hi·2⁻³² gives sqrt(-2 ln u1)·cos(2π u2).
+    u1 lies in [2⁻³³, 1 - 2⁻³³], so the draw is finite and |z| <= 6.76.
     """
-    consts = iter(_MIX_CONSTS)
-    zeros = np.zeros(len(entropy), dtype=np.uint32)
-    pool = [_hashmix(word, next(consts)) for word in (entropy[:, 0], entropy[:, 1], zeros, zeros)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], next(consts))
-                pool[dst] = mixed ^ (mixed >> _XSHIFT)
-    words = np.stack([_hashmix(pool[i % 4], c) for i, c in enumerate(_STATE_CONSTS)], axis=1)
-    return words.astype("<u4").view("<u8").tolist()
-
-
-def _pair_normals(seed: int, pairs: Sequence[tuple[str, str]]) -> list[float]:
-    """The teacher's standard normal draw for each (query, keyword) pair."""
-    key = struct.pack("<q", seed)
-    return _standard_normals(b"".join(
-        hashlib.blake2b(f"{query}\x1f{keyword}".encode("utf-8"), key=key, digest_size=8).digest()
-        for query, keyword in pairs
-    ))
-
-
-def _standard_normals(digests: bytes) -> list[float]:
-    """``np.random.default_rng(int.from_bytes(d, "little")).standard_normal()``
-    for each 8-byte ``d`` of ``digests``."""
-    bit_generator = np.random.PCG64(0)
-    gen = np.random.Generator(bit_generator)
-    normals = []
-    for s_hi, s_lo, i_hi, i_lo in _seed_states(np.frombuffer(digests, dtype="<u4").reshape(-1, 2)):
-        # pcg64_set_seed: inc = (initseq << 1) | 1, then two LCG steps from 0
-        # with initstate added between them
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        normals.append(gen.standard_normal())
-    return normals
+    digest = hashlib.blake2b(f"{query}\x1f{keyword}".encode("utf-8"), key=key, digest_size=8).digest()
+    lo, hi = struct.unpack("<II", digest)
+    return math.sqrt(-2.0 * math.log((lo + 0.5) * 2.0**-32)) * math.cos(2.0 * math.pi * hi * 2.0**-32)
 
 
 def synthetic_teacher(query: str, keyword: str, seed: int = 0) -> tuple[float, float]:
@@ -145,28 +74,26 @@ def synthetic_teacher(query: str, keyword: str, seed: int = 0) -> tuple[float, f
         margin = scale * (J - mid) / mid         for J <  mid
 
     so J = 1 always yields the maximal positive margin (+scale) and J = 0
-    the maximal negative one (-scale). A per-pair seeded Gaussian noise term
-    of std ``NOISE_STD``, scaled by 4*J*(1-J), is added; it vanishes at both
-    extremes. A pure function of (query, keyword, seed).
+    the maximal negative one (-scale). A Gaussian noise term of std
+    ``NOISE_STD``, scaled by 4*J*(1-J), is added; it vanishes at both
+    extremes. Its standard normal is a Box–Muller draw on the pair's
+    blake2b digest keyed by ``seed`` (``_pair_normal``). A pure function of
+    (query, keyword, seed).
     """
-    return _teacher_block(seed, [(query, keyword, token_jaccard(query, keyword))])[0]
+    return _teacher_logits(struct.pack("<q", seed), query, keyword, token_jaccard(query, keyword))
 
 
-def _teacher_block(seed: int, block: Sequence[tuple[str, str, float]]) -> list[tuple[float, float]]:
-    """``synthetic_teacher`` of each (query, keyword, J) in ``block``, J the pair's token overlap."""
-    normals = iter(_pair_normals(seed, [(q, k) for q, k, j in block if 0.0 < j < 1.0]))
-    logits = []
-    for _, _, j in block:
-        if j >= MIDPOINT:
-            base = MARGIN_SCALE * (j - MIDPOINT) / (1.0 - MIDPOINT)
-        else:
-            base = MARGIN_SCALE * (j - MIDPOINT) / MIDPOINT
-        noise = 0.0
-        if 0.0 < j < 1.0:
-            noise = NOISE_STD * 4.0 * j * (1.0 - j) * next(normals)
-        margin = base + noise
-        logits.append((-margin / 2.0, margin / 2.0))
-    return logits
+def _teacher_logits(key: bytes, query: str, keyword: str, j: float) -> tuple[float, float]:
+    """``synthetic_teacher`` of a pair whose token overlap is ``j``, its seed packed as ``key``."""
+    if j >= MIDPOINT:
+        base = MARGIN_SCALE * (j - MIDPOINT) / (1.0 - MIDPOINT)
+    else:
+        base = MARGIN_SCALE * (j - MIDPOINT) / MIDPOINT
+    noise = 0.0
+    if 0.0 < j < 1.0:
+        noise = NOISE_STD * 4.0 * j * (1.0 - j) * _pair_normal(key, query, keyword)
+    margin = base + noise
+    return (-margin / 2.0, margin / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +190,8 @@ def generate_pairs(
         others = [w for w in topics[t] if w not in topic_words]
         slots.append((" ".join(words), t, topic_words, others, frozenset(words)))
 
+    key = struct.pack("<q", seed)
     pairs: list[PairRecord] = []
-    block: list[tuple[str, str, float]] = []  # (query, keyword, J) awaiting the teacher
-    grades: list[str] = []
     for i in range(n_pairs):
         query, topic, topic_words, others, query_words = slots[i % n_queries]
         grade = _GRADES[bisect_right(_GRADE_CDF, rng.random())]
@@ -298,13 +224,9 @@ def generate_pairs(
         # the words are lowercase a-z, which normalize() leaves as they are,
         # so this is token_jaccard(query, keyword)
         keyword_words = set(kw)
-        block.append((query, keyword, len(query_words & keyword_words) / len(query_words | keyword_words)))
-        grades.append(grade)
-        if len(block) == TEACHER_BLOCK or i == n_pairs - 1:
-            for (q, k, _), logits, g in zip(block, _teacher_block(seed, block), grades):
-                pairs.append(PairRecord(query=q, keyword=k, teacher_logits=logits, label=g))
-            block.clear()
-            grades.clear()
+        j = len(query_words & keyword_words) / len(query_words | keyword_words)
+        pairs.append(PairRecord(query=query, keyword=keyword,
+                                teacher_logits=_teacher_logits(key, query, keyword, j), label=grade))
     return pairs
 
 

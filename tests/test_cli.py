@@ -83,9 +83,9 @@ class TestGenSynthetic:
                      "--queries", "200", "--seed", "7", "--quiet"]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == {
-            "train.tsv": "0bec4d4e3958c881fe1d51a90678d2b52016302ffb9008cf307710c870fcf285",
+            "train.tsv": "74f9c0dc1be72473b9fe5fb87eeb12cc86056adfaeb329d222e807729a95c6e0",
             "train.tsv.manifest.json": "7c6a50900d53a872ae1eedb089139ea0981e8beb64eaefbbf8201f02cfbb4f14",
-            "test.tsv": "520da14d5d67e7b0a95f821740c09b9e9169bf4e8f7dac94586715bf89f5046f",
+            "test.tsv": "62b560026403bc0574ef638fbc6992fc1d386327f813dd98873c2395e10e0a2a",
             "test.tsv.manifest.json": "7c6a50900d53a872ae1eedb089139ea0981e8beb64eaefbbf8201f02cfbb4f14",
             "corpus.tsv": "3467613bfd99bb438cfa476235638c1334757eb688e8cd0b7297471357901d67",
             "corpus.tsv.manifest.json": "7c6a50900d53a872ae1eedb089139ea0981e8beb64eaefbbf8201f02cfbb4f14",
@@ -166,6 +166,25 @@ class TestDistill:
         assert proc.returncode == 1
         assert "invalid configuration" in proc.stderr and "'beta1'" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("flags, file_section, named", [
+        (["--lr", "nan"], None, "learning_rate must be a finite float, got nan"),
+        (["--temperature", "inf"], None, "temperature must be a finite float, got inf"),
+        (["--dropout=-inf"], None, "dropout must be a finite float, got -inf"),
+        ([], '{"distill": {"temperature": NaN}}', "temperature must be a finite float, got nan"),
+        ([], '{"distill": {"finetune_learning_rate": Infinity}}',
+         "finetune_learning_rate must be a finite float, got inf"),
+    ], ids=["lr-nan", "temperature-inf", "dropout-minus-inf", "file-nan", "file-infinity"])
+    def test_non_finite_setting_exits_1_before_reading_data(self, tmp_path, capsys, flags, file_section,
+                                                           named):
+        # the data file does not exist: the configuration is refused first
+        argv = ["distill", "--data", str(tmp_path / "d.tsv"), "--out", str(tmp_path / "m.ckpt"), *flags]
+        if file_section is not None:
+            (tmp_path / "cfg.json").write_text(file_section)
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 1
+        assert f"invalid configuration: {named}" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -281,6 +300,25 @@ class TestSearch:
         assert f"{out}:3: row ({line.strip()!r}, '1', " in proc.stderr and problem in proc.stderr
         assert "Traceback" not in proc.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["queries.txt"]  # no output, sidecar or temp file
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--top-n", "0"], "--top-n must be >= 1, got 0"),
+        (["--mode", "exact", "--top-n", "-1"], "--top-n must be >= 1, got -1"),
+        (["--beam", "2", "--top-n", "5"], "--beam must be >= --top-n in approx mode, got 2 < 5"),
+    ], ids=["top-n-0", "exact-top-n-negative", "beam-below-top-n"])
+    def test_bad_flag_exits_1_before_writing(self, workspace, capsys, flags, named):
+        assert main(["search", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--index", str(workspace / "index.bin"),
+                     "--queries", str(workspace / "data" / "queries.txt"), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
+    def test_beam_below_top_n_is_fine_in_exact_mode(self, workspace, capsys):
+        assert main(["search", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--index", str(workspace / "index.bin"), "--queries", str(workspace / "data" / "queries.txt"),
+                     "--mode", "exact", "--beam", "2", "--top-n", "5", "--quiet"]) == 0
+        assert "cosine_score" in capsys.readouterr().out
 
     def test_missing_index(self, workspace, tmp_path, capsys):
         rc = main(["search", "--checkpoint", str(workspace / "model.ckpt"),

@@ -1,17 +1,19 @@
 import hashlib
+import math
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinenc import synthetic
 from twinenc.metrics import LABEL_GAINS
 from twinenc.synthetic import (
     MODIFIERS,
-    TEACHER_BLOCK,
-    _pair_normals,
+    _pair_normal,
     _sample,
-    _standard_normals,
     generate_pairs,
     split_pairs,
     synthetic_teacher,
@@ -55,15 +57,6 @@ class TestGeneratePairs:
             for p in generate_pairs(2000, seed=seed, n_queries=200, n_topics=40):
                 assert p.teacher_logits == synthetic_teacher(p.query, p.keyword, seed=seed)
 
-    @pytest.mark.parametrize("n_pairs", [TEACHER_BLOCK - 1, TEACHER_BLOCK, TEACHER_BLOCK + 1])
-    def test_teacher_blocks_match_oracle(self, n_pairs):
-        # the logits are the teacher's whether a pair ends a block, starts
-        # the next, or the last block is short
-        pairs = generate_pairs(n_pairs, seed=4, n_queries=50)
-        assert len(pairs) == n_pairs
-        for p in pairs:
-            assert p.teacher_logits == synthetic_teacher(p.query, p.keyword, seed=4)
-
     @pytest.mark.parametrize("call", [
         lambda: generate_pairs(200, seed=0, teacher_seed=1),
         lambda: synthetic_teacher("red shoes", "red hat", midpoint=0.3),
@@ -73,17 +66,30 @@ class TestGeneratePairs:
             call()
 
     @pytest.mark.parametrize("args, kwargs, expected", [
-        ((12500,), dict(seed=1, n_queries=1000), "e17b7f2374a14e47"),
-        ((4000,), dict(seed=1), "d9a68dd482b995f1"),
-        ((2048,), dict(seed=1, n_queries=1200), "4d02fe2a6276d06e"),
-        ((200,), dict(seed=5, n_queries=20), "f419b1145e8e8c05"),
+        ((12500,), dict(seed=1, n_queries=1000), "c0725bede826c186"),
+        ((4000,), dict(seed=1), "c3b92770af5c347a"),
+        ((2048,), dict(seed=1, n_queries=1200), "f6596a078ec7db43"),
+        ((200,), dict(seed=5, n_queries=20), "cbba68f9d8d7c33e"),
     ])
-    def test_golden_digest(self, args, kwargs, expected):
-        # pins every query, keyword, logit and label the generator draws
+    def test_golden_digest_of_texts_and_labels(self, args, kwargs, expected):
+        # pins every query, keyword and label the generator draws
+        digest = hashlib.sha256()
+        for p in generate_pairs(*args, **kwargs):
+            digest.update(f"{p.query}\t{p.keyword}\t{p.label}\n".encode("utf-8"))
+        assert digest.hexdigest()[:16] == expected
+
+    @pytest.mark.parametrize("args, kwargs, expected", [
+        ((12500,), dict(seed=1, n_queries=1000), "518457459c19f444"),
+        ((4000,), dict(seed=1), "21946d817c822470"),
+        ((2048,), dict(seed=1, n_queries=1200), "37c4ecf1ee1517ad"),
+        ((200,), dict(seed=5, n_queries=20), "720b328d8601de3a"),
+    ])
+    def test_golden_digest_of_logits(self, args, kwargs, expected):
+        # pins every teacher logit, bit for bit
         digest = hashlib.sha256()
         for p in generate_pairs(*args, **kwargs):
             z_bad, z_nonbad = p.teacher_logits
-            digest.update(f"{p.query}\t{p.keyword}\t{z_bad!r}\t{z_nonbad!r}\t{p.label}\n".encode("utf-8"))
+            digest.update(f"{z_bad!r}\t{z_nonbad!r}\n".encode("utf-8"))
         assert digest.hexdigest()[:16] == expected
 
     def test_labels_discount_modifier_overlap(self):
@@ -141,26 +147,33 @@ def test_sample_draws_what_choice_draws(n_k, seed):
     assert ours.random() == numpy_choice.random()
 
 
+def _box_muller(digest: bytes) -> float:
+    lo, hi = int.from_bytes(digest[:4], "little"), int.from_bytes(digest[4:], "little")
+    return math.sqrt(-2.0 * math.log((lo + 0.5) * 2.0**-32)) * math.cos(2.0 * math.pi * hi * 2.0**-32)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
-@example([0])
-@example([5, 2**32 - 1])  # below 2**32, SeedSequence's entropy is one word
-@example([2**32, 2**40, 2**64 - 1])
-def test_block_noise_is_default_rng_noise(entropies):
-    # a block's normals are the ones a Generator seeded with each entropy
-    # draws first
-    digests = b"".join(e.to_bytes(8, "little") for e in entropies)
-    assert _standard_normals(digests) == [np.random.default_rng(e).standard_normal() for e in entropies]
+@given(st.text(max_size=8), st.text(max_size=8), st.integers(-(2**63), 2**63 - 1),
+       st.binary(min_size=8, max_size=8))
+@example("", "", 0, bytes(8))  # lo = 0: the largest |z|
+@example("red shoes", "red hat", -1, b"\xff" * 4 + bytes(4))  # lo = 2**32 - 1: the smallest
+def test_pair_normal_is_box_muller_on_keyed_digest(query, keyword, seed, stand_in):
+    # the pair's digest is its 8-byte blake2b digest keyed by the seed; a
+    # stand-in digest reaches the halves' ends, which no search of pairs finds
+    key = seed.to_bytes(8, "little", signed=True)
+    keyed = hashlib.blake2b(f"{query}\x1f{keyword}".encode("utf-8"), key=key, digest_size=8).digest()
+    with mock.patch.object(synthetic.hashlib, "blake2b",
+                           lambda *a, **kw: types.SimpleNamespace(digest=lambda: stand_in)):
+        forced = _pair_normal(key, query, keyword)
+    for z, digest in ((_pair_normal(key, query, keyword), keyed), (forced, stand_in)):
+        assert math.isfinite(z) and abs(z) <= math.sqrt(-2.0 * math.log(2.0**-33))
+        assert z == _box_muller(digest)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.text(max_size=8), st.text(max_size=8), st.integers(-(2**63), 2**63 - 1))
-def test_pair_noise_is_seeded_by_keyed_digest(query, keyword, seed):
-    # the pair's entropy is its 8-byte blake2b digest keyed by the seed
-    digest = hashlib.blake2b(f"{query}\x1f{keyword}".encode("utf-8"),
-                             key=seed.to_bytes(8, "little", signed=True), digest_size=8).digest()
-    expected = np.random.default_rng(int.from_bytes(digest, "little")).standard_normal()
-    assert _pair_normals(seed, [(query, keyword)]) == [expected]
+def test_pair_normals_are_standard_normal():
+    draws = np.array([_pair_normal(b"\0" * 8, f"query {i}", "keyword") for i in range(200_000)])
+    assert abs(draws.mean()) < 0.01
+    assert abs(draws.std() - 1.0) < 0.01
 
 
 class TestSplitPairs:

@@ -441,6 +441,15 @@ class TestDistillTrain:
         with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {re.escape(repr(value))}$"):
             DistillationConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["temperature", "learning_rate", "weight_decay",
+                                      "finetune_learning_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_a_non_finite_float_is_refused_naming_it(self, name, value):
+        # NaN passes every range check (each comparison with it is False),
+        # and the integer overflows when training converts it
+        with pytest.raises(ValueError, match=f"^{name} must be a finite float, got {value!r}$"):
+            DistillationConfig(**{name: value})
+
     def test_empty_data_rejected(self, tiny_model):
         with pytest.raises(ValueError):
             distill_train([], DistillationConfig(), tiny_model)
