@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -69,6 +70,14 @@ def _int_list(flag: str, text: str) -> list[int]:
         except ValueError:
             raise CliError(f"{flag} {text!r}: {entry!r} is not an integer") from None
     return values
+
+
+def _score(cell: str) -> float:
+    """A score cell as a float; NaN ranks nowhere, so it is refused like text."""
+    value = float(cell)
+    if math.isnan(value):
+        raise ValueError(cell)
+    return value
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -340,7 +349,7 @@ def cmd_score(args) -> int:
 
 def cmd_eval_auc(args) -> int:
     table = textio.read_table(_require_file(args.scored))
-    scores = table.column(args.score_col, float, "a number")
+    scores = table.column(args.score_col, _score, "a number")
     labels = table.column(args.label_col, binary_label, "bad/fair/good/excellent or 0/1")
     try:
         auc = roc_auc(scores, labels)
@@ -354,7 +363,7 @@ def cmd_eval_auc(args) -> int:
 def cmd_eval_ndcg(args) -> int:
     positions = _int_list("--positions", args.positions)
     table = textio.read_table(_require_file(args.scored))
-    scores = table.column(args.score_col, float, "a number")
+    scores = table.column(args.score_col, _score, "a number")
     grades = table.column(args.label_col, label_gain, "bad/fair/good/excellent or 0/1")
     by_query: dict[str, list[tuple[float, float]]] = {}
     for query, score, grade in zip(table.column(args.query_col), scores, grades):

@@ -12,8 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from bisect import bisect_right
-from typing import Sequence
 
 import numpy as np
 
@@ -100,58 +98,25 @@ def _teacher_logits(key: bytes, query: str, keyword: str, j: float) -> tuple[flo
 # Corpus generation
 # ---------------------------------------------------------------------------
 
-def _random_word(rng: np.random.Generator) -> str:
-    length = 3 + int(rng.integers(6))
-    letters = rng.integers(0, 26, size=length)
-    return "".join(chr(ord("a") + int(c)) for c in letters)
-
-
-def _topic_vocabulary(rng: np.random.Generator, n_topics: int) -> list[list[str]]:
-    seen: set[str] = set(MODIFIERS)
-    topics = []
-    for _ in range(n_topics):
-        words = []
-        while len(words) < WORDS_PER_TOPIC:
-            w = _random_word(rng)
-            if w not in seen:
-                seen.add(w)
-                words.append(w)
-        topics.append(words)
-    return topics
-
-
-# The draws below are the ones Generator.choice makes, without its per-call
-# conversion of the population to an array and revalidation of p. A grade
-# is the bisection of one rng.random() over the cdf that choice(p=...)
-# computes: p.cumsum() divided by its last entry. rng.integers(low, high)
-# is written low + rng.integers(high - low): the same bounded draw.
 _GRADES = ("excellent", "good", "fair", "bad")
-_GRADE_CDF = np.cumsum([0.2, 0.2, 0.2, 0.4])
-_GRADE_CDF = (_GRADE_CDF / _GRADE_CDF[-1]).tolist()
+_GRADE_P = (0.2, 0.2, 0.2, 0.4)
+_MODIFIER_P = np.array([0.5, 0.5, 0.6, 0.8])  # a keyword's chance of a modifier, by grade
 
 
-def _pick(rng: np.random.Generator, seq: Sequence[str]) -> str:
-    """One item of ``seq``, as ``rng.choice(seq)`` draws it."""
-    return seq[int(rng.integers(len(seq)))]
-
-
-def _sample(rng: np.random.Generator, seq: Sequence[str], k: int) -> list[str]:
-    """``k`` distinct items of ``seq``, as ``rng.choice(seq, size=k, replace=False)`` draws them.
-
-    Choice draws a small sample (``k <= len(seq)``, and ``len(seq) <= 10000``
-    or ``k <= len(seq) // 50``) by Floyd's algorithm, then shuffles it by
-    Fisher-Yates; each of its draws is the bounded draw of a scalar
-    ``rng.integers(j + 1)``, so this makes the same draws one by one.
-    """
-    n = len(seq)
-    picked: list[int] = []
-    for j in range(n - k, n):
-        v = int(rng.integers(j + 1))
-        picked.append(j if v in picked else v)
-    for i in range(k - 1, 0, -1):
-        m = int(rng.integers(i + 1))
-        picked[i], picked[m] = picked[m], picked[i]
-    return [seq[i] for i in picked]
+def _topic_vocabulary(rng: np.random.Generator, n_topics: int) -> np.ndarray:
+    """``n_topics`` × ``WORDS_PER_TOPIC`` distinct words of 3-8 letters a-z, none a modifier."""
+    need = n_topics * WORDS_PER_TOPIC
+    seen: set[str] = set(MODIFIERS)
+    words: list[str] = []
+    while len(words) < need:
+        lengths = rng.integers(3, 9, size=need).tolist()
+        letters = rng.integers(ord("a"), ord("z") + 1, size=(need, 8), dtype=np.uint8)
+        for chars, n in zip(letters.view("S8").ravel().tolist(), lengths):
+            word = chars[:n].decode("ascii")
+            if word not in seen:
+                seen.add(word)
+                words.append(word)
+    return np.array(words[:need], dtype=object).reshape(n_topics, WORDS_PER_TOPIC)
 
 
 def generate_pairs(
@@ -162,11 +127,14 @@ def generate_pairs(
     Each of ``n_topics`` topics has ``WORDS_PER_TOPIC`` random words. Each
     query holds 2-3 words from one topic (sometimes plus a generic
     modifier). Keywords are built per grade: ``excellent`` keywords contain
-    every query topic word, ``good`` keywords share several, ``fair``
-    keywords share exactly one, and ``bad`` keywords share none and come
-    from a different topic. Modifier words are shared across topics, so
-    lexical overlap alone cannot fully separate bad from fair; the editorial
-    grade can. The logits are ``synthetic_teacher(query, keyword, seed)``.
+    every query topic word, ``good`` keywords all but one, ``fair``
+    keywords exactly one, and ``bad`` keywords none: their topic words come
+    from one other topic. The rest of a keyword is 0-2 other words of its
+    topic and at most one modifier, in random order. Modifier words are
+    shared across topics, so lexical overlap alone cannot fully separate bad
+    from fair; the editorial grade can. The logits are
+    ``synthetic_teacher(query, keyword, seed)``. Every random value comes
+    from an array draw on one ``np.random.default_rng(seed)``.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -176,57 +144,63 @@ def generate_pairs(
         raise ValueError(f"n_queries must be >= 1, got {n_queries}")
     if n_topics < 2:
         raise ValueError(f"n_topics must be >= 2, got {n_topics}")
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
     rng = np.random.default_rng(seed)
-    topics = _topic_vocabulary(rng, n_topics)
+    vocab = _topic_vocabulary(rng, n_topics)
 
-    # Per query slot: text, topic words, the topic's other words, word set.
-    slots: list[tuple[str, int, list[str], list[str], frozenset[str]]] = []
-    for _ in range(n_queries):
-        t = int(rng.integers(n_topics))
-        topic_words = _sample(rng, topics[t], 2 + int(rng.integers(2)))
-        words = list(topic_words)
-        if rng.random() < 0.6:
-            words.append(_pick(rng, MODIFIERS))
-        others = [w for w in topics[t] if w not in topic_words]
-        slots.append((" ".join(words), t, topic_words, others, frozenset(words)))
+    # Per query slot: a topic, a random order of its words whose first 2-3
+    # the query takes, and a modifier with p = 0.6.
+    q_topic = rng.integers(n_topics, size=n_queries)
+    q_order = np.argsort(rng.random((n_queries, WORDS_PER_TOPIC)), axis=1)
+    q_size = rng.integers(2, 4, size=n_queries)
+    q_has_modifier = rng.random(n_queries) < 0.6
+    q_modifier = rng.integers(len(MODIFIERS), size=n_queries)
+    queries = []
+    for words, n, has, m in zip(vocab[q_topic[:, None], q_order[:, :3]].tolist(), q_size.tolist(),
+                                q_has_modifier.tolist(), q_modifier.tolist()):
+        queries.append(" ".join(words[:n] + ([MODIFIERS[m]] if has else [])))
+    in_query = np.argsort(q_order, axis=1) < q_size[:, None]  # by word: its rank in the order
+
+    # Per pair: a grade, which sets how many of the query's topic words the
+    # keyword shares, 0-2 other words of its topic, and a modifier.
+    slot = np.arange(n_pairs) % n_queries
+    grade = rng.choice(len(_GRADES), size=n_pairs, p=_GRADE_P)
+    size = q_size[slot]
+    n_shared = np.choose(grade, [size, size - 1, 1, 0])
+    n_other = rng.integers(2, size=n_pairs) + (grade > 0)
+    has_modifier = rng.random(n_pairs) < _MODIFIER_P[grade]
+    modifier = rng.integers(len(MODIFIERS), size=n_pairs)
+    bad = grade == 3
+    other_topic = rng.integers(n_topics - 1, size=n_pairs)
+    topic = np.where(bad, other_topic + (other_topic >= q_topic[slot]), q_topic[slot])
+    # A random order of the topic's words with the query's own last: the
+    # keyword's other words are the first n_other, its shared ones the last
+    # n_shared. A bad keyword's topic is not its query's, so nothing goes last.
+    keys = rng.random((n_pairs, WORDS_PER_TOPIC))
+    keys += in_query[slot] & ~bad[:, None]
+    picks = np.argsort(keys, axis=1)[:, [0, 1, -3, -2, -1]]
+    words = np.column_stack([vocab[topic[:, None], picks], np.array(MODIFIERS, dtype=object)[modifier]])
+    used = np.column_stack([n_other > 0, n_other > 1, n_shared > 2, n_shared > 1, n_shared > 0, has_modifier])
+    # then a random order of the keyword's words, the unused ones last
+    order = np.argsort(np.where(used, rng.random(used.shape), 2.0), axis=1)
+    words = np.take_along_axis(words, order, axis=1)
+    n_words = used.sum(axis=1)
+
+    # The words are lowercase a-z, which normalize() leaves as they are, and
+    # no word repeats, so this is token_jaccard(query, keyword).
+    q_has_modifier, q_modifier = q_has_modifier[slot], q_modifier[slot]
+    common = n_shared + (has_modifier & q_has_modifier & (modifier == q_modifier))
+    jaccard = common / (size + q_has_modifier + n_words - common)
 
     key = struct.pack("<q", seed)
     pairs: list[PairRecord] = []
-    for i in range(n_pairs):
-        query, topic, topic_words, others, query_words = slots[i % n_queries]
-        grade = _GRADES[bisect_right(_GRADE_CDF, rng.random())]
-        if grade == "excellent":
-            kw = topic_words + _sample(rng, others, int(rng.integers(2)))
-            if rng.random() < 0.5:
-                kw.append(_pick(rng, MODIFIERS))
-        elif grade == "good":
-            n_shared = max(1, len(topic_words) - 1)
-            kw = _sample(rng, topic_words, n_shared)
-            kw += _sample(rng, others, 1 + int(rng.integers(2)))
-            if rng.random() < 0.5:
-                kw.append(_pick(rng, MODIFIERS))
-        elif grade == "fair":
-            # exactly one shared topic word, padded with other same-topic
-            # words and often a generic modifier
-            kw = [_pick(rng, topic_words)]
-            kw += _sample(rng, others, 1 + int(rng.integers(2)))
-            if rng.random() < 0.6:
-                kw.append(_pick(rng, MODIFIERS))
-        else:
-            other_topic = int(rng.integers(n_topics - 1))
-            if other_topic >= topic:
-                other_topic += 1
-            kw = _sample(rng, topics[other_topic], 1 + int(rng.integers(2)))
-            if rng.random() < 0.8:
-                kw.append(_pick(rng, MODIFIERS))
-        rng.shuffle(kw)
-        keyword = " ".join(dict.fromkeys(kw))  # drop accidental duplicates, keep order
-        # the words are lowercase a-z, which normalize() leaves as they are,
-        # so this is token_jaccard(query, keyword)
-        keyword_words = set(kw)
-        j = len(query_words & keyword_words) / len(query_words | keyword_words)
+    # rows of `words` are read one at a time: listing them all first leaves
+    # the freed lists' memory scattered among the records, and resident
+    for i, (row, n, g, j) in enumerate(zip(words, n_words.tolist(), grade.tolist(), jaccard.tolist())):
+        query, keyword = queries[i % n_queries], " ".join(row[:n])
         pairs.append(PairRecord(query=query, keyword=keyword,
-                                teacher_logits=_teacher_logits(key, query, keyword, j), label=grade))
+                                teacher_logits=_teacher_logits(key, query, keyword, j), label=_GRADES[g]))
     return pairs
 
 

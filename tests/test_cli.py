@@ -83,13 +83,13 @@ class TestGenSynthetic:
                      "--queries", "200", "--seed", "7", "--quiet"]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == {
-            "train.tsv": "74f9c0dc1be72473b9fe5fb87eeb12cc86056adfaeb329d222e807729a95c6e0",
+            "train.tsv": "62bbf55d309c4c4401be1713bb45e1a0f18d617f039f974e6312a863b06ab600",
             "train.tsv.manifest.json": "7c6a50900d53a872ae1eedb089139ea0981e8beb64eaefbbf8201f02cfbb4f14",
-            "test.tsv": "62b560026403bc0574ef638fbc6992fc1d386327f813dd98873c2395e10e0a2a",
+            "test.tsv": "b68f8a5735bded50236cfcea198e5352992dd424705eb0867471e8591b3c8cb8",
             "test.tsv.manifest.json": "7c6a50900d53a872ae1eedb089139ea0981e8beb64eaefbbf8201f02cfbb4f14",
-            "corpus.tsv": "3467613bfd99bb438cfa476235638c1334757eb688e8cd0b7297471357901d67",
+            "corpus.tsv": "2b1eac28b0f9b8494c15b0bdb927fe29df3f3c684bd16aa8eef8f85c07042493",
             "corpus.tsv.manifest.json": "7c6a50900d53a872ae1eedb089139ea0981e8beb64eaefbbf8201f02cfbb4f14",
-            "queries.txt": "d8095034d1d26ed669389629877c0f15eaf6db506714f92cb827e37836b06ae2",
+            "queries.txt": "ae1bc82582a72fcedb34479a77bd54b6e19217ff3f61fc55a5a3bcbc054058c0",
         }
 
     @pytest.mark.parametrize("flags, named", [
@@ -100,6 +100,13 @@ class TestGenSynthetic:
         assert main(["gen-synthetic", "--out-dir", str(tmp_path / "data"), *flags]) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**63], ids=["negative", "2**63"])
+    def test_seed_out_of_range_exits_1_naming_it(self, tmp_path, capsys, seed):
+        assert main(["gen-synthetic", "--out-dir", str(tmp_path / "data"), "--seed", str(seed)]) == 1
+        err = capsys.readouterr().err
+        assert f"seed must be in [0, 2**63), got {seed}" in err and "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
     def test_config_file_seed_beats_the_flag(self, tmp_path):
@@ -405,7 +412,7 @@ class TestEvalAuc:
         proc = subprocess.run([sys.executable, "-m", "twinenc.cli", "eval-auc", "--scored", str(scored)],
                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 1
-        assert "scores contain NaN" in proc.stderr
+        assert f"{scored}:3: prob 'nan' is not a number" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 

@@ -330,6 +330,10 @@ CLI_CASES = {
                ["eval-auc", "--scored", "BAD"], "BAD:2: invalid UTF-8"),
     "scored_prob": (SCORED.replace(b"0.1", b"abc"),
                     ["eval-auc", "--scored", "BAD"], "BAD:3: prob 'abc' is not a number"),
+    "scored_prob_nan": (SCORED.replace(b"0.9", b"nan"),
+                        ["eval-auc", "--scored", "BAD"], "BAD:2: prob 'nan' is not a number"),
+    "scored_ndcg_prob_nan": (SCORED.replace(b"0.9", b"nan"),
+                             ["eval-ndcg", "--scored", "BAD"], "BAD:2: prob 'nan' is not a number"),
     "scored_ndcg_label": (SCORED.replace(b"bad", b"meh"),
                           ["eval-ndcg", "--scored", "BAD"], "BAD:3: label 'meh' is not bad/fair/good/excellent"),
     "corpus": (b"id\tkeyword\nk0\tred shoes\nk1\t\xff hat\n",
