@@ -43,7 +43,7 @@ from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
 from .model import SERVING_DTYPE, TwinModel
 from .synthetic import generate_pairs, split_pairs
 from .text import ENCODABLE, encodable
-from .training import distill_train, finetune, load_pair_tsv, pair_tsv_rows
+from .training import PairRecord, distill_train, finetune, first_lacking, load_pair_tsv, pair_tsv_rows
 
 # not __name__: under ``python -m twinenc.cli`` that is ``__main__``, outside the package logger
 logger = logging.getLogger("twinenc.cli")
@@ -80,20 +80,30 @@ def _score(cell: str) -> float:
     return value
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _seed(args, file_cfg: dict) -> int:
+    """The run's seed: the config file's, else ``--seed``'s, else 0. One outside
+    [0, 2**63) is refused, naming the value and where it came from."""
+    source = f"config file {args.config}: 'seed'" if "seed" in file_cfg else "--seed"
+    seed = file_cfg.get("seed", 0 if args.seed is None else args.seed)
+    if type(seed) is not int:
+        raise CliError(f"{source} must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**63:
+        raise CliError(f"{source} must be in [0, 2**63), got {seed}")
+    return seed
+
+
+def _load_config_file(args) -> dict:
+    path = args.config
     try:
-        raw = json.loads(textio.read_text(_require_file(path)))
+        raw = {} if path is None else json.loads(textio.read_text(_require_file(path)))
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}: config file is not valid JSON: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise CliError(f"config file {path} must hold a JSON object")
+    _seed(args, raw)  # here, so a seeded command reads no other file with a bad seed
     for key in ("model", "distill"):
         if not isinstance(raw.get(key, {}), dict):
             raise CliError(f"config file {path}: {key!r} must be a JSON object")
-    if type(raw.get("seed", 0)) is not int:
-        raise CliError(f"config file {path}: 'seed' must be an integer")
     if "vocab_hash_seed" in raw:
         raise CliError(f"config file {path}: 'vocab_hash_seed' belongs inside its \"model\" object")
     if raw.get("preset", "desk") not in tuple(PRESETS):  # a tuple: a JSON list is unhashable
@@ -136,17 +146,11 @@ def _config_kwargs(cls, args, file_section: dict) -> dict:
     return {**kwargs, **file_section}
 
 
-def _setting(name: str, args, file_cfg: dict, default):
-    """One setting: the config file's value, else the flag's, else ``default``."""
-    value = file_cfg.get(name, getattr(args, name, None))
-    return default if value is None else value
-
-
 def _resolve(args, file_cfg: dict, model: TwinModel | None = None) -> dict:
     """Merge defaults <- flags <- config file into one resolved dict, and log it.
     A loaded ``model``'s config replaces the resolved one."""
     try:
-        config = PRESETS[_setting("preset", args, file_cfg, "desk")](
+        config = PRESETS[file_cfg.get("preset", getattr(args, "preset", None)) or "desk"](
             **_config_kwargs(ModelConfig, args, file_cfg.get("model", {})))
         distill = DistillationConfig(
             **_config_kwargs(DistillationConfig, args, file_cfg.get("distill", {})))
@@ -155,7 +159,7 @@ def _resolve(args, file_cfg: dict, model: TwinModel | None = None) -> dict:
     resolved = {
         "model": config.to_dict(),
         "distill": distill.to_dict(),
-        "seed": _setting("seed", args, file_cfg, 0),
+        "seed": _seed(args, file_cfg),
     }
     if model is not None:
         resolved["model"] = model.config.to_dict()
@@ -189,8 +193,8 @@ def _emit(path: str | Path | None, rows, manifest: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synthetic(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _setting("seed", args, file_cfg, 0)
+    file_cfg = _load_config_file(args)
+    seed = _seed(args, file_cfg)
     out_dir = Path(args.out_dir)
 
     pairs = generate_pairs(
@@ -215,47 +219,50 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _save_trained(command: str, args, resolved: dict, model: TwinModel, records: int,
-                  history, t0: float, **extra) -> None:
-    """Save a trained ``model`` to ``args.out`` with its run manifest; ``t0``
-    is when training started."""
+def _training_pairs(path: str, field: str) -> list[PairRecord]:
+    """The pair TSV at ``path``; the first record without ``field``, what its phase trains
+    on, fails as ``path:line``, read back here: ``load_pair_tsv`` skips no row."""
+    records = load_pair_tsv(_require_file(path))
+    if (missing := first_lacking(records, field)) is not None:
+        lineno = textio.read_table(path, last_optional=True).rows[missing][0]
+        raise CliError(f"{path}:{lineno}: pair has no {field.replace('_', ' ')}")
+    return records
+
+
+def _train(command: str, phase, args, resolved: dict, model: TwinModel, records, **extra) -> int:
+    """Train ``model`` on ``records`` with ``phase`` (``distill_train`` or ``finetune``)
+    and save it to ``args.out`` with its run manifest."""
+    t0 = time.perf_counter()
+    history = phase(records, DistillationConfig.from_dict(resolved["distill"]), model,
+                    seed=resolved["seed"])
     model.save(args.out)
     textio.write_manifest(args.out, _manifest(
         command, resolved, format_version=FORMAT_VERSION,
         checkpoint_sha256=file_sha256(args.out), **extra,
-        data=str(args.data), records=records,
+        data=str(args.data), records=len(records),
         seed=resolved["seed"], epoch_losses=history.epoch_losses,
         steps=history.steps, wall_seconds=time.perf_counter() - t0,
+        calibration=None if history.calibration is None else dict(zip(("a", "b"), history.calibration)),
     ))
     logger.info("wrote checkpoint %s", args.out)
+    return 0
 
 
 def cmd_distill(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args)
     resolved = _resolve(args, file_cfg)
-    records = load_pair_tsv(_require_file(args.data))
-    model = _build_model(resolved)
-    dconfig = DistillationConfig.from_dict(resolved["distill"])
-    t0 = time.perf_counter()
-    history = distill_train(records, dconfig, model, seed=resolved["seed"])
-    _save_trained("distill", args, resolved, model, len(records), history, t0)
-    return 0
+    records = _training_pairs(args.data, "teacher_logits")
+    return _train("distill", distill_train, args, resolved, _build_model(resolved), records)
 
 
 def cmd_finetune(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    records = load_pair_tsv(_require_file(args.data))
+    file_cfg = _load_config_file(args)
+    records = _training_pairs(args.data, "label")
     model = TwinModel.load(_require_file(args.checkpoint))
     resolved = _resolve(args, file_cfg, model)
-    dconfig = DistillationConfig.from_dict(resolved["distill"])
-    t0 = time.perf_counter()
-    history = finetune(records, dconfig, model, seed=resolved["seed"])
-    _save_trained("finetune", args, resolved, model, len(records), history, t0,
+    return _train("finetune", finetune, args, resolved, model, records,
                   source_checkpoint=str(args.checkpoint),
-                  finetune_learning_rate=dconfig.finetune_learning_rate,
-                  calibration=None if history.calibration is None
-                  else dict(zip(("a", "b"), history.calibration)))
-    return 0
+                  finetune_learning_rate=resolved["distill"]["finetune_learning_rate"])
 
 
 def cmd_encode_corpus(args) -> int:
@@ -402,7 +409,7 @@ def cmd_bench(args) -> int:
                      for mode in modes]
     except ValueError as exc:
         raise CliError(f"--modes: {exc}") from None
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args)
     loaded = TwinModel.load(_require_file(args.checkpoint)) if args.checkpoint else None
     resolved = _resolve(args, file_cfg, loaded)
     model = loaded or _build_model(resolved)

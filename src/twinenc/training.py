@@ -1,10 +1,11 @@
 """Distillation training, actual-label fine-tuning, and the optimizer loop.
 
 The student never sees the teacher's weights: training data is a stream of
-(query, keyword, teacher logits, optional label) records. Soft
-targets are the temperature-softened teacher probabilities; fine-tuning
-first refits the logit calibration to the hard binary targets, then reuses
-the same cross-entropy loss with those targets.
+(query, keyword, teacher logits, optional label) records. Distillation's
+targets are the temperature-softened teacher probabilities, fine-tuning's
+the hard binary labels. Both phases run the same steps: refit the head's
+logit calibration to the phase's targets, then minimize the same
+cross-entropy against them.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class AdamW:
 class TrainingHistory:
     epoch_losses: list[float] = field(default_factory=list)
     steps: int = 0
-    # (a, b) folded into the head before fine-tuning; None when not refitted
+    # (a, b) folded into the head before the epochs; None when not refitted
     calibration: tuple[float, float] | None = None
 
 
@@ -209,17 +210,25 @@ def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str, *,
 
 def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray,
                 lr: float, epochs: int, config: DistillationConfig, seed: int) -> TrainingHistory:
+    """One phase: tokenize once, refit the head to ``targets`` (``refit_calibration``,
+    recorded in ``history.calibration``), run the epochs. Zero epochs change nothing."""
+    if not records:
+        raise ValueError("training requires a non-empty record stream")
     history = TrainingHistory()
     if epochs == 0:
         return history
-    optimizer = AdamW(lr=lr, weight_decay=config.weight_decay)
-    shuffle_rng = np.random.default_rng([seed, 0xDA7A])
-    dropout_rng = np.random.default_rng([seed, 0xD120])
-
     n = len(records)
     seqs = model.tokenize_many([r.query for r in records] + [r.keyword for r in records])
     q_seqs, k_seqs = seqs[:n], seqs[n:]
     bs = config.batch_size
+    history.calibration = refit_calibration(model, q_seqs, k_seqs, targets, bs)
+    if history.calibration is None:
+        logger.info("calibration refit skipped: no finite optimum with a > 0")
+    else:
+        logger.info("calibration refit  a %.6f  b %+.6f", *history.calibration)
+    optimizer = AdamW(lr=lr, weight_decay=config.weight_decay)
+    shuffle_rng = np.random.default_rng([seed, 0xDA7A])
+    dropout_rng = np.random.default_rng([seed, 0xD120])
     for epoch in range(epochs):
         order = shuffle_rng.permutation(n)
         losses = []
@@ -242,6 +251,11 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
     return history
 
 
+def first_lacking(records: list[PairRecord], field: str) -> int | None:
+    """Index of the first record whose ``field`` (``teacher_logits`` or ``label``) is None."""
+    return next((i for i, r in enumerate(records) if getattr(r, field) is None), None)
+
+
 def distill_train(records: list[PairRecord], config: DistillationConfig,
                   model: TwinModel, seed: int = 0) -> TrainingHistory:
     """Train the student against temperature-softened teacher targets.
@@ -250,36 +264,31 @@ def distill_train(records: list[PairRecord], config: DistillationConfig,
     the history is the mean per-pair cross-entropy. Deterministic given the
     seed and record order.
     """
-    if not records:
-        raise ValueError("distillation requires a non-empty record stream")
-    missing = [i for i, r in enumerate(records) if r.teacher_logits is None]
-    if missing:
-        raise ValueError(f"record {missing[0]} has no teacher logits")
-    targets = np.asarray(
-        [soft_label(r.teacher_logits, config.temperature)[1] for r in records]
-    )
+    if (missing := first_lacking(records, "teacher_logits")) is not None:
+        raise ValueError(f"record {missing} has no teacher logits")
+    targets = np.asarray([soft_label(r.teacher_logits, config.temperature)[1] for r in records])
     return _run_epochs(model, records, targets, config.learning_rate,
                        config.epochs, config, seed)
 
 
-def fit_logit_calibration(logits, labels) -> tuple[float, float] | None:
-    """Maximum-likelihood (a, b) of ``labels ~ sigmoid(a * logits + b)``.
+def fit_logit_calibration(logits, targets) -> tuple[float, float] | None:
+    """Maximum-likelihood (a, b) of ``targets ~ sigmoid(a * logits + b)``, targets in [0, 1].
 
     Damped Newton's method from the identity (a, b) = (1, 0). Every accepted
-    step lowers the mean cross-entropy, so the fit never scores the labels
+    step lowers the mean cross-entropy, so the fit never scores the targets
     worse than the logits as given. Returns None when no finite optimum with
-    a > 0 exists: labels of one class only, constant logits, logits that
-    separate the two classes (the optimum lies at infinity), a fitted scale
-    a <= 0, or no convergence within 100 Newton steps.
+    a > 0 exists: one threshold on the logits parts the targets above 0 from
+    those below 1 (0/1 labels of one class, or separable; constant logits),
+    a fitted scale a <= 0, or no convergence within 100 Newton steps.
     """
     z = np.asarray(logits, dtype=np.float64).ravel()
-    y = np.asarray(labels, dtype=np.float64).ravel()
+    y = np.asarray(targets, dtype=np.float64).ravel()
     if z.shape != y.shape:
-        raise ValueError(f"logits and labels differ in shape: {z.shape} vs {y.shape}")
+        raise ValueError(f"logits and targets differ in shape: {z.shape} vs {y.shape}")
     if not np.all(np.isfinite(z)):
         return None
-    pos, neg = z[y == 1.0], z[y == 0.0]
-    # a finite optimum exists iff the two classes overlap on the logit line
+    pos, neg = z[y > 0.0], z[y < 1.0]
+    # a finite optimum exists iff those two sets overlap on the logit line
     if pos.size == 0 or neg.size == 0 or not (pos.min() < neg.max() and neg.min() < pos.max()):
         return None
 
@@ -318,11 +327,12 @@ def fit_logit_calibration(logits, labels) -> tuple[float, float] | None:
     return None
 
 
-def refit_calibration(records: list[PairRecord], model: TwinModel,
-                      batch_size: int = 64) -> tuple[float, float] | None:
-    """Refit the active head's logit calibration to the records' hard labels.
+def refit_calibration(model: TwinModel, q_seqs, k_seqs, targets,
+                      batch_size: int) -> tuple[float, float] | None:
+    """Refit the active head's logit calibration to ``targets`` in [0, 1].
 
-    Scores every record with dropout off, fits (a, b) with
+    Scores the tokenized pairs (``q_seqs[i]``, ``k_seqs[i]``) in chunks of
+    ``batch_size`` with dropout off, fits (a, b) with
     ``fit_logit_calibration`` and folds the fit into the head's final
     affine layer, so each logit z becomes a*z + b:
 
@@ -332,14 +342,12 @@ def refit_calibration(records: list[PairRecord], model: TwinModel,
     With a > 0 no ranking changes. Returns the fitted (a, b), or None with
     the model untouched when the fit has no finite optimum with a > 0.
     """
-    labels = np.asarray([float(r.binary()) for r in records])
     logits = []
-    for lo in range(0, len(records), batch_size):
-        chunk = records[lo : lo + batch_size]
-        q_emb = model.encode_queries([r.query for r in chunk])
-        k_emb = model.encode_keywords([r.keyword for r in chunk])
+    for lo in range(0, len(q_seqs), batch_size):
+        q_emb = model.encode_query_batch(pack_sequences(q_seqs[lo : lo + batch_size]))[0]
+        k_emb = model.encode_keyword_batch(pack_sequences(k_seqs[lo : lo + batch_size]))[0]
         logits.append(crossing.head_forward(model.config.crossing, q_emb, k_emb, model.params)[0])
-    fit = fit_logit_calibration(np.concatenate(logits), labels)
+    fit = fit_logit_calibration(np.concatenate(logits), targets)
     if fit is None:
         return None
     a, b = fit
@@ -353,34 +361,14 @@ def finetune(records: list[PairRecord], config: DistillationConfig,
              model: TwinModel, seed: int = 0) -> TrainingHistory:
     """Post-distillation round on hard binary labels at a reduced rate.
 
-    A student distilled on targets softened at temperature T emits logits
-    on the softened scale, which is mis-calibrated for hard labels: at desk
-    scale a logistic fit of the student's logit to the hard training labels
-    gives a = 1.73, b = +2.28. AdamW at the fine-tune rate moves the head's
-    output bias by only about the learning rate per step, so without a
-    refit that shift travels through the shared encoder weights instead,
-    unevenly per query, and held-out AUC fell (0.9745 -> 0.9707). So when
-    ``finetune_epochs > 0`` the calibration is first refitted and folded
-    into the head (``refit_calibration``, which changes no ranking), and
-    then the epochs run. The fitted (a, b) are logged and go to
-    ``history.calibration``, which is None when the refit is skipped for
-    want of a finite optimum with a > 0. With zero epochs the model is left
-    bit-identical.
+    Every record must carry a label. The refit that starts the phase folds
+    the shift from the softened scale to the hard labels into the head.
     """
-    if not records:
-        raise ValueError("fine-tuning requires a non-empty record stream")
+    if (missing := first_lacking(records, "label")) is not None:
+        raise ValueError(f"record {missing} has no label")
     targets = np.asarray([float(r.binary()) for r in records])
-    calibration = None
-    if config.finetune_epochs > 0:
-        calibration = refit_calibration(records, model, config.batch_size)
-        if calibration is None:
-            logger.info("calibration refit skipped: no finite optimum with a > 0")
-        else:
-            logger.info("calibration refit  a %.6f  b %+.6f", *calibration)
-    history = _run_epochs(model, records, targets, config.finetune_learning_rate,
-                          config.finetune_epochs, config, seed + 1)
-    history.calibration = calibration
-    return history
+    return _run_epochs(model, records, targets, config.finetune_learning_rate,
+                       config.finetune_epochs, config, seed + 1)
 
 
 # ---------------------------------------------------------------------------

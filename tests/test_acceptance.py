@@ -5,9 +5,12 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The distillation bundle
 and takes a few minutes; everything else is fast.
 """
 
+import importlib.util
 import itertools
 import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +82,27 @@ def distillation_bundle():
         "auc_finetuned": auc_finetuned,
         "auc_cosine": auc_cosine,
         "elapsed_s": elapsed,
+        "pairs": pairs, "train": train_r, "test": test_r, "y_test": y_test, "cosine": cosine_model,
     }
+
+
+@pytest.fixture(scope="session")
+def cosine_quality(distillation_bundle):
+    """Held-out AUC, per-query AUC and store P@10 (``scripts/quality_report.py``)
+    of the bundle's cosine student, of the untrained model and of a 1-epoch run."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "quality_report.py"
+    spec = importlib.util.spec_from_file_location("quality_report", path)
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    b = distillation_bundle
+    t0 = time.perf_counter()
+    queries, store, margins = report.store_bundle(b["pairs"], b["test"], seed=42)
+    measure = lambda model: report.quality(model, b["test"], b["y_test"], queries, store, margins > 0)
+    one_epoch = TwinModel.initialize(ModelConfig(crossing="cosine"), seed=0)
+    distill_train(b["train"], replace(TRAIN_CONFIG, epochs=1), one_epoch, seed=0)
+    return {"untrained": measure(TwinModel.initialize(ModelConfig(crossing="cosine"), seed=0)),
+            "epoch 1": measure(one_epoch), "epoch 20": measure(b["cosine"]),
+            "elapsed_s": time.perf_counter() - t0}
 
 
 class TestCriterion1DecouplingEquivalence:
@@ -165,6 +188,27 @@ class TestCriterion4HeadOrdering:
         _report("4 head-ordering", ok)
         print(f"  residual {b['auc_residual']:.4f} vs cosine {b['auc_cosine']:.4f}")
         assert b["auc_residual"] >= b["auc_cosine"] - 0.005
+
+
+@pytest.mark.slow
+class TestCosineStudentGeneralizesAndRetrieves:
+    """The paper reports both variants close to the teacher; the cosine student
+    must also keep the retrieval it starts with."""
+
+    def test_held_out_auc_and_store_precision(self, cosine_quality):
+        q = cosine_quality
+        for name in ("untrained", "epoch 1", "epoch 20"):
+            print(f"  {name}: " + ", ".join(f"{k} {v:.4f}" for k, v in q[name].items()))
+        print(f"  store and 1-epoch run took {q['elapsed_s']:.0f}s")
+        final = q["epoch 20"]
+        ok = (final["auc"] >= 0.95 and final["per_query_auc"] >= 0.95
+              and final["store_p10"] >= q["untrained"]["store_p10"]
+              and final["store_p10"] >= q["epoch 1"]["store_p10"])
+        _report("cosine student generalizes and retrieves", ok)
+        assert final["auc"] >= 0.95
+        assert final["per_query_auc"] >= 0.95
+        assert final["store_p10"] >= q["untrained"]["store_p10"]
+        assert final["store_p10"] >= q["epoch 1"]["store_p10"]
 
 
 class TestCriterion5AnnFidelity:

@@ -194,8 +194,41 @@ class TestDistill:
         assert f"invalid configuration: {named}" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_a_pair_without_teacher_logits_exits_1_naming_its_line(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        data = tmp_path / "pairs.tsv"
+        data.write_text("query\tkeyword\tz_bad\tz_nonbad\tlabel\n"
+                        "red shoes\tred shoe sale\t-1.0\t2.0\tgood\n"
+                        "blue hat\tgreen socks\t\t\tbad\n")
+        out = tmp_path / "m.ckpt"
+        monkeypatch.setattr(TwinModel, "initialize",
+                            classmethod(lambda *args, **kwargs: pytest.fail("model built")))
+        assert main(["distill", "--data", str(data), "--out", str(out), *FAST_MODEL]) == 1
+        err = capsys.readouterr().err
+        assert f"{data}:3: pair has no teacher logits" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_manifest_records_the_calibration_fit(self, workspace):
+        manifest = json.loads((workspace / "model.ckpt.manifest.json").read_text())
+        calibration = manifest["calibration"]  # the workspace's residual student has a fit
+        assert set(calibration) == {"a", "b"}
+        assert calibration["a"] > 0 and np.isfinite(calibration["b"])
+
 
 class TestFinetune:
+    def test_a_pair_without_a_label_exits_1_naming_its_line(self, tmp_path, capsys):
+        data = tmp_path / "pairs.tsv"
+        data.write_text("query\tkeyword\tz_bad\tz_nonbad\tlabel\n"
+                        "red shoes\tred shoe sale\t-1.0\t2.0\tgood\n"
+                        "blue hat\tgreen socks\t1.5\t-2.0\t\n")
+        out = tmp_path / "ft.ckpt"
+        # the checkpoint does not exist: the data is refused before it is loaded
+        assert main(["finetune", "--data", str(data), "--checkpoint", str(tmp_path / "m.ckpt"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{data}:3: pair has no label" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_runs_and_echoes_lr(self, workspace, tmp_path):
         out = tmp_path / "ft.ckpt"
         assert main(["finetune", "--data", str(workspace / "data" / "train.tsv"),
@@ -634,6 +667,25 @@ class TestDiagnostics:
                 for a in QUIET_RUNS[command]]
         assert main([command, *args, "--quiet"]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("seed", [-1, 2**63], ids=["negative", "2**63"])
+    @pytest.mark.parametrize("command", ["gen-synthetic", "distill", "finetune", "bench"])
+    def test_seed_outside_int64_exits_1_before_any_file_is_read(self, command, seed, tmp_path,
+                                                                 capsys):
+        # every input names a file that does not exist, so reading one would fail differently
+        args = [a.replace("WS/", f"{tmp_path}/missing/").replace("TMP/", f"{tmp_path}/")
+                for a in QUIET_RUNS[command]]
+        assert main([command, *args, "--seed", str(seed)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --seed must be in [0, 2**63), got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_file_seed_outside_int64_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        assert main(["distill", "--data", str(tmp_path / "d.tsv"), "--out", str(tmp_path / "m.ckpt"),
+                     "--seed", "3", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: config file {cfg}: 'seed' must be in [0, 2**63), got -1\n"
 
     def test_status_lines_reach_stderr_under_python_m(self, workspace, tmp_path):
         # the module runs as __main__ there, so its logger must be named for the package

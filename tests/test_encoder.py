@@ -486,7 +486,10 @@ class TestPinnedEncodings:
     """Digests of seeded encodings and of a seeded training run, first
     recorded before batches held word starts instead of slot ids: changes to
     packing and embedding must keep every output bit. Re-recorded when the
-    generator's texts moved; the earlier texts still gave the earlier digests."""
+    generator's texts moved; the earlier texts still gave the earlier digests.
+    The cls-unshared training run was re-recorded when distillation began to
+    refit the head first: its fit at init is a = 32.49, b = 10.18, while the
+    weighted-shared run has no fit and kept its digest."""
 
     @pytest.fixture(scope="class")
     def pairs(self):
@@ -526,7 +529,7 @@ class TestPinnedEncodings:
         ("weighted_average", True,
          "76d70010b5f29cb7362275a7c1a9ed5dc2a77d3762fe3a042f9547029de4565b"),
         ("cls_token", False,
-         "136af7a7bf7c7bdcb84ec6f793d2dbcbf7e8d4ffe5e0528ca467a47553e78c68"),
+         "ebacc78995b8e807f332a006edd7445e5633ede8e90c81b2f37efe650214cf7f"),
     ], ids=["weighted-shared", "cls-unshared"])
     def test_parameters_after_distillation_with_dropout(self, pairs, pooling, shared, digest):
         from twinenc import DistillationConfig, distill_train

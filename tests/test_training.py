@@ -21,7 +21,9 @@ from twinenc import (
     soft_label,
     synthetic_teacher,
 )
+from twinenc import crossing
 from twinenc import model as model_mod
+from twinenc import training as training_mod
 from twinenc.encoder import RowGrad, pack_sequences, sigmoid
 from twinenc.metrics import binary_label
 from twinenc.synthetic import generate_pairs, token_jaccard
@@ -459,14 +461,51 @@ class TestDistillTrain:
         with pytest.raises(ValueError, match="teacher logits"):
             distill_train(recs, DistillationConfig(), tiny_model)
 
-    def test_zero_learning_rate_is_noop(self):
+    def test_zero_learning_rate_only_refits_the_head(self):
         model = TwinModel.initialize(ModelConfig(n_layers=1, hidden_size=16, n_heads=2,
                                                  vocab_buckets=64, max_len=6, dropout=0.0), seed=0)
         before = {k: v.copy() for k, v in model.params.items()}
         cfg = DistillationConfig(learning_rate=0.0, epochs=3, batch_size=8)
-        distill_train(_overfit_records(16), cfg, model, seed=0)
-        for name, arr in before.items():
+        history = distill_train(_overfit_records(16), cfg, model, seed=0)
+        a, b = history.calibration
+        weight, bias = crossing.CALIBRATION[model.config.crossing]
+        folded = {**before, weight: a * before[weight], bias: a * before[bias] + b}
+        for name, arr in folded.items():
             np.testing.assert_array_equal(arr, model.params[name], err_msg=name)
+
+    def _tiny(self, head):
+        return TwinModel.initialize(ModelConfig(n_layers=1, hidden_size=16, n_heads=2,
+                                                vocab_buckets=256, max_len=6, dropout=0.1,
+                                                crossing=head), seed=0)
+
+    def test_cosine_student_starts_its_epochs_from_the_folded_head(self, monkeypatch):
+        model = self._tiny("cosine")
+        scale0, bias0 = float(model.params["cosine_head.scale"]), float(model.params["cosine_head.bias"])
+        first_step = []
+        step = training_mod.pair_loss_and_grads
+
+        def recording(model, *args, **kwargs):
+            if not first_step:
+                first_step.append((float(model.params["cosine_head.scale"]),
+                                   float(model.params["cosine_head.bias"])))
+            return step(model, *args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "pair_loss_and_grads", recording)
+        history = distill_train(generate_pairs(128, seed=1), DistillationConfig(epochs=1), model, seed=0)
+        a, b = history.calibration
+        assert a > 0
+        assert first_step == [(a * scale0, a * bias0 + b)]
+
+    def test_residual_student_without_a_fit_trains_as_without_the_refit(self, monkeypatch):
+        records, cfg = generate_pairs(128, seed=1), DistillationConfig(epochs=2)
+        refitted = self._tiny("residual")
+        history = distill_train(records, cfg, refitted, seed=0)
+        assert history.calibration is None
+        monkeypatch.setattr(training_mod, "refit_calibration", lambda *args: None)
+        plain = self._tiny("residual")
+        assert distill_train(records, cfg, plain, seed=0).epoch_losses == history.epoch_losses
+        for name, arr in plain.params.items():
+            np.testing.assert_array_equal(arr, refitted.params[name], err_msg=name)
 
     def test_one_batch_overfit(self):
         model = TwinModel.initialize(ModelConfig(dropout=0.0), seed=0)
@@ -576,6 +615,26 @@ class TestFitLogitCalibration:
         with pytest.raises(ValueError):
             fit_logit_calibration([0.0, 1.0], [1])
 
+    def test_soft_targets_of_a_known_calibration_are_recovered(self):
+        z = np.random.default_rng(0).normal(size=300)
+        a, b = fit_logit_calibration(z, sigmoid(1.7 * z - 0.4))
+        assert a == pytest.approx(1.7, abs=1e-6) and b == pytest.approx(-0.4, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_soft_targets_reach_a_stationary_point(self, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=300)
+        y = sigmoid(rng.normal(size=300) + 0.8 * z)  # every target strictly inside (0, 1)
+        a, b = fit_logit_calibration(z, y)
+        x = np.stack([z, np.ones_like(z)], axis=1)
+        p = sigmoid(x @ [a, b])
+        grad = x.T @ (p - y) / z.size
+        hess = (x * (p * (1.0 - p))[:, None]).T @ x / z.size
+        # the stopping rule: half the squared Newton decrement is at most 1e-12
+        assert grad @ np.linalg.solve(hess, grad) / 2.0 <= 1e-12
+        assert np.all(np.abs(grad) <= 1e-6)
+        assert fit_logit_calibration(np.full(300, 0.7), y) is None
+
 
 class TestRefitCalibration:
     def _model(self, head):
@@ -598,12 +657,17 @@ class TestRefitCalibration:
     def _scores(self, model, records):
         return model.score_pairs([r.query for r in records], [r.keyword for r in records])
 
+    def _refit(self, model, records):
+        seqs = model.tokenize_many([r.query for r in records] + [r.keyword for r in records])
+        labels = np.asarray([float(r.binary()) for r in records])
+        return refit_calibration(model, seqs[:len(records)], seqs[len(records):], labels, 64)
+
     @pytest.mark.parametrize("head", ["residual", "cosine"])
     def test_ranking_unchanged(self, head):
         model = self._model(head)
         records = self._noisy_records()
         before = self._scores(model, records)
-        fit = refit_calibration(records, model)
+        fit = self._refit(model, records)
         assert fit is not None and fit[0] > 0
         after = self._scores(model, records)
         order = np.argsort(before, kind="stable")
@@ -619,7 +683,7 @@ class TestRefitCalibration:
         records = self._noisy_records()
         labels = [r.binary() for r in records]
         before = ce_loss(labels, self._scores(model, records))
-        assert refit_calibration(records, model) is not None
+        assert self._refit(model, records) is not None
         assert ce_loss(labels, self._scores(model, records)) <= before
 
     @pytest.mark.parametrize("head", ["residual", "cosine"])
@@ -628,7 +692,7 @@ class TestRefitCalibration:
         records = [PairRecord(query=r.query, keyword=r.keyword, label="1")
                    for r in _overfit_records(16)]
         before = {k: v.copy() for k, v in model.params.items()}
-        assert refit_calibration(records, model) is None
+        assert self._refit(model, records) is None
         for name, arr in before.items():
             np.testing.assert_array_equal(arr, model.params[name], err_msg=name)
         history = finetune(records, DistillationConfig(finetune_epochs=1, batch_size=8),
