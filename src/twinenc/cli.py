@@ -80,19 +80,10 @@ def _score(cell: str) -> float:
     return value
 
 
-def _seed(args, file_cfg: dict) -> int:
-    """The run's seed: the config file's, else ``--seed``'s, else 0. One outside
-    [0, 2**63) is refused, naming the value and where it came from."""
-    source = f"config file {args.config}: 'seed'" if "seed" in file_cfg else "--seed"
-    seed = file_cfg.get("seed", 0 if args.seed is None else args.seed)
-    if type(seed) is not int:
-        raise CliError(f"{source} must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**63:
-        raise CliError(f"{source} must be in [0, 2**63), got {seed}")
-    return seed
-
-
 def _load_config_file(args) -> dict:
+    """The config file's settings, ``{}`` without ``--config``, with ``seed`` set to the
+    run's: the file's, else ``--seed``'s, else 0. The seed is checked here, so a seeded
+    command reads no other file when it is outside [0, 2**63); the error names its source."""
     path = args.config
     try:
         raw = {} if path is None else json.loads(textio.read_text(_require_file(path)))
@@ -100,7 +91,12 @@ def _load_config_file(args) -> dict:
         raise CliError(f"{path}:{exc.lineno}: config file is not valid JSON: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise CliError(f"config file {path} must hold a JSON object")
-    _seed(args, raw)  # here, so a seeded command reads no other file with a bad seed
+    source = f"config file {path}: 'seed'" if "seed" in raw else "--seed"
+    seed = raw.setdefault("seed", 0 if args.seed is None else args.seed)
+    if type(seed) is not int:
+        raise CliError(f"{source} must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**63:
+        raise CliError(f"{source} must be in [0, 2**63), got {seed}")
     for key in ("model", "distill"):
         if not isinstance(raw.get(key, {}), dict):
             raise CliError(f"config file {path}: {key!r} must be a JSON object")
@@ -148,6 +144,7 @@ def _config_kwargs(cls, args, file_section: dict) -> dict:
 
 def _resolve(args, file_cfg: dict, model: TwinModel | None = None) -> dict:
     """Merge defaults <- flags <- config file into one resolved dict, and log it.
+    ``file_cfg`` is as ``_load_config_file`` returns it, holding the checked seed.
     A loaded ``model``'s config replaces the resolved one."""
     try:
         config = PRESETS[file_cfg.get("preset", getattr(args, "preset", None)) or "desk"](
@@ -159,7 +156,7 @@ def _resolve(args, file_cfg: dict, model: TwinModel | None = None) -> dict:
     resolved = {
         "model": config.to_dict(),
         "distill": distill.to_dict(),
-        "seed": _seed(args, file_cfg),
+        "seed": file_cfg.get("seed", 0),
     }
     if model is not None:
         resolved["model"] = model.config.to_dict()
@@ -193,8 +190,7 @@ def _emit(path: str | Path | None, rows, manifest: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synthetic(args) -> int:
-    file_cfg = _load_config_file(args)
-    seed = _seed(args, file_cfg)
+    seed = _load_config_file(args)["seed"]
     out_dir = Path(args.out_dir)
 
     pairs = generate_pairs(
@@ -249,8 +245,7 @@ def _train(command: str, phase, args, resolved: dict, model: TwinModel, records,
 
 
 def cmd_distill(args) -> int:
-    file_cfg = _load_config_file(args)
-    resolved = _resolve(args, file_cfg)
+    resolved = _resolve(args, _load_config_file(args))
     records = _training_pairs(args.data, "teacher_logits")
     return _train("distill", distill_train, args, resolved, _build_model(resolved), records)
 

@@ -29,6 +29,7 @@ from .encoder import (
 from .text import NORMALIZATION_VERSION, TokenSequence, TrigramVocab, encode_text
 
 SERVING_DTYPE = np.float32  # the one dtype that score, search, encode-corpus and bench serve in
+SERVING_TOLERANCE = 1e-6  # how far a served probability may be from the float64 one
 
 
 class OpCounters:

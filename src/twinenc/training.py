@@ -22,7 +22,7 @@ from . import crossing, textio
 from .config import DistillationConfig
 from .encoder import RowGrad, pack_sequences, sigmoid
 from .metrics import binary_label
-from .model import TwinModel
+from .model import SERVING_DTYPE, SERVING_TOLERANCE, TwinModel
 from .text import encodable
 
 logger = logging.getLogger(__name__)
@@ -222,10 +222,6 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
     q_seqs, k_seqs = seqs[:n], seqs[n:]
     bs = config.batch_size
     history.calibration = refit_calibration(model, q_seqs, k_seqs, targets, bs)
-    if history.calibration is None:
-        logger.info("calibration refit skipped: no finite optimum with a > 0")
-    else:
-        logger.info("calibration refit  a %.6f  b %+.6f", *history.calibration)
     optimizer = AdamW(lr=lr, weight_decay=config.weight_decay)
     shuffle_rng = np.random.default_rng([seed, 0xDA7A])
     dropout_rng = np.random.default_rng([seed, 0xD120])
@@ -276,10 +272,13 @@ def fit_logit_calibration(logits, targets) -> tuple[float, float] | None:
 
     Damped Newton's method from the identity (a, b) = (1, 0). Every accepted
     step lowers the mean cross-entropy, so the fit never scores the targets
-    worse than the logits as given. Returns None when no finite optimum with
-    a > 0 exists: one threshold on the logits parts the targets above 0 from
-    those below 1 (0/1 labels of one class, or separable; constant logits),
-    a fitted scale a <= 0, or no convergence within 100 Newton steps.
+    worse than the logits as given. Once half the squared Newton decrement
+    is at most 1e-12, well inside Newton's quadratic region, one last full
+    step takes the gradient down to rounding. Returns None when no finite
+    optimum with a > 0 exists: one threshold on the logits parts the targets
+    above 0 from those below 1 (0/1 labels of one class, or separable;
+    constant logits), a fitted scale a <= 0, or no convergence within 100
+    Newton steps.
     """
     z = np.asarray(logits, dtype=np.float64).ravel()
     y = np.asarray(targets, dtype=np.float64).ravel()
@@ -312,7 +311,7 @@ def fit_logit_calibration(logits, targets) -> tuple[float, float] | None:
         if not np.isfinite(decrement):
             return None
         if decrement / 2.0 <= 1e-12:
-            a, b = float(theta[0]), float(theta[1])
+            a, b = (float(v) for v in theta - step)  # the last, full step
             return (a, b) if a > 0.0 else None
         t = 1.0
         while t > 1e-10:  # backtrack until the Armijo condition holds
@@ -325,6 +324,15 @@ def fit_logit_calibration(logits, targets) -> tuple[float, float] | None:
             return None
         theta, loss = candidate, c_loss
     return None
+
+
+def _logits(model: TwinModel, q_seqs, k_seqs, batch_size: int) -> np.ndarray:
+    """The active head's logits of the tokenized pairs, ``batch_size`` at a time, dropout off."""
+    return np.concatenate([crossing.head_forward(
+        model.config.crossing,
+        model.encode_query_batch(pack_sequences(q_seqs[lo : lo + batch_size]))[0],
+        model.encode_keyword_batch(pack_sequences(k_seqs[lo : lo + batch_size]))[0],
+        model.params)[0] for lo in range(0, len(q_seqs), batch_size)])
 
 
 def refit_calibration(model: TwinModel, q_seqs, k_seqs, targets,
@@ -340,20 +348,27 @@ def refit_calibration(model: TwinModel, q_seqs, k_seqs, targets,
     - cosine head: ``scale <- a*scale``, ``bias <- a*bias + b``
 
     With a > 0 no ranking changes. Returns the fitted (a, b), or None with
-    the model untouched when the fit has no finite optimum with a > 0.
+    the model untouched when the fit has no finite optimum with a > 0, or
+    when the folded model served in ``SERVING_DTYPE`` would score one of the
+    pairs more than ``SERVING_TOLERANCE`` from its float64 probability (a
+    huge a amplifies float32 rounding).
     """
-    logits = []
-    for lo in range(0, len(q_seqs), batch_size):
-        q_emb = model.encode_query_batch(pack_sequences(q_seqs[lo : lo + batch_size]))[0]
-        k_emb = model.encode_keyword_batch(pack_sequences(k_seqs[lo : lo + batch_size]))[0]
-        logits.append(crossing.head_forward(model.config.crossing, q_emb, k_emb, model.params)[0])
-    fit = fit_logit_calibration(np.concatenate(logits), targets)
+    z = _logits(model, q_seqs, k_seqs, batch_size)
+    fit = fit_logit_calibration(z, targets)
     if fit is None:
+        logger.info("calibration refit skipped: no finite optimum with a > 0")
         return None
     a, b = fit
     weight, bias = crossing.CALIBRATION[model.config.crossing]
-    model.params[weight] = np.asarray(a * model.params[weight])
-    model.params[bias] = np.asarray(a * model.params[bias] + b)
+    folded = {weight: np.asarray(a * model.params[weight]), bias: np.asarray(a * model.params[bias] + b)}
+    served = TwinModel(model.config, {**model.params, **folded}).cast(SERVING_DTYPE)
+    error = np.abs(sigmoid(_logits(served, q_seqs, k_seqs, batch_size)) - sigmoid(a * z + b)).max()
+    if error > SERVING_TOLERANCE:
+        logger.info("calibration refit skipped: served, a %.6f b %+.6f would move a probability by %.2g",
+                    a, b, error)
+        return None
+    model.params.update(folded)
+    logger.info("calibration refit  a %.6f  b %+.6f", a, b)
     return fit
 
 

@@ -5,12 +5,10 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The distillation bundle
 and takes a few minutes; everything else is fast.
 """
 
-import importlib.util
 import itertools
 import math
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +31,7 @@ from twinenc.metrics import dcg_at, ndcg_at
 from twinenc.synthetic import generate_pairs, split_pairs
 
 from gradcheck import finite_difference_check
+from script_loader import load_script
 
 
 def _report(criterion: str, passed: bool = True) -> None:
@@ -90,10 +89,7 @@ def distillation_bundle():
 def cosine_quality(distillation_bundle):
     """Held-out AUC, per-query AUC and store P@10 (``scripts/quality_report.py``)
     of the bundle's cosine student, of the untrained model and of a 1-epoch run."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "quality_report.py"
-    spec = importlib.util.spec_from_file_location("quality_report", path)
-    report = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(report)
+    report = load_script("quality_report")
     b = distillation_bundle
     t0 = time.perf_counter()
     queries, store, margins = report.store_bundle(b["pairs"], b["test"], seed=42)

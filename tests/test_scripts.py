@@ -1,28 +1,18 @@
 """Smoke tests of the scripts under ``scripts/``."""
 
-import importlib.util
-from pathlib import Path
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def _script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from script_loader import load_script
 
 
 def test_run_pipeline_runs_every_command(tmp_path):
     # gen-synthetic, distill, finetune, encode-corpus, build-index, search,
     # score, eval-auc and eval-ndcg, each through the CLI's main
-    assert _script("run_pipeline").run(tmp_path, seed=0, pairs=200, epochs=1) == 0
+    assert load_script("run_pipeline").run(tmp_path, seed=0, pairs=200, epochs=1) == 0
     assert (tmp_path / "hits.tsv").is_file()
     assert (tmp_path / "scored.tsv").is_file()
 
 
 def test_quality_report_has_every_row_and_column():
-    report = _script("quality_report").report(1, n_pairs=300, n_queries=30, epochs=1)
+    report = load_script("quality_report").report(1, n_pairs=300, n_queries=30, epochs=1)
     rows = report["rows"]
     assert list(rows) == ["teacher", "untrained", "cosine", "cosine, fine-tuned", "cosine, unshared",
                           "cosine, cls_token", "residual", "residual, fine-tuned",

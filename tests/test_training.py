@@ -507,6 +507,21 @@ class TestDistillTrain:
         for name, arr in plain.params.items():
             np.testing.assert_array_equal(arr, refitted.params[name], err_msg=name)
 
+    def test_cls_token_cosine_student_serves_within_the_tolerance_of_float64(self, caplog):
+        # its init logits are nearly constant, so the fit is huge (a about 4,000,
+        # b about -17,000): folded, float32 rounding of the head's terms would
+        # move a probability by about 6e-4, so the fit is not folded
+        pairs = generate_pairs(300, seed=18, n_queries=40)
+        model = TwinModel.initialize(ModelConfig(pooling="cls_token", crossing="cosine"), seed=6)
+        with caplog.at_level(logging.INFO, logger="twinenc.training"):
+            history = distill_train(pairs[:128], DistillationConfig(epochs=2, batch_size=32,
+                                                                    learning_rate=1e-3), model, seed=3)
+        assert history.calibration is None
+        assert "calibration refit skipped: served" in caplog.text
+        queries, keywords = [p.query for p in pairs[128:]], [p.keyword for p in pairs[128:]]
+        served = model.cast(model_mod.SERVING_DTYPE).score_pairs(queries, keywords)
+        assert np.abs(served - model.score_pairs(queries, keywords)).max() <= model_mod.SERVING_TOLERANCE
+
     def test_one_batch_overfit(self):
         model = TwinModel.initialize(ModelConfig(dropout=0.0), seed=0)
         cfg = DistillationConfig(learning_rate=1e-3, epochs=200, batch_size=32)
@@ -628,11 +643,8 @@ class TestFitLogitCalibration:
         a, b = fit_logit_calibration(z, y)
         x = np.stack([z, np.ones_like(z)], axis=1)
         p = sigmoid(x @ [a, b])
-        grad = x.T @ (p - y) / z.size
-        hess = (x * (p * (1.0 - p))[:, None]).T @ x / z.size
-        # the stopping rule: half the squared Newton decrement is at most 1e-12
-        assert grad @ np.linalg.solve(hess, grad) / 2.0 <= 1e-12
-        assert np.all(np.abs(grad) <= 1e-6)
+        grad = x.T @ (p - y) / z.size  # of the mean cross-entropy
+        assert np.all(np.abs(grad) <= 1e-9)
         assert fit_logit_calibration(np.full(300, 0.7), y) is None
 
 
