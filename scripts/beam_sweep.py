@@ -50,7 +50,7 @@ def main(argv=None) -> int:
 
     sizes = workloads.FULL
     model, corpus, queries = workloads.search_inputs(args.seed, sizes)
-    store = encode_corpus(corpus, model, batch_size=256)
+    store = encode_corpus(corpus, model)
     scan = checks.Scan(list(store.ids), store.vectors)
     start = time.perf_counter()
     build_graph(store, degree_bound=sizes.search_degree, build_beam=sizes.search_build_beam)

@@ -45,14 +45,10 @@ from twinenc.synthetic import generate_pairs, split_pairs
 SEEDS = (42, 7, 123)
 STORE_QUERIES = 100
 TOP = 10
-CHUNK = 512  # texts per forward
 
 
 def scores(model: TwinModel, records) -> np.ndarray:
-    return np.concatenate([
-        model.score_pairs([r.query for r in records[lo : lo + CHUNK]],
-                          [r.keyword for r in records[lo : lo + CHUNK]])
-        for lo in range(0, len(records), CHUNK)])
+    return model.score_pairs([r.query for r in records], [r.keyword for r in records])
 
 
 def per_query_auc(scores, records) -> float:
@@ -65,15 +61,13 @@ def per_query_auc(scores, records) -> float:
     return float(np.mean(aucs))
 
 
-def unit_rows(model: TwinModel, texts: list[str], encode) -> np.ndarray:
-    rows = np.concatenate([encode(model, texts[lo : lo + CHUNK]) for lo in range(0, len(texts), CHUNK)])
+def unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def store_precision(model: TwinModel, queries: list[str], store: list[str], relevant: np.ndarray) -> float:
     """Mean share of relevant keywords in each query's top ``TOP`` of ``store`` by exact cosine."""
-    sims = (unit_rows(model, queries, TwinModel.encode_queries)
-            @ unit_rows(model, store, TwinModel.encode_keywords).T)
+    sims = unit_rows(model.encode_queries(queries)) @ unit_rows(model.encode_keywords(store)).T
     return top_precision(sims, relevant)
 
 

@@ -40,14 +40,13 @@ from . import textio
 from .checkpoint import FORMAT_VERSION, config_hash, file_sha256
 from .config import CROSSING_MODES, PRESETS, DistillationConfig, ModelConfig, POOLING_MODES
 from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
-from .model import SERVING_DTYPE, TwinModel
+from .model import SERVE_BATCH, SERVING_DTYPE, TwinModel
 from .synthetic import generate_pairs, split_pairs
 from .text import ENCODABLE, encodable
 from .training import PairRecord, distill_train, finetune, first_lacking, load_pair_tsv, pair_tsv_rows
 
 # not __name__: under ``python -m twinenc.cli`` that is ``__main__``, outside the package logger
 logger = logging.getLogger("twinenc.cli")
-_SERVE_BATCH = 256  # texts per forward in encode-corpus, score and search
 
 
 class CliError(Exception):
@@ -100,8 +99,12 @@ def _load_config_file(args) -> dict:
     for key in ("model", "distill"):
         if not isinstance(raw.get(key, {}), dict):
             raise CliError(f"config file {path}: {key!r} must be a JSON object")
-    if "vocab_hash_seed" in raw:
-        raise CliError(f"config file {path}: 'vocab_hash_seed' belongs inside its \"model\" object")
+    for key in sorted(raw.keys() - {"preset", "model", "distill", "seed"}):  # the first one fails
+        owner = [s for s, cls in (("model", ModelConfig), ("distill", DistillationConfig))
+                 if key in {f.name for f in dataclasses.fields(cls)}]
+        where = (f'belongs inside its "{owner[0]}" object' if owner
+                 else "is unknown; the sections are preset, model, distill and seed")
+        raise CliError(f"config file {path}: {key!r} {where}")
     if raw.get("preset", "desk") not in tuple(PRESETS):  # a tuple: a JSON list is unhashable
         raise CliError(f"config file {path}: 'preset' must be one of {tuple(PRESETS)}")
     return raw
@@ -263,7 +266,7 @@ def cmd_finetune(args) -> int:
 def cmd_encode_corpus(args) -> int:
     model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     ids, texts = textio.read_corpus(_require_file(args.corpus))
-    store = index_mod.encode_corpus(texts, model, ids=ids, batch_size=_SERVE_BATCH)
+    store = index_mod.encode_corpus(texts, model, ids=ids)
     store.save(args.out)
     resolved = {"model": model.config.to_dict()}
     textio.write_manifest(args.out, _manifest(
@@ -313,8 +316,8 @@ def cmd_search(args) -> int:
 
     def rows():
         yield "query", "rank", "keyword_id", "cosine_score"
-        for lo in range(0, len(queries), _SERVE_BATCH):
-            chunk = queries[lo : lo + _SERVE_BATCH]
+        for lo in range(0, len(queries), SERVE_BATCH):
+            chunk = queries[lo : lo + SERVE_BATCH]
             q_embs = model.encode_queries(chunk)
             for query, q_unit in zip(chunk, q_embs / np.linalg.norm(q_embs, axis=1, keepdims=True)):
                 if args.mode == "exact":
@@ -334,18 +337,10 @@ def cmd_score(args) -> int:
     table = textio.read_table(_require_file(args.pairs), last_optional="label")
     queries, keywords = (table.column(name, encodable, ENCODABLE) for name in ("query", "keyword"))
     head = args.head or model.config.crossing
-    manifest = _manifest("score", {"head": head},
-                         checkpoint_sha256=file_sha256(args.checkpoint))
-
-    def rows():
-        yield table.header + ["prob"]
-        for lo in range(0, len(table.rows), _SERVE_BATCH):
-            hi = lo + _SERVE_BATCH
-            probs = model.score_pairs(queries[lo:hi], keywords[lo:hi], head=head)
-            for (_, cells), p in zip(table.rows[lo:hi], probs):
-                yield cells + [f"{float(p):.10f}"]
-
-    _emit(args.out, rows(), manifest)
+    probs = model.score_pairs(queries, keywords, head=head)
+    rows = [cells + [f"{float(p):.10f}"] for (_, cells), p in zip(table.rows, probs)]
+    _emit(args.out, [table.header + ["prob"], *rows],
+          _manifest("score", {"head": head}, checkpoint_sha256=file_sha256(args.checkpoint)))
     return 0
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import encoder, textio
 from .checkpoint import atomic_write, pack_str, read_preamble, write_preamble
-from .model import OpCounters, TwinModel
+from .model import SERVE_BATCH, OpCounters, TwinModel
 from .text import TokenSequence, encodable
 
 logger = logging.getLogger(__name__)
@@ -181,7 +181,7 @@ def encode_corpus(
     keywords,
     model: TwinModel,
     ids: list[str] | None = None,
-    batch_size: int = 256,
+    batch_size: int = SERVE_BATCH,
     normalize: bool = True,
 ) -> EmbeddingIndex:
     """Encode a keyword stream into an embedding store.

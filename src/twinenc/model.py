@@ -30,6 +30,7 @@ from .text import NORMALIZATION_VERSION, TokenSequence, TrigramVocab, encode_tex
 
 SERVING_DTYPE = np.float32  # the one dtype that score, search, encode-corpus and bench serve in
 SERVING_TOLERANCE = 1e-6  # how far a served probability may be from the float64 one
+SERVE_BATCH = 256  # texts per inference forward in encode_queries, encode_keywords and score_pairs
 
 
 class OpCounters:
@@ -84,6 +85,10 @@ class TwinModel:
     def keyword_prefix(self) -> str:
         return encoder_prefixes(self.config)[1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params["cosine_head.scale"].dtype  # ``cast`` casts every tensor alike
+
     @staticmethod
     def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every parameter ``initialize`` gives ``config``."""
@@ -125,10 +130,15 @@ class TwinModel:
         return emb, saved
 
     def encode_queries(self, texts: list[str]) -> np.ndarray:
-        return self.encode_query_batch(pack_sequences(self.tokenize_many(texts)))[0]
+        return self._encode(self.encode_query_batch, self.tokenize_many(texts))
 
     def encode_keywords(self, texts: list[str]) -> np.ndarray:
-        return self.encode_keyword_batch(pack_sequences(self.tokenize_many(texts)))[0]
+        return self._encode(self.encode_keyword_batch, self.tokenize_many(texts))
+
+    def _encode(self, encode_batch, seqs: list[TokenSequence]) -> np.ndarray:
+        """``encode_batch``'s rows of ``seqs``, ``SERVE_BATCH`` per forward; no sequences, no rows."""
+        return np.concatenate([np.empty((0, self.config.hidden_size), self.dtype), *(
+            encode_batch(pack_sequences(seqs[lo : lo + SERVE_BATCH]))[0] for lo in range(0, len(seqs), SERVE_BATCH))])
 
     def backward_query(self, d_emb, cache, batch: PackedBatch, grads: dict) -> None:
         encoder_backward(d_emb, cache, self.params, self.query_prefix, batch, self.config, grads)
@@ -148,9 +158,9 @@ class TwinModel:
     def score_pairs(self, queries: list[str], keywords: list[str], head: str | None = None) -> np.ndarray:
         if len(queries) != len(keywords):
             raise ValueError("queries and keywords must pair up one to one")
-        q_emb = self.encode_queries(queries)
-        k_emb = self.encode_keywords(keywords)
-        return self.score_embeddings(q_emb, k_emb, head=head)
+        batches = [slice(lo, lo + SERVE_BATCH) for lo in range(0, len(queries), SERVE_BATCH)]
+        return np.concatenate([np.empty(0, self.dtype), *(self.score_embeddings(
+            self.encode_queries(queries[b]), self.encode_keywords(keywords[b]), head=head) for b in batches)])
 
     # -- persistence -------------------------------------------------------
 

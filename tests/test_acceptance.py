@@ -39,11 +39,7 @@ def _report(criterion: str, passed: bool = True) -> None:
 
 
 def _auc_of(model, records, labels):
-    scores = []
-    for lo in range(0, len(records), 512):
-        chunk = records[lo : lo + 512]
-        scores.extend(model.score_pairs([r.query for r in chunk], [r.keyword for r in chunk]))
-    return roc_auc(scores, labels)
+    return roc_auc(model.score_pairs([r.query for r in records], [r.keyword for r in records]), labels)
 
 
 # ---------------------------------------------------------------------------

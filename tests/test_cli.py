@@ -405,6 +405,15 @@ class TestScore:
         assert len(rows) > 50
         np.testing.assert_allclose(probs, want, rtol=0, atol=1e-6)
 
+    def test_header_without_rows_writes_the_manifest_and_the_header(self, workspace, tmp_path):
+        pairs, scored = tmp_path / "pairs.tsv", tmp_path / "scored.tsv"
+        pairs.write_text("query\tkeyword\tlabel\n")
+        assert main(["score", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--pairs", str(pairs), "--out", str(scored), "--quiet"]) == 0
+        manifest, header = scored.read_text().splitlines()
+        assert manifest.startswith("# manifest: ") and '"command": "score"' in manifest
+        assert header == "query\tkeyword\tlabel\tprob"
+
     def test_short_row_still_fails_when_the_last_column_is_not_label(self, workspace, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("query\tkeyword\tnote\nred\tred shoes\n")

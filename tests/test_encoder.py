@@ -12,7 +12,7 @@ import pytest
 
 import twinenc
 from twinenc import ModelConfig, TwinModel
-from twinenc.crossing import residual_head_forward
+from twinenc.crossing import head_prob, residual_head_forward
 from twinenc.encoder import (
     _layernorm_forward,
     _linear_forward,
@@ -24,6 +24,7 @@ from twinenc.encoder import (
     pack_sequences,
     pool_forward,
 )
+from twinenc.model import SERVE_BATCH
 from twinenc.text import TrigramVocab, encode_text
 
 
@@ -377,6 +378,76 @@ class TestCacheFreeForward:
         model.encode_keyword_batch(batch)
         peak = _traced_peak(lambda: model.encode_keyword_batch(batch))
         assert peak <= 6.5 * activation, peak / activation
+
+
+class TestServeBatch:
+    """``encode_queries``, ``encode_keywords`` and ``score_pairs`` give each
+    inference forward at most ``SERVE_BATCH`` sequences, and their rows equal
+    those of the per-batch forwards."""
+
+    N = 2 * SERVE_BATCH + 1
+    QUERIES = [f"{'red ' * (i % 4)}shoes {i}" for i in range(N)]
+    KEYWORDS = [f"cheap {'blue ' * (i % 3)}hat {i}" for i in range(N)]
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """Side -> the ``n_examples`` of each ``encode_<side>_batch`` call, in order."""
+        sizes = {"query": [], "keyword": []}
+        for side, calls in sizes.items():
+            real = getattr(TwinModel, f"encode_{side}_batch")
+
+            def counting(model, batch, *, _real=real, _calls=calls, **kwargs):
+                _calls.append(batch.n_examples)
+                return _real(model, batch, **kwargs)
+
+            monkeypatch.setattr(TwinModel, f"encode_{side}_batch", counting)
+        return sizes
+
+    @staticmethod
+    def _reference(model, side: str, texts: list[str]) -> np.ndarray:
+        encode = getattr(model, f"encode_{side}_batch")
+        return np.concatenate([encode(pack_sequences(model.tokenize_many(texts[lo : lo + SERVE_BATCH])))[0]
+                               for lo in range(0, len(texts), SERVE_BATCH)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side, api", [("query", "encode_queries"), ("keyword", "encode_keywords")])
+    def test_encoders_run_serve_batch_texts_per_forward(self, tiny_model, sizes, side, api, dtype):
+        model = tiny_model.cast(dtype)
+        texts = self.QUERIES if side == "query" else self.KEYWORDS
+        rows = getattr(model, api)(texts)
+        assert sizes == {"query": [], "keyword": [], side: [SERVE_BATCH, SERVE_BATCH, 1]}
+        assert model.counters.as_dict() == {"query_encoder_passes": 0, "keyword_encoder_passes": 0,
+                                            "cross_encoder_passes": 0, "crossing_evals": 0,
+                                            f"{side}_encoder_passes": self.N}
+        want = self._reference(model, side, texts)
+        assert rows.dtype == want.dtype == dtype and rows.shape == (self.N, model.config.hidden_size)
+        assert rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("head", ["cosine", "residual"])
+    def test_score_pairs_crosses_serve_batch_pairs_at_a_time(self, tiny_model, sizes, head, dtype):
+        model = tiny_model.cast(dtype)
+        probs = model.score_pairs(self.QUERIES, self.KEYWORDS, head=head)
+        assert sizes == {"query": [SERVE_BATCH, SERVE_BATCH, 1], "keyword": [SERVE_BATCH, SERVE_BATCH, 1]}
+        assert model.counters.as_dict() == {"query_encoder_passes": self.N, "keyword_encoder_passes": self.N,
+                                            "cross_encoder_passes": 0, "crossing_evals": self.N}
+        q = self._reference(model, "query", self.QUERIES)
+        k = self._reference(model, "keyword", self.KEYWORDS)
+        want = np.concatenate([head_prob(head, q[lo : lo + SERVE_BATCH], k[lo : lo + SERVE_BATCH], model.params)
+                               for lo in range(0, self.N, SERVE_BATCH)])
+        assert probs.dtype == want.dtype == dtype and probs.shape == (self.N,)
+        assert probs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_texts_give_an_empty_array_of_the_model_dtype(self, tiny_model, sizes, dtype):
+        model = tiny_model.cast(dtype)
+        assert model.dtype == dtype
+        for rows in (model.encode_queries([]), model.encode_keywords([])):
+            assert rows.dtype == dtype and rows.shape == (0, model.config.hidden_size)
+        probs = model.score_pairs([], [])
+        assert probs.dtype == dtype and probs.shape == (0,)
+        assert sizes == {"query": [], "keyword": []}
+        assert not any(model.counters.as_dict().values())
 
 
 class TestForwardLeavesArgumentsAlone:

@@ -361,6 +361,12 @@ CLI_CASES = {
                                          ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT",
                                           "--config", "BAD"],
                                          "BAD: 'vocab_hash_seed' belongs inside its \"model\" object"),
+    "config_top_level_epochs": (json.dumps({"epochs": 1}).encode(),
+                                ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+                                "BAD: 'epochs' belongs inside its \"distill\" object"),
+    "config_unknown_key": (json.dumps({"lr": 5}).encode(),
+                           ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
+                           "BAD: 'lr' is unknown; the sections are preset, model, distill and seed"),
     "config_float_hidden_size": (json.dumps({"model": {"hidden_size": 64.0}}).encode(),
                                  ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
                                  "invalid configuration: hidden_size must be an integer, got 64.0"),
