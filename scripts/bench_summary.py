@@ -10,6 +10,12 @@ optionally labelled:
 
     python3 scripts/bench_summary.py benchmark/results
     python3 scripts/bench_summary.py before=../old/benchmark/results after=benchmark/results
+
+Each directory's ``checkout`` is ``git`` when its runs recorded a commit,
+``plain`` when they ran in a copy without ``.git`` (``git_sha`` reads
+``unknown``) and ``mixed`` otherwise. ``peak_rss_mb`` moves with the kind of
+checkout alone, so labelled directories also get ``checkout_kinds_differ``,
+and a warning on stderr when it is true.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ def record_metrics(record: dict) -> dict[str, tuple[float, str]]:
     return metrics
 
 
+def checkout_kind(envs: list[dict]) -> str:
+    plain = {e.get("git_sha") == "unknown" for e in envs}
+    return "mixed" if len(plain) > 1 else "plain" if True in plain else "git"
+
+
 def summarize(results_dir: Path, workloads: list[str] | None = None) -> dict:
     groups: dict[tuple[str, int], list[dict]] = defaultdict(list)
     for path in sorted(results_dir.glob("*.json")):
@@ -43,7 +54,8 @@ def summarize(results_dir: Path, workloads: list[str] | None = None) -> dict:
         raise SystemExit(f"bench_summary: no result records in {results_dir}")
     envs = [r["environment"] for records in groups.values() for r in records]
     differ = sorted(k for k in envs[0] if any(e.get(k) != envs[0][k] for e in envs))
-    out: dict = {"environment": envs[0], "environment_keys_that_differ": differ}
+    out: dict = {"environment": envs[0], "environment_keys_that_differ": differ,
+                 "checkout": checkout_kind(envs)}
     for (workload, trace), records in sorted(groups.items()):
         values: dict[str, list[float]] = defaultdict(list)
         units: dict[str, str] = {}
@@ -71,7 +83,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     labelled = [d.split("=", 1) if "=" in d else (None, d) for d in args.dirs]
     summaries = {label: summarize(Path(d), args.workload) for label, d in labelled}
-    out = summaries[None] if list(summaries) == [None] else summaries
+    if list(summaries) == [None]:
+        out = summaries[None]
+    else:
+        kinds = {label: summary["checkout"] for label, summary in summaries.items()}
+        differ = len(set(kinds.values())) > 1 or "mixed" in kinds.values()
+        out = {**summaries, "checkout_kinds_differ": differ}
+        if differ:
+            named = ", ".join(f"{label}: {kind}" for label, kind in kinds.items())
+            print(f"bench_summary: warning: checkout kinds differ ({named}); peak_rss_mb"
+                  " depends on the kind of checkout, not only on the source", file=sys.stderr)
     json.dump(out, sys.stdout, indent=2, sort_keys=False)
     print()
     return 0

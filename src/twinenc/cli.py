@@ -43,7 +43,8 @@ from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
 from .model import SERVE_BATCH, SERVING_DTYPE, TwinModel
 from .synthetic import generate_pairs, split_pairs
 from .text import ENCODABLE, encodable
-from .training import PairRecord, distill_train, finetune, first_lacking, load_pair_tsv, pair_tsv_rows
+from .training import (PairRecord, TrainingDivergedError, distill_train, finetune, first_lacking,
+                       load_pair_tsv, pair_tsv_rows)
 
 # not __name__: under ``python -m twinenc.cli`` that is ``__main__``, outside the package logger
 logger = logging.getLogger("twinenc.cli")
@@ -534,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     package.propagate = False
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, TrainingDivergedError) as exc:
         logger.error("error: %s", exc)
         return 1
     finally:

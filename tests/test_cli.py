@@ -208,6 +208,18 @@ class TestDistill:
         assert f"{data}:3: pair has no teacher logits" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverged_run_exits_1_without_a_checkpoint(self, tmp_path, capsys):
+        assert main(["gen-synthetic", "--out-dir", str(tmp_path), "--pairs", "400",
+                     "--queries", "40", "--quiet"]) == 0
+        out = tmp_path / "m.ckpt"
+        assert main(["distill", "--data", str(tmp_path / "train.tsv"), "--out", str(out), "--quiet",
+                     "--layers", "1", "--hidden-size", "16", "--dropout", "0", "--lr", "1e6",
+                     "--epochs", "5"]) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert errors == ["error: non-finite loss at epoch 3, step 19: nan"]
+        assert not out.exists() and not (tmp_path / "m.ckpt.manifest.json").exists()
+
     def test_manifest_records_the_calibration_fit(self, workspace):
         manifest = json.loads((workspace / "model.ckpt.manifest.json").read_text())
         calibration = manifest["calibration"]  # the workspace's residual student has a fit

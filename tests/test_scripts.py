@@ -29,6 +29,26 @@ def test_quality_report_has_every_row_and_column():
     assert report["store_queries"] == 6 and report["store_keywords"] > 200
 
 
+def test_bench_summary_flags_mixed_checkout_kinds(tmp_path, capsys):
+    for label, sha in (("clone", "7e805d1e2bf12a2c3d9b906685e70632ea60893d"), ("copy", "unknown")):
+        (tmp_path / label).mkdir()
+        record = {"workload": "train", "trace": 0, "seed": 11, "environment": {"git_sha": sha},
+                  "result": {"metrics": {"peak_rss_mb": {"value": 59.5, "unit": "MB"}}}}
+        (tmp_path / label / "train-seed11-trace0.json").write_text(json.dumps(record))
+    summary = load_script("bench_summary")
+    assert summary.main([f"a={tmp_path / 'clone'}", f"b={tmp_path / 'copy'}"]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert (out["a"]["checkout"], out["b"]["checkout"]) == ("git", "plain")
+    assert out["checkout_kinds_differ"] is True
+    assert out["b"]["train"]["trace0"]["metrics"]["peak_rss_mb"]["median"] == 59.5
+    assert "checkout kinds differ (a: git, b: plain)" in captured.err
+
+    assert summary.main([f"a={tmp_path / 'copy'}", f"b={tmp_path / 'copy'}"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["checkout_kinds_differ"] is False and captured.err == ""
+
+
 def _ab_timing(script: str, *flags: str) -> dict:
     """The JSON that an A/B timing script prints for two labels of this tree."""
     src = Path(twinenc.__file__).resolve().parents[1]

@@ -281,6 +281,19 @@ def _dense_adamw_reference(opt, params, grads, state):
         params[name] = p - opt.lr * update
 
 
+def _dense_moments(opt, name):
+    """A table's compact ``m`` and ``v`` laid out as full tables: zero rows where
+    the row has had no gradient yet, as dense moments would read."""
+    slot = opt._slot[name]
+    has = slot >= 0
+    tables = []
+    for compact in (opt._m[name], opt._v[name]):
+        table = np.zeros((len(slot), *compact.shape[1:]), compact.dtype)
+        table[has] = compact[slot[has]]
+        tables.append(table)
+    return tables
+
+
 class TestAdamW:
     def _opt(self):
         return AdamW(lr=1e-2, weight_decay=0.01)
@@ -313,12 +326,13 @@ class TestAdamW:
         opt = self._opt()
         opt.step(params, {"tok": RowGrad(np.array([1, 3]), rng.standard_normal((2, 4)))})
         p1 = params["tok"].copy()
-        m1, v1 = opt._m["tok"].copy(), opt._v["tok"].copy()
+        m1, v1 = _dense_moments(opt, "tok")
         opt.step(params, {"tok": RowGrad(np.array([3, 5]), rng.standard_normal((2, 4)))})
+        m2, v2 = _dense_moments(opt, "tok")
         for untouched in (0, 1, 2, 4, 6, 7, 8, 9):
             np.testing.assert_array_equal(params["tok"][untouched], p1[untouched])
-            np.testing.assert_array_equal(opt._m["tok"][untouched], m1[untouched])
-            np.testing.assert_array_equal(opt._v["tok"][untouched], v1[untouched])
+            np.testing.assert_array_equal(m2[untouched], m1[untouched])
+            np.testing.assert_array_equal(v2[untouched], v1[untouched])
         for moved in (3, 5):
             assert not np.array_equal(params["tok"][moved], p1[moved])
         np.testing.assert_array_equal(params["tok"][[0, 2, 4]], table[[0, 2, 4]])
@@ -342,7 +356,7 @@ class TestAdamW:
         rows = np.array([0, 17, 4_096, 50_000])
         opt.step(params, {"tok": RowGrad(rows, rng.standard_normal((4, 8)))})
         before = params["tok"].copy()
-        m_before, v_before = opt._m["tok"].copy(), opt._v["tok"].copy()
+        m_before, v_before = _dense_moments(opt, "tok")
         tracemalloc.start()
         try:
             opt.step(params, {"tok": RowGrad(rows[1:3], rng.standard_normal((2, 8)))})
@@ -351,10 +365,53 @@ class TestAdamW:
             tracemalloc.stop()
         assert peak < table.nbytes // 100  # no table-sized temporary
         other = np.setdiff1d(np.arange(table.shape[0]), rows[1:3])
-        for now, then in ((params["tok"], before), (opt._m["tok"], m_before),
-                          (opt._v["tok"], v_before)):
+        m_now, v_now = _dense_moments(opt, "tok")
+        for now, then in ((params["tok"], before), (m_now, m_before), (v_now, v_before)):
             np.testing.assert_array_equal(now[other], then[other])
             assert not np.array_equal(now[rows[1:3]], then[rows[1:3]])
+
+    def test_compact_moments_match_a_lazy_dense_reference(self, rng):
+        """Overlapping row sets, rows that join late, weight decay on: bit for bit
+        the lazy dense step, whose moment tables start at zero everywhere."""
+        table = rng.standard_normal((12, 4))
+        params, opt = {"tok": table.copy()}, self._opt()
+        expected, m_ref, v_ref = table.copy(), np.zeros_like(table), np.zeros_like(table)
+        schedule = [[1, 3, 4], [3, 5], [0, 4, 7], [5, 7, 9], [1, 9, 11]]
+        seen: set[int] = set()
+        for t, rows in enumerate(map(np.array, schedule), start=1):
+            g = rng.standard_normal((len(rows), 4))
+            p_before, m_before, v_before = expected.copy(), m_ref.copy(), v_ref.copy()
+            opt.step(params, {"tok": RowGrad(rows, g)})
+            m, v = m_ref[rows], v_ref[rows]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + ADAM_EPS)
+            expected[rows] = expected[rows] - opt.lr * (update + opt.weight_decay * expected[rows])
+            m_ref[rows], v_ref[rows] = m, v
+            m_now, v_now = _dense_moments(opt, "tok")
+            np.testing.assert_array_equal(params["tok"], expected)
+            np.testing.assert_array_equal(m_now, m_ref)
+            np.testing.assert_array_equal(v_now, v_ref)
+            untouched = np.setdiff1d(np.arange(len(table)), rows)
+            for now, then in ((params["tok"], p_before), (m_now, m_before), (v_now, v_before)):
+                np.testing.assert_array_equal(now[untouched], then[untouched])
+            late = ~np.isin(rows, list(seen))  # first gradient: moments from zero, bias-corrected at t
+            np.testing.assert_array_equal(m_now[rows[late]], (1.0 - BETA1) * g[late])
+            np.testing.assert_array_equal(v_now[rows[late]], (1.0 - BETA2) * (g[late] * g[late]))
+            seen |= set(rows.tolist())
+            assert len(opt._m["tok"]) == len(opt._v["tok"]) == len(seen)  # one moment row per seen row
+        assert opt._t["tok"] == len(schedule)
+
+    def test_wide_table_keeps_moments_for_its_gradient_rows_only(self, rng):
+        table = rng.standard_normal((50_001, 8))
+        params, opt = {"tok": table.copy()}, self._opt()
+        rows = np.array([0, 17, 4_096, 50_000])
+        opt.step(params, {"tok": RowGrad(rows, rng.standard_normal((4, 8)))})
+        assert opt._m["tok"].shape == opt._v["tok"].shape == (4, 8)
+        assert sorted(np.flatnonzero(opt._slot["tok"] >= 0)) == rows.tolist()
+        assert opt._m["tok"].nbytes + opt._v["tok"].nbytes < table.nbytes // 100
 
     def test_training_a_cast_copy_leaves_the_source_unchanged(self):
         model = TwinModel.initialize(ModelConfig(n_layers=1, hidden_size=16, n_heads=2,
@@ -542,12 +599,24 @@ class TestDistillTrain:
             np.testing.assert_array_equal(runs[0][name], runs[1][name], err_msg=name)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_detected(self):
+    def test_divergence_detected(self, monkeypatch):
+        """The non-finite step is never applied: the model keeps its last finite state."""
         model = TwinModel.initialize(ModelConfig(n_layers=1, hidden_size=16, n_heads=2,
                                                  vocab_buckets=64, max_len=6, dropout=0.0), seed=0)
+        compute, before = training_mod.pair_loss_and_grads, []
+
+        def recording(model, *args, **kwargs):
+            before.append({k: v.copy() for k, v in model.params.items()})
+            return compute(model, *args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "pair_loss_and_grads", recording)
         cfg = DistillationConfig(learning_rate=1e6, epochs=50, batch_size=8)
-        with pytest.raises((TrainingDivergedError, FloatingPointError, ValueError)):
+        with pytest.raises(TrainingDivergedError, match="non-finite loss"):
             distill_train(_overfit_records(16), cfg, model, seed=0)
+        assert len(before) > 1
+        last_finite = before[-1]  # the parameters the non-finite loss was computed from
+        for name, value in model.params.items():
+            np.testing.assert_array_equal(value, last_finite[name], err_msg=name)
 
     def test_inactive_head_untouched(self):
         # training with the residual head must leave the cosine head frozen
