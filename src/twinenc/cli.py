@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -422,18 +423,22 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser reads an abbreviated flag: "--out" must not mean "--out-dir", and a
+    # flag added later must not change what an abbreviation means
     parser = argparse.ArgumentParser(
         prog="twinenc",
         description="Twin-encoder retrieval: distillation training, indexing, search, benchmarks.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--quiet", action="store_true", help="show warnings and errors only")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common], allow_abbrev=False)
     seeded.add_argument("--config", default=None, help="JSON config file; overrides flags")
     seeded.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("gen-synthetic", parents=[seeded], help="generate a synthetic labeled corpus")
+    p = add_command("gen-synthetic", parents=[seeded], help="generate a synthetic labeled corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pairs", type=int, default=5000)
     p.add_argument("--queries", type=int, default=500)
@@ -441,36 +446,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", type=float, default=0.2)
     p.set_defaults(func=cmd_gen_synthetic)
 
-    p = sub.add_parser("distill", parents=[seeded], help="train a student model from teacher logits")
+    p = add_command("distill", parents=[seeded], help="train a student model from teacher logits")
     _add_model_flags(p)
     _add_distill_flags(p)
     p.add_argument("--data", required=True, help="pair TSV with teacher logits")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("finetune", parents=[seeded], help="fine-tune a distilled model on hard labels")
+    p = add_command("finetune", parents=[seeded], help="fine-tune a distilled model on hard labels")
     _add_distill_flags(p)
     p.add_argument("--data", required=True, help="pair TSV with labels")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("encode-corpus", parents=[common],
-                       help="encode keywords into an embedding store")
+    p = add_command("encode-corpus", parents=[common],
+                    help="encode keywords into an embedding store")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True, help="TSV id<TAB>keyword, or one keyword per line")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode_corpus)
 
-    p = sub.add_parser("build-index", parents=[common],
-                       help="attach a proximity graph to an embedding store")
+    p = add_command("build-index", parents=[common],
+                    help="attach a proximity graph to an embedding store")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--degree", type=int, default=16)
     p.add_argument("--build-beam", type=int, default=64, help="exact candidates per node")
     p.set_defaults(func=cmd_build_index)
 
-    p = sub.add_parser("search", parents=[common], help="retrieve nearest keywords for queries")
+    p = add_command("search", parents=[common], help="retrieve nearest keywords for queries")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True, help="query file, or - for stdin")
@@ -480,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("score", parents=[common], help="score explicit (query, keyword) pairs")
+    p = add_command("score", parents=[common], help="score explicit (query, keyword) pairs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pairs", required=True, help="TSV with query and keyword columns")
     p.add_argument("--head", choices=CROSSING_MODES, default=None,
@@ -488,15 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("eval-auc", parents=[common], help="ROC-AUC of a scored TSV")
+    p = add_command("eval-auc", parents=[common], help="ROC-AUC of a scored TSV")
     p.add_argument("--scored", required=True)
     p.add_argument("--score-col", default="prob")
     p.add_argument("--label-col", default="label")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval_auc)
 
-    p = sub.add_parser("eval-ndcg", parents=[common],
-                       help="graded nDCG of a scored TSV, per position")
+    p = add_command("eval-ndcg", parents=[common],
+                    help="graded nDCG of a scored TSV, per position")
     p.add_argument("--scored", required=True)
     p.add_argument("--query-col", default="query")
     p.add_argument("--label-col", default="label")
@@ -506,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval_ndcg)
 
-    p = sub.add_parser("bench", parents=[seeded], help="latency scenarios and complexity fits")
+    p = add_command("bench", parents=[seeded], help="latency scenarios and complexity fits")
     _add_model_flags(p)
     p.add_argument("--checkpoint", default=None,
                    help="model to time (default: randomly initialized from flags)")

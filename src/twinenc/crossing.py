@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import _linear_backward, _linear_forward, accumulate, gelu, gelu_grad, sigmoid, truncated_normal
+from .encoder import _linear_backward, _linear_forward, accumulate, gelu, gelu_and_grad, sigmoid, truncated_normal
 
 
 # head -> the (weight, bias) of its final affine layer, which calibration rescales
@@ -135,18 +135,20 @@ def residual_head_forward(q: np.ndarray, k: np.ndarray, params: dict):
     y = _linear_forward(g, params["residual_head.w2"], params["residual_head.b2"])
     y += x  # y = r + x, in r's own array
     logits = y @ params["residual_head.w_out"] + params["residual_head.b_out"]
-    return logits, {"q": q, "k": k, "x": x, "f1": f1, "g": g, "y": y}
+    return logits, {"q": q, "k": k, "x": x, "f1": f1, "y": y}
 
 
 def residual_head_backward(d_logits: np.ndarray, cache: dict, params: dict, grads: dict):
-    q, k, x, f1, g, y = cache["q"], cache["k"], cache["x"], cache["f1"], cache["g"], cache["y"]
+    q, k, x, y = cache["q"], cache["k"], cache["x"], cache["y"]
     dy = d_logits[..., None] * params["residual_head.w_out"]
     accumulate(grads, "residual_head.w_out", d_logits @ y if y.ndim > 1 else d_logits * y)
     accumulate(grads, "residual_head.b_out", np.asarray(d_logits.sum()))
     # y = r + x: dy flows into the second dense layer and straight on to x
+    g, df1 = gelu_and_grad(cache["f1"])
     dg = _linear_backward(g, params["residual_head.w2"], dy, grads,
                           "residual_head.w2", "residual_head.b2")
-    dx = dy + _linear_backward(x, params["residual_head.w1"], dg * gelu_grad(f1), grads,
+    df1 *= dg  # dg * gelu'(f1): multiplication commutes, bit for bit
+    dx = dy + _linear_backward(x, params["residual_head.w1"], df1, grads,
                                "residual_head.w1", "residual_head.b1")
     # max gradient routes to the larger input; exact ties go to the query side
     q_wins = q >= k

@@ -75,9 +75,25 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    phi = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+def gelu_and_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``gelu(x)``, its derivative Phi(x) + x phi(x)) from one ``erf`` evaluation.
+
+    ``gelu(x)`` comes out bit for bit as :func:`gelu` computes it, so a
+    backward can rebuild the activation instead of keeping it.
+    """
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    y = 0.5 * x
+    y *= cdf
+    cdf *= 0.5  # Phi(x)
+    x_phi = -0.5 * x
+    x_phi *= x
+    np.exp(x_phi, out=x_phi)
+    x_phi *= _INV_SQRT_2PI
+    x_phi *= x
+    cdf += x_phi
+    return y, cdf
 
 
 def sigmoid(x) -> np.ndarray:
@@ -311,9 +327,14 @@ def _layernorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     xhat = x - _mean_last(x)
     inv_std = 1.0 / np.sqrt(_mean_last(xhat * xhat) + _LN_EPS)
     xhat *= inv_std
+    return _layernorm_affine(xhat, g, b), (xhat, inv_std)
+
+
+def _layernorm_affine(xhat: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The layernorm output ``g * xhat + b``; its backward rebuilds it from ``xhat``."""
     out = g * xhat
     out += b
-    return out, (xhat, inv_std)
+    return out
 
 
 def _layernorm_backward(dy: np.ndarray, cache, g: np.ndarray, grads: dict, gname: str, bname: str):
@@ -342,6 +363,11 @@ def _dropout_scale(keep: np.ndarray, rate: float, dtype) -> np.ndarray:
     return keep.astype(dtype) / (1.0 - rate)
 
 
+def _dropped(d: np.ndarray, keep: np.ndarray | None, rate: float) -> np.ndarray:
+    """``d`` times the dropout mask drawn as ``keep``; ``d`` itself when none was drawn."""
+    return d if keep is None else d * _dropout_scale(keep, rate, d.dtype)
+
+
 def _keep(cache: dict | None, **arrays) -> None:
     """Stash ``arrays`` in the backward cache, if one is being built."""
     if cache is not None:
@@ -366,9 +392,15 @@ def layer_forward(
     dropout mask as a boolean array. Without an rng nothing is drawn, the
     cache is None and each intermediate is dropped as soon as the next op
     has used it. Bias adds, softmax, GELU, layernorm and the residual sums
-    run in arrays this forward allocated, never in an argument: a training
-    cache holds ``x``, ``x1``, ``f1``, ``g`` and ``xhat``. Raises on
-    non-finite input.
+    run in arrays this forward allocated, never in an argument.
+
+    A training cache keeps only what :func:`layer_backward` cannot rebuild
+    exactly in a few elementwise ops or one small matmul: ``x``, the
+    attention's ``qh``, ``kh``, ``vh`` and ``probs``, each layernorm's
+    ``xhat`` and ``inv_std``, ``f1`` and the dropout masks. The dropped-out
+    ``probs_d``, the context ``ctx``, the layernorm output ``x1`` and the
+    GELU output ``g`` are recomputed by the backward, bit for bit, with
+    the forward's own op sequence. Raises on non-finite input.
     """
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in transformer layer input")
@@ -386,10 +418,9 @@ def layer_forward(
     del qh, kh, scores
     vh = _split_heads(_linear_forward(x, params[f"{lp}.attn.wv"], params[f"{lp}.attn.bv"]), a)
     attn_keep = rng.random(probs.shape) >= rate if rate > 0.0 else None
-    probs_d = probs if attn_keep is None else probs * _dropout_scale(attn_keep, rate, x.dtype)
-    ctx = _merge_heads(probs_d @ vh)
-    _keep(saved, vh=vh, probs=probs, probs_d=probs_d, attn_keep=attn_keep, ctx=ctx)
-    del vh, probs, probs_d, attn_keep
+    ctx = _merge_heads(_dropped(probs, attn_keep, rate) @ vh)
+    _keep(saved, vh=vh, probs=probs, attn_keep=attn_keep)
+    del vh, probs, attn_keep
     attn_out = _linear_forward(ctx, params[f"{lp}.attn.wo"], params[f"{lp}.attn.bo"])
     del ctx
     out_keep = rng.random(attn_out.shape) >= rate if rate > 0.0 else None
@@ -401,7 +432,7 @@ def layer_forward(
     del attn_out
     f1 = _linear_forward(x1, params[f"{lp}.ffn.w1"], params[f"{lp}.ffn.b1"])
     g = gelu(f1)
-    _keep(saved, out_keep=out_keep, x1=x1, ln1=ln1, f1=f1, g=g)
+    _keep(saved, out_keep=out_keep, ln1=ln1, f1=f1)
     del out_keep, ln1, f1
     f2 = _linear_forward(g, params[f"{lp}.ffn.w2"], params[f"{lp}.ffn.b2"])
     del g
@@ -416,31 +447,39 @@ def layer_forward(
 
 
 def layer_backward(dx2: np.ndarray, cache: dict, params: dict, lp: str, config: ModelConfig, grads: dict) -> np.ndarray:
-    """Backward of :func:`layer_forward`; pops each cached array at its last read."""
-    a = config.n_heads
-
-    def dropped(d: np.ndarray, name: str) -> np.ndarray:
-        """``d`` times the dropout mask the forward drew for ``name``, if it drew one."""
-        keep = cache.pop(name)
-        return d if keep is None else d * _dropout_scale(keep, config.dropout, d.dtype)
+    """Backward of :func:`layer_forward`; pops each cached array at its last read
+    and rebuilds ``g``, ``x1``, ``ctx`` and ``probs_d`` just before their reads."""
+    a, rate = config.n_heads, config.dropout
 
     d_sum2 = _layernorm_backward(dx2, cache.pop("ln2"), params[f"{lp}.ln2.g"], grads, f"{lp}.ln2.g", f"{lp}.ln2.b")
     dx1 = d_sum2.copy()
-    df2 = dropped(d_sum2, "ffn_keep")
-    dg = _linear_backward(cache.pop("g"), params[f"{lp}.ffn.w2"], df2, grads, f"{lp}.ffn.w2", f"{lp}.ffn.b2")
-    df1 = dg * gelu_grad(cache.pop("f1"))
-    dx1 += _linear_backward(cache.pop("x1"), params[f"{lp}.ffn.w1"], df1, grads, f"{lp}.ffn.w1", f"{lp}.ffn.b1")
+    df2 = _dropped(d_sum2, cache.pop("ffn_keep"), rate)
+    g, df1 = gelu_and_grad(cache.pop("f1"))
+    dg = _linear_backward(g, params[f"{lp}.ffn.w2"], df2, grads, f"{lp}.ffn.w2", f"{lp}.ffn.b2")
+    del g, df2
+    df1 *= dg  # dg * gelu'(f1): multiplication commutes, bit for bit
+    del dg
+    ln1 = cache.pop("ln1")
+    x1 = _layernorm_affine(ln1[0], params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
+    dx1 += _linear_backward(x1, params[f"{lp}.ffn.w1"], df1, grads, f"{lp}.ffn.w1", f"{lp}.ffn.b1")
+    del x1, df1
 
-    d_sum1 = _layernorm_backward(dx1, cache.pop("ln1"), params[f"{lp}.ln1.g"], grads, f"{lp}.ln1.g", f"{lp}.ln1.b")
+    d_sum1 = _layernorm_backward(dx1, ln1, params[f"{lp}.ln1.g"], grads, f"{lp}.ln1.g", f"{lp}.ln1.b")
+    del dx1, ln1
     dx = d_sum1.copy()
-    d_attn_out = dropped(d_sum1, "out_keep")
-    d_ctx = _linear_backward(cache.pop("ctx"), params[f"{lp}.attn.wo"], d_attn_out, grads, f"{lp}.attn.wo", f"{lp}.attn.bo")
+    d_attn_out = _dropped(d_sum1, cache.pop("out_keep"), rate)
+    probs, vh, attn_keep = cache.pop("probs"), cache.pop("vh"), cache.pop("attn_keep")
+    probs_d = _dropped(probs, attn_keep, rate)
+    ctx = _merge_heads(probs_d @ vh)
+    d_ctx = _linear_backward(ctx, params[f"{lp}.attn.wo"], d_attn_out, grads, f"{lp}.attn.wo", f"{lp}.attn.bo")
+    del ctx, d_attn_out
 
     d_ctx_h = _split_heads(d_ctx, a)
-    d_vh = cache.pop("probs_d").transpose(0, 1, 3, 2) @ d_ctx_h
-    d_probs = dropped(d_ctx_h @ cache.pop("vh").transpose(0, 1, 3, 2), "attn_keep")
+    d_vh = probs_d.transpose(0, 1, 3, 2) @ d_ctx_h
+    del probs_d
+    d_probs = _dropped(d_ctx_h @ vh.transpose(0, 1, 3, 2), attn_keep, rate)
+    del vh, attn_keep
     # softmax backward; masked entries have probs == 0 so receive no gradient
-    probs = cache.pop("probs")
     d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
     d_scores *= cache.pop("scale")
 

@@ -139,10 +139,13 @@ class AdamW:
     vectors or scalars. The moment decays and the denominator floor are
     the module constants ``BETA1``, ``BETA2`` and ``ADAM_EPS``.
 
-    Parameters are updated in place, on a copy that the optimizer makes when
-    it creates the parameter's state, so an array shared with another model
-    (``cast_params`` keeps arrays whose dtype already matches) is never
-    written through.
+    ``step`` writes the parameters and moments in place, through two scratch
+    arrays of the updated slice's size; each in-place op is the IEEE multiply,
+    divide or add of the textbook expression, so the update is bit for bit
+    the same. The caller owns the arrays in ``params``: ``_run_epochs``
+    copies a model's parameters once before training, so an array shared
+    with another model (``cast_params`` keeps arrays whose dtype already
+    matches) is never written through.
     """
 
     def __init__(self, lr: float, weight_decay: float):
@@ -157,7 +160,7 @@ class AdamW:
     def step(self, params: dict[str, np.ndarray], grads: dict) -> None:
         for name, g in grads.items():
             if name not in self._m:
-                p = params[name] = np.array(params[name])  # owned: updated in place below
+                p = params[name]
                 if isinstance(g, RowGrad):
                     self._slot[name] = np.full(len(p), -1)
                     p = p[:0]  # no moment rows yet
@@ -176,25 +179,36 @@ class AdamW:
                     self._m[name] = np.concatenate([self._m[name], zeros])
                     self._v[name] = np.concatenate([self._v[name], zeros])
                 m, v, s = self._m[name], self._v[name], slot[rows]
-                m_rows, v_rows = m[s], v[s]
-                p[rows] = self._updated(p[rows], m_rows, v_rows, g.values, t)
-                m[s], v[s] = m_rows, v_rows
+                p_rows, m_rows, v_rows = p[rows], m[s], v[s]
+                self._update(p_rows, m_rows, v_rows, g.values, t)
+                p[rows], m[s], v[s] = p_rows, m_rows, v_rows
             else:
-                p[...] = self._updated(p, self._m[name], self._v[name], g, t)
+                self._update(p, self._m[name], self._v[name], g, t)
 
-    def _updated(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
-                 t: int) -> np.ndarray:
-        """New value of ``p`` after step ``t``; advances the moments ``m`` and ``v`` in place."""
+    def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int) -> None:
+        """Step ``t`` of ``p`` and its moments ``m`` and ``v``, all in place.
+
+        The same ops, bit for bit, as ``m = BETA1 m + (1 - BETA1) g``,
+        ``v = BETA2 v + (1 - BETA2) g^2`` and ``p - lr (m_hat / (sqrt(v_hat) + eps)
+        + decay p)``, run through two scratch arrays of ``p``'s size.
+        """
+        a = np.multiply(g, 1.0 - BETA1, out=np.empty_like(p))
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - BETA2
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += a
+        np.divide(v, 1.0 - BETA2**t, out=a)  # v_hat
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        update = np.divide(m, 1.0 - BETA1**t, out=np.empty_like(p))  # m_hat
+        update /= a
         if self.weight_decay > 0.0 and p.ndim >= 2:
-            update = update + self.weight_decay * p
-        return p - self.lr * update
+            np.multiply(p, self.weight_decay, out=a)
+            update += a
+        update *= self.lr
+        p -= update
 
 
 @dataclass
@@ -227,10 +241,14 @@ def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str, *,
     return loss, grads
 
 
+# a diverging run overflows long before its loss is checked; that check reports it, once
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray,
                 lr: float, epochs: int, config: DistillationConfig, seed: int) -> TrainingHistory:
-    """One phase: tokenize once, refit the head to ``targets`` (``refit_calibration``,
-    recorded in ``history.calibration``), run the epochs. Zero epochs change nothing."""
+    """One phase: tokenize once, copy the model's parameters (AdamW updates them
+    in place, and a ``cast`` twin shares arrays with its source), refit the head
+    to ``targets`` (``refit_calibration``, recorded in ``history.calibration``),
+    run the epochs. Zero epochs change nothing."""
     if not records:
         raise ValueError("training requires a non-empty record stream")
     history = TrainingHistory()
@@ -240,6 +258,8 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
     seqs = model.tokenize_many([r.query for r in records] + [r.keyword for r in records])
     q_seqs, k_seqs = seqs[:n], seqs[n:]
     bs = config.batch_size
+    for name in list(model.params):  # one at a time: an unshared original goes as its copy comes
+        model.params[name] = np.array(model.params[name])
     history.calibration = refit_calibration(model, q_seqs, k_seqs, targets, bs)
     optimizer = AdamW(lr=lr, weight_decay=config.weight_decay)
     shuffle_rng = np.random.default_rng([seed, 0xDA7A])

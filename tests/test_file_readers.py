@@ -312,7 +312,8 @@ SEARCH_BAD_INDEX = ["search", "--checkpoint", "SERVED/model.ckpt", "--index", "B
 PAIRS_NO_WORD = PAIRS.replace(b"buy red shoes", b"!!!").replace(b"\t-0.5\n", b"\t-0.5\tbad\n")  # every row labelled
 SCORED = b"query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tbad\t0.1\n"
 
-# case -> (file contents, command-line arguments with BAD for the file, text stderr must hold)
+# case -> (file contents, command-line arguments with BAD for the file, text stderr must hold
+#          [, exit status: 1 when left out])
 CLI_CASES = {
     "pair_tsv": (PAIRS.replace(b"cheap", b"ch\xffeap"),
                  ["distill", "--data", "BAD", "--out", "OUT"], "BAD:4: invalid UTF-8"),
@@ -395,6 +396,11 @@ CLI_CASES = {
                              "n_queries must be >= 1, got -5"),
     "gen_one_topic": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pairs", "20", "--queries", "2",
                             "--topics", "1"], "n_topics must be >= 2, got 1"),
+    # no flag is read as an abbreviation of a longer one: a usage error, exit status 2
+    "gen_abbreviated_out": (b"", ["gen-synthetic", "--out", "OUT", "--pairs", "400", "--queries", "40"],
+                            "the following arguments are required: --out-dir", 2),
+    "gen_abbreviated_pairs": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pair", "20", "--queries", "2"],
+                              "unrecognized arguments: --pair 20", 2),
 }
 
 
@@ -406,13 +412,13 @@ def _run_cli(args, stdin=b""):
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_malformed_text_exits_1_naming_the_file(case, served, tmp_path):
-    data, args, expected = CLI_CASES[case]
+    data, args, expected, *status = CLI_CASES[case]
     bad, out = tmp_path / "bad", tmp_path / "out"
     bad.write_bytes(data)
     subs = {"BAD": str(bad), "OUT": str(out), "SERVED": str(served)}
     proc = _run_cli([re.sub("BAD|OUT|SERVED", lambda m: subs[m[0]], a) for a in args])
     stderr = proc.stderr.decode()
-    assert proc.returncode == 1, stderr
+    assert proc.returncode == (status[0] if status else 1), stderr
     assert expected.replace("BAD", str(bad)) in stderr
     assert "Traceback" not in stderr
     assert not out.exists()

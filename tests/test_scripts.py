@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under ``scripts/``."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,16 @@ def test_bench_summary_flags_mixed_checkout_kinds(tmp_path, capsys):
     assert summary.main([f"a={tmp_path / 'copy'}", f"b={tmp_path / 'copy'}"]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["checkout_kinds_differ"] is False and captured.err == ""
+
+
+def test_step_memory_prints_one_json_line(capsys):
+    assert load_script("step_memory").main(["--preset", "desk", "--batch-size", "8"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    row = json.loads(line)
+    assert (row["preset"], row["batch_size"]) == ("desk", 8)
+    assert 0 < row["forward_caches_mb"] < row["step_peak_mb"]
+    assert abs(row["peak_over_caches"] - row["step_peak_mb"] / row["forward_caches_mb"]) < 0.01
+    assert math.isfinite(row["loss"])
 
 
 def _ab_timing(script: str, *flags: str) -> dict:

@@ -24,7 +24,7 @@ from twinenc import (
 from twinenc import crossing
 from twinenc import model as model_mod
 from twinenc import training as training_mod
-from twinenc.encoder import RowGrad, pack_sequences, sigmoid
+from twinenc.encoder import RowGrad, embed_forward, layer_forward, pack_sequences, sigmoid
 from twinenc.metrics import binary_label
 from twinenc.synthetic import generate_pairs, token_jaccard
 from twinenc.training import (
@@ -413,6 +413,18 @@ class TestAdamW:
         assert sorted(np.flatnonzero(opt._slot["tok"] >= 0)) == rows.tolist()
         assert opt._m["tok"].nbytes + opt._v["tok"].nbytes < table.nbytes // 100
 
+    def test_dense_step_allocates_two_parameter_sized_arrays(self, rng):
+        params, opt = {"w": rng.standard_normal((512, 512))}, self._opt()
+        opt.step(params, {"w": rng.standard_normal((512, 512))})  # the first step creates the moments
+        grads = {"w": rng.standard_normal((512, 512))}
+        tracemalloc.start()
+        try:
+            opt.step(params, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * params["w"].nbytes + 1024, peak / params["w"].nbytes
+
     def test_training_a_cast_copy_leaves_the_source_unchanged(self):
         model = TwinModel.initialize(ModelConfig(n_layers=1, hidden_size=16, n_heads=2,
                                                  vocab_buckets=64, max_len=6, dropout=0.0), seed=0)
@@ -448,6 +460,17 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * caches, (peak, caches)
+
+    def test_layer_cache_keeps_only_what_backward_cannot_rebuild(self, desk_model):
+        config = replace(desk_model.config, dropout=0.1)
+        seqs = desk_model.tokenize_many([p.query for p in generate_pairs(80, seed=1)[:8]])
+        batch = pack_sequences(seqs)
+        x = embed_forward(desk_model.params, "encoder", batch)
+        _, cache = layer_forward(x, batch.mask, desk_model.params, "encoder.layers.0", config,
+                                 rng=np.random.default_rng(0))
+        assert not {"g", "ctx", "x1", "probs_d"} & set(cache)  # the backward rebuilds these
+        assert set(cache) == {"x", "scale", "qh", "kh", "vh", "probs", "attn_keep", "out_keep",
+                              "ln1", "f1", "ffn_keep", "ln2"}
 
 
 class TestTrainingForward:
