@@ -2,11 +2,12 @@
 """Held-out quality of the teacher, the untrained model and the students.
 
 For each data seed s of 42, 7 and 123: ``generate_pairs(5000, seed=s, n_queries=500)``,
-``split_pairs`` with holdout 0.2, ``DistillationConfig(learning_rate=3e-4,
-epochs=20)``, desk preset, model seed 0. Rows: the teacher; the untrained
-cosine model; the cosine and residual students, distilled and then
-fine-tuned; and both heads with ``shared_encoders=False`` and with
-``pooling="cls_token"``. Columns, on the held-out pairs:
+``split_pairs`` (the last 0.2 of query slots held out),
+``DistillationConfig(learning_rate=3e-4, epochs=20)``, desk preset, model
+seed 0. Rows: the teacher; the untrained cosine model; the cosine and
+residual students, distilled and then fine-tuned; and both heads with
+``shared_encoders=False`` and with ``pooling="cls_token"``. Columns, on the
+held-out pairs:
 
 - ``auc``: ROC-AUC of the scores against the binary labels;
 - ``per_query_auc``: mean ROC-AUC over the held-out queries whose pairs
@@ -98,7 +99,7 @@ def report(seed: int, n_pairs: int = 5000, n_queries: int = 500, epochs: int = 2
     """Every row of one data seed; see the module docstring."""
     config = DistillationConfig(learning_rate=3e-4, epochs=epochs)
     pairs = generate_pairs(n_pairs, seed=seed, n_queries=n_queries)
-    train, test = split_pairs(pairs, n_queries=n_queries, holdout_fraction=0.2)
+    train, test = split_pairs(pairs, n_queries=n_queries)
     labels = [r.binary() for r in test]
     queries, store, margins = store_bundle(pairs, test, seed)
     relevant = margins > 0

@@ -14,6 +14,22 @@ seed=1)``, tokenized once. Under ``tracemalloc`` it then measures what
 - ``process_maxrss_mb``: the whole script's peak resident set, model
   included.
 
+A second, identical step then runs under a line tracer over the
+``twinenc`` package's frames, which reads and resets the traced peak at
+every line, call and return, so the peak of each interval belongs to the
+package line that ran in it. That step gives:
+
+- ``peak_at``: the file, line and function where its traced peak falls,
+  and ``peak_code`` that line's source;
+- ``traced_step_peak_mb``: its peak (the tracer's own few objects
+  included);
+- ``caches_at_peak_mb``: the forward outputs and caches (what both towers'
+  forwards and the crossing head's forward returned) still alive when
+  that line began, counted through weak references to the arrays that own
+  their memory;
+- ``rest_at_peak_mb``: the peak less those caches, that is the backward's
+  temporaries and the gradients.
+
 Both forwards draw their dropout from ``default_rng(0)``. Prints one JSON
 line. The ``twinenc`` imported is the one on ``sys.path``, so putting
 another tree's ``src`` first on ``PYTHONPATH`` measures that tree:
@@ -25,18 +41,99 @@ from __future__ import annotations
 
 import argparse
 import json
+import linecache
 import resource
 import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 
-from twinenc import TwinModel, generate_pairs
+import twinenc
+from twinenc import TwinModel, crossing, generate_pairs
 from twinenc.config import PRESETS
 from twinenc.encoder import pack_sequences
 from twinenc.training import pair_loss_and_grads
 
 MB = 1 << 20
+PACKAGE = str(Path(twinenc.__file__).parent)
+
+
+def owning_arrays(obj, found: dict) -> dict:
+    """id -> array, for every array that owns the memory of an array reachable from ``obj``
+    through dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        found[id(obj)] = obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            owning_arrays(value, found)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            owning_arrays(value, found)
+    return found
+
+
+def peak_breakdown(model: TwinModel, q_seqs, k_seqs, targets) -> dict:
+    """One traced step's peak location and what is alive there; see the module docstring."""
+    watched: list[tuple[weakref.ref, int]] = []
+    state = {"best": 0, "at": None, "caches": 0, "last": None, "alive": 0}
+
+    def watching(fn):
+        def forward(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            watched.extend((weakref.ref(a), a.nbytes) for a in owning_arrays(out, {}).values())
+            return out
+        return forward
+
+    def close_interval(frame) -> None:
+        """The interval since the last event ran ``state["last"]``; ``frame`` runs next."""
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > state["best"]:
+            state.update(best=peak, at=state["last"], caches=state["alive"])
+        tracemalloc.reset_peak()
+        code = frame.f_code
+        state["last"] = (code.co_filename, frame.f_lineno, code.co_qualname)
+        state["alive"] = sum(n for ref, n in watched if ref() is not None)
+
+    def on_line(frame, event, arg):
+        if event == "return":
+            close_interval(frame.f_back)
+        elif event == "line":
+            close_interval(frame)
+        return on_line
+
+    def on_call(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(PACKAGE):
+            return None  # its memory belongs to the package line that called it
+        close_interval(frame)
+        return on_line
+
+    head_forward = crossing.head_forward
+    crossing.head_forward = watching(head_forward)
+    model.encode_query_batch = watching(model.encode_query_batch)
+    model.encode_keyword_batch = watching(model.encode_keyword_batch)
+    tracemalloc.start()
+    try:
+        sys.settrace(on_call)
+        try:
+            pair_loss_and_grads(model, q_seqs, k_seqs, targets, model.config.crossing,
+                                rng=np.random.default_rng(0))
+        finally:
+            sys.settrace(None)
+        close_interval(sys._getframe())
+    finally:
+        tracemalloc.stop()
+        crossing.head_forward = head_forward
+        del model.encode_query_batch, model.encode_keyword_batch
+    path, line, function = state["at"]
+    return {"peak_at": f"{Path(path).name}:{line} {function}",
+            "peak_code": linecache.getline(path, line).strip(),
+            "traced_step_peak_mb": round(state["best"] / MB, 3),
+            "caches_at_peak_mb": round(state["caches"] / MB, 3),
+            "rest_at_peak_mb": round((state["best"] - state["caches"]) / MB, 3)}
 
 
 def measure(preset: str, batch_size: int) -> dict:
@@ -54,14 +151,16 @@ def measure(preset: str, batch_size: int) -> dict:
         caches = tracemalloc.get_traced_memory()[0]
         del q, k
         tracemalloc.reset_peak()
-        loss, _ = pair_loss_and_grads(model, q_seqs, k_seqs, targets, model.config.crossing,
-                                      rng=np.random.default_rng(0))
+        loss, grads = pair_loss_and_grads(model, q_seqs, k_seqs, targets, model.config.crossing,
+                                          rng=np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
+        del grads
     finally:
         tracemalloc.stop()
     return {"preset": preset, "batch_size": batch_size,
             "forward_caches_mb": round(caches / MB, 3), "step_peak_mb": round(peak / MB, 3),
             "peak_over_caches": round(peak / caches, 3), "loss": loss,
+            **peak_breakdown(model, q_seqs, k_seqs, targets),
             "process_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 

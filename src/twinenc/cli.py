@@ -42,7 +42,7 @@ from .checkpoint import FORMAT_VERSION, config_hash, file_sha256
 from .config import CROSSING_MODES, PRESETS, DistillationConfig, ModelConfig, POOLING_MODES
 from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
 from .model import SERVE_BATCH, SERVING_DTYPE, TwinModel
-from .synthetic import generate_pairs, split_pairs
+from .synthetic import HOLDOUT_FRACTION, generate_pairs, split_pairs
 from .text import ENCODABLE, encodable
 from .training import (PairRecord, TrainingDivergedError, distill_train, finetune, first_lacking,
                        load_pair_tsv, pair_tsv_rows)
@@ -201,10 +201,10 @@ def cmd_gen_synthetic(args) -> int:
     pairs = generate_pairs(
         n_pairs=args.pairs, seed=seed, n_queries=args.queries, n_topics=args.topics
     )
-    train, test = split_pairs(pairs, n_queries=args.queries, holdout_fraction=args.holdout)
+    train, test = split_pairs(pairs, n_queries=args.queries)
 
     resolved = {"pairs": args.pairs, "queries": args.queries, "topics": args.topics,
-                "holdout": args.holdout, "seed": seed}
+                "holdout": HOLDOUT_FRACTION, "seed": seed}
     manifest = _manifest("gen-synthetic", resolved)
     _emit(out_dir / "train.tsv", pair_tsv_rows(train), manifest)
     _emit(out_dir / "test.tsv", pair_tsv_rows(test), manifest)
@@ -348,24 +348,24 @@ def cmd_score(args) -> int:
 
 def cmd_eval_auc(args) -> int:
     table = textio.read_table(_require_file(args.scored))
-    scores = table.column(args.score_col, _score, "a number")
-    labels = table.column(args.label_col, binary_label, "bad/fair/good/excellent or 0/1")
+    scores = table.column("prob", _score, "a number")
+    labels = table.column("label", binary_label, "bad/fair/good/excellent or 0/1")
     try:
         auc = roc_auc(scores, labels)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     _emit(args.out, [("metric", "value"), ("roc_auc", f"{auc:.10f}")],
-          _manifest("eval-auc", {"score_col": args.score_col, "label_col": args.label_col}))
+          _manifest("eval-auc", {}))
     return 0
 
 
 def cmd_eval_ndcg(args) -> int:
     positions = _int_list("--positions", args.positions)
     table = textio.read_table(_require_file(args.scored))
-    scores = table.column(args.score_col, _score, "a number")
-    grades = table.column(args.label_col, label_gain, "bad/fair/good/excellent or 0/1")
+    scores = table.column("prob", _score, "a number")
+    grades = table.column("label", label_gain, "bad/fair/good/excellent or 0/1")
     by_query: dict[str, list[tuple[float, float]]] = {}
-    for query, score, grade in zip(table.column(args.query_col), scores, grades):
+    for query, score, grade in zip(table.column("query"), scores, grades):
         by_query.setdefault(query, []).append((score, grade))
     rankings = []
     for items in by_query.values():
@@ -374,10 +374,10 @@ def cmd_eval_ndcg(args) -> int:
     rows = [("position", "ndcg")]
     for p in positions:
         try:
-            rows.append((str(p), f"{mean_ndcg(rankings, p, gain=args.gain):.6f}"))
+            rows.append((str(p), f"{mean_ndcg(rankings, p):.6f}"))
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    _emit(args.out, rows, _manifest("eval-ndcg", {"gain": args.gain, "positions": positions}))
+    _emit(args.out, rows, _manifest("eval-ndcg", {"positions": positions}))
     return 0
 
 
@@ -438,12 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--config", default=None, help="JSON config file; overrides flags")
     seeded.add_argument("--seed", type=int, default=None)
 
-    p = add_command("gen-synthetic", parents=[seeded], help="generate a synthetic labeled corpus")
+    p = add_command("gen-synthetic", parents=[seeded],
+                    help=f"generate a synthetic labeled corpus; the last {HOLDOUT_FRACTION:.0%}% "
+                         "of query slots are held out")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pairs", type=int, default=5000)
     p.add_argument("--queries", type=int, default=500)
     p.add_argument("--topics", type=int, default=20)
-    p.add_argument("--holdout", type=float, default=0.2)
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = add_command("distill", parents=[seeded], help="train a student model from teacher logits")
@@ -493,21 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_score)
 
-    p = add_command("eval-auc", parents=[common], help="ROC-AUC of a scored TSV")
-    p.add_argument("--scored", required=True)
-    p.add_argument("--score-col", default="prob")
-    p.add_argument("--label-col", default="label")
+    p = add_command("eval-auc", parents=[common], help="ROC-AUC of score's table: prob against label")
+    p.add_argument("--scored", required=True, help="TSV as score writes it, with label and prob columns")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval_auc)
 
     p = add_command("eval-ndcg", parents=[common],
-                    help="graded nDCG of a scored TSV, per position")
-    p.add_argument("--scored", required=True)
-    p.add_argument("--query-col", default="query")
-    p.add_argument("--label-col", default="label")
-    p.add_argument("--score-col", default="prob")
+                    help="nDCG of score's table per query, linear grade gain, per position")
+    p.add_argument("--scored", required=True,
+                   help="TSV as score writes it, with query, label and prob columns")
     p.add_argument("--positions", default="1,2,3,4,5")
-    p.add_argument("--gain", choices=("linear", "exponential"), default="linear")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval_ndcg)
 

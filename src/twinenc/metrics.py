@@ -4,9 +4,10 @@ ROC-AUC is computed from rank statistics (ties count half), which matches
 the pairwise-enumeration definition exactly. Its tie-averaged ranks come
 from ``np.unique`` rather than ``scipy.stats.rankdata``, whose import adds
 about 45 MB to every process that imports the package. nDCG uses a
-log2(rank + 1) discount and a configurable gain on the four-level label
-scale; rankings whose ideal DCG is zero carry no signal and are reported
-as NaN so that averages can exclude them.
+log2(rank + 1) discount and one gain, the linear grade gain of the
+four-level label scale (``LABEL_GAINS``: bad 0 to excellent 3); rankings
+whose ideal DCG is zero carry no signal and are reported as NaN so that
+averages can exclude them.
 
 The label scale is defined here and nowhere else: ``LABEL_GAINS`` gives
 each editorial grade its gain, and ``binary_label`` maps a label cell
@@ -18,8 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-GAIN_SCHEMES = ("linear", "exponential")
 
 LABEL_GAINS = {"bad": 0.0, "fair": 1.0, "good": 2.0, "excellent": 3.0}
 
@@ -51,18 +50,13 @@ def roc_auc(scores, labels) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def label_gain(label, scheme: str = "linear") -> float:
+def label_gain(label) -> float:
     """Gain of a relevance label: a grade, the label cell "0" or "1", or a numeric grade."""
-    if scheme not in GAIN_SCHEMES:
-        raise ValueError(f"gain scheme must be one of {GAIN_SCHEMES}")
     if isinstance(label, str):
-        g = LABEL_GAINS[label] if label in LABEL_GAINS else float(binary_label(label))
-    else:
-        g = float(label)
-        if g < 0:
-            raise ValueError("numeric gains must be >= 0")
-    if scheme == "exponential":
-        return 2.0**g - 1.0
+        return LABEL_GAINS[label] if label in LABEL_GAINS else float(binary_label(label))
+    g = float(label)
+    if g < 0:
+        raise ValueError("numeric gains must be >= 0")
     return g
 
 
@@ -84,7 +78,7 @@ def dcg_at(gains, position: int) -> float:
     return total
 
 
-def ndcg_at(ranked_labels, position: int, gain: str = "linear") -> float:
+def ndcg_at(ranked_labels, position: int) -> float:
     """nDCG of one ranked label list at a cutoff position.
 
     ``ranked_labels`` is the label sequence in ranked order (best first as
@@ -95,7 +89,7 @@ def ndcg_at(ranked_labels, position: int, gain: str = "linear") -> float:
         raise ValueError(f"position must be >= 1, got {position}")
     if len(ranked_labels) == 0:
         raise ValueError("ranking must be non-empty")
-    gains = [label_gain(lab, gain) for lab in ranked_labels]
+    gains = [label_gain(lab) for lab in ranked_labels]
     ideal = sorted(gains, reverse=True)
     idcg = dcg_at(ideal, position)
     if idcg == 0.0:
@@ -103,9 +97,9 @@ def ndcg_at(ranked_labels, position: int, gain: str = "linear") -> float:
     return dcg_at(gains, position) / idcg
 
 
-def mean_ndcg(rankings, position: int, gain: str = "linear") -> float:
+def mean_ndcg(rankings, position: int) -> float:
     """Average nDCG over queries, excluding zero-IDCG rankings."""
-    values = [ndcg_at(r, position, gain) for r in rankings]
+    values = [ndcg_at(r, position) for r in rankings]
     kept = [v for v in values if not math.isnan(v)]
     if not kept:
         raise ValueError("every ranking had zero ideal DCG")

@@ -32,6 +32,9 @@ NOISE_STD = 0.5
 MIDPOINT = 0.2
 WORDS_PER_TOPIC = 30
 
+# The share of query slots that ``split_pairs`` holds out.
+HOLDOUT_FRACTION = 0.2
+
 
 def token_jaccard(a: str, b: str) -> float:
     """Jaccard overlap of the normalized token sets of two strings."""
@@ -204,20 +207,16 @@ def generate_pairs(
     return pairs
 
 
-def split_pairs(
-    pairs: list[PairRecord], n_queries: int, holdout_fraction: float = 0.2
-) -> tuple[list[PairRecord], list[PairRecord]]:
+def split_pairs(pairs: list[PairRecord], n_queries: int) -> tuple[list[PairRecord], list[PairRecord]]:
     """Split by query slot so held-out queries never appear in training.
 
     ``generate_pairs`` assigns pair j to query slot j % n_queries; the last
-    ``holdout_fraction`` of slots become the held-out set. A split that
-    leaves either side without pairs is a ``ValueError``.
+    ``HOLDOUT_FRACTION`` of slots (at least one) become the held-out set. A
+    split that leaves either side without pairs is a ``ValueError``.
     """
     if n_queries < 1:
         raise ValueError(f"n_queries must be >= 1, got {n_queries}")
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout_fraction must be in (0, 1)")
-    n_test_queries = max(1, int(round(n_queries * holdout_fraction)))
+    n_test_queries = max(1, int(round(n_queries * HOLDOUT_FRACTION)))
     test_slots = set(range(n_queries - n_test_queries, n_queries))
     train = [p for j, p in enumerate(pairs) if j % n_queries not in test_slots]
     test = [p for j, p in enumerate(pairs) if j % n_queries in test_slots]

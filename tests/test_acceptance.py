@@ -53,7 +53,7 @@ TRAIN_CONFIG = DistillationConfig(learning_rate=3e-4, epochs=20)
 @pytest.fixture(scope="session")
 def distillation_bundle():
     pairs = generate_pairs(5000, seed=42, n_queries=N_QUERIES)
-    train_r, test_r = split_pairs(pairs, n_queries=N_QUERIES, holdout_fraction=0.2)
+    train_r, test_r = split_pairs(pairs, n_queries=N_QUERIES)
     y_test = [r.binary() for r in test_r]
     teacher_scores = [soft_label(r.teacher_logits, TRAIN_CONFIG.temperature)[1] for r in test_r]
     teacher_auc = roc_auc(teacher_scores, y_test)

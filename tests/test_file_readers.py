@@ -401,6 +401,17 @@ CLI_CASES = {
                             "the following arguments are required: --out-dir", 2),
     "gen_abbreviated_pairs": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pair", "20", "--queries", "2"],
                               "unrecognized arguments: --pair 20", 2),
+    # evaluation reads score's columns, nDCG has one gain and the split one hold-out share
+    "auc_score_col": (SCORED, ["eval-auc", "--scored", "BAD", "--out", "OUT", "--score-col", "prob"],
+                      "unrecognized arguments: --score-col prob", 2),
+    "auc_label_col": (SCORED, ["eval-auc", "--scored", "BAD", "--out", "OUT", "--label-col", "label"],
+                      "unrecognized arguments: --label-col label", 2),
+    "ndcg_query_col": (SCORED, ["eval-ndcg", "--scored", "BAD", "--out", "OUT", "--query-col", "query"],
+                       "unrecognized arguments: --query-col query", 2),
+    "ndcg_gain": (SCORED, ["eval-ndcg", "--scored", "BAD", "--out", "OUT", "--gain", "linear"],
+                  "unrecognized arguments: --gain linear", 2),
+    "gen_holdout": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pairs", "40", "--queries", "10",
+                          "--holdout", "0.2"], "unrecognized arguments: --holdout 0.2", 2),
 }
 
 

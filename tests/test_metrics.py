@@ -117,9 +117,6 @@ class TestLabelGain:
     def test_linear_scale(self):
         assert [label_gain(l) for l in ("bad", "fair", "good", "excellent")] == [0.0, 1.0, 2.0, 3.0]
 
-    def test_exponential_scale(self):
-        assert label_gain("excellent", "exponential") == 7.0
-
     def test_numeric_binary(self):
         assert label_gain(1) == 1.0
         assert label_gain(0) == 0.0

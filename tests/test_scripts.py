@@ -58,6 +58,50 @@ def test_step_memory_prints_one_json_line(capsys):
     assert 0 < row["forward_caches_mb"] < row["step_peak_mb"]
     assert abs(row["peak_over_caches"] - row["step_peak_mb"] / row["forward_caches_mb"]) < 0.01
     assert math.isfinite(row["loss"])
+    # the traced step's peak falls on a package line and splits into caches and the rest
+    assert row["peak_at"].split(":")[0] in {"encoder.py", "crossing.py", "training.py", "model.py"}
+    assert row["peak_code"]
+    assert 0 < row["caches_at_peak_mb"] <= row["forward_caches_mb"] + 0.001
+    assert abs(row["caches_at_peak_mb"] + row["rest_at_peak_mb"] - row["traced_step_peak_mb"]) < 0.002
+    assert abs(row["traced_step_peak_mb"] - row["step_peak_mb"]) < 0.05 * row["step_peak_mb"]
+
+
+def _peak_rss_records(root: Path, label: str, runs: dict[str, list[float]]) -> Path:
+    """A results directory of ``label`` with one peak_rss_mb record per workload and seed."""
+    directory = root / label
+    directory.mkdir()
+    for workload, values in runs.items():
+        for seed, value in enumerate(values):
+            record = {"workload": workload, "trace": 0, "seed": seed, "environment": {"git_sha": "unknown"},
+                      "result": {"metrics": {"peak_rss_mb": {"value": value, "unit": "MB"}}}}
+            (directory / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+    return directory
+
+
+def test_bench_summary_gives_each_verdict_from_paired_runs(tmp_path, capsys):
+    base = [50.0, 50.1, 50.2, 50.1, 50.0, 50.3, 50.2, 50.1, 50.0, 50.2]
+    before = {"faster": base, "same": base, "slower": base, "noisy": [40.0, 60.0] * 5,
+              "noisy_but_below": [40.0, 60.0] * 5, "nine_of_ten": base}
+    after = {"faster": [v - 1.0 for v in base],  # every pair won by more than the IQR
+             "same": base[:5] + [v - 0.01 for v in base[5:]],  # ties count for neither side
+             "slower": [v * 1.2 for v in base],  # 20% worse against a 0.1 bound
+             "noisy": [41.0, 59.0] * 5,  # an IQR of 40% of the median
+             "noisy_but_below": [30.0, 35.0] * 5,  # as spread, but below every parent run
+             "nine_of_ten": [v - 1.0 for v in base[:8]] + [50.0, 50.3]}  # 8 won, 1 tie, 1 lost
+    summary = load_script("bench_summary")
+    assert summary.main([f"before={_peak_rss_records(tmp_path, 'before', before)}",
+                         f"after={_peak_rss_records(tmp_path, 'after', after)}"]) == 0
+    comparison = json.loads(capsys.readouterr().out)["comparison"]
+    rows = {w: comparison[w]["trace0"]["peak_rss_mb"] for w in before}
+    assert {w: row["verdict"] for w, row in rows.items()} == {
+        "faster": "gain", "same": "no_regression", "slower": "worse", "noisy": "unresolved",
+        "noisy_but_below": "no_regression", "nine_of_ten": "no_regression"}
+    assert {w: row["after_won"] for w, row in rows.items()} == {
+        "faster": 10, "same": 5, "slower": 0, "noisy": 5, "noisy_but_below": 10, "nine_of_ten": 8}
+    assert rows["slower"]["bound"] == 0.1 and abs(rows["slower"]["change_towards_worse"] - 0.2) < 1e-9
+    assert rows["faster"]["median_before"] - rows["faster"]["median_after"] > rows["faster"]["iqr_before"]
+    assert [run["seed"] for run in rows["noisy"]["runs"]] == list(range(10))
+    assert rows["noisy"]["runs"][0] == {"seed": 0, "before": 40.0, "after": 41.0}
 
 
 def _ab_timing(script: str, *flags: str) -> dict:

@@ -194,14 +194,12 @@ def test_pair_normals_are_standard_normal():
 class TestSplitPairs:
     def test_no_query_leakage(self):
         pairs = generate_pairs(500, seed=6, n_queries=50)
-        train, test = split_pairs(pairs, n_queries=50, holdout_fraction=0.2)
+        train, test = split_pairs(pairs, n_queries=50)
         assert len(train) + len(test) == len(pairs)
         assert not ({p.query for p in train} & {p.query for p in test})
 
-    def test_fraction_validated(self):
+    def test_query_count_validated(self):
         pairs = generate_pairs(50, seed=6, n_queries=10)
-        with pytest.raises(ValueError):
-            split_pairs(pairs, n_queries=10, holdout_fraction=0.0)
         with pytest.raises(ValueError, match="n_queries must be >= 1, got 0"):
             split_pairs(pairs, n_queries=0)
 
