@@ -5,15 +5,17 @@ Loads the ``twinenc`` package of each tree under its own name into one
 process and builds the rerank benchmark workload's model (desk preset,
 seed 0), queries and keyword store for ``--seed``. It refuses to time
 unless both trees give ``array_equal`` query embeddings at batch 1, in
-float32 and float64, and equal keyword-store embeddings at batch 256. It
-then times ``pack_sequences`` + ``encode_query_batch`` of one tokenized
-float32 query, over ``--queries`` queries per round, in alternating pairs
-of rounds (before/after, then after/before, ...) so a drift in host speed
-lands on both sides; a round's figure is its median call. Last it prints
-each tree's ``tracemalloc`` peak for the no-rng float32 forward of one
-256-keyword batch, in bytes and in activations (batch x length x hidden
-float32 arrays). Prints one JSON object, which names the host's Python
-and numpy versions and ``nproc``:
+float32 and float64, and equal raw keyword stores (``encode_corpus`` with
+``normalize=False``) at batch 256. It then times ``pack_sequences`` +
+``encode_query_batch`` of one tokenized float32 query, over ``--queries``
+queries per round, in alternating pairs of rounds (before/after, then
+after/before, ...) so a drift in host speed lands on both sides; a round's
+figure is its median call. Last it prints each tree's ``tracemalloc`` peak
+for the no-rng float32 forward of one 256-keyword batch, in bytes and in
+activations (batch x length x hidden float32 arrays), and for float32
+``encode_keywords`` over the whole keyword store, beside the bytes of its
+output. Prints one JSON object, which names the host's Python and numpy
+versions and ``nproc``:
 
     python3 scripts/time_encode.py before=../parent/src after=src --pairs 10
 """
@@ -91,6 +93,17 @@ def forward_peak(twinenc, model, store: list[str]) -> dict:
             "peak_activations": round(peak / activation, 2)}
 
 
+def encode_keywords_peak(model, store: list[str]) -> dict:
+    model.encode_keywords(store[:BATCH])
+    tracemalloc.start()
+    try:
+        rows = model.encode_keywords(store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"peak_bytes": peak, "output_bytes": rows.nbytes}
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": round(float(median), 2), "q1": round(float(q1), 2), "q3": round(float(q3), 2),
@@ -139,6 +152,8 @@ def main(argv=None) -> int:
         },
         "forward_peak_b256_float32": {label: forward_peak(trees[label], models[label], store)
                                       for label in trees},
+        "encode_keywords_peak_store_float32": {label: encode_keywords_peak(models[label], store)
+                                               for label in trees},
     }
     json.dump(out, sys.stdout, indent=2)
     print()

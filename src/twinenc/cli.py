@@ -112,32 +112,34 @@ def _load_config_file(args) -> dict:
     return raw
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> dict[str, str]:
+    """Add the model flags to ``p``; returns each flag keyed by its ``args`` attribute."""
     g = p.add_argument_group("model")
-    g.add_argument("--preset", choices=PRESETS, default=None,
-                   help="architecture preset (default desk: L=2 H=64 A=2)")
-    g.add_argument("--layers", dest="n_layers", type=int, default=None)
-    g.add_argument("--hidden-size", type=int, default=None)
-    g.add_argument("--heads", dest="n_heads", type=int, default=None)
-    g.add_argument("--ffn-size", type=int, default=None)
-    g.add_argument("--vocab-buckets", type=int, default=None)
-    g.add_argument("--max-len", type=int, default=None)
-    g.add_argument("--pooling", choices=POOLING_MODES, default=None)
-    g.add_argument("--crossing", choices=CROSSING_MODES, default=None)
-    g.add_argument("--shared-encoders", action=argparse.BooleanOptionalAction, default=None)
-    g.add_argument("--dropout", type=float, default=None)
-    g.add_argument("--vocab-hash-seed", type=int, default=None)
+    flags = [
+        g.add_argument("--preset", choices=PRESETS, default=None,
+                       help="architecture preset (default desk: L=2 H=64 A=2)"),
+        g.add_argument("--layers", dest="n_layers", type=int, default=None),
+        g.add_argument("--hidden-size", type=int, default=None),
+        g.add_argument("--heads", dest="n_heads", type=int, default=None),
+        g.add_argument("--ffn-size", type=int, default=None),
+        g.add_argument("--vocab-buckets", type=int, default=None),
+        g.add_argument("--max-len", type=int, default=None),
+        g.add_argument("--pooling", choices=POOLING_MODES, default=None),
+        g.add_argument("--crossing", choices=CROSSING_MODES, default=None),
+        g.add_argument("--shared-encoders", action=argparse.BooleanOptionalAction, default=None),
+        g.add_argument("--dropout", type=float, default=None),
+        g.add_argument("--vocab-hash-seed", type=int, default=None),
+    ]
+    return {a.dest: a.option_strings[0] for a in flags}
 
 
-def _add_distill_flags(p: argparse.ArgumentParser) -> None:
+def _add_training_flags(p: argparse.ArgumentParser):
+    """``p``'s training group, holding the two flags both phases read; each command adds its
+    own phase's. The config file's distill section holds both phases' fields."""
     g = p.add_argument_group("training")
-    g.add_argument("--temperature", type=float, default=None)
-    g.add_argument("--lr", dest="learning_rate", type=float, default=None)
     g.add_argument("--weight-decay", type=float, default=None)
-    g.add_argument("--epochs", type=int, default=None)
     g.add_argument("--batch-size", type=int, default=None)
-    g.add_argument("--finetune-lr", dest="finetune_learning_rate", type=float, default=None)
-    g.add_argument("--finetune-epochs", type=int, default=None)
+    return g
 
 
 def _config_kwargs(cls, args, file_section: dict) -> dict:
@@ -391,6 +393,10 @@ def cmd_bench(args) -> int:
                                ("--qel", args.qel, 1), ("--warmup", args.warmup, 0)):
         if value < least:
             raise CliError(f"{flag} must be >= {least}, got {value}")
+    if args.checkpoint is not None:
+        for dest, flag in args.model_flags.items():
+            if getattr(args, dest) is not None:
+                raise CliError(f"{flag} cannot be given with --checkpoint, whose header sets the model")
     modes = [mode.strip() for mode in args.modes.split(",")]
     for i, mode in enumerate(modes):
         if mode in modes[:i]:  # its rows would share one entry of the manifest's fits
@@ -449,13 +455,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("distill", parents=[seeded], help="train a student model from teacher logits")
     _add_model_flags(p)
-    _add_distill_flags(p)
+    g = _add_training_flags(p)
+    g.add_argument("--temperature", type=float, default=None, help="softens the teacher logits")
+    g.add_argument("--lr", dest="learning_rate", type=float, default=None, help="distillation learning rate")
+    g.add_argument("--epochs", type=int, default=None, help="distillation epochs")
     p.add_argument("--data", required=True, help="pair TSV with teacher logits")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.set_defaults(func=cmd_distill)
 
     p = add_command("finetune", parents=[seeded], help="fine-tune a distilled model on hard labels")
-    _add_distill_flags(p)
+    g = _add_training_flags(p)
+    g.add_argument("--finetune-lr", dest="finetune_learning_rate", type=float, default=None,
+                   help="fine-tuning learning rate")
+    g.add_argument("--finetune-epochs", type=int, default=None, help="fine-tuning epochs")
     p.add_argument("--data", required=True, help="pair TSV with labels")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
@@ -508,9 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_ndcg)
 
     p = add_command("bench", parents=[seeded], help="latency scenarios and complexity fits")
-    _add_model_flags(p)
+    model_flags = _add_model_flags(p)
     p.add_argument("--checkpoint", default=None,
-                   help="model to time (default: randomly initialized from flags)")
+                   help="model to time (default: randomly initialized from the model flags, "
+                        "which a checkpoint refuses)")
     p.add_argument("--modes", default="twin_cosine,twin_residual,cross_encoder")
     p.add_argument("--nk-grid", default="25,50,100")
     p.add_argument("--n-queries", type=int, default=50)
@@ -519,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true", help="encode keywords at query time")
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, model_flags=model_flags)
 
     return parser
 

@@ -20,8 +20,8 @@ vectors, the ids and, when the header's ``degree_bound`` is not null, that
 same int32 array, each row a fixed-width record as in DiskANN. Each array is
 written from its own buffer and read back in one bounds-checked read.
 
-A raw (unnormalized, float64) store, which the residual head needs, exists
-in memory only; it carries no graph and is never written to a file.
+A raw store (unnormalized rows in the model's dtype), which the residual head
+needs, exists in memory only; it carries no graph and is never written to a file.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import encoder, textio
+from . import textio
 from .checkpoint import atomic_write, pack_str, read_preamble, write_preamble
 from .model import SERVE_BATCH, OpCounters, TwinModel
-from .text import TokenSequence, encodable
+from .text import encodable
 
 logger = logging.getLogger(__name__)
 
@@ -184,12 +184,13 @@ def encode_corpus(
     batch_size: int = SERVE_BATCH,
     normalize: bool = True,
 ) -> EmbeddingIndex:
-    """Encode a keyword stream into an embedding store.
+    """Encode a keyword stream into an embedding store, ``batch_size`` kept
+    keywords per ``model.encode_keywords`` call.
 
     Unit-normalized float32 by default (the searchable store); with
-    ``normalize=False`` the raw float64 embeddings are kept instead (the
-    residual-head serving cache). Keywords that ``text.encodable`` refuses
-    are skipped with a warning and their ids excluded.
+    ``normalize=False`` the model's raw rows are kept instead, in the model's
+    dtype (the residual-head serving cache). Keywords that ``text.encodable``
+    refuses are skipped with a warning and their ids excluded.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -198,30 +199,23 @@ def encode_corpus(
         ids = textio.keyword_ids(len(keywords))
     if len(ids) != len(keywords):
         raise ValueError("ids and keywords must align")
-    # each batch of batch_size kept keywords is tokenized, encoded and
-    # written straight into the store, normalized in place
-    vectors = np.empty((len(keywords), model.config.hidden_size),
-                       dtype=np.float32 if normalize else np.float64)
-    kept_ids: list[str] = []
-    batch: list[TokenSequence] = []
-    for i, (kid, text) in enumerate(zip(ids, keywords)):
+    kept_ids, kept = [], []
+    for kid, text in zip(ids, keywords):
         try:
             encodable(text)
         except ValueError:
             logger.warning("skipping unencodable keyword %r (id %s)", text, kid)
         else:
-            batch.append(model.tokenize(text))
             kept_ids.append(kid)
-        if batch and (len(batch) == batch_size or i == len(keywords) - 1):
-            emb = model.encode_keyword_batch(encoder.pack_sequences(batch))[0]
-            if normalize:
-                emb /= _row_norms(emb)
-            vectors[len(kept_ids) - len(emb) : len(kept_ids)] = emb
-            batch.clear()
-    if not kept_ids:
+            kept.append(text)
+    if not kept:
         raise ValueError("corpus is empty after filtering unencodable keywords")
-    if len(kept_ids) < len(vectors):
-        vectors = vectors[: len(kept_ids)].copy()
+    vectors = np.empty((len(kept), model.config.hidden_size), np.float32 if normalize else model.dtype)
+    for lo in range(0, len(kept), batch_size):
+        emb = model.encode_keywords(kept[lo : lo + batch_size])
+        if normalize:
+            emb /= _row_norms(emb)
+        vectors[lo : lo + batch_size] = emb
     return EmbeddingIndex(ids=kept_ids, vectors=vectors, metric=METRIC_UNIT if normalize else METRIC_RAW)
 
 

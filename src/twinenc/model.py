@@ -130,15 +130,19 @@ class TwinModel:
         return emb, saved
 
     def encode_queries(self, texts: list[str]) -> np.ndarray:
-        return self._encode(self.encode_query_batch, self.tokenize_many(texts))
+        return self._encode(self.encode_query_batch, texts)
 
     def encode_keywords(self, texts: list[str]) -> np.ndarray:
-        return self._encode(self.encode_keyword_batch, self.tokenize_many(texts))
+        return self._encode(self.encode_keyword_batch, texts)
 
-    def _encode(self, encode_batch, seqs: list[TokenSequence]) -> np.ndarray:
-        """``encode_batch``'s rows of ``seqs``, ``SERVE_BATCH`` per forward; no sequences, no rows."""
-        return np.concatenate([np.empty((0, self.config.hidden_size), self.dtype), *(
-            encode_batch(pack_sequences(seqs[lo : lo + SERVE_BATCH]))[0] for lo in range(0, len(seqs), SERVE_BATCH))])
+    def _encode(self, encode_batch, texts: list[str]) -> np.ndarray:
+        """``encode_batch``'s rows of ``texts`` in the model's dtype, ``SERVE_BATCH`` texts tokenized
+        per forward, so memory past the output is one batch's however many texts; no texts, no rows."""
+        rows = np.empty((len(texts), self.config.hidden_size), self.dtype)
+        for lo in range(0, len(texts), SERVE_BATCH):
+            rows[lo : lo + SERVE_BATCH] = encode_batch(
+                pack_sequences(self.tokenize_many(texts[lo : lo + SERVE_BATCH])))[0]
+        return rows
 
     def backward_query(self, d_emb, cache, batch: PackedBatch, grads: dict) -> None:
         encoder_backward(d_emb, cache, self.params, self.query_prefix, batch, self.config, grads)

@@ -623,6 +623,23 @@ class TestBench:
         assert named in err and "Traceback" not in err
         assert "resolved config" not in err  # refused before settings resolve
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--layers", "5", "--hidden-size", "32", "--heads", "4"], "--layers"),
+        (["--preset", "large"], "--preset"),
+        (["--no-shared-encoders"], "--shared-encoders"),
+        (["--dropout", "0.3"], "--dropout"),
+    ], ids=["layers", "preset", "no-shared-encoders", "dropout"])
+    def test_model_flag_with_a_checkpoint_exits_1_before_timing(self, workspace, tmp_path, capsys, monkeypatch,
+                                                                flags, named):
+        monkeypatch.setattr(bench_mod, "bench_grid", lambda *a, **k: pytest.fail("a refused model was timed"))
+        out = tmp_path / "bench.tsv"
+        assert main(["bench", "--checkpoint", str(workspace / "model.ckpt"), "--modes", "twin_cosine",
+                     "--nk-grid", "5,10,20", "--n-queries", "2", "--reps", "1", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{named} cannot be given with --checkpoint" in err and "Traceback" not in err
+        assert "resolved config" not in err  # refused before settings resolve
+        assert not out.exists()
+
     def test_repeated_mode_exits_1_before_timing(self, capsys, monkeypatch):
         def timed(*args, **kwargs):
             raise AssertionError("a refused mode list was timed")

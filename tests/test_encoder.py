@@ -423,6 +423,24 @@ class TestServeBatch:
         assert rows.dtype == want.dtype == dtype and rows.shape == (self.N, model.config.hidden_size)
         assert rows.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("side, api", [("query", "encode_queries"), ("keyword", "encode_keywords")])
+    def test_encoders_tokenize_each_batch_just_before_its_forward(self, tiny_model, monkeypatch, side, api):
+        events = []
+        real_tokenize, real_encode = TwinModel.tokenize_many, getattr(TwinModel, f"encode_{side}_batch")
+
+        def tokenize_many(model, texts):
+            events.append(("tokenize", len(texts)))
+            return real_tokenize(model, texts)
+
+        def encode(model, batch, **kwargs):
+            events.append(("forward", batch.n_examples))
+            return real_encode(model, batch, **kwargs)
+
+        monkeypatch.setattr(TwinModel, "tokenize_many", tokenize_many)
+        monkeypatch.setattr(TwinModel, f"encode_{side}_batch", encode)
+        getattr(tiny_model, api)(self.QUERIES if side == "query" else self.KEYWORDS)
+        assert events == [(event, n) for n in (SERVE_BATCH, SERVE_BATCH, 1) for event in ("tokenize", "forward")]
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("head", ["cosine", "residual"])
     def test_score_pairs_crosses_serve_batch_pairs_at_a_time(self, tiny_model, sizes, head, dtype):

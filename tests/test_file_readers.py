@@ -312,6 +312,8 @@ SEARCH_BAD_INDEX = ["search", "--checkpoint", "SERVED/model.ckpt", "--index", "B
 PAIRS_NO_WORD = PAIRS.replace(b"buy red shoes", b"!!!").replace(b"\t-0.5\n", b"\t-0.5\tbad\n")  # every row labelled
 SCORED = b"query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tbad\t0.1\n"
 
+FINETUNE = ["finetune", "--data", "SERVED/pairs.tsv", "--checkpoint", "SERVED/model.ckpt", "--out", "OUT"]
+
 # case -> (file contents, command-line arguments with BAD for the file, text stderr must hold
 #          [, exit status: 1 when left out])
 CLI_CASES = {
@@ -412,6 +414,15 @@ CLI_CASES = {
                   "unrecognized arguments: --gain linear", 2),
     "gen_holdout": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pairs", "40", "--queries", "10",
                           "--holdout", "0.2"], "unrecognized arguments: --holdout 0.2", 2),
+    # each training command takes only the flags its phase reads
+    "finetune_lr": (b"", [*FINETUNE, "--lr", "5"], "unrecognized arguments: --lr 5", 2),
+    "finetune_epochs": (b"", [*FINETUNE, "--epochs", "40"], "unrecognized arguments: --epochs 40", 2),
+    "finetune_temperature": (b"", [*FINETUNE, "--temperature", "9"],
+                             "unrecognized arguments: --temperature 9", 2),
+    "distill_finetune_lr": (b"", ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--finetune-lr", "7"],
+                            "unrecognized arguments: --finetune-lr 7", 2),
+    "distill_finetune_epochs": (b"", ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT",
+                                      "--finetune-epochs", "9"], "unrecognized arguments: --finetune-epochs 9", 2),
 }
 
 

@@ -162,11 +162,26 @@ class TestEncodeCorpus:
         with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
             encode_corpus(["red shoes"], tiny_model, batch_size=batch_size)
 
-    def test_raw_store_keeps_raw_float64(self, tiny_model):
-        raw = encode_corpus(["red shoes"], tiny_model, normalize=False)
-        direct = tiny_model.encode_keywords(["red shoes"])
-        assert raw.metric == METRIC_RAW
-        np.testing.assert_array_equal(raw.vectors, direct)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_raw_store_is_encode_keywords_in_the_model_dtype(self, tiny_model, dtype):
+        model = tiny_model.cast(dtype)
+        raw = encode_corpus(["red shoes", "???", "blue hat"], model, normalize=False)
+        direct = model.encode_keywords(["red shoes", "blue hat"])
+        assert raw.metric == METRIC_RAW and raw.vectors.dtype == dtype
+        assert raw.vectors.tobytes() == direct.tobytes()
+
+    def test_rows_come_from_encode_keywords_batch_size_kept_keywords_per_call(self, tiny_model, monkeypatch):
+        sizes = []
+        real = tiny_model.encode_keywords
+
+        def counting(texts):
+            sizes.append(len(texts))
+            return real(texts)
+
+        monkeypatch.setattr(tiny_model, "encode_keywords", counting)
+        texts = ["red shoes", "???", "blue hat", "green tea", "cat", "!!", "hat", "paris", "x y"]
+        encode_corpus(texts, tiny_model, batch_size=3)
+        assert sizes == [3, 3, 1]
 
 
 class TestEncodeCorpusStore:
@@ -190,8 +205,8 @@ class TestEncodeCorpusStore:
         assert store.vectors.dtype == np.float32
         assert store.vectors.tobytes() == _normalize_rows(stacked).astype(np.float32).tobytes()
         raw = encode_corpus(self.KEYWORDS, model, batch_size=batch_size, normalize=False)
-        assert raw.metric == METRIC_RAW and raw.vectors.dtype == np.float64
-        assert raw.vectors.tobytes() == stacked.astype(np.float64).tobytes()
+        assert raw.metric == METRIC_RAW and raw.vectors.dtype == model.dtype
+        assert raw.vectors.tobytes() == stacked.tobytes()
 
 
 class TestKnnExact:

@@ -115,7 +115,7 @@ def _ab_timing(script: str, *flags: str) -> dict:
 def test_time_encode_reports_both_labels():
     out = _ab_timing("time_encode", "--pairs", "1", "--queries", "5")
     assert set(out) == {"labels", "pairs", "queries_per_round", "seed", "host", "equality",
-                        "batch1_encode_us", "forward_peak_b256_float32"}
+                        "batch1_encode_us", "forward_peak_b256_float32", "encode_keywords_peak_store_float32"}
     assert out["labels"] == ["a", "b"] and out["pairs"] == 1 and out["queries_per_round"] == 5
     timing = out["batch1_encode_us"]
     assert set(timing) == {"call", "round_medians", "a", "b", "b_faster_in", "time_ratio_a_to_b",
@@ -125,6 +125,9 @@ def test_time_encode_reports_both_labels():
         assert {"median", "q1", "q3", "iqr"} == set(timing[label])
         peak = out["forward_peak_b256_float32"][label]
         assert {"peak_bytes", "activation_bytes", "peak_activations"} == set(peak) and peak["peak_bytes"] > 0
+        store_peak = out["encode_keywords_peak_store_float32"][label]
+        assert set(store_peak) == {"peak_bytes", "output_bytes"}
+        assert store_peak["peak_bytes"] > store_peak["output_bytes"] == 2048 * 64 * 4
 
 
 def test_time_generate_pairs_reports_every_shape():
