@@ -3,9 +3,10 @@
 Subcommands: distill, finetune, encode-corpus, build-index, search, score,
 eval-auc, eval-ndcg, bench, gen-synthetic. Every command is deterministic
 given its seed and inputs. Settings resolve in three layers: built-in
-defaults, then command-line flags, then the JSON config file (the file has
-the last word). Only gen-synthetic, distill, finetune and bench read
-settings, so only they take ``--config`` and ``--seed``.
+defaults, then command-line flags, then the JSON config file, which sets
+only the command's own flags and has the last word. Only gen-synthetic,
+distill, finetune and bench read settings, so only they take ``--config``
+and ``--seed``.
 
 Data goes to stdout or to files: a command whose result is a table writes it
 once, to stdout or with ``--out`` to that file. Diagnostics (the resolved
@@ -81,10 +82,10 @@ def _score(cell: str) -> float:
     return value
 
 
-def _load_config_file(args) -> dict:
-    """The config file's settings, ``{}`` without ``--config``, with ``seed`` set to the
-    run's: the file's, else ``--seed``'s, else 0. The seed is checked here, so a seeded
-    command reads no other file when it is outside [0, 2**63); the error names its source."""
+def _load_config_file(args) -> None:
+    """Set the config file's settings on ``args`` over the flags it gives another way, and
+    ``args.seed`` to the run's seed: the file's, else ``--seed``'s, else 0. Every key is checked
+    before any other file is read; an error names the file and the key, or the seed's source."""
     path = args.config
     try:
         raw = {} if path is None else json.loads(textio.read_text(_require_file(path)))
@@ -93,23 +94,36 @@ def _load_config_file(args) -> dict:
     if not isinstance(raw, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     source = f"config file {path}: 'seed'" if "seed" in raw else "--seed"
-    seed = raw.setdefault("seed", 0 if args.seed is None else args.seed)
+    args.seed = seed = raw.pop("seed", 0 if args.seed is None else args.seed)
     if type(seed) is not int:
         raise CliError(f"{source} must be an integer, got {seed!r}")
     if not 0 <= seed < 2**63:
         raise CliError(f"{source} must be in [0, 2**63), got {seed}")
-    for key in ("model", "distill"):
+    fields = {s: {f.name for f in dataclasses.fields(cls)}
+              for s, cls in (("model", ModelConfig), ("distill", DistillationConfig))}
+    for key in fields:
         if not isinstance(raw.get(key, {}), dict):
             raise CliError(f"config file {path}: {key!r} must be a JSON object")
-    for key in sorted(raw.keys() - {"preset", "model", "distill", "seed"}):  # the first one fails
-        owner = [s for s, cls in (("model", ModelConfig), ("distill", DistillationConfig))
-                 if key in {f.name for f in dataclasses.fields(cls)}]
+    for key in sorted(raw.keys() - {"preset", *fields}):  # the first one fails
+        owner = [s for s, names in fields.items() if key in names]
         where = (f'belongs inside its "{owner[0]}" object' if owner
                  else "is unknown; the sections are preset, model, distill and seed")
         raise CliError(f"config file {path}: {key!r} {where}")
-    if raw.get("preset", "desk") not in tuple(PRESETS):  # a tuple: a JSON list is unhashable
-        raise CliError(f"config file {path}: 'preset' must be one of {tuple(PRESETS)}")
-    return raw
+    known = {"preset"} | {f"{s}.{name}" for s, names in fields.items() for name in names}
+    settings = [(f"{s}.{name}", name, value) for s in fields for name, value in raw.get(s, {}).items()]
+    if "preset" in raw:
+        settings.append(("preset", "preset", raw["preset"]))
+    for key, dest, value in sorted(settings):
+        if not key.startswith("distill.") and getattr(args, "checkpoint", None) is not None:
+            raise CliError(f"config file {path}: {key!r} cannot be given with --checkpoint, "
+                           "whose header sets the model")
+        if key not in known or not hasattr(args, dest):  # the command has no flag for it
+            raise CliError(f"config file {path}: {args.command} takes no {key!r}")
+        if key == "preset" and value not in tuple(PRESETS):  # a tuple: a JSON list is unhashable
+            raise CliError(f"config file {path}: 'preset' must be one of {tuple(PRESETS)}")
+        if value is None:  # an unset flag holds None, so null would read as "not given"
+            raise CliError(f"config file {path}: {key!r} must not be null")
+        setattr(args, dest, value)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> dict[str, str]:
@@ -135,38 +149,29 @@ def _add_model_flags(p: argparse.ArgumentParser) -> dict[str, str]:
 
 def _add_training_flags(p: argparse.ArgumentParser):
     """``p``'s training group, holding the two flags both phases read; each command adds its
-    own phase's. The config file's distill section holds both phases' fields."""
+    own phase's."""
     g = p.add_argument_group("training")
     g.add_argument("--weight-decay", type=float, default=None)
     g.add_argument("--batch-size", type=int, default=None)
     return g
 
 
-def _config_kwargs(cls, args, file_section: dict) -> dict:
-    """Fields of config class ``cls``: the flags given in ``args``, then the file's section."""
-    kwargs = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
-              if getattr(args, f.name, None) is not None}
-    return {**kwargs, **file_section}
-
-
-def _resolve(args, file_cfg: dict, model: TwinModel | None = None) -> dict:
-    """Merge defaults <- flags <- config file into one resolved dict, and log it.
-    ``file_cfg`` is as ``_load_config_file`` returns it, holding the checked seed.
-    A loaded ``model``'s config replaces the resolved one."""
+def _settings(args, cls) -> dict:
+    """The fields of config class ``cls`` as ``args`` sets them (the command's flags, with
+    its config file over them), the rest at their defaults, checked by ``cls``: a
+    ``ModelConfig`` is built at ``args``'s preset."""
+    make = PRESETS[args.preset or "desk"] if cls is ModelConfig else cls
     try:
-        config = PRESETS[file_cfg.get("preset", getattr(args, "preset", None)) or "desk"](
-            **_config_kwargs(ModelConfig, args, file_cfg.get("model", {})))
-        distill = DistillationConfig(
-            **_config_kwargs(DistillationConfig, args, file_cfg.get("distill", {})))
-    except (TypeError, ValueError) as exc:
+        return make(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                       if getattr(args, f.name, None) is not None}).to_dict()
+    except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
-    resolved = {
-        "model": config.to_dict(),
-        "distill": distill.to_dict(),
-        "seed": file_cfg.get("seed", 0),
-    }
-    if model is not None:
-        resolved["model"] = model.config.to_dict()
+
+
+def _resolve(args, **sections: dict) -> dict:
+    """The run's settings, logged: ``sections`` (``model``, and ``distill`` where the
+    command trains) and the seed that ``_load_config_file`` set."""
+    resolved = {**sections, "seed": args.seed}
     logger.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
     return resolved
 
@@ -197,16 +202,16 @@ def _emit(path: str | Path | None, rows, manifest: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synthetic(args) -> int:
-    seed = _load_config_file(args)["seed"]
+    _load_config_file(args)
     out_dir = Path(args.out_dir)
 
     pairs = generate_pairs(
-        n_pairs=args.pairs, seed=seed, n_queries=args.queries, n_topics=args.topics
+        n_pairs=args.pairs, seed=args.seed, n_queries=args.queries, n_topics=args.topics
     )
     train, test = split_pairs(pairs, n_queries=args.queries)
 
     resolved = {"pairs": args.pairs, "queries": args.queries, "topics": args.topics,
-                "holdout": HOLDOUT_FRACTION, "seed": seed}
+                "holdout": HOLDOUT_FRACTION, "seed": args.seed}
     manifest = _manifest("gen-synthetic", resolved)
     _emit(out_dir / "train.tsv", pair_tsv_rows(train), manifest)
     _emit(out_dir / "test.tsv", pair_tsv_rows(test), manifest)
@@ -252,16 +257,19 @@ def _train(command: str, phase, args, resolved: dict, model: TwinModel, records,
 
 
 def cmd_distill(args) -> int:
-    resolved = _resolve(args, _load_config_file(args))
+    _load_config_file(args)
+    resolved = _resolve(args, model=_settings(args, ModelConfig),
+                        distill=_settings(args, DistillationConfig))
     records = _training_pairs(args.data, "teacher_logits")
     return _train("distill", distill_train, args, resolved, _build_model(resolved), records)
 
 
 def cmd_finetune(args) -> int:
-    file_cfg = _load_config_file(args)
+    _load_config_file(args)
+    distill = _settings(args, DistillationConfig)
     records = _training_pairs(args.data, "label")
     model = TwinModel.load(_require_file(args.checkpoint))
-    resolved = _resolve(args, file_cfg, model)
+    resolved = _resolve(args, model=model.config.to_dict(), distill=distill)
     return _train("finetune", finetune, args, resolved, model, records,
                   source_checkpoint=str(args.checkpoint),
                   finetune_learning_rate=resolved["distill"]["finetune_learning_rate"])
@@ -407,9 +415,9 @@ def cmd_bench(args) -> int:
                      for mode in modes]
     except ValueError as exc:
         raise CliError(f"--modes: {exc}") from None
-    file_cfg = _load_config_file(args)
+    _load_config_file(args)
     loaded = TwinModel.load(_require_file(args.checkpoint)) if args.checkpoint else None
-    resolved = _resolve(args, file_cfg, loaded)
+    resolved = _resolve(args, model=loaded.config.to_dict() if loaded else _settings(args, ModelConfig))
     model = loaded or _build_model(resolved)
 
     rows, fits = [], {}
@@ -441,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--quiet", action="store_true", help="show warnings and errors only")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common], allow_abbrev=False)
-    seeded.add_argument("--config", default=None, help="JSON config file; overrides flags")
+    seeded.add_argument("--config", default=None,
+                        help="JSON config file of this command's own flags; overrides them")
     seeded.add_argument("--seed", type=int, default=None)
 
     p = add_command("gen-synthetic", parents=[seeded],

@@ -16,7 +16,7 @@ import pytest
 import twinenc
 from twinenc import bench as bench_mod
 from twinenc.checkpoint import FORMAT_VERSION
-from twinenc.cli import _resolve, build_parser, main
+from twinenc.cli import _load_config_file, _settings, build_parser, main
 from twinenc.config import ModelConfig
 from twinenc.encoder import sigmoid
 from twinenc.index import EmbeddingIndex, knn_approx, knn_exact
@@ -172,22 +172,22 @@ class TestDistill:
                                "--data", str(tmp_path / "d.tsv"), "--out", str(tmp_path / "m.ckpt")],
                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 1
-        assert "invalid configuration" in proc.stderr and "'beta1'" in proc.stderr
+        assert f"config file {cfg}: distill takes no 'distill.beta1'" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "m.ckpt").exists()
 
-    @pytest.mark.parametrize("flags, file_section, named", [
-        (["--lr", "nan"], None, "learning_rate must be a finite float, got nan"),
-        (["--temperature", "inf"], None, "temperature must be a finite float, got inf"),
-        (["--dropout=-inf"], None, "dropout must be a finite float, got -inf"),
-        ([], '{"distill": {"temperature": NaN}}', "temperature must be a finite float, got nan"),
-        ([], '{"distill": {"finetune_learning_rate": Infinity}}',
+    @pytest.mark.parametrize("command, flags, file_section, named", [
+        (["distill"], ["--lr", "nan"], None, "learning_rate must be a finite float, got nan"),
+        (["distill"], ["--temperature", "inf"], None, "temperature must be a finite float, got inf"),
+        (["distill"], ["--dropout=-inf"], None, "dropout must be a finite float, got -inf"),
+        (["distill"], [], '{"distill": {"temperature": NaN}}', "temperature must be a finite float, got nan"),
+        (["finetune", "--checkpoint", "c.ckpt"], [], '{"distill": {"finetune_learning_rate": Infinity}}',
          "finetune_learning_rate must be a finite float, got inf"),
     ], ids=["lr-nan", "temperature-inf", "dropout-minus-inf", "file-nan", "file-infinity"])
-    def test_non_finite_setting_exits_1_before_reading_data(self, tmp_path, capsys, flags, file_section,
-                                                           named):
-        # the data file does not exist: the configuration is refused first
-        argv = ["distill", "--data", str(tmp_path / "d.tsv"), "--out", str(tmp_path / "m.ckpt"), *flags]
+    def test_non_finite_setting_exits_1_before_reading_data(self, tmp_path, capsys, command, flags,
+                                                           file_section, named):
+        # the data file (and a checkpoint) does not exist: the configuration is refused first
+        argv = [*command, "--data", str(tmp_path / "d.tsv"), "--out", str(tmp_path / "m.ckpt"), *flags]
         if file_section is not None:
             (tmp_path / "cfg.json").write_text(file_section)
             argv += ["--config", str(tmp_path / "cfg.json")]
@@ -516,18 +516,24 @@ class TestEvalNdcg:
         assert "--positions '1,x': 'x' is not an integer" in err and "Traceback" not in err
 
 
-class TestPresets:
-    def test_large_preset_resolves_to_model_config_large(self):
-        distill = ["distill", "--data", "d.tsv", "--out", "m.ckpt"]
-        by_flag = build_parser().parse_args([*distill, "--preset", "large"])
-        assert _resolve(by_flag, {})["model"] == ModelConfig.large().to_dict()
-        by_file = build_parser().parse_args(distill)
-        assert _resolve(by_file, {"preset": "large"})["model"] == ModelConfig.large().to_dict()
+def _model_settings(tmp_path, flags: list[str], file_cfg: dict | None = None) -> dict:
+    """The model settings ``distill`` resolves from ``flags`` and a config file holding ``file_cfg``."""
+    argv = ["distill", "--data", "d.tsv", "--out", "m.ckpt", *flags]
+    if file_cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(file_cfg))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    args = build_parser().parse_args(argv)
+    _load_config_file(args)
+    return _settings(args, ModelConfig)
 
-    def test_config_file_preset_beats_the_flag(self):
-        args = build_parser().parse_args(["distill", "--data", "d.tsv", "--out", "m.ckpt",
-                                          "--preset", "large"])
-        assert _resolve(args, {"preset": "desk"})["model"] == ModelConfig().to_dict()
+
+class TestPresets:
+    def test_large_preset_resolves_to_model_config_large(self, tmp_path):
+        assert _model_settings(tmp_path, ["--preset", "large"]) == ModelConfig.large().to_dict()
+        assert _model_settings(tmp_path, [], {"preset": "large"}) == ModelConfig.large().to_dict()
+
+    def test_config_file_preset_beats_the_flag(self, tmp_path):
+        assert _model_settings(tmp_path, ["--preset", "large"], {"preset": "desk"}) == ModelConfig().to_dict()
 
 
 class TestLoadedModelSettings:
@@ -553,11 +559,10 @@ class TestLoadedModelSettings:
         assert manifest["config"]["model"] == config.to_dict()
         assert TwinModel.load(tmp_path / "ft.ckpt").vocab.hash_seed == 5
 
-    def test_vocab_hash_seed_is_a_model_setting(self):
-        args = build_parser().parse_args(["distill", "--data", "d.tsv", "--out", "m.ckpt",
-                                          "--vocab-hash-seed", "5"])
-        assert _resolve(args, {})["model"]["vocab_hash_seed"] == 5
-        assert _resolve(args, {"model": {"vocab_hash_seed": -9}})["model"]["vocab_hash_seed"] == -9
+    def test_vocab_hash_seed_is_a_model_setting(self, tmp_path):
+        flag = ["--vocab-hash-seed", "5"]
+        assert _model_settings(tmp_path, flag)["vocab_hash_seed"] == 5
+        assert _model_settings(tmp_path, flag, {"model": {"vocab_hash_seed": -9}})["vocab_hash_seed"] == -9
 
 
 class TestBench:
@@ -776,3 +781,45 @@ class TestDiagnostics:
             build_parser().parse_args([*args, *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+GEN = ["gen-synthetic", "--out-dir", "TMP/data"]
+DISTILL = ["distill", "--data", "TMP/d.tsv", "--out", "TMP/m.ckpt"]
+FINETUNE = ["finetune", "--data", "TMP/d.tsv", "--checkpoint", "TMP/m.ckpt", "--out", "TMP/ft.ckpt"]
+BENCH = ["bench", "--modes", "twin_cosine", "--nk-grid", "5,10,20", "--n-queries", "2", "--reps", "1",
+         "--out", "TMP/bench.tsv"]
+HEADER = "cannot be given with --checkpoint, whose header sets the model"
+# case -> (command line, config file, the error after "config file <path>: "): a config file sets
+# only its command's own flags, and next to a checkpoint it sets no model setting
+CONFIG_REFUSALS = {
+    "gen-synthetic-preset": (GEN, {"preset": "desk"}, "gen-synthetic takes no 'preset'"),
+    "gen-synthetic-model": (GEN, {"model": {"hidden_size": 64}}, "gen-synthetic takes no 'model.hidden_size'"),
+    "gen-synthetic-distill": (GEN, {"distill": {"epochs": 1}}, "gen-synthetic takes no 'distill.epochs'"),
+    "gen-synthetic-every-section": (GEN, {"preset": "large", "model": {"bogus": 1, "hidden_size": 63},
+                                          "distill": {"nonsense": 2}}, "gen-synthetic takes no 'distill.nonsense'"),
+    "finetune-preset": (FINETUNE, {"preset": "large"}, f"'preset' {HEADER}"),
+    "finetune-model": (FINETUNE, {"preset": "large", "model": {"n_layers": 5}}, f"'model.n_layers' {HEADER}"),
+    "finetune-model-never-read": (FINETUNE, {"model": {"hidden_size": 63}}, f"'model.hidden_size' {HEADER}"),
+    "finetune-temperature": (FINETUNE, {"distill": {"temperature": 9}}, "finetune takes no 'distill.temperature'"),
+    "finetune-distill-phase": (FINETUNE, {"distill": {"temperature": 9, "epochs": 40, "learning_rate": 7}},
+                               "finetune takes no 'distill.epochs'"),
+    "distill-finetune-epochs": (DISTILL, {"distill": {"finetune_epochs": 3}},
+                                "distill takes no 'distill.finetune_epochs'"),
+    "distill-null-model-field": (DISTILL, {"model": {"hidden_size": None}}, "'model.hidden_size' must not be null"),
+    "bench-distill": (BENCH, {"distill": {"epochs": 40}}, "bench takes no 'distill.epochs'"),
+    "bench-checkpoint-preset": ([*BENCH, "--checkpoint", "TMP/m.ckpt"], {"preset": "desk"}, f"'preset' {HEADER}"),
+    "bench-checkpoint-model": ([*BENCH, "--checkpoint", "TMP/m.ckpt"], {"model": {"dropout": 0.0}},
+                               f"'model.dropout' {HEADER}"),
+}
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+    def test_a_setting_the_command_does_not_take_exits_1_naming_file_and_key(self, case, tmp_path, capsys):
+        argv, file_cfg, named = CONFIG_REFUSALS[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        # every input names a file that does not exist, so reading one would fail differently
+        assert main([*(a.replace("TMP/", f"{tmp_path}/") for a in argv), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: config file {cfg}: {named}\n"
+        assert list(tmp_path.iterdir()) == [cfg]

@@ -128,13 +128,3 @@ def test_time_encode_reports_both_labels():
         store_peak = out["encode_keywords_peak_store_float32"][label]
         assert set(store_peak) == {"peak_bytes", "output_bytes"}
         assert store_peak["peak_bytes"] > store_peak["output_bytes"] == 2048 * 64 * 4
-
-
-def test_time_generate_pairs_reports_every_shape():
-    out = _ab_timing("time_generate_pairs", "--pairs", "1")
-    assert set(out) == {"labels", "pairs", "host", "shapes"}
-    assert out["labels"] == ["a", "b"] and out["pairs"] == 1 and len(out["shapes"]) == 3
-    for shape in out["shapes"]:
-        assert set(shape) == {"call", "seconds", "median_s", "time_ratio_a_to_b", "median_time_ratio"}
-        assert shape["call"].startswith("generate_pairs(")
-        assert [len(ts) for ts in shape["seconds"].values()] == [1, 1]
