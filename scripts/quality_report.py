@@ -13,8 +13,8 @@ held-out pairs:
 - ``per_query_auc``: mean ROC-AUC over the held-out queries whose pairs
   hold both classes;
 - ``store_p10``: the store is every distinct keyword of the data, and a
-  keyword is relevant to a query when ``synthetic_teacher``'s margin
-  ``z[1] - z[0]`` (keyed by the data seed) is positive. P@10 is the share of
+  keyword is relevant to a query when the teacher's margin ``z[1] - z[0]``
+  (``teacher_logits``, keyed by the data seed) is positive. P@10 is the share of
   relevant keywords in a query's top 10 by exact cosine over unit vectors,
   averaged over the first 100 distinct held-out queries. The teacher ranks
   by its margin.
@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from twinenc import (DistillationConfig, ModelConfig, TrainingDivergedError, TwinModel, distill_train,
-                     finetune, roc_auc, soft_label, synthetic_teacher)
-from twinenc.synthetic import generate_pairs, split_pairs
+                     finetune, roc_auc, soft_label)
+from twinenc.synthetic import generate_pairs, split_pairs, teacher_logits
 
 SEEDS = (42, 7, 123)
 STORE_QUERIES = 100
@@ -81,12 +81,8 @@ def store_bundle(pairs, test, seed: int) -> tuple[list[str], list[str], np.ndarr
     """(queries, store, teacher margins of every query against every store keyword)."""
     queries = list(dict.fromkeys(r.query for r in test))[:STORE_QUERIES]
     store = list(dict.fromkeys(p.keyword for p in pairs))
-
-    def margin(query: str, keyword: str) -> float:
-        z_bad, z_nonbad = synthetic_teacher(query, keyword, seed=seed)
-        return z_nonbad - z_bad
-
-    return queries, store, np.array([[margin(q, k) for k in store] for q in queries])
+    z = teacher_logits([q for q in queries for _ in store], store * len(queries), seed=seed)
+    return queries, store, (z[:, 1] - z[:, 0]).reshape(len(queries), len(store))
 
 
 def quality(model: TwinModel, test, labels, queries, store, relevant) -> dict:

@@ -115,11 +115,12 @@ INIT_STD = 0.02
 def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Normal(0, ``INIT_STD``) samples rejected outside +/- 2 ``INIT_STD``."""
     out = rng.normal(0.0, INIT_STD, size=shape)
+    flat = out.reshape(-1)
     lim = 2.0 * INIT_STD
-    bad = (out > lim) | (out < -lim)  # np.abs(out) would be a float64 copy of out
-    while np.any(bad):
-        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
-        bad = (out > lim) | (out < -lim)
+    idx = np.flatnonzero((flat > lim) | (flat < -lim))  # np.abs(out) would be a float64 copy of out
+    while idx.size:  # redraw, in index order, only the entries still outside
+        flat[idx] = redrawn = rng.normal(0.0, INIT_STD, size=idx.size)
+        idx = idx[(redrawn > lim) | (redrawn < -lim)]
     return out
 
 

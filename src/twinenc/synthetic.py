@@ -38,8 +38,11 @@ HOLDOUT_FRACTION = 0.2
 
 def token_jaccard(a: str, b: str) -> float:
     """Jaccard overlap of the normalized token sets of two strings."""
-    sa = set(normalize(a).split())
-    sb = set(normalize(b).split())
+    return _set_jaccard(set(normalize(a).split()), set(normalize(b).split()))
+
+
+def _set_jaccard(sa: set[str], sb: set[str]) -> float:
+    """``token_jaccard`` of two token sets."""
     if not sa and not sb:
         return 1.0
     if not sa or not sb:
@@ -47,18 +50,25 @@ def token_jaccard(a: str, b: str) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def _pair_normal(key: bytes, query: str, keyword: str) -> float:
-    """The teacher's standard normal draw for a (query, keyword) pair.
+def _pair_normals(key: bytes, queries: list[str], keywords: list[str]) -> np.ndarray:
+    """The teacher's standard normal draw for each (query, keyword) pair.
 
-    ``key`` is the data seed as 8 little-endian bytes. The pair's 8-byte
+    ``key`` is the data seed as 8 little-endian bytes. A pair's 8-byte
     blake2b digest under that key splits into little-endian uint32 halves
     ``lo`` and ``hi``, and Box and Muller's transform (1958) of the uniforms
     u1 = (lo + 0.5)·2⁻³² and u2 = hi·2⁻³² gives sqrt(-2 ln u1)·cos(2π u2).
-    u1 lies in [2⁻³³, 1 - 2⁻³³], so the draw is finite and |z| <= 6.76.
+    u1 lies in [2⁻³³, 1 - 2⁻³³], so the draw is finite and |z| <= 6.76. The
+    log and cosine are ``math``'s: ``np.log`` differs from ``math.log`` in
+    the last bit on some inputs, and the draws are pinned bit for bit.
     """
-    digest = hashlib.blake2b(f"{query}\x1f{keyword}".encode("utf-8"), key=key, digest_size=8).digest()
-    lo, hi = struct.unpack("<II", digest)
-    return math.sqrt(-2.0 * math.log((lo + 0.5) * 2.0**-32)) * math.cos(2.0 * math.pi * hi * 2.0**-32)
+    blake2b = hashlib.blake2b
+    digests = b"".join([blake2b(f"{q}\x1f{k}".encode("utf-8"), key=key, digest_size=8).digest()
+                        for q, k in zip(queries, keywords)])
+    halves = np.frombuffer(digests, "<u4").reshape(-1, 2)
+    u1 = (halves[:, 0] + 0.5) * 2.0**-32
+    angle = 2.0 * math.pi * halves[:, 1] * 2.0**-32
+    return (np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+            * np.array(list(map(math.cos, angle.tolist()))))
 
 
 def synthetic_teacher(query: str, keyword: str, seed: int = 0) -> tuple[float, float]:
@@ -78,23 +88,35 @@ def synthetic_teacher(query: str, keyword: str, seed: int = 0) -> tuple[float, f
     the maximal negative one (-scale). A Gaussian noise term of std
     ``NOISE_STD``, scaled by 4*J*(1-J), is added; it vanishes at both
     extremes. Its standard normal is a Box–Muller draw on the pair's
-    blake2b digest keyed by ``seed`` (``_pair_normal``). A pure function of
-    (query, keyword, seed).
+    blake2b digest keyed by ``seed`` (``_pair_normals``). A pure function of
+    (query, keyword, seed); ``teacher_logits`` scores many pairs at once.
     """
-    return _teacher_logits(struct.pack("<q", seed), query, keyword, token_jaccard(query, keyword))
+    return tuple(teacher_logits([query], [keyword], seed)[0].tolist())
 
 
-def _teacher_logits(key: bytes, query: str, keyword: str, j: float) -> tuple[float, float]:
-    """``synthetic_teacher`` of a pair whose token overlap is ``j``, its seed packed as ``key``."""
-    if j >= MIDPOINT:
-        base = MARGIN_SCALE * (j - MIDPOINT) / (1.0 - MIDPOINT)
-    else:
-        base = MARGIN_SCALE * (j - MIDPOINT) / MIDPOINT
-    noise = 0.0
-    if 0.0 < j < 1.0:
-        noise = NOISE_STD * 4.0 * j * (1.0 - j) * _pair_normal(key, query, keyword)
-    margin = base + noise
-    return (-margin / 2.0, margin / 2.0)
+def teacher_logits(queries: list[str], keywords: list[str], seed: int = 0) -> np.ndarray:
+    """``synthetic_teacher`` of each (query, keyword) pair, as the rows of an (n, 2) array.
+
+    Each distinct text is normalized once.
+    """
+    tokens = {text: set(normalize(text).split()) for text in {*queries, *keywords}}
+    j = np.array([_set_jaccard(tokens[q], tokens[k]) for q, k in zip(queries, keywords, strict=True)],
+                 dtype=np.float64)
+    return _teacher_logits(struct.pack("<q", seed), queries, keywords, j)
+
+
+def _teacher_logits(key: bytes, queries: list[str], keywords: list[str], j: np.ndarray) -> np.ndarray:
+    """``teacher_logits`` of pairs whose token overlaps are ``j``, their seed packed as ``key``.
+
+    Only a pair with 0 < J < 1 gets noise, so only those pairs are hashed.
+    """
+    margin = np.where(j >= MIDPOINT, MARGIN_SCALE * (j - MIDPOINT) / (1.0 - MIDPOINT),
+                      MARGIN_SCALE * (j - MIDPOINT) / MIDPOINT)
+    noisy = np.flatnonzero((j > 0.0) & (j < 1.0))
+    jn, picked = j[noisy], noisy.tolist()
+    margin[noisy] += NOISE_STD * 4.0 * jn * (1.0 - jn) * _pair_normals(
+        key, [queries[i] for i in picked], [keywords[i] for i in picked])
+    return np.column_stack([-margin / 2.0, margin / 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +218,11 @@ def generate_pairs(
     common = n_shared + (has_modifier & q_has_modifier & (modifier == q_modifier))
     jaccard = common / (size + q_has_modifier + n_words - common)
 
-    key = struct.pack("<q", seed)
-    pairs: list[PairRecord] = []
-    # rows of `words` are read one at a time: listing them all first leaves
-    # the freed lists' memory scattered among the records, and resident
-    for i, (row, n, g, j) in enumerate(zip(words, n_words.tolist(), grade.tolist(), jaccard.tolist())):
-        query, keyword = queries[i % n_queries], " ".join(row[:n])
-        pairs.append(PairRecord(query=query, keyword=keyword,
-                                teacher_logits=_teacher_logits(key, query, keyword, j), label=_GRADES[g]))
-    return pairs
+    pair_queries = (queries * -(-n_pairs // n_queries))[:n_pairs]  # pair j's query is slot j % n_queries
+    keywords = [" ".join(row[:n]) for row, n in zip(words.tolist(), n_words.tolist())]
+    logits = _teacher_logits(struct.pack("<q", seed), pair_queries, keywords, jaccard)
+    labels = [_GRADES[g] for g in grade.tolist()]
+    return PairRecord.from_columns(pair_queries, keywords, logits, labels)
 
 
 def split_pairs(pairs: list[PairRecord], n_queries: int) -> tuple[list[PairRecord], list[PairRecord]]:

@@ -23,7 +23,7 @@ from .config import DistillationConfig
 from .encoder import RowGrad, pack_sequences, sigmoid
 from .metrics import binary_label
 from .model import SERVING_DTYPE, SERVING_TOLERANCE, TwinModel
-from .text import encodable
+from .text import _WORD_CHAR, encodable
 
 logger = logging.getLogger(__name__)
 
@@ -55,9 +55,8 @@ class PairRecord:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        both = self.query + self.keyword  # one scan of both texts; generate_pairs builds many records
-        if "\t" in both or "\n" in both or "\r" in both:
-            name = "query" if any(c in self.query for c in "\t\n\r") else "keyword"
+        if _breaks_line(self.query + self.keyword):  # one scan of both texts
+            name = "query" if _breaks_line(self.query) else "keyword"
             raise ValueError(f"{name} {getattr(self, name)!r} holds a tab or a line break")
         encodable(self.query, "query")
         encodable(self.keyword, "keyword")
@@ -73,6 +72,44 @@ class PairRecord:
         if self.label is None:
             raise ValueError("record has no label")
         return binary_label(self.label)
+
+    @classmethod
+    def from_columns(cls, queries: list[str], keywords: list[str], teacher_logits: np.ndarray,
+                     labels: list[str]) -> list[PairRecord]:
+        """One record per row of the columns, ``teacher_logits`` an (n, 2) array;
+        every record gets both teacher logits and a label.
+
+        Each check of ``__post_init__`` runs once per column, with its
+        predicate and its error, before any record is made; the records
+        are then made without a per-record re-check.
+        """
+        n = len(queries)
+        z = np.asarray(teacher_logits, dtype=np.float64)
+        if len(keywords) != n or len(labels) != n or z.shape != (n, 2):
+            raise ValueError(f"columns of unequal length: {n} queries, {len(keywords)} keywords, "
+                             f"teacher_logits of shape {z.shape}, {len(labels)} labels")
+        for name, texts in (("query", queries), ("keyword", keywords)):
+            if _breaks_line("".join(texts)):
+                raise ValueError(f"{name} {next(filter(_breaks_line, texts))!r} holds a tab or a line break")
+            if not all(map(_WORD_CHAR.search, texts)):
+                encodable(next(t for t in texts if not _WORD_CHAR.search(t)), name)
+        finite = np.isfinite(z).all(axis=1)
+        if not finite.all():
+            _logit_pair(tuple(z[np.argmin(finite)].tolist()))
+        for label in set(labels):
+            binary_label(label)
+        new = object.__new__
+        records = []
+        for query, keyword, logits, label in zip(queries, keywords, zip(*z.T.tolist()), labels):
+            record = new(cls)
+            record.query, record.keyword, record.teacher_logits, record.label = query, keyword, logits, label
+            records.append(record)
+        return records
+
+
+def _breaks_line(text: str) -> bool:
+    """Whether ``text`` holds a tab, CR or LF, any of which would split its pair-TSV row."""
+    return "\t" in text or "\n" in text or "\r" in text
 
 
 def _logit_pair(z) -> tuple[float, float]:

@@ -14,6 +14,7 @@ import twinenc
 from twinenc import ModelConfig, TwinModel
 from twinenc.crossing import head_prob, residual_head_forward
 from twinenc.encoder import (
+    INIT_STD,
     _layernorm_forward,
     _linear_forward,
     embed_forward,
@@ -23,6 +24,7 @@ from twinenc.encoder import (
     masked_softmax,
     pack_sequences,
     pool_forward,
+    truncated_normal,
 )
 from twinenc.model import SERVE_BATCH
 from twinenc.text import TrigramVocab, encode_text
@@ -302,6 +304,28 @@ def _params_digest(params):
         h.update(f"{name}:{value.dtype.str}:{value.shape};".encode())
         h.update(np.ascontiguousarray(value).tobytes())
     return h.hexdigest()
+
+
+def _truncated_normal_full_array(rng, shape):
+    """A redraw loop that re-checks the whole array on every pass."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    lim = 2.0 * INIT_STD
+    bad = (out > lim) | (out < -lim)
+    while np.any(bad):
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = (out > lim) | (out < -lim)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", [(20_000,), (400, 64), (7, 3, 333), (1,), ()])
+def test_truncated_normal_equals_the_full_array_redraw_loop(seed, shape):
+    # about 1 draw in 22 falls outside and is redrawn, so the large shapes
+    # redraw hundreds of entries over several passes
+    out = truncated_normal(np.random.default_rng(seed), shape)
+    assert out.shape == shape
+    np.testing.assert_array_equal(out, _truncated_normal_full_array(np.random.default_rng(seed), shape))
+    assert np.all(np.abs(out) <= 2.0 * INIT_STD)
 
 
 class TestParameterTable:

@@ -13,14 +13,15 @@ from twinenc import synthetic
 from twinenc.metrics import LABEL_GAINS
 from twinenc.synthetic import (
     MODIFIERS,
-    _pair_normal,
+    _pair_normals,
     generate_pairs,
     split_pairs,
     synthetic_teacher,
+    teacher_logits,
     token_jaccard,
 )
 from twinenc.text import normalize
-from twinenc.training import soft_label
+from twinenc.training import PairRecord, soft_label
 
 
 _SHAPES = ["12500x1000", "4000", "2048x1200", "200x20"]
@@ -59,6 +60,19 @@ class TestGeneratePairs:
         for seed in (3, 9):
             for p in generate_pairs(2000, seed=seed, n_queries=200, n_topics=40):
                 assert p.teacher_logits == synthetic_teacher(p.query, p.keyword, seed=seed)
+
+    def test_teacher_logits_are_the_oracle_row_by_row(self):
+        # the column teacher normalizes each distinct text once; its rows
+        # must be the one-pair oracle's, edge overlaps 0 and 1 included
+        pairs = generate_pairs(300, seed=8, n_queries=30)
+        queries = [p.query for p in pairs] + ["", "?!", "Red Shoes!", "red shoes", "a"]
+        keywords = [p.keyword for p in pairs] + ["", "shoes", "red  shoes", "blue hat", "a b"]
+        z = teacher_logits(queries, keywords, seed=8)
+        assert z.shape == (len(queries), 2) and z.dtype == np.float64
+        assert [tuple(row) for row in z.tolist()] == [synthetic_teacher(q, k, seed=8)
+                                                     for q, k in zip(queries, keywords)]
+        with pytest.raises(ValueError, match="zip"):
+            teacher_logits(["a", "b"], ["c"])
 
     @pytest.mark.parametrize("call", [
         lambda: generate_pairs(200, seed=0, teacher_seed=1),
@@ -131,6 +145,17 @@ class TestGeneratePairs:
                 if p.label == "bad":
                     assert set(p.query.split()) & set(p.keyword.split()) <= set(MODIFIERS)
 
+    @pytest.mark.parametrize("n_topics", [2, 20, 40])
+    def test_records_equal_records_checked_one_at_a_time(self, n_topics):
+        # the generator checks each column once; each record must be what
+        # the per-record constructor and its checks make of the same fields
+        for seed in range(5):
+            for p in generate_pairs(500, seed=seed, n_queries=50, n_topics=n_topics):
+                rebuilt = PairRecord(query=p.query, keyword=p.keyword, teacher_logits=p.teacher_logits,
+                                     label=p.label)
+                assert p == rebuilt
+                assert type(p.teacher_logits) is tuple and all(type(z) is float for z in p.teacher_logits)
+
     def test_query_slot_assignment(self):
         pairs = generate_pairs(100, seed=4, n_queries=10)
         for j, p in enumerate(pairs):
@@ -179,14 +204,14 @@ def test_pair_normal_is_box_muller_on_keyed_digest(query, keyword, seed, stand_i
     keyed = hashlib.blake2b(f"{query}\x1f{keyword}".encode("utf-8"), key=key, digest_size=8).digest()
     with mock.patch.object(synthetic.hashlib, "blake2b",
                            lambda *a, **kw: types.SimpleNamespace(digest=lambda: stand_in)):
-        forced = _pair_normal(key, query, keyword)
-    for z, digest in ((_pair_normal(key, query, keyword), keyed), (forced, stand_in)):
+        (forced,) = _pair_normals(key, [query], [keyword])
+    for z, digest in ((_pair_normals(key, [query], [keyword])[0], keyed), (forced, stand_in)):
         assert math.isfinite(z) and abs(z) <= math.sqrt(-2.0 * math.log(2.0**-33))
         assert z == _box_muller(digest)
 
 
 def test_pair_normals_are_standard_normal():
-    draws = np.array([_pair_normal(b"\0" * 8, f"query {i}", "keyword") for i in range(200_000)])
+    draws = _pair_normals(b"\0" * 8, [f"query {i}" for i in range(200_000)], ["keyword"] * 200_000)
     assert abs(draws.mean()) < 0.01
     assert abs(draws.std() - 1.0) < 0.01
 

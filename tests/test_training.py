@@ -221,6 +221,35 @@ class TestPairRecord:
         with pytest.raises(ValueError, match=f"^{field} .* holds a tab or a line break"):
             PairRecord(**texts, label="good")
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("keywords", "red\tshoes", "keyword 'red\\tshoes' holds a tab or a line break"),
+        ("queries", "a\nb", "query 'a\\nb' holds a tab or a line break"),
+        ("queries", "?!", "query '?!' is not text with a letter or digit"),
+        ("keywords", "_ -", "keyword '_ -' is not text with a letter or digit"),
+        ("teacher_logits", (1.0, float("nan")), "teacher_logits must be two finite numbers, got (1.0, nan)"),
+        ("teacher_logits", (float("-inf"), 0.0), "teacher_logits must be two finite numbers, got (-inf, 0.0)"),
+        ("labels", "meh", "bad label 'meh'"),
+    ])
+    def test_from_columns_refuses_what_a_record_refuses(self, column, value, message):
+        # each column is checked once, with the per-record check's error
+        columns = {"queries": ["a", "b", "c"], "keywords": ["d", "e", "f"],
+                   "teacher_logits": [(0.0, 1.0)] * 3, "labels": ["good", "bad", "1"]}
+        columns[column] = columns[column][:2] + [value]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PairRecord.from_columns(**columns)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            [PairRecord(*fields) for fields in zip(*columns.values())]
+
+    def test_from_columns_equals_records_built_one_at_a_time(self):
+        columns = [["a", "b #"], ["c", "d"], np.array([[0.0, 1.0], [-2.5, 2.5]]), ["good", "0"]]
+        records = PairRecord.from_columns(*columns)
+        assert records == [PairRecord(q, k, tuple(z), label) for q, k, z, label in zip(*columns)]
+        assert all(type(z) is float for r in records for z in r.teacher_logits)
+
+    def test_from_columns_refuses_columns_of_unequal_length(self):
+        with pytest.raises(ValueError, match="columns of unequal length: 2 queries, 1 keywords"):
+            PairRecord.from_columns(["a", "b"], ["c"], np.zeros((2, 2)), ["good", "bad"])
+
     def test_writer_refuses_a_query_read_back_as_a_comment(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         records = [PairRecord("a", "#b", label="good"), PairRecord("# c", "d", label="bad")]
