@@ -2,11 +2,9 @@
 
 Subcommands: distill, finetune, encode-corpus, build-index, search, score,
 eval-auc, eval-ndcg, bench, gen-synthetic. Every command is deterministic
-given its seed and inputs. Settings resolve in three layers: built-in
-defaults, then command-line flags, then the JSON config file, which sets
-only the command's own flags and has the last word. Only gen-synthetic,
-distill, finetune and bench read settings, so only they take ``--config``
-and ``--seed``.
+given its seed and inputs. Settings are command-line flags over built-in
+defaults, and each command takes only the flags it reads. Only gen-synthetic,
+distill, finetune and bench draw random numbers, so only they take ``--seed``.
 
 Data goes to stdout or to files: a command whose result is a table writes it
 once, to stdout or with ``--out`` to that file. Diagnostics (the resolved
@@ -82,50 +80,6 @@ def _score(cell: str) -> float:
     return value
 
 
-def _load_config_file(args) -> None:
-    """Set the config file's settings on ``args`` over the flags it gives another way, and
-    ``args.seed`` to the run's seed: the file's, else ``--seed``'s, else 0. Every key is checked
-    before any other file is read; an error names the file and the key, or the seed's source."""
-    path = args.config
-    try:
-        raw = {} if path is None else json.loads(textio.read_text(_require_file(path)))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}:{exc.lineno}: config file is not valid JSON: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
-    source = f"config file {path}: 'seed'" if "seed" in raw else "--seed"
-    args.seed = seed = raw.pop("seed", 0 if args.seed is None else args.seed)
-    if type(seed) is not int:
-        raise CliError(f"{source} must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**63:
-        raise CliError(f"{source} must be in [0, 2**63), got {seed}")
-    fields = {s: {f.name for f in dataclasses.fields(cls)}
-              for s, cls in (("model", ModelConfig), ("distill", DistillationConfig))}
-    for key in fields:
-        if not isinstance(raw.get(key, {}), dict):
-            raise CliError(f"config file {path}: {key!r} must be a JSON object")
-    for key in sorted(raw.keys() - {"preset", *fields}):  # the first one fails
-        owner = [s for s, names in fields.items() if key in names]
-        where = (f'belongs inside its "{owner[0]}" object' if owner
-                 else "is unknown; the sections are preset, model, distill and seed")
-        raise CliError(f"config file {path}: {key!r} {where}")
-    known = {"preset"} | {f"{s}.{name}" for s, names in fields.items() for name in names}
-    settings = [(f"{s}.{name}", name, value) for s in fields for name, value in raw.get(s, {}).items()]
-    if "preset" in raw:
-        settings.append(("preset", "preset", raw["preset"]))
-    for key, dest, value in sorted(settings):
-        if not key.startswith("distill.") and getattr(args, "checkpoint", None) is not None:
-            raise CliError(f"config file {path}: {key!r} cannot be given with --checkpoint, "
-                           "whose header sets the model")
-        if key not in known or not hasattr(args, dest):  # the command has no flag for it
-            raise CliError(f"config file {path}: {args.command} takes no {key!r}")
-        if key == "preset" and value not in tuple(PRESETS):  # a tuple: a JSON list is unhashable
-            raise CliError(f"config file {path}: 'preset' must be one of {tuple(PRESETS)}")
-        if value is None:  # an unset flag holds None, so null would read as "not given"
-            raise CliError(f"config file {path}: {key!r} must not be null")
-        setattr(args, dest, value)
-
-
 def _add_model_flags(p: argparse.ArgumentParser) -> dict[str, str]:
     """Add the model flags to ``p``; returns each flag keyed by its ``args`` attribute."""
     g = p.add_argument_group("model")
@@ -156,28 +110,23 @@ def _add_training_flags(p: argparse.ArgumentParser):
     return g
 
 
-def _settings(args, cls) -> dict:
-    """The fields of config class ``cls`` as ``args`` sets them (the command's flags, with
-    its config file over them), the rest at their defaults, checked by ``cls``: a
-    ``ModelConfig`` is built at ``args``'s preset."""
+def _settings(args, cls):
+    """The config of class ``cls`` that the command's flags set, its other fields at their
+    defaults, checked by ``cls``: a ``ModelConfig`` is built at ``args``'s preset."""
     make = PRESETS[args.preset or "desk"] if cls is ModelConfig else cls
     try:
         return make(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
-                       if getattr(args, f.name, None) is not None}).to_dict()
+                       if getattr(args, f.name, None) is not None})
     except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
 
 
-def _resolve(args, **sections: dict) -> dict:
-    """The run's settings, logged: ``sections`` (``model``, and ``distill`` where the
-    command trains) and the seed that ``_load_config_file`` set."""
-    resolved = {**sections, "seed": args.seed}
+def _resolve(args, **sections) -> dict:
+    """The run's settings as its manifest records them, logged: each config of ``sections``
+    (``model``, and ``distill`` where the command trains) as a dict, and ``--seed``."""
+    resolved = {**{name: config.to_dict() for name, config in sections.items()}, "seed": args.seed}
     logger.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
     return resolved
-
-
-def _build_model(resolved: dict) -> TwinModel:
-    return TwinModel.initialize(ModelConfig.from_dict(resolved["model"]), seed=resolved["seed"])
 
 
 def _manifest(command: str, resolved: dict, **extra) -> dict:
@@ -202,7 +151,6 @@ def _emit(path: str | Path | None, rows, manifest: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synthetic(args) -> int:
-    _load_config_file(args)
     out_dir = Path(args.out_dir)
 
     pairs = generate_pairs(
@@ -237,18 +185,18 @@ def _training_pairs(path: str, field: str) -> list[PairRecord]:
     return records
 
 
-def _train(command: str, phase, args, resolved: dict, model: TwinModel, records, **extra) -> int:
-    """Train ``model`` on ``records`` with ``phase`` (``distill_train`` or ``finetune``)
-    and save it to ``args.out`` with its run manifest."""
+def _train(command: str, phase, args, resolved: dict, distill: DistillationConfig, model: TwinModel,
+           records, **extra) -> int:
+    """Train ``model`` on ``records`` with ``phase`` (``distill_train`` or ``finetune``) at
+    ``distill`` and save it to ``args.out`` with its run manifest."""
     t0 = time.perf_counter()
-    history = phase(records, DistillationConfig.from_dict(resolved["distill"]), model,
-                    seed=resolved["seed"])
+    history = phase(records, distill, model, seed=args.seed)
     model.save(args.out)
     textio.write_manifest(args.out, _manifest(
         command, resolved, format_version=FORMAT_VERSION,
         checkpoint_sha256=file_sha256(args.out), **extra,
         data=str(args.data), records=len(records),
-        seed=resolved["seed"], epoch_losses=history.epoch_losses,
+        seed=args.seed, epoch_losses=history.epoch_losses,
         steps=history.steps, wall_seconds=time.perf_counter() - t0,
         calibration=None if history.calibration is None else dict(zip(("a", "b"), history.calibration)),
     ))
@@ -257,22 +205,21 @@ def _train(command: str, phase, args, resolved: dict, model: TwinModel, records,
 
 
 def cmd_distill(args) -> int:
-    _load_config_file(args)
-    resolved = _resolve(args, model=_settings(args, ModelConfig),
-                        distill=_settings(args, DistillationConfig))
+    config, distill = _settings(args, ModelConfig), _settings(args, DistillationConfig)
+    resolved = _resolve(args, model=config, distill=distill)
     records = _training_pairs(args.data, "teacher_logits")
-    return _train("distill", distill_train, args, resolved, _build_model(resolved), records)
+    return _train("distill", distill_train, args, resolved, distill,
+                  TwinModel.initialize(config, seed=args.seed), records)
 
 
 def cmd_finetune(args) -> int:
-    _load_config_file(args)
     distill = _settings(args, DistillationConfig)
     records = _training_pairs(args.data, "label")
     model = TwinModel.load(_require_file(args.checkpoint))
-    resolved = _resolve(args, model=model.config.to_dict(), distill=distill)
-    return _train("finetune", finetune, args, resolved, model, records,
+    resolved = _resolve(args, model=model.config, distill=distill)
+    return _train("finetune", finetune, args, resolved, distill, model, records,
                   source_checkpoint=str(args.checkpoint),
-                  finetune_learning_rate=resolved["distill"]["finetune_learning_rate"])
+                  finetune_learning_rate=distill.finetune_learning_rate)
 
 
 def cmd_encode_corpus(args) -> int:
@@ -415,15 +362,15 @@ def cmd_bench(args) -> int:
                      for mode in modes]
     except ValueError as exc:
         raise CliError(f"--modes: {exc}") from None
-    _load_config_file(args)
     loaded = TwinModel.load(_require_file(args.checkpoint)) if args.checkpoint else None
-    resolved = _resolve(args, model=loaded.config.to_dict() if loaded else _settings(args, ModelConfig))
-    model = loaded or _build_model(resolved)
+    config = loaded.config if loaded else _settings(args, ModelConfig)
+    resolved = _resolve(args, model=config)
+    model = loaded or TwinModel.initialize(config, seed=args.seed)
 
     rows, fits = [], {}
     for scenario in scenarios:
         reports, fits[scenario.model_mode] = bench_mod.bench_grid(
-            scenario, model, nk_grid, warmup=args.warmup, seed=resolved["seed"])
+            scenario, model, nk_grid, warmup=args.warmup, seed=args.seed)
         rows.extend(r.as_dict() for r in reports)
     keys = sorted(rows[0])  # every row has the same keys
     _emit(args.out, [keys, *([str(row[k]) for k in keys] for row in rows)],
@@ -449,9 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--quiet", action="store_true", help="show warnings and errors only")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common], allow_abbrev=False)
-    seeded.add_argument("--config", default=None,
-                        help="JSON config file of this command's own flags; overrides them")
-    seeded.add_argument("--seed", type=int, default=None)
+    seeded.add_argument("--seed", type=int, default=0)
 
     p = add_command("gen-synthetic", parents=[seeded],
                     help=f"generate a synthetic labeled corpus; the last {HOLDOUT_FRACTION:.0%}% "
@@ -557,6 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     package.setLevel(logging.WARNING if args.quiet else logging.INFO)
     package.propagate = False
     try:
+        if not 0 <= getattr(args, "seed", 0) < 2**63:  # checked before any file is read
+            raise CliError(f"--seed must be in [0, 2**63), got {args.seed}")
         return args.func(args)
     except (CliError, ValueError, OSError, TrainingDivergedError) as exc:
         logger.error("error: %s", exc)

@@ -13,10 +13,10 @@ _FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a real n
 
 
 def _check_field_types(config) -> None:
-    """Refuse a field of ``config`` whose value is not of its declared type. A JSON
-    config file can hold ``64.0`` or ``true`` where a count belongs; a bool is no number.
-    A real number must be a finite float: NaN passes every range check, JSON reads
-    ``NaN``, and an integer past the float range overflows in training."""
+    """Refuse a field of ``config`` whose value is not of its declared type. A checkpoint's
+    JSON header can hold ``64.0`` or ``true`` where a count belongs; a bool is no number.
+    A real number must be a finite float: NaN passes every range check, a flag reads
+    ``nan`` and JSON ``NaN``, and an integer past the float range overflows in training."""
     for f in fields(config):
         kind = f.type.removesuffix(" | None")
         if kind not in _FIELD_TYPES:
@@ -137,7 +137,3 @@ class DistillationConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> DistillationConfig:
-        return cls(**raw)

@@ -1,4 +1,4 @@
-"""One reader and one writer for every text file: TSV tables, corpus, queries, config.
+"""One reader and one writer for every text file: TSV tables, corpus, queries.
 
 The text counterpart of ``checkpoint.Reader``: a file is read once and
 decoded as UTF-8, lines split as universal newlines, and empty lines and

@@ -1,5 +1,7 @@
 """End-to-end command-line tests over a small synthetic workspace."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -16,8 +18,8 @@ import pytest
 import twinenc
 from twinenc import bench as bench_mod
 from twinenc.checkpoint import FORMAT_VERSION
-from twinenc.cli import _load_config_file, _settings, build_parser, main
-from twinenc.config import ModelConfig
+from twinenc.cli import _settings, build_parser, main
+from twinenc.config import DistillationConfig, ModelConfig
 from twinenc.encoder import sigmoid
 from twinenc.index import EmbeddingIndex, knn_approx, knn_exact
 from twinenc.model import SERVING_DTYPE, TwinModel
@@ -110,14 +112,6 @@ class TestGenSynthetic:
         assert f"seed must be in [0, 2**63), got {seed}" in err and "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
-    def test_config_file_seed_beats_the_flag(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 2}))
-        assert main(["gen-synthetic", "--out-dir", str(tmp_path / "data"), "--pairs", "40",
-                     "--queries", "10", "--seed", "1", "--config", str(cfg), "--quiet"]) == 0
-        manifest = json.loads((tmp_path / "data" / "corpus.tsv.manifest.json").read_text())
-        assert manifest["config"]["seed"] == 2
-
 
 class TestDistill:
     def test_missing_data_file_fails_with_path(self, tmp_path, capsys):
@@ -142,16 +136,6 @@ class TestDistill:
                      *FAST_MODEL, *FAST_TRAIN]) == 0
         assert out.read_bytes() == (workspace / "model.ckpt").read_bytes()
 
-    def test_config_file_overrides_flags(self, workspace, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"distill": {"epochs": 1}}))
-        out = tmp_path / "cfgrun.ckpt"
-        assert main(["distill", "--data", str(workspace / "data" / "train.tsv"),
-                     "--out", str(out), "--seed", "7", "--quiet", "--config", str(cfg),
-                     *FAST_MODEL, *FAST_TRAIN]) == 0
-        manifest = json.loads((tmp_path / "cfgrun.ckpt.manifest.json").read_text())
-        assert manifest["config"]["distill"]["epochs"] == 1  # file beat the flag
-
     @pytest.mark.parametrize("argv", [
         ["distill", "--data", "d.tsv", "--out", "m.ckpt", "--beta1", "0.9"],
         ["finetune", "--data", "d.tsv", "--checkpoint", "m.ckpt", "--out", "f.ckpt", "--beta2", "0.999"],
@@ -164,33 +148,17 @@ class TestDistill:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
-    def test_config_file_adam_beta_exits_1_naming_it(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"distill": {"beta1": 0.9}}))
-        src = Path(twinenc.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-m", "twinenc.cli", "distill", "--config", str(cfg),
-                               "--data", str(tmp_path / "d.tsv"), "--out", str(tmp_path / "m.ckpt")],
-                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-        assert proc.returncode == 1
-        assert f"config file {cfg}: distill takes no 'distill.beta1'" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "m.ckpt").exists()
-
-    @pytest.mark.parametrize("command, flags, file_section, named", [
-        (["distill"], ["--lr", "nan"], None, "learning_rate must be a finite float, got nan"),
-        (["distill"], ["--temperature", "inf"], None, "temperature must be a finite float, got inf"),
-        (["distill"], ["--dropout=-inf"], None, "dropout must be a finite float, got -inf"),
-        (["distill"], [], '{"distill": {"temperature": NaN}}', "temperature must be a finite float, got nan"),
-        (["finetune", "--checkpoint", "c.ckpt"], [], '{"distill": {"finetune_learning_rate": Infinity}}',
+    @pytest.mark.parametrize("command, flags, named", [
+        (["distill"], ["--lr", "nan"], "learning_rate must be a finite float, got nan"),
+        (["distill"], ["--temperature", "inf"], "temperature must be a finite float, got inf"),
+        (["distill"], ["--dropout=-inf"], "dropout must be a finite float, got -inf"),
+        (["distill"], ["--temperature", "nan"], "temperature must be a finite float, got nan"),
+        (["finetune", "--checkpoint", "c.ckpt"], ["--finetune-lr", "inf"],
          "finetune_learning_rate must be a finite float, got inf"),
-    ], ids=["lr-nan", "temperature-inf", "dropout-minus-inf", "file-nan", "file-infinity"])
-    def test_non_finite_setting_exits_1_before_reading_data(self, tmp_path, capsys, command, flags,
-                                                           file_section, named):
+    ], ids=["lr-nan", "temperature-inf", "dropout-minus-inf", "temperature-nan", "finetune-lr-inf"])
+    def test_non_finite_setting_exits_1_before_reading_data(self, tmp_path, capsys, command, flags, named):
         # the data file (and a checkpoint) does not exist: the configuration is refused first
         argv = [*command, "--data", str(tmp_path / "d.tsv"), "--out", str(tmp_path / "m.ckpt"), *flags]
-        if file_section is not None:
-            (tmp_path / "cfg.json").write_text(file_section)
-            argv += ["--config", str(tmp_path / "cfg.json")]
         assert main(argv) == 1
         assert f"invalid configuration: {named}" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
@@ -516,24 +484,15 @@ class TestEvalNdcg:
         assert "--positions '1,x': 'x' is not an integer" in err and "Traceback" not in err
 
 
-def _model_settings(tmp_path, flags: list[str], file_cfg: dict | None = None) -> dict:
-    """The model settings ``distill`` resolves from ``flags`` and a config file holding ``file_cfg``."""
-    argv = ["distill", "--data", "d.tsv", "--out", "m.ckpt", *flags]
-    if file_cfg is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(file_cfg))
-        argv += ["--config", str(tmp_path / "cfg.json")]
-    args = build_parser().parse_args(argv)
-    _load_config_file(args)
-    return _settings(args, ModelConfig)
+def _model_settings(flags: list[str]) -> ModelConfig:
+    """The model settings ``distill`` resolves from ``flags``."""
+    return _settings(build_parser().parse_args(["distill", "--data", "d.tsv", "--out", "m.ckpt", *flags]),
+                     ModelConfig)
 
 
 class TestPresets:
-    def test_large_preset_resolves_to_model_config_large(self, tmp_path):
-        assert _model_settings(tmp_path, ["--preset", "large"]) == ModelConfig.large().to_dict()
-        assert _model_settings(tmp_path, [], {"preset": "large"}) == ModelConfig.large().to_dict()
-
-    def test_config_file_preset_beats_the_flag(self, tmp_path):
-        assert _model_settings(tmp_path, ["--preset", "large"], {"preset": "desk"}) == ModelConfig().to_dict()
+    def test_large_preset_resolves_to_model_config_large(self):
+        assert _model_settings(["--preset", "large"]) == ModelConfig.large()
 
 
 class TestLoadedModelSettings:
@@ -559,10 +518,9 @@ class TestLoadedModelSettings:
         assert manifest["config"]["model"] == config.to_dict()
         assert TwinModel.load(tmp_path / "ft.ckpt").vocab.hash_seed == 5
 
-    def test_vocab_hash_seed_is_a_model_setting(self, tmp_path):
-        flag = ["--vocab-hash-seed", "5"]
-        assert _model_settings(tmp_path, flag)["vocab_hash_seed"] == 5
-        assert _model_settings(tmp_path, flag, {"model": {"vocab_hash_seed": -9}})["vocab_hash_seed"] == -9
+    def test_vocab_hash_seed_is_a_model_setting(self):
+        assert _model_settings(["--vocab-hash-seed", "5"]).vocab_hash_seed == 5
+        assert _model_settings(["--vocab-hash-seed", "-9"]).vocab_hash_seed == -9
 
 
 class TestBench:
@@ -732,13 +690,6 @@ class TestDiagnostics:
         assert err == f"error: --seed must be in [0, 2**63), got {seed}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_config_file_seed_outside_int64_names_the_file(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": -1}))
-        assert main(["distill", "--data", str(tmp_path / "d.tsv"), "--out", str(tmp_path / "m.ckpt"),
-                     "--seed", "3", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == f"error: config file {cfg}: 'seed' must be in [0, 2**63), got -1\n"
-
     def test_status_lines_reach_stderr_under_python_m(self, workspace, tmp_path):
         # the module runs as __main__ there, so its logger must be named for the package
         out = tmp_path / "m.ckpt"
@@ -771,55 +722,32 @@ class TestDiagnostics:
         assert seen == []
         assert logging.getLogger("twinenc").propagate
 
-    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "cfg.json"]])
-    @pytest.mark.parametrize("command", ["encode-corpus", "build-index", "search", "score",
-                                         "eval-auc", "eval-ndcg"])
-    def test_commands_that_read_no_settings_reject_config_and_seed(self, command, flag, capsys):
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--seed 1") for command in ["encode-corpus", "build-index", "search", "score",
+                                                 "eval-auc", "eval-ndcg"]),
+        *((command, "--config cfg.json") for command in sorted(QUIET_RUNS)),  # flags are the one way in
+    ])
+    def test_config_and_an_unread_seed_are_unrecognized_arguments(self, command, flag, capsys):
         args = [command, *QUIET_RUNS[command]]
         assert build_parser().parse_args([*args, "--quiet"]).quiet
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([*args, *flag])
+            build_parser().parse_args([*args, *flag.split()])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-GEN = ["gen-synthetic", "--out-dir", "TMP/data"]
-DISTILL = ["distill", "--data", "TMP/d.tsv", "--out", "TMP/m.ckpt"]
-FINETUNE = ["finetune", "--data", "TMP/d.tsv", "--checkpoint", "TMP/m.ckpt", "--out", "TMP/ft.ckpt"]
-BENCH = ["bench", "--modes", "twin_cosine", "--nk-grid", "5,10,20", "--n-queries", "2", "--reps", "1",
-         "--out", "TMP/bench.tsv"]
-HEADER = "cannot be given with --checkpoint, whose header sets the model"
-# case -> (command line, config file, the error after "config file <path>: "): a config file sets
-# only its command's own flags, and next to a checkpoint it sets no model setting
-CONFIG_REFUSALS = {
-    "gen-synthetic-preset": (GEN, {"preset": "desk"}, "gen-synthetic takes no 'preset'"),
-    "gen-synthetic-model": (GEN, {"model": {"hidden_size": 64}}, "gen-synthetic takes no 'model.hidden_size'"),
-    "gen-synthetic-distill": (GEN, {"distill": {"epochs": 1}}, "gen-synthetic takes no 'distill.epochs'"),
-    "gen-synthetic-every-section": (GEN, {"preset": "large", "model": {"bogus": 1, "hidden_size": 63},
-                                          "distill": {"nonsense": 2}}, "gen-synthetic takes no 'distill.nonsense'"),
-    "finetune-preset": (FINETUNE, {"preset": "large"}, f"'preset' {HEADER}"),
-    "finetune-model": (FINETUNE, {"preset": "large", "model": {"n_layers": 5}}, f"'model.n_layers' {HEADER}"),
-    "finetune-model-never-read": (FINETUNE, {"model": {"hidden_size": 63}}, f"'model.hidden_size' {HEADER}"),
-    "finetune-temperature": (FINETUNE, {"distill": {"temperature": 9}}, "finetune takes no 'distill.temperature'"),
-    "finetune-distill-phase": (FINETUNE, {"distill": {"temperature": 9, "epochs": 40, "learning_rate": 7}},
-                               "finetune takes no 'distill.epochs'"),
-    "distill-finetune-epochs": (DISTILL, {"distill": {"finetune_epochs": 3}},
-                                "distill takes no 'distill.finetune_epochs'"),
-    "distill-null-model-field": (DISTILL, {"model": {"hidden_size": None}}, "'model.hidden_size' must not be null"),
-    "bench-distill": (BENCH, {"distill": {"epochs": 40}}, "bench takes no 'distill.epochs'"),
-    "bench-checkpoint-preset": ([*BENCH, "--checkpoint", "TMP/m.ckpt"], {"preset": "desk"}, f"'preset' {HEADER}"),
-    "bench-checkpoint-model": ([*BENCH, "--checkpoint", "TMP/m.ckpt"], {"model": {"dropout": 0.0}},
-                               f"'model.dropout' {HEADER}"),
-}
+# the config fields; a command has one flag for each field it sets and none for the others
+MODEL_FIELDS = [f.name for f in dataclasses.fields(ModelConfig)]
+SETTINGS = {*MODEL_FIELDS, *(f.name for f in dataclasses.fields(DistillationConfig))}
 
 
-class TestConfigFile:
-    @pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
-    def test_a_setting_the_command_does_not_take_exits_1_naming_file_and_key(self, case, tmp_path, capsys):
-        argv, file_cfg, named = CONFIG_REFUSALS[case]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(file_cfg))
-        # every input names a file that does not exist, so reading one would fail differently
-        assert main([*(a.replace("TMP/", f"{tmp_path}/") for a in argv), "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == f"error: config file {cfg}: {named}\n"
-        assert list(tmp_path.iterdir()) == [cfg]
+@pytest.mark.parametrize("command, fields", [
+    ("gen-synthetic", []),
+    ("distill", [*MODEL_FIELDS, "temperature", "learning_rate", "epochs", "weight_decay", "batch_size"]),
+    ("finetune", ["finetune_learning_rate", "finetune_epochs", "weight_decay", "batch_size"]),
+    ("bench", MODEL_FIELDS),
+])
+def test_each_setting_has_exactly_one_flag(command, fields):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in commands.choices[command]._actions if a.dest in SETTINGS]
+    assert sorted(dests) == sorted(fields)

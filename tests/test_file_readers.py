@@ -7,7 +7,7 @@ random single bytes. Each damaged file must either load or raise a
 ``struct.error``, ``KeyError``, ``IndexError`` or ``TypeError`` fail the test
 by propagating.
 
-Text files (pair TSV, scored table, corpus, queries, JSON config) must name
+Text files (pair TSV, scored table, corpus, queries) must name
 the path and the line of an invalid UTF-8 byte, and each CLI command that
 reads one exits 1 with the file named on stderr and no traceback. So does
 ``search`` on a graph index with a truncated graph block, a negative degree
@@ -19,7 +19,6 @@ leaves nothing at the path; every text output otherwise reads back equal.
 """
 
 import io
-import json
 import os
 import re
 import subprocess
@@ -348,43 +347,6 @@ CLI_CASES = {
     "queries": (b"red shoes\r\nblue \xffhat\r\n",
                 ["search", "--checkpoint", "SERVED/model.ckpt", "--index", "SERVED/store.twix",
                  "--mode", "exact", "--queries", "BAD"], "BAD:2: invalid UTF-8"),
-    "config": (b'{"seed": 1,\n "distill": {"epochs": 1},\n "x": "\xff"}\n',
-               ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-               "BAD:3: invalid UTF-8"),
-    "config_model_list": (json.dumps({"model": [1, 2]}).encode(),
-                          ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-                          "BAD: 'model' must be a JSON object"),
-    "config_seed_str": (json.dumps({"seed": "abc"}).encode(),
-                        ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-                        "BAD: 'seed' must be an integer"),
-    "config_seed_bool": (json.dumps({"seed": True}).encode(),
-                         ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-                         "BAD: 'seed' must be an integer"),
-    "config_top_level_vocab_hash_seed": (json.dumps({"vocab_hash_seed": 5}).encode(),
-                                         ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT",
-                                          "--config", "BAD"],
-                                         "BAD: 'vocab_hash_seed' belongs inside its \"model\" object"),
-    "config_top_level_epochs": (json.dumps({"epochs": 1}).encode(),
-                                ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-                                "BAD: 'epochs' belongs inside its \"distill\" object"),
-    "config_unknown_key": (json.dumps({"lr": 5}).encode(),
-                           ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-                           "BAD: 'lr' is unknown; the sections are preset, model, distill and seed"),
-    "config_float_hidden_size": (json.dumps({"model": {"hidden_size": 64.0}}).encode(),
-                                 ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-                                 "invalid configuration: hidden_size must be an integer, got 64.0"),
-    "config_float_epochs": (json.dumps({"distill": {"epochs": 1.5}}).encode(),
-                            ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-                            "invalid configuration: epochs must be an integer, got 1.5"),
-    "config_bool_n_layers": (json.dumps({"model": {"n_layers": True}}).encode(),
-                             ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-                             "invalid configuration: n_layers must be an integer, got True"),
-    "config_preset": (json.dumps({"preset": "huge"}).encode(),
-                      ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-                      "BAD: 'preset' must be one of"),
-    "config_preset_list": (json.dumps({"preset": ["large"]}).encode(),
-                           ["distill", "--data", "SERVED/pairs.tsv", "--out", "OUT", "--config", "BAD"],
-                           "BAD: 'preset' must be one of"),
     "index_truncated_graph_block": (_graph_index([[1], [0, 2], [1]])[:-4], SEARCH_BAD_INDEX,
                                     "BAD: truncated file or bad count: 24 bytes wanted"),
     "index_negative_degree_bound": (_graph_index([[1], [0, 2], [1]], degree_bound=-1), SEARCH_BAD_INDEX,
