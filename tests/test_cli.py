@@ -591,7 +591,12 @@ class TestBench:
         (["--preset", "large"], "--preset"),
         (["--no-shared-encoders"], "--shared-encoders"),
         (["--dropout", "0.3"], "--dropout"),
-    ], ids=["layers", "preset", "no-shared-encoders", "dropout"])
+        *((flag, flag[0]) for flag in (["--hidden-size", "32"], ["--heads", "4"], ["--ffn-size", "96"],
+                                        ["--vocab-buckets", "100"], ["--max-len", "8"],
+                                        ["--pooling", "cls_token"], ["--crossing", "cosine"],
+                                        ["--vocab-hash-seed", "5"])),
+    ], ids=["layers", "preset", "no-shared-encoders", "dropout", "hidden-size", "heads", "ffn-size",
+            "vocab-buckets", "max-len", "pooling", "crossing", "vocab-hash-seed"])
     def test_model_flag_with_a_checkpoint_exits_1_before_timing(self, workspace, tmp_path, capsys, monkeypatch,
                                                                 flags, named):
         monkeypatch.setattr(bench_mod, "bench_grid", lambda *a, **k: pytest.fail("a refused model was timed"))
@@ -751,3 +756,45 @@ def test_each_setting_has_exactly_one_flag(command, fields):
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = [a.dest for a in commands.choices[command]._actions if a.dest in SETTINGS]
     assert sorted(dests) == sorted(fields)
+
+
+# each setting -> (its flag as typed, the value it parses to); every value differs from the default
+FLAG_VALUES = {
+    "n_layers": (["--layers", "3"], 3),
+    "hidden_size": (["--hidden-size", "32"], 32),
+    "n_heads": (["--heads", "4"], 4),
+    "ffn_size": (["--ffn-size", "96"], 96),
+    "vocab_buckets": (["--vocab-buckets", "100"], 100),
+    "max_len": (["--max-len", "8"], 8),
+    "pooling": (["--pooling", "cls_token"], "cls_token"),
+    "crossing": (["--crossing", "cosine"], "cosine"),
+    "shared_encoders": (["--no-shared-encoders"], False),
+    "dropout": (["--dropout", "0.3"], 0.3),
+    "vocab_hash_seed": (["--vocab-hash-seed", "5"], 5),
+    "temperature": (["--temperature", "3.5"], 3.5),
+    "learning_rate": (["--lr", "0.001"], 0.001),
+    "epochs": (["--epochs", "4"], 4),
+    "weight_decay": (["--weight-decay", "0.05"], 0.05),
+    "batch_size": (["--batch-size", "16"], 16),
+    "finetune_learning_rate": (["--finetune-lr", "0.001"], 0.001),
+    "finetune_epochs": (["--finetune-epochs", "5"], 5),
+}
+TRAINING = ["temperature", "learning_rate", "epochs", "weight_decay", "batch_size"]
+REQUIRED = {"distill": ["--data", "d.tsv", "--out", "m.ckpt"],
+            "finetune": ["--data", "d.tsv", "--checkpoint", "c.ckpt", "--out", "f.ckpt"],
+            "bench": []}
+
+
+@pytest.mark.parametrize("command, field", [
+    *(("distill", field) for field in [*MODEL_FIELDS, *TRAINING]),
+    *(("finetune", field) for field in ["finetune_learning_rate", "finetune_epochs", "weight_decay",
+                                        "batch_size"]),
+    *(("bench", field) for field in MODEL_FIELDS),
+])
+def test_a_flag_sets_its_own_setting_and_no_other(command, field):
+    assert FLAG_VALUES.keys() == SETTINGS
+    flag, value = FLAG_VALUES[field]
+    cls = ModelConfig if field in MODEL_FIELDS else DistillationConfig
+    assert getattr(cls(), field) != value
+    settings = _settings(build_parser().parse_args([command, *REQUIRED[command], *flag]), cls)
+    assert settings == cls(**{field: value})
