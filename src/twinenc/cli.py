@@ -50,14 +50,10 @@ from .training import (PairRecord, TrainingDivergedError, distill_train, finetun
 logger = logging.getLogger("twinenc.cli")
 
 
-class CliError(Exception):
-    """User-facing command failure; message logged as an error, exit 1."""
-
-
 def _require_file(path: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise CliError(f"input file not found: {path}")
+        raise ValueError(f"input file not found: {path}")
     return p
 
 
@@ -68,7 +64,7 @@ def _int_list(flag: str, text: str) -> list[int]:
         try:
             values.append(int(entry))
         except ValueError:
-            raise CliError(f"{flag} {text!r}: {entry!r} is not an integer") from None
+            raise ValueError(f"{flag} {text!r}: {entry!r} is not an integer") from None
     return values
 
 
@@ -118,7 +114,7 @@ def _settings(args, cls):
         return make(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
                        if getattr(args, f.name, None) is not None})
     except ValueError as exc:
-        raise CliError(f"invalid configuration: {exc}") from exc
+        raise ValueError(f"invalid configuration: {exc}") from exc
 
 
 def _resolve(args, **sections) -> dict:
@@ -180,8 +176,8 @@ def _training_pairs(path: str, field: str) -> list[PairRecord]:
     on, fails as ``path:line``, read back here: ``load_pair_tsv`` skips no row."""
     records = load_pair_tsv(_require_file(path))
     if (missing := first_lacking(records, field)) is not None:
-        lineno = textio.read_table(path, last_optional=True).rows[missing][0]
-        raise CliError(f"{path}:{lineno}: pair has no {field.replace('_', ' ')}")
+        lineno = textio.read_table(path, last_optional="label").rows[missing][0]
+        raise ValueError(f"{path}:{lineno}: pair has no {field.replace('_', ' ')}")
     return records
 
 
@@ -254,13 +250,13 @@ def cmd_build_index(args) -> int:
 
 def cmd_search(args) -> int:
     if args.top_n < 1:
-        raise CliError(f"--top-n must be >= 1, got {args.top_n}")
+        raise ValueError(f"--top-n must be >= 1, got {args.top_n}")
     if args.mode == "approx" and args.beam < args.top_n:
-        raise CliError(f"--beam must be >= --top-n in approx mode, got {args.beam} < {args.top_n}")
+        raise ValueError(f"--beam must be >= --top-n in approx mode, got {args.beam} < {args.top_n}")
     model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     index = index_mod.EmbeddingIndex.load(_require_file(args.index))
     if args.mode == "approx" and index.graph is None:
-        raise CliError(f"index {args.index} has no graph; use --mode exact or build-index")
+        raise ValueError(f"index {args.index} has no graph; use --mode exact or build-index")
     source = args.queries if args.queries == "-" else _require_file(args.queries)
     queries = []
     for _, line in textio.lines(source):
@@ -307,10 +303,7 @@ def cmd_eval_auc(args) -> int:
     table = textio.read_table(_require_file(args.scored))
     scores = table.column("prob", _score, "a number")
     labels = table.column("label", binary_label, "bad/fair/good/excellent or 0/1")
-    try:
-        auc = roc_auc(scores, labels)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    auc = roc_auc(scores, labels)
     _emit(args.out, [("metric", "value"), ("roc_auc", f"{auc:.10f}")],
           _manifest("eval-auc", {}))
     return 0
@@ -330,10 +323,7 @@ def cmd_eval_ndcg(args) -> int:
         rankings.append([lab for _, lab in items])
     rows = [("position", "ndcg")]
     for p in positions:
-        try:
-            rows.append((str(p), f"{mean_ndcg(rankings, p):.6f}"))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        rows.append((str(p), f"{mean_ndcg(rankings, p):.6f}"))
     _emit(args.out, rows, _manifest("eval-ndcg", {"positions": positions}))
     return 0
 
@@ -343,25 +333,25 @@ def cmd_bench(args) -> int:
     try:
         bench_mod.check_nk_grid(nk_grid)
     except ValueError as exc:
-        raise CliError(f"--nk-grid {args.nk_grid!r}: {exc}") from None
+        raise ValueError(f"--nk-grid {args.nk_grid!r}: {exc}") from None
     for flag, value, least in (("--n-queries", args.n_queries, 1), ("--reps", args.reps, 1),
                                ("--qel", args.qel, 1), ("--warmup", args.warmup, 0)):
         if value < least:
-            raise CliError(f"{flag} must be >= {least}, got {value}")
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     if args.checkpoint is not None:
         for dest, flag in args.model_flags.items():
             if getattr(args, dest) is not None:
-                raise CliError(f"{flag} cannot be given with --checkpoint, whose header sets the model")
+                raise ValueError(f"{flag} cannot be given with --checkpoint, whose header sets the model")
     modes = [mode.strip() for mode in args.modes.split(",")]
     for i, mode in enumerate(modes):
         if mode in modes[:i]:  # its rows would share one entry of the manifest's fits
-            raise CliError(f"--modes: {mode!r} repeats")
+            raise ValueError(f"--modes: {mode!r} repeats")
     try:
         scenarios = [bench_mod.LatencyScenario(mode, qel=args.qel, keyword_cache=not args.no_cache,
                                                n_queries=args.n_queries, repetitions=args.reps)
                      for mode in modes]
     except ValueError as exc:
-        raise CliError(f"--modes: {exc}") from None
+        raise ValueError(f"--modes: {exc}") from None
     loaded = TwinModel.load(_require_file(args.checkpoint)) if args.checkpoint else None
     config = loaded.config if loaded else _settings(args, ModelConfig)
     resolved = _resolve(args, model=config)
@@ -503,9 +493,9 @@ def main(argv: list[str] | None = None) -> int:
     package.propagate = False
     try:
         if not 0 <= getattr(args, "seed", 0) < 2**63:  # checked before any file is read
-            raise CliError(f"--seed must be in [0, 2**63), got {args.seed}")
+            raise ValueError(f"--seed must be in [0, 2**63), got {args.seed}")
         return args.func(args)
-    except (CliError, ValueError, OSError, TrainingDivergedError) as exc:
+    except (ValueError, OSError, TrainingDivergedError) as exc:
         logger.error("error: %s", exc)
         return 1
     finally:

@@ -253,17 +253,18 @@ class PackedBatch:
 
 
 def pack_sequences(seqs: list[TokenSequence]) -> PackedBatch:
-    """Pack ragged sequences, padding only to the longest one in the batch."""
+    """Pack ragged sequences of word bucket tuples, padding only to the longest one in the batch."""
     if not seqs:
         raise ValueError("cannot pack an empty batch")
-    lengths = [s.length for s in seqs]
+    lengths = [len(s) for s in seqs]
     if min(lengths) < 1:
         raise ValueError("every sequence must contain at least one unmasked token")
     buckets: list[int] = []
     word_starts: list[int] = []
     for s in seqs:
-        word_starts.extend([len(buckets) + o for o in s.word_offsets])
-        buckets.extend(s.bucket_ids)
+        for word in s:
+            word_starts.append(len(buckets))
+            buckets.extend(word)
     return PackedBatch(
         bucket_ids=np.array(buckets, dtype=np.int64),
         word_starts=np.array(word_starts, dtype=np.int64),

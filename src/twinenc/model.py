@@ -102,14 +102,14 @@ class TwinModel:
     # -- tokenization ------------------------------------------------------
 
     def tokenize(self, text: str, max_len: int | None = None) -> TokenSequence:
-        """Encode text, prefixing the reserved token in cls-pooling mode."""
+        """Encode text as its words' bucket tuples, ``(vocab.cls_bucket,)`` first in cls-pooling mode."""
         max_len = self.config.max_len if max_len is None else max_len
         cls_bucket = self.vocab.cls_bucket if self.config.pooling == "cls_token" else None
         return encode_text(text, self.vocab, max_len, prepend_bucket=cls_bucket)
 
     def tokenize_many(self, texts: list[str]) -> list[TokenSequence]:
         """One sequence per text; each distinct text is tokenized once and its
-        repeats share that :class:`TokenSequence`."""
+        repeats share that tuple of the vocabulary's cached word tuples."""
         seqs = {t: self.tokenize(t) for t in dict.fromkeys(texts)}
         return [seqs[t] for t in texts]
 

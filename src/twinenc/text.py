@@ -100,27 +100,11 @@ class TrigramVocab:
         return cached
 
 
-@dataclass(frozen=True, slots=True)
-class TokenSequence:
-    """One encoded sentence, ragged: only real words, never padding.
+TokenSequence = tuple[tuple[int, ...], ...]
+"""One encoded sentence, ragged: its words' trigram bucket tuples, never padding.
 
-    ``bucket_ids`` concatenates the trigram bucket multisets of the words
-    (a prepended cls bucket counts as a one-bucket word), and
-    ``word_offsets[i]`` is where word i starts in it.
-    """
-
-    bucket_ids: tuple[int, ...]
-    word_offsets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        bounds = self.word_offsets + (len(self.bucket_ids),)
-        if bounds[0] != 0 or any(a >= b for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("word_offsets must start at 0 and split bucket_ids into non-empty words")
-
-    @property
-    def length(self) -> int:
-        """Number of words, the cls bucket included."""
-        return len(self.word_offsets)
+Each word is the very tuple ``TrigramVocab.word_buckets`` memoizes; a
+prepended cls bucket is the one-bucket word ``(cls_bucket,)``."""
 
 
 def encode_text(
@@ -129,7 +113,7 @@ def encode_text(
     max_len: int,
     prepend_bucket: int | None = None,
 ) -> TokenSequence:
-    """Encode text into a ragged :class:`TokenSequence` of at most ``max_len`` words.
+    """Encode text into a ragged :data:`TokenSequence` of at most ``max_len`` words.
 
     Words beyond ``max_len`` are truncated; shorter inputs are not padded.
     When ``prepend_bucket`` is given (cls-token pooling), that reserved
@@ -148,9 +132,5 @@ def encode_text(
     if capacity < 1:
         raise ValueError("max_len too small to hold any text after the reserved slot")
 
-    bucket_ids: list[int] = [] if prepend_bucket is None else [prepend_bucket]
-    word_offsets: list[int] = [] if prepend_bucket is None else [0]
-    for word in norm.split()[:capacity]:
-        word_offsets.append(len(bucket_ids))
-        bucket_ids.extend(vocab.word_buckets(word))
-    return TokenSequence(bucket_ids=tuple(bucket_ids), word_offsets=tuple(word_offsets))
+    words = tuple(map(vocab.word_buckets, norm.split()[:capacity]))
+    return words if prepend_bucket is None else ((prepend_bucket,), *words)

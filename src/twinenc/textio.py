@@ -91,17 +91,17 @@ class Table:
         return values
 
 
-def read_table(path: str | Path, last_optional: bool | str = False) -> Table:
+def read_table(path: str | Path, last_optional: str | None = None) -> Table:
     """The table at ``path``: its first line is the header, and every row has as
-    many cells. With ``last_optional`` (True, or the name the header's last
-    column must have) a row may leave out its last cell, which reads as empty."""
+    many cells. When the header's last column is named ``last_optional``, a row
+    may leave out its last cell, which reads as empty."""
     numbered = lines(path)
     first = next(numbered, None)
     if first is None:
         raise ValueError(f"{path}: empty file (header row required)")
     header = first[1].split("\t")
     table = Table(str(path), header, [])
-    optional = last_optional is True or last_optional == header[-1]
+    optional = last_optional == header[-1]
     for lineno, line in numbered:
         cells = line.split("\t")
         if optional and len(cells) == len(header) - 1:
@@ -120,12 +120,13 @@ def keyword_ids(n: int) -> list[str]:
 
 
 def _corpus_rows(path: str | Path) -> Iterator[tuple[int, str | None, str]]:
-    """(line number, id or None for a bare line, text) of each keyword row."""
-    for lineno, line in lines(path):
+    """(line number, id or None for a bare line, text) of each keyword row; only
+    the first row may be the header ``id<TAB>keyword``."""
+    for k, (lineno, line) in enumerate(lines(path)):
         if "\t" not in line:
             yield lineno, None, line
-        elif (row := line.split("\t", 1)) != ["id", "keyword"]:
-            yield lineno, row[0], row[1]
+        elif k or line != "id\tkeyword":
+            yield lineno, *line.split("\t", 1)
 
 
 def read_corpus(path: str | Path) -> tuple[list[str], list[str]]:

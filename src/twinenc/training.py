@@ -480,7 +480,7 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
     Lines starting with ``#`` are ignored. Malformed rows abort with their
     line number.
     """
-    table = textio.read_table(path, last_optional=True)
+    table = textio.read_table(path, last_optional="label")
     columns = [table.index(name) for name in PAIR_TSV_COLUMNS[:4]]
     li = table.index("label") if "label" in table.header else None
     records: list[PairRecord] = []

@@ -69,7 +69,8 @@ class TestEmbedInput:
         batch = _batch(tiny_model, ["cat", "red shoes"])
         x = embed_forward(params, prefix, batch)
         tok_emb = params[f"{prefix}.tok_emb"]
-        expected = sum(tok_emb[b] for b in tiny_model.tokenize("cat").bucket_ids)
+        (cat,) = tiny_model.tokenize("cat")
+        expected = sum(tok_emb[b] for b in cat)
         np.testing.assert_allclose(x[0, 0], expected)
         # the padding slot carries only its (zeroed) position embedding here
         np.testing.assert_allclose(x[0, 1:], 0.0)
@@ -80,13 +81,11 @@ class TestEmbedInput:
         prefix = model.query_prefix
         tok_emb, pos_emb = model.params[f"{prefix}.tok_emb"], model.params[f"{prefix}.pos_emb"]
         seqs = model.tokenize_many(["cat", "red red shoes sale", "cheap flights to paris", "a"])
-        longest = max(s.length for s in seqs)
+        longest = max(len(s) for s in seqs)
         # padded slots hold only their position embedding
         expected = np.array([pos_emb[:longest]] * len(seqs))
         for b, seq in enumerate(seqs):
-            bounds = seq.word_offsets + (len(seq.bucket_ids),)
-            for t in range(seq.length):
-                word = seq.bucket_ids[bounds[t]:bounds[t + 1]]
+            for t, word in enumerate(seq):
                 total = tok_emb[word[0]]
                 for bucket in word[1:]:
                     total = total + tok_emb[bucket]

@@ -153,6 +153,13 @@ def test_half_filled_logit_pair_names_the_empty_column(tmp_path, row, empty):
         load_pair_tsv(path)
 
 
+def test_a_label_less_pair_row_must_have_every_cell(tmp_path):
+    path = tmp_path / "short.tsv"
+    path.write_text("query\tkeyword\tz_bad\tz_nonbad\na\tb\t1.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: expected 4 fields, got 3")):
+        load_pair_tsv(path)
+
+
 def test_bare_corpus_lines_get_ids_of_one_width_in_line_order(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("a\n" * 1_000_001)
@@ -270,6 +277,15 @@ def test_corpus_numbers_only_its_bare_lines(tmp_path):
     path.write_text("id\tkeyword\nx1\tred shoes\nblue hat\nx2\tgreen socks\nwarm gloves\n")
     assert read_corpus(path) == (["x1", "k000000", "x2", "k000001"],
                                  ["red shoes", "blue hat", "green socks", "warm gloves"])
+
+
+def test_only_the_first_corpus_row_is_a_header(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("id\tkeyword\nk1\tred shoes\nid\tkeyword\nk2\tblue hat\n")
+    assert read_corpus(path) == (["k1", "id", "k2"], ["red shoes", "keyword", "blue hat"])
+    path.write_text("# corpus\nid\tkeyword\nid\tkeyword\nk2\tblue hat\nid\tsocks\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:5: keyword id 'id' repeats line 3")):
+        read_corpus(path)
 
 
 @pytest.mark.parametrize("body, expected", [

@@ -135,10 +135,9 @@ class TestTokenTableGradient:
             embed_backward(tiny_model.params, prefix, batch, dx, grads)
             # every trigram of the word in real slot (b, t) gets that slot's gradient
             for b, seq in enumerate(seqs):
-                bounds = seq.word_offsets + (len(seq.bucket_ids),)
-                for t in range(seq.length):
+                for t, word in enumerate(seq):
                     assert batch.mask[b, t]
-                    for bucket in seq.bucket_ids[bounds[t]:bounds[t + 1]]:
+                    for bucket in word:
                         reference[bucket] += dx[b, t]
         g = grads[f"{prefix}.tok_emb"]
         assert isinstance(g, RowGrad)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twinenc.text import TokenSequence, TrigramVocab, encode_text, encodable, normalize, word_trigrams
+from twinenc.text import TrigramVocab, encode_text, encodable, normalize, word_trigrams
 
 words = st.text(alphabet=st.characters(whitelist_categories=("Ll",), max_codepoint=0x2FF), min_size=1, max_size=12)
 
@@ -105,20 +105,17 @@ class TestEncodeText:
 
     def test_single_word_not_padded(self):
         seq = encode_text("cat", self.vocab, max_len=8)
-        assert seq.length == 1
-        assert seq.word_offsets == (0,)
-        assert seq.bucket_ids == self.vocab.word_buckets("cat")
-        assert len(seq.bucket_ids) == 3
+        assert seq == (self.vocab.word_buckets("cat"),)
+        assert len(seq[0]) == 3
 
     def test_truncation_keeps_the_first_words(self):
         seq = encode_text("a b c d", self.vocab, max_len=2)
-        assert seq.length == 2
-        assert seq.bucket_ids == self.vocab.word_buckets("a") + self.vocab.word_buckets("b")
+        assert seq == (self.vocab.word_buckets("a"), self.vocab.word_buckets("b"))
 
     def test_identical_words_identical_multisets(self):
         seq = encode_text("cat cat", self.vocab, max_len=4)
-        assert seq.word_offsets == (0, 3)
-        assert seq.bucket_ids[:3] == seq.bucket_ids[3:]
+        assert len(seq) == 2 and len(seq[0]) == 3
+        assert seq[0] == seq[1]
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -126,10 +123,9 @@ class TestEncodeText:
 
     def test_cls_prefix_shrinks_capacity(self):
         seq = encode_text("a b c d", self.vocab, max_len=4, prepend_bucket=self.vocab.cls_bucket)
-        assert seq.bucket_ids[0] == self.vocab.cls_bucket
-        assert seq.word_offsets[:2] == (0, 1)
-        assert seq.length == 4  # cls + 3 words
-        assert seq.bucket_ids[1:] == sum(map(self.vocab.word_buckets, "abc"), ())
+        assert seq[0] == (self.vocab.cls_bucket,)  # a one-bucket word
+        assert len(seq) == 4  # cls + 3 words
+        assert seq[1:] == tuple(map(self.vocab.word_buckets, "abc"))
 
     @given(st.lists(words, min_size=1, max_size=6))
     def test_deterministic(self, word_list):
@@ -138,20 +134,22 @@ class TestEncodeText:
         b = encode_text(text, self.vocab, max_len=8)
         assert a == b
 
-    def test_offsets_split_word_buckets(self):
+    def test_words_are_their_word_buckets(self):
         seq = encode_text("red shoes", self.vocab, max_len=5)
-        red = self.vocab.word_buckets("red")
-        assert seq.word_offsets == (0, len(red))
-        assert seq.bucket_ids == red + self.vocab.word_buckets("shoes")
+        assert seq == (self.vocab.word_buckets("red"), self.vocab.word_buckets("shoes"))
 
 
 class TestTokenSequence:
-    def test_length_mismatch_rejected(self):
-        for bucket_ids, word_offsets in (
-            ((1,), (0, 1)),  # last word empty
-            ((1, 2), (1,)),  # first word does not start at 0
-            ((1, 2), (0, 0)),  # offsets not increasing
-            ((1,), ()),  # buckets outside any word
-        ):
-            with pytest.raises(ValueError):
-                TokenSequence(bucket_ids=bucket_ids, word_offsets=word_offsets)
+    @given(st.text(max_size=40).filter(normalize), st.integers(1, 6), st.booleans())
+    def test_words_are_non_empty_and_flatten_to_the_trigram_buckets(self, text, max_len, cls):
+        """Every word is non-empty, and the words concatenate to the flat bucket
+        ids of the first words' trigrams, the cls bucket first when pooled by it."""
+        vocab = TrigramVocab(bucket_count=64, hash_seed=3)
+        cls_bucket = vocab.cls_bucket if cls and max_len > 1 else None
+        seq = encode_text(text, vocab, max_len, prepend_bucket=cls_bucket)
+        assert seq and all(seq)
+        capacity = max_len - (cls_bucket is not None)
+        flat = [] if cls_bucket is None else [cls_bucket]
+        for word in normalize(text).split()[:capacity]:
+            flat.extend(vocab.bucket(t) for t in word_trigrams(word))
+        assert [b for word in seq for b in word] == flat

@@ -519,6 +519,18 @@ class TestTokenizeOnce:
             assert seq == tiny_model.tokenize(text)
         assert len({id(s) for s in seqs}) == 3
 
+    @pytest.mark.parametrize("pooling", ["weighted_average", "cls_token"])
+    def test_a_sequence_shares_the_vocabulary_word_cache(self, tiny_config, pooling):
+        """Each word of a sequence is the vocabulary's memoized tuple itself, so a sequence copies no buckets."""
+        model = TwinModel.initialize(replace(tiny_config, pooling=pooling), seed=0)
+        words = "red shoes red sale".split()
+        seq = model.tokenize(" ".join(words))
+        if pooling == "cls_token":
+            assert seq[0] == (model.vocab.cls_bucket,)
+            seq = seq[1:]
+        assert len(seq) == len(words)
+        assert all(got is model.vocab.word_buckets(word) for got, word in zip(seq, words))
+
     def test_training_tokenizes_each_distinct_text_once(self, tiny_model, monkeypatch):
         records = _overfit_records(8) * 2
         # a keyword that is also another pair's query
