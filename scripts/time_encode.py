@@ -6,11 +6,11 @@ process and builds the rerank benchmark workload's model (desk preset,
 seed 0), queries and keyword store for ``--seed``. It refuses to time
 unless both trees give ``array_equal`` query embeddings at batch 1, in
 float32 and float64, and equal raw keyword stores (``encode_corpus`` with
-``normalize=False``) at batch 256. It then times ``pack_sequences`` +
-``encode_query_batch`` of one tokenized float32 query, over ``--queries``
-queries per round, in alternating pairs of rounds (before/after, then
-after/before, ...) so a drift in host speed lands on both sides; a round's
-figure is its median call. Last it prints each tree's ``tracemalloc`` peak
+``normalize=False``, at its default batch of 256). It then times
+``pack_sequences`` + ``encode_query_batch`` of one tokenized float32 query,
+over ``--queries`` queries per round, in alternating pairs of rounds
+(before/after, then after/before, ...) so a drift in host speed lands on
+both sides; a round's figure is its median call. Last it prints each tree's ``tracemalloc`` peak
 for the no-rng float32 forward of one 256-keyword batch, in bytes and in
 activations (batch x length x hidden float32 arrays), and for float32
 ``encode_keywords`` over the whole keyword store, beside the bytes of its
@@ -63,7 +63,7 @@ def check_equal(trees: dict, queries: list[str], store: list[str]) -> None:
             eb = mb.encode_query_batch(tb.encoder.pack_sequences([mb.tokenize(q)]))[0]
             if not np.array_equal(ea, eb):
                 raise SystemExit(f"{a} and {b} encode query {q!r} differently in {dtype.__name__}")
-        ka, kb = (t.encode_corpus(store, m, batch_size=BATCH, normalize=False).vectors
+        ka, kb = (t.encode_corpus(store, m, normalize=False).vectors
                   for t, m in ((ta, ma), (tb, mb)))
         if not np.array_equal(ka, kb):
             raise SystemExit(f"{a} and {b} encode the keyword store differently in {dtype.__name__}")

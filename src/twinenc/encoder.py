@@ -190,7 +190,8 @@ def init_encoder_params(
 
 
 def cast_params(params: dict[str, np.ndarray], dtype) -> dict[str, np.ndarray]:
-    return {k: np.asarray(v, dtype=dtype) for k, v in params.items()}
+    """A copy of ``params`` in ``dtype``: each tensor is a new array, sharing no memory."""
+    return {k: np.array(v, dtype=dtype) for k, v in params.items()}
 
 
 class RowGrad(NamedTuple):

@@ -202,8 +202,7 @@ class TwinModel:
         return cls(config=config, params=params)
 
     def cast(self, dtype) -> TwinModel:
-        """Copy of this model with parameters cast to ``dtype`` (inference only).
-
-        The copy counts its own operations.
-        """
+        """Copy of this model with parameters cast to ``dtype``. The copy owns
+        its arrays (training one model never changes the other) and counts its
+        own operations."""
         return TwinModel(config=self.config, params=cast_params(self.params, dtype))

@@ -1,9 +1,10 @@
 """One reader and one writer for every text file: TSV tables, corpus, queries.
 
 The text counterpart of ``checkpoint.Reader``: a file is read once and
-decoded as UTF-8, lines split as universal newlines, and empty lines and
-``#`` comments are skipped. Invalid UTF-8, a row of the wrong width or a
-cell that does not convert is a ``ValueError`` of the form ``path:line: ...``.
+decoded as UTF-8 (a leading byte-order mark dropped), lines split as
+universal newlines, and empty lines and ``#`` comments are skipped. Invalid
+UTF-8, a row of the wrong width or a cell that does not convert is a
+``ValueError`` of the form ``path:line: ...``.
 A file output is written whole or not at all (``checkpoint.atomic_write``).
 The path ``-`` (or ``None`` for outputs) is the standard stream.
 """
@@ -19,22 +20,28 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .checkpoint import atomic_write
 
 
+BOM = b"\xef\xbb\xbf"  # UTF-8's byte-order mark, which some editors write first
+
+
 def _is_stream(path) -> bool:
     return path is None or str(path) == "-"
 
 
 def read_text(path: str | Path) -> str:
-    """The whole file at ``path`` (``-``: standard input) decoded as UTF-8."""
+    """The whole file at ``path`` (``-``: standard input) decoded as UTF-8,
+    without a leading byte-order mark."""
     if _is_stream(path):
         path, data = "<stdin>", sys.stdin.buffer.read()
     else:
         data = Path(path).read_bytes()
+    skip = len(BOM) if data.startswith(BOM) else 0
     try:
-        return data.decode("utf-8")
+        return str(memoryview(data)[skip:], "utf-8")  # a view: the bytes are not copied
     except UnicodeDecodeError as exc:
-        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        start = skip + exc.start
+        head = data[:start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         lineno = head.count(b"\n") + 1
-        raise ValueError(f"{path}:{lineno}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 at byte {start}: {exc.reason}") from None
 
 
 def lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -174,8 +181,9 @@ def write_tsv(path: str | Path | None, rows: Iterable[Sequence[str]],
     """Write ``# manifest: {manifest}``, then each row's cells joined by tabs
     (rows may be a generator), streamed to stdout or whole to ``path``, which
     then gets ``sidecar`` as its ``.manifest.json``. A row that is an empty
-    line, starts with ``#`` or has a cell holding a tab, CR or LF would not
-    read back as itself: a ``ValueError`` ``path:line: row (...) ...``."""
+    line, starts with ``#`` (or, as the file's first line, with U+FEFF) or has
+    a cell holding a tab, CR or LF would not read back as itself: a
+    ``ValueError`` ``path:line: row (...) ...``."""
     if _is_stream(path):
         sys.stdout.writelines(_row_lines("<stdout>", rows, manifest))
         return
@@ -192,7 +200,9 @@ def _row_lines(name: str | Path, rows: Iterable[Sequence[str]], manifest: dict |
         problem = ("is an empty line" if not line
                    else "has a cell holding a tab, CR or LF"
                    if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line
-                   else "would read back as a comment" if line[0] == "#" else None)
+                   else "would read back as a comment" if line[0] == "#"
+                   else "would read back without its leading U+FEFF" if lineno == 1 and line[0] == "\ufeff"
+                   else None)
         if problem:
             raise ValueError(f"{name}:{lineno}: row {tuple(row)!r} {problem}")
         yield line + "\n"

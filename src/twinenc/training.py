@@ -176,13 +176,10 @@ class AdamW:
     vectors or scalars. The moment decays and the denominator floor are
     the module constants ``BETA1``, ``BETA2`` and ``ADAM_EPS``.
 
-    ``step`` writes the parameters and moments in place, through two scratch
-    arrays of the updated slice's size; each in-place op is the IEEE multiply,
-    divide or add of the textbook expression, so the update is bit for bit
-    the same. The caller owns the arrays in ``params``: ``_run_epochs``
-    copies a model's parameters once before training, so an array shared
-    with another model (``cast_params`` keeps arrays whose dtype already
-    matches) is never written through.
+    ``step`` writes the arrays of ``params`` and the moments in place, through
+    two scratch arrays of the updated slice's size; each in-place op is the
+    IEEE multiply, divide or add of the textbook expression, so the update is
+    bit for bit the same.
     """
 
     def __init__(self, lr: float, weight_decay: float):
@@ -282,10 +279,10 @@ def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str, *,
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray,
                 lr: float, epochs: int, config: DistillationConfig, seed: int) -> TrainingHistory:
-    """One phase: tokenize once, copy the model's parameters (AdamW updates them
-    in place, and a ``cast`` twin shares arrays with its source), refit the head
-    to ``targets`` (``refit_calibration``, recorded in ``history.calibration``),
-    run the epochs. Zero epochs change nothing."""
+    """One phase: tokenize once, refit the head to ``targets``
+    (``refit_calibration``, recorded in ``history.calibration``), run the
+    epochs, updating the model's own arrays in place. Zero epochs change
+    nothing."""
     if not records:
         raise ValueError("training requires a non-empty record stream")
     history = TrainingHistory()
@@ -295,8 +292,6 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
     seqs = model.tokenize_many([r.query for r in records] + [r.keyword for r in records])
     q_seqs, k_seqs = seqs[:n], seqs[n:]
     bs = config.batch_size
-    for name in list(model.params):  # one at a time: an unshared original goes as its copy comes
-        model.params[name] = np.array(model.params[name])
     history.calibration = refit_calibration(model, q_seqs, k_seqs, targets, bs)
     optimizer = AdamW(lr=lr, weight_decay=config.weight_decay)
     shuffle_rng = np.random.default_rng([seed, 0xDA7A])

@@ -23,6 +23,7 @@ from twinenc.config import DistillationConfig, ModelConfig
 from twinenc.encoder import sigmoid
 from twinenc.index import EmbeddingIndex, knn_approx, knn_exact
 from twinenc.model import SERVING_DTYPE, TwinModel
+from twinenc.textio import read_table
 
 FAST_MODEL = ["--layers", "1", "--hidden-size", "16", "--heads", "2",
               "--vocab-buckets", "256", "--max-len", "8", "--dropout", "0.0"]
@@ -348,6 +349,30 @@ class TestSearch:
                      "--index", str(workspace / "index.bin"), "--queries", str(workspace / "data" / "queries.txt"),
                      "--mode", "exact", "--beam", "2", "--top-n", "5", "--quiet"]) == 0
         assert "cosine_score" in capsys.readouterr().out
+
+    def test_approx_mode_on_a_store_without_a_graph_exits_1_before_reading_queries(self, workspace,
+                                                                                   tmp_path):
+        store, out = workspace / "embeddings.bin", tmp_path / "hits.tsv"
+        src = Path(twinenc.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "twinenc.cli", "search",
+                               "--checkpoint", str(workspace / "model.ckpt"), "--index", str(store),
+                               "--queries", str(tmp_path / "missing.txt"), "--out", str(out), "--quiet"],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert f"index {store} has no graph; use --mode exact or build-index" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_exact_mode_searches_a_store_without_a_graph(self, workspace, tmp_path):
+        out = tmp_path / "hits.tsv"
+        assert main(["search", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--index", str(workspace / "embeddings.bin"),
+                     "--queries", str(workspace / "data" / "queries.txt"),
+                     "--mode", "exact", "--top-n", "3", "--out", str(out), "--quiet"]) == 0
+        rows = read_table(out).rows
+        n_queries = len((workspace / "data" / "queries.txt").read_text().splitlines())
+        assert len(rows) == 3 * n_queries
+        assert [cells[1] for _, cells in rows[:3]] == ["1", "2", "3"]
 
     def test_missing_index(self, workspace, tmp_path, capsys):
         rc = main(["search", "--checkpoint", str(workspace / "model.ckpt"),

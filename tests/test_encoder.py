@@ -279,6 +279,15 @@ class TestEncode:
         assert b.dtype == np.float32
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-4)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cast_to_the_same_dtype_shares_no_memory(self, tiny_model, dtype):
+        source = tiny_model.cast(dtype)
+        twin = source.cast(source.dtype)
+        assert twin.params.keys() == source.params.keys()
+        for name, arr in twin.params.items():
+            assert arr.dtype == dtype and arr.shape == source.params[name].shape, name
+            assert not np.shares_memory(arr, source.params[name]), name
+
 
 class TestParameterSharing:
     def test_param_count_difference_is_one_encoder(self):

@@ -160,6 +160,30 @@ def test_a_label_less_pair_row_must_have_every_cell(tmp_path):
         load_pair_tsv(path)
 
 
+BOM = b"\xef\xbb\xbf"  # as Excel and PowerShell save UTF-8
+
+
+def test_a_byte_order_mark_does_not_make_a_corpus_header_a_keyword(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes(BOM + b"id\tkeyword\nk1\tred shoes\nk2\tblue hat\n")
+    assert read_corpus(path) == (["k1", "k2"], ["red shoes", "blue hat"])
+
+
+def test_a_pair_tsv_with_a_byte_order_mark_loads_as_without_it(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(PAIRS)
+    plain = load_pair_tsv(path)
+    path.write_bytes(BOM + PAIRS)
+    assert load_pair_tsv(path) == plain
+
+
+def test_invalid_utf8_after_a_byte_order_mark_names_its_line_and_byte(tmp_path):
+    path = tmp_path / "text.txt"
+    path.write_bytes(BOM + b"ab\n\xff")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: invalid UTF-8 at byte 6")):
+        lines(path)
+
+
 def test_bare_corpus_lines_get_ids_of_one_width_in_line_order(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("a\n" * 1_000_001)
@@ -222,6 +246,17 @@ def test_writer_refuses_a_row_that_would_not_read_back_and_keeps_the_old_file(tm
     with pytest.raises(ValueError, match=re.escape(f"{out}:2: row {row!r} {problem}")):
         write_tsv(out, [("a", "b"), row], sidecar={"command": "test"})
     assert out.read_bytes() == b"old\n" and [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+
+def test_writer_refuses_a_first_line_starting_with_a_byte_order_mark(tmp_path):
+    out = tmp_path / "out.tsv"
+    row = ("\ufeffred shoes",)
+    with pytest.raises(ValueError, match=re.escape(f"{out}:1: row {row!r} would read back without its "
+                                                   "leading U+FEFF")):
+        write_tsv(out, [row, ("blue hat",)], sidecar={"command": "test"})
+    assert list(tmp_path.iterdir()) == []
+    write_tsv(out, [row], manifest={"command": "test"})  # after the manifest line it reads back
+    assert [line for _, line in lines(out)] == ["\ufeffred shoes"]
 
 
 def test_writer_interrupted_mid_rows_leaves_nothing(tmp_path):

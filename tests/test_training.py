@@ -458,7 +458,7 @@ class TestAdamW:
         model = TwinModel.initialize(ModelConfig(n_layers=1, hidden_size=16, n_heads=2,
                                                  vocab_buckets=64, max_len=6, dropout=0.0), seed=0)
         twin = model.cast(np.float64)
-        assert twin.params["encoder.tok_emb"] is model.params["encoder.tok_emb"]
+        assert twin.params["encoder.tok_emb"] is not model.params["encoder.tok_emb"]
         before = model.params["encoder.tok_emb"].copy()
         distill_train(_overfit_records(16), DistillationConfig(epochs=1, batch_size=8), twin, seed=0)
         np.testing.assert_array_equal(model.params["encoder.tok_emb"], before)
@@ -581,6 +581,15 @@ class TestDistillTrain:
         recs = [PairRecord(query="a", keyword="b", label="good")]
         with pytest.raises(ValueError, match="teacher logits"):
             distill_train(recs, DistillationConfig(), tiny_model)
+
+    def test_trains_the_models_own_arrays_in_place(self):
+        model = TwinModel.initialize(ModelConfig(n_layers=1, hidden_size=16, n_heads=2,
+                                                 vocab_buckets=64, max_len=6, dropout=0.0), seed=0)
+        table = model.params["encoder.tok_emb"]
+        before = table.copy()
+        distill_train(_overfit_records(16), DistillationConfig(epochs=1, batch_size=8), model, seed=0)
+        assert model.params["encoder.tok_emb"] is table
+        assert not np.array_equal(table, before)
 
     def test_zero_learning_rate_only_refits_the_head(self):
         model = TwinModel.initialize(ModelConfig(n_layers=1, hidden_size=16, n_heads=2,
