@@ -7,7 +7,8 @@ can therefore be precomputed, stored, and searched with an approximate
 nearest-neighbor graph, leaving only query encoding and crossing for
 request time. Training distills a teacher's soft labels, optionally
 followed by fine-tuning on hard labels. Training data of either kind is a
-list of ``PairRecord``; ``metrics`` defines the label scale.
+list of ``PairRecord``, whose constructor is the one check of a pair;
+``metrics`` defines the label scale.
 """
 
 from .config import DistillationConfig, ModelConfig
@@ -20,7 +21,7 @@ from .crossing import (
 from .index import EmbeddingIndex, SearchResult, build_graph, encode_corpus, knn_approx, knn_exact
 from .metrics import mean_ndcg, ndcg_at, roc_auc
 from .model import OpCounters, TwinModel
-from .synthetic import generate_pairs, synthetic_teacher
+from .synthetic import generate_pairs
 from .text import TokenSequence, TrigramVocab, encode_text, normalize, word_trigrams
 from .training import (
     PairRecord,
@@ -29,7 +30,6 @@ from .training import (
     distill_train,
     finetune,
     load_pair_tsv,
-    save_pair_tsv,
     soft_label,
 )
 
@@ -64,8 +64,6 @@ __all__ = [
     "normalize",
     "residual_head_prob",
     "roc_auc",
-    "save_pair_tsv",
     "soft_label",
-    "synthetic_teacher",
     "word_trigrams",
 ]

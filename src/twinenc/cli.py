@@ -287,9 +287,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     # a pair TSV may leave out its trailing label, as distill and finetune allow
     table = textio.read_table(_require_file(args.pairs), last_optional="label")
+    if "prob" in table.header:  # a second prob column would go unread by eval-auc and eval-ndcg
+        raise ValueError(f"{args.pairs}: already has a prob column; score a table without one")
+    model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     queries, keywords = (table.column(name, encodable, ENCODABLE) for name in ("query", "keyword"))
     head = args.head or model.config.crossing
     probs = model.score_pairs(queries, keywords, head=head)

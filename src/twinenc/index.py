@@ -111,11 +111,6 @@ class EmbeddingIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def neighbours(self, node: int) -> np.ndarray:
-        """Node's neighbour ids, ascending: its graph row without the padding."""
-        row = self.graph[node]
-        return row[: np.count_nonzero(row >= 0)]
-
     @property
     def dim(self) -> int:
         return int(self.vectors.shape[1])

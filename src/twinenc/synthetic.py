@@ -24,7 +24,7 @@ from .training import PairRecord
 # actual-label fine-tuning exists to add.
 MODIFIERS = ("buy", "cheap", "best", "online")
 
-# The teacher's fixed scoring rule (see ``synthetic_teacher``) and the size
+# The teacher's fixed scoring rule (see ``teacher_logits``) and the size
 # of each topic's vocabulary. A topic needs at least 5 words: a query's
 # three topic words must leave as many "others" as a keyword draws.
 MARGIN_SCALE = 8.0
@@ -71,11 +71,12 @@ def _pair_normals(key: bytes, queries: list[str], keywords: list[str]) -> np.nda
             * np.array(list(map(math.cos, angle.tolist()))))
 
 
-def synthetic_teacher(query: str, keyword: str, seed: int = 0) -> tuple[float, float]:
-    """Deterministic lexical-overlap scoring oracle.
+def teacher_logits(queries: list[str], keywords: list[str], seed: int = 0) -> np.ndarray:
+    """The synthetic teacher, a deterministic lexical-overlap scoring oracle.
 
-    Produces a (z_bad, z_nonbad) logit pair whose margin grows monotonically
-    and piecewise-linearly with the token-set Jaccard overlap J, crossing
+    Row i of the (n, 2) result is the (z_bad, z_nonbad) = (-margin/2,
+    margin/2) logits of pair i, whose margin grows monotonically and
+    piecewise-linearly with the token-set Jaccard overlap J, crossing
     zero at ``MIDPOINT`` (short relevant texts rarely share more than a
     quarter of their tokens, so a trained relevance model's decision
     boundary sits well below J = 0.5). With scale = ``MARGIN_SCALE`` and
@@ -88,16 +89,8 @@ def synthetic_teacher(query: str, keyword: str, seed: int = 0) -> tuple[float, f
     the maximal negative one (-scale). A Gaussian noise term of std
     ``NOISE_STD``, scaled by 4*J*(1-J), is added; it vanishes at both
     extremes. Its standard normal is a Box–Muller draw on the pair's
-    blake2b digest keyed by ``seed`` (``_pair_normals``). A pure function of
-    (query, keyword, seed); ``teacher_logits`` scores many pairs at once.
-    """
-    return tuple(teacher_logits([query], [keyword], seed)[0].tolist())
-
-
-def teacher_logits(queries: list[str], keywords: list[str], seed: int = 0) -> np.ndarray:
-    """``synthetic_teacher`` of each (query, keyword) pair, as the rows of an (n, 2) array.
-
-    Each distinct text is normalized once.
+    blake2b digest keyed by ``seed`` (``_pair_normals``). A row is a pure
+    function of (query, keyword, seed); each distinct text is normalized once.
     """
     tokens = {text: set(normalize(text).split()) for text in {*queries, *keywords}}
     j = np.array([_set_jaccard(tokens[q], tokens[k]) for q, k in zip(queries, keywords, strict=True)],
@@ -157,9 +150,9 @@ def generate_pairs(
     from one other topic. The rest of a keyword is 0-2 other words of its
     topic and at most one modifier, in random order. Modifier words are
     shared across topics, so lexical overlap alone cannot fully separate bad
-    from fair; the editorial grade can. The logits are
-    ``synthetic_teacher(query, keyword, seed)``. Every random value comes
-    from an array draw on one ``np.random.default_rng(seed)``.
+    from fair; the editorial grade can. The logits are ``teacher_logits``
+    of the pairs under ``seed``. Every random value comes from an array draw
+    on one ``np.random.default_rng(seed)``.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -222,7 +215,17 @@ def generate_pairs(
     keywords = [" ".join(row[:n]) for row, n in zip(words.tolist(), n_words.tolist())]
     logits = _teacher_logits(struct.pack("<q", seed), pair_queries, keywords, jaccard)
     labels = [_GRADES[g] for g in grade.tolist()]
-    return PairRecord.from_columns(pair_queries, keywords, logits, labels)
+    return _records(pair_queries, keywords, logits, labels)
+
+
+def _records(queries: list[str], keywords: list[str], logits: np.ndarray, labels: list[str]) -> list[PairRecord]:
+    """A ``PairRecord`` per row, made without the constructor's checks: only for
+    ``generate_pairs``' columns, whose values hold every rule by construction
+    (words of lowercase a-z, finite logits, grades of ``_GRADES``)."""
+    records = [object.__new__(PairRecord) for _ in queries]
+    for record, fields in zip(records, zip(queries, keywords, zip(*logits.T.tolist()), labels)):
+        record.query, record.keyword, record.teacher_logits, record.label = fields
+    return records
 
 
 def split_pairs(pairs: list[PairRecord], n_queries: int) -> tuple[list[PairRecord], list[PairRecord]]:

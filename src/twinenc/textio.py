@@ -99,15 +99,19 @@ class Table:
 
 
 def read_table(path: str | Path, last_optional: str | None = None) -> Table:
-    """The table at ``path``: its first line is the header, and every row has as
-    many cells. When the header's last column is named ``last_optional``, a row
-    may leave out its last cell, which reads as empty."""
+    """The table at ``path``: its first line is the header, which names each
+    column once, and every row has as many cells. When the header's last
+    column is named ``last_optional``, a row may leave out its last cell, which
+    reads as empty."""
     numbered = lines(path)
     first = next(numbered, None)
     if first is None:
         raise ValueError(f"{path}: empty file (header row required)")
     header = first[1].split("\t")
     table = Table(str(path), header, [])
+    if len(set(header)) < len(header):  # a reader would see only the first of two
+        repeated = next(name for i, name in enumerate(header) if name in header[:i])
+        raise table.error(first[0], f"header names column {repeated!r} twice")
     optional = last_optional == header[-1]
     for lineno, line in numbered:
         cells = line.split("\t")

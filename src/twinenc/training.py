@@ -23,7 +23,7 @@ from .config import DistillationConfig
 from .encoder import RowGrad, pack_sequences, sigmoid
 from .metrics import binary_label
 from .model import SERVING_DTYPE, SERVING_TOLERANCE, TwinModel
-from .text import _WORD_CHAR, encodable
+from .text import encodable
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +47,8 @@ class PairRecord:
     ``teacher_logits`` must be two finite numbers, kept as Python floats.
     ``query`` and ``keyword`` hold no tab, CR or LF, so each record is one
     pair-TSV row, and each normalizes to at least one word (``text.encodable``).
+    The constructor is the one check of these rules; only ``generate_pairs``,
+    whose values hold them by construction, makes records without it.
     """
 
     query: str
@@ -72,39 +74,6 @@ class PairRecord:
         if self.label is None:
             raise ValueError("record has no label")
         return binary_label(self.label)
-
-    @classmethod
-    def from_columns(cls, queries: list[str], keywords: list[str], teacher_logits: np.ndarray,
-                     labels: list[str]) -> list[PairRecord]:
-        """One record per row of the columns, ``teacher_logits`` an (n, 2) array;
-        every record gets both teacher logits and a label.
-
-        Each check of ``__post_init__`` runs once per column, with its
-        predicate and its error, before any record is made; the records
-        are then made without a per-record re-check.
-        """
-        n = len(queries)
-        z = np.asarray(teacher_logits, dtype=np.float64)
-        if len(keywords) != n or len(labels) != n or z.shape != (n, 2):
-            raise ValueError(f"columns of unequal length: {n} queries, {len(keywords)} keywords, "
-                             f"teacher_logits of shape {z.shape}, {len(labels)} labels")
-        for name, texts in (("query", queries), ("keyword", keywords)):
-            if _breaks_line("".join(texts)):
-                raise ValueError(f"{name} {next(filter(_breaks_line, texts))!r} holds a tab or a line break")
-            if not all(map(_WORD_CHAR.search, texts)):
-                encodable(next(t for t in texts if not _WORD_CHAR.search(t)), name)
-        finite = np.isfinite(z).all(axis=1)
-        if not finite.all():
-            _logit_pair(tuple(z[np.argmin(finite)].tolist()))
-        for label in set(labels):
-            binary_label(label)
-        new = object.__new__
-        records = []
-        for query, keyword, logits, label in zip(queries, keywords, zip(*z.T.tolist()), labels):
-            record = new(cls)
-            record.query, record.keyword, record.teacher_logits, record.label = query, keyword, logits, label
-            records.append(record)
-        return records
 
 
 def _breaks_line(text: str) -> bool:
@@ -495,16 +464,13 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
 
 
 def pair_tsv_rows(records: list[PairRecord]):
-    """The header and rows of ``records`` as a pair TSV, for ``textio.write_tsv``."""
+    """The header and rows of ``records`` as a pair TSV, for ``textio.write_tsv``,
+    which ``load_pair_tsv`` reads back equal. A query starting with ``#`` is
+    refused by the writer, which writes nothing: its row would read back as a
+    comment."""
     yield PAIR_TSV_COLUMNS
     for r in records:
         z_bad = repr(r.teacher_logits[0]) if r.teacher_logits else ""
         z_nonbad = repr(r.teacher_logits[1]) if r.teacher_logits else ""
         yield r.query, r.keyword, z_bad, z_nonbad, r.label or ""
 
-
-def save_pair_tsv(path: str | Path, records: list[PairRecord]) -> None:
-    """Write ``records`` as a pair TSV that ``load_pair_tsv`` reads back equal.
-    A query starting with ``#`` is refused by ``textio.write_tsv``, which
-    writes nothing: its row would read back as a comment."""
-    textio.write_tsv(path, pair_tsv_rows(records))

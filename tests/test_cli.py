@@ -452,7 +452,32 @@ class TestScore:
         assert 0.0 <= auc <= 1.0
 
 
+    def test_rescoring_a_scored_table_exits_1_before_loading_the_checkpoint(self, workspace, tmp_path,
+                                                                          capsys, monkeypatch):
+        # a second prob column would leave eval-auc and eval-ndcg reading the first, stale one
+        scored, rescored = tmp_path / "scored.tsv", tmp_path / "rescored.tsv"
+        assert main(["score", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--pairs", str(workspace / "data" / "test.tsv"), "--out", str(scored), "--quiet"]) == 0
+        monkeypatch.setattr(TwinModel, "load", lambda path: pytest.fail("the checkpoint was loaded"))
+        capsys.readouterr()
+        assert main(["score", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--pairs", str(scored), "--out", str(rescored), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scored}: already has a prob column; score a table without one"]
+        assert not rescored.exists() and not Path(f"{rescored}.manifest.json").exists()
+
+
 class TestEvalAuc:
+    @pytest.mark.parametrize("command", ["eval-auc", "eval-ndcg"])
+    def test_a_column_named_twice_exits_1_naming_the_header_line(self, tmp_path, capsys, command):
+        # the table an earlier score wrote when asked to score its own output
+        scored, out = tmp_path / "scored.tsv", tmp_path / "metric.tsv"
+        scored.write_text("# manifest: {}\nquery\tkeyword\tlabel\tprob\tprob\na\tb\tgood\t0.9\t0.1\n")
+        assert main([command, "--scored", str(scored), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scored}:2: header names column 'prob' twice"]
+        assert not out.exists()
+
     def test_bad_label_names_file_and_label(self, tmp_path, capsys):
         scored = tmp_path / "scored.tsv"
         scored.write_text("query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\tmeh\t0.1\n")

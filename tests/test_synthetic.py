@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from twinenc import synthetic
 from twinenc.metrics import LABEL_GAINS
 from twinenc.synthetic import (
+    MARGIN_SCALE,
+    MIDPOINT,
     MODIFIERS,
+    NOISE_STD,
     _pair_normals,
     generate_pairs,
     split_pairs,
-    synthetic_teacher,
     teacher_logits,
     token_jaccard,
 )
@@ -25,6 +27,67 @@ from twinenc.training import PairRecord, soft_label
 
 
 _SHAPES = ["12500x1000", "4000", "2048x1200", "200x20"]
+# the golden digests' calls, in _SHAPES' order
+_SHAPE_CALLS = [((12500,), dict(seed=1, n_queries=1000)), ((4000,), dict(seed=1)),
+                ((2048,), dict(seed=1, n_queries=1200)), ((200,), dict(seed=5, n_queries=20))]
+
+
+def _box_muller(digest: bytes) -> float:
+    lo, hi = int.from_bytes(digest[:4], "little"), int.from_bytes(digest[4:], "little")
+    return math.sqrt(-2.0 * math.log((lo + 0.5) * 2.0**-32)) * math.cos(2.0 * math.pi * hi * 2.0**-32)
+
+
+def _oracle_teacher(query: str, keyword: str, seed: int) -> tuple[float, float]:
+    """The teacher's rule as ``teacher_logits``' docstring states it, one pair
+    in scalar Python, calling nothing of ``synthetic.py``: the token-set
+    Jaccard J, the piecewise-linear margin through MIDPOINT, and noise of std
+    NOISE_STD·4J(1 − J) whose normal is Box–Muller on the pair's 8-byte
+    blake2b digest keyed by the seed."""
+    a, b = set(normalize(query).split()), set(normalize(keyword).split())
+    j = len(a & b) / len(a | b) if a | b else 1.0
+    if j >= MIDPOINT:
+        margin = MARGIN_SCALE * (j - MIDPOINT) / (1.0 - MIDPOINT)
+    else:
+        margin = MARGIN_SCALE * (j - MIDPOINT) / MIDPOINT
+    if 0.0 < j < 1.0:
+        key = seed.to_bytes(8, "little", signed=True)
+        digest = hashlib.blake2b(f"{query}\x1f{keyword}".encode("utf-8"), key=key, digest_size=8).digest()
+        margin += NOISE_STD * 4.0 * j * (1.0 - j) * _box_muller(digest)
+    return (-margin / 2.0, margin / 2.0)
+
+
+def _teacher(query: str, keyword: str, seed: int = 0) -> tuple[float, float]:
+    """``teacher_logits`` of one pair, which must be the oracle's bit for bit."""
+    (row,) = teacher_logits([query], [keyword], seed).tolist()
+    assert tuple(row) == _oracle_teacher(query, keyword, seed)
+    return tuple(row)
+
+
+class TestSyntheticTeacher:
+    def test_identical_strings_maximal_margin(self):
+        z_bad, z_nonbad = _teacher("red shoes", "red shoes")
+        assert z_nonbad - z_bad == pytest.approx(8.0)
+
+    def test_disjoint_maximal_negative(self):
+        z_bad, z_nonbad = _teacher("red shoes", "quantum physics")
+        assert z_nonbad - z_bad == pytest.approx(-8.0)
+
+    def test_partial_overlap_between_extremes(self):
+        assert token_jaccard("red shoes", "buy red shoes") == pytest.approx(2 / 3)
+        z_bad, z_nonbad = _teacher("red shoes", "buy red shoes")
+        margin = z_nonbad - z_bad
+        assert -8.0 < margin < 8.0
+        assert margin > 0
+
+    def test_deterministic(self):
+        a = _teacher("red shoes", "cheap red shoes", seed=5)
+        b = _teacher("red shoes", "cheap red shoes", seed=5)
+        assert a == b
+
+    def test_seed_changes_noise(self):
+        a = _teacher("red shoes", "cheap red shoes", seed=5)
+        b = _teacher("red shoes", "cheap red shoes", seed=6)
+        assert a != b
 
 
 class TestGeneratePairs:
@@ -53,31 +116,36 @@ class TestGeneratePairs:
         for p in pairs:
             assert (p.binary() == 0) == (p.label == "bad")
 
-    def test_teacher_logits_consistent_with_oracle(self):
-        # the generator computes J from its own word sets; it must equal
-        # token_jaccard, so every logit pair equals the public oracle's,
-        # whose noise is seeded by the data seed
-        for seed in (3, 9):
-            for p in generate_pairs(2000, seed=seed, n_queries=200, n_topics=40):
-                assert p.teacher_logits == synthetic_teacher(p.query, p.keyword, seed=seed)
+    @pytest.mark.parametrize("args, kwargs", _SHAPE_CALLS + [((2000,), dict(seed=s, n_queries=200, n_topics=40))
+                                                             for s in (3, 9)],
+                             ids=_SHAPES + ["2000x200-40topics-seed3", "2000x200-40topics-seed9"])
+    def test_teacher_logits_consistent_with_oracle(self, args, kwargs):
+        # the generator computes J from its own word sets; every logit pair
+        # must be the scalar oracle's, whose noise is seeded by the data seed,
+        # and so must teacher_logits' row for the same texts
+        pairs = generate_pairs(*args, **kwargs)
+        queries, keywords = [p.query for p in pairs], [p.keyword for p in pairs]
+        oracle = [_oracle_teacher(q, k, kwargs["seed"]) for q, k in zip(queries, keywords)]
+        assert [p.teacher_logits for p in pairs] == oracle
+        assert [tuple(row) for row in teacher_logits(queries, keywords, kwargs["seed"]).tolist()] == oracle
 
     def test_teacher_logits_are_the_oracle_row_by_row(self):
         # the column teacher normalizes each distinct text once; its rows
-        # must be the one-pair oracle's, edge overlaps 0 and 1 included
+        # must be the scalar oracle's, edge overlaps 0 and 1 included
         pairs = generate_pairs(300, seed=8, n_queries=30)
         queries = [p.query for p in pairs] + ["", "?!", "Red Shoes!", "red shoes", "a"]
         keywords = [p.keyword for p in pairs] + ["", "shoes", "red  shoes", "blue hat", "a b"]
         z = teacher_logits(queries, keywords, seed=8)
         assert z.shape == (len(queries), 2) and z.dtype == np.float64
-        assert [tuple(row) for row in z.tolist()] == [synthetic_teacher(q, k, seed=8)
+        assert [tuple(row) for row in z.tolist()] == [_oracle_teacher(q, k, 8)
                                                      for q, k in zip(queries, keywords)]
         with pytest.raises(ValueError, match="zip"):
             teacher_logits(["a", "b"], ["c"])
 
     @pytest.mark.parametrize("call", [
         lambda: generate_pairs(200, seed=0, teacher_seed=1),
-        lambda: synthetic_teacher("red shoes", "red hat", midpoint=0.3),
-    ], ids=["generate_pairs-teacher_seed", "synthetic_teacher-midpoint"])
+        lambda: teacher_logits(["red shoes"], ["red hat"], midpoint=0.3),
+    ], ids=["generate_pairs-teacher_seed", "teacher_logits-midpoint"])
     def test_teacher_rule_is_not_settable(self, call):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             call()
@@ -169,6 +237,8 @@ def test_pairs_keep_the_generator_contract(seed, n_topics, n_pairs, n_queries):
     vocab = synthetic._topic_vocabulary(np.random.default_rng(seed), n_topics)
     topic_of = {w: t for t, words in enumerate(vocab.tolist()) for w in words}
     for p in generate_pairs(n_pairs, seed=seed, n_queries=n_queries, n_topics=n_topics):
+        # made without the constructor's checks, each record is what they pass
+        assert p == PairRecord(p.query, p.keyword, p.teacher_logits, p.label)
         query, keyword = p.query.split(), p.keyword.split()
         q_topic = [w for w in query if w not in MODIFIERS]
         assert 2 <= len(q_topic) <= 3 and len(query) - len(q_topic) <= 1
@@ -185,11 +255,6 @@ def test_pairs_keep_the_generator_contract(seed, n_topics, n_pairs, n_queries):
             assert len(other_topics) == 1 and other_topics != {topic_of[q_topic[0]]}
         else:
             assert other_topics <= {topic_of[q_topic[0]]}
-
-
-def _box_muller(digest: bytes) -> float:
-    lo, hi = int.from_bytes(digest[:4], "little"), int.from_bytes(digest[4:], "little")
-    return math.sqrt(-2.0 * math.log((lo + 0.5) * 2.0**-32)) * math.cos(2.0 * math.pi * hi * 2.0**-32)
 
 
 @settings(max_examples=300, deadline=None)

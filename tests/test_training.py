@@ -19,14 +19,13 @@ from twinenc import (
     distill_train,
     finetune,
     soft_label,
-    synthetic_teacher,
 )
-from twinenc import crossing
+from twinenc import crossing, textio
 from twinenc import model as model_mod
 from twinenc import training as training_mod
 from twinenc.encoder import RowGrad, embed_forward, layer_forward, pack_sequences, sigmoid
 from twinenc.metrics import binary_label
-from twinenc.synthetic import generate_pairs, token_jaccard
+from twinenc.synthetic import generate_pairs
 from twinenc.training import (
     ADAM_EPS,
     BETA1,
@@ -35,8 +34,8 @@ from twinenc.training import (
     fit_logit_calibration,
     load_pair_tsv,
     pair_loss_and_grads,
+    pair_tsv_rows,
     refit_calibration,
-    save_pair_tsv,
 )
 
 finite_logits = st.floats(-30, 30, allow_nan=False, allow_infinity=False)
@@ -131,33 +130,6 @@ class TestCeLoss:
         assert ce_loss(y, p) >= 0.0
 
 
-class TestSyntheticTeacher:
-    def test_identical_strings_maximal_margin(self):
-        z_bad, z_nonbad = synthetic_teacher("red shoes", "red shoes")
-        assert z_nonbad - z_bad == pytest.approx(8.0)
-
-    def test_disjoint_maximal_negative(self):
-        z_bad, z_nonbad = synthetic_teacher("red shoes", "quantum physics")
-        assert z_nonbad - z_bad == pytest.approx(-8.0)
-
-    def test_partial_overlap_between_extremes(self):
-        assert token_jaccard("red shoes", "buy red shoes") == pytest.approx(2 / 3)
-        z_bad, z_nonbad = synthetic_teacher("red shoes", "buy red shoes")
-        margin = z_nonbad - z_bad
-        assert -8.0 < margin < 8.0
-        assert margin > 0
-
-    def test_deterministic(self):
-        a = synthetic_teacher("red shoes", "cheap red shoes", seed=5)
-        b = synthetic_teacher("red shoes", "cheap red shoes", seed=5)
-        assert a == b
-
-    def test_seed_changes_noise(self):
-        a = synthetic_teacher("red shoes", "cheap red shoes", seed=5)
-        b = synthetic_teacher("red shoes", "cheap red shoes", seed=6)
-        assert a != b
-
-
 class TestLabels:
     def test_binary_label(self):
         assert [binary_label(v) for v in ("bad", "fair", "good", "excellent", "0", "1")] == [0, 1, 1, 1, 0, 1]
@@ -172,10 +144,10 @@ class TestLabels:
         records = load_pair_tsv(path)
         assert [r.label for r in records] == ["good", "0", None]
         assert [r.binary() for r in records[:2]] == [1, 0]
-        save_pair_tsv(tmp_path / "again.tsv", records)
+        textio.write_tsv(tmp_path / "again.tsv", pair_tsv_rows(records))
         assert (tmp_path / "again.tsv").read_text() == path.read_text()
         generated = generate_pairs(40, seed=1, n_queries=4)
-        save_pair_tsv(tmp_path / "generated.tsv", generated)
+        textio.write_tsv(tmp_path / "generated.tsv", pair_tsv_rows(generated))
         assert load_pair_tsv(tmp_path / "generated.tsv") == generated
 
     def test_pair_tsv_bad_label_names_line(self, tmp_path):
@@ -205,7 +177,7 @@ class TestPairRecord:
         record = PairRecord(query="a", keyword="b", teacher_logits=(np.float64(-1.0), np.float64(1.0)))
         assert record.teacher_logits == (-1.0, 1.0)
         assert all(type(z) is float for z in record.teacher_logits)
-        save_pair_tsv(tmp_path / "pairs.tsv", [record])
+        textio.write_tsv(tmp_path / "pairs.tsv", pair_tsv_rows([record]))
         assert load_pair_tsv(tmp_path / "pairs.tsv") == [record]
 
     @pytest.mark.parametrize("logits", [(float("nan"), 1.0), (1.0, float("inf")), (1.0,),
@@ -221,43 +193,28 @@ class TestPairRecord:
         with pytest.raises(ValueError, match=f"^{field} .* holds a tab or a line break"):
             PairRecord(**texts, label="good")
 
-    @pytest.mark.parametrize("column, value, message", [
-        ("keywords", "red\tshoes", "keyword 'red\\tshoes' holds a tab or a line break"),
-        ("queries", "a\nb", "query 'a\\nb' holds a tab or a line break"),
-        ("queries", "?!", "query '?!' is not text with a letter or digit"),
-        ("keywords", "_ -", "keyword '_ -' is not text with a letter or digit"),
+    @pytest.mark.parametrize("field, value, message", [
+        ("keyword", "red\tshoes", "keyword 'red\\tshoes' holds a tab or a line break"),
+        ("query", "a\nb", "query 'a\\nb' holds a tab or a line break"),
+        ("query", "?!", "query '?!' is not text with a letter or digit"),
+        ("keyword", "_ -", "keyword '_ -' is not text with a letter or digit"),
         ("teacher_logits", (1.0, float("nan")), "teacher_logits must be two finite numbers, got (1.0, nan)"),
         ("teacher_logits", (float("-inf"), 0.0), "teacher_logits must be two finite numbers, got (-inf, 0.0)"),
-        ("labels", "meh", "bad label 'meh'"),
+        ("label", "meh", "bad label 'meh'"),
     ])
-    def test_from_columns_refuses_what_a_record_refuses(self, column, value, message):
-        # each column is checked once, with the per-record check's error
-        columns = {"queries": ["a", "b", "c"], "keywords": ["d", "e", "f"],
-                   "teacher_logits": [(0.0, 1.0)] * 3, "labels": ["good", "bad", "1"]}
-        columns[column] = columns[column][:2] + [value]
+    def test_record_refuses_each_bad_field(self, field, value, message):
+        fields = {"query": "a", "keyword": "d", "teacher_logits": (0.0, 1.0), "label": "good", field: value}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            PairRecord.from_columns(**columns)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            [PairRecord(*fields) for fields in zip(*columns.values())]
-
-    def test_from_columns_equals_records_built_one_at_a_time(self):
-        columns = [["a", "b #"], ["c", "d"], np.array([[0.0, 1.0], [-2.5, 2.5]]), ["good", "0"]]
-        records = PairRecord.from_columns(*columns)
-        assert records == [PairRecord(q, k, tuple(z), label) for q, k, z, label in zip(*columns)]
-        assert all(type(z) is float for r in records for z in r.teacher_logits)
-
-    def test_from_columns_refuses_columns_of_unequal_length(self):
-        with pytest.raises(ValueError, match="columns of unequal length: 2 queries, 1 keywords"):
-            PairRecord.from_columns(["a", "b"], ["c"], np.zeros((2, 2)), ["good", "bad"])
+            PairRecord(**fields)
 
     def test_writer_refuses_a_query_read_back_as_a_comment(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         records = [PairRecord("a", "#b", label="good"), PairRecord("# c", "d", label="bad")]
         message = f"{path}:3: row ('# c', 'd', '', '', 'bad') would read back as a comment"
         with pytest.raises(ValueError, match=re.escape(message)):
-            save_pair_tsv(path, records)
+            textio.write_tsv(path, pair_tsv_rows(records))
         assert not path.exists()
-        save_pair_tsv(path, records[:1])  # a leading '#' in the keyword is not at the start of a line
+        textio.write_tsv(path, pair_tsv_rows(records[:1]))  # a leading '#' in the keyword is not at the start of a line
         assert load_pair_tsv(path) == records[:1]
 
 
@@ -283,7 +240,7 @@ def test_pair_tsv_rejects_or_round_trips(tmp_path_factory, fields):
             assert str(exc).startswith(("query ", "keyword ", "teacher_logits ", "a pair record"))
     path = tmp_path_factory.mktemp("pairs") / "pairs.tsv"
     try:
-        save_pair_tsv(path, records)
+        textio.write_tsv(path, pair_tsv_rows(records))
     except ValueError as exc:
         assert re.match(rf"{re.escape(str(path))}:\d+: row \(['\"]#", str(exc))
         assert any(r.query.startswith("#") for r in records) and not path.exists()
