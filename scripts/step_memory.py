@@ -119,8 +119,7 @@ def peak_breakdown(model: TwinModel, q_seqs, k_seqs, targets) -> dict:
     try:
         sys.settrace(on_call)
         try:
-            pair_loss_and_grads(model, q_seqs, k_seqs, targets, model.config.crossing,
-                                rng=np.random.default_rng(0))
+            pair_loss_and_grads(model, q_seqs, k_seqs, targets, rng=np.random.default_rng(0))
         finally:
             sys.settrace(None)
         close_interval(sys._getframe())
@@ -151,8 +150,7 @@ def measure(preset: str, batch_size: int) -> dict:
         caches = tracemalloc.get_traced_memory()[0]
         del q, k
         tracemalloc.reset_peak()
-        loss, grads = pair_loss_and_grads(model, q_seqs, k_seqs, targets, model.config.crossing,
-                                          rng=np.random.default_rng(0))
+        loss, grads = pair_loss_and_grads(model, q_seqs, k_seqs, targets, rng=np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
         del grads
     finally:

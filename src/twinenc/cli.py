@@ -176,7 +176,7 @@ def _training_pairs(path: str, field: str) -> list[PairRecord]:
     on, fails as ``path:line``, read back here: ``load_pair_tsv`` skips no row."""
     records = load_pair_tsv(_require_file(path))
     if (missing := first_lacking(records, field)) is not None:
-        lineno = textio.read_table(path, last_optional="label").rows[missing][0]
+        lineno = textio.read_table(path).rows[missing][0]
         raise ValueError(f"{path}:{lineno}: pair has no {field.replace('_', ' ')}")
     return records
 
@@ -287,8 +287,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_score(args) -> int:
-    # a pair TSV may leave out its trailing label, as distill and finetune allow
-    table = textio.read_table(_require_file(args.pairs), last_optional="label")
+    table = textio.read_table(_require_file(args.pairs))
     if "prob" in table.header:  # a second prob column would go unread by eval-auc and eval-ndcg
         raise ValueError(f"{args.pairs}: already has a prob column; score a table without one")
     model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
@@ -313,6 +312,8 @@ def cmd_eval_auc(args) -> int:
 
 def cmd_eval_ndcg(args) -> int:
     positions = _int_list("--positions", args.positions)
+    if (least := min(positions)) < 1:  # before the table is read, as bench checks --nk-grid
+        raise ValueError(f"--positions {args.positions!r}: position must be >= 1, got {least}")
     table = textio.read_table(_require_file(args.scored))
     scores = table.column("prob", _score, "a number")
     grades = table.column("label", label_gain, "bad/fair/good/excellent or 0/1")

@@ -76,7 +76,7 @@ class EmbeddingIndex:
     graph: np.ndarray | None = None
     build_beam: int | None = None
     entry_point: int = 0
-    counters: OpCounters = field(default_factory=lambda: OpCounters("distance_computations", "hops"))
+    counters: OpCounters = field(init=False, default_factory=lambda: OpCounters("distance_computations", "hops"))
 
     def __post_init__(self) -> None:
         n = len(self.ids)

@@ -56,13 +56,12 @@ class TwinModel:
     config: ModelConfig
     params: dict[str, np.ndarray]
     # per-sequence encoder passes and per-pair crossing evaluations
-    counters: OpCounters = field(default_factory=lambda: OpCounters(
+    counters: OpCounters = field(init=False, default_factory=lambda: OpCounters(
         "query_encoder_passes", "keyword_encoder_passes", "cross_encoder_passes", "crossing_evals"))
     vocab: TrigramVocab = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.vocab = TrigramVocab(bucket_count=self.config.vocab_buckets,
-                                  hash_seed=self.config.vocab_hash_seed)
+        self.vocab = TrigramVocab(self.config.vocab_buckets, self.config.vocab_hash_seed)
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int = 0) -> TwinModel:

@@ -67,12 +67,9 @@ class TrigramVocab:
     token used by cls-token pooling; see ``cls_bucket``.
     """
 
-    bucket_count: int = 4096
-    hash_seed: int = 0
-
-    _word_cache: dict[str, tuple[int, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    bucket_count: int
+    hash_seed: int
+    _word_cache: dict[str, tuple[int, ...]] = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bucket_count < 1:

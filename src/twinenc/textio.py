@@ -98,11 +98,11 @@ class Table:
         return values
 
 
-def read_table(path: str | Path, last_optional: str | None = None) -> Table:
+def read_table(path: str | Path) -> Table:
     """The table at ``path``: its first line is the header, which names each
     column once, and every row has as many cells. When the header's last
-    column is named ``last_optional``, a row may leave out its last cell, which
-    reads as empty."""
+    column is ``label``, as in a pair TSV, a row may leave out its last cell,
+    which reads as empty."""
     numbered = lines(path)
     first = next(numbered, None)
     if first is None:
@@ -112,7 +112,7 @@ def read_table(path: str | Path, last_optional: str | None = None) -> Table:
     if len(set(header)) < len(header):  # a reader would see only the first of two
         repeated = next(name for i, name in enumerate(header) if name in header[:i])
         raise table.error(first[0], f"header names column {repeated!r} twice")
-    optional = last_optional == header[-1]
+    optional = header[-1] == "label"
     for lineno, line in numbered:
         cells = line.split("\t")
         if optional and len(cells) == len(header) - 1:

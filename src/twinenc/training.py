@@ -222,23 +222,24 @@ class TrainingHistory:
     calibration: tuple[float, float] | None = None
 
 
-def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, head: str, *, rng):
-    """Mean binary CE of a batch of pairs through both encoders and ``head``,
-    and its gradients. Both forwards are training forwards: they draw dropout
-    from ``rng`` (nothing at rate 0) and keep their caches. Each tower's
-    backward consumes its forward cache, the query tower's first."""
+def pair_loss_and_grads(model: TwinModel, q_seqs, k_seqs, targets, *, rng):
+    """Mean binary CE of a batch of pairs through both encoders and the model's
+    head, ``config.crossing``, and its gradients. Both forwards are training
+    forwards: they draw dropout from ``rng`` (nothing at rate 0) and keep their
+    caches. Each tower's backward consumes its forward cache, the query tower's
+    first."""
     qb = pack_sequences(q_seqs)
     kb = pack_sequences(k_seqs)
     q_emb, q_cache = model.encode_query_batch(qb, rng=rng)
     k_emb, k_cache = model.encode_keyword_batch(kb, rng=rng)
-    logits, hcache = crossing.head_forward(head, q_emb, k_emb, model.params)
+    logits, hcache = crossing.head_forward(model.config.crossing, q_emb, k_emb, model.params)
     probs = sigmoid(logits)
     n = len(targets)
     loss = ce_loss(targets, probs) / n
 
     grads: dict[str, np.ndarray] = {}
     d_logits = (probs - targets) / n  # fused sigmoid + mean binary CE
-    dq, dk = crossing.head_backward(head, d_logits, hcache, model.params, grads)
+    dq, dk = crossing.head_backward(model.config.crossing, d_logits, hcache, model.params, grads)
     model.backward_query(dq, q_cache, qb, grads)
     model.backward_keyword(dk, k_cache, kb, grads)
     return loss, grads
@@ -270,9 +271,8 @@ def _run_epochs(model: TwinModel, records: list[PairRecord], targets: np.ndarray
         losses = []
         for lo in range(0, n, bs):
             idx = order[lo : lo + bs]
-            loss, grads = pair_loss_and_grads(model, [q_seqs[i] for i in idx],
-                                              [k_seqs[i] for i in idx], targets[idx],
-                                              model.config.crossing, rng=dropout_rng)
+            loss, grads = pair_loss_and_grads(model, [q_seqs[i] for i in idx], [k_seqs[i] for i in idx],
+                                              targets[idx], rng=dropout_rng)
             if not np.isfinite(loss):  # before the step, so the model keeps its last finite state
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {history.steps}: {loss}"
@@ -444,13 +444,13 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
     Lines starting with ``#`` are ignored. Malformed rows abort with their
     line number.
     """
-    table = textio.read_table(path, last_optional="label")
+    table = textio.read_table(path)
     columns = [table.index(name) for name in PAIR_TSV_COLUMNS[:4]]
     li = table.index("label") if "label" in table.header else None
     records: list[PairRecord] = []
     for lineno, cells in table.rows:
         query, keyword, z_bad, z_nonbad = (cells[i] for i in columns)
-        label = "" if li is None else cells[li].strip()
+        label = "" if li is None else cells[li]
         try:
             if bool(z_bad) != bool(z_nonbad):
                 empty, filled = ("z_bad", "z_nonbad") if z_nonbad else ("z_nonbad", "z_bad")

@@ -8,7 +8,7 @@ and anything past 1e-4 indicates a backprop bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,10 +39,13 @@ def densify(g, shape) -> np.ndarray:
 
 def pipeline_loss_and_grads(model: TwinModel, queries: list[str], keywords: list[str],
                             targets: np.ndarray, head: str):
-    """Mean binary CE through encoders and the chosen head, plus gradients.
-    The rng draws nothing at the checked models' dropout 0."""
-    return pair_loss_and_grads(model, model.tokenize_many(queries), model.tokenize_many(keywords),
-                               targets, head, rng=np.random.default_rng(0))
+    """Mean binary CE through encoders and ``head``, plus gradients, from a twin
+    of ``model`` that crosses through ``head`` and shares its params dict, so
+    the twin reads every perturbed entry of ``model.params``. The rng draws
+    nothing at the checked models' dropout 0."""
+    crossed = TwinModel(replace(model.config, crossing=head), model.params)
+    return pair_loss_and_grads(crossed, crossed.tokenize_many(queries), crossed.tokenize_many(keywords),
+                               targets, rng=np.random.default_rng(0))
 
 
 def pipeline_loss(model: TwinModel, queries, keywords, targets, head: str) -> float:

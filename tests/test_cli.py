@@ -1,6 +1,7 @@
 """End-to-end command-line tests over a small synthetic workspace."""
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -176,6 +177,21 @@ class TestDistill:
         assert main(["distill", "--data", str(data), "--out", str(out), *FAST_MODEL]) == 1
         err = capsys.readouterr().err
         assert f"{data}:3: pair has no teacher logits" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["distill", "finetune"])
+    def test_a_padded_label_exits_1_naming_its_line(self, tmp_path, capsys, monkeypatch, command):
+        # the label trains as written, so it is the cell score echoes and eval reads
+        data, out = tmp_path / "pairs.tsv", tmp_path / "m.ckpt"
+        data.write_text("query\tkeyword\tz_bad\tz_nonbad\tlabel\n"
+                        "red shoes\tred shoe sale\t-1.0\t2.0\tgood \n")
+        monkeypatch.setattr(TwinModel, "initialize",
+                            classmethod(lambda *args, **kwargs: pytest.fail("model built")))
+        monkeypatch.setattr(TwinModel, "load", lambda path: pytest.fail("checkpoint loaded"))
+        model = FAST_MODEL if command == "distill" else ["--checkpoint", str(tmp_path / "src.ckpt")]
+        assert main([command, "--data", str(data), "--out", str(out), *model]) == 1
+        err = capsys.readouterr().err
+        assert f"{data}:2: malformed row: bad label 'good '" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_a_diverged_run_exits_1_without_a_checkpoint(self, tmp_path, capsys):
@@ -533,6 +549,15 @@ class TestEvalNdcg:
         assert out == ""
         assert "--positions '1,x': 'x' is not an integer" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("positions, least", [("0,3", 0), ("3,-1", -1)])
+    def test_a_position_below_1_exits_1_before_reading_the_table(self, tmp_path, capsys, positions, least):
+        # the scored table does not exist: the flag is refused first
+        assert main(["eval-ndcg", "--scored", str(tmp_path / "scored.tsv"), "--positions", positions,
+                     "--quiet"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: --positions {positions!r}: position must be >= 1, got {least}"]
+
 
 def _model_settings(flags: list[str]) -> ModelConfig:
     """The model settings ``distill`` resolves from ``flags``."""
@@ -724,6 +749,14 @@ QUIET_RUNS = {
 
 
 class TestDiagnostics:
+    def test_the_library_calls_no_print(self):
+        # stdout carries only the tables _emit writes; every diagnostic goes through logging
+        calls = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(twinenc.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"]
+        assert calls == []
+
     @pytest.mark.parametrize("command", sorted(QUIET_RUNS))
     def test_quiet_success_leaves_stderr_empty(self, command, workspace, tmp_path, capsys):
         (tmp_path / "scored.tsv").write_text("query\tkeyword\tlabel\tprob\n"

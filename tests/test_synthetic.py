@@ -215,7 +215,7 @@ class TestGeneratePairs:
 
     @pytest.mark.parametrize("n_topics", [2, 20, 40])
     def test_records_equal_records_checked_one_at_a_time(self, n_topics):
-        # the generator checks each column once; each record must be what
+        # the generator checks nothing; this test shows that each record is what
         # the per-record constructor and its checks make of the same fields
         for seed in range(5):
             for p in generate_pairs(500, seed=seed, n_queries=50, n_topics=n_topics):

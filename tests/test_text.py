@@ -91,12 +91,12 @@ class TestTrigramVocab:
         assert any(a.bucket(t) != b.bucket(t) for t in trigrams)
 
     def test_cls_bucket_reserved(self):
-        vocab = TrigramVocab(bucket_count=100)
+        vocab = TrigramVocab(bucket_count=100, hash_seed=0)
         assert vocab.cls_bucket == 100
 
     def test_invalid_bucket_count(self):
         with pytest.raises(ValueError):
-            TrigramVocab(bucket_count=0)
+            TrigramVocab(bucket_count=0, hash_seed=0)
 
 
 class TestEncodeText:

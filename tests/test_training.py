@@ -440,8 +440,7 @@ class TestStepMemory:
             caches = tracemalloc.get_traced_memory()[0]
             del q, k
             tracemalloc.reset_peak()
-            pair_loss_and_grads(model, q_seqs, k_seqs, targets, model.config.crossing,
-                                rng=np.random.default_rng(0))
+            pair_loss_and_grads(model, q_seqs, k_seqs, targets, rng=np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -463,7 +462,7 @@ class TestTrainingForward:
     def test_a_step_requires_an_rng(self, tiny_model):
         seqs = tiny_model.tokenize_many(["red shoes", "cat"])
         with pytest.raises(TypeError, match="rng"):
-            pair_loss_and_grads(tiny_model, seqs, seqs, np.full(2, 0.5), "residual")
+            pair_loss_and_grads(tiny_model, seqs, seqs, np.full(2, 0.5))
 
 
 class TestTokenizeOnce:
