@@ -61,27 +61,29 @@ def main(argv=None) -> int:
         q = model.encode_queries([text])[0]
         qs.append(q / np.linalg.norm(q))
     default_width = index_mod._WIDTH
-    for beam in args.beams:
-        for width in args.widths:
-            index_mod._WIDTH = width
-            store.counters.reset()
-            found, approx_s, exact_s = [], [], []
-            for q in qs:
-                t0 = time.perf_counter()
-                answer = knn_approx(q, store, sizes.top_n, search_beam=beam)
-                t1 = time.perf_counter()
-                knn_exact(q, store, sizes.top_n)
-                exact_s.append(time.perf_counter() - t1)
-                approx_s.append(t1 - t0)
-                found.append([r.keyword_id for r in answer])
-            approx_work = store.counters.distance_computations - len(qs) * len(store)
-            key = f"L{beam}.W{width}"
-            reported[f"{key}.recall_at_10"] = (checks.recall_at(found, qs, scan, sizes.top_n), "ratio")
-            reported[f"{key}.distance_computations_per_query"] = (approx_work / len(qs), "count")
-            reported[f"{key}.hops_per_query"] = (store.counters.hops / len(qs), "count")
-            reported[f"{key}.knn_approx_p50_ms"] = (float(np.median(approx_s)) * 1e3, "ms")
-            reported[f"{key}.knn_exact_p50_ms"] = (float(np.median(exact_s)) * 1e3, "ms")
-    index_mod._WIDTH = default_width
+    try:
+        for beam in args.beams:
+            for width in args.widths:
+                index_mod._WIDTH = width
+                store.counters.reset()
+                found, approx_s, exact_s = [], [], []
+                for q in qs:
+                    t0 = time.perf_counter()
+                    answer = knn_approx(q, store, sizes.top_n, search_beam=beam)
+                    t1 = time.perf_counter()
+                    knn_exact(q, store, sizes.top_n)
+                    exact_s.append(time.perf_counter() - t1)
+                    approx_s.append(t1 - t0)
+                    found.append([r.keyword_id for r in answer])
+                approx_work = store.counters.distance_computations - len(qs) * len(store)
+                key = f"L{beam}.W{width}"
+                reported[f"{key}.recall_at_10"] = (checks.recall_at(found, qs, scan, sizes.top_n), "ratio")
+                reported[f"{key}.distance_computations_per_query"] = (approx_work / len(qs), "count")
+                reported[f"{key}.hops_per_query"] = (store.counters.hops / len(qs), "count")
+                reported[f"{key}.knn_approx_p50_ms"] = (float(np.median(approx_s)) * 1e3, "ms")
+                reported[f"{key}.knn_exact_p50_ms"] = (float(np.median(exact_s)) * 1e3, "ms")
+    finally:  # a failed sweep leaves an in-process caller the width it had
+        index_mod._WIDTH = default_width
 
     record = {
         "workload": "search_beam_sweep",

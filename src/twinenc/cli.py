@@ -68,6 +68,13 @@ def _int_list(flag: str, text: str) -> list[int]:
     return values
 
 
+def _refuse_below(*checks: tuple[str, int, int]) -> None:
+    """Refuse the first ``(flag, value, least)`` whose value is below its least."""
+    for flag, value, least in checks:
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
+
+
 def _score(cell: str) -> float:
     """A score cell as a float; NaN ranks nowhere, so it is refused like text."""
     value = float(cell)
@@ -147,8 +154,8 @@ def _emit(path: str | Path | None, rows, manifest: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synthetic(args) -> int:
+    _refuse_below(("--pairs", args.pairs, 1), ("--queries", args.queries, 1), ("--topics", args.topics, 2))
     out_dir = Path(args.out_dir)
-
     pairs = generate_pairs(
         n_pairs=args.pairs, seed=args.seed, n_queries=args.queries, n_topics=args.topics
     )
@@ -235,6 +242,7 @@ def cmd_encode_corpus(args) -> int:
 
 
 def cmd_build_index(args) -> int:
+    _refuse_below(("--degree", args.degree, 1), ("--build-beam", args.build_beam, 1))  # before the store is read
     store = index_mod.EmbeddingIndex.load(_require_file(args.embeddings))
     index_mod.build_graph(store, degree_bound=args.degree, build_beam=args.build_beam)
     store.save(args.out)
@@ -249,8 +257,7 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.top_n < 1:
-        raise ValueError(f"--top-n must be >= 1, got {args.top_n}")
+    _refuse_below(("--top-n", args.top_n, 1))
     if args.mode == "approx" and args.beam < args.top_n:
         raise ValueError(f"--beam must be >= --top-n in approx mode, got {args.beam} < {args.top_n}")
     model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
@@ -290,6 +297,8 @@ def cmd_score(args) -> int:
     table = textio.read_table(_require_file(args.pairs))
     if "prob" in table.header:  # a second prob column would go unread by eval-auc and eval-ndcg
         raise ValueError(f"{args.pairs}: already has a prob column; score a table without one")
+    if "label" in table.header:  # else the table written fails eval-auc, one command late
+        table.column("label", lambda cell: cell and binary_label(cell), "bad/fair/good/excellent or 0/1")
     model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     queries, keywords = (table.column(name, encodable, ENCODABLE) for name in ("query", "keyword"))
     head = args.head or model.config.crossing
@@ -304,7 +313,10 @@ def cmd_eval_auc(args) -> int:
     table = textio.read_table(_require_file(args.scored))
     scores = table.column("prob", _score, "a number")
     labels = table.column("label", binary_label, "bad/fair/good/excellent or 0/1")
-    auc = roc_auc(scores, labels)
+    try:
+        auc = roc_auc(scores, labels)
+    except ValueError as exc:
+        raise ValueError(f"{args.scored}: {exc}") from None
     _emit(args.out, [("metric", "value"), ("roc_auc", f"{auc:.10f}")],
           _manifest("eval-auc", {}))
     return 0
@@ -337,10 +349,8 @@ def cmd_bench(args) -> int:
         bench_mod.check_nk_grid(nk_grid)
     except ValueError as exc:
         raise ValueError(f"--nk-grid {args.nk_grid!r}: {exc}") from None
-    for flag, value, least in (("--n-queries", args.n_queries, 1), ("--reps", args.reps, 1),
-                               ("--qel", args.qel, 1), ("--warmup", args.warmup, 0)):
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
+    _refuse_below(("--n-queries", args.n_queries, 1), ("--reps", args.reps, 1), ("--qel", args.qel, 1),
+                  ("--warmup", args.warmup, 0))
     if args.checkpoint is not None:
         for dest, flag in args.model_flags.items():
             if getattr(args, dest) is not None:

@@ -19,9 +19,6 @@ A TWIX file holds the store as memory does: after the preamble come the
 vectors, the ids and, when the header's ``degree_bound`` is not null, that
 same int32 array, each row a fixed-width record as in DiskANN. Each array is
 written from its own buffer and read back in one bounds-checked read.
-
-A raw store (unnormalized rows in the model's dtype), which the residual head
-needs, exists in memory only; it carries no graph and is never written to a file.
 """
 
 from __future__ import annotations
@@ -42,8 +39,7 @@ logger = logging.getLogger(__name__)
 INDEX_MAGIC = b"TWIX"
 INDEX_FORMAT_VERSION = 2
 
-METRIC_UNIT = "l2_unit"
-METRIC_RAW = "raw_f64"
+METRIC_UNIT = "l2_unit"  # the header's metric tag, the only one a file holds
 
 _NORM_TOL = 1e-6
 _BLOCK = 16  # rows per V @ V.T product in build_graph; 256 rows cost 11 MB more peak RSS at 10k
@@ -61,18 +57,22 @@ class SearchResult:
 
 
 @dataclass
-class EmbeddingIndex:
-    """ids + vectors (+ optional proximity graph) over one keyword corpus.
+class RawStore:
+    """The residual head's keyword cache, in memory only: ids and ``encode_keywords`` rows."""
 
-    ``metric`` is ``l2_unit`` for the searchable unit-normalized store and
-    ``raw_f64`` for the in-memory raw-embedding cache (no search, no graph,
-    no file). ``graph`` is the ``(n, degree_bound)`` int32 adjacency (rows
+    ids: list[str]
+    vectors: np.ndarray
+
+
+@dataclass
+class EmbeddingIndex:
+    """ids + unit-norm vectors (+ optional proximity graph) over one keyword
+    corpus. ``graph`` is the ``(n, degree_bound)`` int32 adjacency (rows
     ascending, padded with -1).
     """
 
     ids: list[str]
     vectors: np.ndarray
-    metric: str = METRIC_UNIT
     graph: np.ndarray | None = None
     build_beam: int | None = None
     entry_point: int = 0
@@ -86,14 +86,11 @@ class EmbeddingIndex:
             raise ValueError("keyword ids must be unique")
         if not np.isfinite(self.vectors).all():
             raise ValueError("vectors must be finite")
-        if self.metric == METRIC_UNIT:
-            # float64 sums of squares, without a float64 copy of the store
-            norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64))
-            bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL)
-            if bad.size:
-                raise ValueError(f"vector for id {self.ids[bad[0]]!r} is not unit-norm (|v| = {norms[bad[0]]!r})")
-        elif self.metric != METRIC_RAW:
-            raise ValueError(f"unknown metric tag: {self.metric!r}")
+        # float64 sums of squares, without a float64 copy of the store
+        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64))
+        bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL)
+        if bad.size:
+            raise ValueError(f"vector for id {self.ids[bad[0]]!r} is not unit-norm (|v| = {norms[bad[0]]!r})")
         if self.graph is not None:
             self._check_graph(n)
         if n and not 0 <= self.entry_point < n:
@@ -123,10 +120,7 @@ class EmbeddingIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the unit-normalized store; a raw store has no file format."""
-        if self.metric != METRIC_UNIT:
-            raise ValueError(f"{path}: only a unit-normalized store can be saved, not {self.metric!r}")
-        header = {"n": len(self.ids), "dim": self.dim, "metric": self.metric,
+        header = {"n": len(self.ids), "dim": self.dim, "metric": METRIC_UNIT,
                   "degree_bound": self.degree_bound, "build_beam": self.build_beam,
                   "entry_point": self.entry_point}
 
@@ -165,25 +159,18 @@ class EmbeddingIndex:
             raise r.error(str(exc)) from None
 
 
-def _row_norms(vectors: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("cannot normalize a zero vector")
-    return norms
-
-
 def encode_corpus(
     keywords,
     model: TwinModel,
     ids: list[str] | None = None,
     batch_size: int = SERVE_BATCH,
     normalize: bool = True,
-) -> EmbeddingIndex:
+) -> EmbeddingIndex | RawStore:
     """Encode a keyword stream into an embedding store, ``batch_size`` kept
     keywords per ``model.encode_keywords`` call.
 
     Unit-normalized float32 by default (the searchable store); with
-    ``normalize=False`` the model's raw rows are kept instead, in the model's
+    ``normalize=False`` a ``RawStore`` of the model's raw rows, in the model's
     dtype (the residual-head serving cache). Keywords that ``text.encodable``
     refuses are skipped with a warning and their ids excluded.
     """
@@ -194,6 +181,8 @@ def encode_corpus(
         ids = textio.keyword_ids(len(keywords))
     if len(ids) != len(keywords):
         raise ValueError("ids and keywords must align")
+    if len(set(ids)) != len(ids):
+        raise ValueError("keyword ids must be unique")
     kept_ids, kept = [], []
     for kid, text in zip(ids, keywords):
         try:
@@ -209,9 +198,12 @@ def encode_corpus(
     for lo in range(0, len(kept), batch_size):
         emb = model.encode_keywords(kept[lo : lo + batch_size])
         if normalize:
-            emb /= _row_norms(emb)
+            norms = np.linalg.norm(emb, axis=1, keepdims=True)
+            if np.any(norms == 0):
+                raise ValueError("cannot normalize a zero vector")
+            emb /= norms
         vectors[lo : lo + batch_size] = emb
-    return EmbeddingIndex(ids=kept_ids, vectors=vectors, metric=METRIC_UNIT if normalize else METRIC_RAW)
+    return EmbeddingIndex(ids=kept_ids, vectors=vectors) if normalize else RawStore(kept_ids, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +235,6 @@ def _ranked_results(index: EmbeddingIndex, node_ids, scores, top_n: int) -> list
 
 
 def _check_search(index: EmbeddingIndex, top_n: int) -> None:
-    if index.metric != METRIC_UNIT:
-        raise ValueError("search requires a unit-normalized index")
     if len(index) == 0:
         raise ValueError("cannot search an empty index")
     if top_n < 1:
@@ -282,8 +272,6 @@ def build_graph(index: EmbeddingIndex, degree_bound: int = 16, build_beam: int =
     (-similarity, id) order, α-pruned to at most ``degree_bound``; then every
     node is made reachable from the entry point. Deterministic.
     """
-    if index.metric != METRIC_UNIT:
-        raise ValueError("graphs are built over unit-normalized vectors only")
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
     if build_beam < 1:

@@ -3,7 +3,7 @@ import pytest
 
 from twinenc import ModelConfig, TwinModel, encoder
 from twinenc.checkpoint import pack_str, write_preamble
-from twinenc.index import INDEX_FORMAT_VERSION, INDEX_MAGIC, METRIC_RAW
+from twinenc.index import INDEX_FORMAT_VERSION, INDEX_MAGIC
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +56,7 @@ def garbage_in_padding(monkeypatch):
 def raw_f64_store(tmp_path):
     """Path of a well-formed TWIX file holding a float64 store under the
     ``raw_f64`` metric, which no reader takes."""
-    header = {"n": 4, "dim": 3, "metric": METRIC_RAW, "degree_bound": None, "build_beam": None,
+    header = {"n": 4, "dim": 3, "metric": "raw_f64", "degree_bound": None, "build_beam": None,
               "entry_point": 0}
     path = tmp_path / "raw.twix"
     path.write_bytes(b"".join([*write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header),

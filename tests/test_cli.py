@@ -107,6 +107,16 @@ class TestGenSynthetic:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--pairs", "0"], "--pairs must be >= 1, got 0"),
+        (["--queries", "0"], "--queries must be >= 1, got 0"),
+        (["--topics", "1"], "--topics must be >= 2, got 1"),
+    ], ids=["pairs", "queries", "topics"])
+    def test_a_count_below_its_least_exits_1_naming_the_flag(self, tmp_path, capsys, flags, named):
+        assert main(["gen-synthetic", "--out-dir", str(tmp_path / "data"), *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {named}"]
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("seed", [-1, 2**63], ids=["negative", "2**63"])
     def test_seed_out_of_range_exits_1_naming_it(self, tmp_path, capsys, seed):
         assert main(["gen-synthetic", "--out-dir", str(tmp_path / "data"), "--seed", str(seed)]) == 1
@@ -482,6 +492,19 @@ class TestScore:
             f"error: {scored}: already has a prob column; score a table without one"]
         assert not rescored.exists() and not Path(f"{rescored}.manifest.json").exists()
 
+    def test_a_bad_label_exits_1_naming_its_line_before_loading_the_checkpoint(self, workspace, tmp_path,
+                                                                                capsys, monkeypatch):
+        # eval-auc, eval-ndcg, distill and finetune all refuse this label; an empty one is left out
+        pairs, scored = tmp_path / "lab.tsv", tmp_path / "s.tsv"
+        pairs.write_text("query\tkeyword\tlabel\nred\tred shoes\tgood\nred\tblue hat\tgreat\n"
+                         "red\tred hat\n")
+        monkeypatch.setattr(TwinModel, "load", lambda path: pytest.fail("the checkpoint was loaded"))
+        assert main(["score", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--pairs", str(pairs), "--out", str(scored), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {pairs}:3: label 'great' is not bad/fair/good/excellent or 0/1"]
+        assert not scored.exists() and not Path(f"{scored}.manifest.json").exists()
+
 
 class TestEvalAuc:
     @pytest.mark.parametrize("command", ["eval-auc", "eval-ndcg"])
@@ -501,6 +524,14 @@ class TestEvalAuc:
             assert main([command, "--scored", str(scored), "--quiet"]) == 1
             err = capsys.readouterr().err
             assert f"{scored}:3: label 'meh' is not bad/fair/good/excellent or 0/1" in err, command
+
+    def test_one_class_exits_1_naming_the_scored_file(self, tmp_path, capsys):
+        scored, out = tmp_path / "scored.tsv", tmp_path / "auc.tsv"
+        scored.write_text("query\tkeyword\tlabel\tprob\na\tb\tgood\t0.9\na\tc\t1\t0.1\n")
+        assert main(["eval-auc", "--scored", str(scored), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scored}: ROC-AUC needs at least one positive and one negative"]
+        assert not out.exists()
 
     def test_nan_score_exits_1_without_traceback(self, tmp_path):
         scored = tmp_path / "scored.tsv"
@@ -702,6 +733,17 @@ class TestStoreFile:
         assert main(["build-index", "--embeddings", str(raw_f64_store), "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert f"{raw_f64_store}: keyword index metric 'raw_f64'" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("flag", ["--degree", "--build-beam"])
+    def test_a_bound_below_1_exits_1_naming_the_flag_before_the_store_is_read(self, workspace, tmp_path,
+                                                                               capsys, monkeypatch, flag):
+        monkeypatch.setattr(EmbeddingIndex, "load", lambda path: pytest.fail("the store was read"))
+        out = tmp_path / "idx.bin"
+        assert main(["build-index", "--embeddings", str(workspace / "embeddings.bin"), "--out", str(out),
+                     flag, "0", "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be >= 1, got 0"]
         assert not out.exists()
 
 

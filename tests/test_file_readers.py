@@ -406,11 +406,11 @@ CLI_CASES = {
                                   "BAD: neighbour ids must lie in [0, 3)"),
     # bad arguments read no file and must name the argument instead
     "gen_queries_zero": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pairs", "20", "--queries", "0"],
-                         "n_queries must be >= 1, got 0"),
+                         "--queries must be >= 1, got 0"),
     "gen_queries_negative": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pairs", "20", "--queries", "-5"],
-                             "n_queries must be >= 1, got -5"),
+                             "--queries must be >= 1, got -5"),
     "gen_one_topic": (b"", ["gen-synthetic", "--out-dir", "OUT", "--pairs", "20", "--queries", "2",
-                            "--topics", "1"], "n_topics must be >= 2, got 1"),
+                            "--topics", "1"], "--topics must be >= 2, got 1"),
     # no flag is read as an abbreviation of a longer one: a usage error, exit status 2
     "gen_abbreviated_out": (b"", ["gen-synthetic", "--out", "OUT", "--pairs", "400", "--queries", "40"],
                             "the following arguments are required: --out-dir", 2),

@@ -11,9 +11,9 @@ from twinenc.encoder import pack_sequences
 from twinenc.index import (
     INDEX_FORMAT_VERSION,
     INDEX_MAGIC,
-    METRIC_RAW,
     METRIC_UNIT,
     EmbeddingIndex,
+    RawStore,
     build_graph,
     encode_corpus,
     knn_approx,
@@ -74,11 +74,6 @@ class TestEmbeddingIndex:
         with pytest.raises(ValueError, match="unique"):
             EmbeddingIndex(ids=["a", "a"], vectors=v)
 
-    def test_raw_store_allows_any_norm(self, rng):
-        v = rng.standard_normal((4, 8)) * 5
-        idx = EmbeddingIndex(ids=list("abcd"), vectors=v, metric=METRIC_RAW)
-        assert idx.metric == METRIC_RAW
-
     def test_nan_row_rejected(self, rng):
         v = _unit_vectors(rng, 4, 8)
         v[2, 0] = np.nan
@@ -96,13 +91,6 @@ class TestEmbeddingIndex:
                 EmbeddingIndex(ids=list("abc"), vectors=v, graph=_adjacency([[1], [bad, 0], []], 2))
         with pytest.raises(ValueError, match="entry point"):
             EmbeddingIndex(ids=list("abc"), vectors=v, graph=_adjacency(ok, 2), entry_point=3)
-
-    def test_raw_store_not_searchable(self, rng):
-        v = rng.standard_normal((4, 8)) * 5
-        idx = EmbeddingIndex(ids=list("abcd"), vectors=v, metric=METRIC_RAW)
-        q = np.zeros(8); q[0] = 1.0
-        with pytest.raises(ValueError):
-            knn_exact(q, idx, 2)
 
 
 class TestEncodeCorpus:
@@ -173,8 +161,16 @@ class TestEncodeCorpus:
         model = tiny_model.cast(dtype)
         raw = encode_corpus(["red shoes", "???", "blue hat"], model, normalize=False)
         direct = model.encode_keywords(["red shoes", "blue hat"])
-        assert raw.metric == METRIC_RAW and raw.vectors.dtype == dtype
+        assert isinstance(raw, RawStore) and raw.vectors.dtype == dtype
         assert raw.vectors.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_a_repeated_id_is_refused_before_anything_is_encoded(self, tiny_model, monkeypatch, normalize):
+        calls = []
+        monkeypatch.setattr(tiny_model, "encode_keywords", calls.append)
+        with pytest.raises(ValueError, match="keyword ids must be unique"):
+            encode_corpus(["red shoes", "blue hat"], tiny_model, ids=["x", "x"], normalize=normalize)
+        assert calls == []
 
     def test_rows_come_from_encode_keywords_batch_size_kept_keywords_per_call(self, tiny_model, monkeypatch):
         sizes = []
@@ -211,7 +207,7 @@ class TestEncodeCorpusStore:
         assert store.vectors.dtype == np.float32
         assert store.vectors.tobytes() == _normalize_rows(stacked).astype(np.float32).tobytes()
         raw = encode_corpus(self.KEYWORDS, model, batch_size=batch_size, normalize=False)
-        assert raw.metric == METRIC_RAW and raw.vectors.dtype == model.dtype
+        assert isinstance(raw, RawStore) and raw.vectors.dtype == model.dtype
         assert raw.vectors.tobytes() == stacked.tobytes()
 
 
@@ -452,18 +448,10 @@ class TestPersistence:
         assert loaded.degree_bound == idx.degree_bound
         assert (loaded.graph is None) if rows is None else np.array_equal(loaded.graph, graph)
 
-    def test_save_refuses_a_raw_store(self, tmp_path, rng):
-        raw = EmbeddingIndex(ids=list("abc"), vectors=rng.standard_normal((3, 8)), metric=METRIC_RAW)
-        path = tmp_path / "raw.bin"
-        with pytest.raises(ValueError, match="only a unit-normalized store can be saved") as err:
-            raw.save(path)
-        assert str(path) in str(err.value)
-        assert list(tmp_path.iterdir()) == []
-
 
 def _joined_index_bytes(index: EmbeddingIndex) -> bytes:
     """TWIX v2 serialized as one joined byte string (the reference layout)."""
-    header = {"n": len(index.ids), "dim": index.dim, "metric": index.metric,
+    header = {"n": len(index.ids), "dim": index.dim, "metric": METRIC_UNIT,
               "degree_bound": index.degree_bound, "build_beam": index.build_beam,
               "entry_point": index.entry_point}
     chunks = write_preamble(INDEX_MAGIC, INDEX_FORMAT_VERSION, header)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import twinenc
 from script_loader import SCRIPTS, load_script
 
@@ -110,6 +112,29 @@ def _ab_timing(script: str, *flags: str) -> dict:
     proc = subprocess.run([sys.executable, str(SCRIPTS / f"{script}.py"), f"a={src}", f"b={src}", *flags],
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def test_beam_sweep_restores_the_width_when_a_search_fails(tmp_path, monkeypatch, tiny_model):
+    from twinenc import index as index_mod
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src/ and benchmark/ first
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "benchmark"))
+    import workloads
+
+    corpus = ["red shoes", "blue hat", "green tea", "paris hotels", "cheap flights"]
+    monkeypatch.setattr(workloads, "search_inputs", lambda seed, sizes: (tiny_model, corpus, ["red shoes"]))
+    widths = []
+
+    def failing(*args, **kwargs):
+        widths.append(index_mod._WIDTH)
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(index_mod, "knn_approx", failing)
+    default = index_mod._WIDTH
+    with pytest.raises(RuntimeError, match="search failed"):
+        load_script("beam_sweep").main(["--widths", "3", "--out", str(tmp_path)])
+    assert widths == [3] and index_mod._WIDTH == default
 
 
 def test_time_encode_reports_both_labels():
