@@ -39,7 +39,17 @@ def main(argv=None) -> int:
 
     blas_fixed = "OPENBLAS_NUM_THREADS" not in os.environ
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmark/run.py does
+    path = list(sys.path)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
+    try:
+        return _sweep(args, blas_fixed)
+    finally:  # an in-process caller keeps its import path and environment
+        sys.path[:] = path
+        if blas_fixed:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+def _sweep(args, blas_fixed: bool) -> int:
     import numpy as np
 
     import checks

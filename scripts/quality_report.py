@@ -41,6 +41,7 @@ import numpy as np
 
 from twinenc import (DistillationConfig, ModelConfig, TrainingDivergedError, TwinModel, distill_train,
                      finetune, roc_auc, soft_label)
+from twinenc.metrics import binary_label
 from twinenc.synthetic import generate_pairs, split_pairs, teacher_logits
 
 SEEDS = (42, 7, 123)
@@ -56,7 +57,7 @@ def per_query_auc(scores, records) -> float:
     """Mean ROC-AUC over the queries of ``records`` whose pairs hold both classes."""
     by_query: dict[str, list[tuple[float, int]]] = {}
     for s, r in zip(scores, records):
-        by_query.setdefault(r.query, []).append((float(s), r.binary()))
+        by_query.setdefault(r.query, []).append((float(s), binary_label(r.label)))
     aucs = [roc_auc(*zip(*pairs)) for pairs in by_query.values()
             if len({label for _, label in pairs}) == 2]
     return float(np.mean(aucs))
@@ -96,7 +97,7 @@ def report(seed: int, n_pairs: int = 5000, n_queries: int = 500, epochs: int = 2
     config = DistillationConfig(learning_rate=3e-4, epochs=epochs)
     pairs = generate_pairs(n_pairs, seed=seed, n_queries=n_queries)
     train, test = split_pairs(pairs, n_queries=n_queries)
-    labels = [r.binary() for r in test]
+    labels = [binary_label(r.label) for r in test]
     queries, store, margins = store_bundle(pairs, test, seed)
     relevant = margins > 0
     new = lambda head, **variant: TwinModel.initialize(ModelConfig(crossing=head, **variant), seed=0)

@@ -39,7 +39,7 @@ from . import index as index_mod
 from . import textio
 from .checkpoint import FORMAT_VERSION, config_hash, file_sha256
 from .config import CROSSING_MODES, PRESETS, DistillationConfig, ModelConfig, POOLING_MODES
-from .metrics import binary_label, label_gain, mean_ndcg, roc_auc
+from .metrics import LABEL_SCALE, binary_label, label_gain, mean_ndcg, roc_auc
 from .model import SERVE_BATCH, SERVING_DTYPE, TwinModel
 from .synthetic import HOLDOUT_FRACTION, generate_pairs, split_pairs
 from .text import ENCODABLE, encodable
@@ -182,6 +182,8 @@ def _training_pairs(path: str, field: str) -> list[PairRecord]:
     """The pair TSV at ``path``; the first record without ``field``, what its phase trains
     on, fails as ``path:line``, read back here: ``load_pair_tsv`` skips no row."""
     records = load_pair_tsv(_require_file(path))
+    if not records:  # before a model is built or loaded
+        raise ValueError(f"{path}: no pairs")
     if (missing := first_lacking(records, field)) is not None:
         lineno = textio.read_table(path).rows[missing][0]
         raise ValueError(f"{path}:{lineno}: pair has no {field.replace('_', ' ')}")
@@ -265,9 +267,12 @@ def cmd_search(args) -> int:
     if args.mode == "approx" and index.graph is None:
         raise ValueError(f"index {args.index} has no graph; use --mode exact or build-index")
     source = args.queries if args.queries == "-" else _require_file(args.queries)
+    name = "<stdin>" if args.queries == "-" else args.queries
     queries = []
-    for _, line in textio.lines(source):
+    for lineno, line in textio.lines(source):
         if query := line.strip():
+            if "\t" in query or query[0] == "#":  # its rows would not read back
+                raise ValueError(f"{name}:{lineno}: query {query!r} holds a tab or starts with '#'")
             try:
                 queries.append(encodable(query))
             except ValueError:
@@ -298,7 +303,7 @@ def cmd_score(args) -> int:
     if "prob" in table.header:  # a second prob column would go unread by eval-auc and eval-ndcg
         raise ValueError(f"{args.pairs}: already has a prob column; score a table without one")
     if "label" in table.header:  # else the table written fails eval-auc, one command late
-        table.column("label", lambda cell: cell and binary_label(cell), "bad/fair/good/excellent or 0/1")
+        table.column("label", lambda cell: cell and binary_label(cell), LABEL_SCALE)
     model = TwinModel.load(_require_file(args.checkpoint)).cast(SERVING_DTYPE)
     queries, keywords = (table.column(name, encodable, ENCODABLE) for name in ("query", "keyword"))
     head = args.head or model.config.crossing
@@ -312,7 +317,7 @@ def cmd_score(args) -> int:
 def cmd_eval_auc(args) -> int:
     table = textio.read_table(_require_file(args.scored))
     scores = table.column("prob", _score, "a number")
-    labels = table.column("label", binary_label, "bad/fair/good/excellent or 0/1")
+    labels = table.column("label", binary_label, LABEL_SCALE)
     try:
         auc = roc_auc(scores, labels)
     except ValueError as exc:
@@ -328,17 +333,20 @@ def cmd_eval_ndcg(args) -> int:
         raise ValueError(f"--positions {args.positions!r}: position must be >= 1, got {least}")
     table = textio.read_table(_require_file(args.scored))
     scores = table.column("prob", _score, "a number")
-    grades = table.column("label", label_gain, "bad/fair/good/excellent or 0/1")
+    gains = table.column("label", label_gain, LABEL_SCALE)
     by_query: dict[str, list[tuple[float, float]]] = {}
-    for query, score, grade in zip(table.column("query"), scores, grades):
-        by_query.setdefault(query, []).append((score, grade))
+    for query, score, gain in zip(table.column("query"), scores, gains):
+        by_query.setdefault(query, []).append((score, gain))
     rankings = []
     for items in by_query.values():
         items.sort(key=lambda t: -t[0])
-        rankings.append([lab for _, lab in items])
+        rankings.append([gain for _, gain in items])
     rows = [("position", "ndcg")]
-    for p in positions:
-        rows.append((str(p), f"{mean_ndcg(rankings, p):.6f}"))
+    try:
+        for p in positions:
+            rows.append((str(p), f"{mean_ndcg(rankings, p):.6f}"))
+    except ValueError as exc:
+        raise ValueError(f"{args.scored}: {exc}") from None
     _emit(args.out, rows, _manifest("eval-ndcg", {"positions": positions}))
     return 0
 

@@ -3,15 +3,16 @@
 ROC-AUC is computed from rank statistics (ties count half), which matches
 the pairwise-enumeration definition exactly. Its tie-averaged ranks come
 from ``np.unique`` rather than ``scipy.stats.rankdata``, whose import adds
-about 45 MB to every process that imports the package. nDCG uses a
-log2(rank + 1) discount and one gain, the linear grade gain of the
-four-level label scale (``LABEL_GAINS``: bad 0 to excellent 3); rankings
-whose ideal DCG is zero carry no signal and are reported as NaN so that
+about 45 MB to every process that imports the package. nDCG ranks gains,
+numbers in ranked order, with a log2(rank + 1) discount; rankings whose
+ideal DCG is zero carry no signal and are reported as NaN so that
 averages can exclude them.
 
 The label scale is defined here and nowhere else: ``LABEL_GAINS`` gives
-each editorial grade its gain, and ``binary_label`` maps a label cell
-(a grade, or 0/1) to its hard 0/1 target.
+each editorial grade its linear gain (bad 0 to excellent 3), and
+``LABEL_SCALE`` names the label cells the scale accepts, a grade or 0/1.
+A label cell becomes a number only here: ``label_gain`` gives its gain
+and ``binary_label`` its hard 0/1 target.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 LABEL_GAINS = {"bad": 0.0, "fair": 1.0, "good": 2.0, "excellent": 3.0}
+LABEL_SCALE = "/".join(LABEL_GAINS) + " or 0/1"  # what a label cell holds, as errors name it
 
 
 def roc_auc(scores, labels) -> float:
@@ -50,14 +52,9 @@ def roc_auc(scores, labels) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def label_gain(label) -> float:
-    """Gain of a relevance label: a grade, the label cell "0" or "1", or a numeric grade."""
-    if isinstance(label, str):
-        return LABEL_GAINS[label] if label in LABEL_GAINS else float(binary_label(label))
-    g = float(label)
-    if g < 0:
-        raise ValueError("numeric gains must be >= 0")
-    return g
+def label_gain(cell: str) -> float:
+    """Gain of a label cell: a grade's, or 0 or 1 for the cell "0" or "1"."""
+    return LABEL_GAINS[cell] if cell in LABEL_GAINS else float(binary_label(cell))
 
 
 def binary_label(label) -> int:
@@ -78,28 +75,25 @@ def dcg_at(gains, position: int) -> float:
     return total
 
 
-def ndcg_at(ranked_labels, position: int) -> float:
-    """nDCG of one ranked label list at a cutoff position.
+def ndcg_at(gains, position: int) -> float:
+    """nDCG of one ranking's gains at a cutoff position.
 
-    ``ranked_labels`` is the label sequence in ranked order (best first as
-    scored). Returns NaN when the ideal DCG is zero (an all-bad ranking),
-    which callers exclude from averages.
+    ``gains`` are in ranked order (best first as scored). Returns NaN when
+    the ideal DCG is zero (every gain 0), which callers exclude from averages.
     """
-    if position < 1:
-        raise ValueError(f"position must be >= 1, got {position}")
-    if len(ranked_labels) == 0:
+    if len(gains) == 0:
         raise ValueError("ranking must be non-empty")
-    gains = [label_gain(lab) for lab in ranked_labels]
-    ideal = sorted(gains, reverse=True)
-    idcg = dcg_at(ideal, position)
+    idcg = dcg_at(sorted(gains, reverse=True), position)
     if idcg == 0.0:
         return float("nan")
     return dcg_at(gains, position) / idcg
 
 
 def mean_ndcg(rankings, position: int) -> float:
-    """Average nDCG over queries, excluding zero-IDCG rankings."""
+    """Average nDCG over rankings of gains, excluding zero-IDCG rankings."""
     values = [ndcg_at(r, position) for r in rankings]
+    if not values:
+        raise ValueError("there are no rankings")
     kept = [v for v in values if not math.isnan(v)]
     if not kept:
         raise ValueError("every ranking had zero ideal DCG")

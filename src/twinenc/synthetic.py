@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 
+from .metrics import LABEL_GAINS
 from .text import normalize
 from .training import PairRecord
 
@@ -116,7 +117,7 @@ def _teacher_logits(key: bytes, queries: list[str], keywords: list[str], j: np.n
 # Corpus generation
 # ---------------------------------------------------------------------------
 
-_GRADES = ("excellent", "good", "fair", "bad")
+_GRADES = tuple(sorted(LABEL_GAINS, key=LABEL_GAINS.get, reverse=True))  # best first: bad is 3
 _GRADE_P = (0.2, 0.2, 0.2, 0.4)
 _MODIFIER_P = np.array([0.5, 0.5, 0.6, 0.8])  # a keyword's chance of a modifier, by grade
 

@@ -42,8 +42,8 @@ class TrainingDivergedError(RuntimeError):
 class PairRecord:
     """One labelled pair: a query/keyword pair with teacher logits and/or a label.
 
-    ``label`` is the label cell as a pair TSV holds it: a grade
-    (bad/fair/good/excellent) or 0/1, checked against ``metrics.binary_label``.
+    ``label`` is the label cell as a pair TSV holds it, one of
+    ``metrics.LABEL_SCALE``, checked against ``metrics.binary_label``.
     ``teacher_logits`` must be two finite numbers, kept as Python floats.
     ``query`` and ``keyword`` hold no tab, CR or LF, so each record is one
     pair-TSV row, and each normalizes to at least one word (``text.encodable``).
@@ -68,12 +68,6 @@ class PairRecord:
             binary_label(self.label)
         elif self.teacher_logits is None:
             raise ValueError("a pair record needs teacher logits or a label")
-
-    def binary(self) -> int:
-        """Hard label: bad and 0 map to 0, every other grade and 1 to 1."""
-        if self.label is None:
-            raise ValueError("record has no label")
-        return binary_label(self.label)
 
 
 def _breaks_line(text: str) -> bool:
@@ -421,7 +415,7 @@ def finetune(records: list[PairRecord], config: DistillationConfig,
     """
     if (missing := first_lacking(records, "label")) is not None:
         raise ValueError(f"record {missing} has no label")
-    targets = np.asarray([float(r.binary()) for r in records])
+    targets = np.asarray([float(binary_label(r.label)) for r in records])
     return _run_epochs(model, records, targets, config.finetune_learning_rate,
                        config.finetune_epochs, config, seed + 1)
 
@@ -439,7 +433,7 @@ def load_pair_tsv(path: str | Path) -> list[PairRecord]:
     Columns, found by name: query, keyword, z_bad, z_nonbad and an optional
     label. Both logit cells may be empty when only a label is available, and
     the label may be empty when logits are; one logit without the other is
-    an error. The label column holds one of bad/fair/good/excellent or 0/1,
+    an error. The label column holds one of ``metrics.LABEL_SCALE``,
     kept as written in ``PairRecord.label``, and a row may leave it out.
     Lines starting with ``#`` are ignored. Malformed rows abort with their
     line number.

@@ -27,7 +27,7 @@ from twinenc.checkpoint import load_checkpoint, save_checkpoint
 from twinenc.crossing import cosine, residual_head_forward
 from twinenc.encoder import pack_sequences
 from twinenc.index import EmbeddingIndex, build_graph, encode_corpus, knn_approx, knn_exact
-from twinenc.metrics import dcg_at, ndcg_at
+from twinenc.metrics import binary_label, dcg_at, ndcg_at
 from twinenc.synthetic import generate_pairs, split_pairs
 
 from gradcheck import finite_difference_check
@@ -54,7 +54,7 @@ TRAIN_CONFIG = DistillationConfig(learning_rate=3e-4, epochs=20)
 def distillation_bundle():
     pairs = generate_pairs(5000, seed=42, n_queries=N_QUERIES)
     train_r, test_r = split_pairs(pairs, n_queries=N_QUERIES)
-    y_test = [r.binary() for r in test_r]
+    y_test = [binary_label(r.label) for r in test_r]
     teacher_scores = [soft_label(r.teacher_logits, TRAIN_CONFIG.temperature)[1] for r in test_r]
     teacher_auc = roc_auc(teacher_scores, y_test)
 

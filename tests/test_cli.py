@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
@@ -204,6 +205,18 @@ class TestDistill:
         assert f"{data}:2: malformed row: bad label 'good '" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["distill", "finetune"])
+    def test_a_header_without_pairs_exits_1_naming_the_file(self, tmp_path, capsys, monkeypatch, command):
+        data, out = tmp_path / "pairs.tsv", tmp_path / "m.ckpt"
+        data.write_text("query\tkeyword\tz_bad\tz_nonbad\tlabel\n")
+        monkeypatch.setattr(TwinModel, "initialize",
+                            classmethod(lambda *args, **kwargs: pytest.fail("model built")))
+        monkeypatch.setattr(TwinModel, "load", lambda path: pytest.fail("checkpoint loaded"))
+        model = FAST_MODEL if command == "distill" else ["--checkpoint", str(tmp_path / "src.ckpt")]
+        assert main([command, "--data", str(data), "--out", str(out), *model, "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {data}: no pairs"]
+        assert not out.exists()
+
     def test_a_diverged_run_exits_1_without_a_checkpoint(self, tmp_path, capsys):
         assert main(["gen-synthetic", "--out-dir", str(tmp_path), "--pairs", "400",
                      "--queries", "40", "--quiet"]) == 0
@@ -340,22 +353,22 @@ class TestSearch:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "idx.bin").exists()
 
-    @pytest.mark.parametrize("line, problem", [("red\tshoes", "has a cell holding a tab, CR or LF"),
-                                               ("  #blue shoes", "would read back as a comment")])
-    def test_query_with_a_tab_exits_1_without_a_traceback(self, workspace, tmp_path, line, problem):
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("line", ["blue\that", "  #blue hat"])
+    def test_a_query_whose_rows_would_not_read_back_exits_1_before_any_row(self, workspace, tmp_path, capsys,
+                                                                         monkeypatch, line, source):
+        # the first query is fine: none of its rows may reach stdout before the second is refused
+        text = "red shoes\n" + line + "\n"
         queries = tmp_path / "queries.txt"
-        queries.write_text(line + "\n")
-        out = tmp_path / "hits.tsv"
-        src = Path(twinenc.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-m", "twinenc.cli", "search",
-                               "--checkpoint", str(workspace / "model.ckpt"),
-                               "--index", str(workspace / "index.bin"), "--queries", str(queries),
-                               "--out", str(out), "--quiet"],
-                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-        assert proc.returncode == 1
-        assert f"{out}:3: row ({line.strip()!r}, '1', " in proc.stderr and problem in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert [p.name for p in tmp_path.iterdir()] == ["queries.txt"]  # no output, sidecar or temp file
+        queries.write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        assert main(["search", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--index", str(workspace / "index.bin"),
+                     "--queries", str(queries) if source == "file" else "-", "--quiet"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        name = queries if source == "file" else "<stdin>"
+        assert err.splitlines() == [f"error: {name}:2: query {line.strip()!r} holds a tab or starts with '#'"]
 
     @pytest.mark.parametrize("flags, named", [
         (["--top-n", "0"], "--top-n must be >= 1, got 0"),
@@ -571,6 +584,15 @@ class TestEvalNdcg:
         manifest, table = capsys.readouterr().out.split("\n", 1)
         assert manifest.startswith("# manifest: ")
         assert table == f"position\tndcg\n1\t0.000000\n2\t{1 / np.log2(3):.6f}\n"
+
+    @pytest.mark.parametrize("rows, problem", [("a\tb\tbad\t0.9\na\tc\t0\t0.1\n", "every ranking had zero ideal DCG"),
+                                               ("", "there are no rankings")], ids=["all-bad", "header-only"])
+    def test_no_ranking_with_a_gain_exits_1_naming_the_scored_file(self, tmp_path, capsys, rows, problem):
+        scored, out = tmp_path / "scored.tsv", tmp_path / "ndcg.tsv"
+        scored.write_text("query\tkeyword\tlabel\tprob\n" + rows)
+        assert main(["eval-ndcg", "--scored", str(scored), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {scored}: {problem}"]
+        assert not out.exists()
 
     def test_non_integer_position_exits_1_naming_flag_and_entry(self, tmp_path, capsys):
         scored = tmp_path / "scored.tsv"

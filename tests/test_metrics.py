@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -117,45 +118,70 @@ class TestLabelGain:
     def test_linear_scale(self):
         assert [label_gain(l) for l in ("bad", "fair", "good", "excellent")] == [0.0, 1.0, 2.0, 3.0]
 
-    def test_numeric_binary(self):
-        assert label_gain(1) == 1.0
-        assert label_gain(0) == 0.0
+    def test_binary_cells(self):
+        assert label_gain("1") == 1.0
+        assert label_gain("0") == 0.0
+
+    @pytest.mark.parametrize("number", [1, 0, 2.0])
+    def test_a_number_is_not_a_label_cell(self, number):
+        with pytest.raises(ValueError, match="bad label"):
+            label_gain(number)
 
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             label_gain("meh")
 
 
+def test_the_label_scale_is_spelled_only_in_metrics():
+    # everywhere else names it through LABEL_SCALE, so it cannot drift from LABEL_GAINS
+    spelled = []
+    for path in sorted(Path(twinenc.__file__).parent.glob("*.py")):
+        if path.name == "metrics.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        spelled += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "bad/fair/good/excellent" in node.value and id(node) not in docstrings]
+    assert spelled == []
+
+
 class TestNdcg:
     def test_ideal_ordering_is_one(self):
-        labels = ["excellent", "good", "fair", "bad"]
+        gains = [3.0, 2.0, 1.0, 0.0]
         for p in range(1, 5):
-            assert ndcg_at(labels, p) == pytest.approx(1.0, abs=1e-12)
+            assert ndcg_at(gains, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_item(self):
-        assert ndcg_at(["excellent"], 1) == 1.0
+        assert ndcg_at([3.0], 1) == 1.0
 
     def test_bad_then_excellent(self):
         expected = math.log2(2) / math.log2(3)
-        assert ndcg_at(["bad", "excellent"], 2) == pytest.approx(expected, abs=1e-12)
+        assert ndcg_at([0.0, 3.0], 2) == pytest.approx(expected, abs=1e-12)
 
     def test_position_validation(self):
         with pytest.raises(ValueError):
-            ndcg_at(["good"], 0)
+            ndcg_at([2.0], 0)
 
     def test_empty_ranking_rejected(self):
         with pytest.raises(ValueError):
             ndcg_at([], 3)
 
     def test_zero_idcg_is_nan(self):
-        assert math.isnan(ndcg_at(["bad", "bad"], 2))
+        assert math.isnan(ndcg_at([0.0, 0.0], 2))
+
+    def test_mean_of_no_rankings_says_so(self):
+        with pytest.raises(ValueError, match="there are no rankings"):
+            mean_ndcg([], 2)
 
     def test_mean_excludes_zero_idcg(self):
-        value = mean_ndcg([["bad", "bad"], ["excellent", "bad"]], 2)
+        value = mean_ndcg([[0.0, 0.0], [3.0, 0.0]], 2)
         assert value == pytest.approx(1.0)
 
     def test_inversion_strictly_below_one(self):
-        assert ndcg_at(["fair", "excellent"], 2) < 1.0
+        assert ndcg_at([1.0, 3.0], 2) < 1.0
 
     def test_matches_permutation_oracle(self, rng):
         for _ in range(300):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,20 @@ def test_beam_sweep_restores_the_width_when_a_search_fails(tmp_path, monkeypatch
     with pytest.raises(RuntimeError, match="search failed"):
         load_script("beam_sweep").main(["--widths", "3", "--out", str(tmp_path)])
     assert widths == [3] and index_mod._WIDTH == default
+
+
+def test_beam_sweep_leaves_the_import_path_and_environment_as_it_found_them(tmp_path, monkeypatch, tiny_model):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "benchmark"))
+    import workloads
+
+    corpus = ["red shoes", "blue hat", "green tea", "paris hotels", "cheap flights"]
+    monkeypatch.setattr(workloads, "search_inputs", lambda seed, sizes: (tiny_model, corpus, ["red shoes"]))
+    path = list(sys.path)
+    assert load_script("beam_sweep").main(["--beams", "16", "--widths", "1", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "search_beam_sweep-seed0-trace0.json").is_file()
+    assert sys.path == path and "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_time_encode_reports_both_labels():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinenc import synthetic
-from twinenc.metrics import LABEL_GAINS
+from twinenc.metrics import LABEL_GAINS, binary_label
 from twinenc.synthetic import (
     MARGIN_SCALE,
     MIDPOINT,
@@ -114,7 +114,7 @@ class TestGeneratePairs:
     def test_binary_label_mapping(self):
         pairs = generate_pairs(200, seed=2, n_queries=20)
         for p in pairs:
-            assert (p.binary() == 0) == (p.label == "bad")
+            assert (binary_label(p.label) == 0) == (p.label == "bad")
 
     @pytest.mark.parametrize("args, kwargs", _SHAPE_CALLS + [((2000,), dict(seed=s, n_queries=200, n_topics=40))
                                                              for s in (3, 9)],

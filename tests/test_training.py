@@ -143,7 +143,7 @@ class TestLabels:
                         "a\tb\t\t\tgood\na\tc\t\t\t0\na\td\t-1.0\t1.0\t\n")
         records = load_pair_tsv(path)
         assert [r.label for r in records] == ["good", "0", None]
-        assert [r.binary() for r in records[:2]] == [1, 0]
+        assert [binary_label(r.label) for r in records[:2]] == [1, 0]
         textio.write_tsv(tmp_path / "again.tsv", pair_tsv_rows(records))
         assert (tmp_path / "again.tsv").read_text() == path.read_text()
         generated = generate_pairs(40, seed=1, n_queries=4)
@@ -161,12 +161,6 @@ class TestPairRecord:
     def test_requires_some_supervision(self):
         with pytest.raises(ValueError, match="teacher logits or a label"):
             PairRecord(query="a", keyword="b")
-
-    def test_binary_mapping(self):
-        for label, binary in (("bad", 0), ("0", 0), ("fair", 1), ("good", 1), ("excellent", 1), ("1", 1)):
-            assert PairRecord(query="a", keyword="b", label=label).binary() == binary
-        with pytest.raises(ValueError, match="no label"):
-            PairRecord(query="a", keyword="b", teacher_logits=(0.0, 1.0)).binary()
 
     def test_unknown_label_rejected(self):
         for label in ("meh", "2", "Good", "", 5):
@@ -769,7 +763,7 @@ class TestRefitCalibration:
 
     def _refit(self, model, records):
         seqs = model.tokenize_many([r.query for r in records] + [r.keyword for r in records])
-        labels = np.asarray([float(r.binary()) for r in records])
+        labels = np.asarray([float(binary_label(r.label)) for r in records])
         return refit_calibration(model, seqs[:len(records)], seqs[len(records):], labels, 64)
 
     @pytest.mark.parametrize("head", ["residual", "cosine"])
@@ -791,7 +785,7 @@ class TestRefitCalibration:
     def test_hard_label_ce_not_raised(self, head):
         model = self._model(head)
         records = self._noisy_records()
-        labels = [r.binary() for r in records]
+        labels = [binary_label(r.label) for r in records]
         before = ce_loss(labels, self._scores(model, records))
         assert self._refit(model, records) is not None
         assert ce_loss(labels, self._scores(model, records)) <= before
